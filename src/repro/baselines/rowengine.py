@@ -325,7 +325,8 @@ class RowEngine:
         build: dict[tuple, list[Row]] = {}
         for row in right_rows:
             key = tuple(self.evaluator.evaluate(k, row) for k in plan.right_keys)
-            build.setdefault(key, []).append(row)
+            if None not in key:  # a NULL key equals nothing, not even NULL
+                build.setdefault(key, []).append(row)
         right_nulls = {f.name: None for f in plan.right.schema()}
         out: list[Row] = []
         for row in left_rows:

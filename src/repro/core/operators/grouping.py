@@ -1,10 +1,22 @@
 """Shared key-factorization machinery used by joins, aggregation and DISTINCT.
 
 Grouping and joining over arbitrary key types stay inside the tensor op
-vocabulary: numeric/date keys are densified with ``unique``; padded string
-keys are densified with the sort + neighbour-comparison trick of
+vocabulary: every key column is densified into ids ``0..G-1`` that preserve
+the key order, and everything downstream (direct-address join tables,
+scatter reductions, DISTINCT) works on those ids.  Numeric, date and
+dictionary-code keys are densified with ``unique``; padded string keys with
+the sort + neighbour-comparison trick of
 :func:`repro.core.strings.dense_rank`; multi-column keys are mixed pairwise
 and re-densified to avoid overflow.
+
+How ``unique`` densifies is decided per call inside the kernel
+(:mod:`repro.tensor.ops`), from the keys it is handed: integer keys whose
+``max - min`` is within a small multiple of the row count — TPC-H keys,
+dictionary codes, ids that are already dense — index a presence table
+directly in O(n + range); floats, epoch-ns dates and sparse domains are
+sorted.  The two paths return identical arrays, so there is no switch here,
+in the planner or in ``ExecutionOptions``, and a prepared statement may cross
+from one to the other when it is rebound.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ from __future__ import annotations
 from repro.core import strings
 from repro.core.columnar import LogicalType
 from repro.core.expressions import ExprValue
+from repro.core.tuning import MAX_STATIC_GROUP_IDS
 from repro.errors import ExecutionError
 from repro.tensor import Tensor, ops
 
@@ -47,7 +60,8 @@ def factorize_pair(left: ExprValue, right: ExprValue) -> tuple[Tensor, Tensor]:
 
     Both sides must receive ids drawn from the same dictionary so equal values
     map to equal ids; this is achieved by concatenating the two key columns
-    before densification.
+    before densification.  A NULL key equals nothing, itself included: NULL
+    rows take one fresh id per side, which no row of the other side carries.
     """
     if (left.ltype == LogicalType.STRING) != (right.ltype == LogicalType.STRING):
         raise ExecutionError("join key types do not match")
@@ -67,13 +81,13 @@ def factorize_pair(left: ExprValue, right: ExprValue) -> tuple[Tensor, Tensor]:
     # The split point is read from the left side's row count at run time so a
     # parameter rebinding that changes either input's size replays correctly.
     left_ids, right_ids = ops.split_rows(ids, left.tensor)
+    if left.valid is not None or right.valid is not None:
+        fresh = id_count(ids)
+        if left.valid is not None:
+            left_ids = ops.where(left.valid, left_ids, fresh)
+        if right.valid is not None:
+            right_ids = ops.where(right.valid, right_ids, ops.add(fresh, 1))
     return left_ids, right_ids
-
-
-#: Upper bound on the static group-id space of the dictionary fast path
-#: (product of dictionary cardinalities); beyond it the scatter buffers would
-#: dwarf the sort the path avoids.
-MAX_STATIC_GROUP_IDS = 1 << 20
 
 
 def static_radix_group_ids(key_values: list[ExprValue]
@@ -118,25 +132,3 @@ def combine_ids(id_columns: list[Tensor]) -> Tensor:
         mixed = ops.add(ops.mul(combined, radix), ids)
         _, combined, _ = ops.unique(mixed)
     return combined
-
-
-def group_table(id_columns: list[Tensor], num_rows: int) -> tuple[Tensor, int, Tensor]:
-    """Compute (group_ids, num_groups, representative_row_indices).
-
-    ``representative_row_indices[g]`` is the first input row of group ``g``;
-    aggregation uses it to materialize the group key columns.
-    """
-    if num_rows == 0:
-        empty = ops.zeros((0,), dtype="int64")
-        return empty, 0, empty
-    group_ids = combine_ids(id_columns) if id_columns else ops.zeros(
-        (num_rows,), dtype="int64"
-    )
-    if id_columns:
-        num_groups = int(ops.add(ops.max_(group_ids), 1).item())
-    else:
-        num_groups = 1
-    representatives = ops.scatter_min(
-        group_ids, ops.arange_like(group_ids), num_groups
-    )
-    return group_ids, num_groups, representatives

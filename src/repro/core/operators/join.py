@@ -1,11 +1,22 @@
 """Join operators expressed as tensor programs.
 
 The equi-join follows the TQP strategy of staying inside the tensor op
-vocabulary: join keys are densified into integer ids, the build side is
-sorted, probe rows locate their match ranges with ``searchsorted``, and the
-ragged match lists are flattened with ``repeat`` + ``arange`` arithmetic into
-flat gather indices.  Semi/anti/left-outer variants and residual (non-equi)
-conditions are layered on top of the same machinery.
+vocabulary, and is the hash join of that vocabulary: join keys of both sides
+are densified into one id space ``0..G-1``
+(:mod:`repro.core.operators.grouping`), the build side becomes a
+direct-address table over it — ``bincount`` of the right ids, its prefix sum
+the start of each id's run in the id-ordered build rows — and probe rows read
+their match count and start with one ``take`` each.  The ragged match lists
+are flattened with ``repeat`` + ``arange`` arithmetic into flat gather
+indices.  Semi/anti/left-outer variants and residual (non-equi) conditions
+are layered on top of the same machinery.
+
+Where a sort remains it is the kernels' own per-call choice, never this
+module's: ``unique`` and the stable ``argsort`` that orders the build rows
+address bounded integer keys directly (presence table, LSD radix) and fall
+back to a comparison sort for floats, epoch-ns dates and domains much wider
+than the row count — see the constants in :mod:`repro.tensor.ops`.  The
+output (row order included) is the same either way.
 """
 
 from __future__ import annotations
@@ -21,7 +32,11 @@ from repro.core.columnar import (
 )
 from repro.core.expressions import as_mask, evaluate
 from repro.core.operators.base import ExecutionContext, TensorOperator
-from repro.core.operators.grouping import combine_ids, factorize_pair
+from repro.core.operators.grouping import (
+    combine_ids,
+    factorize_pair,
+    id_count,
+)
 from repro.errors import ExecutionError
 from repro.frontend.ast import Expr
 from repro.tensor import Tensor, ops
@@ -123,19 +138,24 @@ class HashJoinOperator(TensorOperator):
         """Match densified keys: per-left-row match ``counts`` plus, when
         ``need_pairs``, the flattened ``(pair_left, pair_right)`` row indices.
 
-        The partitioned parallel variant overrides this with a radix-partition
-        build/probe; everything downstream (:meth:`_finish`) is shared.
+        The ids are dense, so the build side is a direct-address table: one
+        ``bincount`` of the right ids, indexed by the left ids.  The
+        partitioned parallel variant runs this per key partition; everything
+        downstream (:meth:`_finish`) is shared.
         """
-        order = ops.argsort(right_ids)
-        sorted_right = ops.take(right_ids, order)
-        start = ops.searchsorted(sorted_right, left_ids, side="left")
-        end = ops.searchsorted(sorted_right, left_ids, side="right")
-        counts = ops.sub(end, start)
+        # bincount grows past ``minlength`` to cover the right ids, so the
+        # table spans both sides (and is empty-safe under any rebinding).
+        build = ops.bincount(right_ids, minlength=id_count(left_ids))
+        counts = ops.take(build, left_ids)
         if not need_pairs:
             return counts, None
 
         # All extents below are tensors so the flattening replays correctly
-        # when a rebound parameter changes the match counts.
+        # when a rebound parameter changes the match counts.  ``order`` lists
+        # the right rows grouped by id (stable, so in row order within an id)
+        # and the exclusive prefix sum of the table is each group's start.
+        order = ops.argsort(right_ids)
+        start = ops.take(ops.sub(ops.cumsum(build), build), left_ids)
         total = ops.sum_(counts)
         offsets = ops.sub(ops.cumsum(counts), counts)
         row_index = ops.arange_like(left_ids)

@@ -348,10 +348,12 @@ class PartitionedHashJoinOperator(HashJoinOperator):
     """Equi-join with a radix-partitioned build/probe phase.
 
     Key densification stays global (both sides must share one dictionary), but
-    the quadratic-ish part — sorting the build side and probing match ranges —
-    runs per key partition (``key mod P``) on its own worker lane.  Partition
-    row indices map local matches back to global row ids, after which the
-    shared :meth:`_finish` tail handles inner/left/semi/anti and residuals.
+    the build/probe — the direct-address table of the build ids and the
+    ordering of the build rows — runs per key partition (``id mod P``, matched
+    on ``id // P`` so every partition's table is dense, ~G/P slots) on its own
+    worker lane.  Partition row indices map local matches back to global
+    row ids, after which the shared :meth:`_finish` tail handles
+    inner/left/semi/anti and residuals.
     """
 
     name = "PartitionedHashJoin"
@@ -399,9 +401,12 @@ class PartitionedHashJoinOperator(HashJoinOperator):
                               left_bounds[p + 1] - left_bounds[p])
             rsel = ops.narrow(right_order, 0, right_bounds[p],
                               right_bounds[p + 1] - right_bounds[p])
-            lids = ops.morsel_dispatch(ops.take(left_ids, lsel), lane, p,
-                                       rows=lsel.shape[0])
-            rids = ops.take(right_ids, rsel)
+            # Ids sharing ``id mod P`` stay distinct and ordered under
+            # ``id // P`` and are dense again, so each table is ~G/P slots.
+            lids = ops.floordiv(
+                ops.morsel_dispatch(ops.take(left_ids, lsel), lane, p,
+                                    rows=lsel.shape[0]), partitions)
+            rids = ops.floordiv(ops.take(right_ids, rsel), partitions)
             local_counts, local_pairs = HashJoinOperator._match_pairs(
                 self, lids, rids, need_pairs)
             if local_pairs is None:

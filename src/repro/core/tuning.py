@@ -32,6 +32,12 @@ from typing import Iterator
 
 from repro.core.columnar import DEFAULT_MORSEL_ROWS
 
+#: Upper bound on the static group-id space of the dictionary fast path of
+#: ``GROUP BY`` (product of dictionary cardinalities); beyond it the scatter
+#: buffers would dwarf the sort the path avoids.  An operator-level constant,
+#: not a planner decision, so it is not a :class:`Tuning` field.
+MAX_STATIC_GROUP_IDS = 1 << 20
+
 
 @dataclasses.dataclass(frozen=True)
 class Tuning:

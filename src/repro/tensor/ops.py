@@ -446,7 +446,20 @@ sub = _binary_op("sub", np.subtract)
 mul = _binary_op("mul", np.multiply)
 div = _binary_op("div", np.true_divide)
 floordiv = _binary_op("floordiv", np.floor_divide)
-mod = _binary_op("mod", np.mod)
+
+
+def _mod_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.mod``; a signed integer modulo a positive power-of-two scalar is a
+    bit mask (identical under floor semantics, negatives included).  Hash
+    partitioning by 2/4/8 devices or workers is this case: 187k int64 rows
+    take 0.10 ms masked vs 1.0-1.7 ms divided."""
+    if getattr(b, "ndim", None) == 0 and b.dtype.kind == "i" and b > 0 \
+            and not b & (b - 1) and np.asarray(a).dtype.kind == "i":
+        return np.bitwise_and(a, b - 1)
+    return np.mod(a, b)
+
+
+mod = _binary_op("mod", _mod_np)
 pow = _binary_op("pow", np.power)  # noqa: A001 - mirrors torch.pow
 minimum = _binary_op("minimum", np.minimum)
 maximum = _binary_op("maximum", np.maximum)
@@ -900,10 +913,81 @@ def bincount(index: Tensor, weights: Tensor | None = None,
 # ---------------------------------------------------------------------------
 
 
+# Key densification picks its algorithm per call, inside the kernel, from the
+# keys it is handed: bounded integer keys (TPC-H keys, dictionary codes, ids
+# that are already dense) are addressed directly in O(n + range); everything
+# else (floats, epoch-ns dates, sparse domains) keeps the comparison sort.
+# Nothing is baked into a traced program, so one compiled plan may take
+# either path on different bindings, and both paths return identical arrays.
+
+#: ``unique`` addresses a table directly while ``max - min`` stays under
+#: ``DIRECT_ADDRESS_SLACK * n`` (or under ``DIRECT_ADDRESS_MIN_SPAN`` for a
+#: handful of rows).  Measured on int64 keys, direct vs sorted, in ms:
+#: n=120k: span 4k 0.25 vs 3.6, span 4n 2.1 vs 3.9, span 8n 4.2 vs 3.8 (the
+#: crossover); n=1M: 4n 37 vs 53, 8n 67 vs 50; n=10: span 4k 0.010 vs 0.013,
+#: span 16k 0.017 vs 0.013.  The tables are three arrays of ``span + 1``.
+DIRECT_ADDRESS_SLACK = 4
+DIRECT_ADDRESS_MIN_SPAN = 4096
+
+#: Stable ``argsort`` runs an LSD radix sort over 16-bit digits from this many
+#: rows up.  Measured against numpy's timsort on random int64 keys, in ms:
+#: n=120k: 0.9 (1 digit) to 4.5 (4 digits) vs 10.8; n=10k: 0.06 to 0.29 vs
+#: 0.63; n=1k: 0.009 to 0.036 vs 0.018 (the crossover); n=100: 0.005 to 0.016
+#: vs 0.002.
+RADIX_ARGSORT_MIN_ROWS = 2048
+_RADIX_DIGIT_BITS = 16
+
+
+def _integer_span(a: np.ndarray) -> "tuple[int, int] | None":
+    """``(min, max - min)`` of a non-empty 1-d integer array, else ``None``.
+
+    Python ints, so the span of keys near ±2**63 never wraps.
+    """
+    if a.ndim != 1 or a.dtype.kind not in "iu" or a.size == 0:
+        return None
+    low = int(a.min())
+    return low, int(a.max()) - low
+
+
+def _offset_keys(a: np.ndarray, low: int) -> np.ndarray:
+    """``a - low`` as int64; exact whenever the span fits 63 bits."""
+    if a.dtype == np.uint64:
+        return (a - np.uint64(low)).astype(np.int64)
+    return a.astype(np.int64, copy=False) - low
+
+
+def _radix_argsort(a: np.ndarray, low: int, span: int) -> np.ndarray:
+    """Stable argsort by least-significant-digit radix passes.
+
+    numpy's stable sort of 16-bit integers is itself a radix (counting) sort,
+    so each pass is O(n); a key spanning ``b`` bits takes ``ceil(b / 16)``.
+    """
+    keys = _offset_keys(a, low)
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = _RADIX_DIGIT_BITS
+    while span >> shift:
+        digit = (keys >> shift).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+        shift += _RADIX_DIGIT_BITS
+    return order
+
+
 @register_op("argsort")
 def _argsort_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
+    a = arrays[0]
     kind = attrs.get("kind", "stable")
-    return [np.argsort(arrays[0], kind=kind, axis=attrs.get("axis", -1)).astype(np.int64)]
+    if kind == "stable" and a.size >= RADIX_ARGSORT_MIN_ROWS \
+            and a.dtype.itemsize * 8 > _RADIX_DIGIT_BITS:
+        bounds = _integer_span(a)
+        # Keys already in order (a primary-key build side: 18 of the 27 calls
+        # of this size in a 22-query TPC-H sweep) stay with timsort, which is
+        # O(n) on them.  Sorted, 2 digits: 75k rows 0.06 vs 2.3 ms radix, 300k
+        # 0.30 vs 9.7 ms (8% of the SF 0.05 lineitem-orders join); the scan
+        # costs 0.03 / 0.11 ms, and under 64k keys both sorts cost the same.
+        if bounds is not None and not bounds[1] >> 63 \
+                and (a[1:] < a[:-1]).any():
+            return [_radix_argsort(a, *bounds).astype(np.int64, copy=False)]
+    return [np.argsort(a, kind=kind, axis=attrs.get("axis", -1)).astype(np.int64)]
 
 
 def argsort(a: Tensor, axis: int = -1, stable: bool = True) -> Tensor:
@@ -945,9 +1029,29 @@ def searchsorted(sorted_values: Tensor, values: Tensor, side: str = "left") -> T
     return _apply("searchsorted", [ta, tv], {"side": side}, device=device)
 
 
+def _direct_unique(a: np.ndarray, low: int, span: int) -> list[np.ndarray]:
+    """``unique`` over a presence table: ``bincount`` the offset keys, then
+    number the occupied slots in order and read each key's number back."""
+    keys = _offset_keys(a, low)
+    table = np.bincount(keys, minlength=span + 1)
+    present = np.flatnonzero(table > 0)
+    # Wrapping arithmetic in the key dtype lands back on the exact key.
+    values = present.astype(a.dtype) + a.dtype.type(low)
+    if present.size == table.size:  # already dense: the offset key is the id
+        return [values, keys, table]
+    rank = np.empty(table.size, dtype=np.int64)
+    rank[present] = np.arange(present.size)
+    return [values, rank[keys], table[present]]
+
+
 @register_op("unique", n_outputs=3)
 def _unique_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
-    values, inverse, counts = np.unique(arrays[0], return_inverse=True, return_counts=True)
+    a = arrays[0]
+    bounds = _integer_span(a)
+    if bounds is not None and bounds[1] < max(DIRECT_ADDRESS_MIN_SPAN,
+                                               DIRECT_ADDRESS_SLACK * a.size):
+        return _direct_unique(a, *bounds)
+    values, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
     return [values, inverse.astype(np.int64), counts.astype(np.int64)]
 
 

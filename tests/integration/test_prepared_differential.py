@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ExecutionOptions
+from repro import ExecutionOptions, TQPSession
 from repro.baselines.rowengine import run_sql
 from repro.datasets import tpch
+from repro.tensor import ops
 
 SCALE_FACTOR = 0.002
 
@@ -155,3 +156,56 @@ def test_auto_parameterized_q6_matches_literal_execution(env, frames_match,
         frames_match(got, expected, context=f"auto-param q={quantity}")
     assert session.plan_cache.misses - misses_before == 1
     assert session.plan_cache.stats()["size"] == 1
+
+
+#: One statement whose join build side (lineitem) a rebinding takes through
+#: every regime of key densification: ``:k`` / ``:q`` size it, ``:m``
+#: stretches the key domain past what a direct-address table may span.
+CROSSING_SQL = """
+    select o_orderpriority, count(*) as c, sum(l_extendedprice) as s
+    from orders join lineitem on l_orderkey * :m = o_orderkey * :m
+    where l_orderkey <= :k and l_quantity < :q
+    group by o_orderpriority order by o_orderpriority"""
+
+CROSSING_BINDINGS = [
+    ("empty", {"m": 1, "k": 1 << 40, "q": 0.5}),
+    ("tiny", {"m": 1, "k": 40, "q": 51.0}),
+    ("dense_large", {"m": 1, "k": 1 << 40, "q": 51.0}),
+    ("sparse_large", {"m": 1_000_003, "k": 1 << 40, "q": 51.0}),
+    ("tiny_again", {"m": 1, "k": 40, "q": 51.0}),
+]
+
+
+def test_one_trace_crosses_direct_and_sorted_densification(env, monkeypatch):
+    session, tables = env
+    options = ExecutionOptions(backend="torchscript", use_cache=False)
+    prepared = session.prepare(CROSSING_SQL, options=options)
+
+    direct_sizes: list[int] = []
+    direct = ops._direct_unique
+    monkeypatch.setattr(
+        ops, "_direct_unique",
+        lambda a, low, span: direct_sizes.append(a.size) or direct(a, low, span))
+    join_keys = tables["orders"].num_rows + tables["lineitem"].num_rows
+
+    largest_direct = {}
+    for name, binding in CROSSING_BINDINGS:
+        direct_sizes.clear()
+        got = prepared.bind(**binding).run().to_dict()
+        largest_direct[name] = max(direct_sizes, default=0)
+        expected = run_sql(CROSSING_SQL, tables, params=binding).to_dict()
+        assert bool(got["c"]) == (name != "empty"), name
+        assert got["o_orderpriority"] == expected["o_orderpriority"], name
+        assert got["c"] == expected["c"], name
+        assert got["s"] == pytest.approx(expected["s"], rel=1e-9), name
+        # Bit-identical to a trace captured on this very binding.
+        fresh = TQPSession()
+        for table, frame in tables.items():
+            fresh.register(table, frame)
+        assert fresh.prepare(CROSSING_SQL, options=options) \
+            .bind(**binding).run().to_dict() == got, name
+    assert prepared.compiled.executor.compile_count == 1
+
+    # The same compiled program really took both paths.
+    assert largest_direct["dense_large"] == join_keys
+    assert largest_direct["sparse_large"] < join_keys

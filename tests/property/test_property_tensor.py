@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.operators.join import HashJoinOperator
 from repro.tensor import GraphInterpreter, ops, passes, trace
 
 floats = hnp.arrays(np.float64, st.integers(1, 40),
@@ -96,3 +97,201 @@ def test_optimization_passes_preserve_semantics(values):
     after = GraphInterpreter(optimized).run(example)[0].item()
     np.testing.assert_allclose(after, before)
     assert len(optimized.nodes) <= 4
+
+
+# -- key densification: direct-address vs sort paths --------------------------
+#
+# ``unique`` and stable ``argsort`` choose their algorithm per call from the
+# observed key span; the join's direct-address probe replaced an
+# argsort + 2 x searchsorted probe.  Both sides of every choice must return
+# the same arrays: values, dtypes and order.
+
+_UNIQUE = ops.OP_REGISTRY["unique"].kernel
+_ARGSORT = ops.OP_REGISTRY["argsort"].kernel
+_I64 = np.iinfo(np.int64)
+
+
+def _sorted_unique(a):
+    values, inverse, counts = np.unique(a, return_inverse=True,
+                                        return_counts=True)
+    return [values, inverse.astype(np.int64), counts.astype(np.int64)]
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+def _key_cases():
+    """Seeded inputs around every edge the path choice has."""
+    rng = np.random.default_rng(20220913)
+    slack, floor = ops.DIRECT_ADDRESS_SLACK, ops.DIRECT_ADDRESS_MIN_SPAN
+    cases = {
+        "empty": np.zeros(0, dtype=np.int64),
+        "one_row": np.array([42], dtype=np.int64),
+        "all_equal": np.full(500, -7, dtype=np.int64),
+        "negative": rng.integers(-900, -100, 3000),
+        "already_dense": rng.permutation(5000).astype(np.int64),
+        "dict_codes_int32": rng.integers(0, 25, 4000).astype(np.int32),
+        "int8_full_range": rng.integers(-128, 128, 700).astype(np.int8),
+        "uint64_high": (rng.integers(0, 50, 300).astype(np.uint64)
+                        + np.uint64(2**64 - 60)),
+        "near_int64_max": _I64.max - rng.integers(0, 100, 400),
+        "near_int64_min": _I64.min + rng.integers(0, 100, 400),
+        "whole_int64_range": np.array([_I64.min, _I64.max, 0, -1, _I64.max],
+                                      dtype=np.int64),
+        "epoch_ns_dates": (rng.integers(8000, 10000, 5000)
+                           * 86_400_000_000_000),
+        "sparse_large": rng.integers(0, 1 << 40, 6000),
+        "four_radix_digits": rng.integers(-(1 << 50), 1 << 50, 5000),
+    }
+    n = 2000
+    for name, span in (("under", slack * n - 1), ("at", slack * n),
+                       ("over", slack * n + 1), ("floor_under", floor - 1),
+                       ("floor_at", floor)):
+        size = n if not name.startswith("floor") else 10
+        keys = rng.integers(0, span + 1, size)
+        keys[0], keys[-1] = 0, span   # pin max - min to exactly ``span``
+        cases[f"span_{name}_threshold"] = keys + 17
+    return cases
+
+
+def test_unique_paths_agree_on_every_edge(monkeypatch):
+    taken = []
+    direct = ops._direct_unique
+    monkeypatch.setattr(
+        ops, "_direct_unique",
+        lambda a, low, span: taken.append(span) or direct(a, low, span))
+    for name, keys in _key_cases().items():
+        taken.clear()
+        _assert_same_arrays(_UNIQUE([keys], {}), _sorted_unique(keys))
+        bounds = ops._integer_span(keys)
+        if bounds is None:
+            assert not taken, name
+            continue
+        low, span = bounds
+        assert span == int(keys.max()) - int(keys.min()), name  # never wraps
+        limit = max(ops.DIRECT_ADDRESS_MIN_SPAN,
+                    ops.DIRECT_ADDRESS_SLACK * keys.size)
+        assert bool(taken) == (span < limit), name
+        if span < 1 << 16:  # the direct path is exact whenever it is forced
+            _assert_same_arrays(direct(keys, low, span), _sorted_unique(keys))
+    assert not _UNIQUE([np.zeros(0, dtype=np.int64)], {})[0].size
+
+
+def test_argsort_paths_agree_on_every_edge():
+    for name, keys in _key_cases().items():
+        want = np.argsort(keys, kind="stable").astype(np.int64)
+        _assert_same_arrays(_ARGSORT([keys], {}), [want])
+        bounds = ops._integer_span(keys)
+        if bounds is not None and not bounds[1] >> 63:
+            got = ops._radix_argsort(keys, *bounds)
+            _assert_same_arrays([got.astype(np.int64)], [want])
+    # Stability on heavy duplicates, above the row threshold the kernel uses.
+    rng = np.random.default_rng(7)
+    for high in (3, 1 << 16, 1 << 20, 1 << 33):
+        keys = rng.integers(-5, high, ops.RADIX_ARGSORT_MIN_ROWS * 2)
+        _assert_same_arrays(
+            _ARGSORT([keys], {"kind": "stable"}),
+            [np.argsort(keys, kind="stable").astype(np.int64)])
+
+
+def test_non_integer_inputs_take_the_sort_fallback(monkeypatch):
+    def boom(*args):
+        raise AssertionError("direct-address path taken for a non-integer key")
+
+    monkeypatch.setattr(ops, "_direct_unique", boom)
+    monkeypatch.setattr(ops, "_radix_argsort", boom)
+    rng = np.random.default_rng(3)
+    n = ops.RADIX_ARGSORT_MIN_ROWS * 2
+    for keys in (rng.integers(0, 2, n).astype(bool),
+                 np.round(rng.uniform(0, 9, n), 1),
+                 rng.integers(0, 9, (n, 2))):
+        assert ops._integer_span(keys) is None
+        _assert_same_arrays(_UNIQUE([keys], {}), _sorted_unique(keys))
+        _assert_same_arrays(
+            _ARGSORT([keys], {}),
+            [np.argsort(keys, kind="stable", axis=-1).astype(np.int64)])
+
+
+def _sorted_match_pairs(left_ids, right_ids):
+    """The probe this PR replaced: sort the build side, searchsorted twice."""
+    order = np.argsort(right_ids, kind="stable")
+    sorted_right = right_ids[order]
+    start = np.searchsorted(sorted_right, left_ids, side="left")
+    counts = np.searchsorted(sorted_right, left_ids, side="right") - start
+    offsets = np.cumsum(counts) - counts
+    pair_left = np.repeat(np.arange(left_ids.size), counts)
+    within = np.arange(counts.sum()) - np.repeat(offsets, counts)
+    pair_right = order[np.repeat(start, counts) + within]
+    return [counts, pair_left, pair_right]
+
+
+def test_direct_address_match_pairs_equals_sorted_probe():
+    rng = np.random.default_rng(11)
+    shapes = [(0, 0, 1), (0, 5, 3), (5, 0, 3), (1, 1, 1), (40, 40, 1),
+              (300, 7, 7), (7, 300, 400), (5000, 3000, 900),
+              (3000, 5000, 100_000)]
+    for n_left, n_right, num_ids in shapes:
+        left = rng.integers(0, num_ids, n_left)
+        right = rng.integers(0, num_ids, n_right)
+        want = _sorted_match_pairs(left, right)
+        counts, pairs = HashJoinOperator._match_pairs(
+            None, ops.tensor(left), ops.tensor(right), True)
+        _assert_same_arrays(
+            [counts.numpy(), pairs[0].numpy(), pairs[1].numpy()], want)
+        counts, pairs = HashJoinOperator._match_pairs(
+            None, ops.tensor(left), ops.tensor(right), False)
+        assert pairs is None
+        _assert_same_arrays([counts.numpy()], want[:1])
+
+
+def test_partitioned_match_pairs_equals_serial(monkeypatch):
+    """Each partition matches on ``id // P`` (a dense table of ~G/P slots);
+    the matches must be the serial join's, NULL-style fresh ids included."""
+    from repro.core.operators import parallel
+
+    monkeypatch.setattr(parallel, "PARALLEL_THRESHOLD_ROWS", 0)
+    rng = np.random.default_rng(13)
+    for partitions in (2, 3, 4):
+        join = parallel.PartitionedHashJoinOperator(
+            None, None, "inner", [], [], parallelism=partitions)
+        for n_left, n_right, num_ids in ((400, 300, 90), (300, 500, 5000),
+                                         (64, 64, 3)):
+            left = rng.integers(0, num_ids, n_left)
+            right = rng.integers(0, num_ids, n_right)
+            left[:3], right[:3] = num_ids, num_ids + 1   # never match
+            serial = HashJoinOperator._match_pairs(
+                join, ops.tensor(left), ops.tensor(right), True)
+            counts, pairs = join._match_pairs(
+                ops.tensor(left), ops.tensor(right), True)
+            _assert_same_arrays([counts.numpy()], [serial[0].numpy()])
+            got = sorted(zip(pairs[0].numpy(), pairs[1].numpy()))
+            want = sorted(zip(serial[1][0].numpy(), serial[1][1].numpy()))
+            assert got == want
+
+
+def test_power_of_two_mod_mask_equals_np_mod():
+    """``mod`` masks instead of dividing for a positive power-of-two scalar
+    divisor of signed integers; every other operand pair is ``np.mod``."""
+    rng = np.random.default_rng(5)
+    arrays = [rng.integers(_I64.min, _I64.max, 500, endpoint=True),
+              rng.integers(-128, 128, 500).astype(np.int8),
+              rng.integers(-1000, 1000, 500).astype(np.int32),
+              rng.integers(0, 255, 500).astype(np.uint8),
+              rng.normal(0, 50, 500), np.zeros(0, dtype=np.int64)]
+    for a in arrays:
+        for d in (1, 2, 4, 8, 64, 1 << 30, 3, 6, -4):
+            for b in (np.asarray(d), np.int64(d), np.asarray(d, dtype=np.int32),
+                      np.asarray(float(d)), d % 100):
+                want = np.mod(a, b)
+                got = ops._mod_np(a, b)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+    lanes = rng.integers(1, 9, 500)
+    np.testing.assert_array_equal(ops._mod_np(arrays[0], lanes),
+                                  np.mod(arrays[0], lanes))
+    np.testing.assert_array_equal(
+        ops.mod(ops.tensor(arrays[0]), 4).numpy(), np.mod(arrays[0], 4))

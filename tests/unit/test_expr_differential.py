@@ -8,7 +8,9 @@ divergence between the two interpreters is a bug in one of them.
 
 NULLs enter through ``CASE WHEN ... THEN ... END`` without an ELSE branch and
 flow through arithmetic, comparisons, ``IS [NOT] NULL``, ``COALESCE`` and the
-three-valued logic of ``WHERE``.
+three-valued logic of ``WHERE``.  They also reach join keys: the generator
+ends with outer→inner join chains, where the NULL-extended side of a LEFT JOIN
+is the key of the next join and must match nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.frontend import sql_to_physical
 
 N_ROWS = 64
 N_CASES = 60
+N_JOIN_CASES = 12
 SEED = 20220701
 
 
@@ -36,7 +39,14 @@ def tables():
         "x": np.round(rng.uniform(-10.0, 10.0, size=N_ROWS), 3),
         "y": np.round(rng.uniform(-2.0, 2.0, size=N_ROWS), 3),
     })
-    return {"t": frame}
+    # Join-chain tables: ``u`` covers part of ``a``'s range (so ``t LEFT JOIN
+    # u`` NULL-extends ``uv``) and ``w`` has a row keyed 0, the payload a NULL
+    # ``uv`` carries under its validity mask.
+    u = DataFrame({"uk": np.arange(-20, 8, dtype=np.int64),
+                   "uv": rng.integers(-3, 4, size=28).astype(np.int64)})
+    w = DataFrame({"wv": np.arange(-3, 4, dtype=np.int64),
+                   "wy": rng.integers(0, 100, size=7).astype(np.int64)})
+    return {"t": frame, "u": u, "w": w}
 
 
 @pytest.fixture(scope="module")
@@ -115,10 +125,33 @@ class ExprGen:
         return sql
 
 
+    def join_chain(self) -> str:
+        """``t LEFT JOIN u`` feeding a second join keyed on the nullable side.
+
+        Half the chains also turn some of ``w``'s keys into NULL, so NULL
+        meets NULL across the join.
+        """
+        right = "w"
+        if self.rng.random() < 0.5:
+            right = (f"(select case when wv {self.rng.choice(self.COMPARATORS)} "
+                     f"{self.rng.randint(-2, 2)} then wv end as wv, wy from w) w")
+        kind = self.rng.choice(("join", "left join"))
+        sql = (f"select a, uv, wy from t left join u on a = uk "
+               f"{kind} {right} on uv = wv")
+        if self.rng.random() < 0.5:
+            sql += f" where {self.boolean(1)}"
+        return sql
+
+
 def _generated_queries():
     rng = random.Random(SEED)
     gen = ExprGen(rng)
     return [gen.query() for _ in range(N_CASES)]
+
+
+def _generated_join_chains():
+    gen = ExprGen(random.Random(SEED + 1))
+    return [gen.join_chain() for _ in range(N_JOIN_CASES)]
 
 
 @pytest.mark.parametrize("sql", _generated_queries())
@@ -130,6 +163,14 @@ def test_random_expression_matches_row_engine(session, tables, frames_match, sql
     # compare ordered, with a tight tolerance (identical fp operation order).
     frames_match(tensor_frame, oracle_frame, sql, ordered=True,
                  rel_tol=1e-9, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("sql", _generated_join_chains())
+def test_random_join_chain_matches_row_engine(session, tables, frames_match, sql):
+    oracle = RowEngine(tables).execute_to_dataframe(
+        sql_to_physical(sql, session.catalog))
+    # Outer joins append their unmatched rows last: compare as multisets.
+    frames_match(session.sql(sql), oracle, sql)
 
 
 NULLABLE_AGGREGATE_QUERIES = [
@@ -160,3 +201,4 @@ def test_nullable_aggregates_match_row_engine(session, tables, frames_match, sql
 
 def test_generator_is_deterministic():
     assert _generated_queries() == _generated_queries()
+    assert _generated_join_chains() == _generated_join_chains()

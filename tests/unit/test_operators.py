@@ -8,8 +8,11 @@ time (the integration suite covers multi-operator TPC-H queries).
 import numpy as np
 import pytest
 
-from repro import DataFrame, TQPSession
+from repro import DataFrame, ExecutionOptions, TQPSession
+from repro.baselines import RowEngine
+from repro.core.tuning import tuning_overrides
 from repro.errors import ExecutionError
+from repro.frontend import sql_to_physical
 
 
 def _session():
@@ -172,3 +175,85 @@ def test_executor_rejects_mismatched_inputs():
     compiled = session.compile("select k from left_t where v > 0")
     with pytest.raises(ExecutionError):
         compiled.executor.execute({})
+
+
+# -- NULL join keys match nothing ---------------------------------------------
+
+
+def _null_key_session():
+    """``a LEFT JOIN b`` NULL-extends ``v`` for ak = 2, 3; ``c`` holds a row
+    keyed 0, the payload a NULL ``v`` carries underneath its validity mask."""
+    tables = {
+        "a": DataFrame({"ak": np.array([1, 2, 3], dtype=np.int64)}),
+        "b": DataFrame({"bk": np.array([1], dtype=np.int64),
+                        "v": np.array([5], dtype=np.int64)}),
+        "c": DataFrame({"cv": np.array([0, 5], dtype=np.int64),
+                        "y": np.array([100, 200], dtype=np.int64)}),
+    }
+    session = TQPSession()
+    for name, frame in tables.items():
+        session.register(name, frame)
+    return session, tables
+
+
+#: ``c`` with its 0 key turned into NULL: NULL keys on *both* join sides.
+_NULLABLE_C = "(select case when cv > 0 then cv end as nv, y from c) n"
+
+NULL_KEY_JOINS = [
+    ("select ak, v, y from a left join b on ak = bk join c on v = cv",
+     {"ak": [1], "v": [5], "y": [200]}),
+    ("select ak, v, y from a left join b on ak = bk "
+     "left join c on v = cv order by ak",
+     {"ak": [1, 2, 3], "v": [5, None, None], "y": [200, None, None]}),
+    (f"select ak, v, y from a left join b on ak = bk join {_NULLABLE_C} "
+     "on v = nv", {"ak": [1], "v": [5], "y": [200]}),
+    (f"select ak, y from a left join b on ak = bk left join {_NULLABLE_C} "
+     "on v = nv order by ak", {"ak": [1, 2, 3], "y": [200, None, None]}),
+    ("select ak from (select ak, v from a left join b on ak = bk) l "
+     "where exists (select * from c where cv = l.v) order by ak",
+     {"ak": [1]}),
+    ("select ak from (select ak, v from a left join b on ak = bk) l "
+     "where not exists (select * from c where cv = l.v) order by ak",
+     {"ak": [2, 3]}),
+    (f"select ak from (select ak, v from a left join b on ak = bk) l "
+     f"where not exists (select * from {_NULLABLE_C} where nv = l.v) "
+     "order by ak", {"ak": [2, 3]}),
+]
+
+
+@pytest.mark.parametrize("parallelism,devices", [(1, 1), (4, 1), (1, 4)])
+@pytest.mark.parametrize("sql,expected", NULL_KEY_JOINS)
+def test_null_join_keys_match_nothing(sql, expected, parallelism, devices):
+    session, tables = _null_key_session()
+    # Thresholds at zero so three-row tables reach the partitioned and the
+    # shuffle / broadcast joins instead of falling back to the serial one.
+    with tuning_overrides(parallel_threshold_rows=0, shard_min_rows=0):
+        out = session.sql(sql, options=ExecutionOptions(
+            parallelism=parallelism, devices=devices))
+    assert out.to_dict() == expected
+    oracle = RowEngine(tables).execute_to_dataframe(
+        sql_to_physical(sql, session.catalog))
+    assert oracle.to_dict() == expected
+
+
+@pytest.mark.parametrize("options", [dict(parallelism=4), dict(devices=4)])
+def test_null_join_keys_in_partitioned_and_sharded_joins(frames_match, options):
+    """Enough rows that the radix-partitioned build/probe (and a real
+    four-way shuffle) run instead of their small-input fallbacks."""
+    keys = np.arange(6000, dtype=np.int64)
+    tables = {
+        "a": DataFrame({"ak": keys}),
+        "b": DataFrame({"bk": keys[::2], "v": keys[::2] % 7}),
+        "c": DataFrame({"cv": np.arange(7, dtype=np.int64),
+                        "y": np.arange(7, dtype=np.int64) * 10}),
+    }
+    session = TQPSession()
+    for name, frame in tables.items():
+        session.register(name, frame)
+    for tail in ("join c on v = cv", "left join c on v = cv"):
+        sql = f"select ak, v, y from a left join b on ak = bk {tail}"
+        out = session.sql(sql, options=ExecutionOptions(**options))
+        oracle = RowEngine(tables).execute_to_dataframe(
+            sql_to_physical(sql, session.catalog))
+        assert out.num_rows == (3000 if tail.startswith("join") else 6000)
+        frames_match(out, oracle, sql)

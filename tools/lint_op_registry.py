@@ -17,9 +17,9 @@ rots:
    (``to_device`` transfers, ``fused_kernel``) are exempt because their
    special-case rules are themselves defined in ``op_semantics``;
 4. both executor modules import ``op_semantics``;
-5. the planner gates on :mod:`repro.core.tuning` constants, never on
-   hard-coded threshold literals (which the adaptive runtime could not
-   override).
+5. the planner and the join / grouping operators gate on
+   :mod:`repro.core.tuning` constants, never on hard-coded threshold literals
+   (which the adaptive runtime could not override).
 
 Run from the repository root: ``python tools/lint_op_registry.py``
 (``PYTHONPATH=src``, as in CI).
@@ -61,6 +61,14 @@ SHARED_SENTINELS = {op_semantics.TRANSFER_OP, op_semantics.FUSED_OP}
 #: come from :mod:`repro.core.tuning`, never a literal, so the adaptive
 #: runtime (and tests) can override them per strategy.
 PLANNER_MODULE = REPO_ROOT / "src" / "repro" / "core" / "planner.py"
+
+#: Operator modules held to the same no-literal-threshold rule: how keys are
+#: densified is the kernels' per-call choice, so nothing in here may gate on
+#: a size of its own.
+TUNED_OPERATOR_MODULES = (
+    REPO_ROOT / "src" / "repro" / "core" / "operators" / "grouping.py",
+    REPO_ROOT / "src" / "repro" / "core" / "operators" / "join.py",
+)
 
 
 def check_registry_coverage(problems: list[str]) -> None:
@@ -144,24 +152,15 @@ def check_module(path: pathlib.Path, problems: list[str]) -> None:
                 f"per-op special cases belong in op_semantics / the registry")
 
 
-def check_planner_tuning(path: pathlib.Path, problems: list[str]) -> None:
-    """The planner's thresholds live in ``repro.core.tuning``, not inline.
+def check_threshold_literals(path: pathlib.Path, problems: list[str]) -> None:
+    """No integer literal ≥ 2 as a comparison bound in ``path``.
 
-    Any integer literal ≥ 2 used as a comparison bound in the planner is a
-    tuning constant in disguise — it silently forks the threshold set the
-    adaptive runtime overrides per strategy.  (0/1 compare against "none/one
-    lane|device", which is structure, not tuning.)
+    Such a literal is a tuning constant in disguise — it silently forks the
+    threshold set the adaptive runtime overrides per strategy.  (0/1 compare
+    against "none/one lane|device", which is structure, not tuning.)
     """
     rel = path.relative_to(REPO_ROOT)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(rel))
-    imports = {
-        node.module
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module
-    }
-    if "repro.core.tuning" not in imports:
-        problems.append(f"{rel}: does not import repro.core.tuning — planner "
-                        f"thresholds must come from the tuning module")
     for node in ast.walk(tree):
         if not isinstance(node, ast.Compare):
             continue
@@ -176,6 +175,21 @@ def check_planner_tuning(path: pathlib.Path, problems: list[str]) -> None:
                     f"repro.core.tuning constant instead")
 
 
+def check_planner_tuning(path: pathlib.Path, problems: list[str]) -> None:
+    """The planner's thresholds live in ``repro.core.tuning``, not inline."""
+    rel = path.relative_to(REPO_ROOT)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(rel))
+    imports = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+    if "repro.core.tuning" not in imports:
+        problems.append(f"{rel}: does not import repro.core.tuning — planner "
+                        f"thresholds must come from the tuning module")
+    check_threshold_literals(path, problems)
+
+
 def main() -> int:
     problems: list[str] = []
     check_registry_coverage(problems)
@@ -185,6 +199,8 @@ def main() -> int:
     for path in COST_MODEL_MODULES:
         check_cost_model(path, problems)
     check_planner_tuning(PLANNER_MODULE, problems)
+    for path in TUNED_OPERATOR_MODULES:
+        check_threshold_literals(path, problems)
     if problems:
         print("op-registry lint FAILED:")
         for problem in problems:
