@@ -22,7 +22,7 @@ Run with:  PYTHONPATH=src python examples/distributed_join.py
 import numpy as np
 
 from repro import ExecutionOptions, TQPSession
-from repro.backends.base import TRANSFER_OPS, split_sharded
+from repro.backends.base import TRANSFER_OPS, split_partitions
 from repro.datasets import tpch
 
 SCALE_FACTOR = 0.02
@@ -70,15 +70,17 @@ def main() -> None:
     assert np.array_equal(np.asarray(reference["quantity"]),
                           np.asarray(ranged.to_dataframe()["quantity"]))
     _, kernels = ranged.profile.partition(TRANSFER_OPS)
-    host, shards, exchanges = split_sharded(kernels)
+    host, shards, exchanges = split_partitions(kernels)
     print("\nrange-sharded @ 2 devices (bit-identical as well):")
-    for shard_id, events in sorted(shards.items()):
+    for shard_id, region in sorted(shards.items()):
+        events = list(region.events())
         print(f"  device {shard_id}: {len(events):4d} kernel events, "
               f"{sum(e.elapsed_s for e in events) * 1e3:8.3f} ms measured")
     moved = sum(e.output_bytes for e in exchanges)
     print(f"  exchanges: {len(exchanges)} ops moving {moved / 1e6:.2f} MB "
           f"across the interconnect")
-    print(f"  host tail: {len(host)} events (partial-merge + sort)")
+    print(f"  host tail: {len(list(host.events()))} events "
+          f"(partial-merge + sort)")
 
     print("\nOperator plan at 2 devices:")
     print(query.explain().split("== Operator plan ==")[1].strip())

@@ -11,6 +11,14 @@ A *backend* in TQP terms is a compilation target for the tensor program
   analytic cost model fed with the op-level profile of the (real) execution.
 
 Results are always computed by real kernels; only *time* is ever simulated.
+
+Partitioned plans (:mod:`repro.core.operators.partition`) run their partitions
+one after another and annotate every event with the worker lane / device shard
+it belongs to; :func:`split_partitions` is the one place that turns those
+annotations back into the concurrent structure every cost model charges:
+host work, plus the *slowest* shard, each of them serial work plus its
+*slowest* lane plus a fixed cost per morsel dispatch, plus every exchange as
+an interconnect transfer.
 """
 
 from __future__ import annotations
@@ -29,47 +37,66 @@ TRANSFER_OPS = frozenset({"to_device"})
 DISPATCH_OPS = frozenset({"morsel_dispatch"})
 
 
-def split_parallel(events):
-    """Partition kernel events into the morsel-parallel execution structure.
+@dataclasses.dataclass
+class Region:
+    """The events of one device (the host, or one shard), by worker lane.
 
-    Returns ``(serial_events, lanes, dispatch_events)`` where ``lanes`` maps a
-    worker-lane id to the events executed on that lane.  Events outside any
-    ``lane_scope`` are serial.  Morsel-parallel reported time charges the
-    *slowest lane* (lanes run concurrently) plus every serial event, plus a
-    per-dispatch scheduling cost — morsels are handed out one at a time by the
-    scheduler, so dispatch is the part of a parallel region that never scales.
+    Attributes:
+        serial: events outside any ``lane_scope``.
+        lanes: worker-lane id → the events executed on that lane.  Lanes run
+            concurrently: a region's time charges its *slowest lane*.
+        dispatches: morsel hand-offs.  Morsels are handed out one at a time
+            by the scheduler, so dispatch is the part of a parallel region
+            that never scales: a fixed cost each, their bytes ignored.
     """
-    serial, lanes, dispatches = [], {}, []
-    for event in events:
-        if event.op in DISPATCH_OPS:
-            dispatches.append(event)
-        elif event.lane is None:
-            serial.append(event)
-        else:
-            lanes.setdefault(event.lane, []).append(event)
-    return serial, lanes, dispatches
+
+    serial: list = dataclasses.field(default_factory=list)
+    lanes: dict = dataclasses.field(default_factory=dict)
+    dispatches: list = dataclasses.field(default_factory=list)
+
+    def events(self):
+        """Every event of the region."""
+        yield from self.serial
+        for lane_events in self.lanes.values():
+            yield from lane_events
+        yield from self.dispatches
+
+    def time(self, cost, dispatch_overhead_s: float) -> float:
+        """Serial work + the slowest lane + per-dispatch scheduling, with
+        ``cost(event)`` the model's price of one kernel."""
+        return (sum(cost(event) for event in self.serial)
+                + max((sum(cost(event) for event in lane_events)
+                       for lane_events in self.lanes.values()), default=0.0)
+                + len(self.dispatches) * dispatch_overhead_s)
 
 
-def split_sharded(events):
-    """Partition kernel events into the multi-device execution structure.
+def split_partitions(events) -> tuple[Region, dict, list]:
+    """Partition kernel events into the partitioned execution structure.
 
-    Returns ``(host_events, shards, exchange_events)`` where ``shards`` maps
-    a device (shard) id to the events executed on that device.  Exchange ops
-    (``shard_exchange`` / ``shard_broadcast`` / ``shard_gather``) are pulled
-    out first, whatever shard annotation they carry — they are zero-copy
-    identities whose *payload bytes* the cost models charge against an
-    interconnect tier, never as kernels.  Events outside any ``shard_scope``
-    run on the host.  Devices run concurrently, so a distributed region
-    charges its *slowest shard*, plus every host event, plus the exchanges.
+    Returns ``(host, shards, exchanges)``: the host's :class:`Region`, a
+    device (shard) id → :class:`Region` map, and the exchange events.
+    Exchange ops (``shard_exchange`` / ``shard_broadcast`` /
+    ``shard_gather``) are pulled out first, whatever annotation they carry —
+    they are zero-copy identities whose *payload bytes* (their output tensor;
+    input + output would count the payload twice) the cost models charge
+    against an interconnect tier, never as kernels.  Events outside any
+    ``shard_scope`` run on the host.  Devices run concurrently, so a sharded
+    plan charges its *slowest shard*, plus the host region, plus the
+    exchanges.
     """
-    host, shards, exchanges = [], {}, []
+    host, shards, exchanges = Region(), {}, []
     for event in events:
         if event.op in EXCHANGE_OPS:
             exchanges.append(event)
-        elif event.shard is None:
-            host.append(event)
+            continue
+        region = (host if event.shard is None
+                  else shards.setdefault(event.shard, Region()))
+        if event.op in DISPATCH_OPS:
+            region.dispatches.append(event)
+        elif event.lane is None:
+            region.serial.append(event)
         else:
-            shards.setdefault(event.shard, []).append(event)
+            region.lanes.setdefault(event.lane, []).append(event)
     return host, shards, exchanges
 
 

@@ -13,7 +13,7 @@ per morsel dispatch.  Serial plans charge every kernel — same basis, so
 
 from __future__ import annotations
 
-from repro.backends.base import DeviceCostModel, split_parallel, split_sharded
+from repro.backends.base import DeviceCostModel, split_partitions
 from repro.tensor.profiler import Profiler
 
 
@@ -39,28 +39,22 @@ class CPUDevice(DeviceCostModel):
         #: Fixed per-message cost charged per exchange op.
         self.interconnect_latency_s = interconnect_latency_s
 
-    def _group_time(self, events) -> float:
-        serial, lanes, dispatches = split_parallel(events)
-        serial_s = sum(event.elapsed_s for event in serial)
-        slowest_lane_s = max((sum(event.elapsed_s for event in lane_events)
-                              for lane_events in lanes.values()), default=0.0)
-        return (serial_s + slowest_lane_s
-                + len(dispatches) * self.morsel_dispatch_overhead_s)
-
     def report_time(self, measured_s: float, profile: Profiler | None,
                     interpreter_overhead_s: float = 0.0) -> float:
         if profile is None or not profile.events:
             return measured_s
-        host, shards, exchanges = split_sharded(profile.events)
+        host, shards, exchanges = split_partitions(profile.events)
         bandwidth_bps = self.interconnect_bandwidth_gbs * 1e9
-        # An exchange op's payload is its output tensor (it is an identity);
-        # charging input+output bytes would count the same payload twice.
         exchange_s = sum(self.interconnect_latency_s
                          + event.output_bytes / bandwidth_bps
                          for event in exchanges)
-        slowest_shard_s = max((self._group_time(events)
-                               for events in shards.values()), default=0.0)
-        return self._group_time(host) + slowest_shard_s + exchange_s
+
+        def region_s(region) -> float:
+            return region.time(lambda event: event.elapsed_s,
+                               self.morsel_dispatch_overhead_s)
+
+        slowest_shard_s = max(map(region_s, shards.values()), default=0.0)
+        return region_s(host) + slowest_shard_s + exchange_s
 
     def describe(self) -> dict:
         return {

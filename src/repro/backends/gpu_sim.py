@@ -28,12 +28,7 @@ execution does not help tiny queries.
 
 from __future__ import annotations
 
-from repro.backends.base import (
-    TRANSFER_OPS,
-    DeviceCostModel,
-    split_parallel,
-    split_sharded,
-)
+from repro.backends.base import TRANSFER_OPS, DeviceCostModel, split_partitions
 from repro.tensor.op_semantics import GATHER_OP
 from repro.tensor.profiler import Profiler
 
@@ -94,29 +89,22 @@ class SimulatedGPU(DeviceCostModel):
         pcie_bps = self.pcie_bandwidth_gbs * 1e9
         nvlink_bps = self.nvlink_bandwidth_gbs * 1e9
         transfers, kernels = profile.partition(TRANSFER_OPS)
-        host_kernels, shards, exchanges = split_sharded(kernels)
+        host, shards, exchanges = split_partitions(kernels)
 
         def kernel_cost(event) -> float:
             return max(self.kernel_launch_overhead_s, event.total_bytes / hbm_bps)
 
-        def group_cost(events) -> float:
+        def region_cost(region) -> float:
             # Worker lanes run concurrently: the parallel region costs its
             # slowest lane.  Per-morsel dispatch stays serial (one scheduler),
             # which is what bends the speedup curve at high worker counts.
-            serial_kernels, lanes, dispatches = split_parallel(events)
-            return (
-                sum(kernel_cost(event) for event in serial_kernels)
-                + max((sum(kernel_cost(event) for event in lane_events)
-                       for lane_events in lanes.values()), default=0.0)
-                + len(dispatches) * self.morsel_dispatch_overhead_s
-            )
+            return region.time(kernel_cost, self.morsel_dispatch_overhead_s)
 
         # Simulated devices run concurrently: a distributed region costs its
         # slowest device, on top of everything the host executes serially.
-        compute_s = group_cost(host_kernels) + max(
-            (group_cost(events) for events in shards.values()), default=0.0)
+        compute_s = region_cost(host) + max(
+            map(region_cost, shards.values()), default=0.0)
         # Peer exchanges ride NVLink; the gather back to the host rides PCIe.
-        # An exchange op is an identity — its payload is its output tensor.
         exchange_s = 0.0
         for event in exchanges:
             if event.op == GATHER_OP:

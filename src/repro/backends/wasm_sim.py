@@ -10,12 +10,7 @@ represents WASM code generation quality and the weaker client machine.
 
 from __future__ import annotations
 
-from repro.backends.base import (
-    TRANSFER_OPS,
-    DeviceCostModel,
-    split_parallel,
-    split_sharded,
-)
+from repro.backends.base import TRANSFER_OPS, DeviceCostModel, split_partitions
 from repro.tensor.profiler import Profiler
 
 
@@ -76,31 +71,25 @@ class SimulatedWASM(DeviceCostModel):
         n_boundary_crossings = len(profile.events)
         _, kernels = profile.partition(TRANSFER_OPS)
         kernel_s = max(0.0, measured_s - len(kernels) * interpreter_overhead_s)
-        host_kernels, shards, exchanges = split_sharded(kernels)
+        host, shards, exchanges = split_partitions(kernels)
         if shards or exchanges:
-            off_host_s = sum(
-                event.elapsed_s
-                for events in shards.values() for event in events
-            ) + sum(event.elapsed_s for event in exchanges)
-            slowest_shard_s = max((sum(event.elapsed_s for event in events)
-                                   for events in shards.values()), default=0.0)
-            kernel_s = max(0.0, kernel_s - off_host_s + slowest_shard_s)
-        _, lanes, dispatches = split_parallel(host_kernels)
-        if lanes:
-            laned_total_s = sum(event.elapsed_s
-                                for lane_events in lanes.values()
-                                for event in lane_events)
-            slowest_lane_s = max(sum(event.elapsed_s for event in lane_events)
-                                 for lane_events in lanes.values())
-            kernel_s = max(0.0, kernel_s - laned_total_s + slowest_lane_s)
+            shard_s = [sum(event.elapsed_s for event in region.events())
+                       for region in shards.values()]
+            off_host_s = sum(shard_s) + sum(event.elapsed_s
+                                            for event in exchanges)
+            kernel_s = max(0.0,
+                           kernel_s - off_host_s + max(shard_s, default=0.0))
+        if host.lanes:
+            lane_s = [sum(event.elapsed_s for event in lane_events)
+                      for lane_events in host.lanes.values()]
+            kernel_s = max(0.0, kernel_s - sum(lane_s) + max(lane_s))
         bandwidth_bps = self.message_bandwidth_gbs * 1e9
-        # Exchange ops are identities: their payload is their output tensor.
         message_s = sum(self.message_latency_s
                         + event.output_bytes / bandwidth_bps
                         for event in exchanges)
         return (kernel_s * self.slowdown
                 + n_boundary_crossings * self.per_op_overhead_s
-                + len(dispatches) * self.morsel_dispatch_overhead_s
+                + len(host.dispatches) * self.morsel_dispatch_overhead_s
                 + message_s)
 
     def describe(self) -> dict:

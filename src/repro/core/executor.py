@@ -35,7 +35,7 @@ from repro.core.parameters import (
 )
 from repro.core.planner import OperatorPlan
 from repro.dataframe import DataFrame
-from repro.distributed import DistributedScanOperator, ShardedTable, shard_table
+from repro.distributed.sharding import ShardedTable, shard_table
 from repro.errors import BatchBindingError, BindingError, CatalogError, ExecutionError
 from repro.tensor import Graph, Profiler, ScriptedProgram, Tensor, onnxlike, passes, tracing
 from repro.tensor.device import Device, parse_device
@@ -51,9 +51,10 @@ class ExecutionResult:
     backend: str
     device: str
     profile: Optional[Profiler] = None
-    #: Zone-map pruning outcome per scan alias (blocks skipped/total); empty
-    #: when no scan pruned.  On the graph backends the counters describe the
-    #: tracing run (a replay does not re-execute the operators).
+    #: Zone-map pruning outcome per scan alias (blocks skipped/total) of
+    #: *this* execution; empty when no scan pruned.  On the graph backends
+    #: the counters describe the tracing run, captured with the program (a
+    #: replay does not re-execute the operators).
     pruning: dict = dataclasses.field(default_factory=dict)
     #: How the query actually ran: ``eager`` (pytorch backend), ``compiled``
     #: (generated code) or ``interpreted`` (graph interpreter, including the
@@ -62,6 +63,31 @@ class ExecutionResult:
 
     def to_dataframe(self) -> DataFrame:
         return self.table.to_dataframe()
+
+
+def convert_scan_input(scan, frame: DataFrame, encoding: str, stats=None):
+    """Convert (and, for a sharded scan, place) the table one scan reads.
+
+    Only the columns the scan needs are converted (strings and dates require
+    an encoding pass; numeric columns are zero-copy), under the storage
+    ``encoding`` mode.  ``stats`` (the catalog's
+    ``repro.storage.TableStatistics``) lends its NDV counts so the
+    dictionary-encoding decision skips its ``np.unique`` fallback.  A scan
+    partitioned into ``shards`` gets its table placed across the devices
+    here: sharding is load-time placement, not query work, so it happens
+    outside any trace or profiler and the traced program receives each
+    shard's columns as separate named inputs.
+    """
+    from repro.storage.encodings import encode_table
+
+    ndv = ({name: column.ndv for name, column in stats.columns.items()}
+           if stats is not None else None)
+    table = TensorTable(encode_table(frame, scan.fields, mode=encoding,
+                                     column_ndv=ndv))
+    scheme = scan.partitioning
+    if scheme.kind == "shards":
+        return shard_table(table, scheme.n, scheme.placement)
+    return table
 
 
 class Executor:
@@ -110,6 +136,8 @@ class Executor:
         self.compile_count = 0
         self._program: Optional[ScriptedProgram] = None
         self._program_layout: Optional[list] = None
+        #: Pruning outcome of the tracing run, published with the program.
+        self._program_pruning: dict = {}
         self._input_layout: Optional[list[tuple[str, str]]] = None
         # Serializes trace compilation: concurrent first executions of a
         # shared plan must produce exactly one traced program, never a torn
@@ -125,11 +153,9 @@ class Executor:
     # -- input preparation --------------------------------------------------
 
     def prepare_inputs(self, dataframes: dict[str, DataFrame]) -> dict[str, TensorTable]:
-        """Convert the registered DataFrames into tensor tables, per scan.
-
-        Only the columns each scan actually needs are converted (strings and
-        dates require an encoding pass; numeric columns are zero-copy).
-        The result is keyed by scan alias with fully qualified column names.
+        """Convert the registered DataFrames into tensor tables, per scan
+        (:func:`convert_scan_input`).  The result is keyed by scan alias with
+        fully qualified column names.
 
         Every table the plan references is validated up front (matched
         case-insensitively, like the session catalog); missing tables or
@@ -145,8 +171,6 @@ class Executor:
                 "plan references unregistered table(s): "
                 + ", ".join(repr(name) for name in missing)
             )
-        from repro.storage.encodings import encode_table
-
         inputs: dict[str, TensorTable] = {}
         for scan in self.plan.scans:
             frame = by_key[scan.table.lower()]
@@ -157,20 +181,9 @@ class Executor:
                         f"table {scan.table!r} has no column {base!r} "
                         f"(required by scan {scan.alias!r})"
                     )
-            # Reuse the catalog's NDV counts when statistics were attached so
-            # the dictionary-encoding decision skips its np.unique fallback.
-            stats = self.scan_stats.get(scan.alias)
-            ndv = ({name: column.ndv for name, column in stats.columns.items()}
-                   if stats is not None else None)
-            table = TensorTable(
-                encode_table(frame, scan.fields, mode=self.options.encoding,
-                             column_ndv=ndv))
-            if isinstance(scan, DistributedScanOperator):
-                # Sharding is load-time placement, not query work: it happens
-                # here, outside any trace or profiler, and the traced program
-                # receives each shard's columns as separate named inputs.
-                table = shard_table(table, scan.devices, scan.shard_mode)
-            inputs[scan.alias] = table
+            inputs[scan.alias] = convert_scan_input(
+                scan, frame, self.options.encoding,
+                self.scan_stats.get(scan.alias))
         return inputs
 
     # -- execution ------------------------------------------------------------
@@ -217,27 +230,25 @@ class Executor:
         profiler = Profiler(name=f"{self.backend.name}-{self.device}") if want_profile else None
 
         if self.backend.strategy == "eager":
-            def run(tables: dict[str, TensorTable]) -> TensorTable:
+            def run(tables: dict[str, TensorTable]) -> tuple[TensorTable, dict]:
                 return self._run_eager(tables, bound, scan_stats=scan_stats)
         else:
-            def run(tables: dict[str, TensorTable]) -> TensorTable:
-                return self._run_graph(tables, bound)
+            def run(tables: dict[str, TensorTable]) -> tuple[TensorTable, dict]:
+                return self._run_graph(tables, bound), self._program_pruning
 
         if profiler is not None:
             with profiler:
                 start = time.perf_counter()
-                table = run(inputs)
+                table, pruning = run(inputs)
                 measured = time.perf_counter() - start
         else:
             start = time.perf_counter()
-            table = run(inputs)
+            table, pruning = run(inputs)
             measured = time.perf_counter() - start
 
         reported = self.cost_model.report_time(
             measured, profiler,
             interpreter_overhead_s=self.backend.per_node_overhead_s)
-        pruning = {scan.alias: scan.last_pruning for scan in self.plan.scans
-                   if getattr(scan, "last_pruning", None)}
         if self.backend.strategy == "eager":
             mode = "eager"
         else:
@@ -262,7 +273,6 @@ class Executor:
             params[name] = ExprValue(tensor, value.ltype, value.is_scalar,
                                      value.valid)
         ctx = ExecutionContext(moved, device=self.device,
-                               parallelism=self.parallelism,
                                zone_maps=(scan_stats if scan_stats is not None
                                           else self.scan_stats))
         ctx.eval_ctx = EvaluationContext(
@@ -275,10 +285,12 @@ class Executor:
 
     def _run_eager(self, inputs: dict[str, TensorTable],
                    bound: Optional[dict] = None,
-                   scan_stats: Optional[dict] = None) -> TensorTable:
+                   scan_stats: Optional[dict] = None
+                   ) -> tuple[TensorTable, dict]:
+        """``(result, pruning outcome)`` of one eager run of the plan."""
         ctx = self._execution_context(inputs, self._param_values(bound or {}),
                                       scan_stats=scan_stats)
-        return self.plan.root.execute(ctx)
+        return self.plan.root.execute(ctx), ctx.pruning
 
     # -- traced (TorchScript / ONNX-like) path ------------------------------------
 
@@ -431,6 +443,7 @@ class Executor:
                         for alias, name, part in layout]
                        + [f"param:{spec.name}" for spec in param_specs])
         output_columns: list[tuple[str, LogicalType, bool]] = []
+        traced_pruning: dict = {}
 
         def traced_query(*tensors: Tensor) -> list[Tensor]:
             table_tensors = list(tensors[:len(layout)])
@@ -444,6 +457,8 @@ class Executor:
             # Output columns are decoded before flattening so the program's
             # outputs are always plain tensors, whatever the storage layout.
             result = self.plan.root.execute(ctx).decoded()
+            traced_pruning.clear()
+            traced_pruning.update(ctx.pruning)
             flat: list[Tensor] = []
             output_columns.clear()
             for name, column in result.columns():
@@ -467,6 +482,7 @@ class Executor:
         # ``self._program``, so by the time they see it, the matching layouts
         # are already in place.
         self._program_layout = list(output_columns)
+        self._program_pruning = traced_pruning
         self._input_layout = layout
         self._program = program
         return program
@@ -586,8 +602,7 @@ class Executor:
                 "re-create the executor or call compile_program() again"
             )
         want_profile = profile or self.device.is_simulated
-        pruning = {scan.alias: scan.last_pruning for scan in self.plan.scans
-                   if getattr(scan, "last_pruning", None)}
+        pruning = self._program_pruning
         program, device = self._program, self.device
         backend_name, device_str = self.backend.name, str(device)
         overhead_s = self.backend.per_node_overhead_s

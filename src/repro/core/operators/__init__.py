@@ -1,56 +1,57 @@
 """Tensor-program implementations of relational operators (planning layer output)."""
 
-from repro.core.operators.aggregate import HashAggregateOperator
-from repro.core.operators.base import ExecutionContext, TensorOperator
+from repro.core.operators.aggregate import (
+    HashAggregateOperator,
+    aggregates_are_mergeable,
+)
+from repro.core.operators.base import ExecutionContext, MapOperator, TensorOperator
 from repro.core.operators.filter import FilterOperator
 from repro.core.operators.join import (
     HashJoinOperator,
     NestedLoopJoinOperator,
-    concat_tables,
     merge_tables,
 )
-from repro.core.operators.misc import DistinctOperator, LimitOperator, RenameOperator
-from repro.core.operators.parallel import (
-    PARALLEL_THRESHOLD_ROWS,
-    MorselFilterOperator,
-    MorselProjectOperator,
-    MorselScanOperator,
-    MorselSource,
-    MorselWorkerPool,
-    ParallelHashAggregateOperator,
-    PartitionedHashJoinOperator,
-    aggregates_are_mergeable,
-    concat_morsels,
-    exprs_are_morsel_safe,
+from repro.core.operators.misc import (
+    DistinctOperator,
+    GatherOperator,
+    LimitOperator,
+    RenameOperator,
+)
+from repro.core.operators.partition import (
+    NONE,
+    PartitionedTable,
+    Partitioning,
+    concat_rows,
+    lanes,
+    run_partitions,
+    shards,
 )
 from repro.core.operators.project import ProjectOperator
 from repro.core.operators.scan import ScanOperator
 from repro.core.operators.sort import SortOperator
 
 __all__ = [
-    "PARALLEL_THRESHOLD_ROWS",
+    "NONE",
     "DistinctOperator",
     "ExecutionContext",
     "FilterOperator",
+    "GatherOperator",
     "HashAggregateOperator",
     "HashJoinOperator",
     "LimitOperator",
-    "MorselFilterOperator",
-    "MorselProjectOperator",
-    "MorselScanOperator",
-    "MorselSource",
-    "MorselWorkerPool",
+    "MapOperator",
     "NestedLoopJoinOperator",
-    "ParallelHashAggregateOperator",
-    "PartitionedHashJoinOperator",
+    "PartitionedTable",
+    "Partitioning",
     "ProjectOperator",
     "RenameOperator",
     "ScanOperator",
     "SortOperator",
     "TensorOperator",
     "aggregates_are_mergeable",
-    "concat_morsels",
-    "concat_tables",
-    "exprs_are_morsel_safe",
+    "concat_rows",
+    "lanes",
     "merge_tables",
+    "run_partitions",
+    "shards",
 ]

@@ -13,6 +13,14 @@ from typing import Optional
 
 from repro.core.columnar import TensorTable
 from repro.core.expressions import EvaluationContext
+from repro.core.operators.partition import (
+    NONE,
+    PartitionedTable,
+    Partitioning,
+    gather,
+    input_of,
+    partition_label,
+)
 from repro.errors import ExecutionError
 from repro.tensor import current_profiler
 from repro.tensor.device import Device, parse_device
@@ -23,17 +31,19 @@ class ExecutionContext:
 
     def __init__(self, inputs: dict[str, TensorTable],
                  eval_ctx: Optional[EvaluationContext] = None,
-                 device: Device | str = "cpu", parallelism: int = 1,
+                 device: Device | str = "cpu",
                  zone_maps: Optional[dict] = None):
         self.inputs = inputs
         self.device = parse_device(device)
         self.eval_ctx = eval_ctx or EvaluationContext(device=self.device)
-        #: Worker lanes the executor granted to morsel-driven operators.
-        self.parallelism = max(1, int(parallelism))
         #: Storage statistics per scan alias
         #: (``repro.storage.TableStatistics``); scans consult these zone maps
         #: for block pruning.  ``None`` disables pruning.
         self.zone_maps = zone_maps or {}
+        #: Zone-map pruning outcome per scan alias, written by the scans of
+        #: *this* execution (the plan object is shared by every concurrent
+        #: request of a statement, so nothing per-run may live on it).
+        self.pruning: dict[str, dict] = {}
 
     def input_table(self, alias: str) -> TensorTable:
         if alias not in self.inputs:
@@ -47,19 +57,34 @@ class TensorOperator:
     #: short name used by the profiler scopes and the Figure-2 breakdown
     name = "operator"
 
-    def __init__(self, children: list["TensorOperator"]):
+    def __init__(self, children: list["TensorOperator"],
+                 partitioning: Partitioning = NONE):
         self.children = children
+        #: How this operator's output is partitioned (chosen by the planner).
+        #: ``execute`` always hands back one table; a partitioned operator
+        #: also streams its output through ``partitions``.
+        self.partitioning = partitioning
 
-    def execute(self, ctx: ExecutionContext) -> TensorTable:
-        """Execute the subtree rooted at this operator."""
+    def _scoped(self, body, ctx: ExecutionContext):
         profiler = current_profiler()
         if profiler is None:
-            return self._execute(ctx)
+            return body(ctx)
         with profiler.scope(self.describe()):
-            return self._execute(ctx)
+            return body(ctx)
+
+    def execute(self, ctx: ExecutionContext) -> TensorTable:
+        """Execute the subtree rooted at this operator into one table."""
+        return self._scoped(self._execute, ctx)
+
+    def partitions(self, ctx: ExecutionContext) -> PartitionedTable:
+        """Execute the subtree into the partitions of ``self.partitioning``."""
+        return self._scoped(self._partitions, ctx)
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
         raise NotImplementedError
+
+    def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
+        raise ExecutionError(f"{self.describe()} has no partitioned output")
 
     def describe(self) -> str:
         return self.name
@@ -74,3 +99,45 @@ class TensorOperator:
         yield self
         for child in self.children:
             yield from child.walk()
+
+
+class MapOperator(TensorOperator):
+    """A row-local unary operator (filter, project, rename).
+
+    Subclasses write their per-table body once (:meth:`_apply`) and name
+    themselves per partitioning kind (``labels``: none, lanes, shards); this
+    class maps the body over whatever partitions the planner placed the
+    operator under.
+    """
+
+    labels: tuple = ("operator",) * 3
+
+    def __init__(self, child: TensorOperator,
+                 partitioning: Partitioning = NONE):
+        super().__init__([child], partitioning)
+
+    def _apply(self, table: TensorTable, ctx: ExecutionContext) -> TensorTable:
+        raise NotImplementedError
+
+    def _mapped(self, parts: PartitionedTable, ctx: ExecutionContext
+                ) -> PartitionedTable:
+        return parts.map(lambda table: self._apply(table, ctx), self.describe())
+
+    def _execute(self, ctx: ExecutionContext) -> TensorTable:
+        data = input_of(self.children[0], self.partitioning, ctx, closed=True)
+        if isinstance(data, TensorTable):
+            return self._apply(data, ctx)
+        return gather(self._mapped(data, ctx), self.describe())
+
+    def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
+        return self._mapped(
+            input_of(self.children[0], self.partitioning, ctx, closed=False),
+            ctx)
+
+    def _details(self) -> tuple:
+        """What the label shows before the partitioning suffix."""
+        return ()
+
+    def describe(self) -> str:
+        return partition_label(self.labels, self.partitioning,
+                               *self._details())

@@ -4,21 +4,23 @@ from __future__ import annotations
 
 from repro.core.columnar import TensorTable
 from repro.core.expressions import as_mask, evaluate
-from repro.core.operators.base import ExecutionContext, TensorOperator
+from repro.core.operators.base import ExecutionContext, MapOperator, TensorOperator
+from repro.core.operators.partition import NONE, Partitioning
 from repro.frontend.ast import Expr
 
 
-class FilterOperator(TensorOperator):
-    """Evaluate the predicate into a boolean mask and compact every column."""
+class FilterOperator(MapOperator):
+    """Evaluate the predicate into a boolean mask and compact every column
+    (of every partition, with no data movement)."""
 
-    name = "Filter"
+    labels = ("Filter", "MorselFilter", "DistributedFilter")
 
-    def __init__(self, child: TensorOperator, condition: Expr):
-        super().__init__([child])
+    def __init__(self, child: TensorOperator, condition: Expr,
+                 partitioning: Partitioning = NONE):
+        super().__init__(child, partitioning)
         self.condition = condition
 
-    def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        table = self.children[0].execute(ctx)
+    def _apply(self, table: TensorTable, ctx: ExecutionContext) -> TensorTable:
         value = evaluate(self.condition, table, ctx.eval_ctx)
         mask = as_mask(value, table.num_rows, like=table.anchor)
         return table.mask(mask)

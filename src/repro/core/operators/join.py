@@ -17,6 +17,17 @@ address bounded integer keys directly (presence table, LSD radix) and fall
 back to a comparison sort for floats, epoch-ns dates and domains much wider
 than the row count — see the constants in :mod:`repro.tensor.ops`.  The
 output (row order included) is the same either way.
+
+Partitioned plans keep two exchange strategies because they are different
+algorithms, selected by the partitioning the planner placed the join under:
+
+* ``lanes`` — **radix partitioning** of the globally densified ids: key
+  densification stays global (both sides must share one dictionary), and the
+  build/probe runs per key partition on its own worker lane;
+* ``shards`` — a **value-hash shuffle** (both sides repartition on the join
+  keys, so equal keys meet on one device and every join kind is decided
+  locally) or a **broadcast** of one small unsharded side to every device;
+  each device then runs the ordinary serial join on what it holds.
 """
 
 from __future__ import annotations
@@ -24,12 +35,7 @@ from __future__ import annotations
 from typing import Optional
 
 
-from repro.core.columnar import (
-    LogicalType,
-    TensorColumn,
-    TensorTable,
-    concat_columns,
-)
+from repro.core.columnar import LogicalType, TensorColumn, TensorTable
 from repro.core.expressions import as_mask, evaluate
 from repro.core.operators.base import ExecutionContext, TensorOperator
 from repro.core.operators.grouping import (
@@ -37,9 +43,20 @@ from repro.core.operators.grouping import (
     factorize_pair,
     id_count,
 )
+from repro.core.operators.partition import broadcast as broadcast_table
+from repro.core.operators.partition import (
+    NONE,
+    PartitionedTable,
+    Partitioning,
+    concat_rows,
+    partition_label,
+    repartition,
+    run_partitions,
+)
+from repro.core.tuning import DEFAULT_TUNING
 from repro.errors import ExecutionError
 from repro.frontend.ast import Expr
-from repro.tensor import Tensor, ops
+from repro.tensor import Tensor, current_lane, ops
 
 
 def merge_tables(left: TensorTable, right: TensorTable) -> TensorTable:
@@ -50,14 +67,6 @@ def merge_tables(left: TensorTable, right: TensorTable) -> TensorTable:
             raise ExecutionError(f"duplicate column name after join: {name!r}")
         columns[name] = column
     return TensorTable(columns)
-
-
-def concat_tables(first: TensorTable, second: TensorTable) -> TensorTable:
-    """Row-wise concatenation of two tables with identical column sets."""
-    return TensorTable({
-        name: concat_columns([top, second.column(name)])
-        for name, top in first.columns()
-    })
 
 
 def _null_column_like(column: TensorColumn, num_rows: int,
@@ -94,23 +103,49 @@ def _null_column_like(column: TensorColumn, num_rows: int,
 
 
 class HashJoinOperator(TensorOperator):
-    """Equi-join on densified keys (inner / left outer / semi / anti)."""
+    """Equi-join on densified keys (inner / left outer / semi / anti).
+
+    ``exchange`` is the partitioning the join runs under (see the module
+    docstring).  Under ``shards`` both children stay sharded (shuffle) unless
+    ``broadcast`` names the one unsharded side that is replicated instead:
+    ``"right"`` (sharded probe side) is valid for every join kind — each left
+    row lives on exactly one shard and sees the complete right side there —
+    while ``"left"`` is inner-only: a broadcast left row would match (or
+    survive) once per shard under any other kind.  The output stays sharded;
+    a ``lanes`` join takes and returns whole tables.
+    """
 
     name = "HashJoin"
 
     def __init__(self, left: TensorOperator, right: TensorOperator, kind: str,
                  left_keys: list[Expr], right_keys: list[Expr],
-                 residual: Optional[Expr] = None):
-        super().__init__([left, right])
+                 residual: Optional[Expr] = None, *,
+                 exchange: Partitioning = NONE,
+                 broadcast: Optional[str] = None):
+        super().__init__([left, right],
+                         exchange if exchange.kind == "shards" else NONE)
         if kind not in ("inner", "left", "semi", "anti"):
             raise ExecutionError(f"unsupported hash join kind {kind!r}")
+        if broadcast not in (None, "left", "right"):
+            raise ExecutionError(f"unknown broadcast side {broadcast!r}")
+        if broadcast == "left" and kind != "inner":
+            raise ExecutionError(
+                "broadcasting the left side is only sound for inner joins")
         self.kind = kind
         self.left_keys = left_keys
         self.right_keys = right_keys
         self.residual = residual
+        self.exchange = exchange
+        self.broadcast = broadcast
 
     def describe(self) -> str:
-        return f"HashJoin[{self.kind}]"
+        labels = ("HashJoin", "PartitionedHashJoin",
+                  "BroadcastJoin" if self.broadcast else "ShuffleJoin")
+        return partition_label(
+            tuple(f"{name}[{self.kind}]" for name in labels), self.exchange,
+            f"partitions={self.exchange.n}"
+            if self.exchange.kind == "lanes" else "",
+            after=f"broadcast={self.broadcast}" if self.broadcast else "")
 
     # -- key handling -------------------------------------------------------
 
@@ -139,9 +174,9 @@ class HashJoinOperator(TensorOperator):
         ``need_pairs``, the flattened ``(pair_left, pair_right)`` row indices.
 
         The ids are dense, so the build side is a direct-address table: one
-        ``bincount`` of the right ids, indexed by the left ids.  The
-        partitioned parallel variant runs this per key partition; everything
-        downstream (:meth:`_finish`) is shared.
+        ``bincount`` of the right ids, indexed by the left ids.  The radix
+        exchange runs this per key partition; everything downstream
+        (:meth:`_finish`) is shared.
         """
         # bincount grows past ``minlength`` to cover the right ids, so the
         # table spans both sides (and is empty-safe under any rebinding).
@@ -166,15 +201,104 @@ class HashJoinOperator(TensorOperator):
         pair_right = ops.take(order, pair_right_sorted)
         return counts, (pair_left, pair_right)
 
+    def _radix_match_pairs(self, left_ids: Tensor, right_ids: Tensor,
+                           need_pairs: bool
+                           ) -> tuple[Tensor, Optional[tuple[Tensor, Tensor]]]:
+        """:meth:`_match_pairs`, one key partition per worker lane.
+
+        The direct-address table of the build ids and the ordering of the
+        build rows are built per partition (``id mod P``, matched on
+        ``id // P`` so every partition's table is dense, ~G/P slots).
+        Partition row indices map local matches back to global row ids.
+        """
+        n_left = left_ids.shape[0]
+        n_right = right_ids.shape[0]
+        partitions = self.exchange.n
+        if (partitions <= 1 or n_left == 0 or n_right == 0
+                or max(n_left, n_right) < DEFAULT_TUNING.parallel_threshold_rows):
+            return self._match_pairs(left_ids, right_ids, need_pairs)
+
+        # Single-pass radix partition (the serial phase): one stable argsort
+        # per side groups the row indices of every partition contiguously, and
+        # searchsorted yields all partition boundaries at once — instead of
+        # rescanning the full key arrays once per partition.
+        def partition_layout(ids: Tensor) -> tuple[Tensor, list[int]]:
+            part = ops.mod(ids, partitions)
+            order = ops.argsort(part)
+            bounds = ops.searchsorted(
+                ops.take(part, order),
+                ops.arange(partitions + 1, device=ids.device), side="left")
+            return order, [int(b) for b in bounds.numpy()]
+
+        left_order, left_bounds = partition_layout(left_ids)
+        right_order, right_bounds = partition_layout(right_ids)
+
+        def match_partition(p: int):
+            lsel = ops.narrow(left_order, 0, left_bounds[p],
+                              left_bounds[p + 1] - left_bounds[p])
+            rsel = ops.narrow(right_order, 0, right_bounds[p],
+                              right_bounds[p + 1] - right_bounds[p])
+            # Ids sharing ``id mod P`` stay distinct and ordered under
+            # ``id // P`` and are dense again, so each table is ~G/P slots.
+            lids = ops.floordiv(
+                ops.morsel_dispatch(ops.take(left_ids, lsel), current_lane(), p,
+                                    rows=lsel.shape[0]), partitions)
+            rids = ops.floordiv(ops.take(right_ids, rsel), partitions)
+            local_counts, local_pairs = self._match_pairs(lids, rids, need_pairs)
+            if local_pairs is None:
+                return lsel, local_counts, None, None
+            return (lsel, local_counts,
+                    ops.take(lsel, local_pairs[0]), ops.take(rsel, local_pairs[1]))
+
+        parts = run_partitions(self.exchange, match_partition, self.describe())
+
+        counts = ops.scatter_add(ops.concat([part[0] for part in parts], axis=0),
+                                 ops.concat([part[1] for part in parts], axis=0),
+                                 size=n_left)
+        if not need_pairs:
+            return counts, None
+        pair_left = ops.concat([part[2] for part in parts], axis=0)
+        pair_right = ops.concat([part[3] for part in parts], axis=0)
+        return counts, (pair_left, pair_right)
+
     # -- execution ------------------------------------------------------------
+
+    def _join_tables(self, left_table: TensorTable, right_table: TensorTable,
+                     ctx: ExecutionContext, match_pairs) -> TensorTable:
+        """Join two materialized tables: densify, match, finish."""
+        left_ids, right_ids = self._key_ids(left_table, right_table, ctx)
+        need_pairs = not (self.kind in ("semi", "anti") and self.residual is None)
+        counts, pairs = match_pairs(left_ids, right_ids, need_pairs)
+        return self._finish(left_table, right_table, counts, pairs, ctx)
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
         left_table = self.children[0].execute(ctx)
         right_table = self.children[1].execute(ctx)
-        left_ids, right_ids = self._key_ids(left_table, right_table, ctx)
-        need_pairs = not (self.kind in ("semi", "anti") and self.residual is None)
-        counts, pairs = self._match_pairs(left_ids, right_ids, need_pairs)
-        return self._finish(left_table, right_table, counts, pairs, ctx)
+        return self._join_tables(
+            left_table, right_table, ctx,
+            self._radix_match_pairs if self.exchange.kind == "lanes"
+            else self._match_pairs)
+
+    def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
+        left_op, right_op = self.children
+        scheme = self.exchange
+        if self.broadcast == "right":
+            left = left_op.partitions(ctx)
+            right = broadcast_table(right_op.execute(ctx), scheme)
+        elif self.broadcast == "left":
+            left = broadcast_table(left_op.execute(ctx), scheme)
+            right = right_op.partitions(ctx)
+        else:
+            left, right = repartition(
+                [(left_op.partitions(ctx), self.left_keys),
+                 (right_op.partitions(ctx), self.right_keys)],
+                ctx, f"{self.describe()}:shuffle")
+        return PartitionedTable.run(
+            scheme,
+            lambda shard: self._join_tables(
+                left.produce(shard), right.produce(shard), ctx,
+                self._match_pairs),
+            self.describe())
 
     def _finish(self, left_table: TensorTable, right_table: TensorTable,
                 counts: Tensor, pairs: Optional[tuple[Tensor, Tensor]],
@@ -223,7 +347,7 @@ class HashJoinOperator(TensorOperator):
             for name, column in right_table.columns()
         })
         padded = merge_tables(left_unmatched, null_right)
-        return concat_tables(combined, padded)
+        return concat_rows([combined, padded])
 
 
 class NestedLoopJoinOperator(TensorOperator):

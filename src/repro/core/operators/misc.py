@@ -1,11 +1,12 @@
-"""Limit, Distinct and Rename operators."""
+"""Limit, Distinct, Rename and Gather operators."""
 
 from __future__ import annotations
 
 from repro.core.columnar import TensorTable
 from repro.core.expressions import ExprValue
-from repro.core.operators.base import ExecutionContext, TensorOperator
+from repro.core.operators.base import ExecutionContext, MapOperator, TensorOperator
 from repro.core.operators.grouping import combine_ids, factorize_single, id_count
+from repro.core.operators.partition import NONE, Partitioning, gather
 from repro.errors import ExecutionError
 from repro.frontend.logical import Field
 from repro.tensor import ops
@@ -58,17 +59,22 @@ class DistinctOperator(TensorOperator):
         return table.gather(representatives)
 
 
-class RenameOperator(TensorOperator):
-    """Rename the child's output columns positionally (derived-table aliases)."""
+class RenameOperator(MapOperator):
+    """Rename the child's output columns positionally (derived-table aliases).
 
-    name = "Rename"
+    Pure metadata, no kernels — which is why it may stay inside a sharded
+    region: subqueries (``FROM (SELECT ...) f``) then feed shuffle joins
+    without a gather in between.
+    """
 
-    def __init__(self, child: TensorOperator, output_fields: list[Field]):
-        super().__init__([child])
+    labels = ("Rename", "Rename", "DistributedRename")
+
+    def __init__(self, child: TensorOperator, output_fields: list[Field],
+                 partitioning: Partitioning = NONE):
+        super().__init__(child, partitioning)
         self.output_fields = output_fields
 
-    def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        table = self.children[0].execute(ctx)
+    def _apply(self, table: TensorTable, ctx: ExecutionContext) -> TensorTable:
         names = table.column_names
         if len(names) != len(self.output_fields):
             raise ExecutionError(
@@ -79,3 +85,19 @@ class RenameOperator(TensorOperator):
             field.name: table.column(name)
             for name, field in zip(names, self.output_fields)
         })
+
+
+class GatherOperator(TensorOperator):
+    """The visible enforcer: collect a sharded child's per-device results back
+    to the host, in shard order."""
+
+    name = "Gather"
+
+    def __init__(self, child: TensorOperator):
+        super().__init__([child])
+
+    def describe(self) -> str:
+        return f"Gather({self.children[0].partitioning.suffix})"
+
+    def _execute(self, ctx: ExecutionContext) -> TensorTable:
+        return gather(self.children[0].partitions(ctx))

@@ -4,29 +4,30 @@ from __future__ import annotations
 
 from repro.core.columnar import LogicalType, TensorTable
 from repro.core.expressions import evaluate, to_column
-from repro.core.operators.base import ExecutionContext, TensorOperator
+from repro.core.operators.base import ExecutionContext, MapOperator, TensorOperator
+from repro.core.operators.partition import NONE, Partitioning
 from repro.frontend.ast import Expr
 
 
-class ProjectOperator(TensorOperator):
-    """Evaluate each projection expression and assemble the output table."""
+class ProjectOperator(MapOperator):
+    """Evaluate each projection expression and assemble the output table
+    (of every partition, with no data movement)."""
 
-    name = "Project"
+    labels = ("Project", "MorselProject", "DistributedProject")
 
     def __init__(self, child: TensorOperator, exprs: list[Expr], names: list[str],
-                 types: list[LogicalType]):
-        super().__init__([child])
+                 types: list[LogicalType], partitioning: Partitioning = NONE):
+        super().__init__(child, partitioning)
         self.exprs = exprs
         self.names = names
         self.types = types
 
-    def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        table = self.children[0].execute(ctx)
+    def _apply(self, table: TensorTable, ctx: ExecutionContext) -> TensorTable:
         columns = {}
         for expr, name in zip(self.exprs, self.names):
             value = evaluate(expr, table, ctx.eval_ctx)
             columns[name] = to_column(value, table.num_rows, like=table.anchor)
         return TensorTable(columns)
 
-    def describe(self) -> str:
-        return f"Project({len(self.exprs)} cols)"
+    def _details(self) -> tuple:
+        return (f"{len(self.exprs)} cols",)

@@ -19,16 +19,33 @@ Three pruning regimes keep this sound under every backend:
   the zone-map tensors (:func:`repro.storage.pruning.block_mask_tensor`) and a
   per-row gather — the traced program then re-evaluates block survival from
   the runtime parameter inputs on every binding.
+
+A scan is also where partitioned regions start.  Under ``lanes`` the (pruned)
+table is cut into morsels, zero-copy ``narrow`` views stamped with one
+dispatch each — and handed over whole, at zero overhead, when the parent
+consumes one table.  Under ``shards`` input preparation has already placed
+the converted table across the devices (load-time placement is data layout,
+not query work), and the scan selects each shard's columns inside that
+shard's annotation; zone-map pruning does not apply there: the statistics
+describe the unsharded table, and a sharded scan's parallelism already comes
+from the placement.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.core.columnar import TensorTable, morsel_bounds
 from repro.core.operators.base import ExecutionContext, TensorOperator
+from repro.core.operators.partition import (
+    NONE,
+    PartitionedTable,
+    Partitioning,
+    concat_rows,
+    partition_label,
+    slice_table,
+)
+from repro.distributed.sharding import ShardedTable
 from repro.errors import ExecutionError
 from repro.frontend.logical import Field
 from repro.tensor import ops
@@ -59,25 +76,25 @@ class ScanOperator(TensorOperator):
     paper separates data transformation from query execution.
     """
 
-    name = "TableScan"
+    labels = ("TableScan", "MorselScan", "DistributedScan")
 
-    #: Whether parameterized conjuncts may lower to a traced row mask.  The
-    #: morsel variant forbids it: its static morsel bounds would bake the
-    #: first binding's (dynamic) row count into the trace.
-    traced_dynamic_pruning = True
-
-    def __init__(self, table: str, alias: str, fields: list[Field]):
-        super().__init__([])
+    def __init__(self, table: str, alias: str, fields: list[Field],
+                 partitioning: Partitioning = NONE):
+        super().__init__([], partitioning)
         self.table = table
         self.alias = alias
         self.fields = fields
         #: Prunable conjuncts attached by the planner (empty = no pruning).
         self.pruning = []
-        #: Outcome of the last pruning decision (for benchmarks/monitoring).
-        self.last_pruning: Optional[dict] = None
 
-    def _base_table(self, ctx: ExecutionContext) -> TensorTable:
-        table = ctx.input_table(self.alias)
+    @property
+    def traced_dynamic_pruning(self) -> bool:
+        """Whether parameterized conjuncts may lower to a traced row mask.
+        Not under ``lanes``: the static morsel bounds would bake the first
+        binding's (dynamic) row count into the trace."""
+        return self.partitioning.kind == "none"
+
+    def _select_fields(self, table) -> TensorTable:
         missing = [f.name for f in self.fields if f.name not in table]
         if missing:
             raise ExecutionError(
@@ -139,13 +156,12 @@ class ScanOperator(TensorOperator):
     def _apply_pruning(self, table: TensorTable, ctx: ExecutionContext
                        ) -> TensorTable:
         stats = self._zone_stats(ctx)
-        self.last_pruning = None
         if stats is None or table.num_rows != stats.row_count:
             return table
         mask, traced_dynamic = self._block_survival(ctx, stats)
         total = len(mask)
         skipped = int(total - mask.sum())
-        self.last_pruning = {
+        outcome = ctx.pruning[self.alias] = {
             "blocks_total": total,
             "blocks_skipped": skipped,
             "rows_total": stats.row_count,
@@ -157,7 +173,7 @@ class ScanOperator(TensorOperator):
         if traced_dynamic:
             table = self._mask_blocks_traced(table, mask, traced_dynamic,
                                              stats, ctx)
-        self.last_pruning["rows_scanned"] = table.num_rows
+        outcome["rows_scanned"] = table.num_rows
         return table
 
     def _select_blocks(self, table: TensorTable, mask: np.ndarray,
@@ -176,11 +192,7 @@ class ScanOperator(TensorOperator):
         if not ranges:
             return table.slice(0, 0)
         pieces = [table.slice(start, length) for start, length in ranges]
-        if len(pieces) == 1:
-            return pieces[0]
-        from repro.core.operators.parallel import concat_morsels
-
-        return concat_morsels(pieces)
+        return concat_rows(pieces)
 
     def _mask_blocks_traced(self, table: TensorTable, static_mask: np.ndarray,
                             conjuncts: list, stats, ctx: ExecutionContext
@@ -212,10 +224,30 @@ class ScanOperator(TensorOperator):
     # -- execution -----------------------------------------------------------
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        return self._materialize_rle(
-            self._apply_pruning(self._base_table(ctx), ctx))
+        return self._materialize_rle(self._apply_pruning(
+            self._select_fields(ctx.input_table(self.alias)), ctx))
+
+    def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
+        scheme = self.partitioning
+        if scheme.kind == "lanes":
+            return slice_table(self._execute(ctx), scheme)
+        sharded = ctx.input_table(self.alias)
+        if not isinstance(sharded, ShardedTable):
+            raise ExecutionError(
+                f"scan {self.alias!r} expected a sharded input table; input "
+                "preparation must shard tables read by a sharded scan")
+        if sharded.spec.devices != scheme.n:
+            raise ExecutionError(
+                f"scan {self.alias!r} planned for {scheme.n} devices but "
+                f"the input is sharded {sharded.spec.devices} ways")
+        return PartitionedTable.run(
+            scheme,
+            lambda shard: self._materialize_rle(
+                self._select_fields(sharded.shards[shard])),
+            self.describe())
 
     def describe(self) -> str:
-        if self.pruning:
-            return f"TableScan({self.table}, pruned={len(self.pruning)} conjuncts)"
-        return f"TableScan({self.table})"
+        pruned = (f"pruned={len(self.pruning)} conjuncts"
+                  if self.pruning and self.partitioning.kind == "none" else "")
+        return partition_label(self.labels, self.partitioning, self.table,
+                               pruned, after=self.partitioning.placement)

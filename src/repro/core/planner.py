@@ -1,14 +1,19 @@
 """Planning layer: TQP IR → operator plan of tensor programs (paper §2.2, layer 3).
 
-With ``parallelism > 1`` the planner substitutes morsel-driven parallel
-operator variants (see :mod:`repro.core.operators.parallel`) wherever the
-estimated input cardinality clears the parallel threshold of its
-:class:`~repro.core.tuning.Tuning` and the operator's expressions are
-morsel-safe; everything else keeps the serial single-stream implementation.
-Every size/cost threshold the planner consults comes from that one tuning
-object (``tools/lint_op_registry.py`` rejects hard-coded threshold literals
-here), which is how the adaptive layer plans alternative strategies for the
-same query.
+There is one operator per relational operator and one recursive walk.  What
+the planner decides per node is the **partitioning** the operator runs under
+(:mod:`repro.core.operators.partition`): ``none``, ``lanes(n)`` for
+``parallelism > 1`` (morsel-driven execution on one device) or ``shards(n)``
+for ``devices > 1`` (tables placed across simulated devices).  A partitioned
+region opens at a base-table scan whose estimated cardinality clears the
+region's row threshold, stays open through operators whose expressions are
+free of runtime subqueries (and, for aggregates, whose states merge), and is
+closed by an enforcer where a child's partitioning is not what its parent
+consumes — see :meth:`Planner._plan` for the rules, written once for both
+kinds.  Every size/cost threshold the planner consults comes from its
+:class:`~repro.core.tuning.Tuning` (``tools/lint_op_registry.py`` rejects
+hard-coded threshold literals here), which is how the adaptive layer plans
+alternative strategies for the same query.
 
 The planner is also where storage statistics enter the plan:
 
@@ -17,11 +22,10 @@ The planner is also where storage statistics enter the plan:
   attached to the scan (see :mod:`repro.storage.pruning`), so whole
   morsel-aligned blocks are dropped before any kernel runs;
 * filter **selectivity estimates** from the same statistics refine the
-  cardinality estimates feeding the parallel-threshold decision, so a highly
-  selective filter no longer forces parallel (partial-merge) operators onto a
-  handful of surviving rows.  A ``filter_correction`` hook lets the adaptive
-  layer blend *observed* selectivities from past executions into those static
-  estimates.
+  cardinality estimates feeding the row-threshold decisions, so a highly
+  selective filter no longer forces partial-merge operators onto a handful of
+  surviving rows.  A ``filter_correction`` hook lets the adaptive layer blend
+  *observed* selectivities from past executions into those static estimates.
 """
 
 from __future__ import annotations
@@ -31,42 +35,33 @@ from typing import Callable, Mapping, Optional
 
 from repro.core import ir
 from repro.core.columnar import LogicalType
+from repro.core.ir_builder import build_ir
+from repro.core.ir_optimizer import optimize_ir
 from repro.core.operators import (
+    NONE,
     DistinctOperator,
     FilterOperator,
+    GatherOperator,
     HashAggregateOperator,
     HashJoinOperator,
     LimitOperator,
-    MorselFilterOperator,
-    MorselProjectOperator,
-    MorselScanOperator,
-    MorselSource,
     NestedLoopJoinOperator,
-    ParallelHashAggregateOperator,
-    PartitionedHashJoinOperator,
+    Partitioning,
     ProjectOperator,
     RenameOperator,
     ScanOperator,
     SortOperator,
     TensorOperator,
     aggregates_are_mergeable,
-    exprs_are_morsel_safe,
+    lanes,
+    shards,
 )
 from repro.core.parameters import ParameterSpec
 from repro.core.tuning import Tuning, active_tuning
-from repro.distributed import (
-    BroadcastJoinOperator,
-    DistributedFilterOperator,
-    DistributedProjectOperator,
-    DistributedRenameOperator,
-    DistributedScanOperator,
-    GatherOperator,
-    ShardedAggregateOperator,
-    ShuffleJoinOperator,
-)
 from repro.errors import PlanningError
 from repro.frontend import ast
 from repro.frontend.logical import Field
+from repro.frontend.physical import PhysicalNode
 
 #: Estimated stored width per logical type for exchange byte costing: bools
 #: are byte masks, strings a fixed allowance for their code-point matrices,
@@ -157,13 +152,24 @@ def ir_contains_params(root: ir.IRNode) -> bool:
                for expr in ir_node_expressions(node))
 
 
+_SUBQUERY_EXPRS = (ast.InSubquery, ast.ExistsSubquery, ast.ScalarSubquery)
+
+
+def exprs_are_partition_safe(exprs) -> bool:
+    """True when every expression can be evaluated one partition at a time.
+
+    Runtime subqueries are the one construct that breaks partition locality
+    (they would re-execute their subplan once per partition), so their
+    presence sends the operator down the serial path.
+    """
+    return not any(isinstance(sub, _SUBQUERY_EXPRS)
+                   for expr in exprs for sub in ast.walk_expr(expr))
+
+
 def ir_contains_subqueries(root: ir.IRNode) -> bool:
     """True when any expression embeds a runtime-evaluated subquery."""
-    return any(isinstance(sub, (ast.InSubquery, ast.ExistsSubquery,
-                                ast.ScalarSubquery))
-               for node in root.walk()
-               for expr in ir_node_expressions(node)
-               for sub in ast.walk_expr(expr))
+    return not all(exprs_are_partition_safe(ir_node_expressions(node))
+                   for node in root.walk())
 
 
 class Planner:
@@ -176,7 +182,6 @@ class Planner:
             estimates behind the parallel-operator threshold decision.
         morsel_rows: rows per morsel for the parallel operators (defaults to
             the tuning's ``morsel_rows``).
-        use_threads: let worker pools use real threads when it is safe.
         tuning: the size/cost thresholds this plan is built under; defaults
             to the thread's :func:`~repro.core.tuning.active_tuning`.
         filter_correction: optional hook mapping a static filter-selectivity
@@ -187,7 +192,6 @@ class Planner:
     def __init__(self, parallelism: int = 1,
                  table_rows: Optional[Mapping[str, int]] = None,
                  morsel_rows: Optional[int] = None,
-                 use_threads: bool = False,
                  table_stats: Optional[Mapping[str, object]] = None,
                  devices: int = 1, shard_mode: str = "hash",
                  tuning: Optional[Tuning] = None,
@@ -205,7 +209,6 @@ class Planner:
         self.table_rows = {name.lower(): rows
                            for name, rows in (table_rows or {}).items()}
         self.morsel_rows = morsel_rows
-        self.use_threads = use_threads
         #: Per-table storage statistics (``repro.storage.TableStatistics``):
         #: row counts, NDV and zone maps, keyed by lower-cased table name.
         self.table_stats = {name.lower(): stats
@@ -229,24 +232,25 @@ class Planner:
         self._params: dict[str, ParameterSpec] = {}
         self._model_names: set[str] = set()
         self._contains_params = False
+        #: The partitioning this query's partitioned regions run under.
+        self._target: Partitioning = NONE
 
     def plan(self, root: ir.IRNode) -> OperatorPlan:
         # Pre-scan for bind parameters: parameterized plans restrict the
-        # parallel-operator choice to the morsel pipelines whose traced form
-        # replays correctly when a rebinding changes intermediate sizes (the
+        # lanes choice to the morsel pipelines whose traced form replays
+        # correctly when a rebinding changes intermediate sizes (the
         # radix-partitioned join bakes its partition layout into the trace).
         self._contains_params = ir_contains_params(root)
-        # Distributed planning is all-or-nothing per query: parameterized
-        # plans would bake binding-dependent shuffle layouts into the trace,
-        # and runtime subqueries execute outside the shard pipeline, so both
-        # fall back to single-device planning wholesale.
+        # Sharding is all-or-nothing per query: parameterized plans would
+        # bake binding-dependent shuffle layouts into the trace, and runtime
+        # subqueries execute outside the shard pipeline, so both fall back to
+        # single-device planning wholesale.
         if (self.devices > 1 and not self._contains_params
                 and not ir_contains_subqueries(root)):
-            operator_root, sharded = self._plan_distributed(root)
-            if sharded:
-                operator_root = GatherOperator(operator_root, self.devices)
-        else:
-            operator_root = self._plan_node(root)
+            self._target = shards(self.devices, self.shard_mode)
+        elif self.parallelism > 1:
+            self._target = lanes(self.parallelism, self.morsel_rows)
+        operator_root = self._closed(self._plan(root))
         params = sorted(self._params.values(), key=lambda spec: spec.position)
         return OperatorPlan(operator_root, self._scans, list(root.fields),
                             params=params,
@@ -274,9 +278,17 @@ class Planner:
             "max_ndv": max(ndvs, default=0),
         }
 
-    # -- parameter / model collection ---------------------------------------
+    # -- expressions: parameters, models, runtime subqueries -----------------
 
-    def _collect_expr_metadata(self, node: ir.IRNode) -> None:
+    def _plan_expressions(self, node: ir.IRNode) -> None:
+        """Collect the bind parameters and models a node's expressions
+        reference, and replace the physical subplans inside them with
+        operator subtrees.
+
+        Uncorrelated IN / EXISTS / scalar subqueries are evaluated at runtime;
+        by planning them here their scans participate in input preparation and
+        their execution is captured by the same trace as the main query.
+        """
         for expr in ir_node_expressions(node):
             for sub in ast.walk_expr(expr):
                 if isinstance(sub, ast.ParameterExpr):
@@ -292,6 +304,10 @@ class Planner:
                             position=sub.position, positional=sub.positional)
                 elif isinstance(sub, ast.PredictExpr):
                     self._model_names.add(sub.model_name)
+                elif (isinstance(sub, _SUBQUERY_EXPRS)
+                      and isinstance(sub.subplan, PhysicalNode)):
+                    sub_ir = optimize_ir(build_ir(sub.subplan))
+                    sub.subplan = self._closed(self._plan(sub_ir))
 
     # -- cardinality estimation --------------------------------------------
 
@@ -327,230 +343,146 @@ class Planner:
         self._row_estimates[id(node)] = estimate
         return estimate
 
-    def _parallel_ok(self, *input_nodes: ir.IRNode) -> bool:
-        return (self.parallelism > 1
-                and max((self._estimate_rows(node) for node in input_nodes),
-                        default=0) >= self.tuning.parallel_threshold_rows)
+    # -- partitioning rules --------------------------------------------------
 
-    def _morsel_chain_ok(self, child_op: TensorOperator) -> bool:
-        """May a morsel operator be stacked on ``child_op`` in this plan?
+    def _region_min_rows(self) -> int:
+        """Estimated input rows a partitioned operator must clear: below it,
+        per-partition overhead (dispatch, per-shard kernels, the closing
+        gather) outweighs any parallelism."""
+        if self._target.kind == "shards":
+            return self.tuning.shard_min_rows
+        return self.tuning.parallel_threshold_rows
 
-        Without parameters: always (the non-morsel fallback materializes and
-        re-partitions).  With parameters the re-partitioning path would bake
-        a parameter-dependent layout into the trace, so morsel operators are
-        only stacked on an unbroken morsel chain rooted at a base-table scan.
-        """
-        return not self._contains_params or isinstance(child_op, MorselSource)
+    def _unary_partitioning(self, node: ir.IRNode, child_op: TensorOperator
+                            ) -> Partitioning:
+        """The partitioning a filter / project / rename / aggregate over
+        ``child_op`` runs under (``NONE`` = serially, over the child's whole
+        table)."""
+        target = self._target
+        if target.kind == "shards":
+            # Sharded regions open at scans (and broadcast joins) only: the
+            # operator is sharded exactly when its input is.
+            eligible = child_op.partitioning.kind == "shards"
+        elif target.kind == "lanes":
+            # A lanes operator may sit on any large enough child (the slice
+            # enforcer materializes and cuts it) — except in a parameterized
+            # plan, where slicing would bake a parameter-dependent layout
+            # into the trace: there only on an unbroken morsel chain rooted
+            # at a base-table scan.  A rename is pure metadata — nothing for
+            # worker lanes to share.
+            eligible = (
+                node.op != ir.RENAME
+                and (self._estimate_rows(node.children[0])
+                     >= self._region_min_rows())
+                and (not self._contains_params
+                     or child_op.partitioning.kind == "lanes"))
+        else:
+            eligible = False
+        if (not eligible
+                or not exprs_are_partition_safe(ir_node_expressions(node))
+                or (node.op == ir.HASH_AGGREGATE and not
+                    aggregates_are_mergeable(node.attrs["aggregates"]))):
+            return NONE
+        return target
+
+    def _join_exchange(self, node: ir.IRNode, left_op: TensorOperator,
+                       right_op: TensorOperator
+                       ) -> tuple[Partitioning, Optional[str]]:
+        """``(exchange, broadcast side)`` of an equi-join; see
+        :class:`~repro.core.operators.HashJoinOperator`."""
+        target = self._target
+        if (target.kind == "none"
+                or not exprs_are_partition_safe(ir_node_expressions(node))):
+            return NONE, None
+        if target.kind == "lanes":
+            rows = max(self._estimate_rows(child) for child in node.children)
+            if rows >= self._region_min_rows() and not self._contains_params:
+                return target, None
+            return NONE, None
+        left_sharded = left_op.partitioning.kind == "shards"
+        right_sharded = right_op.partitioning.kind == "shards"
+        if left_sharded and right_sharded:
+            return target, self._cheaper_broadcast(node)
+        if left_sharded:
+            # Sharded probe side + replicated build side works for every
+            # join kind: each left row lives on exactly one shard.
+            return target, "right"
+        if right_sharded and node.attrs["kind"] == "inner":
+            return target, "left"
+        return NONE, None
+
+    def _closed(self, op: TensorOperator) -> TensorOperator:
+        """``op`` as a producer of one host table: the gather enforcer over a
+        sharded operator (lanes close themselves — worker lanes share their
+        device's memory, so ``execute`` just concatenates)."""
+        return GatherOperator(op) if op.partitioning.kind == "shards" else op
 
     # -- node translation --------------------------------------------------
 
-    def _plan_node(self, node: ir.IRNode) -> TensorOperator:
-        self._plan_embedded_subqueries(node)
-        self._collect_expr_metadata(node)
+    def _plan(self, node: ir.IRNode) -> TensorOperator:
+        """Translate one IR node; the result's ``partitioning`` is the
+        physical property its parent plans against.
+
+        Partitioned regions grow from large base-table scans and are closed
+        as late as possible: filters and projections keep them open, joins
+        keep them open through their exchange (radix under lanes;
+        shuffle/broadcast under shards), mergeable aggregations close them
+        with a partial-gather-merge, and everything else (sort, limit,
+        distinct, nested loops, small inputs, subquery expressions) consumes
+        one closed table.
+        """
+        self._plan_expressions(node)
         attrs = node.attrs
+        children = [self._plan(child) for child in node.children]
 
         if node.op == ir.SCAN:
-            if self._parallel_ok(node):
-                scan: ScanOperator = MorselScanOperator(
-                    attrs["table"], attrs["alias"], attrs["fields"],
-                    parallelism=self.parallelism, morsel_rows=self.morsel_rows)
-            else:
-                scan = ScanOperator(attrs["table"], attrs["alias"], attrs["fields"])
+            opens = (self._target.kind != "none"
+                     and self._estimate_rows(node) >= self._region_min_rows())
+            scan = ScanOperator(attrs["table"], attrs["alias"], attrs["fields"],
+                                self._target if opens else NONE)
             self._scans.append(scan)
             return scan
+        if node.op == ir.HASH_JOIN:
+            exchange, broadcast = self._join_exchange(node, *children)
+            left_op, right_op = (
+                child if exchange.kind == "shards" and broadcast != side
+                else self._closed(child)
+                for child, side in zip(children, ("left", "right")))
+            return HashJoinOperator(left_op, right_op, attrs["kind"],
+                                    attrs["left_keys"], attrs["right_keys"],
+                                    attrs.get("residual"), exchange=exchange,
+                                    broadcast=broadcast)
+        if node.op == ir.NESTED_LOOP_JOIN:
+            return NestedLoopJoinOperator(*map(self._closed, children),
+                                          attrs["kind"], attrs.get("condition"))
+
+        (child_op,) = children
+        scheme = NONE
+        if node.op in (ir.FILTER, ir.PROJECT, ir.RENAME, ir.HASH_AGGREGATE):
+            scheme = self._unary_partitioning(node, child_op)
+        if scheme.kind != "shards":
+            child_op = self._closed(child_op)
+
         if node.op == ir.FILTER:
-            child_op = self._plan_node(node.children[0])
             self._attach_scan_pruning(node.children[0], child_op,
                                       attrs["condition"])
-            if (self._parallel_ok(node.children[0])
-                    and exprs_are_morsel_safe([attrs["condition"]])
-                    and self._morsel_chain_ok(child_op)):
-                return MorselFilterOperator(
-                    child_op, attrs["condition"],
-                    parallelism=self.parallelism, morsel_rows=self.morsel_rows,
-                    use_threads=self.use_threads)
-            return FilterOperator(child_op, attrs["condition"])
+            return FilterOperator(child_op, attrs["condition"], scheme)
         if node.op == ir.PROJECT:
-            if (self._parallel_ok(node.children[0])
-                    and exprs_are_morsel_safe(attrs["exprs"])):
-                child_op = self._plan_node(node.children[0])
-                if self._morsel_chain_ok(child_op):
-                    return MorselProjectOperator(
-                        child_op, attrs["exprs"], attrs["names"], attrs["types"],
-                        parallelism=self.parallelism, morsel_rows=self.morsel_rows,
-                        use_threads=self.use_threads)
-                return ProjectOperator(child_op, attrs["exprs"],
-                                       attrs["names"], attrs["types"])
-            return ProjectOperator(self._plan_node(node.children[0]), attrs["exprs"],
-                                   attrs["names"], attrs["types"])
-        if node.op == ir.HASH_JOIN:
-            join_exprs = (list(attrs["left_keys"]) + list(attrs["right_keys"])
-                          + [attrs.get("residual")])
-            if (self._parallel_ok(node.children[0], node.children[1])
-                    and not self._contains_params
-                    and exprs_are_morsel_safe(join_exprs)):
-                return PartitionedHashJoinOperator(
-                    self._plan_node(node.children[0]),
-                    self._plan_node(node.children[1]),
-                    attrs["kind"], attrs["left_keys"], attrs["right_keys"],
-                    attrs.get("residual"), parallelism=self.parallelism,
-                    use_threads=self.use_threads)
-            return HashJoinOperator(self._plan_node(node.children[0]),
-                                    self._plan_node(node.children[1]),
-                                    attrs["kind"], attrs["left_keys"],
-                                    attrs["right_keys"], attrs.get("residual"))
-        if node.op == ir.NESTED_LOOP_JOIN:
-            return NestedLoopJoinOperator(self._plan_node(node.children[0]),
-                                          self._plan_node(node.children[1]),
-                                          attrs["kind"], attrs.get("condition"))
+            return ProjectOperator(child_op, attrs["exprs"], attrs["names"],
+                                   attrs["types"], scheme)
         if node.op == ir.HASH_AGGREGATE:
-            agg_exprs = (list(attrs["group_exprs"])
-                         + [a.expr for a in attrs["aggregates"] if a.expr is not None])
-            if (self._parallel_ok(node.children[0])
-                    and aggregates_are_mergeable(attrs["aggregates"])
-                    and exprs_are_morsel_safe(agg_exprs)):
-                child_op = self._plan_node(node.children[0])
-                if self._morsel_chain_ok(child_op):
-                    return ParallelHashAggregateOperator(
-                        child_op,
-                        attrs["group_exprs"], attrs["group_names"],
-                        attrs["group_types"], attrs["aggregates"],
-                        parallelism=self.parallelism, morsel_rows=self.morsel_rows,
-                        use_threads=self.use_threads)
-                return HashAggregateOperator(child_op,
-                                             attrs["group_exprs"],
-                                             attrs["group_names"],
-                                             attrs["group_types"],
-                                             attrs["aggregates"])
-            return HashAggregateOperator(self._plan_node(node.children[0]),
-                                         attrs["group_exprs"], attrs["group_names"],
-                                         attrs["group_types"], attrs["aggregates"])
-        if node.op == ir.SORT:
-            return SortOperator(self._plan_node(node.children[0]), attrs["keys"])
-        if node.op == ir.LIMIT:
-            return LimitOperator(self._plan_node(node.children[0]), attrs["count"])
-        if node.op == ir.DISTINCT:
-            return DistinctOperator(self._plan_node(node.children[0]))
+            return HashAggregateOperator(
+                child_op, attrs["group_exprs"], attrs["group_names"],
+                attrs["group_types"], attrs["aggregates"], scheme)
         if node.op == ir.RENAME:
-            return RenameOperator(self._plan_node(node.children[0]),
-                                  attrs["output_fields"])
+            return RenameOperator(child_op, attrs["output_fields"], scheme)
+        if node.op == ir.SORT:
+            return SortOperator(child_op, attrs["keys"])
+        if node.op == ir.LIMIT:
+            return LimitOperator(child_op, attrs["count"])
+        if node.op == ir.DISTINCT:
+            return DistinctOperator(child_op)
         raise PlanningError(f"no tensor implementation for IR op {node.op!r}")
-
-    # -- distributed translation ---------------------------------------------
-
-    def _gathered(self, op: TensorOperator, sharded: bool) -> TensorOperator:
-        """Make ``op``'s output a host table, inserting a gather if sharded."""
-        return GatherOperator(op, self.devices) if sharded else op
-
-    def _plan_distributed(self, node: ir.IRNode) -> tuple[TensorOperator, bool]:
-        """Translate one IR node for ``devices > 1`` execution.
-
-        Returns ``(operator, sharded)`` where ``sharded`` says whether the
-        operator emits a per-shard batch (``True``) or an ordinary host table.
-        The sharded region grows from large base-table scans and is closed as
-        late as possible: joins keep it open via shuffle/broadcast, mergeable
-        aggregations close it with a partial-gather-merge, and everything else
-        (sort, limit, small inputs, shard-unsafe expressions) gathers first
-        and reuses the serial operators.
-        """
-        self._collect_expr_metadata(node)
-        attrs = node.attrs
-
-        if node.op == ir.SCAN:
-            if self._estimate_rows(node) >= self.tuning.shard_min_rows:
-                scan: ScanOperator = DistributedScanOperator(
-                    attrs["table"], attrs["alias"], attrs["fields"],
-                    self.devices, self.shard_mode)
-                self._scans.append(scan)
-                return scan, True
-            scan = ScanOperator(attrs["table"], attrs["alias"], attrs["fields"])
-            self._scans.append(scan)
-            return scan, False
-        if node.op == ir.FILTER:
-            child_op, sharded = self._plan_distributed(node.children[0])
-            if sharded and exprs_are_morsel_safe([attrs["condition"]]):
-                return (DistributedFilterOperator(child_op, attrs["condition"],
-                                                  self.devices), True)
-            child_op = self._gathered(child_op, sharded)
-            if not sharded:
-                self._attach_scan_pruning(node.children[0], child_op,
-                                          attrs["condition"])
-            return FilterOperator(child_op, attrs["condition"]), False
-        if node.op == ir.PROJECT:
-            child_op, sharded = self._plan_distributed(node.children[0])
-            if sharded and exprs_are_morsel_safe(attrs["exprs"]):
-                return (DistributedProjectOperator(
-                    child_op, attrs["exprs"], attrs["names"], attrs["types"],
-                    self.devices), True)
-            return (ProjectOperator(self._gathered(child_op, sharded),
-                                    attrs["exprs"], attrs["names"],
-                                    attrs["types"]), False)
-        if node.op == ir.HASH_JOIN:
-            left_op, left_sharded = self._plan_distributed(node.children[0])
-            right_op, right_sharded = self._plan_distributed(node.children[1])
-            join_exprs = [expr for expr in
-                          (list(attrs["left_keys"]) + list(attrs["right_keys"])
-                           + [attrs.get("residual")]) if expr is not None]
-            safe = exprs_are_morsel_safe(join_exprs)
-            if safe and left_sharded and right_sharded:
-                return self._plan_sharded_join(node, left_op, right_op), True
-            if safe and left_sharded:
-                # Sharded probe side + replicated build side works for every
-                # join kind: each left row lives on exactly one shard.
-                return (BroadcastJoinOperator(
-                    left_op, right_op, attrs["kind"], attrs["left_keys"],
-                    attrs["right_keys"], attrs.get("residual"),
-                    devices=self.devices, broadcast="right"), True)
-            if safe and right_sharded and attrs["kind"] == "inner":
-                return (BroadcastJoinOperator(
-                    left_op, right_op, attrs["kind"], attrs["left_keys"],
-                    attrs["right_keys"], attrs.get("residual"),
-                    devices=self.devices, broadcast="left"), True)
-            return (HashJoinOperator(self._gathered(left_op, left_sharded),
-                                     self._gathered(right_op, right_sharded),
-                                     attrs["kind"], attrs["left_keys"],
-                                     attrs["right_keys"],
-                                     attrs.get("residual")), False)
-        if node.op == ir.HASH_AGGREGATE:
-            child_op, sharded = self._plan_distributed(node.children[0])
-            agg_exprs = (list(attrs["group_exprs"])
-                         + [a.expr for a in attrs["aggregates"]
-                            if a.expr is not None])
-            if (sharded and aggregates_are_mergeable(attrs["aggregates"])
-                    and exprs_are_morsel_safe(agg_exprs)):
-                return (ShardedAggregateOperator(
-                    child_op, attrs["group_exprs"], attrs["group_names"],
-                    attrs["group_types"], attrs["aggregates"],
-                    devices=self.devices), False)
-            return (HashAggregateOperator(
-                self._gathered(child_op, sharded), attrs["group_exprs"],
-                attrs["group_names"], attrs["group_types"],
-                attrs["aggregates"]), False)
-        if node.op == ir.NESTED_LOOP_JOIN:
-            left_op, left_sharded = self._plan_distributed(node.children[0])
-            right_op, right_sharded = self._plan_distributed(node.children[1])
-            return (NestedLoopJoinOperator(
-                self._gathered(left_op, left_sharded),
-                self._gathered(right_op, right_sharded),
-                attrs["kind"], attrs.get("condition")), False)
-        if node.op == ir.SORT:
-            child_op, sharded = self._plan_distributed(node.children[0])
-            return SortOperator(self._gathered(child_op, sharded),
-                                attrs["keys"]), False
-        if node.op == ir.LIMIT:
-            child_op, sharded = self._plan_distributed(node.children[0])
-            return LimitOperator(self._gathered(child_op, sharded),
-                                 attrs["count"]), False
-        if node.op == ir.DISTINCT:
-            child_op, sharded = self._plan_distributed(node.children[0])
-            return DistinctOperator(self._gathered(child_op, sharded)), False
-        if node.op == ir.RENAME:
-            child_op, sharded = self._plan_distributed(node.children[0])
-            if sharded:
-                return DistributedRenameOperator(
-                    child_op, attrs["output_fields"], self.devices), True
-            return RenameOperator(child_op, attrs["output_fields"]), False
-        raise PlanningError(f"no distributed implementation for IR op {node.op!r}")
 
     def _estimate_bytes(self, node: ir.IRNode) -> int:
         """Estimated payload size of a node's output, from rows × field widths.
@@ -564,9 +496,9 @@ class Planner:
                     for field in node.fields)
         return self._estimate_rows(node) * max(width, 1)
 
-    def _plan_sharded_join(self, node: ir.IRNode, left_op: TensorOperator,
-                           right_op: TensorOperator) -> TensorOperator:
-        """Cheapest exchange for a join whose sides are *both* sharded.
+    def _cheaper_broadcast(self, node: ir.IRNode) -> Optional[str]:
+        """The side to broadcast in a join whose sides are *both* sharded, or
+        ``None`` when shuffling both is the cheapest exchange.
 
         Candidate exchanges, costed in estimated bytes moved across the
         interconnect (``N`` devices, build/probe payloads ``L``/``R``):
@@ -584,7 +516,6 @@ class Planner:
         (``R < (N-1)/N² × L`` at equal widths); ties keep the shuffle, whose
         per-device build tables are ``N×`` smaller.
         """
-        attrs = node.attrs
         n = self.devices
         left_bytes = self._estimate_bytes(node.children[0])
         right_bytes = self._estimate_bytes(node.children[1])
@@ -593,20 +524,10 @@ class Planner:
         broadcast_left_cost = (n - 1) * left_bytes // n + n * left_bytes
         if (broadcast_right_cost < shuffle_cost
                 and broadcast_right_cost <= broadcast_left_cost):
-            return BroadcastJoinOperator(
-                left_op, GatherOperator(right_op, self.devices),
-                attrs["kind"], attrs["left_keys"], attrs["right_keys"],
-                attrs.get("residual"), devices=self.devices,
-                broadcast="right")
-        if broadcast_left_cost < shuffle_cost and attrs["kind"] == "inner":
-            return BroadcastJoinOperator(
-                GatherOperator(left_op, self.devices), right_op,
-                attrs["kind"], attrs["left_keys"], attrs["right_keys"],
-                attrs.get("residual"), devices=self.devices,
-                broadcast="left")
-        return ShuffleJoinOperator(
-            left_op, right_op, attrs["kind"], attrs["left_keys"],
-            attrs["right_keys"], attrs.get("residual"), devices=self.devices)
+            return "right"
+        if broadcast_left_cost < shuffle_cost and node.attrs["kind"] == "inner":
+            return "left"
+        return None
 
     # -- zone-map pruning ----------------------------------------------------
 
@@ -621,7 +542,8 @@ class Planner:
         Pruning is conservative — the filter itself still runs — so missing
         statistics or unmatched conjuncts simply never prune.
         """
-        if child_ir.op != ir.SCAN or not isinstance(child_op, ScanOperator):
+        if (child_ir.op != ir.SCAN or not isinstance(child_op, ScanOperator)
+                or child_op.partitioning.kind == "shards"):
             return
         from repro.storage.pruning import (
             annotate_discrimination,
@@ -635,32 +557,10 @@ class Planner:
         conjuncts = extract_pruning_conjuncts(condition, field_names)
         child_op.pruning = annotate_discrimination(conjuncts, stats)
 
-    # -- runtime subqueries --------------------------------------------------
-
-    def _plan_embedded_subqueries(self, node: ir.IRNode) -> None:
-        """Replace physical subplans inside expressions with operator subtrees.
-
-        Uncorrelated IN / EXISTS / scalar subqueries are evaluated at runtime;
-        by planning them here their scans participate in input preparation and
-        their execution is captured by the same trace as the main query.
-        """
-        from repro.core.ir_builder import build_ir
-        from repro.core.ir_optimizer import optimize_ir
-        from repro.frontend.physical import PhysicalNode
-
-        for expr in ir_node_expressions(node):
-            for sub in ast.walk_expr(expr):
-                if isinstance(sub, (ast.InSubquery, ast.ExistsSubquery,
-                                    ast.ScalarSubquery)):
-                    if isinstance(sub.subplan, PhysicalNode):
-                        sub_ir = optimize_ir(build_ir(sub.subplan))
-                        sub.subplan = self._plan_node(sub_ir)
-
 
 def plan_ir(root: ir.IRNode, parallelism: int = 1,
             table_rows: Optional[Mapping[str, int]] = None,
             morsel_rows: Optional[int] = None,
-            use_threads: bool = False,
             table_stats: Optional[Mapping[str, object]] = None,
             devices: int = 1, shard_mode: str = "hash",
             tuning: Optional[Tuning] = None,
@@ -668,7 +568,7 @@ def plan_ir(root: ir.IRNode, parallelism: int = 1,
             ) -> OperatorPlan:
     """Convenience wrapper: plan an IR tree into an :class:`OperatorPlan`."""
     return Planner(parallelism=parallelism, table_rows=table_rows,
-                   morsel_rows=morsel_rows, use_threads=use_threads,
+                   morsel_rows=morsel_rows,
                    table_stats=table_stats, devices=devices,
                    shard_mode=shard_mode, tuning=tuning,
                    filter_correction=filter_correction).plan(root)

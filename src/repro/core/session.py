@@ -58,7 +58,7 @@ from repro.adaptive.planner import AdaptiveRuntime
 from repro.backends import BACKENDS
 from repro.core import ir_builder, ir_optimizer
 from repro.core.columnar import TensorTable
-from repro.core.executor import ExecutionResult, Executor
+from repro.core.executor import ExecutionResult, Executor, convert_scan_input
 from repro.core.ir import IRNode
 from repro.core.options import ExecutionOptions
 from repro.core.parameters import (
@@ -308,7 +308,6 @@ class TQPSession:
                  default_device: Device | str = "cpu",
                  plan_cache_size: int = 64,
                  default_parallelism: int = 1,
-                 parallel_mode: str = "simulated",
                  default_options: Optional[ExecutionOptions] = None):
         if default_options is not None:
             default_backend = default_options.backend or default_backend
@@ -318,17 +317,12 @@ class TQPSession:
                 default_parallelism = default_options.parallelism
         if default_backend not in BACKENDS:
             raise ExecutionError(f"unknown backend {default_backend!r}")
-        if parallel_mode not in ("simulated", "threads"):
-            raise ExecutionError(f"unknown parallel mode {parallel_mode!r}")
         if default_parallelism < 1:
             raise ExecutionError("default_parallelism must be >= 1")
         self.default_backend = default_backend
         self.default_device = parse_device(default_device)
         #: Worker lanes used when ``compile``/``sql`` get no ``parallelism``.
         self.default_parallelism = default_parallelism
-        #: ``"simulated"`` (deterministic lane annotations, the default) or
-        #: ``"threads"`` (real thread pool for unprofiled eager execution).
-        self.parallel_mode = parallel_mode
         #: Session-level defaults for per-query ``ExecutionOptions``.
         self.default_options = default_options or ExecutionOptions()
         self.catalog = Catalog()
@@ -493,7 +487,6 @@ class TQPSession:
             plan_kwargs = dict(
                 table_rows={name: frame.num_rows
                             for name, frame in self._dataframes.items()},
-                use_threads=self.parallel_mode == "threads",
                 table_stats={name: self.catalog.statistics(name)
                              for name in self._dataframes},
                 devices=resolved.devices, shard_mode=resolved.shard)
@@ -613,16 +606,15 @@ class TQPSession:
         Columns are stored under the executor's encoding configuration
         (``ExecutionOptions.encoding``): low-cardinality strings become
         dictionary codes, sorted numerics run-length runs (see
-        :mod:`repro.storage.encodings`).  Conversions are cached per
-        ``(table, columns, table version, encoding mode)`` so repeated
+        :mod:`repro.storage.encodings`).  Conversions
+        (:func:`repro.core.executor.convert_scan_input`) are cached per
+        ``(table, columns, table version, encoding mode, shard placement)`` so
+        repeated
         executions — benchmark iterations, serving loops — only pay the
         encoding cost once, while a ``register()`` of new data under the same
         name (or a different encoding configuration) can never serve stale
         converted columns to a long-lived :class:`CompiledQuery`.
         """
-        from repro.distributed import DistributedScanOperator, shard_table
-        from repro.storage.encodings import encode_table
-
         with self._lock:
             encoding_mode = executor.options.encoding
             inputs: dict[str, TensorTable] = {}
@@ -630,28 +622,17 @@ class TQPSession:
                 table_key = scan.table.lower()
                 if table_key not in self._dataframes:
                     raise CatalogError(f"no registered table named {scan.table!r}")
-                if isinstance(scan, DistributedScanOperator):
-                    devices, shard_mode = scan.devices, scan.shard_mode
-                else:
-                    devices = shard_mode = None
                 # The table name must stay the key's first element: register()
-                # purges stale conversions by matching ``key[0]``.
+                # purges stale conversions by matching ``key[0]``.  Only a
+                # sharded scan's partitioning shapes the converted table.
+                placement = (scan.partitioning
+                             if scan.partitioning.kind == "shards" else None)
                 cache_key = (table_key, tuple(f.name for f in scan.fields),
                              self._table_versions.get(table_key, 0),
-                             encoding_mode, devices, shard_mode)
+                             encoding_mode, placement)
                 if cache_key not in self._conversion_cache:
-                    frame = self._dataframes[table_key]
-                    stats = self.catalog.statistics(table_key)
-                    ndv = ({name: column.ndv
-                            for name, column in stats.columns.items()}
-                           if stats is not None else None)
-                    converted = TensorTable(
-                        encode_table(frame, scan.fields, mode=encoding_mode,
-                                     column_ndv=ndv))
-                    if devices is not None:
-                        # Load-time placement: outside any trace/profiler, so
-                        # sharding itself never shows up as query work.
-                        converted = shard_table(converted, devices, shard_mode)
-                    self._conversion_cache[cache_key] = converted
+                    self._conversion_cache[cache_key] = convert_scan_input(
+                        scan, self._dataframes[table_key], encoding_mode,
+                        self.catalog.statistics(table_key))
                 inputs[scan.alias] = self._conversion_cache[cache_key]
             return inputs

@@ -1,15 +1,15 @@
 """Planner tuning knobs, collected in one place.
 
-Before this module existed the planner's magic numbers were scattered:
-``PARALLEL_THRESHOLD_ROWS`` lived in :mod:`repro.core.operators.parallel`,
-``SHARD_MIN_ROWS`` in :mod:`repro.distributed.sharding`,
-``MIN_PRUNING_BLOCKS`` in :mod:`repro.storage.pruning`, morsel sizing in
-:mod:`repro.core.columnar`.  They are now fields of one frozen
-:class:`Tuning` dataclass; those modules re-export their historical names
-from :data:`DEFAULT_TUNING` (so existing imports keep working), and the
-planner reads every threshold through the :class:`Tuning` it was constructed
-with — never a module-level literal (``tools/lint_op_registry.py`` enforces
-this statically).
+Before this module existed the planner's magic numbers were scattered: the
+parallel threshold lived with the morsel operators, ``SHARD_MIN_ROWS`` in
+:mod:`repro.distributed.sharding`, ``MIN_PRUNING_BLOCKS`` in
+:mod:`repro.storage.pruning`, morsel sizing in :mod:`repro.core.columnar`.
+They are now fields of one frozen :class:`Tuning` dataclass; the last three
+modules re-export their historical names from :data:`DEFAULT_TUNING` (so
+existing imports keep working), and the planner reads every threshold through
+the :class:`Tuning` it was constructed with — never a module-level literal
+(``tools/lint_op_registry.py`` enforces this statically, also for the runtime
+small-input fallbacks of the partitioned operators).
 
 Two ways to deviate from the defaults:
 

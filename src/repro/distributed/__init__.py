@@ -1,31 +1,18 @@
-"""``repro.distributed`` — multi-device (simulated) distributed execution.
+"""``repro.distributed`` — load-time placement of tables across simulated devices.
 
-Tables shard across N simulated GPUs at load time
-(:mod:`repro.distributed.sharding`); plans execute per-shard with explicit
-exchange operators (:mod:`repro.distributed.operators`); the backend cost
-models replay the shard annotations into concurrent per-device timelines and
-charge every exchange as an interconnect transfer.  Enabled with
+Tables shard across N simulated devices at input preparation
+(:mod:`repro.distributed.sharding`: hash or range placement, outside any
+trace or profiler).  Everything that happens at query time lives with the
+other operators: a sharded plan is the ordinary operator family placed under
+the ``shards(n)`` partitioning, with its exchanges as enforcers
+(:mod:`repro.core.operators.partition`), and the backend cost models replay
+the shard annotations into concurrent per-device timelines, charging every
+exchange as an interconnect transfer.  Enabled with
 ``ExecutionOptions(devices=N, shard="hash"|"range")``.
 """
 
-from repro.distributed.operators import (
-    BroadcastJoinOperator,
-    DistributedFilterOperator,
-    DistributedProjectOperator,
-    DistributedRenameOperator,
-    DistributedScanOperator,
-    GatherOperator,
-    ShardedAggregateOperator,
-    ShuffleJoinOperator,
-    broadcast_table,
-    exchange_table,
-    gather_table,
-    partition_ids,
-    run_per_shard,
-)
 from repro.distributed.sharding import (
     SHARD_MIN_ROWS,
-    ShardBatch,
     ShardedTable,
     ShardSpec,
     shard_bounds,
@@ -34,22 +21,8 @@ from repro.distributed.sharding import (
 
 __all__ = [
     "SHARD_MIN_ROWS",
-    "BroadcastJoinOperator",
-    "DistributedFilterOperator",
-    "DistributedProjectOperator",
-    "DistributedRenameOperator",
-    "DistributedScanOperator",
-    "GatherOperator",
-    "ShardBatch",
     "ShardSpec",
-    "ShardedAggregateOperator",
     "ShardedTable",
-    "ShuffleJoinOperator",
-    "broadcast_table",
-    "exchange_table",
-    "gather_table",
-    "partition_ids",
-    "run_per_shard",
     "shard_bounds",
     "shard_table",
 ]

@@ -17,9 +17,9 @@ Two placement strategies, mirroring the options on
   layout of time-partitioned append-only data).
 
 Query-time repartitioning (the shuffle) never relies on the load-time
-placement: the exchange operators re-hash by the *join* keys with tensor ops
-(see :mod:`repro.distributed.operators`), so both placements produce
-identical results for every plan.
+placement: the shuffle enforcer re-hashes by the *join* keys with tensor ops
+(see :func:`repro.core.operators.partition.repartition`), so both placements
+produce identical results for every plan.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class ShardedTable:
 
     Quacks like a TensorTable just enough for the executor's input plumbing
     (``to``/``select``/``__contains__``); per-row operations live on the
-    individual shards, which the distributed operators address directly.
+    individual shards, which a sharded scan addresses directly.
     """
 
     def __init__(self, shards: list[TensorTable], spec: ShardSpec):
@@ -120,22 +120,6 @@ class ShardedTable:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         rows = ", ".join(str(shard.num_rows) for shard in self.shards)
         return f"ShardedTable({self.spec.mode}, rows=[{rows}])"
-
-
-class ShardBatch:
-    """Per-shard intermediate results flowing between distributed operators.
-
-    The distributed operators produce one :class:`TensorTable` per device and
-    hand the list to their parent; a :class:`GatherOperator` (or a merging
-    aggregate) turns the batch back into a single host table.
-    """
-
-    def __init__(self, shards: list[TensorTable]):
-        self.shards = list(shards)
-
-    @property
-    def num_rows(self) -> int:
-        return sum(shard.num_rows for shard in self.shards)
 
 
 def _hash_rows(table: TensorTable, key_column: str) -> np.ndarray:

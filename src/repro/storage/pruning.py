@@ -19,7 +19,7 @@ same check into tensor ops over the zone-map tensors
 from the runtime parameter inputs on every binding.
 
 The same conjunct machinery powers :func:`estimate_selectivity`, the
-statistics feedback into the planner's ``PARALLEL_THRESHOLD_ROWS`` decision.
+statistics feedback into the planner's ``parallel_threshold_rows`` decision.
 """
 
 from __future__ import annotations

@@ -92,7 +92,7 @@ class ProfileScope:
 
 # -- worker-lane annotation ---------------------------------------------------
 #
-# The morsel-driven parallel operators (``repro.core.operators.parallel``)
+# Operators under a ``lanes`` partitioning (``repro.core.operators.partition``)
 # execute one morsel at a time on a simulated worker lane.  While a lane is
 # active every recorded op event carries its lane id, and every traced graph
 # node is stamped with a ``lane`` attribute — which is how the device cost
@@ -130,8 +130,8 @@ class lane_scope:
 
 # -- device-shard annotation --------------------------------------------------
 #
-# The distributed operators (``repro.distributed``) execute one table shard at
-# a time on a simulated device.  While a shard scope is active every recorded
+# Operators under a ``shards`` partitioning execute one table shard at a time
+# on a simulated device.  While a shard scope is active every recorded
 # op event carries its shard id and every traced graph node is stamped with a
 # ``shard`` attribute — the per-device analogue of worker lanes: the cost
 # models reconstruct per-device timelines (and charge interconnect transfers

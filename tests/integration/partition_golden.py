@@ -1,0 +1,105 @@
+"""Golden plan shapes and profile structure of partitioned execution.
+
+``collect()`` compiles all 22 TPC-H queries plus the parameterized serving
+shapes under every partitioning the planner can choose, and profiles Q1/Q3/Q6
+under ``lanes(4)`` and ``shards(4)``.  ``tests/fixtures/partition_golden.json``
+holds its output at the commit *before* the operator families were collapsed
+into one (PR 14); ``test_partition_golden.py`` compares today's against it.
+
+Regenerate (only when a plan-shape change is intended), from the repo root::
+
+    PYTHONPATH=src python tests/integration/partition_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+from collections import Counter
+
+from repro import ExecutionOptions, TQPSession
+from repro.datasets import tpch
+from repro.serve.simulator import build_shapes, register_prediction_model
+from repro.tensor.op_semantics import EXCHANGE_OPS
+
+SCALE_FACTOR = 0.01
+FIXTURE = (pathlib.Path(__file__).resolve().parent.parent
+           / "fixtures" / "partition_golden.json")
+
+#: Every partitioning a plan can run under, as the options that select it.
+CONFIGS = {
+    "serial": {},
+    "lanes4": {"parallelism": 4},
+    "shards2-hash": {"devices": 2, "shard": "hash"},
+    "shards4-hash": {"devices": 4, "shard": "hash"},
+    "shards4-range": {"devices": 4, "shard": "range"},
+}
+PROFILED_QUERIES = (1, 3, 6)
+PROFILED_CONFIGS = ("lanes4", "shards4-hash")
+BACKENDS = ("pytorch", "torchscript")
+
+
+def make_session() -> TQPSession:
+    session = TQPSession()
+    for name, frame in tpch.cached_tables(scale_factor=SCALE_FACTOR).items():
+        session.register(name, frame)
+    register_prediction_model(session)
+    return session
+
+
+def statements() -> dict[str, str]:
+    """The 22 TPC-H queries plus the four parameterized serving shapes."""
+    named = {f"q{number}": tpch.query(number, SCALE_FACTOR)
+             for number in tpch.ALL_QUERY_IDS}
+    for shape in build_shapes(SCALE_FACTOR, tail_queries=0):
+        named[shape.name] = shape.sql
+    return named
+
+
+def plan_shapes(session: TQPSession) -> dict[str, str]:
+    """``<statement>/<config>`` → ``operator_plan.root.pretty()``."""
+    return {
+        f"{name}/{config}": session.compile(
+            sql, options=ExecutionOptions(**options)
+        ).operator_plan.root.pretty()
+        for name, sql in statements().items()
+        for config, options in CONFIGS.items()
+    }
+
+
+def profile_structure(session: TQPSession) -> dict[str, dict]:
+    """``q<N>/<config>/<backend>`` → the structure the cost models charge:
+    the multiset of ``(op, lane, shard)`` events, the morsel dispatches and
+    the bytes crossing the interconnect."""
+    structure = {}
+    for number in PROFILED_QUERIES:
+        for config in PROFILED_CONFIGS:
+            for backend in BACKENDS:
+                options = ExecutionOptions(backend=backend, **CONFIGS[config])
+                events = session.compile(
+                    tpch.query(number, SCALE_FACTOR), options=options
+                ).execute(profile=True).profile.events
+                counts = Counter((e.op, e.lane, e.shard) for e in events)
+                structure[f"q{number}/{config}/{backend}"] = {
+                    "events": sorted(
+                        ([op, lane, shard, n]
+                         for (op, lane, shard), n in counts.items()),
+                        key=repr),
+                    "morsel_dispatch": sum(
+                        n for (op, _, _), n in counts.items()
+                        if op == "morsel_dispatch"),
+                    "exchange_bytes": sum(e.output_bytes for e in events
+                                          if e.op in EXCHANGE_OPS),
+                }
+    return structure
+
+
+def collect() -> dict:
+    session = make_session()
+    return {"plans": plan_shapes(session),
+            "profiles": profile_structure(session)}
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps(collect(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {FIXTURE}")

@@ -251,13 +251,18 @@ def test_direct_address_match_pairs_equals_sorted_probe():
 def test_partitioned_match_pairs_equals_serial(monkeypatch):
     """Each partition matches on ``id // P`` (a dense table of ~G/P slots);
     the matches must be the serial join's, NULL-style fresh ids included."""
-    from repro.core.operators import parallel
+    from repro.core.operators import join as join_module
+    from repro.core.operators import lanes
 
-    monkeypatch.setattr(parallel, "PARALLEL_THRESHOLD_ROWS", 0)
+    # The radix exchange falls back to the serial match below the parallel
+    # threshold; these inputs are far smaller.
+    monkeypatch.setattr(
+        join_module, "DEFAULT_TUNING",
+        join_module.DEFAULT_TUNING.replace(parallel_threshold_rows=0))
     rng = np.random.default_rng(13)
     for partitions in (2, 3, 4):
-        join = parallel.PartitionedHashJoinOperator(
-            None, None, "inner", [], [], parallelism=partitions)
+        join = HashJoinOperator(None, None, "inner", [], [],
+                                exchange=lanes(partitions))
         for n_left, n_right, num_ids in ((400, 300, 90), (300, 500, 5000),
                                          (64, 64, 3)):
             left = rng.integers(0, num_ids, n_left)
@@ -265,7 +270,7 @@ def test_partitioned_match_pairs_equals_serial(monkeypatch):
             left[:3], right[:3] = num_ids, num_ids + 1   # never match
             serial = HashJoinOperator._match_pairs(
                 join, ops.tensor(left), ops.tensor(right), True)
-            counts, pairs = join._match_pairs(
+            counts, pairs = join._radix_match_pairs(
                 ops.tensor(left), ops.tensor(right), True)
             _assert_same_arrays([counts.numpy()], [serial[0].numpy()])
             got = sorted(zip(pairs[0].numpy(), pairs[1].numpy()))

@@ -173,20 +173,11 @@ def test_null_join_keys_cross_exchange(session, frames_match):
 
 
 def test_null_join_keys_plan_stays_distributed(session):
-    from repro.distributed import DistributedRenameOperator, ShuffleJoinOperator
-
     query = session.compile(NULL_KEY_SQL,
                             options=ExecutionOptions(devices=2))
-    ops_seen = set()
-
-    def walk(op):
-        ops_seen.add(type(op))
-        for child in op.children:
-            walk(child)
-
-    walk(query.operator_plan.root)
-    assert ShuffleJoinOperator in ops_seen
-    assert DistributedRenameOperator in ops_seen
+    labels = [op.describe() for op in query.operator_plan.root.walk()]
+    assert "ShuffleJoin[inner](devices=2)" in labels
+    assert "DistributedRename(devices=2)" in labels
 
 
 def test_null_keys_survive_left_join_across_exchange(session, frames_match):

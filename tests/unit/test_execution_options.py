@@ -3,6 +3,7 @@
 import pytest
 
 from repro import DataFrame, ExecutionOptions, TQPSession
+from repro.core.planner import plan_ir
 from repro.errors import ExecutionError
 
 import numpy as np
@@ -56,6 +57,13 @@ def test_legacy_kwargs_are_gone(session):
         session.sql("select sum(a) as s from t", **{"device": "cuda"})
     with pytest.raises(TypeError):
         session.prepare("select sum(a) as s from t", **{"parallelism": 2})
+    # So is the thread-pool knob (nothing but two tests ever set it, and it
+    # did nothing under a trace or a profiler).
+    with pytest.raises(TypeError):
+        TQPSession(**{"parallel_mode": "threads"})
+    with pytest.raises(TypeError):
+        plan_ir(session.compile("select sum(a) as s from t").ir,
+                **{"use_threads": True})
 
 
 def test_session_compile_accepts_options_object(session):

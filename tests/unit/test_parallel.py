@@ -6,23 +6,24 @@ import numpy as np
 import pytest
 
 from repro import DataFrame, TQPSession
-from repro.backends.base import split_parallel
+from repro.backends.base import split_partitions
 from repro.backends.cpu import CPUDevice
 from repro.backends.gpu_sim import SimulatedGPU
 from repro.core.columnar import (
     DEFAULT_MORSEL_ROWS,
-    LogicalType,
     TensorColumn,
     TensorTable,
     morsel_bounds,
 )
-from repro.core.operators import PARALLEL_THRESHOLD_ROWS, MorselWorkerPool
-from repro.core.operators.parallel import effective_morsel_rows
+from repro.core.operators import lanes, run_partitions
+from repro.core.operators.partition import effective_morsel_rows
+from repro.core.tuning import DEFAULT_TUNING
 from repro.errors import CatalogError, ExecutionError
 from repro.tensor import Profiler, current_lane, lane_scope, ops, passes, tracing
 from repro import ExecutionOptions
 
-N_ROWS = 3 * PARALLEL_THRESHOLD_ROWS  # comfortably above the parallel threshold
+# comfortably above the parallel threshold
+N_ROWS = 3 * DEFAULT_TUNING.parallel_threshold_rows
 
 
 # -- data ---------------------------------------------------------------------
@@ -91,34 +92,15 @@ def test_slice_preserves_validity_mask(frames):
     assert piece.valid.numpy().tolist() == [True, False, True, False]
 
 
-# -- worker pool and lane annotations -----------------------------------------
+# -- lane scheduling and annotations ------------------------------------------
 
 
-def test_pool_assigns_lanes_round_robin():
-    seen = []
-
-    def task_factory(i):
-        def task(lane):
-            seen.append((i, lane, current_lane()))
-            return TensorTable({})
-        return task
-
-    MorselWorkerPool(parallelism=3).run([task_factory(i) for i in range(7)])
-    assert [(i, lane) for i, lane, _ in seen] == [
-        (0, 0), (1, 1), (2, 2), (3, 0), (4, 1), (5, 2), (6, 0)]
-    # Inside the pool each task observes its own lane via the thread-local.
-    assert all(observed == lane for _, lane, observed in seen)
+def test_partitions_are_assigned_to_lanes_round_robin():
+    # Each partition observes its lane via the thread-local annotation, and
+    # results come back in partition order.
+    seen = run_partitions(lanes(3), lambda i: (i, current_lane()), count=7)
+    assert seen == [(0, 0), (1, 1), (2, 2), (3, 0), (4, 1), (5, 2), (6, 0)]
     assert current_lane() is None
-
-
-def test_pool_thread_mode_returns_ordered_results():
-    pool = MorselWorkerPool(parallelism=4, use_threads=True)
-    results = pool.run([
-        (lambda lane, i=i: TensorTable(
-            {"v": TensorColumn(ops.tensor([float(i)]), LogicalType.FLOAT)}))
-        for i in range(8)
-    ])
-    assert [t.column("v").tensor.numpy()[0] for t in results] == list(range(8))
 
 
 def test_profiler_records_lanes_and_dispatch():
@@ -127,9 +109,11 @@ def test_profiler_records_lanes_and_dispatch():
             ops.add(ops.tensor([1.0, 2.0]), 1.0)
             ops.morsel_dispatch(ops.tensor([1.0]), lane=2, morsel=0)
         ops.add(ops.tensor([1.0]), 1.0)
-    serial, lanes, dispatches = split_parallel(prof.events)
-    assert len(serial) == 1 and set(lanes) == {2} and len(dispatches) == 1
-    assert lanes[2][0].lane == 2
+    host, shards, exchanges = split_partitions(prof.events)
+    assert not shards and not exchanges
+    assert len(host.serial) == 1 and set(host.lanes) == {2}
+    assert len(host.dispatches) == 1
+    assert host.lanes[2][0].lane == 2
 
 
 def test_lane_annotation_survives_trace_and_replay():
@@ -152,8 +136,8 @@ def test_lane_annotation_survives_trace_and_replay():
     with Profiler() as prof:
         out = GraphInterpreter(graph).run([ops.tensor([3.0, 4.0])])
     assert out[0].numpy().tolist() == [7.0, 9.0]
-    _, lanes, dispatches = split_parallel(prof.events)
-    assert set(lanes) == {1} and len(dispatches) == 1
+    host, _, _ = split_partitions(prof.events)
+    assert set(host.lanes) == {1} and len(host.dispatches) == 1
 
 
 # -- parallel operators match serial execution --------------------------------
@@ -202,15 +186,6 @@ def test_parallel_nullable_aggregates_match_serial_and_oracle(session, frames,
     sql = "select min(case when amount > 1e9 then amount end) as lo from orders"
     assert session.sql(sql, options=ExecutionOptions(parallelism=1)).to_dict() == {"lo": [None]}
     assert session.sql(sql, options=ExecutionOptions(parallelism=4)).to_dict() == {"lo": [None]}
-
-
-def test_threaded_parallel_matches_serial(frames, frames_match):
-    sess = TQPSession(default_parallelism=4, parallel_mode="threads")
-    for name, frame in frames.items():
-        sess.register(name, frame)
-    sql = PARALLEL_QUERIES[0]
-    serial = sess.sql(sql, options=ExecutionOptions(parallelism=1))
-    frames_match(sess.sql(sql), serial, sql)
 
 
 def test_partitioned_join_kinds_match_serial(session, frames_match):

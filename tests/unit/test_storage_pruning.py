@@ -53,11 +53,6 @@ def unpruned_session(frame) -> TQPSession:
     return session
 
 
-def scan_pruning(compiled) -> dict:
-    (scan,) = compiled.operator_plan.scans
-    return scan.last_pruning or {}
-
-
 # -- statistics ----------------------------------------------------------------
 
 
@@ -166,9 +161,7 @@ def test_pruned_matches_unpruned(pruned_session, unpruned_session, frames_match,
     result = compiled.execute()
     expected = unpruned_session.sql(sql, options=options)
     frames_match(result.to_dataframe(), expected, f"{sql} [{backend}]")
-    outcome = scan_pruning(compiled)
-    assert outcome["blocks_skipped"] == expected_skips, sql
-    assert result.pruning["t"]["blocks_skipped"] == expected_skips
+    assert result.pruning["t"]["blocks_skipped"] == expected_skips, sql
 
 
 def test_parameterized_pruning_rebinds_correctly(pruned_session,
@@ -202,6 +195,50 @@ def test_eager_parameterized_pruning_skips_blocks(pruned_session):
     assert result.pruning["t"]["blocks_skipped"] == 3
     result = query.bind(lo=0, hi=99).execute()
     assert result.pruning["t"]["blocks_skipped"] == 0
+
+
+def test_interleaved_executions_report_their_own_pruning(pruned_session,
+                                                         monkeypatch):
+    """The plan object is shared by every concurrent request of a statement:
+    two eager executions of one prepared plan, interleaved so that both
+    scans have pruned before either result is built, must each report the
+    blocks *their* binding skipped."""
+    import threading
+
+    from repro.core.operators import ScanOperator
+
+    query = pruned_session.prepare(
+        "select sum(k) as s from t where k >= :lo and k <= :hi",
+        options=ExecutionOptions(backend="pytorch"))
+    both_pruned = threading.Barrier(2, timeout=30)
+    apply_pruning = ScanOperator._apply_pruning
+
+    def prune_then_wait(self, table, ctx):
+        pruned = apply_pruning(self, table, ctx)
+        both_pruned.wait()
+        return pruned
+
+    monkeypatch.setattr(ScanOperator, "_apply_pruning", prune_then_wait)
+    results = {}
+
+    def execute(name, **binding):
+        results[name] = query.bind(**binding).execute()
+
+    threads = [
+        threading.Thread(target=execute, args=("narrow",),
+                         kwargs={"lo": 1, "hi": 2}),
+        threading.Thread(target=execute, args=("wide",),
+                         kwargs={"lo": 0, "hi": 99}),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert results["narrow"].pruning["t"]["blocks_skipped"] == 3
+    assert results["wide"].pruning["t"]["blocks_skipped"] == 0
+    assert results["narrow"].to_dataframe().to_dict()["s"] != \
+        results["wide"].to_dataframe().to_dict()["s"]
 
 
 def test_morsel_scan_prunes_blocks_before_dispatch(pruned_session,
@@ -248,5 +285,6 @@ def test_pruning_survives_plan_cache_and_reregistration(frame):
     session.register("t", shifted)
     second = session.compile(sql)
     assert second is not first
-    assert second.run().to_dict()["c"] == [0]
-    assert scan_pruning(second)["blocks_skipped"] == BLOCKS
+    result = second.execute()
+    assert result.to_dataframe().to_dict()["c"] == [0]
+    assert result.pruning["t"]["blocks_skipped"] == BLOCKS

@@ -17,9 +17,14 @@ rots:
    (``to_device`` transfers, ``fused_kernel``) are exempt because their
    special-case rules are themselves defined in ``op_semantics``;
 4. both executor modules import ``op_semantics``;
-5. the planner and the join / grouping operators gate on
-   :mod:`repro.core.tuning` constants, never on hard-coded threshold literals
-   (which the adaptive runtime could not override).
+5. the planner, the join / grouping operators and the partition module
+   (whose runtime small-input fallback sends a lanes operator down its serial
+   body) gate on :mod:`repro.core.tuning` constants, never on hard-coded
+   threshold literals (which the adaptive runtime could not override);
+6. the cost models read the partitioned structure of a profile from the one
+   ``backends.base.split_partitions`` and classify exchanges by
+   ``op_semantics.EXCHANGE_OPS`` / ``GATHER_OP`` — no model looks at an
+   event's lane or shard, or names a dispatch/exchange op, on its own.
 
 Run from the repository root: ``python tools/lint_op_registry.py``
 (``PYTHONPATH=src``, as in CI).
@@ -41,16 +46,25 @@ EXECUTOR_MODULES = (
     REPO_ROOT / "src" / "repro" / "tensor" / "codegen.py",
 )
 
+#: The module whose ``split_partitions`` is the only code allowed to read an
+#: event's lane / shard annotation or to tell dispatch ops from kernels.
+COST_MODEL_BASE = REPO_ROOT / "src" / "repro" / "backends" / "base.py"
+
 #: Cost-model modules that classify exchange ops for interconnect charging.
 #: They must consume ``op_semantics.EXCHANGE_OPS`` / ``GATHER_OP`` rather
 #: than spell shard-op names, so adding an exchange variant cannot silently
-#: leave a backend charging it as a kernel.
+#: leave a backend charging it as a kernel — and they must take the lane /
+#: shard structure from ``split_partitions``, so the three models cannot
+#: drift apart in what they call concurrent.
 COST_MODEL_MODULES = (
-    REPO_ROOT / "src" / "repro" / "backends" / "base.py",
     REPO_ROOT / "src" / "repro" / "backends" / "cpu.py",
     REPO_ROOT / "src" / "repro" / "backends" / "gpu_sim.py",
     REPO_ROOT / "src" / "repro" / "backends" / "wasm_sim.py",
 )
+
+#: What only ``split_partitions`` may touch.
+PARTITION_ATTRIBUTES = {"lane", "shard"}
+PARTITION_NAMES = {"DISPATCH_OPS"}
 
 #: Op names whose special-case handling is allowed to appear by name in the
 #: executors: their rules (transfer forwarding, fused-step unrolling) are
@@ -68,6 +82,7 @@ PLANNER_MODULE = REPO_ROOT / "src" / "repro" / "core" / "planner.py"
 TUNED_OPERATOR_MODULES = (
     REPO_ROOT / "src" / "repro" / "core" / "operators" / "grouping.py",
     REPO_ROOT / "src" / "repro" / "core" / "operators" / "join.py",
+    REPO_ROOT / "src" / "repro" / "core" / "operators" / "partition.py",
 )
 
 
@@ -109,6 +124,13 @@ def check_exchange_ops(problems: list[str]) -> None:
 
 
 def check_cost_model(path: pathlib.Path, problems: list[str]) -> None:
+    """A cost model (or their shared base) classifies events one way only.
+
+    Nowhere: a hard-coded exchange op name.  In the base: exactly one
+    ``split_*`` function, ``split_partitions``.  In a model: it is imported,
+    and nothing else reads ``event.lane`` / ``event.shard`` or the dispatch
+    op set.
+    """
     rel = path.relative_to(REPO_ROOT)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(rel))
     for node in ast.walk(tree):
@@ -118,6 +140,35 @@ def check_cost_model(path: pathlib.Path, problems: list[str]) -> None:
                 f"{rel}:{node.lineno}: hard-coded exchange op name "
                 f"{node.value!r} — classify via op_semantics.EXCHANGE_OPS / "
                 f"GATHER_OP")
+    if path == COST_MODEL_BASE:
+        splitters = sorted(
+            node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("split_"))
+        if splitters != ["split_partitions"]:
+            problems.append(
+                f"{rel}: expected the one event-split function "
+                f"'split_partitions', found {splitters}")
+        return
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    if "split_partitions" not in imported:
+        problems.append(f"{rel}: does not import split_partitions — the "
+                        f"lane/shard structure must come from the shared split")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and node.attr in PARTITION_ATTRIBUTES):
+            problems.append(
+                f"{rel}:{node.lineno}: reads '.{node.attr}' of an event — "
+                f"classify events through split_partitions only")
+        if isinstance(node, ast.Name) and node.id in PARTITION_NAMES:
+            problems.append(
+                f"{rel}:{node.lineno}: references {node.id} — dispatch ops "
+                f"are split out by split_partitions only")
 
 
 def check_module(path: pathlib.Path, problems: list[str]) -> None:
@@ -196,7 +247,7 @@ def main() -> int:
     check_exchange_ops(problems)
     for path in EXECUTOR_MODULES:
         check_module(path, problems)
-    for path in COST_MODEL_MODULES:
+    for path in (COST_MODEL_BASE, *COST_MODEL_MODULES):
         check_cost_model(path, problems)
     check_planner_tuning(PLANNER_MODULE, problems)
     for path in TUNED_OPERATOR_MODULES:
