@@ -2,16 +2,17 @@
 
 Strings are ``(n × m)`` int32 code-point tensors right-padded with zeros
 (paper §2.1), so every predicate below is expressed purely with tensor ops —
-equality/comparison, sliding-window containment for ``LIKE '%x%'``, prefix and
-suffix matching, and substring extraction.
+equality/comparison, substring search (``ops.find``) for ``LIKE '%x%'``, prefix
+and suffix matching, and substring extraction.
 """
 
 from __future__ import annotations
 
+import functools
+
 from repro.core.columnar import encode_string_literal
 from repro.errors import UnsupportedOperationError
 from repro.tensor import Tensor, ops
-from repro.tensor.device import Device
 
 
 def row_lengths(codes: Tensor) -> Tensor:
@@ -19,17 +20,18 @@ def row_lengths(codes: Tensor) -> Tensor:
     return ops.count_nonzero(ops.ne(codes, 0), axis=1)
 
 
-def _literal_tensor(value: str, width: int, device: Device) -> Tensor:
-    return ops.tensor(encode_string_literal(value, width), device=device)
+def _head_equals(codes: Tensor, value: str, columns: int) -> Tensor:
+    """The first ``columns`` columns equal ``value`` zero-padded to them."""
+    if len(value) > codes.shape[1]:
+        return ops.full_like_rows(codes, False, dtype="bool")
+    literal = ops.tensor(encode_string_literal(value, columns), device=codes.device)
+    return ops.all_(ops.eq(ops.narrow(codes, 1, 0, columns), literal), axis=1)
 
 
 def equals_literal(codes: Tensor, value: str) -> Tensor:
-    """``column = 'literal'`` over a padded string tensor."""
-    width = codes.shape[1]
-    if len(value) > width:
-        return ops.full_like_rows(codes, False, dtype="bool")
-    literal = _literal_tensor(value, width, codes.device)
-    return ops.all_(ops.eq(codes, literal), axis=1)
+    """``column = 'literal'``: only the literal's code points and the pad zero
+    after them decide, so the other columns are never compared."""
+    return _head_equals(codes, value, min(len(value) + 1, codes.shape[1]))
 
 
 def equals_columns(left: Tensor, right: Tensor) -> Tensor:
@@ -41,45 +43,37 @@ def equals_columns(left: Tensor, right: Tensor) -> Tensor:
 
 
 def starts_with(codes: Tensor, prefix: str) -> Tensor:
-    width = codes.shape[1]
-    if len(prefix) > width:
-        return ops.full_like_rows(codes, False, dtype="bool")
     if not prefix:
         return ops.full_like_rows(codes, True, dtype="bool")
-    head = ops.narrow(codes, 1, 0, len(prefix))
-    literal = _literal_tensor(prefix, len(prefix), codes.device)
-    return ops.all_(ops.eq(head, literal), axis=1)
+    return _head_equals(codes, prefix, len(prefix))
 
 
-def _window_matches(codes: Tensor, needle: str) -> Tensor:
-    """(n, positions) boolean tensor: does ``needle`` start at each position?"""
-    literal = _literal_tensor(needle, len(needle), codes.device)
-    windows = ops.sliding_window(codes, len(needle))
-    return ops.all_(ops.eq(windows, literal), axis=2)
+def _find(codes: Tensor, start, needle: str) -> Tensor:
+    """Earliest position of ``needle`` at or after ``start`` per row, else -1."""
+    return ops.find(codes, start, [ord(ch) for ch in needle])
 
 
 def contains(codes: Tensor, needle: str) -> Tensor:
     """``LIKE '%needle%'``."""
     if not needle:
         return ops.full_like_rows(codes, True, dtype="bool")
-    if len(needle) > codes.shape[1]:
-        return ops.full_like_rows(codes, False, dtype="bool")
-    return ops.any_(_window_matches(codes, needle), axis=1)
+    return ops.ge(_find(codes, 0, needle), 0)
+
+
+def _ends_with_from(codes: Tensor, suffix: str, cursor) -> Tensor:
+    """``suffix`` sits exactly at the end of the row, starting at or after
+    ``cursor`` (needles hold no pad zeros, so a match cannot end later)."""
+    expected = ops.sub(row_lengths(codes), len(suffix))
+    anchored = ops.eq(_find(codes, expected, suffix), expected)
+    # ``expected`` is -1 on a row one short of the suffix: not a "not found".
+    return ops.logical_and(anchored, ops.ge(expected, cursor))
 
 
 def ends_with(codes: Tensor, suffix: str) -> Tensor:
     """``LIKE '%suffix'`` — the match must end exactly at the row length."""
     if not suffix:
         return ops.full_like_rows(codes, True, dtype="bool")
-    if len(suffix) > codes.shape[1]:
-        return ops.full_like_rows(codes, False, dtype="bool")
-    matches = _window_matches(codes, suffix)
-    lengths = row_lengths(codes)
-    expected_position = ops.sub(lengths, len(suffix))
-    position_index = ops.arange_like(matches, axis=1)
-    at_expected = ops.eq(ops.reshape(position_index, (1, -1)),
-                         ops.reshape(expected_position, (-1, 1)))
-    return ops.any_(ops.logical_and(matches, at_expected), axis=1)
+    return _ends_with_from(codes, suffix, 0)
 
 
 def like(codes: Tensor, pattern: str) -> Tensor:
@@ -88,7 +82,9 @@ def like(codes: Tensor, pattern: str) -> Tensor:
     The pattern is split on ``%`` into segments; a non-empty leading segment
     anchors at position 0, a non-empty trailing segment anchors at the end of
     the string, and the remaining segments must occur in order, each starting
-    at or after the end of the previous match.
+    at or after the end of the previous match.  A matched prefix or segment
+    already proves the row is long enough, so row lengths are computed only
+    for a trailing anchor.
     """
     if "_" in pattern:
         raise UnsupportedOperationError("LIKE with '_' wildcards is not supported")
@@ -96,39 +92,19 @@ def like(codes: Tensor, pattern: str) -> Tensor:
         return equals_literal(codes, pattern)
     segments = pattern.split("%")
     leading, trailing = segments[0], segments[-1]
-    middle = [s for s in segments[1:-1] if s]
 
-    result = ops.full_like_rows(codes, True, dtype="bool")
-    cursor = ops.full_like_rows(codes, 0, dtype="int64")
-
-    if leading:
-        result = ops.logical_and(result, starts_with(codes, leading))
-        cursor = ops.full_like_rows(codes, len(leading), dtype="int64")
-
-    big = codes.shape[1] + 1
-    for segment in middle:
-        if len(segment) > codes.shape[1]:
-            return ops.full_like_rows(codes, False, dtype="bool")
-        matches = _window_matches(codes, segment)
-        position_index = ops.reshape(ops.arange_like(matches, axis=1), (1, -1))
-        allowed = ops.ge(position_index, ops.reshape(cursor, (-1, 1)))
-        usable = ops.logical_and(matches, allowed)
-        # Earliest usable match position per row (``big`` when there is none).
-        candidate = ops.where(usable, position_index, big)
-        earliest = ops.min_(candidate, axis=1)
-        found = ops.lt(earliest, big)
-        result = ops.logical_and(result, found)
-        cursor = ops.add(ops.where(found, earliest, 0), len(segment))
-
+    verdicts = [starts_with(codes, leading)] if leading else []
+    cursor = len(leading)
+    for segment in filter(None, segments[1:-1]):
+        position = _find(codes, cursor, segment)
+        verdicts.append(ops.ge(position, 0))
+        # Rows without a match are already False; their cursor is never read.
+        cursor = ops.add(position, len(segment))
     if trailing:
-        anchored = ends_with(codes, trailing)
-        lengths = row_lengths(codes)
-        room = ops.ge(ops.sub(lengths, len(trailing)), cursor)
-        result = ops.logical_and(result, ops.logical_and(anchored, room))
-    else:
-        lengths = row_lengths(codes)
-        result = ops.logical_and(result, ops.ge(lengths, cursor))
-    return result
+        verdicts.append(_ends_with_from(codes, trailing, cursor))
+    if not verdicts:
+        return ops.full_like_rows(codes, True, dtype="bool")
+    return functools.reduce(ops.logical_and, verdicts)
 
 
 def substring(codes: Tensor, start: int, length: int | None) -> Tensor:

@@ -90,7 +90,7 @@ class BagOfWordsVectorizer:
 
         The synthetic review corpus is lower-case, so a direct code-point
         containment test is sufficient; each vocabulary word contributes one
-        sliding-window containment sub-program.
+        substring-search (``find``) sub-program.
         """
         self._check_fitted()
         columns = [ops.cast(strings.contains(codes, word), "float64")

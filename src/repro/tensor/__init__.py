@@ -36,6 +36,7 @@ from repro.tensor.profiler import (
 from repro.tensor.script import ScriptedProgram, script_trace
 from repro.tensor.tensor import Tensor, as_tensor
 from repro.tensor.tracing import TraceContext, current_trace, trace
+from repro.tensor import allocator  # noqa: F401 - fixes the C allocator's thresholds
 from repro.tensor import onnxlike, ops, passes
 
 __all__ = [

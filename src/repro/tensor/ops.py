@@ -732,26 +732,55 @@ def pad2d(a: Tensor, width: int, value: Any = 0) -> Tensor:
     return _apply("pad2d", [_coerce(a)], {"width": width, "value": value})
 
 
-@register_op("sliding_window")
-def _sliding_window_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
-    width = int(attrs["width"])
-    a = arrays[0]
-    if a.ndim != 2:
-        raise TensorRuntimeError("sliding_window expects a 2-d tensor")
-    if a.shape[1] < width:
-        pad = np.zeros((a.shape[0], width - a.shape[1]), dtype=a.dtype)
-        a = np.concatenate([a, pad], axis=1)
-    view = np.lib.stride_tricks.sliding_window_view(a, width, axis=1)
-    return [np.ascontiguousarray(view)]
-
-
-def sliding_window(a: Tensor, width: int) -> Tensor:
-    """All width-``width`` windows of each row of a 2-d tensor.
-
-    Output shape is ``(n, m - width + 1, width)``; this is the building block
-    of the ``LIKE '%pattern%'`` implementation over padded string tensors.
+@register_op("find")
+def _find_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
+    """Candidate refinement over the flat code buffer: dense ``==`` passes mark
+    the cells where the needle's first two code points begin, then each further
+    needle position keeps the candidates whose ``j``-th successor matches —
+    ``n * m`` work plus a shrinking list, no ``(n, m - k + 1, k)`` window
+    tensor.  The seed is a pair because ``flatnonzero`` pays per hit: of 30k x
+    59 TPC-H comment cells, 121k hold ``'s'`` (2.8 ms to list), 4k hold
+    ``'sp'`` (0.4 ms, plus 0.5 ms for the second pass).
     """
-    return _apply("sliding_window", [_coerce(a)], {"width": width})
+    codes, start = arrays
+    needle = attrs["needle"]
+    if codes.ndim != 2:
+        raise TensorRuntimeError("find expects a 2-d tensor")
+    n, m = codes.shape
+    k = len(needle)
+    out = np.full(n, -1, dtype=np.int64)
+    if k > m or n == 0:
+        return [out]
+    flat = np.ascontiguousarray(codes).reshape(-1)
+    last = flat.size - k + 1
+    seed = flat[:last] == needle[0]
+    if k > 1:
+        seed &= flat[1:last + 1] == needle[1]
+    hits = np.flatnonzero(seed)
+    for j in range(2, k):
+        hits = hits[flat[hits + j] == needle[j]]
+    # Hits are flat offsets: one whose column is past ``m - k`` ran into the
+    # next row.  Dropped here, where few are left to divide.
+    row, col = np.divmod(hits, m)
+    keep = (col <= m - k) & (col >= np.broadcast_to(start, (n,))[row])
+    row, col = row[keep], col[keep]
+    # Hits ascend, so a row's earliest match is the first of its run.
+    first = np.ones(row.size, dtype=bool)
+    first[1:] = row[1:] != row[:-1]
+    out[row[first]] = col[first]
+    return [out]
+
+
+def find(codes: Tensor, start: Any, needle: Sequence[int]) -> Tensor:
+    """Per row of a 2-d code tensor, the column where ``needle`` (non-empty
+    code points) first occurs at or after ``start`` (per row or scalar; negative
+    means 0), ``-1`` when nowhere: ``str.find``.  Under ``LIKE`` and ``contains``.
+    """
+    needle = [int(code) for code in needle]
+    if not needle:
+        raise TensorRuntimeError("find() needs a non-empty needle")
+    tc, ts, device = _pair(codes, start)
+    return _apply("find", [tc, ts], {"needle": needle}, device=device)
 
 
 # ---------------------------------------------------------------------------

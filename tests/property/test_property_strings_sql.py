@@ -17,7 +17,13 @@ from repro import ExecutionOptions
 # Text alphabet kept to a handful of characters so patterns actually match.
 words = st.text(alphabet="abcx ", min_size=0, max_size=12)
 word_lists = st.lists(words, min_size=1, max_size=25)
-patterns = st.sampled_from(["a%", "%x", "%ab%", "abc", "%a%b%", "%", "x%c"])
+# Single-segment shapes, then multi-segment, doubly anchored and
+# self-overlapping ones (``a%a`` must not match ``'a'``; ``%ab%ab%`` must not
+# reuse the ``b`` of ``'aba'``), and suffixes wider than most rows.
+LIKE_PATTERNS = ["a%", "%x", "%ab%", "abc", "%a%b%", "%", "x%c",
+                 "a%a", "%ab%ab%", "%aa%a", "ab%ab", "a%b%a", "%%", "a%%a",
+                 "%abcabcabcabc", "%abc abc abc%", "%a%a%a%", "%x%x"]
+patterns = st.sampled_from(LIKE_PATTERNS)
 
 
 @given(word_lists)
@@ -36,6 +42,37 @@ def test_like_matches_python_reference(values, pattern):
     expected = [bool(regex.match(v)) for v in values]
     got = strings.like(ops.tensor(encode_strings(values)), pattern).tolist()
     assert got == expected
+
+
+@given(st.integers(0, 10_000), patterns, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_like_sql_matches_row_engine_in_plain_and_dictionary_layouts(
+        seed, pattern, negated):
+    rng = np.random.default_rng(seed)
+    # Few distinct values over many rows, so ``dictionary`` really encodes;
+    # every word is as wide as the column at least once (full-width rows).
+    pool = ["a", "aa", "aba", "abab", "", "abc abc abc", "abcabcabcabc",
+            "x" * 12, "xax", "ab ab"]
+    frame = DataFrame({
+        "id": np.arange(40, dtype=np.int64),
+        "s": np.array(pool, dtype=object)[rng.integers(0, len(pool), 40)],
+    })
+    keys = DataFrame({"k": np.arange(0, 60, 3, dtype=np.int64)})
+    operator = "not like" if negated else "like"
+    # The second statement NULL-extends ``s`` (keys 42..57 match no row): a
+    # NULL is neither LIKE nor NOT LIKE anything.
+    statements = [
+        f"select id from t where s {operator} '{pattern}'",
+        f"select k from keys left join t on k = id where s {operator} '{pattern}'",
+    ]
+    session = TQPSession()
+    session.register("t", frame)
+    session.register("keys", keys)
+    for sql in statements:
+        expected = run_sql(sql, {"t": frame, "keys": keys}).to_dict()
+        for encoding in ("off", "dictionary"):
+            got = session.sql(sql, options=ExecutionOptions(encoding=encoding))
+            assert got.to_dict() == expected, (sql, encoding)
 
 
 @given(word_lists)

@@ -20,7 +20,7 @@ import random
 import numpy as np
 import pytest
 
-from repro import DataFrame, TQPSession
+from repro import DataFrame, ExecutionOptions, TQPSession
 from repro.baselines import RowEngine
 from repro.frontend import sql_to_physical
 
@@ -197,6 +197,67 @@ def test_nullable_aggregates_match_row_engine(session, tables, frames_match, sql
         sql_to_physical(sql, session.catalog))
     frames_match(session.sql(sql), oracle, sql, ordered=True,
                  rel_tol=1e-9, abs_tol=1e-9)
+
+
+# -- LIKE: multi-segment, doubly anchored and self-overlapping patterns -------
+
+#: Width 8; ``abcdefgh`` / ``xbcdefgh`` fill it, so a match that ran past the
+#: end of one row would read the next row's first code points.
+LIKE_VALUES = ["a", "aa", "abab", "aba", "", "abcdefgh", "xbcdefgh", "ab",
+               "b", "ghab"]
+
+LIKE_PATTERNS = [
+    "a%a",          # 'a' must not match: the anchors may not share a character
+    "%ab%ab%",      # 'abab' yes, 'aba' no: the segments may not overlap
+    "%abab",        # a suffix wider than most rows
+    "%%", "%",
+    "%abcdefgh%",   # a segment equal to a whole full-width row
+    "abcdefgh", "%ghab%", "%h%a%", "a%b%a", "ab%ab", "%b", "%a%a%",
+    "%abcdefghx",   # wider than the column
+]
+
+
+@pytest.fixture(scope="module")
+def like_tables():
+    rng = np.random.default_rng(SEED + 2)
+    values = np.array(LIKE_VALUES, dtype=object)[
+        rng.integers(0, len(LIKE_VALUES), size=N_ROWS)]
+    return {
+        "strs": DataFrame({"sid": np.arange(N_ROWS, dtype=np.int64), "sv": values}),
+        # Keys past N_ROWS match no row: the LEFT JOIN NULL-extends ``sv``.
+        "keys": DataFrame({"kid": np.arange(0, 2 * N_ROWS, 5, dtype=np.int64)}),
+    }
+
+
+def _like_queries():
+    queries = []
+    for pattern in LIKE_PATTERNS:
+        for operator in ("like", "not like"):
+            queries.append(f"select sid from strs where sv {operator} '{pattern}'")
+            queries.append(f"select kid, sv from keys left join strs on kid = sid "
+                           f"where sv {operator} '{pattern}'")
+        queries.append(f"select sid, sv like '{pattern}' as hit from strs")
+    return queries
+
+
+@pytest.fixture(scope="module")
+def like_session(like_tables):
+    sess = TQPSession()
+    for name, frame in like_tables.items():
+        sess.register(name, frame)
+    return sess
+
+
+@pytest.mark.parametrize("encoding", ["off", "dictionary"])
+@pytest.mark.parametrize("sql", _like_queries())
+def test_like_patterns_match_row_engine(like_session, like_tables, frames_match,
+                                        sql, encoding):
+    """The plain (n x m) layout and the dictionary probe of the same column
+    both agree with the row engine's regex, NULL rows and NOT LIKE included."""
+    oracle = RowEngine(like_tables).execute_to_dataframe(
+        sql_to_physical(sql, like_session.catalog))
+    result = like_session.sql(sql, options=ExecutionOptions(encoding=encoding))
+    frames_match(result, oracle, f"{sql} [{encoding}]", ordered=True)
 
 
 def test_generator_is_deterministic():

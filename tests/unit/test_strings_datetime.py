@@ -6,7 +6,7 @@ import pytest
 from repro.core import datetime_ops, strings
 from repro.core.columnar import encode_dates, encode_strings
 from repro.errors import UnsupportedOperationError
-from repro.tensor import ops
+from repro.tensor import ops, trace
 
 
 def _codes(values):
@@ -31,6 +31,21 @@ def test_equals_literal_and_columns():
     right = ops.tensor(encode_strings(["aa", "bc"], width=5))
     np.testing.assert_array_equal(strings.equals_columns(left, right).numpy(),
                                   [True, False])
+
+
+def test_equals_literal_compares_only_the_decisive_columns():
+    values = ["FRANCE", "FRANCES", "FRANC", "GERMANY", "", "FRANCE", "XFRANCE"]
+    codes = _codes(values)  # width 7
+    for literal in ["FRANCE", "GERMANY", "FRANCES", "", "F", "GERMANYS", "FRANCEX"]:
+        assert strings.equals_literal(codes, literal).tolist() == \
+            [value == literal for value in values], literal
+    # The compare reads len(literal) + 1 columns: the code points and the pad.
+    graph = trace(lambda c: strings.equals_literal(c, "FRANCE"), [codes])
+    compared = next(n for n in graph.nodes if n.op == "eq")
+    assert graph.values[compared.inputs[0]].shape == (len(values), 7)
+    graph = trace(lambda c: strings.equals_literal(c, "F"), [codes])
+    compared = next(n for n in graph.nodes if n.op == "eq")
+    assert graph.values[compared.inputs[0]].shape == (len(values), 2)
 
 
 def test_starts_with_and_ends_with():

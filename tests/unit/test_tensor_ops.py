@@ -130,11 +130,16 @@ def test_shape_manipulation():
     np.testing.assert_array_equal(truncated.numpy(), [[1, 2]])
 
 
-def test_sliding_window_shape_and_content():
-    m = ops.tensor(np.arange(8).reshape(2, 4))
-    windows = ops.sliding_window(m, 2)
-    assert windows.shape == (2, 3, 2)
-    np.testing.assert_array_equal(windows.numpy()[0], [[0, 1], [1, 2], [2, 3]])
+def test_find_earliest_position_at_or_after_start():
+    codes = ops.tensor(np.array([[1, 2, 1, 2], [2, 1, 2, 0], [3, 3, 0, 0]],
+                                dtype=np.int32))
+    assert ops.find(codes, 0, [1, 2]).tolist() == [0, 1, -1]
+    assert ops.find(codes, ops.tensor([1, 2, 0]), [1, 2]).tolist() == [2, -1, -1]
+    assert ops.find(codes, 0, [1, 2]).dtype.name == "int64"
+    # A needle wider than the tensor matches nowhere; an empty one is an error.
+    assert ops.find(codes, 0, [1, 2, 1, 2, 1]).tolist() == [-1, -1, -1]
+    with pytest.raises(TensorRuntimeError):
+        ops.find(codes, 0, [])
 
 
 def test_matmul_softmax_onehot():
