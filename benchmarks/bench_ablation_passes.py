@@ -39,7 +39,8 @@ def test_ablation_backend_passes(benchmark, tpch_env, scale_factor, query_id,
                                  rounds=5, iterations=1, warmup_rounds=1)
     benchmark.extra_info["variant"] = label
     if compiled.executor.backend.strategy == "graph":
-        benchmark.extra_info["graph_nodes"] = compiled.executor._program.num_nodes
+        benchmark.extra_info["graph_nodes"] = len(
+            compiled.executor.executor_graph(inputs).nodes)
     assert outcome.table.num_rows >= 1
 
 
@@ -50,9 +51,9 @@ def test_ablation_graph_passes_shrink_program(tpch_env, scale_factor):
     optimized = session.compile(sql, options=ExecutionOptions(backend="torchscript"))
     unoptimized = session.compile(sql, options=ExecutionOptions(backend="torchscript-noopt"))
     inputs = session.prepare_inputs(optimized.executor)
-    optimized.executor.compile_program(inputs)
-    unoptimized.executor.compile_program(session.prepare_inputs(unoptimized.executor))
-    assert optimized.executor._program.num_nodes < unoptimized.executor._program.num_nodes
+    raw = unoptimized.executor.compile_program(
+        session.prepare_inputs(unoptimized.executor))
+    assert optimized.executor.compile_program(inputs).num_nodes < raw.num_nodes
 
 
 @pytest.mark.parametrize("query_id", [6, 14])

@@ -35,7 +35,8 @@ _RESULTS: dict[int, dict[str, object]] = {}
 def test_figure1_tqp(benchmark, tpch_env, scale_factor, query_id, label, backend, device):
     session, _ = tpch_env
     sql = tpch.query(query_id, scale_factor)
-    compiled = session.compile(sql, options=ExecutionOptions(backend=backend, device=device))
+    options = ExecutionOptions(backend=backend, device=device)
+    compiled = session.compile(sql, options=options)
     inputs = session.prepare_inputs(compiled.executor)
     compiled.executor.execute(inputs)  # warm-up / trace
 
@@ -46,7 +47,7 @@ def test_figure1_tqp(benchmark, tpch_env, scale_factor, query_id, label, backend
     benchmark.extra_info["system"] = label
     benchmark.extra_info["reported_ms"] = outcome.reported_s * 1e3
     benchmark.extra_info["simulated"] = compiled.executor.device.is_simulated
-    result = time_tqp(session, sql, backend=backend, device=device, runs=3, warmup=1)
+    result = time_tqp(session, sql, options, runs=3, warmup=1)
     _RESULTS.setdefault(query_id, {})[label] = result
     assert outcome.table.num_rows >= 1
 

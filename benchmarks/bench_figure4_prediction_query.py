@@ -96,13 +96,15 @@ def test_figure4_tqp_beats_separate_runtimes_on_the_wall_clock(sentiment_env):
     """What the figure is about: one tensor program is faster than a row
     engine calling the model per row — on ``perf_counter``, same corpus."""
     session, reviews, model = sentiment_env
-    tqp = time_tqp(session, FIGURE4_SQL, backend="torchscript", device="cpu",
+    tqp = time_tqp(session, FIGURE4_SQL,
+                   ExecutionOptions(backend="torchscript", device="cpu"),
                    runs=9, warmup=2)
     baseline = time_rowengine(
         session, {"amazon_reviews": reviews}, FIGURE4_SQL, runs=5, warmup=1,
         models={"sentiment_classifier": compile_row_fn(model)},
         label="RowEngine + per-row model")
-    cuda = time_tqp(session, FIGURE4_SQL, backend="torchscript", device="cuda",
+    cuda = time_tqp(session, FIGURE4_SQL,
+                    ExecutionOptions(backend="torchscript", device="cuda"),
                     runs=5, warmup=1)
     print(f"\nFigure 4, {reviews.num_rows} reviews, median of runs:"
           f"\n  TQP torchscript/cpu   {tqp.median_wall_ms:8.2f} ms wall-clock"

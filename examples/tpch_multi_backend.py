@@ -10,6 +10,7 @@ Run with:  python examples/tpch_multi_backend.py [scale_factor]
 
 import sys
 
+from repro import ExecutionOptions
 from repro.bench import figure_table, time_rowengine, time_tqp, tpch_session
 from repro.datasets import tpch
 
@@ -24,11 +25,11 @@ def main(scale_factor: float = 0.01) -> None:
         sql = tpch.query(query_id, scale_factor)
         baseline = time_rowengine(session, tables, sql, runs=1)
         results = [
-            time_tqp(session, sql, backend="pytorch", device="cpu", runs=3, warmup=1),
-            time_tqp(session, sql, backend="torchscript", device="cpu", runs=3, warmup=1),
-            time_tqp(session, sql, backend="torchscript", device="cuda", runs=3, warmup=1),
-            time_tqp(session, sql, backend="onnx", device="wasm", runs=3, warmup=1),
-        ]
+            time_tqp(session, sql,
+                     ExecutionOptions(backend=backend, device=device),
+                     runs=3, warmup=1)
+            for backend, device in (("pytorch", "cpu"), ("torchscript", "cpu"),
+                                    ("torchscript", "cuda"), ("onnx", "wasm"))]
         # All backends must agree with the baseline on the answer.
         for result in results:
             assert result.result.num_rows == baseline.result.num_rows

@@ -4,8 +4,7 @@ A *backend* in TQP terms is a compilation target for the tensor program
 (PyTorch eager, TorchScript, ONNX, ...).  A *device* is where the kernels run
 (CPU, GPU, browser/WASM).  In this reproduction:
 
-* backends decide the execution strategy (eager op dispatch vs. traced graph)
-  and any per-node interpretation overhead,
+* backends decide the execution strategy (eager op dispatch vs. traced graph),
 * devices decide how the reported execution time is produced: the CPU reports
   measured wall time; the simulated CUDA and WASM devices report time from an
   analytic cost model fed with the op-level profile of the (real) execution.
@@ -112,15 +111,12 @@ class BackendSpec:
         serialize: whether the traced graph is round-tripped through the
             ONNX-like portable format before execution (models the
             export-to-browser path).
-        per_node_overhead_s: fixed dispatch overhead charged per graph node at
-            execution time (used to model slower interpreters such as WASM).
         optimize_graph: whether graph optimization passes run after tracing.
     """
 
     name: str
     strategy: str
     serialize: bool = False
-    per_node_overhead_s: float = 0.0
     optimize_graph: bool = True
 
     def __post_init__(self) -> None:
@@ -133,22 +129,13 @@ class DeviceCostModel:
 
     name = "measured"
 
-    def report_time(self, measured_s: float, profile: Profiler | None,
-                    interpreter_overhead_s: float = 0.0) -> float:
+    def report_time(self, measured_s: float, profile: Profiler | None
+                    ) -> float:
         """Return the execution time to report for a run.
 
         Args:
             measured_s: wall-clock seconds of the real (numpy) execution.
             profile: op-level profile of that execution (may be ``None`` when
                 profiling was disabled; cost models must degrade gracefully).
-            interpreter_overhead_s: per-node dispatch overhead the executing
-                backend already burned into ``measured_s`` (the ONNX-like
-                interpreter's busy-wait).  Simulated devices that charge their
-                own dispatch cost subtract this first so the native overhead
-                is never charged twice.
         """
         return measured_s
-
-    def describe(self) -> dict:
-        """Human-readable parameters, recorded in benchmark output."""
-        return {"name": self.name}

@@ -39,8 +39,8 @@ class CPUDevice(DeviceCostModel):
         #: Fixed per-message cost charged per exchange op.
         self.interconnect_latency_s = interconnect_latency_s
 
-    def report_time(self, measured_s: float, profile: Profiler | None,
-                    interpreter_overhead_s: float = 0.0) -> float:
+    def report_time(self, measured_s: float, profile: Profiler | None
+                    ) -> float:
         if profile is None or not profile.events:
             return measured_s
         host, shards, exchanges = split_partitions(profile.events)
@@ -55,13 +55,3 @@ class CPUDevice(DeviceCostModel):
 
         slowest_shard_s = max(map(region_s, shards.values()), default=0.0)
         return region_s(host) + slowest_shard_s + exchange_s
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "simulated": False,
-            "profiled_report": "kernel time: serial + slowest lane + dispatch",
-            "morsel_dispatch_overhead_s": self.morsel_dispatch_overhead_s,
-            "interconnect_bandwidth_gbs": self.interconnect_bandwidth_gbs,
-            "interconnect_latency_s": self.interconnect_latency_s,
-        }

@@ -78,8 +78,8 @@ class SimulatedGPU(DeviceCostModel):
         """Physical floor: no GPU run beats one launch plus one copy setup."""
         return self.kernel_launch_overhead_s + self.pcie_latency_s
 
-    def report_time(self, measured_s: float, profile: Profiler | None,
-                    interpreter_overhead_s: float = 0.0) -> float:
+    def report_time(self, measured_s: float, profile: Profiler | None
+                    ) -> float:
         if profile is None or not profile.events:
             # No profile to drive the roofline: apply the fallback speedup,
             # clamped so the report can never dip below the launch+transfer
@@ -125,16 +125,3 @@ class SimulatedGPU(DeviceCostModel):
         # Exchanges synchronize producer and consumer devices, so unlike the
         # initial uploads they are never hidden behind compute.
         return max(compute_s, hideable_s) + exposed_s + exchange_s
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "simulated": True,
-            "hbm_bandwidth_gbs": self.hbm_bandwidth_gbs,
-            "pcie_bandwidth_gbs": self.pcie_bandwidth_gbs,
-            "kernel_launch_overhead_s": self.kernel_launch_overhead_s,
-            "pcie_latency_s": self.pcie_latency_s,
-            "morsel_dispatch_overhead_s": self.morsel_dispatch_overhead_s,
-            "nvlink_bandwidth_gbs": self.nvlink_bandwidth_gbs,
-            "nvlink_latency_s": self.nvlink_latency_s,
-        }

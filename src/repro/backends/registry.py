@@ -13,13 +13,11 @@ from repro.tensor.device import Device, parse_device
 BACKENDS: dict[str, BackendSpec] = {
     # Vanilla eager execution (the paper's default PyTorch target).
     "pytorch": BackendSpec(name="pytorch", strategy="eager"),
-    # Traced + optimized graph replayed by the interpreter (torch.jit analogue).
+    # Traced + optimized graph replayed as generated code (torch.jit analogue).
     "torchscript": BackendSpec(name="torchscript", strategy="graph"),
-    # Traced graph exported to the portable format then re-imported before
-    # execution (the ONNX / ORT-web analogue); interpretation carries a small
-    # per-node overhead even on native devices.
-    "onnx": BackendSpec(name="onnx", strategy="graph", serialize=True,
-                        per_node_overhead_s=2e-6),
+    # The same, exported to the portable format and re-imported before
+    # execution (the ONNX / ORT-web analogue).
+    "onnx": BackendSpec(name="onnx", strategy="graph", serialize=True),
     # Ablation target: traced graph executed without optimization passes.
     "torchscript-noopt": BackendSpec(name="torchscript-noopt", strategy="graph",
                                      optimize_graph=False),

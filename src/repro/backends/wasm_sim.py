@@ -3,9 +3,9 @@
 The paper runs the ONNX export of a query inside a browser on a laptop and
 observes that "the web execution is quite slow".  This device models that
 path: the query must have been compiled through the ONNX-like serialized
-format, execution goes through the graph interpreter with a per-node dispatch
-overhead, and the reported time additionally applies a slowdown factor that
-represents WASM code generation quality and the weaker client machine.
+format, and the reported time is the measured wall-clock time under a slowdown
+factor (WASM code generation quality and the weaker client machine) plus a
+JS/WASM boundary crossing per executed op.
 """
 
 from __future__ import annotations
@@ -40,19 +40,11 @@ class SimulatedWASM(DeviceCostModel):
         #: Fixed event-loop round-trip latency charged per exchanged message.
         self.message_latency_s = message_latency_s
 
-    def report_time(self, measured_s: float, profile: Profiler | None,
-                    interpreter_overhead_s: float = 0.0) -> float:
-        """``(measured - native_dispatch) × slowdown + events × per_op_overhead``.
+    def report_time(self, measured_s: float, profile: Profiler | None
+                    ) -> float:
+        """``measured × slowdown + events × per_op_overhead``.
 
-        The native interpreter burns ``interpreter_overhead_s`` of real wall
-        time per executed node (the ONNX backend's dispatch simulation), and
-        ``per_op_overhead_s`` models the JS/WASM boundary cost for the same
-        dispatches.  Charging both — and multiplying the burned time by the
-        WASM slowdown on top — double-counted dispatch, so the burned share is
-        subtracted before the kernel slowdown is applied.  Only kernel events
-        were actually burned: the interpreter's initial input moves (the
-        ``to_device`` transfer events) happen before its dispatch loop.  Each
-        profiler event still pays the boundary cost once, so fused
+        Every profiler event pays the JS/WASM boundary cost once, so fused
         elementwise chains pay it once per fused kernel.
 
         Morsel-parallel plans model Web-Worker execution: the measured time of
@@ -70,7 +62,7 @@ class SimulatedWASM(DeviceCostModel):
             return measured_s * self.slowdown
         n_boundary_crossings = len(profile.events)
         _, kernels = profile.partition(TRANSFER_OPS)
-        kernel_s = max(0.0, measured_s - len(kernels) * interpreter_overhead_s)
+        kernel_s = measured_s
         host, shards, exchanges = split_partitions(kernels)
         if shards or exchanges:
             shard_s = [sum(event.elapsed_s for event in region.events())
@@ -91,14 +83,3 @@ class SimulatedWASM(DeviceCostModel):
                 + n_boundary_crossings * self.per_op_overhead_s
                 + len(host.dispatches) * self.morsel_dispatch_overhead_s
                 + message_s)
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "simulated": True,
-            "slowdown": self.slowdown,
-            "per_op_overhead_s": self.per_op_overhead_s,
-            "morsel_dispatch_overhead_s": self.morsel_dispatch_overhead_s,
-            "message_bandwidth_gbs": self.message_bandwidth_gbs,
-            "message_latency_s": self.message_latency_s,
-        }

@@ -56,10 +56,6 @@ class BenchResult:
     simulated: bool
     times_s: list[float]
     result: DataFrame
-    #: Session plan-cache counters observed for this measurement (hit/miss/…),
-    #: plus whether this compile was served from the cache.  ``None`` for
-    #: systems without a plan cache (the row-engine baseline).
-    plan_cache: Optional[dict] = None
     #: Host wall-clock (``perf_counter``) per run.  ``times_s`` holds the
     #: *reported* time, which on the simulated devices comes from a cost
     #: model; this column is always real elapsed time, so executor-level
@@ -84,32 +80,18 @@ class BenchResult:
         return self.median_wall_s * 1e3
 
 
-def time_tqp(session: TQPSession, sql: str, backend: str = "torchscript",
-             device: str = "cpu", runs: int = 5, warmup: int = 2,
-             profile: bool = False, use_cache: bool = True,
-             parallelism: Optional[int] = None,
-             executor: str = "auto",
-             devices: Optional[int] = None,
-             shard: str = "hash") -> BenchResult:
+def time_tqp(session: TQPSession, sql: str, options: ExecutionOptions,
+             runs: int = 5, warmup: int = 2,
+             profile: bool = False) -> BenchResult:
     """Compile ``sql`` once and measure ``runs`` executions after ``warmup``.
 
-    Passing ``parallelism`` (any value, including 1) forces profiling on so
-    the device cost models see the per-worker-lane timelines — and so every
-    point of a scaling curve reports on the same basis (the CPU device reports
-    kernel time for profiled runs, wall time otherwise; mixing the two would
-    make speedups incomparable).  ``devices`` (any value, including 1) does
-    the same for the per-shard timelines of distributed plans, so
-    single-device vs multi-device points stay comparable too.
+    Pass ``profile=True`` for every point of a lane / shard scaling curve, so
+    the device cost models see the per-lane and per-shard timelines and every
+    point reports on the same basis (the CPU device reports kernel time for
+    profiled runs, wall time otherwise; mixing the two would make speedups
+    incomparable).
     """
-    if parallelism is not None or devices is not None:
-        profile = True
-    hits_before = session.plan_cache.hits
-    compile_start = time.perf_counter()
-    query = session.compile(sql, options=ExecutionOptions(
-        backend=backend, device=device, use_cache=use_cache,
-        parallelism=parallelism, executor=executor,
-        devices=devices, shard=shard))
-    compile_s = time.perf_counter() - compile_start
+    query = session.compile(sql, options=options)
     inputs = session.prepare_inputs(query.executor)
     for _ in range(warmup):
         query.executor.execute(inputs, profile=profile)
@@ -119,15 +101,12 @@ def time_tqp(session: TQPSession, sql: str, backend: str = "torchscript",
         times.append(outcome.reported_s)
         walls.append(outcome.measured_s)
         last = outcome
-    cache_stats = dict(session.plan_cache.stats())
-    cache_stats["compile_s"] = compile_s
-    cache_stats["served_from_cache"] = session.plan_cache.hits > hits_before
+    device = query.executor.device
     return BenchResult(
-        system=f"TQP-{device.upper()}" if device != "cpu" else "TQP-CPU",
-        backend=backend, device=device,
-        simulated=query.executor.device.is_simulated,
-        times_s=times, result=last.to_dataframe(),
-        plan_cache=cache_stats, wall_times_s=walls,
+        system=f"TQP-{device.kind.upper()}",
+        backend=query.executor.backend.name, device=device.kind,
+        simulated=device.is_simulated,
+        times_s=times, result=last.to_dataframe(), wall_times_s=walls,
     )
 
 

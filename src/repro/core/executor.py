@@ -5,10 +5,13 @@ The Executor is the runnable artifact TQP produces for a query:
 * on the ``pytorch`` backend it dispatches the operator plan eagerly, op by op;
 * on the ``torchscript`` backend the whole query (relational operators,
   expressions, runtime subqueries and any embedded ML models) is traced into a
-  single tensor graph, optimized, and replayed by the graph interpreter;
+  single tensor graph, optimized, lowered to generated code and replayed;
 * on the ``onnx`` backend the traced graph is additionally round-tripped
   through the ONNX-like portable format — the path used for browser/WASM
   execution.
+
+Either way there is one program and one per-binding loop
+(:meth:`Executor._replay`): ``execute(p)`` is ``execute_many([p])[0]``.
 
 Devices: results are always computed with real kernels; the CPU reports
 measured wall time while the simulated ``cuda`` / ``wasm`` devices report time
@@ -17,10 +20,12 @@ from their documented cost models (see ``repro.backends``).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.backends import BackendSpec, get_backend, get_device_model
 from repro.core.columnar import LogicalType, TensorColumn, TensorTable
@@ -31,14 +36,13 @@ from repro.core.parameters import (
     ParameterSpec,
     make_binder,
     param_array_converter,
-    param_converter,
 )
 from repro.core.planner import OperatorPlan
 from repro.dataframe import DataFrame
 from repro.distributed.sharding import ShardedTable, shard_table
 from repro.errors import BatchBindingError, BindingError, CatalogError, ExecutionError
 from repro.tensor import Graph, Profiler, ScriptedProgram, Tensor, onnxlike, passes, tracing
-from repro.tensor.device import Device, parse_device
+from repro.tensor.device import CPU, Device
 
 
 @dataclasses.dataclass
@@ -56,9 +60,8 @@ class ExecutionResult:
     #: the counters describe the tracing run, captured with the program (a
     #: replay does not re-execute the operators).
     pruning: dict = dataclasses.field(default_factory=dict)
-    #: How the query actually ran: ``eager`` (pytorch backend), ``compiled``
-    #: (generated code) or ``interpreted`` (graph interpreter, including the
-    #: ``auto``-mode fallback).
+    #: How the query ran: ``eager`` (pytorch backend), ``compiled``
+    #: (generated code) or ``interpreted`` (``executor="interpret"``).
     executor_mode: str = "eager"
 
     def to_dataframe(self) -> DataFrame:
@@ -90,65 +93,74 @@ def convert_scan_input(scan, frame: DataFrame, encoding: str, stats=None):
     return table
 
 
-class Executor:
-    """Runs an operator plan on a chosen backend and device.
+class _Program(NamedTuple):
+    """Everything one trace produced, published by a single assignment.
 
-    Construction accepts either an :class:`ExecutionOptions` (preferred) or
-    the legacy ``backend=`` / ``device=`` / ``parallelism=`` keywords.  Plans
-    with bind parameters (see ``plan.params``) take a ``params`` mapping on
-    every :meth:`execute`; on the graph backends those values are fed to the
-    already-traced program as runtime inputs — re-binding never re-traces.
+    Unlocked readers take ``Executor._program`` once and use only that
+    record, so they can never pair one trace's program with another's layouts.
     """
 
-    def __init__(self, plan: OperatorPlan, backend: BackendSpec | str = "pytorch",
-                 device: Device | str = "cpu",
+    scripted: ScriptedProgram
+    #: ``(alias, column, part)`` per flat table input, in program order.
+    input_layout: list
+    #: ``(name, logical type, has validity)`` per result column.
+    output_layout: list
+    #: Pruning outcome of the tracing run (a replay does not re-run the scans).
+    pruning: dict
+    #: Unprofiled entry on the executor's device, raw arrays in and tensors
+    #: out (``None`` under ``executor="interpret"``).
+    serve: Optional[Callable]
+
+
+#: What an unprofiled execution enters in place of a :class:`Profiler`.
+_UNPROFILED = contextlib.nullcontext()
+
+
+class Executor:
+    """Runs an operator plan on the backend and device its options name.
+
+    Plans with bind parameters (see ``plan.params``) take a ``params`` mapping
+    on every :meth:`execute`; on the graph backends those values are fed to
+    the already-traced program as runtime inputs — re-binding never re-traces.
+    """
+
+    def __init__(self, plan: OperatorPlan,
                  models: Optional[dict[str, Callable]] = None,
-                 parallelism: int = 1,
                  options: Optional[ExecutionOptions] = None,
                  scan_stats: Optional[dict] = None):
         self.plan = plan
         #: Storage statistics per scan alias (zone maps for pruning); set by
         #: the session at compile time, ``None`` disables pruning.
         self.scan_stats = scan_stats or {}
-        if options is not None:
-            backend = options.backend or backend
-            device = options.device if options.device is not None else device
-            parallelism = (options.parallelism if options.parallelism is not None
-                           else parallelism)
-        self.backend = get_backend(backend) if isinstance(backend, str) else backend
-        self.device = parse_device(device)
-        self.options = (options or ExecutionOptions()).replace(
-            backend=self.backend.name, device=self.device,
-            parallelism=max(1, int(parallelism)))
-        self.models = models or {}
-        #: Worker lanes available to the plan's morsel-driven operators.  The
-        #: plan itself already embeds the parallel operator choice; the knob is
-        #: threaded here so results/profiles can report the worker count.
-        self.parallelism = max(1, int(parallelism))
-        #: Bind parameters of the plan, in lexical order.
-        self.params: list[ParameterSpec] = list(getattr(plan, "params", []) or [])
-        self._param_converters = [(spec.name, param_converter(spec))
-                                  for spec in self.params]
-        self._binder = make_binder(self.params)
-        self.cost_model = get_device_model(self.device)
-        #: Number of trace-compilations performed; the plan-cache benchmarks
-        #: read this to prove cache hits skip the trace entirely.
-        self.compile_count = 0
-        self._program: Optional[ScriptedProgram] = None
-        self._program_layout: Optional[list] = None
-        #: Pruning outcome of the tracing run, published with the program.
-        self._program_pruning: dict = {}
-        self._input_layout: Optional[list[tuple[str, str]]] = None
-        # Serializes trace compilation: concurrent first executions of a
-        # shared plan must produce exactly one traced program, never a torn
-        # (_program, _program_layout, _input_layout) triple from two
-        # interleaved traces.
-        self._compile_lock = threading.Lock()
+        #: Fully resolved.  The plan already embeds the lane / shard choice;
+        #: the options say where and how it runs.
+        self.options = (options or ExecutionOptions()).resolved()
+        self.backend: BackendSpec = get_backend(self.options.backend)
+        self.device: Device = self.options.device
         if self.device.kind == "wasm" and self.backend.name != "onnx":
             raise ExecutionError(
                 "the wasm device requires the 'onnx' backend (browser execution "
                 "goes through the portable graph format)"
             )
+        self.models = models or {}
+        #: ``ExecutionResult.executor_mode`` of everything this executor runs.
+        self.executor_mode = (
+            "eager" if self.backend.strategy == "eager"
+            else "compiled" if self.options.executor == "compiled"
+            else "interpreted")
+        #: Bind parameters of the plan, in lexical order.
+        self.params: list[ParameterSpec] = list(getattr(plan, "params", []) or [])
+        self._binder = make_binder(self.params)
+        self._array_converters = [(spec.name, param_array_converter(spec))
+                                  for spec in self.params]
+        self.cost_model = get_device_model(self.device)
+        #: Number of trace-compilations performed; the plan-cache benchmarks
+        #: read this to prove cache hits skip the trace entirely.
+        self.compile_count = 0
+        self._program: Optional[_Program] = None
+        # Serializes trace compilation: concurrent first executions of a
+        # shared plan must produce exactly one traced program.
+        self._compile_lock = threading.Lock()
 
     # -- input preparation --------------------------------------------------
 
@@ -196,15 +208,16 @@ class Executor:
         """
         return self._binder(params or {})
 
-    def _param_values(self, bound: dict) -> dict[str, ExprValue]:
-        """Scalar tensors for a normalized binding, created on the CPU.
+    def _param_arrays(self, bound: dict) -> list:
+        """The raw scalar arrays of a normalized binding, in parameter order
+        (what the generated serving function takes)."""
+        return [convert(bound[name]) for name, convert in self._array_converters]
 
-        The execution context moves them to the target device alongside the
-        table inputs, so the transfer is part of the traced program and the
-        simulated cost models account for it.
-        """
-        return {name: convert(bound[name])
-                for name, convert in self._param_converters}
+    def _param_tensors(self, bound: dict) -> list[Tensor]:
+        """The same scalars as tensors, created on the CPU: the program (or
+        the execution context) moves them to the target device alongside the
+        table inputs, so the transfer is accounted by the cost models."""
+        return [Tensor(array, CPU) for array in self._param_arrays(bound)]
 
     def execute(self, inputs: dict[str, TensorTable], profile: bool = False,
                 params: Optional[dict] = None,
@@ -218,60 +231,92 @@ class Executor:
         for this execution only — sessions pass a snapshot taken atomically
         with ``inputs``, so a concurrent re-registration can never pair fresh
         statistics with stale converted columns (or vice versa).
+
+        This is the one-binding case of :meth:`execute_many`.
         """
-        bound = self.bind(params)
-        if self.backend.strategy == "graph":
-            # Trace before entering the profiled region: the eager tracing
-            # run dispatches every op once, and folding those events into the
+        return self._replay(inputs, [self.bind(params)], profile, scan_stats)[0]
+
+    def execute_many(self, inputs: dict[str, TensorTable],
+                     param_batches: "list[dict]",
+                     profile: bool = False,
+                     on_error: str = "raise",
+                     scan_stats: Optional[dict] = None
+                     ) -> "list[ExecutionResult | BatchBindingError]":
+        """Serving loop: run many parameter bindings over one input set.
+
+        All bindings are validated up front, then each one runs against the
+        one program (:meth:`_replay`): the table inputs are flattened once,
+        and each binding costs one parameter conversion plus one call.
+
+        A bad binding raises a typed :class:`~repro.errors.BatchBindingError`
+        naming the request index (``on_error="raise"``, nothing executes), or
+        — under ``on_error="collect"``, the serving runtime's mode — fails
+        only that request: its result slot holds the error object while every
+        other binding still executes.
+        """
+        slots = self._bind_batch(param_batches, on_error)
+        valid = [index for index, bound in enumerate(slots)
+                 if not isinstance(bound, BatchBindingError)]
+        if valid:
+            results = self._replay(inputs, [slots[index] for index in valid],
+                                   profile, scan_stats)
+            for index, result in zip(valid, results):
+                slots[index] = result
+        return slots
+
+    def _replay(self, inputs: dict[str, TensorTable], bindings: "list[dict]",
+                profile: bool, scan_stats: Optional[dict]
+                ) -> list[ExecutionResult]:
+        """One result per normalized binding: the only place a plan runs.
+
+        What a run *is* — the eager plan, or the traced program over inputs
+        flattened once — is decided before the loop; the loop only binds,
+        times and reports.  ``measured_s`` is the wall clock around the run,
+        ``reported_s`` what the device's cost model makes of it (and of the
+        profile, which simulated devices always collect).
+        """
+        want_profile = profile or self.device.is_simulated
+        if self.backend.strategy == "eager":
+            def run(bound: dict) -> tuple[TensorTable, dict]:
+                return self._run_eager(inputs, bound, scan_stats)
+        else:
+            # Trace before entering any profiled region: the eager tracing
+            # run dispatches every op once, and folding those events into a
             # run's profile would make the simulated devices charge each
             # kernel and transfer twice on a one-shot execution.
-            self._ensure_program(inputs, bound, scan_stats=scan_stats)
-        want_profile = profile or self.device.is_simulated
-        profiler = Profiler(name=f"{self.backend.name}-{self.device}") if want_profile else None
-
-        if self.backend.strategy == "eager":
-            def run(tables: dict[str, TensorTable]) -> tuple[TensorTable, dict]:
-                return self._run_eager(tables, bound, scan_stats=scan_stats)
-        else:
-            def run(tables: dict[str, TensorTable]) -> tuple[TensorTable, dict]:
-                return self._run_graph(tables, bound), self._program_pruning
-
-        if profiler is not None:
-            with profiler:
-                start = time.perf_counter()
-                table, pruning = run(inputs)
-                measured = time.perf_counter() - start
-        else:
-            start = time.perf_counter()
-            table, pruning = run(inputs)
-            measured = time.perf_counter() - start
-
-        reported = self.cost_model.report_time(
-            measured, profiler,
-            interpreter_overhead_s=self.backend.per_node_overhead_s)
-        if self.backend.strategy == "eager":
-            mode = "eager"
-        else:
-            mode = "compiled" if self._program.uses_codegen else "interpreted"
-        return ExecutionResult(table=table, measured_s=measured, reported_s=reported,
-                               backend=self.backend.name, device=str(self.device),
-                               profile=profiler, pruning=pruning,
-                               executor_mode=mode)
+            program = self._ensure_program(inputs, bindings[0], scan_stats)
+            run = self._program_run(program, inputs, want_profile)
+        backend, device = self.backend.name, str(self.device)
+        mode = self.executor_mode
+        report_time, perf_counter = self.cost_model.report_time, time.perf_counter
+        results: list[ExecutionResult] = []
+        for bound in bindings:
+            profiler = (Profiler(name=f"{backend}-{device}")
+                        if want_profile else None)
+            with profiler if want_profile else _UNPROFILED:
+                start = perf_counter()
+                table, pruning = run(bound)
+                measured = perf_counter() - start
+            results.append(ExecutionResult(
+                table=table, measured_s=measured,
+                reported_s=report_time(measured, profiler), backend=backend,
+                device=device, profile=profiler, pruning=pruning,
+                executor_mode=mode))
+        return results
 
     # -- eager (PyTorch-like) path ----------------------------------------------
 
     def _execution_context(self, inputs: dict[str, TensorTable],
-                           param_values: Optional[dict[str, ExprValue]] = None,
-                           scan_stats: Optional[dict] = None
-                           ) -> ExecutionContext:
+                           param_tensors: "list[Tensor] | tuple[Tensor, ...]",
+                           scan_stats: Optional[dict]) -> ExecutionContext:
+        """The plan's view of one run: tables and parameter scalars (concrete,
+        or symbolic under a trace) on the executor's device."""
         moved = {alias: table.to(self.device) for alias, table in inputs.items()}
-        params = {}
-        for name, value in (param_values or {}).items():
-            tensor = value.tensor
-            if tensor.device != self.device:
-                tensor = tensor.to(self.device)
-            params[name] = ExprValue(tensor, value.ltype, value.is_scalar,
-                                     value.valid)
+        params = {
+            spec.name: ExprValue(
+                tensor if tensor.device == self.device
+                else tensor.to(self.device), spec.ltype, True)
+            for spec, tensor in zip(self.params, param_tensors)}
         ctx = ExecutionContext(moved, device=self.device,
                                zone_maps=(scan_stats if scan_stats is not None
                                           else self.scan_stats))
@@ -283,13 +328,11 @@ class Executor:
         )
         return ctx
 
-    def _run_eager(self, inputs: dict[str, TensorTable],
-                   bound: Optional[dict] = None,
-                   scan_stats: Optional[dict] = None
-                   ) -> tuple[TensorTable, dict]:
+    def _run_eager(self, inputs: dict[str, TensorTable], bound: dict,
+                   scan_stats: Optional[dict]) -> tuple[TensorTable, dict]:
         """``(result, pruning outcome)`` of one eager run of the plan."""
-        ctx = self._execution_context(inputs, self._param_values(bound or {}),
-                                      scan_stats=scan_stats)
+        ctx = self._execution_context(inputs, self._param_tensors(bound),
+                                      scan_stats)
         return self.plan.root.execute(ctx), ctx.pruning
 
     # -- traced (TorchScript / ONNX-like) path ------------------------------------
@@ -391,9 +434,8 @@ class Executor:
                 reference[alias].spec)
         return tables
 
-    def _ensure_program(self, inputs: dict[str, TensorTable],
-                        bound: Optional[dict] = None,
-                        scan_stats: Optional[dict] = None) -> ScriptedProgram:
+    def _ensure_program(self, inputs: dict[str, TensorTable], bound: dict,
+                        scan_stats: Optional[dict] = None) -> _Program:
         """The traced program, compiling it exactly once under concurrency.
 
         Concurrent first executions of a shared plan all race to trace; the
@@ -405,8 +447,7 @@ class Executor:
             with self._compile_lock:
                 program = self._program
                 if program is None:
-                    program = self._compile_locked(inputs, bound or {},
-                                                   scan_stats=scan_stats)
+                    program = self._compile_locked(inputs, bound, scan_stats)
         return program
 
     def compile_program(self, inputs: dict[str, TensorTable],
@@ -422,38 +463,33 @@ class Executor:
         feeds new scalar tensors to the same trace — this is the
         compile-once/bind-many contract of the prepared-statement API.
 
+        Under the default ``executor="compiled"`` the traced graph is lowered
+        to generated code here; one the emitter cannot lower raises
+        :class:`~repro.errors.CodegenError` and nothing is published.
+
         Calling this directly always re-traces (that is the documented remedy
         after an input-layout change); compilation is serialized per executor
         so a concurrent caller can never observe a torn program/layout pair.
         """
         bound = self.bind(params)
         with self._compile_lock:
-            return self._compile_locked(bound=bound, inputs=inputs,
-                                        scan_stats=scan_stats)
+            return self._compile_locked(inputs, bound, scan_stats).scripted
 
-    def _compile_locked(self, inputs: dict[str, TensorTable],
-                        bound: dict,
-                        scan_stats: Optional[dict] = None) -> ScriptedProgram:
+    def _compile_locked(self, inputs: dict[str, TensorTable], bound: dict,
+                        scan_stats: Optional[dict]) -> _Program:
         example_tensors, layout = self._flatten_inputs(inputs)
-        param_specs = list(self.params)
-        param_exprs = self._param_values(bound)
-        param_tensors = [param_exprs[spec.name].tensor for spec in param_specs]
         input_names = ([f"{alias}.{name}" if part == "data"
                         else f"{alias}.{name}#{part}"
                         for alias, name, part in layout]
-                       + [f"param:{spec.name}" for spec in param_specs])
+                       + [f"param:{spec.name}" for spec in self.params])
         output_columns: list[tuple[str, LogicalType, bool]] = []
         traced_pruning: dict = {}
 
         def traced_query(*tensors: Tensor) -> list[Tensor]:
-            table_tensors = list(tensors[:len(layout)])
-            symbolic_params = {
-                spec.name: ExprValue(tensor, spec.ltype, True)
-                for spec, tensor in zip(param_specs, tensors[len(layout):])
-            }
-            rebuilt = self._rebuild_inputs(table_tensors, layout, inputs)
-            ctx = self._execution_context(rebuilt, symbolic_params,
-                                          scan_stats=scan_stats)
+            rebuilt = self._rebuild_inputs(list(tensors[:len(layout)]),
+                                           layout, inputs)
+            ctx = self._execution_context(rebuilt, tensors[len(layout):],
+                                          scan_stats)
             # Output columns are decoded before flattening so the program's
             # outputs are always plain tensors, whatever the storage layout.
             result = self.plan.root.execute(ctx).decoded()
@@ -470,51 +506,57 @@ class Executor:
             return flat
 
         self.compile_count += 1
-        graph = tracing.trace(traced_query, example_tensors + param_tensors,
+        graph = tracing.trace(traced_query,
+                              example_tensors + self._param_tensors(bound),
                               name="tqp_query", input_names=input_names)
         if self.backend.optimize_graph:
             graph = passes.optimize(graph)
         if self.backend.serialize:
             graph = onnxlike.loads(onnxlike.dumps(graph))
-        program = ScriptedProgram(graph, self.backend.per_node_overhead_s,
-                                  executor=self.options.executor)
-        # Publish the layouts before the program: unlocked readers gate on
-        # ``self._program``, so by the time they see it, the matching layouts
-        # are already in place.
-        self._program_layout = list(output_columns)
-        self._program_pruning = traced_pruning
-        self._input_layout = layout
+        scripted = ScriptedProgram(graph, executor=self.options.executor)
+        program = _Program(scripted, layout, list(output_columns),
+                           traced_pruning, scripted.serving_fn(self.device))
         self._program = program
         return program
 
-    def _run_graph(self, inputs: dict[str, TensorTable],
-                   bound: Optional[dict] = None) -> TensorTable:
-        bound = bound if bound is not None else self.bind(None)
-        self._ensure_program(inputs, bound)
+    def _program_run(self, program: _Program, inputs: dict[str, TensorTable],
+                     profile: bool) -> Callable[[dict], tuple[TensorTable, dict]]:
+        """``bound -> (result, pruning)`` over ``inputs``, flattened once.
+
+        An unprofiled run goes through the generated serving function: the
+        fixed table arrays are moved and unwrapped here, once, and a binding
+        appends its parameter scalars and makes one call.  A profiled run,
+        and any run under ``executor="interpret"``, goes through
+        ``ScriptedProgram.run``, which moves the inputs per call and records
+        those transfers as events.
+        """
         tensors, layout = self._flatten_inputs(inputs)
-        if layout != self._input_layout:
+        if layout != program.input_layout:
             raise ExecutionError(
                 "compiled program does not match the provided inputs; "
                 "re-create the executor or call compile_program() again"
             )
-        param_exprs = self._param_values(bound)
-        tensors = tensors + [param_exprs[spec.name].tensor for spec in self.params]
-        outputs = self._program.run(tensors, device=self.device)
-        return self._outputs_to_table(outputs)
+        device = self.device
+        if program.serve is not None and not profile:
+            call, bind = program.serve, self._param_arrays
+            fixed = [(t if t.device == device else t.to(device)).data
+                     for t in tensors]
+        else:
+            call = functools.partial(program.scripted.run, device=device)
+            bind, fixed = self._param_tensors, tensors
+        output_layout, pruning = program.output_layout, program.pruning
 
-    def _outputs_to_table(self, outputs: list[Tensor]) -> TensorTable:
-        """Reassemble the program's flat output tensors into a result table."""
-        columns: dict[str, TensorColumn] = {}
-        cursor = 0
-        for name, ltype, has_valid in self._program_layout:
-            tensor = outputs[cursor]
-            cursor += 1
-            valid = None
-            if has_valid:
-                valid = outputs[cursor]
-                cursor += 1
-            columns[name] = TensorColumn(tensor, ltype, valid)
-        return TensorTable(columns)
+        def run(bound: dict) -> tuple[TensorTable, dict]:
+            outputs = call(fixed + bind(bound))
+            columns: dict[str, TensorColumn] = {}
+            cursor = 0
+            for name, ltype, has_valid in output_layout:
+                valid = outputs[cursor + 1] if has_valid else None
+                columns[name] = TensorColumn(outputs[cursor], ltype, valid)
+                cursor += 2 if has_valid else 1
+            return TensorTable(columns), pruning
+
+        return run
 
     def _bind_batch(self, param_batches: "list[dict]", on_error: str
                     ) -> "list[dict | BatchBindingError]":
@@ -545,111 +587,12 @@ class Executor:
                 bound_list.append(error)
         return bound_list
 
-    def execute_many(self, inputs: dict[str, TensorTable],
-                     param_batches: "list[dict]",
-                     profile: bool = False,
-                     on_error: str = "raise",
-                     scan_stats: Optional[dict] = None
-                     ) -> "list[ExecutionResult | BatchBindingError]":
-        """Serving loop: run many parameter bindings over one input set.
-
-        All bindings are validated up front, then each one runs against the
-        cached program.  When the program was lowered to generated code the
-        loop takes a dedicated hot path: the table inputs are flattened and
-        moved **once**, and each binding costs one parameter conversion plus
-        a single generated-function call with zero graph-walking.  Programs
-        that replay through the interpreter have no such single entry point,
-        so they keep the general per-request path — that gap is exactly what
-        ``benchmarks/bench_compiled_executor.py`` measures.  Semantics
-        (validation, profiling, reported times) match calling :meth:`execute`
-        once per binding either way.
-
-        A bad binding raises a typed :class:`~repro.errors.BatchBindingError`
-        naming the request index (``on_error="raise"``, nothing executes), or
-        — under ``on_error="collect"``, the serving runtime's mode — fails
-        only that request: its result slot holds the error object while every
-        other binding still executes.
-        """
-        bound_list = self._bind_batch(param_batches, on_error)
-        errors = {i: b for i, b in enumerate(bound_list)
-                  if isinstance(b, BatchBindingError)}
-        valid = [(i, b) for i, b in enumerate(bound_list) if i not in errors]
-
-        def weave(results: list) -> list:
-            slots: list = [None] * len(bound_list)
-            for index, error in errors.items():
-                slots[index] = error
-            for (index, _), result in zip(valid, results):
-                slots[index] = result
-            return slots
-
-        if not valid:
-            return weave([])
-        if self.backend.strategy != "graph":
-            return weave([self.execute(inputs, profile=profile, params=bound,
-                                       scan_stats=scan_stats)
-                          for _, bound in valid])
-        self._ensure_program(inputs, valid[0][1], scan_stats=scan_stats)
-        if not self._program.uses_codegen:
-            return weave([self.execute(inputs, profile=profile, params=bound,
-                                       scan_stats=scan_stats)
-                          for _, bound in valid])
-        valid_bindings = [bound for _, bound in valid]
-        tensors, layout = self._flatten_inputs(inputs)
-        if layout != self._input_layout:
-            raise ExecutionError(
-                "compiled program does not match the provided inputs; "
-                "re-create the executor or call compile_program() again"
-            )
-        want_profile = profile or self.device.is_simulated
-        pruning = self._program_pruning
-        program, device = self._program, self.device
-        backend_name, device_str = self.backend.name, str(device)
-        overhead_s = self.backend.per_node_overhead_s
-        report_time, perf_counter = self.cost_model.report_time, time.perf_counter
-        # Unprofiled serving over generated code skips the per-call input
-        # handling entirely: the fixed table arrays are moved and unwrapped
-        # once, each request appends its parameter scalars and makes one
-        # generated-function call.
-        serve = None if want_profile else program.serving_fn(device)
-        if serve is not None:
-            base_arrays = [(t if t.device == device else t.to(device)).data
-                           for t in tensors]
-            array_converters = [(spec.name, param_array_converter(spec))
-                                for spec in self.params]
-        results: list[ExecutionResult] = []
-        for bound in valid_bindings:
-            profiler = (Profiler(name=f"{backend_name}-{device}")
-                        if want_profile else None)
-            if profiler is not None:
-                param_exprs = self._param_values(bound)
-                run_tensors = tensors + [param_exprs[spec.name].tensor
-                                         for spec in self.params]
-                with profiler:
-                    start = perf_counter()
-                    outputs = program.run(run_tensors, device=device)
-                    measured = perf_counter() - start
-            else:
-                run_arrays = base_arrays + [convert(bound[name])
-                                            for name, convert in array_converters]
-                start = perf_counter()
-                outputs = serve(run_arrays)
-                measured = perf_counter() - start
-            reported = report_time(measured, profiler,
-                                   interpreter_overhead_s=overhead_s)
-            results.append(ExecutionResult(
-                table=self._outputs_to_table(outputs), measured_s=measured,
-                reported_s=reported, backend=backend_name,
-                device=device_str, profile=profiler, pruning=pruning,
-                executor_mode="compiled"))
-        return weave(results)
-
     # -- artifacts ------------------------------------------------------------------
 
     def executor_graph(self, inputs: dict[str, TensorTable],
                        params: Optional[dict] = None) -> Graph:
         """The traced tensor graph of this query (the Figure-4 artifact)."""
-        return self._ensure_program(inputs, self.bind(params)).graph
+        return self._ensure_program(inputs, self.bind(params)).scripted.graph
 
     def export_onnx(self, inputs: dict[str, TensorTable], path: str,
                     params: Optional[dict] = None) -> None:

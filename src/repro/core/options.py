@@ -1,14 +1,11 @@
 """ExecutionOptions: one object for every compile/execute knob.
 
-The session API used to take a sprawl of ``backend=`` / ``device=`` /
-``optimize=`` / ``use_cache=`` / ``parallelism=`` keyword arguments on every
-call.  They are collapsed into a single frozen dataclass that is threaded
-through :class:`~repro.core.session.TQPSession`,
-:meth:`~repro.core.session.TQPSession.compile`, the
-:class:`~repro.core.executor.Executor`, and the plan-cache key.  (The
-deprecation shim that accepted the old keyword arguments was removed once all
-callers migrated; the old spellings now raise ``TypeError`` like any other
-bad keyword.)
+A single frozen dataclass is threaded through
+:class:`~repro.core.session.TQPSession` (whose only defaults are one such
+object), :meth:`~repro.core.session.TQPSession.compile`, the
+:class:`~repro.core.executor.Executor`, and the plan-cache key; nothing else
+takes ``backend=`` / ``device=`` / ``parallelism=`` keywords.  The field set is
+pinned by ``tests/unit/test_execution_options.py``: adding a field fails CI.
 """
 
 from __future__ import annotations
@@ -25,18 +22,18 @@ class ExecutionOptions:
     """Compilation/execution settings for one query (or a whole session).
 
     Every field has an "inherit" default (``None`` or the common case), so a
-    partially specified instance can be resolved against session defaults
-    with :meth:`resolved`.
+    partially specified instance can be resolved against a session's default
+    options with :meth:`resolved`.
 
     Attributes:
         backend: ``pytorch`` (eager), ``torchscript``, ``onnx``,
-            ``torchscript-noopt`` — ``None`` inherits the session default.
+            ``torchscript-noopt`` — ``None`` inherits the session default
+            (``pytorch`` when the session names none).
         device: ``cpu``, ``cuda`` (simulated) or ``wasm`` (simulated) —
-            ``None`` inherits the session default.
-        optimize: apply the frontend/IR optimizer rules.
+            ``None`` inherits the session default (``cpu``).
         use_cache: serve repeated compilations from the session plan cache.
         parallelism: worker lanes for the morsel-driven parallel operators —
-            ``None`` inherits the session default.
+            ``None`` inherits the session default (1).
         auto_parameterize: lift literals out of ad-hoc ``sql()`` calls into
             bind parameters, so queries differing only in constants share one
             compiled plan (opt-in; see ``repro.core.parameters``).
@@ -47,16 +44,16 @@ class ExecutionOptions:
             keys: a traced program is tied to the storage layout it was
             traced against, so changing the encoding can never serve stale
             tensors.
-        executor: how cached graph plans are replayed — ``interpret``
-            (node-by-node graph interpreter), ``compiled`` (lower the graph
-            to generated code, error if impossible), or ``auto`` (compile
-            when supported, fall back to the interpreter otherwise; the
-            default).  Part of the plan-cache key.  Only affects graph
-            backends; the eager ``pytorch`` backend has no cached graph to
-            execute.
+        executor: how traced graph plans are replayed — ``compiled`` (the
+            default: the graph is lowered to generated code; one the emitter
+            cannot lower raises :class:`~repro.errors.CodegenError` at first
+            execution) or ``interpret`` (the node-by-node graph interpreter,
+            the reference executor of the differential suites).  Part of the
+            plan-cache key.  Only affects graph backends; the eager
+            ``pytorch`` backend has no traced graph to replay.
         devices: number of simulated devices the plan's tables may be
             sharded across (see :mod:`repro.distributed`) — ``None``
-            inherits the session default of 1 (single-device).  With
+            inherits the session default (1, single-device).  With
             ``devices > 1`` the planner substitutes sharded operators with
             explicit exchange/broadcast/gather steps, and the cost models
             charge interconnect transfers between the shards.
@@ -76,12 +73,11 @@ class ExecutionOptions:
 
     backend: Optional[str] = None
     device: Device | str | None = None
-    optimize: bool = True
     use_cache: bool = True
     parallelism: Optional[int] = None
     auto_parameterize: bool = False
     encoding: str = "auto"
-    executor: str = "auto"
+    executor: str = EXECUTOR_MODES[0]
     devices: Optional[int] = None
     shard: str = "hash"
     adaptive: bool = False
@@ -95,18 +91,23 @@ class ExecutionOptions:
             raise ValueError(
                 f"shard must be 'hash' or 'range', got {self.shard!r}")
 
-    def resolved(self, default_backend: str, default_device: Device | str,
-                 default_parallelism: int = 1) -> "ExecutionOptions":
-        """A fully concrete copy: every ``None`` replaced by the default."""
+    def resolved(self, defaults: "ExecutionOptions | None" = None
+                 ) -> "ExecutionOptions":
+        """A fully concrete copy: every ``None`` field takes ``defaults``'
+        value, or the built-in one (``pytorch`` on ``cpu``, one lane, one
+        device) where ``defaults`` has none either."""
+        def pick(field: str, builtin):
+            value = getattr(self, field)
+            if value is None and defaults is not None:
+                value = getattr(defaults, field)
+            return builtin if value is None else value
+
         return dataclasses.replace(
             self,
-            backend=self.backend or default_backend,
-            device=parse_device(self.device if self.device is not None
-                                else default_device),
-            parallelism=(default_parallelism if self.parallelism is None
-                         else max(1, int(self.parallelism))),
-            devices=(1 if self.devices is None
-                     else max(1, int(self.devices))),
+            backend=pick("backend", "pytorch"),
+            device=parse_device(pick("device", "cpu")),
+            parallelism=max(1, int(pick("parallelism", 1))),
+            devices=max(1, int(pick("devices", 1))),
         )
 
     def replace(self, **changes: Any) -> "ExecutionOptions":
@@ -114,6 +115,6 @@ class ExecutionOptions:
 
     def cache_key(self) -> tuple:
         """The options' contribution to the session plan-cache key."""
-        return (self.backend, str(self.device), self.optimize, self.parallelism,
+        return (self.backend, str(self.device), self.parallelism,
                 self.encoding, self.executor, self.devices, self.shard,
                 self.adaptive)

@@ -27,8 +27,6 @@ import numpy as np
 from repro.core.columnar import LogicalType, date_literal_to_ns, encode_string_literal
 from repro.errors import BindingError
 from repro.frontend.lexer import Token, TokenType, tokenize
-from repro.tensor import ops
-from repro.tensor.device import Device
 
 #: Fixed encoded width of STRING parameters.  Traced programs bake string
 #: tensor widths into the graph, so every binding of a string parameter is
@@ -162,70 +160,20 @@ def positional_binding(specs: Iterable[ParameterSpec],
     return {spec.name: value for spec, value in zip(ordered, args)}
 
 
-def to_expr_value(spec: ParameterSpec, value: Any, device: Device):
-    """Build the scalar :class:`~repro.core.expressions.ExprValue` for a
-    normalized bound value (see :func:`bind_parameters`)."""
-    from repro.core.expressions import ExprValue
-
-    if spec.ltype == LogicalType.STRING:
-        codes = encode_string_literal(value, PARAM_STRING_WIDTH)
-        return ExprValue(ops.tensor(codes, device=device), LogicalType.STRING, True)
-    if spec.ltype == LogicalType.BOOL:
-        return ExprValue(ops.tensor(value, dtype="bool", device=device),
-                         LogicalType.BOOL, True)
-    if spec.ltype == LogicalType.FLOAT:
-        return ExprValue(ops.tensor(value, dtype="float64", device=device),
-                         LogicalType.FLOAT, True)
-    dtype = "int64"
-    return ExprValue(ops.tensor(value, dtype=dtype, device=device),
-                     spec.ltype, True)
-
-
-#: Bind parameters are created on the CPU; traced programs move them to the
-#: target device as part of the program, so the transfer stays accounted.
-_CPU = Device("cpu")
-
-
-def param_converter(spec: ParameterSpec):
-    """A reusable ``normalized value -> ExprValue`` converter for one spec.
-
-    Produces exactly what ``to_expr_value(spec, value, cpu)`` would, but
-    resolves the device, dtype and ExprValue shape once per spec instead of
-    once per binding — the serving loop converts every parameter of every
-    request, so this is hot.
-    """
-    from repro.core.expressions import ExprValue
-    from repro.tensor.tensor import Tensor
-
-    ltype = spec.ltype
-    if ltype == LogicalType.STRING:
-        return lambda value: to_expr_value(spec, value, _CPU)
-    if ltype == LogicalType.BOOL:
-        np_dtype = np.bool_
-    elif ltype == LogicalType.FLOAT:
-        np_dtype = np.float64
-    else:
-        np_dtype = np.int64
-
-    def convert(value: Any) -> ExprValue:
-        return ExprValue(Tensor(np.asarray(value, dtype=np_dtype), _CPU),
-                         ltype, True)
-
-    return convert
-
-
 def param_array_converter(spec: ParameterSpec):
-    """``normalized value -> raw ndarray`` — the serve-path twin of
-    :func:`param_converter`.
+    """A reusable ``normalized value -> ndarray`` converter for one spec: the
+    scalar (for strings, the padded code vector) a bound value enters a query
+    as.  Resolves the dtype once per spec instead of once per binding — a
+    serving loop converts every parameter of every request, so this is hot.
 
-    Produces the exact array a :func:`param_converter` ExprValue would wrap;
-    the generated-code serving loop feeds raw arrays, so the Tensor/ExprValue
-    objects would be built only to be unwrapped again.
+    The executor wraps the array as it needs: raw for the generated serving
+    function, a CPU :class:`~repro.tensor.Tensor` for a profiled replay (the
+    program moves it to the target device, so the transfer stays accounted),
+    an ``ExprValue`` for the eager plan and the trace.
     """
     ltype = spec.ltype
     if ltype == LogicalType.STRING:
-        expr = param_converter(spec)
-        return lambda value: expr(value).tensor.data
+        return lambda value: encode_string_literal(value, PARAM_STRING_WIDTH)
     if ltype == LogicalType.BOOL:
         np_dtype = np.bool_
     elif ltype == LogicalType.FLOAT:

@@ -29,16 +29,15 @@ A serving loop batches bindings through :meth:`PreparedQuery.execute_many`::
 
     results = query.execute_many([{"q": q} for q in range(1, 25)])
 
-All knobs (backend, device, optimizer, plan cache, parallelism,
-auto-parameterization, executor) live on one :class:`ExecutionOptions`
-object.  On the graph backends, ``ExecutionOptions(executor=...)`` chooses
-how cached plans are replayed: ``"auto"`` (the default) lowers the traced
-graph to generated code (:mod:`repro.tensor.codegen`) when supported, so a
-serving loop executes one compiled function per request instead of walking
-the graph node by node; ``"interpret"`` forces the graph interpreter;
-``"compiled"`` errors instead of falling back.  Results and profiles are
-identical under both executors.  Ad-hoc ``session.sql(...)`` calls can opt into
-**auto-parameterization** (``ExecutionOptions(auto_parameterize=True)``),
+All knobs (backend, device, plan cache, parallelism, auto-parameterization,
+executor) live on one :class:`ExecutionOptions` object, and a session's
+defaults are one such object (``TQPSession(default_options=...)``).  On the
+graph backends the traced graph is lowered to generated code
+(:mod:`repro.tensor.codegen`), so a serving loop executes one compiled
+function per request instead of walking the graph node by node;
+``ExecutionOptions(executor="interpret")`` replays through the reference
+graph interpreter instead, with identical results and profiles.  Ad-hoc
+``session.sql(...)`` calls can opt into **auto-parameterization** (``ExecutionOptions(auto_parameterize=True)``),
 which lifts literals out of the text so that queries differing only in
 constants share one plan-cache entry.  ``session.plan_cache.stats()`` exposes
 hit/miss/invalidation counters for monitoring cache behaviour in a serving
@@ -77,7 +76,6 @@ from repro.errors import (
 )
 from repro.frontend import Catalog, sql_to_physical
 from repro.frontend.physical import PhysicalNode
-from repro.tensor.device import Device, parse_device
 
 
 @dataclasses.dataclass
@@ -131,24 +129,6 @@ class CompiledQuery:
         self.schema_fingerprint = fresh.schema_fingerprint
         self.strategy = fresh.strategy
 
-    def _prepare_execution(self, params: Optional[dict] = None
-                           ) -> tuple[Executor, dict, dict]:
-        """Atomic per-execution snapshot: ``(executor, inputs, zone maps)``.
-
-        All three are re-resolved from the session per execution so a
-        long-lived CompiledQuery held across a ``register()`` of new data
-        never mixes table generations: the statistics always describe the
-        same table version the converted inputs come from, and the executor
-        (whose traced program bakes in data-dependent shapes) is rebuilt
-        when its generation went stale.  The triple is snapshotted atomically
-        under the session lock, so a concurrent re-registration can never
-        hand an in-flight request mixed-generation state.
-
-        ``params`` lets the adaptive runtime attribute the execution to its
-        binding region when deciding whether to re-plan first.
-        """
-        return self.session.execution_state(self, params)
-
     def execute(self, profile: bool = False,
                 params: Optional[dict] = None) -> ExecutionResult:
         """Run the query against the session's registered tables.
@@ -162,7 +142,7 @@ class CompiledQuery:
         back to ``session.adaptive`` afterwards.
         """
         adaptive = self.options.adaptive
-        executor, inputs, stats = self._prepare_execution(params)
+        executor, inputs, stats = self.session.execution_state(self, params)
         # The strategy this snapshot runs under; read before executing so a
         # concurrent re-plan can't misattribute the observation.
         strategy = self.strategy
@@ -192,11 +172,11 @@ class CompiledQuery:
 
     def executor_graph(self, params: Optional[dict] = None):
         """Traced tensor graph of the query (Figure-4 style artifact)."""
-        executor, inputs, _ = self._prepare_execution()
+        executor, inputs, _ = self.session.execution_state(self)
         return executor.executor_graph(inputs, params=params)
 
     def export_onnx(self, path: str, params: Optional[dict] = None) -> None:
-        executor, inputs, _ = self._prepare_execution()
+        executor, inputs, _ = self.session.execution_state(self)
         executor.export_onnx(inputs, path, params=params)
 
 
@@ -289,7 +269,7 @@ class PreparedQuery:
                 # Attribute the failure to its request index; the executor
                 # raises or collects it according to ``on_error``.
                 batches.append(BatchBindingError(index, exc))
-        executor, inputs, stats = self.compiled._prepare_execution()
+        executor, inputs, stats = self.session.execution_state(self.compiled)
         return executor.execute_many(inputs, batches, on_error=on_error,
                                      scan_stats=stats)
 
@@ -304,27 +284,15 @@ class PreparedQuery:
 class TQPSession:
     """Entry point: register data and models, compile SQL, execute on backends."""
 
-    def __init__(self, default_backend: str = "pytorch",
-                 default_device: Device | str = "cpu",
-                 plan_cache_size: int = 64,
-                 default_parallelism: int = 1,
+    def __init__(self, plan_cache_size: int = 64,
                  default_options: Optional[ExecutionOptions] = None):
-        if default_options is not None:
-            default_backend = default_options.backend or default_backend
-            if default_options.device is not None:
-                default_device = default_options.device
-            if default_options.parallelism is not None:
-                default_parallelism = default_options.parallelism
-        if default_backend not in BACKENDS:
-            raise ExecutionError(f"unknown backend {default_backend!r}")
-        if default_parallelism < 1:
-            raise ExecutionError("default_parallelism must be >= 1")
-        self.default_backend = default_backend
-        self.default_device = parse_device(default_device)
-        #: Worker lanes used when ``compile``/``sql`` get no ``parallelism``.
-        self.default_parallelism = default_parallelism
-        #: Session-level defaults for per-query ``ExecutionOptions``.
-        self.default_options = default_options or ExecutionOptions()
+        #: Session-level defaults for per-query ``ExecutionOptions``, fully
+        #: resolved (``pytorch`` on ``cpu``, one lane, one device where the
+        #: caller named nothing).
+        self.default_options = (default_options or ExecutionOptions()).resolved()
+        if self.default_options.backend not in BACKENDS:
+            raise ExecutionError(
+                f"unknown backend {self.default_options.backend!r}")
         self.catalog = Catalog()
         self._dataframes: dict[str, DataFrame] = {}
         self._models: dict[str, Callable] = {}
@@ -426,12 +394,11 @@ class TQPSession:
     def _resolve_options(self, options: Optional[ExecutionOptions]
                          ) -> ExecutionOptions:
         # A call without an options object inherits the session's
-        # default_options wholesale (including optimize / use_cache /
-        # auto_parameterize); a passed object fully specifies those boolean
-        # fields, while backend/device/parallelism still inherit via None.
+        # default_options wholesale (including use_cache /
+        # auto_parameterize); a passed object fully specifies those
+        # fields, while its ``None`` fields still inherit.
         base = options if options is not None else self.default_options
-        resolved = base.resolved(self.default_backend, self.default_device,
-                                 self.default_parallelism)
+        resolved = base.resolved(self.default_options)
         if resolved.backend not in BACKENDS:
             raise ExecutionError(f"unknown backend {resolved.backend!r}")
         return resolved
@@ -445,9 +412,8 @@ class TQPSession:
                 May contain ``:name`` or ``?`` bind-parameter markers; the
                 compiled plan then expects values at execution time.
             options: all compile/execute knobs in one
-                :class:`ExecutionOptions` (backend, device, optimize,
-                use_cache, parallelism, auto_parameterize, encoding,
-                executor).  Unset fields inherit the session defaults.
+                :class:`ExecutionOptions`.  Unset fields inherit the
+                session's ``default_options``.
             param_types: optional logical-type hints for parameters, by name
                 (used by auto-parameterization; explicit markers are typed
                 from their comparison context by the analyzer).
@@ -481,7 +447,6 @@ class TQPSession:
         """
         with self._lock:
             physical = sql_to_physical(sql, self.catalog,
-                                       optimized=resolved.optimize,
                                        param_types=param_types)
             query_ir = ir_optimizer.optimize_ir(ir_builder.build_ir(physical))
             plan_kwargs = dict(

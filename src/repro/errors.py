@@ -31,9 +31,9 @@ class GraphError(TensorRuntimeError):
 class CodegenError(GraphError):
     """Raised when a graph cannot be lowered to generated code.
 
-    The message states the unsupported construct; executor mode ``auto``
-    catches this and falls back to the graph interpreter, mode ``compiled``
-    surfaces it to the caller.
+    The message states the unsupported construct.  Nothing catches it: the
+    default ``compiled`` executor surfaces it at first execution instead of
+    changing path.
     """
 
 

@@ -24,7 +24,7 @@ clients and a :class:`~repro.core.session.TQPSession`:
   drains every queued request for the *same* compiled statement (up to
   ``batch_window``) and replays all their bindings through one
   :meth:`~repro.core.executor.Executor.execute_many` call — which on the
-  compiled executor costs one input flattening plus one generated-function
+  graph backends costs one input flattening plus one generated-function
   call per binding.  Requests from unrelated clients thus amortize each
   other's fixed costs, while every client still receives exactly the result
   of its own binding (``on_error="collect"`` keeps one bad request from

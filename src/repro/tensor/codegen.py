@@ -25,15 +25,14 @@ Both bodies take their per-node semantics from the shared registry
 (:mod:`repro.tensor.op_semantics`); no op is implemented here (enforced by
 ``tools/lint_op_registry.py``).
 
-Fallback rules — :func:`unsupported_reason` returns why a graph must stay on
-the interpreter:
+There is no fallback: :func:`compile_graph` raises a typed
+:class:`~repro.errors.CodegenError` naming the construct
+(:func:`unsupported_reason`) when
 
-* the backend models a per-node dispatch overhead (the ONNX/WASM
-  interpreter-loop simulation): compiled execution would not burn it, so the
-  cost accounting would change;
 * a node's op is not in the shared registry (e.g. a portable model produced
-  by a newer runtime);
-* a node's attributes do not survive the portable IR (not JSON-stable).
+  by a newer runtime), or
+* a node's attributes do not survive the portable IR (not JSON-stable, e.g.
+  a hand-built or loaded graph carrying a Python object).
 
 Set the ``REPRO_CODEGEN_DUMP`` environment variable to a directory to write
 every generated source file there for debugging (or to ``-`` to print it to
@@ -68,7 +67,7 @@ def _attrs_are_portable(attrs: dict) -> bool:
     """Whether node attributes survive the JSON-stable portable IR.
 
     Numpy scalars are accepted (they serialize to plain numbers); anything
-    ``json`` cannot express falls back to the interpreter.
+    ``json`` cannot express is not.
     """
     def default(value):
         if isinstance(value, (np.integer, np.floating, np.bool_)):
@@ -82,13 +81,8 @@ def _attrs_are_portable(attrs: dict) -> bool:
     return True
 
 
-def unsupported_reason(graph: Graph, per_node_overhead_s: float = 0.0
-                       ) -> "str | None":
+def unsupported_reason(graph: Graph) -> "str | None":
     """Why ``graph`` cannot be compiled, or ``None`` when it can."""
-    if per_node_overhead_s:
-        return ("backend models a per-node dispatch overhead "
-                "(interpreter-loop simulation); generated code would not "
-                "burn it, changing the cost accounting")
     for node in graph.nodes:
         reason = op_semantics.op_unsupported_reason(node.op)
         if reason is not None:
@@ -357,15 +351,14 @@ def _dump_source(name: str, source: str) -> None:
         f.write(source)
 
 
-def compile_graph(graph: Graph, per_node_overhead_s: float = 0.0
-                  ) -> CompiledGraphProgram:
+def compile_graph(graph: Graph) -> CompiledGraphProgram:
     """Lower ``graph`` to a :class:`CompiledGraphProgram`.
 
     Raises :class:`~repro.errors.CodegenError` naming the unsupported
-    construct when the graph must stay on the interpreter.
+    construct when the graph cannot be lowered.
     """
     global _counter
-    reason = unsupported_reason(graph, per_node_overhead_s)
+    reason = unsupported_reason(graph)
     if reason is not None:
         raise CodegenError(f"cannot compile graph {graph.name!r}: {reason}")
     model = onnxlike.export_ir(graph, encode_initializers=False)

@@ -4,10 +4,12 @@ The interpreter replays a :class:`~repro.tensor.graph.Graph` over new inputs,
 one node at a time.  It is the de-optimized sibling of the codegen executor
 (:mod:`repro.tensor.codegen`): both consume the shared op-semantics registry
 (:mod:`repro.tensor.op_semantics`), so a graph produces identical results and
-identical profile-event streams under either.  The interpreter remains the
-executor of record for backends that *model* per-node dispatch overhead (the
-ONNX-like/WASM path wraps it with a busy-wait per node, see
-``repro.backends.wasm_sim``) and the fallback for graphs codegen rejects.
+identical profile-event streams under either.  Generated code is what every
+graph backend replays through; the interpreter is the *reference* executor
+(``executor="interpret"``) that the codegen differential suites, the
+compiled-vs-interpreted benchmark gate and the ledger's trace twin hold the
+generated code against, and what replays a loaded portable graph whose
+attributes the emitter cannot lower.
 """
 
 from __future__ import annotations
@@ -44,19 +46,11 @@ class _replay_scopes:
 
 
 class GraphInterpreter:
-    """Executes a graph node-by-node.
+    """Executes a graph node-by-node."""
 
-    Args:
-        graph: the tensor program to run.
-        per_node_overhead_s: artificial fixed cost added per node execution.
-            0 for the native targets; the WASM simulation sets this to a
-            positive value to model interpreter/JS dispatch overheads.
-    """
-
-    def __init__(self, graph: Graph, per_node_overhead_s: float = 0.0):
+    def __init__(self, graph: Graph):
         graph.validate()
         self.graph = graph
-        self.per_node_overhead_s = per_node_overhead_s
 
     def run(self, inputs: Sequence[Tensor], device: Device | str | None = None
             ) -> list[Tensor]:
@@ -93,8 +87,6 @@ class GraphInterpreter:
                 with _replay_scopes(lane, shard):
                     outputs = ops.execute_op(node.op, node_inputs, node.attrs,
                                              node_device)
-            if self.per_node_overhead_s:
-                self._burn(self.per_node_overhead_s)
             if len(outputs) != len(node.outputs):
                 raise GraphError(
                     f"op {node.op} produced {len(outputs)} outputs, "
@@ -106,12 +98,3 @@ class GraphInterpreter:
         if missing:
             raise GraphError(f"graph outputs never produced: {missing}")
         return [env[value_id] for value_id in self.graph.outputs]
-
-    @staticmethod
-    def _burn(seconds: float) -> None:
-        """Busy-wait used to model fixed per-node dispatch overhead."""
-        import time
-
-        end = time.perf_counter() + seconds
-        while time.perf_counter() < end:
-            pass

@@ -5,15 +5,16 @@ standalone, optimized tensor program that can be executed repeatedly on new
 inputs (and moved across devices), matching the role ``torch.jit.trace`` plays
 in the paper's TorchScript backend.
 
-A scripted program owns the choice of *executor*:
+A scripted program replays through exactly one *executor*, fixed at
+construction:
 
+* ``compiled`` (the default) — the graph is lowered to one generated Python
+  function (:mod:`repro.tensor.codegen`); a graph the emitter cannot lower
+  raises :class:`~repro.errors.CodegenError` here, at construction — there is
+  no second path to change to;
 * ``interpret`` — replay the graph node-by-node
-  (:class:`~repro.tensor.interpreter.GraphInterpreter`);
-* ``compiled`` — lower the graph to one generated Python function
-  (:mod:`repro.tensor.codegen`) and call that; raises
-  :class:`~repro.errors.CodegenError` when the graph cannot be lowered;
-* ``auto`` — compile when possible, otherwise silently fall back to the
-  interpreter and remember why in :attr:`ScriptedProgram.fallback_reason`.
+  (:class:`~repro.tensor.interpreter.GraphInterpreter`), the reference the
+  generated code is held against.
 
 Both executors consume the shared op-semantics registry, so results and
 profile-event streams are identical either way.
@@ -23,59 +24,46 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.errors import CodegenError
 from repro.tensor import codegen, passes as graph_passes, tracing
 from repro.tensor.device import Device
 from repro.tensor.graph import Graph
 from repro.tensor.interpreter import GraphInterpreter
 from repro.tensor.tensor import Tensor
 
-#: Valid values for the ``executor`` knob, here and in ExecutionOptions.
-EXECUTOR_MODES = ("interpret", "compiled", "auto")
+#: Valid values for the ``executor`` knob, here and in ExecutionOptions; the
+#: first one is the default of both.
+EXECUTOR_MODES = ("compiled", "interpret")
 
 
 class ScriptedProgram:
     """An optimized, replayable tensor program."""
 
-    def __init__(self, graph: Graph, per_node_overhead_s: float = 0.0,
-                 executor: str = "interpret"):
+    def __init__(self, graph: Graph, executor: str = EXECUTOR_MODES[0]):
         if executor not in EXECUTOR_MODES:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_MODES}, got {executor!r}")
         self.graph = graph
         self.executor = executor
-        self._interpreter = GraphInterpreter(graph, per_node_overhead_s)
-        self._compiled: "codegen.CompiledGraphProgram | None" = None
-        #: Why ``auto`` fell back to the interpreter (``None`` = it did not).
-        self.fallback_reason: "str | None" = None
         if executor == "compiled":
-            self._compiled = codegen.compile_graph(graph, per_node_overhead_s)
-        elif executor == "auto":
-            try:
-                self._compiled = codegen.compile_graph(graph,
-                                                       per_node_overhead_s)
-            except CodegenError as exc:
-                self.fallback_reason = str(exc)
-
-    @property
-    def uses_codegen(self) -> bool:
-        """Whether :meth:`run` dispatches to generated code."""
-        return self._compiled is not None
+            graph.validate()
+            self._replay = codegen.compile_graph(graph)
+        else:
+            self._replay = GraphInterpreter(graph)
 
     @property
     def compiled_source(self) -> "str | None":
-        """The generated Python source, when codegen is active."""
-        return self._compiled.source if self._compiled is not None else None
+        """The generated Python source (``None`` under ``interpret``)."""
+        return self._replay.source if self.executor == "compiled" else None
 
     def serving_fn(self, device: Device | str):
         """Unprofiled serving entry (see ``CompiledGraphProgram.serving_fn``).
 
-        ``None`` when this program replays through the interpreter — callers
-        fall back to :meth:`run` per request.
+        ``None`` under ``interpret`` — the interpreter has no single entry
+        point; callers use :meth:`run` per request.
         """
-        if self._compiled is None:
+        if self.executor != "compiled":
             return None
-        return self._compiled.serving_fn(device)
+        return self._replay.serving_fn(device)
 
     def __call__(self, *inputs: Tensor, device: Device | str | None = None
                  ) -> list[Tensor]:
@@ -83,9 +71,7 @@ class ScriptedProgram:
 
     def run(self, inputs: Sequence[Tensor], device: Device | str | None = None
             ) -> list[Tensor]:
-        if self._compiled is not None:
-            return self._compiled.run(list(inputs), device=device)
-        return self._interpreter.run(list(inputs), device=device)
+        return self._replay.run(list(inputs), device=device)
 
     @property
     def num_nodes(self) -> int:
@@ -95,15 +81,14 @@ class ScriptedProgram:
         return self.graph.op_counts()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        how = "compiled" if self.uses_codegen else "interpreted"
-        return f"ScriptedProgram(nodes={self.num_nodes}, {how})"
+        return f"ScriptedProgram(nodes={self.num_nodes}, {self.executor})"
 
 
 def script_trace(fn: Callable, example_inputs: Sequence[Tensor],
-                 optimize: bool = True, name: str = "scripted",
-                 executor: str = "interpret") -> ScriptedProgram:
+                 optimize: bool = True, name: str = "scripted"
+                 ) -> ScriptedProgram:
     """Trace ``fn`` and return an optimized :class:`ScriptedProgram`."""
     graph = tracing.trace(fn, example_inputs, name=name)
     if optimize:
         graph = graph_passes.optimize(graph)
-    return ScriptedProgram(graph, executor=executor)
+    return ScriptedProgram(graph)

@@ -86,6 +86,19 @@ def pytest_collection_modifyitems(config, items):
 
 
 @pytest.fixture(scope="session")
+def event_stream():
+    """``profile -> [event key, ...]``: everything of a profile's events except
+    the wall-clock fields, which legitimately differ between two runs.  Equal
+    streams mean equal simulated accounting (the cost models read nothing
+    else)."""
+    def keys(profile):
+        return [(e.op, e.input_bytes, e.output_bytes, e.device, e.scope,
+                 e.lane, e.shard) for e in profile.events]
+
+    return keys
+
+
+@pytest.fixture(scope="session")
 def frames_match():
     """The shared differential frame assertion (see :func:`assert_frames_match`).
 

@@ -25,8 +25,7 @@ def _trace_query(session, query_id):
     sql = tpch.query(query_id, SCALE_FACTOR)
     compiled = session.compile(sql, options=ExecutionOptions(backend="torchscript-noopt", use_cache=False))
     inputs = session.prepare_inputs(compiled.executor)
-    compiled.executor.compile_program(inputs)
-    raw_graph = compiled.executor._program.graph
+    raw_graph = compiled.executor.compile_program(inputs).graph
     tensors, _ = compiled.executor._flatten_inputs(inputs)
     return raw_graph, tensors
 

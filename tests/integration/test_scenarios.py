@@ -60,7 +60,8 @@ def test_figure1_shape_tqp_beats_row_baseline(tpch_tiny):
     for query_id in (6, 14):
         sql = tpch.query(query_id, SCALE_FACTOR)
         baseline = time_rowengine(session, tables, sql, runs=1)
-        tqp_cpu = time_tqp(session, sql, backend="torchscript", device="cpu",
+        tqp_cpu = time_tqp(session, sql,
+                           ExecutionOptions(backend="torchscript", device="cpu"),
                            runs=3, warmup=1)
         assert tqp_cpu.result.num_rows == baseline.result.num_rows
         assert tqp_cpu.median_s < baseline.median_s, (
@@ -73,8 +74,10 @@ def test_gpu_cost_model_reports_speedup_on_scan_heavy_query(tpch_tiny):
     configuration."""
     session, _ = tpch_tiny
     sql = tpch.query(6, SCALE_FACTOR)
-    cpu = time_tqp(session, sql, backend="torchscript", device="cpu", runs=3, warmup=1)
-    gpu = time_tqp(session, sql, backend="torchscript", device="cuda", runs=3, warmup=1)
-    web = time_tqp(session, sql, backend="onnx", device="wasm", runs=3, warmup=1)
+    cpu, gpu, web = (
+        time_tqp(session, sql, ExecutionOptions(backend=backend, device=device),
+                 runs=3, warmup=1)
+        for backend, device in (("torchscript", "cpu"), ("torchscript", "cuda"),
+                                ("onnx", "wasm")))
     assert gpu.median_s < cpu.median_s
     assert web.median_s > cpu.median_s

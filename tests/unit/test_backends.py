@@ -47,7 +47,6 @@ def test_device_model_selection():
 def test_cpu_reports_measured_time():
     model = CPUDevice()
     assert model.report_time(0.123, None) == 0.123
-    assert model.describe()["simulated"] is False
 
 
 def test_gpu_cost_model_is_bandwidth_and_launch_bound():
@@ -84,4 +83,3 @@ def test_wasm_cost_model_slowdown_and_dispatch():
     reported = model.report_time(measured_s=0.01, profile=profile)
     assert reported >= 0.06  # slowdown applied
     assert reported >= 0.06 + 10 * 1e-5 - 1e-9  # dispatch overhead added
-    assert model.describe()["simulated"] is True

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro import ExecutionOptions
 from repro.bench import figure_table, series_dict, time_rowengine, time_tqp, tpch_session
 from repro.datasets import tpch
 from repro.datasets.tpch.io import (
@@ -22,10 +23,14 @@ def test_tpch_session_is_cached():
 def test_time_tqp_and_rowengine_protocol():
     session, tables = tpch_session(scale_factor=0.001, seed=42)
     sql = tpch.query(6, 0.001)
-    tqp = time_tqp(session, sql, backend="torchscript", device="cpu", runs=3, warmup=1)
+    tqp = time_tqp(session, sql,
+                   ExecutionOptions(backend="torchscript", device="cpu"),
+                   runs=3, warmup=1)
     assert len(tqp.times_s) == 3 and tqp.median_s > 0
     assert tqp.system == "TQP-CPU" and not tqp.simulated
-    gpu = time_tqp(session, sql, backend="torchscript", device="cuda", runs=2, warmup=0)
+    gpu = time_tqp(session, sql,
+                   ExecutionOptions(backend="torchscript", device="cuda"),
+                   runs=2, warmup=0)
     assert gpu.simulated and gpu.system == "TQP-CUDA"
     baseline = time_rowengine(session, tables, sql, runs=1)
     assert baseline.result.num_rows == tqp.result.num_rows

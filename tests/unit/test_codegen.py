@@ -2,10 +2,10 @@
 
 Covers the three contracts the compiled path makes:
 
-* **fallback** — every unsupported construct is named by
-  :func:`codegen.unsupported_reason`; ``executor="compiled"`` raises a
-  :class:`~repro.errors.CodegenError` for it while ``executor="auto"``
-  silently replays through the interpreter and records the reason;
+* **no fallback** — every unsupported construct is named by
+  :func:`codegen.unsupported_reason`, and the default (``compiled``) executor
+  raises a typed :class:`~repro.errors.CodegenError` for it instead of
+  changing path; ``executor="interpret"`` still runs the graph;
 * **rebinding** — a prepared statement compiled once keeps answering
   correctly as bindings change shape, including rebinding to an empty
   selection and back;
@@ -21,7 +21,7 @@ import pytest
 
 from repro import ExecutionOptions
 from repro.errors import CodegenError
-from repro.tensor import Profiler, ScriptedProgram, codegen, ops, trace
+from repro.tensor import Profiler, ScriptedProgram, codegen, onnxlike, ops, trace
 from repro.tensor.passes import optimize
 
 
@@ -49,18 +49,20 @@ def test_compiled_program_matches_interpreter():
     inputs = [ops.tensor([2.0, 3.0]), ops.tensor([4.0, 5.0])]
     interpreted = ScriptedProgram(_graph(), executor="interpret")
     compiled = ScriptedProgram(_graph(), executor="compiled")
-    assert not interpreted.uses_codegen
-    assert compiled.uses_codegen
-    assert compiled.compiled_source is not None
+    assert interpreted.compiled_source is None
+    assert interpreted.serving_fn("cpu") is None
+    assert "def run(" in compiled.compiled_source
     a = interpreted.run(inputs)[0].numpy()
     b = compiled.run(inputs)[0].numpy()
     np.testing.assert_array_equal(a, b)
 
 
-def test_auto_uses_codegen_when_supported():
-    program = ScriptedProgram(_graph(), executor="auto")
-    assert program.uses_codegen
-    assert program.fallback_reason is None
+def test_compiled_is_the_default_and_auto_is_gone():
+    program = ScriptedProgram(_graph())
+    assert program.executor == "compiled"
+    assert program.compiled_source is not None
+    with pytest.raises(ValueError, match="executor"):
+        ScriptedProgram(_graph(), executor="auto")
 
 
 def test_compiled_fused_graph_matches_interpreter():
@@ -72,24 +74,10 @@ def test_compiled_fused_graph_matches_interpreter():
                                   interpreted.run(x)[0].numpy())
 
 
-# -- fallback triggers --------------------------------------------------------
+# -- what cannot be lowered raises, typed ---------------------------------------
 
 
-def test_per_node_overhead_forces_interpreter():
-    # The ONNX/WASM backends *model* an interpreter-loop burn per node;
-    # generated straight-line code would not pay it, so codegen must refuse.
-    reason = codegen.unsupported_reason(_graph(), per_node_overhead_s=1e-6)
-    assert "overhead" in reason
-    auto = ScriptedProgram(_graph(), per_node_overhead_s=1e-6,
-                           executor="auto")
-    assert not auto.uses_codegen
-    assert "overhead" in auto.fallback_reason
-    with pytest.raises(CodegenError, match="overhead"):
-        ScriptedProgram(_graph(), per_node_overhead_s=1e-6,
-                        executor="compiled")
-
-
-def test_unknown_op_forces_interpreter():
+def test_unknown_op_is_a_codegen_error():
     graph = _graph()
     graph.nodes[0].op = "frobnicate"
     assert "frobnicate" in codegen.unsupported_reason(graph)
@@ -97,7 +85,7 @@ def test_unknown_op_forces_interpreter():
         codegen.compile_graph(graph)
 
 
-def test_unknown_fused_step_forces_interpreter():
+def test_unknown_fused_step_is_a_codegen_error():
     graph = _fused_graph()
     fused = next(n for n in graph.nodes if n.op == "fused_kernel")
     fused.attrs["steps"][0]["op"] = "frobnicate"
@@ -107,17 +95,21 @@ def test_unknown_fused_step_forces_interpreter():
         codegen.compile_graph(graph)
 
 
-def test_unportable_attrs_force_interpreter():
-    graph = _graph()
+def test_unportable_attrs_raise_under_compiled_and_run_under_interpret():
+    """The declared edge: a loaded portable graph that picked up an attribute
+    JSON cannot express names its op in a ``CodegenError`` under the default
+    executor — no silent change of path — and still runs on the reference
+    interpreter (the kernel ignores the attribute)."""
+    graph = onnxlike.loads(onnxlike.dumps(_graph()))
+    op = graph.nodes[0].op
     graph.nodes[0].attrs["hook"] = object()   # does not survive the JSON IR
     assert "portable" in codegen.unsupported_reason(graph)
-    with pytest.raises(CodegenError, match="portable"):
+    with pytest.raises(CodegenError, match=f"{op!r}.*portable"):
         codegen.compile_graph(graph)
-    auto = ScriptedProgram(graph, executor="auto")
-    assert not auto.uses_codegen and "portable" in auto.fallback_reason
-    # ...and the fallback still executes the graph (attrs are ignored by the
-    # kernel), so auto mode degrades without changing results.
-    out = auto.run([ops.tensor([2.0, 3.0]), ops.tensor([4.0, 5.0])])
+    with pytest.raises(CodegenError, match=f"{op!r}.*portable"):
+        ScriptedProgram(graph)
+    interpreted = ScriptedProgram(graph, executor="interpret")
+    out = interpreted.run([ops.tensor([2.0, 3.0]), ops.tensor([4.0, 5.0])])
     assert out[0].numpy() == pytest.approx(24.0)
 
 
@@ -182,13 +174,7 @@ def test_compiled_rebind_to_empty_and_back(prepared_pair):
 # -- profile-event parity -----------------------------------------------------
 
 
-def _event_key(event):
-    # Everything except the wall-clock fields, which legitimately differ.
-    return (event.op, event.input_bytes, event.output_bytes, event.device,
-            event.scope, event.lane)
-
-
-def test_profiled_compiled_run_records_identical_events():
+def test_profiled_compiled_run_records_identical_events(event_stream):
     graph = _fused_graph()
     compiled = ScriptedProgram(graph, executor="compiled")
     interpreted = ScriptedProgram(graph.clone(), executor="interpret")
@@ -198,11 +184,11 @@ def test_profiled_compiled_run_records_identical_events():
     with Profiler() as compiled_prof:
         compiled.run(x, device="cuda")
     assert len(interp_prof.events) > 0
-    assert ([_event_key(e) for e in interp_prof.events]
-            == [_event_key(e) for e in compiled_prof.events])
+    assert event_stream(interp_prof) == event_stream(compiled_prof)
 
 
-def test_session_profile_events_match_across_executors(toy_session):
+def test_session_profile_events_match_across_executors(toy_session,
+                                                       event_stream):
     sql = """select region, sum(price) as total from items
              join orders on items.order_id = orders.order_id
              group by region order by total desc"""
@@ -215,7 +201,6 @@ def test_session_profile_events_match_across_executors(toy_session):
                                         else "interpreted")
         profiles[mode] = result
     interp, compiled = profiles["interpret"], profiles["compiled"]
-    assert ([_event_key(e) for e in interp.profile.events]
-            == [_event_key(e) for e in compiled.profile.events])
+    assert event_stream(interp.profile) == event_stream(compiled.profile)
     # Identical events mean identical simulated accounting.
     assert interp.reported_s == compiled.reported_s

@@ -1,10 +1,17 @@
 """Unit tests for ExecutionOptions and the session entry-point signatures."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro import DataFrame, ExecutionOptions, TQPSession
+from repro.backends import BackendSpec, DeviceCostModel
+from repro.bench import time_tqp
+from repro.core.executor import Executor
 from repro.core.planner import plan_ir
 from repro.errors import ExecutionError
+from repro.tensor.script import EXECUTOR_MODES
 
 import numpy as np
 
@@ -16,36 +23,71 @@ def session():
     return s
 
 
+def test_the_knob_set_is_pinned():
+    """The ROADMAP rule "no item may add an ``ExecutionOptions`` field", as a
+    test: growing any of these surfaces is a deliberate edit here, not a
+    by-product of a feature."""
+    assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
+        "backend", "device", "use_cache", "parallelism", "auto_parameterize",
+        "encoding", "executor", "devices", "shard", "adaptive"]
+    assert EXECUTOR_MODES == ("compiled", "interpret")
+    assert [f.name for f in dataclasses.fields(BackendSpec)] == [
+        "name", "strategy", "serialize", "optimize_graph"]
+
+    def parameters(fn):
+        return [name for name in inspect.signature(fn).parameters
+                if name != "self"]
+
+    assert parameters(TQPSession.__init__) == ["plan_cache_size",
+                                               "default_options"]
+    assert parameters(Executor.__init__) == ["plan", "models", "options",
+                                             "scan_stats"]
+    assert parameters(DeviceCostModel.report_time) == ["measured_s", "profile"]
+    assert parameters(time_tqp) == ["session", "sql", "options", "runs",
+                                    "warmup", "profile"]
+
+
 def test_resolved_fills_session_defaults():
-    options = ExecutionOptions().resolved("torchscript", "cuda", 4)
+    defaults = ExecutionOptions(backend="torchscript", device="cuda",
+                                parallelism=4, devices=2)
+    options = ExecutionOptions().resolved(defaults)
     assert options.backend == "torchscript"
     assert options.device.kind == "cuda"
-    assert options.parallelism == 4
-    assert options.optimize and options.use_cache
+    assert options.parallelism == 4 and options.devices == 2
+    assert options.use_cache
     assert not options.auto_parameterize
+
+
+def test_resolved_without_defaults_is_eager_on_one_cpu_lane():
+    options = ExecutionOptions().resolved()
+    assert (options.backend, options.device.kind) == ("pytorch", "cpu")
+    assert (options.parallelism, options.devices) == (1, 1)
+    assert ExecutionOptions(parallelism=0).resolved().parallelism == 1
 
 
 def test_resolved_keeps_explicit_fields():
     options = ExecutionOptions(backend="onnx", device="wasm", parallelism=2)
-    resolved = options.resolved("pytorch", "cpu", 1)
+    resolved = options.resolved(ExecutionOptions(backend="pytorch",
+                                                 device="cpu", parallelism=1))
     assert resolved.backend == "onnx"
     assert resolved.device.kind == "wasm"
     assert resolved.parallelism == 2
 
 
 def test_cache_key_covers_the_compile_knobs():
-    a = ExecutionOptions(backend="torchscript").resolved("pytorch", "cpu")
-    b = a.replace(optimize=False)
+    a = ExecutionOptions(backend="torchscript").resolved()
+    b = a.replace(encoding="off")
     c = a.replace(parallelism=4)
     d = a.replace(executor="interpret")
     assert len({a.cache_key(), b.cache_key(), c.cache_key(), d.cache_key()}) == 4
 
 
 def test_executor_mode_is_validated():
-    with pytest.raises(ValueError):
-        ExecutionOptions(executor="jit")
-    assert ExecutionOptions(executor="compiled").executor == "compiled"
-    assert ExecutionOptions().executor == "auto"
+    for gone in ("jit", "auto"):
+        with pytest.raises(ValueError):
+            ExecutionOptions(executor=gone)
+    assert ExecutionOptions(executor="interpret").executor == "interpret"
+    assert ExecutionOptions().executor == "compiled"
 
 
 def test_legacy_kwargs_are_gone(session):
@@ -61,6 +103,13 @@ def test_legacy_kwargs_are_gone(session):
     # did nothing under a trace or a profiler).
     with pytest.raises(TypeError):
         TQPSession(**{"parallel_mode": "threads"})
+    # The session's defaults are one options object; ``optimize`` went with
+    # its last caller (ablations go through ``sql_to_logical(optimized=)``).
+    for gone in ("default_backend", "default_device", "default_parallelism"):
+        with pytest.raises(TypeError):
+            TQPSession(**{gone: 1})
+    with pytest.raises(TypeError):
+        ExecutionOptions(**{"optimize": False})
     with pytest.raises(TypeError):
         plan_ir(session.compile("select sum(a) as s from t").ir,
                 **{"use_threads": True})
@@ -96,9 +145,19 @@ def test_session_default_options():
     s = TQPSession(default_options=ExecutionOptions(backend="torchscript",
                                                     device="cuda",
                                                     parallelism=2))
-    assert s.default_backend == "torchscript"
-    assert s.default_device.kind == "cuda"
-    assert s.default_parallelism == 2
+    assert s.default_options.backend == "torchscript"
+    assert s.default_options.device.kind == "cuda"
+    assert s.default_options.parallelism == 2
+    s.register("t", DataFrame({"a": np.array([1.0, 2.0, 3.0])}))
+    # A passed object's ``None`` fields inherit; its explicit ones win.
+    compiled = s.compile("select sum(a) as s from t",
+                         options=ExecutionOptions(device="cpu"))
+    assert compiled.options.backend == "torchscript"
+    assert compiled.options.device.kind == "cpu"
+    assert compiled.options.parallelism == 2
+    bare = TQPSession().default_options
+    assert (bare.backend, bare.device.kind, bare.parallelism) == (
+        "pytorch", "cpu", 1)
 
 
 def test_unknown_backend_still_rejected(session):

@@ -5,8 +5,15 @@ import pytest
 
 from repro import DataFrame, TQPSession
 from repro.core import ir
-from repro.errors import CatalogError, ExecutionError
-from repro.tensor import onnxlike
+from repro.core.columnar import DEFAULT_MORSEL_ROWS
+from repro.errors import (
+    BatchBindingError,
+    BindingError,
+    CatalogError,
+    CodegenError,
+    ExecutionError,
+)
+from repro.tensor import onnxlike, passes
 from repro import ExecutionOptions
 
 SQL = ("select region, sum(amount) as total from sales "
@@ -88,8 +95,11 @@ def test_compiled_program_is_cached_and_input_layout_checked(session):
     first_program = compiled.executor._program
     compiled.executor.execute(inputs)
     assert compiled.executor._program is first_program
-    with pytest.raises(ExecutionError):
-        compiled.executor._run_graph({})
+    assert compiled.executor.compile_count == 1
+    for run in (compiled.executor.execute,
+                lambda inputs: compiled.executor.execute_many(inputs, [{}])):
+        with pytest.raises(ExecutionError, match="does not match"):
+            run({})
 
 
 def test_register_replaces_table_and_invalidates_cache(session):
@@ -105,7 +115,7 @@ def test_register_replaces_table_and_invalidates_cache(session):
 
 def test_session_validation_errors(session):
     with pytest.raises(ExecutionError):
-        TQPSession(default_backend="tvm")
+        TQPSession(default_options=ExecutionOptions(backend="tvm"))
     with pytest.raises(Exception):
         session.compile(SQL, options=ExecutionOptions(backend="not-a-backend"))
     with pytest.raises(CatalogError):
@@ -122,3 +132,127 @@ def test_prepare_inputs_converts_only_needed_columns(session):
 
 def test_sql_convenience_method(session):
     assert session.sql("select count(*) as n from sales").to_dict() == {"n": [5]}
+
+
+# -- one program, one replay loop ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def blocks_session():
+    """Five zone-map blocks clustered on ``k``, so a range predicate prunes
+    and ``ExecutionResult.pruning`` has something to say."""
+    k = np.repeat(np.arange(5, dtype=np.int64), DEFAULT_MORSEL_ROWS)
+    session = TQPSession()
+    session.register("t", DataFrame({"k": k, "v": np.arange(k.size) / 7.0}))
+    return session
+
+
+@pytest.mark.parametrize("device", ["cpu", "cuda"])
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript", "onnx"])
+@pytest.mark.parametrize("profile", [False, True])
+@pytest.mark.parametrize("sql,params", [
+    ("select count(*) as c, sum(v) as s from t where k >= :lo and k <= :hi",
+     {"lo": 1, "hi": 1}),
+    ("select count(*) as c, sum(v) as s from t where k >= 1 and k <= 1", None),
+])
+def test_execute_is_the_one_binding_case_of_execute_many(
+        blocks_session, event_stream, sql, params, profile, backend, device):
+    compiled = blocks_session.compile(
+        sql, options=ExecutionOptions(backend=backend, device=device))
+    executor = compiled.executor
+    inputs = blocks_session.prepare_inputs(executor)
+    one = executor.execute(inputs, profile=profile, params=params)
+    [many] = executor.execute_many(inputs, [params or {}], profile=profile)
+
+    assert one.to_dataframe().to_dict() == many.to_dataframe().to_dict()
+    assert one.to_dataframe()["c"].tolist() == [DEFAULT_MORSEL_ROWS]
+    assert (one.backend, one.device, one.executor_mode) == (
+        many.backend, many.device, many.executor_mode)
+    assert one.pruning == many.pruning
+    # A trace cannot bake a parameter-dependent block choice in, so only the
+    # eager plan and literal predicates skip blocks.
+    traced_with_params = bool(params) and backend != "pytorch"
+    assert one.pruning["t"]["blocks_skipped"] == (
+        0 if traced_with_params else 4)
+    # Profiles exist under the same conditions and hold the same events ...
+    profiled = profile or device == "cuda"
+    for result in (one, many):
+        assert (result.profile is not None) == profiled
+        # ... and each reported time is what the device's model makes of that
+        # result's own wall clock and profile: one basis for both entries.
+        assert result.measured_s > 0
+        assert result.reported_s == executor.cost_model.report_time(
+            result.measured_s, result.profile)
+    if profiled:
+        assert event_stream(one.profile) == event_stream(many.profile)
+    else:
+        assert one.reported_s == one.measured_s
+    if device == "cuda":
+        # The roofline reads bytes and event order only: equal streams, equal
+        # modelled time.
+        assert one.reported_s == many.reported_s
+
+    # The same bad binding is a BindingError from execute and the indexed
+    # subclass from execute_many; neither disturbs the program.
+    bad = {"lo": 1} if params else {"stray": 1}
+    with pytest.raises(BindingError) as single:
+        executor.execute(inputs, params=bad)
+    assert not isinstance(single.value, BatchBindingError)
+    with pytest.raises(BatchBindingError) as batched:
+        executor.execute_many(inputs, [params or {}, bad])
+    assert batched.value.index == 1
+    assert str(batched.value.cause) == str(single.value)
+    collected = executor.execute_many(inputs, [bad, params or {}],
+                                      on_error="collect")
+    assert isinstance(collected[0], BatchBindingError)
+    assert collected[1].to_dataframe().to_dict() == one.to_dataframe().to_dict()
+    assert executor.compile_count == (0 if backend == "pytorch" else 1)
+
+
+@pytest.mark.parametrize("backend,device", [
+    (backend, device)
+    for backend in ("torchscript", "torchscript-noopt", "onnx")
+    for device in ("cpu", "cuda", "wasm")
+    if device != "wasm" or backend == "onnx"])
+def test_graph_backends_replay_generated_code_by_default(session, backend,
+                                                         device):
+    options = ExecutionOptions(backend=backend, device=device)
+    assert options.executor == "compiled"
+    compiled = session.compile(SQL, options=options)
+    for profile in (False, True):
+        result = compiled.execute(profile=profile)
+        assert result.executor_mode == "compiled"
+        assert result.to_dataframe()["total"].tolist() == [35.0, 25.0, 15.0]
+    program = compiled.executor._program
+    assert program.scripted.compiled_source is not None
+    assert program.serve is not None
+    interpreted = session.compile(SQL, options=options.replace(
+        executor="interpret")).execute()
+    assert interpreted.executor_mode == "interpreted"
+    assert session.compile(
+        SQL, options=ExecutionOptions(backend="pytorch")
+    ).execute().executor_mode == "eager"
+
+
+def test_unlowerable_graph_raises_at_first_execute(session, monkeypatch):
+    """No silent change of path: a graph the emitter cannot lower raises a
+    typed ``CodegenError`` at first execute, publishes nothing, and runs on
+    the reference interpreter when asked to."""
+    optimize = passes.optimize
+
+    def optimize_then_taint(graph):
+        graph = optimize(graph)
+        graph.nodes[0].attrs["hook"] = object()   # not JSON-stable
+        return graph
+
+    monkeypatch.setattr(passes, "optimize", optimize_then_taint)
+    compiled = session.compile(SQL, options=ExecutionOptions(
+        backend="torchscript", use_cache=False))
+    for _ in range(2):
+        with pytest.raises(CodegenError, match="portable"):
+            compiled.execute()
+    assert compiled.executor._program is None
+    interpreted = session.compile(SQL, options=ExecutionOptions(
+        backend="torchscript", executor="interpret", use_cache=False)).execute()
+    assert interpreted.executor_mode == "interpreted"
+    assert interpreted.to_dataframe()["total"].tolist() == [35.0, 25.0, 15.0]

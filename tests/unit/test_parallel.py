@@ -232,7 +232,8 @@ def test_plan_cache_keys_include_parallelism(session):
     p4 = session.compile(sql, options=ExecutionOptions(parallelism=4))
     assert p1 is not p4
     assert session.compile(sql, options=ExecutionOptions(parallelism=4)) is p4
-    assert p1.executor.parallelism == 1 and p4.executor.parallelism == 4
+    assert p1.executor.options.parallelism == 1
+    assert p4.executor.options.parallelism == 4
 
 
 # -- executor input validation ------------------------------------------------

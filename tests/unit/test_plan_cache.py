@@ -91,7 +91,7 @@ def test_backend_and_device_are_part_of_the_key(session):
     a = session.compile(SQL, options=ExecutionOptions(backend="torchscript", device="cpu"))
     b = session.compile(SQL, options=ExecutionOptions(backend="torchscript", device="cuda"))
     c = session.compile(SQL, options=ExecutionOptions(backend="pytorch", device="cpu"))
-    d = session.compile(SQL, options=ExecutionOptions(backend="torchscript", device="cpu", optimize=False))
+    d = session.compile(SQL, options=ExecutionOptions(backend="torchscript", device="cpu", encoding="off"))
     assert len({id(a), id(b), id(c), id(d)}) == 4
     assert session.plan_cache.stats()["hits"] == 0
 
