@@ -229,9 +229,9 @@ class AdaptiveRuntime:
     # -- run-time entry point -----------------------------------------------
 
     def observe(self, compiled, params: Optional[dict], result,
-                strategy: Optional[str] = None,
-                plan_signature: Optional[str] = None) -> None:
-        """Harvest one execution's profile into the feedback store.
+                strategy: str, plan_signature: str) -> None:
+        """Harvest one execution's profile into the feedback store, under the
+        strategy and plan shape of the snapshot it ran against.
 
         Flushes the statement's history first when the observed per-operator
         output cardinalities drifted past ``drift_factor`` against the
@@ -239,13 +239,8 @@ class AdaptiveRuntime:
         (e.g. a re-registered table with inverted skew) and the settled
         strategy choice must be re-earned against the new distribution.
         """
-        if result.profile is None:
-            return
         key = self.statement_key(compiled.sql)
         region = binding_region(params)
-        strategy = strategy or compiled.strategy or "auto"
-        if plan_signature is None:
-            plan_signature = compiled.operator_plan.root.pretty()
         with self._lock:
             self._last_region[key] = region
             features = self._features.get((key, strategy))

@@ -92,12 +92,11 @@ def time_tqp(session: TQPSession, sql: str, options: ExecutionOptions,
     incomparable).
     """
     query = session.compile(sql, options=options)
-    inputs = session.prepare_inputs(query.executor)
     for _ in range(warmup):
-        query.executor.execute(inputs, profile=profile)
+        query.execute(profile=profile)
     times, walls, last = [], [], None
     for _ in range(runs):
-        outcome = query.executor.execute(inputs, profile=profile)
+        outcome = query.execute(profile=profile)
         times.append(outcome.reported_s)
         walls.append(outcome.measured_s)
         last = outcome

@@ -327,11 +327,17 @@ def concat_columns(cols: Sequence[TensorColumn]) -> TensorColumn:
 class TensorTable:
     """A set of equally sized :class:`TensorColumn` objects (paper §2.1)."""
 
-    def __init__(self, columns: Mapping[str, TensorColumn] | None = None):
+    def __init__(self, columns: Mapping[str, TensorColumn] | None = None,
+                 statistics=None):
         self._columns: dict[str, TensorColumn] = dict(columns or {})
         lengths = {col.num_rows for col in self._columns.values()}
         if len(lengths) > 1:
             raise ExecutionError(f"columns have inconsistent lengths: {lengths}")
+        #: Storage statistics (zone maps) of the stored table these rows are,
+        #: block for block.  Set on a converted scan input and kept only by
+        #: ``select`` / ``to``, which leave every row in place; the scan
+        #: prunes against them.
+        self.statistics = statistics
 
     # -- construction -------------------------------------------------------------
 
@@ -390,7 +396,8 @@ class TensorTable:
     # -- transformations ---------------------------------------------------------------
 
     def select(self, names: Sequence[str]) -> "TensorTable":
-        return TensorTable({name: self.column(name) for name in names})
+        return TensorTable({name: self.column(name) for name in names},
+                           self.statistics)
 
     def with_column(self, name: str, column: TensorColumn) -> "TensorTable":
         columns = dict(self._columns)
@@ -422,7 +429,8 @@ class TensorTable:
 
     def to(self, device: Device | str) -> "TensorTable":
         return TensorTable({name: col.to(device)
-                            for name, col in self._columns.items()})
+                            for name, col in self._columns.items()},
+                           self.statistics)
 
     def decoded(self) -> "TensorTable":
         """Materialize every encoded column into its plain form."""

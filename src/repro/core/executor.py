@@ -11,7 +11,10 @@ The Executor is the runnable artifact TQP produces for a query:
   execution.
 
 Either way there is one program and one per-binding loop
-(:meth:`Executor._replay`): ``execute(p)`` is ``execute_many([p])[0]``.
+(:meth:`Executor._replay`): ``execute(p)`` is ``execute_many([p])[0]``.  An
+executor is ``(plan, models, options)``; everything about the data — columns,
+encodings, shard placement, the zone maps scans prune against — arrives in
+the ``inputs`` (:func:`convert_scan_input`).
 
 Devices: results are always computed with real kernels; the CPU reports
 measured wall time while the simulated ``cuda`` / ``wasm`` devices report time
@@ -40,7 +43,7 @@ from repro.core.parameters import (
 from repro.core.planner import OperatorPlan
 from repro.dataframe import DataFrame
 from repro.distributed.sharding import ShardedTable, shard_table
-from repro.errors import BatchBindingError, BindingError, CatalogError, ExecutionError
+from repro.errors import BatchBindingError, BindingError, ExecutionError
 from repro.tensor import Graph, Profiler, ScriptedProgram, Tensor, onnxlike, passes, tracing
 from repro.tensor.device import CPU, Device
 
@@ -74,8 +77,10 @@ def convert_scan_input(scan, frame: DataFrame, encoding: str, stats=None):
     Only the columns the scan needs are converted (strings and dates require
     an encoding pass; numeric columns are zero-copy), under the storage
     ``encoding`` mode.  ``stats`` (the catalog's
-    ``repro.storage.TableStatistics``) lends its NDV counts so the
-    dictionary-encoding decision skips its ``np.unique`` fallback.  A scan
+    ``repro.storage.TableStatistics`` of ``frame``) lends its NDV counts so
+    the dictionary-encoding decision skips its ``np.unique`` fallback, and
+    rides on the converted table: the scan prunes against the zone maps of
+    exactly the rows it reads.  A scan
     partitioned into ``shards`` gets its table placed across the devices
     here: sharding is load-time placement, not query work, so it happens
     outside any trace or profiler and the traced program receives each
@@ -86,7 +91,7 @@ def convert_scan_input(scan, frame: DataFrame, encoding: str, stats=None):
     ndv = ({name: column.ndv for name, column in stats.columns.items()}
            if stats is not None else None)
     table = TensorTable(encode_table(frame, scan.fields, mode=encoding,
-                                     column_ndv=ndv))
+                                     column_ndv=ndv), stats)
     scheme = scan.partitioning
     if scheme.kind == "shards":
         return shard_table(table, scheme.n, scheme.placement)
@@ -126,12 +131,8 @@ class Executor:
 
     def __init__(self, plan: OperatorPlan,
                  models: Optional[dict[str, Callable]] = None,
-                 options: Optional[ExecutionOptions] = None,
-                 scan_stats: Optional[dict] = None):
+                 options: Optional[ExecutionOptions] = None):
         self.plan = plan
-        #: Storage statistics per scan alias (zone maps for pruning); set by
-        #: the session at compile time, ``None`` disables pruning.
-        self.scan_stats = scan_stats or {}
         #: Fully resolved.  The plan already embeds the lane / shard choice;
         #: the options say where and how it runs.
         self.options = (options or ExecutionOptions()).resolved()
@@ -162,42 +163,6 @@ class Executor:
         # shared plan must produce exactly one traced program.
         self._compile_lock = threading.Lock()
 
-    # -- input preparation --------------------------------------------------
-
-    def prepare_inputs(self, dataframes: dict[str, DataFrame]) -> dict[str, TensorTable]:
-        """Convert the registered DataFrames into tensor tables, per scan
-        (:func:`convert_scan_input`).  The result is keyed by scan alias with
-        fully qualified column names.
-
-        Every table the plan references is validated up front (matched
-        case-insensitively, like the session catalog); missing tables or
-        columns raise :class:`repro.errors.CatalogError` /
-        :class:`repro.errors.ExecutionError` naming what is absent, never a
-        bare ``KeyError``.
-        """
-        by_key = {name.lower(): frame for name, frame in dataframes.items()}
-        missing = sorted({scan.table for scan in self.plan.scans
-                          if scan.table.lower() not in by_key})
-        if missing:
-            raise CatalogError(
-                "plan references unregistered table(s): "
-                + ", ".join(repr(name) for name in missing)
-            )
-        inputs: dict[str, TensorTable] = {}
-        for scan in self.plan.scans:
-            frame = by_key[scan.table.lower()]
-            for field in scan.fields:
-                base = field.name.split(".", 1)[1] if "." in field.name else field.name
-                if base not in frame:
-                    raise ExecutionError(
-                        f"table {scan.table!r} has no column {base!r} "
-                        f"(required by scan {scan.alias!r})"
-                    )
-            inputs[scan.alias] = convert_scan_input(
-                scan, frame, self.options.encoding,
-                self.scan_stats.get(scan.alias))
-        return inputs
-
     # -- execution ------------------------------------------------------------
 
     def bind(self, params: Optional[dict] = None) -> dict:
@@ -220,27 +185,21 @@ class Executor:
         return [Tensor(array, CPU) for array in self._param_arrays(bound)]
 
     def execute(self, inputs: dict[str, TensorTable], profile: bool = False,
-                params: Optional[dict] = None,
-                scan_stats: Optional[dict] = None) -> ExecutionResult:
+                params: Optional[dict] = None) -> ExecutionResult:
         """Run the query over prepared inputs and return the result.
 
         ``params`` binds the plan's parameters (validated up front with typed
         errors); on the graph backends the values are runtime inputs of the
         traced program, so executing with a new binding never re-traces.
-        ``scan_stats`` optionally overrides the executor's stored zone maps
-        for this execution only — sessions pass a snapshot taken atomically
-        with ``inputs``, so a concurrent re-registration can never pair fresh
-        statistics with stale converted columns (or vice versa).
 
         This is the one-binding case of :meth:`execute_many`.
         """
-        return self._replay(inputs, [self.bind(params)], profile, scan_stats)[0]
+        return self._replay(inputs, [self.bind(params)], profile)[0]
 
     def execute_many(self, inputs: dict[str, TensorTable],
                      param_batches: "list[dict]",
                      profile: bool = False,
-                     on_error: str = "raise",
-                     scan_stats: Optional[dict] = None
+                     on_error: str = "raise"
                      ) -> "list[ExecutionResult | BatchBindingError]":
         """Serving loop: run many parameter bindings over one input set.
 
@@ -259,14 +218,13 @@ class Executor:
                  if not isinstance(bound, BatchBindingError)]
         if valid:
             results = self._replay(inputs, [slots[index] for index in valid],
-                                   profile, scan_stats)
+                                   profile)
             for index, result in zip(valid, results):
                 slots[index] = result
         return slots
 
     def _replay(self, inputs: dict[str, TensorTable], bindings: "list[dict]",
-                profile: bool, scan_stats: Optional[dict]
-                ) -> list[ExecutionResult]:
+                profile: bool) -> list[ExecutionResult]:
         """One result per normalized binding: the only place a plan runs.
 
         What a run *is* — the eager plan, or the traced program over inputs
@@ -278,13 +236,13 @@ class Executor:
         want_profile = profile or self.device.is_simulated
         if self.backend.strategy == "eager":
             def run(bound: dict) -> tuple[TensorTable, dict]:
-                return self._run_eager(inputs, bound, scan_stats)
+                return self._run_eager(inputs, bound)
         else:
             # Trace before entering any profiled region: the eager tracing
             # run dispatches every op once, and folding those events into a
             # run's profile would make the simulated devices charge each
             # kernel and transfer twice on a one-shot execution.
-            program = self._ensure_program(inputs, bindings[0], scan_stats)
+            program = self._ensure_program(inputs, bindings[0])
             run = self._program_run(program, inputs, want_profile)
         backend, device = self.backend.name, str(self.device)
         mode = self.executor_mode
@@ -307,8 +265,8 @@ class Executor:
     # -- eager (PyTorch-like) path ----------------------------------------------
 
     def _execution_context(self, inputs: dict[str, TensorTable],
-                           param_tensors: "list[Tensor] | tuple[Tensor, ...]",
-                           scan_stats: Optional[dict]) -> ExecutionContext:
+                           param_tensors: "list[Tensor] | tuple[Tensor, ...]"
+                           ) -> ExecutionContext:
         """The plan's view of one run: tables and parameter scalars (concrete,
         or symbolic under a trace) on the executor's device."""
         moved = {alias: table.to(self.device) for alias, table in inputs.items()}
@@ -317,9 +275,7 @@ class Executor:
                 tensor if tensor.device == self.device
                 else tensor.to(self.device), spec.ltype, True)
             for spec, tensor in zip(self.params, param_tensors)}
-        ctx = ExecutionContext(moved, device=self.device,
-                               zone_maps=(scan_stats if scan_stats is not None
-                                          else self.scan_stats))
+        ctx = ExecutionContext(moved, device=self.device)
         ctx.eval_ctx = EvaluationContext(
             device=self.device,
             subquery_runner=lambda subplan: subplan.execute(ctx),
@@ -328,11 +284,10 @@ class Executor:
         )
         return ctx
 
-    def _run_eager(self, inputs: dict[str, TensorTable], bound: dict,
-                   scan_stats: Optional[dict]) -> tuple[TensorTable, dict]:
+    def _run_eager(self, inputs: dict[str, TensorTable], bound: dict
+                   ) -> tuple[TensorTable, dict]:
         """``(result, pruning outcome)`` of one eager run of the plan."""
-        ctx = self._execution_context(inputs, self._param_tensors(bound),
-                                      scan_stats)
+        ctx = self._execution_context(inputs, self._param_tensors(bound))
         return self.plan.root.execute(ctx), ctx.pruning
 
     # -- traced (TorchScript / ONNX-like) path ------------------------------------
@@ -425,7 +380,8 @@ class Executor:
         shard_groups: dict[str, dict[int, TensorTable]] = {}
         for (alias, shard), columns in rebuilt.items():
             if shard is None:
-                tables[alias] = TensorTable(columns)
+                tables[alias] = TensorTable(columns,
+                                            reference[alias].statistics)
             else:
                 shard_groups.setdefault(alias, {})[shard] = TensorTable(columns)
         for alias, group in shard_groups.items():
@@ -434,8 +390,8 @@ class Executor:
                 reference[alias].spec)
         return tables
 
-    def _ensure_program(self, inputs: dict[str, TensorTable], bound: dict,
-                        scan_stats: Optional[dict] = None) -> _Program:
+    def _ensure_program(self, inputs: dict[str, TensorTable], bound: dict
+                        ) -> _Program:
         """The traced program, compiling it exactly once under concurrency.
 
         Concurrent first executions of a shared plan all race to trace; the
@@ -447,12 +403,11 @@ class Executor:
             with self._compile_lock:
                 program = self._program
                 if program is None:
-                    program = self._compile_locked(inputs, bound, scan_stats)
+                    program = self._compile_locked(inputs, bound)
         return program
 
     def compile_program(self, inputs: dict[str, TensorTable],
-                        params: Optional[dict] = None,
-                        scan_stats: Optional[dict] = None) -> ScriptedProgram:
+                        params: Optional[dict] = None) -> ScriptedProgram:
         """Trace the whole query into a tensor graph for the graph backends.
 
         Like ``torch.jit.trace``, data-dependent sizes observed during tracing
@@ -473,10 +428,10 @@ class Executor:
         """
         bound = self.bind(params)
         with self._compile_lock:
-            return self._compile_locked(inputs, bound, scan_stats).scripted
+            return self._compile_locked(inputs, bound).scripted
 
-    def _compile_locked(self, inputs: dict[str, TensorTable], bound: dict,
-                        scan_stats: Optional[dict]) -> _Program:
+    def _compile_locked(self, inputs: dict[str, TensorTable], bound: dict
+                        ) -> _Program:
         example_tensors, layout = self._flatten_inputs(inputs)
         input_names = ([f"{alias}.{name}" if part == "data"
                         else f"{alias}.{name}#{part}"
@@ -488,8 +443,7 @@ class Executor:
         def traced_query(*tensors: Tensor) -> list[Tensor]:
             rebuilt = self._rebuild_inputs(list(tensors[:len(layout)]),
                                            layout, inputs)
-            ctx = self._execution_context(rebuilt, tensors[len(layout):],
-                                          scan_stats)
+            ctx = self._execution_context(rebuilt, tensors[len(layout):])
             # Output columns are decoded before flattening so the program's
             # outputs are always plain tensors, whatever the storage layout.
             result = self.plan.root.execute(ctx).decoded()
@@ -593,8 +547,3 @@ class Executor:
                        params: Optional[dict] = None) -> Graph:
         """The traced tensor graph of this query (the Figure-4 artifact)."""
         return self._ensure_program(inputs, self.bind(params)).scripted.graph
-
-    def export_onnx(self, inputs: dict[str, TensorTable], path: str,
-                    params: Optional[dict] = None) -> None:
-        """Export the traced query to the ONNX-like portable format."""
-        onnxlike.save(self.executor_graph(inputs, params=params), path)

@@ -31,15 +31,12 @@ class ExecutionContext:
 
     def __init__(self, inputs: dict[str, TensorTable],
                  eval_ctx: Optional[EvaluationContext] = None,
-                 device: Device | str = "cpu",
-                 zone_maps: Optional[dict] = None):
+                 device: Device | str = "cpu"):
+        #: Converted scan inputs per alias; each carries the storage
+        #: statistics it was converted beside (``TensorTable.statistics``).
         self.inputs = inputs
         self.device = parse_device(device)
         self.eval_ctx = eval_ctx or EvaluationContext(device=self.device)
-        #: Storage statistics per scan alias
-        #: (``repro.storage.TableStatistics``); scans consult these zone maps
-        #: for block pruning.  ``None`` disables pruning.
-        self.zone_maps = zone_maps or {}
         #: Zone-map pruning outcome per scan alias, written by the scans of
         #: *this* execution (the plan object is shared by every concurrent
         #: request of a statement, so nothing per-run may live on it).

@@ -121,12 +121,6 @@ class ScanOperator(TensorOperator):
 
     # -- zone-map pruning ----------------------------------------------------
 
-    def _zone_stats(self, ctx: ExecutionContext):
-        stats = (ctx.zone_maps or {}).get(self.alias)
-        if stats is None or not self.pruning:
-            return None
-        return stats
-
     def _block_survival(self, ctx: ExecutionContext, stats
                         ) -> tuple[np.ndarray, list]:
         """(surviving-block mask, conjuncts left for the tensor path).
@@ -155,8 +149,12 @@ class ScanOperator(TensorOperator):
 
     def _apply_pruning(self, table: TensorTable, ctx: ExecutionContext
                        ) -> TensorTable:
-        stats = self._zone_stats(ctx)
-        if stats is None or table.num_rows != stats.row_count:
+        # The zone maps ride on the input they were converted beside; a
+        # row-count mismatch would mean they describe other data (a fault,
+        # answered by not pruning).
+        stats = table.statistics
+        if (not self.pruning or stats is None
+                or table.num_rows != stats.row_count):
             return table
         mask, traced_dynamic = self._block_survival(ctx, stats)
         total = len(mask)

@@ -8,9 +8,9 @@ This module is the glue of the compile-once/bind-many API:
   normalizes every value to a canonical Python scalar, raising
   :class:`~repro.errors.BindingError` for missing / unknown / ill-typed
   values;
-* :func:`to_expr_value` — turns a normalized value into the scalar tensor the
-  expression compiler consumes (on the graph backends these tensors are the
-  traced program's runtime inputs);
+* :func:`param_array_converter` — turns a normalized value into the scalar
+  array a query takes it as (on the graph backends these are the traced
+  program's runtime inputs);
 * :func:`auto_parameterize` — lifts literals out of ad-hoc SQL text so that
   ``sql()`` calls differing only in constants share one plan-cache entry.
 """

@@ -29,6 +29,14 @@ A serving loop batches bindings through :meth:`PreparedQuery.execute_many`::
 
     results = query.execute_many([{"q": q} for q in range(1, 25)])
 
+Every execution — these, ``session.sql`` and the serving runtime's workers —
+enters through one function, :meth:`CompiledQuery.execute_many`: it takes one
+generation of the session's state (a registered table is one catalog record —
+frame, statistics, version, converted inputs — and models are versioned the
+same way, so a held handle re-plans after ``register()`` /
+``register_model()``), runs the bindings, and feeds adaptive statements'
+results back to ``session.adaptive``.
+
 All knobs (backend, device, plan cache, parallelism, auto-parameterization,
 executor) live on one :class:`ExecutionOptions` object, and a session's
 defaults are one such object (``TQPSession(default_options=...)``).  On the
@@ -68,14 +76,10 @@ from repro.core.parameters import (
 from repro.core.plan_cache import PlanCache, normalize_sql
 from repro.core.planner import OperatorPlan, plan_ir
 from repro.dataframe import DataFrame
-from repro.errors import (
-    BatchBindingError,
-    BindingError,
-    CatalogError,
-    ExecutionError,
-)
+from repro.errors import BatchBindingError, BindingError, ExecutionError
 from repro.frontend import Catalog, sql_to_physical
 from repro.frontend.physical import PhysicalNode
+from repro.tensor import onnxlike
 
 
 @dataclasses.dataclass
@@ -88,9 +92,9 @@ class CompiledQuery:
     operator_plan: OperatorPlan
     executor: Executor
     session: "TQPSession"
-    #: ``(table, version)`` pairs of the scanned tables at compile time; the
-    #: plan cache revalidates this on every hit so a re-registered table can
-    #: never be served a stale traced program.
+    #: Versions of the scanned tables and referenced models at compile time;
+    #: revalidated on every cache hit and every execution, so a re-registered
+    #: table or model can never be served by a stale program.
     schema_fingerprint: Optional[tuple] = None
     #: The fully resolved options this query was compiled under.
     options: ExecutionOptions = dataclasses.field(default_factory=ExecutionOptions)
@@ -115,12 +119,11 @@ class CompiledQuery:
         """Adopt a freshly compiled generation of this statement in place.
 
         Held handles (PreparedQuery, a serving runtime's statements) keep
-        *this* object's identity; after a ``register()`` of new data the
-        session rebuilds the plan and swaps the artifacts here, under the
-        session lock, so the handle transparently follows the new table
-        generation instead of replaying a traced program whose baked-in
-        shapes (including pruning decisions) describe data that no longer
-        exists.
+        *this* object's identity; after a ``register()`` / ``register_model()``
+        the session rebuilds the plan and swaps the artifacts here, under the
+        session lock, so the handle follows the new generation instead of
+        replaying a traced program whose baked-in shapes (including pruning
+        decisions) and captured models describe state that no longer exists.
         """
         self.physical_plan = fresh.physical_plan
         self.ir = fresh.ir
@@ -129,30 +132,49 @@ class CompiledQuery:
         self.schema_fingerprint = fresh.schema_fingerprint
         self.strategy = fresh.strategy
 
-    def execute(self, profile: bool = False,
-                params: Optional[dict] = None) -> ExecutionResult:
-        """Run the query against the session's registered tables.
+    def execute_many(self, bindings: "list[dict | BatchBindingError]",
+                     profile: bool = False, on_error: str = "raise"
+                     ) -> "list[ExecutionResult | BatchBindingError]":
+        """The one way into execution: every binding of ``bindings`` runs
+        against one generation of the session's state.
 
-        ``params`` binds the statement's parameters (validated with typed
-        :class:`~repro.errors.BindingError`\\ s); re-executions with new
-        bindings reuse the traced program.
+        :meth:`execute`, :class:`BoundQuery`, :class:`PreparedQuery`,
+        ``session.sql`` and the serving workers all enter here.  The snapshot
+        re-plans a stale handle first, and the bindings are re-validated
+        against the snapshot's executor (a re-plan may have changed parameter
+        types) with the typed errors of :meth:`Executor.execute_many`.
 
         Under ``ExecutionOptions(adaptive=True)`` every execution profiles
-        (the feedback the runtime learns from) and feeds its observations
-        back to ``session.adaptive`` afterwards.
+        (the feedback the runtime learns from) and every result is fed back
+        to ``session.adaptive``, batched or not.
         """
         adaptive = self.options.adaptive
-        executor, inputs, stats = self.session.execution_state(self, params)
+        executor, inputs = self.session.execution_state(self, bindings)
         # The strategy this snapshot runs under; read before executing so a
-        # concurrent re-plan can't misattribute the observation.
+        # concurrent re-plan can't misattribute the observations.
         strategy = self.strategy
-        result = executor.execute(inputs, profile=profile or adaptive,
-                                  params=params, scan_stats=stats)
+        outcomes = executor.execute_many(
+            inputs, bindings, profile=profile or adaptive, on_error=on_error)
         if adaptive:
-            self.session.adaptive.observe(
-                self, params, result, strategy=strategy,
-                plan_signature=executor.plan.root.pretty())
-        return result
+            # Outside the session lock (observe only takes the adaptive
+            # runtime's own locks), so workers record feedback concurrently.
+            signature = executor.plan.root.pretty()
+            for bound, outcome in zip(bindings, outcomes):
+                if isinstance(outcome, ExecutionResult):
+                    self.session.adaptive.observe(
+                        self, bound, outcome, strategy=strategy,
+                        plan_signature=signature)
+        return outcomes
+
+    def execute(self, profile: bool = False,
+                params: Optional[dict] = None) -> ExecutionResult:
+        """Run the query once; ``params`` binds the statement's parameters
+        (a bad binding raises a plain :class:`~repro.errors.BindingError`).
+        The one-binding case of :meth:`execute_many`."""
+        try:
+            return self.execute_many([params or {}], profile=profile)[0]
+        except BatchBindingError as exc:
+            raise exc.cause from None
 
     def run(self, params: Optional[dict] = None) -> DataFrame:
         """Execute and return the result as a DataFrame."""
@@ -172,12 +194,12 @@ class CompiledQuery:
 
     def executor_graph(self, params: Optional[dict] = None):
         """Traced tensor graph of the query (Figure-4 style artifact)."""
-        executor, inputs, _ = self.session.execution_state(self)
+        executor, inputs = self.session.execution_state(self)
         return executor.executor_graph(inputs, params=params)
 
     def export_onnx(self, path: str, params: Optional[dict] = None) -> None:
-        executor, inputs, _ = self.session.execution_state(self)
-        executor.export_onnx(inputs, path, params=params)
+        """Export the traced query to the ONNX-like portable format."""
+        onnxlike.save(self.executor_graph(params), path)
 
 
 class BoundQuery:
@@ -206,9 +228,8 @@ class PreparedQuery:
     first traced execution is reused by every subsequent binding.
     """
 
-    def __init__(self, compiled: CompiledQuery, session: "TQPSession"):
+    def __init__(self, compiled: CompiledQuery):
         self.compiled = compiled
-        self.session = session
 
     @property
     def parameters(self) -> list[ParameterSpec]:
@@ -269,9 +290,7 @@ class PreparedQuery:
                 # Attribute the failure to its request index; the executor
                 # raises or collects it according to ``on_error``.
                 batches.append(BatchBindingError(index, exc))
-        executor, inputs, stats = self.session.execution_state(self.compiled)
-        return executor.execute_many(inputs, batches, on_error=on_error,
-                                     scan_stats=stats)
+        return self.compiled.execute_many(batches, on_error=on_error)
 
     def explain(self) -> str:
         return self.compiled.explain()
@@ -293,10 +312,11 @@ class TQPSession:
         if self.default_options.backend not in BACKENDS:
             raise ExecutionError(
                 f"unknown backend {self.default_options.backend!r}")
+        #: One record per registered table: frame, schema, statistics,
+        #: version and that generation's converted inputs.
         self.catalog = Catalog()
-        self._dataframes: dict[str, DataFrame] = {}
-        self._models: dict[str, Callable] = {}
-        self._conversion_cache: dict[tuple, TensorTable] = {}
+        #: name → ``(version, compiled model)``; versioned like tables.
+        self._models: dict[str, tuple[int, Callable]] = {}
         #: Compiled-plan LRU: repeated queries skip parse→optimize→plan→trace.
         self.plan_cache = PlanCache(capacity=plan_cache_size)
         #: Feedback loop behind ``ExecutionOptions(adaptive=True)``: observes
@@ -304,10 +324,9 @@ class TQPSession:
         #: a different strategy looks better (``self.adaptive.feedback.dump()``
         #: exposes the collected observations).
         self.adaptive = AdaptiveRuntime()
-        self._table_versions: dict[str, int] = {}
-        #: Guards the mutable session state (catalog, dataframes, models,
-        #: conversion cache, table versions) against concurrent serving
-        #: workers.  Re-entrant so locked entry points may call each other.
+        #: Guards the mutable session state (catalog records, models) against
+        #: concurrent serving workers.  Re-entrant so locked entry points may
+        #: call each other.
         #: Lock ordering is session lock → plan-cache lock, never the
         #: reverse: ``_plan_is_current`` runs under the cache lock and must
         #: therefore stay lock-free (its dict reads are GIL-atomic).
@@ -324,17 +343,12 @@ class TQPSession:
         data, never a mix of generations.
         """
         with self._lock:
+            # One new record: frame, statistics and version change together,
+            # and the old generation's converted inputs go with its record.
             self.catalog.register(name, frame)
             key = name.lower()
-            self._dataframes[key] = frame
-            stale = [k for k in self._conversion_cache if k[0] == key]
-            for k in stale:
-                del self._conversion_cache[k]
-            # Traced programs bake data-dependent sizes in, so (re)registering
-            # a table must drop every cached plan that scans it; bumping the
-            # table version also changes the schema fingerprint (and the
-            # conversion cache key) for future lookups.
-            self._table_versions[key] = self._table_versions.get(key, 0) + 1
+            # Traced programs bake data-dependent sizes in: drop every cached
+            # plan that scans the table (held handles notice by its version).
             self.plan_cache.remove_if(
                 lambda q: any(scan.table.lower() == key
                               for scan in q.operator_plan.scans))
@@ -346,8 +360,9 @@ class TQPSession:
         compiled to a tensor function via the Hummingbird-like compiler) or an
         already-compiled callable ``f(args, num_rows) -> ExprValue``.
 
-        Re-registering a model invalidates only the cached plans whose
-        ``PREDICT`` calls actually reference it — plans over other models (or
+        Re-registering a model invalidates only the plans whose ``PREDICT``
+        calls actually reference it — cached ones are dropped, held handles
+        re-plan on their next execution — while plans over other models (or
         none) stay warm.
         """
         from repro.ml import compile_model
@@ -357,39 +372,41 @@ class TQPSession:
         else:
             compiled_model = compile_model(model)
         with self._lock:
-            self._models[name] = compiled_model
+            self._models[name] = (self._model_version(name) + 1, compiled_model)
             # Compiled executors captured the model table at compile time;
             # drop exactly the plans that embed this model.
             self.plan_cache.remove_if(
                 lambda q: name in q.operator_plan.model_names)
 
+    def _model_version(self, name: str) -> int:
+        return self._models.get(name, (0, None))[0]
+
     def table_names(self) -> list[str]:
         return self.catalog.table_names()
 
     def dataframe(self, name: str) -> DataFrame:
-        with self._lock:
-            key = name.lower()
-            if key not in self._dataframes:
-                raise CatalogError(f"unknown table: {name!r}")
-            return self._dataframes[key]
+        return self.catalog.dataframe(name)
 
     # -- compilation -------------------------------------------------------------
 
-    def _scan_fingerprint(self, operator_plan: OperatorPlan) -> tuple:
-        """Schema fingerprint of a plan: the scanned tables' current versions.
+    def _fingerprint(self, operator_plan: OperatorPlan) -> tuple:
+        """Current versions of the tables a plan scans and the models it calls.
 
-        Every schema or data change goes through :meth:`register`, which bumps
-        the table's version, so comparing this fingerprint at cache-hit time
-        guarantees a stale compiled plan can never be served.
+        Every data, schema or model change goes through :meth:`register` /
+        :meth:`register_model`, which hand out a new version, so comparing
+        this fingerprint guarantees a stale compiled plan is never served.
         """
-        return tuple(sorted({
-            (scan.table.lower(), self._table_versions.get(scan.table.lower(), 0))
-            for scan in operator_plan.scans
-        }))
+        tables = {scan.table.lower() for scan in operator_plan.scans}
+        return (tuple((table, self.catalog.version(table)) for table in tables),
+                tuple((model, self._model_version(model))
+                      for model in operator_plan.model_names))
 
     def _plan_is_current(self, compiled: CompiledQuery) -> bool:
-        return (compiled.schema_fingerprint
-                == self._scan_fingerprint(compiled.operator_plan))
+        tables, models = compiled.schema_fingerprint
+        return (all(self.catalog.version(table) == version
+                    for table, version in tables)
+                and all(self._model_version(model) == version
+                        for model, version in models))
 
     def _resolve_options(self, options: Optional[ExecutionOptions]
                          ) -> ExecutionOptions:
@@ -449,11 +466,12 @@ class TQPSession:
             physical = sql_to_physical(sql, self.catalog,
                                        param_types=param_types)
             query_ir = ir_optimizer.optimize_ir(ir_builder.build_ir(physical))
+            names = self.catalog.table_names()
             plan_kwargs = dict(
-                table_rows={name: frame.num_rows
-                            for name, frame in self._dataframes.items()},
+                table_rows={name: self.catalog.dataframe(name).num_rows
+                            for name in names},
                 table_stats={name: self.catalog.statistics(name)
-                             for name in self._dataframes},
+                             for name in names},
                 devices=resolved.devices, shard_mode=resolved.shard)
             strategy = None
             if resolved.adaptive:
@@ -468,15 +486,16 @@ class TQPSession:
                 operator_plan = plan_ir(
                     query_ir, parallelism=resolved.parallelism, **plan_kwargs)
                 exec_options = resolved
-            executor = Executor(operator_plan, models=dict(self._models),
-                                options=exec_options,
-                                scan_stats=self.scan_statistics(operator_plan))
+            executor = Executor(
+                operator_plan, options=exec_options,
+                models={name: model
+                        for name, (_, model) in self._models.items()})
             return CompiledQuery(
                 sql=sql, physical_plan=physical, ir=query_ir,
                 operator_plan=operator_plan, executor=executor,
                 session=self, options=resolved, param_types=param_types,
                 strategy=strategy,
-                schema_fingerprint=self._scan_fingerprint(operator_plan))
+                schema_fingerprint=self._fingerprint(operator_plan))
 
     def prepare(self, sql: str, options: Optional[ExecutionOptions] = None,
                 param_types: Optional[dict] = None) -> PreparedQuery:
@@ -489,7 +508,7 @@ class TQPSession:
         artifact.
         """
         compiled = self.compile(sql, options=options, param_types=param_types)
-        return PreparedQuery(compiled, self)
+        return PreparedQuery(compiled)
 
     def sql(self, sql: str, options: Optional[ExecutionOptions] = None,
             params: Optional[dict] = None) -> DataFrame:
@@ -515,55 +534,33 @@ class TQPSession:
     # -- input preparation (data conversion phase) ----------------------------------
 
     def execution_state(self, compiled: CompiledQuery,
-                        params: Optional[dict] = None
-                        ) -> tuple[Executor, dict[str, TensorTable], dict]:
-        """Atomic per-execution snapshot: ``(executor, inputs, zone maps)``.
+                        bindings: Optional[list] = None
+                        ) -> tuple[Executor, dict[str, TensorTable]]:
+        """Per-execution snapshot of one generation: ``(executor, inputs)``.
 
-        All three are resolved under one hold of the session lock, so a
-        concurrent ``register()`` can never hand an in-flight request
-        mixed-generation state — new columns pruned against old zone maps, a
-        traced program whose baked-in pruning shapes describe the old data,
-        or any other cross-generation pairing.  Either the whole snapshot
-        predates the re-registration or the whole snapshot follows it.
+        Both are resolved under one hold of the session lock, and the inputs
+        carry the zone maps they were converted beside, so a concurrent
+        ``register()`` either precedes the whole snapshot or follows it.
 
-        When the handle's compile-time generation went stale (its cache
-        entry was already purged by :meth:`register`, but long-lived handles
-        keep their object), the statement is re-planned here and the handle
-        refreshed in place, so every held PreparedQuery keeps serving
-        current data.
-
-        Adaptive statements re-plan through the same path when the runtime's
-        preferred strategy for this binding region differs from the compiled
-        one (new observations, a region switch, or a drift flush).
+        A handle whose compile-time generation went stale (a table or model it
+        uses was re-registered; its cache entry is purged, but long-lived
+        handles keep their object) is re-planned here and refreshed in place.
+        Adaptive statements re-plan through the same path when the runtime
+        prefers another strategy for the region of the first of ``bindings``
+        (what the caller is about to execute); an inspection call passes none.
         """
         with self._lock:
             replan = not self._plan_is_current(compiled)
-            if compiled.options.adaptive:
+            if bindings is not None and compiled.options.adaptive:
                 # Always consulted (lock order session → runtime): it also
                 # records the binding region a triggered re-plan compiles for.
-                replan = self.adaptive.wants_replan(compiled, params) or replan
+                first = next((b for b in bindings if isinstance(b, dict)), None)
+                replan = self.adaptive.wants_replan(compiled, first) or replan
             if replan:
                 compiled._refresh_from(self._compile_uncached(
                     compiled.sql, compiled.options, compiled.param_types))
             executor = compiled.executor
-            return (executor, self.prepare_inputs(executor),
-                    self.scan_statistics(executor.plan))
-
-    def scan_statistics(self, plan: OperatorPlan) -> dict[str, "object"]:
-        """Storage statistics (zone maps) per scan alias of a plan.
-
-        Handed to the :class:`Executor` so scans can prune morsel-aligned
-        blocks; the statistics always describe the current table version
-        (registration recomputes them), matching the inputs
-        :meth:`prepare_inputs` serves for the same plan.
-        """
-        with self._lock:
-            stats = {}
-            for scan in plan.scans:
-                table_stats = self.catalog.statistics(scan.table)
-                if table_stats is not None:
-                    stats[scan.alias] = table_stats
-            return stats
+            return executor, self.prepare_inputs(executor)
 
     def prepare_inputs(self, executor: Executor) -> dict[str, TensorTable]:
         """Convert registered DataFrames into tensor tables for an executor.
@@ -572,32 +569,24 @@ class TQPSession:
         (``ExecutionOptions.encoding``): low-cardinality strings become
         dictionary codes, sorted numerics run-length runs (see
         :mod:`repro.storage.encodings`).  Conversions
-        (:func:`repro.core.executor.convert_scan_input`) are cached per
-        ``(table, columns, table version, encoding mode, shard placement)`` so
-        repeated
-        executions — benchmark iterations, serving loops — only pay the
-        encoding cost once, while a ``register()`` of new data under the same
-        name (or a different encoding configuration) can never serve stale
-        converted columns to a long-lived :class:`CompiledQuery`.
+        (:func:`repro.core.executor.convert_scan_input`) are cached on the
+        table's record per ``(columns, encoding mode, shard placement)``, so
+        repeated executions only pay the encoding cost once, and a
+        ``register()`` of new data starts from an empty record: a long-lived
+        :class:`CompiledQuery` can never be served stale converted columns.
         """
         with self._lock:
             encoding_mode = executor.options.encoding
             inputs: dict[str, TensorTable] = {}
             for scan in executor.plan.scans:
-                table_key = scan.table.lower()
-                if table_key not in self._dataframes:
-                    raise CatalogError(f"no registered table named {scan.table!r}")
-                # The table name must stay the key's first element: register()
-                # purges stale conversions by matching ``key[0]``.  Only a
-                # sharded scan's partitioning shapes the converted table.
+                record = self.catalog.record(scan.table)
+                # Only a sharded scan's partitioning shapes the converted table.
                 placement = (scan.partitioning
                              if scan.partitioning.kind == "shards" else None)
-                cache_key = (table_key, tuple(f.name for f in scan.fields),
-                             self._table_versions.get(table_key, 0),
-                             encoding_mode, placement)
-                if cache_key not in self._conversion_cache:
-                    self._conversion_cache[cache_key] = convert_scan_input(
-                        scan, self._dataframes[table_key], encoding_mode,
-                        self.catalog.statistics(table_key))
-                inputs[scan.alias] = self._conversion_cache[cache_key]
+                key = (tuple(f.name for f in scan.fields), encoding_mode,
+                       placement)
+                if key not in record.converted:
+                    record.converted[key] = convert_scan_input(
+                        scan, record.frame, encoding_mode, record.statistics)
+                inputs[scan.alias] = record.converted[key]
             return inputs

@@ -82,9 +82,8 @@ class ShardSpec:
 class ShardedTable:
     """One :class:`TensorTable` per simulated device, plus the placement spec.
 
-    Quacks like a TensorTable just enough for the executor's input plumbing
-    (``to``/``select``/``__contains__``); per-row operations live on the
-    individual shards, which a sharded scan addresses directly.
+    The executor's input plumbing only moves it (``to``); everything per-row
+    lives on the individual shards, which a sharded scan addresses directly.
     """
 
     def __init__(self, shards: list[TensorTable], spec: ShardSpec):
@@ -97,21 +96,6 @@ class ShardedTable:
     @property
     def num_rows(self) -> int:
         return sum(shard.num_rows for shard in self.shards)
-
-    @property
-    def column_names(self) -> list[str]:
-        return self.shards[0].column_names
-
-    @property
-    def device(self):
-        return self.shards[0].device
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.shards[0]
-
-    def select(self, names) -> "ShardedTable":
-        return ShardedTable([shard.select(names) for shard in self.shards],
-                            self.spec)
 
     def to(self, device) -> "ShardedTable":
         return ShardedTable([shard.to(device) for shard in self.shards],

@@ -1,17 +1,21 @@
-"""Catalog of registered tables (name → schema, statistics + ingestion DataFrame).
+"""Catalog of registered tables: one record per table, one dict of records.
 
-Besides the schema, registration collects the table's **storage statistics**
-(row count, per-column NDV/null counts, and morsel-aligned zone maps — see
-:mod:`repro.storage.statistics`).  The statistics are recomputed whenever a
-table is re-registered, so they always describe the current table version:
-the planner reads them for selectivity estimates and scan pruning, and the
-session's encoding policy reads the NDV counts when choosing dictionary
-encodings.
+A :class:`TableRecord` is one **generation** of a registered table — the
+ingestion DataFrame, its schema, its storage statistics (row count,
+per-column NDV/null counts and morsel-aligned zone maps, see
+:mod:`repro.storage.statistics`), a version, and the tensor inputs converted
+from exactly that frame.  Re-registering a name replaces the whole record by
+one assignment, so nothing derived from the old data — statistics, converted
+columns — can outlive it or be paired with the new frame.  The planner reads
+the statistics for selectivity estimates and scan pruning, and the encoding
+policy reads their NDV counts when choosing dictionary encodings.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from typing import Optional
 
 from repro.core.columnar import LogicalType
 from repro.dataframe import DataFrame
@@ -42,61 +46,77 @@ class TableSchema:
             ) from None
 
 
+@dataclasses.dataclass
+class TableRecord:
+    """One generation of a registered table."""
+
+    frame: DataFrame
+    schema: TableSchema
+    #: ``repro.storage.TableStatistics`` of ``frame`` (``None`` when the
+    #: catalog does not collect them).
+    statistics: Optional[object]
+    #: Unique per registration, across names: a plan fingerprinted with it
+    #: can never match a later registration.
+    version: int
+    #: Scan inputs converted from ``frame``, keyed by what shapes a
+    #: conversion (columns, encoding mode, shard placement).  Filled by
+    #: ``TQPSession.prepare_inputs``; dies with the record.
+    converted: dict = dataclasses.field(default_factory=dict)
+
+
 class Catalog:
     """Holds the tables a session can query."""
 
     def __init__(self, collect_statistics: bool = True) -> None:
-        self._tables: dict[str, DataFrame] = {}
-        self._schemas: dict[str, TableSchema] = {}
-        self._statistics: dict[str, object] = {}
+        self._records: dict[str, TableRecord] = {}
+        self._versions = itertools.count(1)
         #: Whether ``register`` collects storage statistics (zone maps, NDV).
         self.collect_statistics = collect_statistics
 
     def register(self, name: str, frame: DataFrame, replace: bool = True) -> None:
-        """Register ``frame`` under ``name`` (lower-cased, SQL style).
-
-        Also (re)computes the table's storage statistics, so zone maps and
-        NDV estimates always describe the currently registered data — a
-        re-registration can never leave stale statistics behind.
-        """
+        """Register ``frame`` under ``name`` (lower-cased, SQL style)."""
         key = name.lower()
-        if not replace and key in self._tables:
+        if not replace and key in self._records:
             raise CatalogError(f"table {name!r} is already registered")
         columns = {
             column: _KIND_TO_LOGICAL[kind] for column, kind in frame.dtypes().items()
         }
-        self._tables[key] = frame
-        self._schemas[key] = TableSchema(key, columns)
-        self._statistics.pop(key, None)
+        statistics = None
         if self.collect_statistics:
             from repro.storage.statistics import compute_table_statistics
 
-            self._statistics[key] = compute_table_statistics(frame)
+            statistics = compute_table_statistics(frame)
+        self._records[key] = TableRecord(frame, TableSchema(key, columns),
+                                         statistics, next(self._versions))
 
     def unregister(self, name: str) -> None:
-        key = name.lower()
-        self._tables.pop(key, None)
-        self._schemas.pop(key, None)
-        self._statistics.pop(key, None)
+        self._records.pop(name.lower(), None)
+
+    def record(self, name: str) -> TableRecord:
+        """The current generation of a registered table."""
+        try:
+            return self._records[name.lower()]
+        except KeyError:
+            raise CatalogError(f"unknown table: {name!r}") from None
+
+    def version(self, name: str) -> int:
+        """Version of the current registration (0 when there is none)."""
+        record = self._records.get(name.lower())
+        return record.version if record is not None else 0
 
     def statistics(self, name: str):
         """Storage statistics of a registered table (``None`` if absent)."""
-        return self._statistics.get(name.lower())
+        record = self._records.get(name.lower())
+        return record.statistics if record is not None else None
 
     def has_table(self, name: str) -> bool:
-        return name.lower() in self._tables
+        return name.lower() in self._records
 
     def table_names(self) -> list[str]:
-        return sorted(self._tables)
+        return sorted(self._records)
 
     def dataframe(self, name: str) -> DataFrame:
-        key = name.lower()
-        if key not in self._tables:
-            raise CatalogError(f"unknown table: {name!r}")
-        return self._tables[key]
+        return self.record(name).frame
 
     def schema(self, name: str) -> TableSchema:
-        key = name.lower()
-        if key not in self._schemas:
-            raise CatalogError(f"unknown table: {name!r}")
-        return self._schemas[key]
+        return self.record(name).schema

@@ -23,16 +23,19 @@ clients and a :class:`~repro.core.session.TQPSession`:
 * **Inter-query bind batching.**  When a worker picks up a request, it also
   drains every queued request for the *same* compiled statement (up to
   ``batch_window``) and replays all their bindings through one
-  :meth:`~repro.core.executor.Executor.execute_many` call — which on the
-  graph backends costs one input flattening plus one generated-function
-  call per binding.  Requests from unrelated clients thus amortize each
-  other's fixed costs, while every client still receives exactly the result
-  of its own binding (``on_error="collect"`` keeps one bad request from
-  poisoning its batch neighbours).  Within a batch, requests whose
-  *validated* bindings are identical collapse onto one replay and share its
-  result — under skewed traffic most of a hot statement's requests repeat a
-  few bindings, so the batcher executes the distinct work, not the arrival
-  count.
+  :meth:`~repro.core.session.CompiledQuery.execute_many` call — the entry
+  every caller-thread execution takes too, so which generation of the
+  session's state a batch sees, and who learns from it, is not this
+  module's business; a request picked up alone is a batch of one.  On the
+  graph backends a batch costs one input flattening plus one
+  generated-function call per binding.  Requests from unrelated clients thus
+  amortize each other's fixed costs, while every client still receives
+  exactly the result of its own binding (``on_error="collect"`` keeps one
+  bad request from poisoning its batch neighbours).  Within a batch,
+  requests whose *validated* bindings are identical collapse onto one replay
+  and share its result — under skewed traffic most of a hot statement's
+  requests repeat a few bindings, so the batcher executes the distinct work,
+  not the arrival count.
 
 Profiler activation is captured at submission
 (:func:`repro.tensor.profiler.capture_scope`) and re-entered on the worker
@@ -192,8 +195,8 @@ class ServingRuntime:
     """Multiplexes concurrent clients over one shared :class:`TQPSession`.
 
     Args:
-        session: the shared session; its plan cache, conversion cache and
-            registered tables are what all clients serve from.
+        session: the shared session; its plan cache and registered tables
+            (with their converted inputs) are what all clients serve from.
         workers: worker threads executing admitted requests.
         max_queue_depth: bound on *queued* (not yet picked up) requests;
             submits beyond it raise :class:`~repro.errors.AdmissionError`.
@@ -407,55 +410,10 @@ class ServingRuntime:
                     "queue"))
             else:
                 live.append(request)
-        if not live:
-            return
-        compiled = live[0].compiled
-        try:
-            # One atomic (executor, inputs, zone-map) snapshot for the whole
-            # batch: a concurrent register() either precedes or follows all
-            # of it, and a statement whose generation went stale (or whose
-            # adaptive strategy preference changed) is re-planned before
-            # anything executes.
-            executor, inputs, stats = compiled.session.execution_state(
-                compiled, live[0].bound or None)
-        except Exception as exc:  # noqa: BLE001 - forwarded to the tickets
-            self._fail_all(live, exc)
-            return
-        if len(live) == 1 or not live[0].batchable:
-            # Strategy of this snapshot, read before executing so a
-            # concurrent re-plan can't misattribute the observations.
-            strategy = compiled.strategy
-            for request in live:
-                self._run_single(request, executor, inputs, stats, strategy)
-            return
-        self._run_batch(live, executor, inputs, stats)
+        if live:
+            self._run_batch(live)
 
-    def _run_single(self, request: _Request, executor, inputs, stats,
-                    strategy=None) -> None:
-        adaptive = request.compiled.options.adaptive
-        try:
-            with request.scope:
-                result = executor.execute(
-                    inputs, profile=request.profile or adaptive,
-                    params=request.bound, scan_stats=stats)
-        except Exception as exc:  # noqa: BLE001 - forwarded to the ticket
-            with self._cond:
-                self._counters["failed"] += 1
-            request.ticket._fail(exc)
-            return
-        if adaptive:
-            # Outside the session lock (observe only takes the adaptive
-            # runtime's own locks), so workers record feedback concurrently.
-            request.compiled.session.adaptive.observe(
-                request.compiled, request.bound or None, result,
-                strategy=strategy,
-                plan_signature=executor.plan.root.pretty())
-        with self._cond:
-            self._counters["completed"] += 1
-        request.ticket._complete(result)
-
-    def _run_batch(self, live: "list[_Request]", executor, inputs,
-                   stats) -> None:
+    def _run_batch(self, live: "list[_Request]") -> None:
         # Zipfian traffic repeats not just statements but *bindings*: within
         # one batch, requests with identical (validated, normalized) values
         # collapse onto a single replay and share its result — the queries
@@ -465,21 +423,23 @@ class ServingRuntime:
         distinct: list[dict] = []
         slots: list[int] = []
         for request in live:
-            try:
-                key = tuple(sorted(request.bound.items()))
-                slot = slot_by_key.get(key)
-            except TypeError:  # unhashable binding value: keep it distinct
-                slot = None
-                key = None
+            # Validated values are python scalars or strings: always hashable.
+            key = tuple(sorted(request.bound.items()))
+            slot = slot_by_key.get(key)
             if slot is None:
-                slot = len(distinct)
+                slot = slot_by_key[key] = len(distinct)
                 distinct.append(request.bound)
-                if key is not None:
-                    slot_by_key[key] = slot
             slots.append(slot)
+        first = live[0]
         try:
-            outcomes = executor.execute_many(
-                inputs, distinct, on_error="collect", scan_stats=stats)
+            # One generation of the session's state for the whole batch: a
+            # concurrent register() either precedes or follows all of it, and
+            # a stale statement is re-planned before anything executes.  Only
+            # an unbatchable request — always alone — has a scope to enter or
+            # a profile to ask for; a single request is a batch of one.
+            with first.scope:
+                outcomes = first.compiled.execute_many(
+                    distinct, profile=first.profile, on_error="collect")
         except Exception as exc:  # noqa: BLE001 - forwarded to the tickets
             self._fail_all(live, exc)
             return
@@ -495,11 +455,12 @@ class ServingRuntime:
         with self._cond:
             self._counters["completed"] += completed
             self._counters["failed"] += failed
-            self._counters["batches"] += 1
-            self._counters["batched_requests"] += len(live)
-            self._counters["deduped_requests"] += len(live) - len(distinct)
-            self._counters["max_batch"] = max(self._counters["max_batch"],
-                                              len(live))
+            if len(live) > 1:  # a singleton pickup is not a batch
+                self._counters["batches"] += 1
+                self._counters["batched_requests"] += len(live)
+                self._counters["deduped_requests"] += len(live) - len(distinct)
+                self._counters["max_batch"] = max(self._counters["max_batch"],
+                                                  len(live))
 
     def _fail_all(self, requests: "list[_Request]",
                   error: BaseException) -> None:

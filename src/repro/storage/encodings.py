@@ -259,9 +259,8 @@ def encode_table(frame, fields: Iterable, mode: str = "auto",
 
     ``fields`` are the scan's (possibly qualified) field objects; the mapping
     returned is keyed by the qualified field name, matching what the scan
-    operators expect.  Used by both ``TQPSession.prepare_inputs`` and
-    ``Executor.prepare_inputs`` so the session-side conversion cache and a
-    standalone executor always agree on the storage layout.
+    operators expect.  Called by ``repro.core.executor.convert_scan_input``,
+    the one converter.
     """
     columns: dict[str, TensorColumn] = {}
     for field in fields:

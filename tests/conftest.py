@@ -99,6 +99,23 @@ def event_stream():
 
 
 @pytest.fixture(scope="session")
+def scaling_model():
+    """``factor -> model callable`` multiplying its first argument: two
+    registrations of one model name that answer differently."""
+    from repro.core.expressions import ExprValue
+    from repro.tensor import ops
+
+    def scaling(factor):
+        def model(args, num_rows):
+            value = args[0]
+            return ExprValue(ops.mul(value.tensor, factor), value.ltype,
+                             valid=value.valid)
+        return model
+
+    return scaling
+
+
+@pytest.fixture(scope="session")
 def frames_match():
     """The shared differential frame assertion (see :func:`assert_frames_match`).
 

@@ -24,6 +24,8 @@ from repro.adaptive import (
     binding_region,
     scope_family,
 )
+from repro.backends.base import split_partitions
+from repro.backends.cpu import CPUDevice
 from repro.serve import ServingRuntime
 
 N_ROWS = 20000
@@ -57,6 +59,51 @@ def session(frames):
 
 ADAPTIVE = ExecutionOptions(adaptive=True)
 SQL = "select grp, sum(v) as sv from t where v < :cut group by grp"
+#: Integer aggregation: exact under every strategy, so exploration cannot
+#: produce float round-off differences between results.
+EXACT_SQL = "select grp, sum(k) as sk from t where v < :cut group by grp"
+STRATEGIES = {"auto", "serial", "parallel"}
+
+
+def sorted_rows(result):
+    frame = result.to_dataframe()
+    return sorted(zip(*[frame[c] for c in frame.columns]))
+
+
+def bytes_charge(self, measured_s, profile):
+    """Deterministic stand-in for measured kernel times: the same concurrent
+    structure (serial work + slowest lane + per-morsel dispatch), each kernel
+    charged a fixed launch cost plus the bytes it wrote."""
+    host, _, _ = split_partitions(profile.events)
+    return host.time(lambda event: 1e-6 + event.output_bytes / 1e9,
+                     self.morsel_dispatch_overhead_s)
+
+
+class WorkerGate:
+    """Registered as a model; holds the executing worker until released, so
+    everything queued behind it is picked up as one batch."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, args, num_rows):
+        self.entered.set()
+        assert self.release.wait(20), "test gate never released"
+        return args[0]
+
+
+def submit_behind_gate(serving, gate, statement, cuts):
+    """Queue one request per cut while the only worker is held; release."""
+    gate.entered.clear()
+    gate.release.clear()
+    blocker = serving.submit("select sum(predict('gate', k)) as s from t",
+                             options=ExecutionOptions(backend="pytorch"))
+    assert gate.entered.wait(10)
+    tickets = [statement.submit(cut=cut) for cut in cuts]
+    gate.release.set()
+    blocker.result(20)
+    return [ticket.result(20) for ticket in tickets]
 
 
 # -- feedback store ------------------------------------------------------------
@@ -235,6 +282,9 @@ def test_adaptive_explores_then_settles_per_region(session):
     assert set(seen) == {"auto", "serial", "parallel"}
     settle = 3 * runtime.min_observations
     assert len(set(seen[settle:])) == 1
+    # This is the measured path (kernel times off the wall clock): *which*
+    # strategy wins is the machine's business, that one does is ours.
+    assert seen[-1] in STRATEGIES
     # Feedback was recorded under the statement's plan-cache key, with the
     # observed selectivity attached.
     records = runtime.feedback.dump()
@@ -243,7 +293,11 @@ def test_adaptive_explores_then_settles_per_region(session):
     assert any(r["filter_selectivity"] is not None for r in records)
 
 
-def test_adaptive_keeps_independent_choices_per_region(session):
+def test_adaptive_keeps_independent_choices_per_region(session, monkeypatch):
+    # Which shape wins a region is asserted below, so the cost must not be a
+    # measurement: measured, serial and lanes are ~20% apart on 20k rows and
+    # the winner flipped one run in eight.
+    monkeypatch.setattr(CPUDevice, "report_time", bytes_charge)
     query = session.prepare(SQL, options=ADAPTIVE)
     runtime = session.adaptive
     rounds = 3 * runtime.min_observations + 4
@@ -279,30 +333,110 @@ def test_adaptive_results_match_static_execution(session, frames_match):
 
 
 def test_adaptive_feedback_under_serving_pool(session):
-    """Many workers over one adaptive statement: no lost or torn records."""
-    # Integer aggregation: exact under every strategy, so concurrent
-    # exploration cannot produce float round-off differences.
-    sql = "select grp, sum(k) as sk from t where v < :cut group by grp"
-    expected = None
-    # batch_window=1 keeps every request on the single-request path, the
-    # one that records feedback (batched replays skip observation).
-    with ServingRuntime(session, workers=4, max_queue_depth=256,
-                        batch_window=1) as serving:
-        statement = serving.prepare(sql, options=ADAPTIVE)
-        tickets = [serving.submit(statement, params={"cut": 50.0})
-                   for _ in range(24)]
-        results = [t.result(timeout=60) for t in tickets]
-        for result in results:
-            frame = result.to_dataframe()
-            rows = sorted(zip(*[frame[c] for c in frame.columns]))
-            if expected is None:
-                expected = rows
-            assert rows == expected
+    """Many workers over one adaptive statement: no lost or torn records,
+    whether a request ran alone or inside a batch."""
+    with ServingRuntime(session, workers=4, max_queue_depth=256) as serving:
+        statement = serving.prepare(EXACT_SQL, options=ADAPTIVE)
+        tickets = [serving.submit(statement, params={"cut": 50.0 + i % 6})
+                   for i in range(24)]
+        by_cut = {}
+        for i, ticket in enumerate(tickets):
+            rows = sorted_rows(ticket.result(timeout=60))
+            assert by_cut.setdefault(i % 6, rows) == rows
+        stats = serving.stats()
     store = session.adaptive.feedback
-    assert store.total_recorded == 24
-    assert len(store) == 24
+    # One record per distinct execution: deduped requests share a replay.
+    assert stats["completed"] == 24
+    assert store.total_recorded == 24 - stats["deduped_requests"]
+    assert len(store) == store.total_recorded
     # All observations landed in the single broad-binding region.
     assert len({r["region"] for r in store.dump()}) == 1
+
+
+def test_execute_many_records_one_feedback_row_per_binding(session):
+    adaptive = session.prepare(EXACT_SQL, options=ADAPTIVE)
+    static = session.prepare(EXACT_SQL.replace("sk", "sk2"))
+    cuts = [50.0 + i for i in range(10)]
+    results = adaptive.execute_many([{"cut": cut} for cut in cuts])
+    store = session.adaptive.feedback
+    assert store.total_recorded == 10
+    assert len({r["region"] for r in store.dump()}) == 1
+    for cut, result in zip(cuts, results):
+        assert result.profile is not None
+        assert sorted_rows(result) == sorted_rows(static.bind(cut=cut).execute())
+    # The batch noted its first binding's region, so a re-plan it triggers
+    # compiles with that region's corrections (not the unparameterized one).
+    key = session.adaptive.statement_key(adaptive.compiled.sql)
+    assert session.adaptive._last_region[key] == binding_region({"cut": 50.0})
+    # Batches explore too: the second one runs under the next candidate.
+    first = adaptive.compiled.strategy
+    adaptive.execute_many([{"cut": cut} for cut in cuts])
+    assert adaptive.compiled.strategy != first
+    assert store.total_recorded == 20
+
+
+def test_batched_serving_records_one_row_per_distinct_execution(session):
+    gate = WorkerGate()
+    session.register_model("gate", gate)
+    static = session.prepare(EXACT_SQL.replace("sk", "sk2"))
+    # Distinct bindings of one region (one factor-of-two band), repeated.
+    cuts = [50.0 + i % 5 for i in range(30)]
+    with ServingRuntime(session, workers=1, max_queue_depth=64,
+                        batch_window=8) as serving:
+        statement = serving.prepare(EXACT_SQL, options=ADAPTIVE)
+        results = submit_behind_gate(serving, gate, statement, cuts)
+        stats = serving.stats()
+    assert stats["batches"] == 4 and stats["batched_requests"] == 30
+    assert stats["deduped_requests"] == 3 + 3 + 3 + 1
+    store = session.adaptive.feedback
+    # The blocker is the one completed request that is not adaptive.
+    assert store.total_recorded \
+        == stats["completed"] - 1 - stats["deduped_requests"]
+    assert len({r["region"] for r in store.dump()}) == 1
+    for cut, result in zip(cuts, results):
+        assert sorted_rows(result) == sorted_rows(static.bind(cut=cut).execute())
+
+
+def test_batch_only_traffic_still_explores_and_settles(session):
+    gate = WorkerGate()
+    session.register_model("gate", gate)
+    static = session.prepare(EXACT_SQL.replace("sk", "sk2"))
+    cuts = [50.0, 52.0, 54.0]
+    expected = [sorted_rows(static.bind(cut=cut).execute()) for cut in cuts]
+    seen = []
+    with ServingRuntime(session, workers=1, batch_window=8) as serving:
+        statement = serving.prepare(EXACT_SQL, options=ADAPTIVE)
+        for _ in range(8):
+            results = submit_behind_gate(serving, gate, statement, cuts)
+            seen.append(statement.prepared.compiled.strategy)
+            assert [sorted_rows(r) for r in results] == expected
+        stats = serving.stats()
+    # Every request of the statement ran inside a batch ...
+    assert stats["batches"] == 8 and stats["batched_requests"] == 24
+    # ... and each batch's three observations advance the rotation one
+    # candidate (min_observations is 2), after which the choice holds.
+    assert seen[:3] == ["auto", "serial", "parallel"]
+    assert len(set(seen[3:])) == 1 and seen[-1] in STRATEGIES
+    assert session.adaptive.feedback.total_recorded == 24
+
+
+def test_inspection_calls_do_not_replan(session, tmp_path):
+    query = session.prepare(
+        SQL, options=ADAPTIVE.replace(backend="torchscript"))
+    for _ in range(session.adaptive.min_observations):
+        query.bind(cut=50.0).execute()
+    # "auto" is now fully observed, so the next *execution* re-plans to the
+    # next candidate; looking at the graph or exporting it must not.
+    compiled = query.compiled
+    before = (session.adaptive.replan_count, compiled.strategy,
+              compiled.executor)
+    compiled.executor_graph(params={"cut": 50.0})
+    compiled.export_onnx(str(tmp_path / "q.onnx"), params={"cut": 50.0})
+    assert (session.adaptive.replan_count, compiled.strategy,
+            compiled.executor) == before
+    query.bind(cut=50.0).execute()
+    assert session.adaptive.replan_count == before[0] + 1
+    assert compiled.strategy != before[1]
 
 
 def test_non_adaptive_statements_record_nothing(session):

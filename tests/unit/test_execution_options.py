@@ -1,7 +1,9 @@
 """Unit tests for ExecutionOptions and the session entry-point signatures."""
 
+import ast
 import dataclasses
 import inspect
+import pathlib
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.bench import time_tqp
 from repro.core.executor import Executor
 from repro.core.planner import plan_ir
 from repro.errors import ExecutionError
+from repro.serve import ServingRuntime
 from repro.tensor.script import EXECUTOR_MODES
 
 import numpy as np
@@ -40,11 +43,49 @@ def test_the_knob_set_is_pinned():
 
     assert parameters(TQPSession.__init__) == ["plan_cache_size",
                                                "default_options"]
-    assert parameters(Executor.__init__) == ["plan", "models", "options",
-                                             "scan_stats"]
+    assert parameters(Executor.__init__) == ["plan", "models", "options"]
+    assert parameters(ServingRuntime.__init__) == [
+        "session", "workers", "max_queue_depth", "batch_window",
+        "default_options", "default_timeout"]
     assert parameters(DeviceCostModel.report_time) == ["measured_s", "profile"]
     assert parameters(time_tqp) == ["session", "sql", "options", "runs",
                                     "warmup", "profile"]
+
+
+def test_one_generation_one_way_in_is_pinned():
+    """Which generation of the session's state an execution sees, and who
+    observes it, is decided in one place (``CompiledQuery.execute_many``):
+    zone maps ride on their inputs instead of being threaded beside them, the
+    snapshot is taken by session code only, feedback is recorded at one call
+    site, and the serving runtime does not know adaptive execution exists."""
+    src = pathlib.Path(inspect.getfile(Executor)).parents[2]
+    observe_calls, snapshot_callers = [], set()
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        where = path.relative_to(src).as_posix()
+        for gone in ("scan_stats", "zone_maps"):
+            assert gone not in text, f"{gone} in {where}"
+        identifiers = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                identifiers.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                identifiers.add(node.attr)
+            elif isinstance(node, ast.arg):
+                identifiers.add(node.arg)
+            elif isinstance(node, ast.keyword):
+                identifiers.add(node.arg)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                owner_name = getattr(owner, "attr", getattr(owner, "id", None))
+                if node.func.attr == "observe" and owner_name == "adaptive":
+                    observe_calls.append(where)
+                if node.func.attr == "execution_state":
+                    snapshot_callers.add(where)
+        if where == "repro/serve/runtime.py":
+            assert "adaptive" not in identifiers
+    assert observe_calls == ["repro/core/session.py"]
+    assert snapshot_callers == {"repro/core/session.py"}
 
 
 def test_resolved_fills_session_defaults():

@@ -18,7 +18,7 @@ from repro.core.columnar import (
 from repro.core.operators import lanes, run_partitions
 from repro.core.operators.partition import effective_morsel_rows
 from repro.core.tuning import DEFAULT_TUNING
-from repro.errors import CatalogError, ExecutionError
+from repro.errors import AnalysisError, CatalogError, ExecutionError
 from repro.tensor import Profiler, current_lane, lane_scope, ops, passes, tracing
 from repro import ExecutionOptions
 
@@ -239,16 +239,23 @@ def test_plan_cache_keys_include_parallelism(session):
 # -- executor input validation ------------------------------------------------
 
 
-def test_prepare_inputs_validates_tables_and_columns(session):
-    compiled = session.compile("select sum(amount) as s from orders", options=ExecutionOptions(use_cache=False))
-    with pytest.raises(CatalogError, match="'orders'"):
-        compiled.executor.prepare_inputs({})
+def test_prepare_inputs_validates_tables_and_columns(session, frames):
+    compiled = session.compile("select sum(amount) as s from ORDERS", options=ExecutionOptions(use_cache=False))
     # Case-insensitive table matching, like the session catalog.
-    upper = {"ORDERS": session.dataframe("orders")}
-    assert "orders" in compiled.executor.prepare_inputs(upper)
-    bad = {"orders": DataFrame({"order_id": np.arange(3, dtype=np.int64)})}
-    with pytest.raises(ExecutionError, match="amount"):
-        compiled.executor.prepare_inputs(bad)
+    assert "orders" in session.prepare_inputs(compiled.executor)
+    # A plan over a table this session never registered names it.
+    with pytest.raises(CatalogError, match="'orders'"):
+        TQPSession().prepare_inputs(compiled.executor)
+    # A missing column cannot reach conversion through a session: the held
+    # handle re-plans against the new generation first, and the analyzer
+    # rejects the statement with its typed error.
+    own = TQPSession()
+    own.register("orders", frames["orders"])
+    held = own.prepare("select sum(amount) as s from orders")
+    held.run()
+    own.register("orders", DataFrame({"order_id": np.arange(3, dtype=np.int64)}))
+    with pytest.raises(AnalysisError, match="amount"):
+        held.run()
 
 
 # -- cost models --------------------------------------------------------------

@@ -145,6 +145,38 @@ def test_register_model_invalidates_only_plans_referencing_it(session):
     assert session.plan_cache.stats()["size"] == before
 
 
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
+def test_held_handle_follows_a_re_registered_model(session, backend,
+                                                   scaling_model):
+    """Models are versioned like tables: a handle held across
+    ``register_model()`` re-plans instead of replaying the program (or the
+    eager executor) that captured the old model."""
+    options = ExecutionOptions(backend=backend)
+    sql = "select sum(predict('m', amount)) as total from sales"
+    session.register_model("m", scaling_model(2.0))
+    session.register_model("other", scaling_model(3.0))
+    held = session.prepare(sql, options=options)
+    compiled = session.compile(sql, options=options)
+    bystander = session.prepare(
+        "select sum(predict('other', amount)) as total from sales",
+        options=options)
+    assert held.run().to_dict() == {"total": [180.0]}
+    assert bystander.run().to_dict() == {"total": [270.0]}
+    bystander_executor = bystander.compiled.executor
+
+    session.register_model("m", scaling_model(10.0))
+    fresh = session.sql(sql, options=options).to_dict()
+    assert fresh == {"total": [900.0]}
+    assert held.run().to_dict() == fresh
+    assert compiled.run().to_dict() == fresh
+    assert held.execute_many([{}])[0].to_dataframe().to_dict() == fresh
+    # Plans over other models stay warm: same executor, same cache entry.
+    assert bystander.run().to_dict() == {"total": [270.0]}
+    assert bystander.compiled.executor is bystander_executor
+    assert session.compile(bystander.compiled.sql,
+                           options=options) is bystander.compiled
+
+
 def test_cached_plan_returns_correct_results_across_calls(session):
     expected = {"region": ["eu", "us", "apac"], "total": [35.0, 25.0, 15.0]}
     assert session.sql(SQL).to_dict() == expected

@@ -84,6 +84,10 @@ def test_execute_matches_direct_session_result():
     stats = runtime.stats()
     assert stats["submitted"] == 3 and stats["completed"] == 3
     assert stats["failed"] == 0
+    # A request picked up alone is a batch of one to the worker, not to the
+    # counters: batching statistics describe requests that shared a replay.
+    assert stats["batches"] == stats["batched_requests"] == 0
+    assert stats["max_batch"] == 0
 
 
 def test_statements_share_one_compiled_artifact():
@@ -496,3 +500,27 @@ def test_reregister_while_serving_never_mixes_generations():
         for thread in threads:
             thread.join(30)
     assert not failures, failures[0]
+
+
+def test_live_statement_follows_a_re_registered_model(scaling_model):
+    """A model swap is a new generation like a table swap: the statement a
+    runtime holds re-plans instead of serving the captured old model."""
+    sql = ("select sum(predict('m', amount)) as total from sales "
+           "where amount >= :lo")
+    session = make_session()
+    session.register_model("m", scaling_model(2.0))
+    with ServingRuntime(session, workers=2, default_options=OPTIONS) as runtime:
+        statement = runtime.prepare(sql)
+        other = runtime.prepare(SQL)
+        assert statement.run(lo=15.0).to_dict() == {"total": [190.0]}
+        assert other.run(lo=15.0).to_dict() == {"total": [95.0]}
+        warm = other.prepared.compiled.executor
+        session.register_model("m", scaling_model(10.0))
+        fresh = session.sql(sql, options=OPTIONS, params={"lo": 15.0})
+        assert fresh.to_dict() == {"total": [950.0]}
+        assert statement.run(lo=15.0).to_dict() == fresh.to_dict()
+        tickets = [statement.submit(lo=15.0) for _ in range(6)]
+        assert all(t.run(20).to_dict() == fresh.to_dict() for t in tickets)
+        # Statements that call no model (or another one) stay warm.
+        assert other.run(lo=15.0).to_dict() == {"total": [95.0]}
+        assert other.prepared.compiled.executor is warm
