@@ -12,7 +12,7 @@ Run with:  python examples/prediction_queries.py
 
 import numpy as np
 
-from repro import DataFrame, TQPSession
+from repro import DataFrame, ExecutionOptions, TQPSession
 from repro.datasets import amazon_reviews, iris
 from repro.ml.models import (
     BagOfWordsVectorizer,
@@ -50,7 +50,7 @@ def sentiment_task(session: TQPSession) -> None:
         group by brand
         order by brand
         """,
-        backend="torchscript", device="cuda",
+        options=ExecutionOptions(backend="torchscript", device="cuda"),
     )
     result = query.execute()
     print(result.to_dataframe())

@@ -11,6 +11,7 @@ Run with:  python examples/profiling_tensorboard.py [output_dir]
 import pathlib
 import sys
 
+from repro import ExecutionOptions
 from repro.bench import tpch_session
 from repro.datasets import tpch
 from repro.viz import (
@@ -28,7 +29,8 @@ def main(output_dir: str = "profiling_output") -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     session, _ = tpch_session(scale_factor=0.01)
-    query = session.compile(tpch.query(6), backend="pytorch", device="cpu")
+    query = session.compile(tpch.query(6), options=ExecutionOptions(
+        backend="pytorch", device="cpu"))
 
     # Execute with profiling enabled (what the PyTorch profiler does in the paper).
     result = query.execute(profile=True)

@@ -5,7 +5,7 @@ Run with:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import DataFrame, TQPSession
+from repro import DataFrame, ExecutionOptions, TQPSession
 
 
 def main() -> None:
@@ -38,8 +38,8 @@ def main() -> None:
         group by region
         order by total_amount desc
         """,
-        backend="torchscript",   # trace + optimize the whole query as one graph
-        device="cpu",
+        # torchscript: trace + optimize the whole query as one graph
+        options=ExecutionOptions(backend="torchscript", device="cpu"),
     )
 
     print("== Compiled plan ==")
@@ -53,7 +53,8 @@ def main() -> None:
           f"on backend={result.backend} device={result.device}")
 
     # 5. One-line change to target another backend/device (Figure 3 of the paper).
-    gpu_result = session.compile(query.sql, backend="torchscript", device="cuda").execute()
+    gpu_result = session.compile(query.sql, options=ExecutionOptions(
+        backend="torchscript", device="cuda")).execute()
     print(f"simulated GPU time: {gpu_result.reported_s * 1e3:.3f} ms "
           "(results are identical)")
     assert gpu_result.to_dataframe().equals(result.to_dataframe())

@@ -124,12 +124,11 @@ def morsel_bounds(num_rows: int, morsel_rows: int = DEFAULT_MORSEL_ROWS
 class TensorColumn:
     """One column of a :class:`TensorTable`.
 
-    A column may carry a storage ``encoding`` (see
-    :mod:`repro.storage.encodings`): dictionary-encoded string columns keep
-    ``(n,)`` int32 codes in ``tensor`` plus a shared dictionary on the
-    encoding, run-length-encoded numeric columns keep the run values.  Callers
-    that cannot work on the encoded form use :meth:`decoded`, which lowers the
-    decode to a single tensor op.
+    A string column may carry a storage ``encoding`` (see
+    :mod:`repro.storage.encodings`): it then keeps ``(n,)`` int32 codes in
+    ``tensor`` plus a shared dictionary on the encoding.  Either way ``tensor``
+    has one entry per row.  Callers that cannot work on the codes use
+    :meth:`decoded`, which lowers the decode to a single tensor op.
     """
 
     __slots__ = ("tensor", "ltype", "valid", "encoding")
@@ -173,8 +172,6 @@ class TensorColumn:
 
     @property
     def num_rows(self) -> int:
-        if self.encoding is not None:
-            return self.encoding.num_rows(self.tensor)
         return self.tensor.shape[0]
 
     @property
@@ -194,57 +191,34 @@ class TensorColumn:
     def decoded(self) -> "TensorColumn":
         """The plain (unencoded) form of this column; a no-op when unencoded.
 
-        The decode is one tensor op (dictionary ``take`` / run-length
-        ``repeat``), so it is traced, profiled and cost-modelled like any
-        other kernel.
+        The decode is one tensor op (a ``take`` from the dictionary), so it
+        is traced, profiled and cost-modelled like any other kernel.
         """
         if self.encoding is None:
             return self
         return TensorColumn(self.encoding.decode(self.tensor), self.ltype,
                             self.valid)
 
-    def _positional(self) -> "TensorColumn":
-        """A form that supports per-row positional access (gather/mask/slice).
-
-        Dictionary codes are positional already; run-length runs are not, so
-        they decode first.
-        """
-        if self.encoding is not None and self.encoding.kind == "rle":
-            return self.decoded()
-        return self
-
     # -- transformations --------------------------------------------------------
 
     def gather(self, indices: Tensor) -> "TensorColumn":
         """Select rows by index tensor."""
-        base = self._positional()
-        taken = ops.take(base.tensor, indices, axis=0)
-        valid = ops.take(base.valid, indices, axis=0) if base.valid is not None else None
-        return TensorColumn(taken, base.ltype, valid, base.encoding)
+        taken = ops.take(self.tensor, indices, axis=0)
+        valid = ops.take(self.valid, indices, axis=0) if self.valid is not None else None
+        return TensorColumn(taken, self.ltype, valid, self.encoding)
 
     def mask(self, mask: Tensor) -> "TensorColumn":
         """Select rows by boolean mask tensor."""
-        base = self._positional()
-        kept = ops.boolean_mask(base.tensor, mask)
-        valid = ops.boolean_mask(base.valid, mask) if base.valid is not None else None
-        return TensorColumn(kept, base.ltype, valid, base.encoding)
+        kept = ops.boolean_mask(self.tensor, mask)
+        valid = ops.boolean_mask(self.valid, mask) if self.valid is not None else None
+        return TensorColumn(kept, self.ltype, valid, self.encoding)
 
     def slice(self, start: int, length: int) -> "TensorColumn":
-        """A contiguous row range (zero-copy view via ``narrow``).
-
-        Run-length-encoded columns decode only the overlapping runs, so
-        slicing a pruned scan (or a morsel) never materializes rows outside
-        the range.
-        """
-        if (self.encoding is not None and self.encoding.kind == "rle"
-                and self.valid is None):
-            return TensorColumn(
-                self.encoding.slice_rows(self.tensor, start, length), self.ltype)
-        base = self._positional()
-        data = ops.narrow(base.tensor, 0, start, length)
-        valid = (ops.narrow(base.valid, 0, start, length)
-                 if base.valid is not None else None)
-        return TensorColumn(data, base.ltype, valid, base.encoding)
+        """A contiguous row range (zero-copy view via ``narrow``)."""
+        data = ops.narrow(self.tensor, 0, start, length)
+        valid = (ops.narrow(self.valid, 0, start, length)
+                 if self.valid is not None else None)
+        return TensorColumn(data, self.ltype, valid, self.encoding)
 
     def to(self, device: Device | str) -> "TensorColumn":
         valid = self.valid.to(device) if self.valid is not None else None
@@ -302,7 +276,7 @@ def concat_columns(cols: Sequence[TensorColumn]) -> TensorColumn:
     ltype = cols[0].ltype
     encodings = [c.encoding for c in cols]
     shared_dictionary = (
-        all(e is not None and e.kind == "dictionary" for e in encodings)
+        None not in encodings
         and len({id(e.dictionary) for e in encodings}) == 1
     )
     if shared_dictionary:

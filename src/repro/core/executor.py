@@ -296,9 +296,8 @@ class Executor:
                         ) -> tuple[list[Tensor], list[tuple[str, str, str]]]:
         """Flatten input tables into the traced program's input tensor list.
 
-        Encoded columns contribute one tensor per storage part: the main
-        tensor (dictionary codes / run values) plus the encoding's auxiliary
-        tensors (dictionary / run lengths), so a traced program receives the
+        Encoded columns contribute one tensor per storage part: the codes
+        plus the encoding's dictionary, so a traced program receives the
         compressed layout exactly as stored.
 
         Sharded tables flatten one shard at a time, with the shard id folded

@@ -202,10 +202,6 @@ def evaluate_encoded(expr: ast.Expr, table: TensorTable,
     matrix."""
     if isinstance(expr, ast.ColumnRef):
         column = table.column(expr.resolved or expr.display)
-        if column.encoding is not None and column.encoding.kind != "dictionary":
-            # Run-length runs are not positional; decode defensively (scans
-            # normally materialize RLE columns before operators see them).
-            column = column.decoded()
         return ExprValue(column.tensor, column.ltype, False, column.valid,
                          column.encoding)
 

@@ -8,9 +8,7 @@ frontend and the tensor backend:
 * ``remove_identity_projects`` — drop projections that merely pass through the
   child's columns in order,
 * ``remove_identity_renames`` — drop renames whose output names equal the
-  child's names,
-* ``annotate_topk`` — tag ``sort`` nodes that feed a ``limit`` with the limit
-  count so the execution layer can use a bounded sort.
+  child's names.
 
 The ablation benchmark measures their combined effect.
 """
@@ -82,22 +80,7 @@ def remove_identity_renames(root: ir.IRNode) -> ir.IRNode:
     return _transform(root, rule)
 
 
-def annotate_topk(root: ir.IRNode) -> ir.IRNode:
-    """Record the limit count on sort nodes directly below a limit."""
-
-    def rule(node: ir.IRNode) -> ir.IRNode:
-        if node.op != ir.LIMIT:
-            return node
-        child = node.children[0]
-        if child.op == ir.SORT:
-            child.attrs["topk"] = node.attrs["count"]
-        return node
-
-    return _transform(root, rule)
-
-
-DEFAULT_RULES = (fuse_filters, remove_identity_projects, remove_identity_renames,
-                 annotate_topk)
+DEFAULT_RULES = (fuse_filters, remove_identity_projects, remove_identity_renames)
 
 
 def optimize_ir(root: ir.IRNode, rules=DEFAULT_RULES) -> ir.IRNode:

@@ -102,9 +102,7 @@ def static_radix_group_ids(key_values: list[ExprValue]
     compact empty groups afterwards; returns ``None`` when any key is not
     dictionary-encoded or the id space would be too large.
     """
-    if not key_values or any(
-            value.encoding is None or getattr(value.encoding, "kind", None)
-            != "dictionary" for value in key_values):
+    if not key_values or any(value.encoding is None for value in key_values):
         return None
     num_groups = 1
     for value in key_values:

@@ -47,7 +47,6 @@ class DistinctOperator(TensorOperator):
         table = self.children[0].execute(ctx)
         id_columns = []
         for _, column in table.columns():
-            column = column._positional()  # RLE runs cannot densify in place
             value = ExprValue(column.tensor, column.ltype, False, column.valid,
                               column.encoding)
             id_columns.append(factorize_single(value))

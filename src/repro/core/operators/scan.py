@@ -102,23 +102,6 @@ class ScanOperator(TensorOperator):
             )
         return table.select([f.name for f in self.fields])
 
-    @staticmethod
-    def _materialize_rle(table: TensorTable) -> TensorTable:
-        """Decode any remaining run-length columns after pruning.
-
-        RLE is materialized at the scan — after the compressed tensors
-        crossed the (simulated) device bus, and after block pruning sliced
-        out the surviving ranges (slices decode only their overlapping runs)
-        — so downstream operators only ever see plain or dictionary-encoded
-        columns.
-        """
-        return TensorTable({
-            name: (column.decoded()
-                   if column.encoding is not None and column.encoding.kind == "rle"
-                   else column)
-            for name, column in table.columns()
-        })
-
     # -- zone-map pruning ----------------------------------------------------
 
     def _block_survival(self, ctx: ExecutionContext, stats
@@ -222,8 +205,8 @@ class ScanOperator(TensorOperator):
     # -- execution -----------------------------------------------------------
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        return self._materialize_rle(self._apply_pruning(
-            self._select_fields(ctx.input_table(self.alias)), ctx))
+        return self._apply_pruning(
+            self._select_fields(ctx.input_table(self.alias)), ctx)
 
     def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
         scheme = self.partitioning
@@ -240,8 +223,7 @@ class ScanOperator(TensorOperator):
                 f"the input is sharded {sharded.spec.devices} ways")
         return PartitionedTable.run(
             scheme,
-            lambda shard: self._materialize_rle(
-                self._select_fields(sharded.shards[shard])),
+            lambda shard: self._select_fields(sharded.shards[shard]),
             self.describe())
 
     def describe(self) -> str:

@@ -16,6 +16,9 @@ from typing import Any, Optional
 from repro.tensor.device import Device, parse_device
 from repro.tensor.script import EXECUTOR_MODES
 
+#: Values of ``ExecutionOptions.encoding`` (and of ``encode_table``'s ``mode``).
+ENCODING_MODES = ("auto", "off")
+
 
 @dataclasses.dataclass(frozen=True)
 class ExecutionOptions:
@@ -38,12 +41,11 @@ class ExecutionOptions:
             bind parameters, so queries differing only in constants share one
             compiled plan (opt-in; see ``repro.core.parameters``).
         encoding: storage-encoding configuration for table conversion —
-            ``auto`` (dictionary-encode low-cardinality strings, run-length-
-            encode sorted numerics), ``dictionary``, ``rle``, or ``off``
-            (plain tensors).  Part of the plan-cache and conversion-cache
-            keys: a traced program is tied to the storage layout it was
-            traced against, so changing the encoding can never serve stale
-            tensors.
+            ``auto`` (dictionary-encode low-cardinality strings) or ``off``
+            (plain tensors, the differential suites' reference).  Part of
+            the plan-cache and conversion-cache keys: a traced program is
+            tied to the storage layout it was traced against, so changing
+            the encoding can never serve stale tensors.
         executor: how traced graph plans are replayed — ``compiled`` (the
             default: the graph is lowered to generated code; one the emitter
             cannot lower raises :class:`~repro.errors.CodegenError` at first
@@ -83,6 +85,10 @@ class ExecutionOptions:
     adaptive: bool = False
 
     def __post_init__(self) -> None:
+        if self.encoding not in ENCODING_MODES:
+            raise ValueError(
+                f"encoding must be one of {ENCODING_MODES}, "
+                f"got {self.encoding!r}")
         if self.executor not in EXECUTOR_MODES:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_MODES}, "

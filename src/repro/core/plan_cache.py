@@ -11,9 +11,9 @@ the ROADMAP targets — a session therefore keeps an LRU cache of
 parameter-type hints)``
 
 ``ExecutionOptions.cache_key()`` includes the storage-encoding configuration:
-a traced program is tied to the exact tensor layout (dictionary codes,
-run-length runs, or plain) its inputs were converted to, so plans compiled
-under different encodings must never share an entry.
+a traced program is tied to the exact tensor layout (dictionary codes or
+plain) its inputs were converted to, so plans compiled under different
+encodings must never share an entry.
 
 Bind-parameter markers are part of the SQL text, so every binding of a
 prepared statement — and, with auto-parameterization, every ad-hoc query

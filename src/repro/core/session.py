@@ -567,8 +567,7 @@ class TQPSession:
 
         Columns are stored under the executor's encoding configuration
         (``ExecutionOptions.encoding``): low-cardinality strings become
-        dictionary codes, sorted numerics run-length runs (see
-        :mod:`repro.storage.encodings`).  Conversions
+        dictionary codes (see :mod:`repro.storage.encodings`).  Conversions
         (:func:`repro.core.executor.convert_scan_input`) are cached on the
         table's record per ``(columns, encoding mode, shard placement)``, so
         repeated executions only pay the encoding cost once, and a

@@ -3,15 +3,13 @@
 This package is the storage layer underneath the paper's columnar tensor
 representation (``repro.core.columnar``).  It owns three concerns:
 
-* :mod:`repro.storage.encodings` — compressed column encodings.  String
+* :mod:`repro.storage.encodings` — the compressed column encoding.  String
   columns can be **dictionary-encoded** (``(n,)`` int32 code tensors plus a
   sorted ``(k × m)`` dictionary tensor, replacing the raw ``(n × m)``
-  code-point matrix on the hot path); sorted/low-cardinality numeric and date
-  columns can be **run-length-encoded** (run values + run lengths, with a
-  constant column as the one-run special case).  Decoding is itself a tensor
-  op (``take`` / ``repeat``), so it lazily composes with tracing, devices and
-  the simulated cost models, and any operator that cannot handle an encoded
-  column transparently falls back to the decoded form.
+  code-point matrix on the hot path).  Decoding is itself a tensor op
+  (``take``), so it lazily composes with tracing, devices and the simulated
+  cost models, and any operator that cannot work on the codes transparently
+  falls back to the decoded form.
 
 * :mod:`repro.storage.statistics` — per-table statistics collected when a
   table is registered: row counts, per-column NDV estimates and null counts,
@@ -27,11 +25,9 @@ representation (``repro.core.columnar``).  It owns three concerns:
 
 from repro.storage.encodings import (
     DictionaryEncoding,
-    RunLengthEncoding,
     dictionary_encode,
     encode_column,
     encode_table,
-    run_length_encode,
 )
 from repro.storage.pruning import (
     PruningConjunct,
@@ -52,7 +48,6 @@ __all__ = [
     "ColumnStatistics",
     "DictionaryEncoding",
     "PruningConjunct",
-    "RunLengthEncoding",
     "TableStatistics",
     "block_mask_tensor",
     "compute_table_statistics",
@@ -61,6 +56,5 @@ __all__ = [
     "encode_table",
     "estimate_selectivity",
     "extract_pruning_conjuncts",
-    "run_length_encode",
     "surviving_blocks",
 ]

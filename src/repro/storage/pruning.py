@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.columnar import LogicalType
 from repro.core.tuning import DEFAULT_TUNING
 from repro.frontend import ast
+from repro.frontend.optimizer import split_conjuncts
 from repro.storage.statistics import ColumnStatistics, TableStatistics
 from repro.tensor import Tensor, ops
 from repro.tensor.device import Device, parse_device
@@ -119,14 +120,6 @@ class PruningConjunct:
 
 
 # -- conjunct extraction ------------------------------------------------------
-
-
-def split_conjuncts(expr: ast.Expr) -> list[ast.Expr]:
-    """Flatten a predicate into its top-level AND conjuncts."""
-    if isinstance(expr, ast.BinaryOp) and expr.op == "and":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
-
 
 _PRUNABLE_KINDS = {
     LogicalType.INT: "int",

@@ -5,8 +5,10 @@ shapes under every partitioning the planner can choose, and profiles Q1/Q3/Q6
 under ``lanes(4)`` and ``shards(4)``.  ``tests/fixtures/partition_golden.json``
 holds its output at the commit *before* the operator families were collapsed
 into one (PR 14), plus the one ``slice`` event per ``column = 'literal'`` that
-PR 15 added when the compare narrowed to the literal's decisive columns;
-``test_partition_golden.py`` compares today's against it.
+PR 15 added when the compare narrowed to the literal's decisive columns, minus
+the two ``repeat`` decodes Q3's scans paid under ``lanes`` while run-length
+encoding existed (ISSUE 19); ``test_partition_golden.py`` compares today's
+against it.
 
 Regenerate (only when a plan-shape change is intended), from the repo root::
 

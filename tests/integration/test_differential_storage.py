@@ -3,9 +3,9 @@
 The companion suite to ``test_differential_tpch``: the same all-22-queries
 row-engine oracle check, but over a **date-clustered** ``lineitem`` (sorted by
 ``l_shipdate``, the classic clustering choice for the TPC-H fact table).
-Clustering makes the storage layer actually bite: ``l_shipdate`` run-length
-encodes, the low-cardinality string columns dictionary-encode, and the date
-predicates of Q1/Q6/Q14/Q20 prune whole zone-map blocks — so every query
+Clustering makes the storage layer actually bite: the low-cardinality string
+columns dictionary-encode, and the date predicates of Q1/Q6/Q14/Q20 prune
+whole zone-map blocks over the sorted ``l_shipdate`` — so every query
 result here proves encoded execution *and* pruning return exactly what the
 row-at-a-time oracle returns.
 """
@@ -19,7 +19,7 @@ from repro import ExecutionOptions, TQPSession
 from repro.baselines import RowEngine
 from repro.datasets import tpch
 from repro.frontend import sql_to_physical
-from repro.storage import DictionaryEncoding, RunLengthEncoding
+from repro.storage import DictionaryEncoding
 
 pytestmark = pytest.mark.tier2
 
@@ -70,15 +70,12 @@ def test_tpch_encoded_pruned_differential(clustered_env, oracle, frames_match,
 
 def test_clustered_conversion_is_actually_encoded(clustered_env):
     """Guard against the suite silently testing plain storage: the clustered
-    lineitem must dictionary-encode its flag columns and run-length-encode
-    the sort column."""
+    lineitem must dictionary-encode its flag columns."""
     session, _ = clustered_env
     compiled = session.compile(tpch.query(1, SCALE_FACTOR))
     table = session.prepare_inputs(compiled.executor)["lineitem"]
     assert isinstance(table.column("lineitem.l_returnflag").encoding,
                       DictionaryEncoding)
-    assert isinstance(table.column("lineitem.l_shipdate").encoding,
-                      RunLengthEncoding)
 
 
 def test_clustered_scans_actually_prune(clustered_env):

@@ -70,7 +70,7 @@ def test_like_sql_matches_row_engine_in_plain_and_dictionary_layouts(
     session.register("keys", keys)
     for sql in statements:
         expected = run_sql(sql, {"t": frame, "keys": keys}).to_dict()
-        for encoding in ("off", "dictionary"):
+        for encoding in ("off", "auto"):
             got = session.sql(sql, options=ExecutionOptions(encoding=encoding))
             assert got.to_dict() == expected, (sql, encoding)
 

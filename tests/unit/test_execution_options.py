@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro import DataFrame, ExecutionOptions, TQPSession
 from repro.backends import BackendSpec, DeviceCostModel
 from repro.bench import time_tqp
 from repro.core.executor import Executor
+from repro.core.options import ENCODING_MODES
 from repro.core.planner import plan_ir
 from repro.errors import ExecutionError
 from repro.serve import ServingRuntime
@@ -34,6 +36,7 @@ def test_the_knob_set_is_pinned():
         "backend", "device", "use_cache", "parallelism", "auto_parameterize",
         "encoding", "executor", "devices", "shard", "adaptive"]
     assert EXECUTOR_MODES == ("compiled", "interpret")
+    assert ENCODING_MODES == ("auto", "off")
     assert [f.name for f in dataclasses.fields(BackendSpec)] == [
         "name", "strategy", "serialize", "optimize_graph"]
 
@@ -52,29 +55,47 @@ def test_the_knob_set_is_pinned():
                                     "warmup", "profile"]
 
 
+def _src_modules():
+    """``(path below src/, text, syntax tree, identifiers)`` per module."""
+    src = pathlib.Path(inspect.getfile(Executor)).parents[2]
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        identifiers = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                identifiers.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                identifiers.add(node.attr)
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                identifiers.add(node.arg)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                identifiers.add(node.name)
+        yield path.relative_to(src).as_posix(), text, tree, identifiers
+
+
+def test_one_compressed_encoding_is_pinned():
+    """Dictionary codes are the one compressed form, and operators read it:
+    no run-length identifier and no decode-before-positional-access hook
+    (``TensorColumn._positional``) is left for a scan to call."""
+    gone = re.compile(r"(^|_)rle(_|$)|run_?length", re.IGNORECASE)
+    for where, _, _, identifiers in _src_modules():
+        left = sorted(name for name in identifiers - {None}
+                      if gone.search(name) or name == "_positional")
+        assert not left, f"{left} in {where}"
+
+
 def test_one_generation_one_way_in_is_pinned():
     """Which generation of the session's state an execution sees, and who
     observes it, is decided in one place (``CompiledQuery.execute_many``):
     zone maps ride on their inputs instead of being threaded beside them, the
     snapshot is taken by session code only, feedback is recorded at one call
     site, and the serving runtime does not know adaptive execution exists."""
-    src = pathlib.Path(inspect.getfile(Executor)).parents[2]
     observe_calls, snapshot_callers = [], set()
-    for path in sorted(src.rglob("*.py")):
-        text = path.read_text()
-        where = path.relative_to(src).as_posix()
+    for where, text, tree, identifiers in _src_modules():
         for gone in ("scan_stats", "zone_maps"):
             assert gone not in text, f"{gone} in {where}"
-        identifiers = set()
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Name):
-                identifiers.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                identifiers.add(node.attr)
-            elif isinstance(node, ast.arg):
-                identifiers.add(node.arg)
-            elif isinstance(node, ast.keyword):
-                identifiers.add(node.arg)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 owner = node.func.value
                 owner_name = getattr(owner, "attr", getattr(owner, "id", None))
@@ -129,6 +150,18 @@ def test_executor_mode_is_validated():
             ExecutionOptions(executor=gone)
     assert ExecutionOptions(executor="interpret").executor == "interpret"
     assert ExecutionOptions().executor == "compiled"
+
+
+def test_encoding_mode_is_validated_at_construction():
+    # Not at the first conversion: the two deleted modes fail where they are
+    # written, as does a typo.
+    for gone in ("rle", "dictionary", "bogus"):
+        with pytest.raises(ValueError, match="auto"):
+            ExecutionOptions(encoding=gone)
+        with pytest.raises(ValueError):
+            ExecutionOptions().replace(encoding=gone)
+    assert ExecutionOptions().encoding == "auto"
+    assert ExecutionOptions(encoding="off").encoding == "off"
 
 
 def test_legacy_kwargs_are_gone(session):

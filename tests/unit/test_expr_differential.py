@@ -248,7 +248,7 @@ def like_session(like_tables):
     return sess
 
 
-@pytest.mark.parametrize("encoding", ["off", "dictionary"])
+@pytest.mark.parametrize("encoding", ["off", pytest.param("auto", id="dictionary")])
 @pytest.mark.parametrize("sql", _like_queries())
 def test_like_patterns_match_row_engine(like_session, like_tables, frames_match,
                                         sql, encoding):

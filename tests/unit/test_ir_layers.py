@@ -7,7 +7,6 @@ from repro import DataFrame
 from repro.core import ir
 from repro.core.ir_builder import build_ir
 from repro.core.ir_optimizer import (
-    annotate_topk,
     fuse_filters,
     optimize_ir,
     remove_identity_projects,
@@ -88,13 +87,6 @@ def test_remove_identity_renames_rule(catalog):
         "output_fields": [type(f)(name=f.name + "_x", ltype=f.ltype)
                           for f in scan.fields]}, scan.fields)
     assert remove_identity_renames(different).op == ir.RENAME
-
-
-def test_annotate_topk_rule(catalog):
-    node = _ir_for("select a from t order by a limit 2", catalog)
-    annotated = annotate_topk(node)
-    sort = [n for n in annotated.walk() if n.op == ir.SORT][0]
-    assert sort.attrs.get("topk") == 2
 
 
 def test_optimize_ir_pipeline_keeps_semantics(catalog):

@@ -1,6 +1,6 @@
-"""Unit tests for the compressed storage encodings (dictionary / run-length).
+"""Unit tests for the compressed storage encoding (dictionary codes).
 
-Covers the encoding round trips themselves, the auto-encoding policy, the
+Covers the encoding round trip itself, the auto-encoding policy, the
 encoded execution paths (equality / IN / LIKE / GROUP BY / ORDER BY /
 DISTINCT on dictionary codes), layout keying of the plan and conversion
 caches, and the version bump on re-registration.
@@ -14,14 +14,8 @@ import pytest
 from repro import ExecutionOptions, TQPSession
 from repro.core.columnar import LogicalType, TensorColumn, concat_columns
 from repro.dataframe import DataFrame
-from repro.storage import (
-    DictionaryEncoding,
-    RunLengthEncoding,
-    dictionary_encode,
-    encode_column,
-    run_length_encode,
-)
-from repro.tensor import ops
+from repro.errors import ExecutionError
+from repro.storage import DictionaryEncoding, dictionary_encode, encode_column
 
 
 def make_session(num_rows: int = 64, encoding: str = "auto") -> TQPSession:
@@ -57,26 +51,6 @@ def test_dictionary_encode_round_trip():
     assert codes[1] < codes[2] < codes[0]  # apple < banana < cherry
 
 
-def test_run_length_encode_round_trip():
-    array = np.repeat(np.array([5, 5, 9, 1], dtype=np.int64), [3, 1, 4, 2])
-    column = run_length_encode(array, LogicalType.INT)
-    assert isinstance(column.encoding, RunLengthEncoding)
-    assert column.encoding.num_runs == 3  # 5-run merges
-    assert column.num_rows == len(array)
-    np.testing.assert_array_equal(column.to_numpy(), array)
-    # Positional access decodes transparently.
-    np.testing.assert_array_equal(column.slice(2, 5).to_numpy(), array[2:7])
-    taken = column.gather(ops.tensor(np.array([0, 9, 4]), dtype="int64"))
-    np.testing.assert_array_equal(taken.to_numpy(), array[[0, 9, 4]])
-
-
-def test_constant_column_is_one_run():
-    column = run_length_encode(np.full(100, 7, dtype=np.int64), LogicalType.INT)
-    assert column.encoding.is_constant
-    assert column.encoding.num_runs == 1
-    assert column.num_rows == 100
-
-
 def test_encode_column_policy():
     n = 1000
     rng = np.random.default_rng(1)
@@ -87,11 +61,11 @@ def test_encode_column_policy():
 
     assert isinstance(encode_column(low_card).encoding, DictionaryEncoding)
     assert encode_column(unique).encoding is None          # NDV too high
-    assert isinstance(encode_column(sorted_ints).encoding, RunLengthEncoding)
-    assert encode_column(random_ints).encoding is None     # too many runs
+    assert encode_column(sorted_ints).encoding is None     # numerics stay plain
+    assert encode_column(random_ints).encoding is None
     assert encode_column(low_card, mode="off").encoding is None
-    assert encode_column(sorted_ints, mode="dictionary").encoding is None
-    assert encode_column(low_card, mode="rle").encoding is None
+    with pytest.raises(ExecutionError, match="unknown encoding mode"):
+        encode_column(sorted_ints, mode="rle")  # direct callers fail too
     # Tiny columns are never encoded.
     assert encode_column(np.array(["a", "a"], dtype=object)).encoding is None
 
@@ -139,8 +113,31 @@ def test_session_conversion_actually_encodes():
     inputs = session.prepare_inputs(compiled.executor)
     table = inputs["t"]
     assert isinstance(table.column("t.tag").encoding, DictionaryEncoding)
-    assert isinstance(table.column("t.d").encoding, RunLengthEncoding)
+    assert table.column("t.d").encoding is None     # sorted dates stay plain
     assert table.column("t.note").encoding is None  # unique strings stay plain
+
+
+def test_sorted_and_constant_numerics_are_plain_program_inputs():
+    """A numeric column has one stored form: sorted and constant columns are
+    plain ``(n,)`` tensors under ``auto``, so a traced scan of them takes one
+    program input per column and decodes nothing."""
+    n = 256
+    session = TQPSession()
+    session.register("t", DataFrame({
+        "sorted_k": np.repeat(np.arange(n // 4, dtype=np.int64), 4),
+        "constant": np.zeros(n, dtype=np.int64),
+        "day": np.repeat(np.datetime64("2024-01-01"), n).astype("datetime64[D]"),
+    }))
+    compiled = session.compile(
+        "select sorted_k, constant, day from t where sorted_k > 3",
+        options=ExecutionOptions(backend="torchscript", encoding="auto"))
+    table = session.prepare_inputs(compiled.executor)["t"]
+    for _, column in table.columns():
+        assert column.encoding is None and column.tensor.shape == (n,)
+    graph = compiled.executor_graph()
+    assert "repeat" not in graph.op_counts()
+    assert len(graph.inputs) == 3
+    assert compiled.run().num_rows == n - 16
 
 
 def test_parameterized_equality_on_dictionary_codes(frames_match):
