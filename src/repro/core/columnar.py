@@ -9,9 +9,10 @@ Tabular data is stored column-by-column as tensors:
   right-padded with zeros, where ``m`` is the maximum length of any value in
   the column.
 
-Conversion from the ingestion DataFrame is zero-copy for numeric columns and
-requires an explicit encoding step for dates and strings — exactly the
-behaviour described in the paper.
+Conversion from the ingestion DataFrame is one copy per numeric column per
+table generation (``from_numpy`` never aliases the caller's arrays) and an
+explicit encoding step for dates and strings, which is what the paper
+describes except for the copy.
 
 Columns can carry an optional validity mask so that outer joins (e.g. TPC-H
 Q13) can represent NULLs; a missing mask means "all rows valid".

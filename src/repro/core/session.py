@@ -567,12 +567,13 @@ class TQPSession:
 
         Columns are stored under the executor's encoding configuration
         (``ExecutionOptions.encoding``): low-cardinality strings become
-        dictionary codes (see :mod:`repro.storage.encodings`).  Conversions
-        (:func:`repro.core.executor.convert_scan_input`) are cached on the
-        table's record per ``(columns, encoding mode, shard placement)``, so
-        repeated executions only pay the encoding cost once, and a
-        ``register()`` of new data starts from an empty record: a long-lived
-        :class:`CompiledQuery` can never be served stale converted columns.
+        dictionary codes (see :mod:`repro.storage.encodings`).  The table's
+        record keeps each column converted once per encoding mode and each
+        scan's input (:func:`repro.core.executor.convert_scan_input`) per
+        ``(fields, encoding mode, shard placement)``: a repeated execution is
+        one lookup per scan, and a ``register()`` of new data starts from an
+        empty record, so a long-lived :class:`CompiledQuery` can never be
+        served stale converted columns.
         """
         with self._lock:
             encoding_mode = executor.options.encoding
@@ -586,6 +587,6 @@ class TQPSession:
                        placement)
                 if key not in record.converted:
                     record.converted[key] = convert_scan_input(
-                        scan, record.frame, encoding_mode, record.statistics)
+                        scan, record, encoding_mode)
                 inputs[scan.alias] = record.converted[key]
             return inputs

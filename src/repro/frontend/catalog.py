@@ -58,9 +58,12 @@ class TableRecord:
     #: Unique per registration, across names: a plan fingerprinted with it
     #: can never match a later registration.
     version: int
-    #: Scan inputs converted from ``frame``, keyed by what shapes a
-    #: conversion (columns, encoding mode, shard placement).  Filled by
-    #: ``TQPSession.prepare_inputs``; dies with the record.
+    #: ``(column, encoding mode) → TensorColumn``: each column of ``frame`` a
+    #: scan has read, converted once (``storage.encodings.encode_table``).
+    columns: dict = dataclasses.field(default_factory=dict)
+    #: Scan inputs assembled over ``columns``, keyed by what shapes one
+    #: (fields, encoding mode, shard placement).  Filled by
+    #: ``TQPSession.prepare_inputs``; both die with the record.
     converted: dict = dataclasses.field(default_factory=dict)
 
 

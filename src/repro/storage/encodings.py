@@ -3,8 +3,9 @@
 A :class:`DictionaryEncoding` is a small object attached to a
 :class:`~repro.core.columnar.TensorColumn` that reinterprets the column's
 ``tensor``: it holds ``(n,)`` int32 *codes* into a ``(k × m)`` dictionary of
-padded code-point rows.  The dictionary is built with ``np.unique`` and is
-therefore **sorted**, which makes code order agree with lexicographic string
+padded code-point rows.  The dictionary holds the distinct values **sorted**
+(they are found by hashing; only those ``k`` are sorted, never the ``n`` rows),
+which makes code order agree with lexicographic string
 order — equality, IN, LIKE, GROUP BY, DISTINCT and ORDER BY all run directly
 on the codes.  That is what a stored form has to do to be kept: operators read
 it.  Numeric, date and bool columns are always plain ``(n,)`` tensors.
@@ -14,8 +15,9 @@ tracing and the simulated device cost models: an operator that cannot work on
 the codes pays one visible kernel to materialize the plain column.
 
 ``encode_table`` is the conversion entry point (called by
-``repro.core.executor.convert_scan_input``); the ``mode`` string it takes
-(``auto`` / ``off``) is part of the plan-cache and conversion-cache keys, so
+``repro.core.executor.convert_scan_input``) and converts a column once per
+table generation, however many scans read it; the ``mode`` string it takes
+(``auto`` / ``off``) is part of the plan-cache and conversion-memo keys, so
 changing the encoding configuration can never serve tensors traced against
 another layout.
 """
@@ -94,10 +96,13 @@ def dictionary_encode(values: Iterable, device: Device | str = "cpu"
     are order-preserving (``code_a < code_b  <=>  str_a < str_b``).
     """
     dev = parse_device(device)
-    cleaned = np.array(["" if v is None else str(v) for v in values], dtype=object)
-    uniques, inverse = np.unique(cleaned, return_inverse=True)
-    dictionary = encode_strings(list(uniques))
-    codes = ops.tensor(inverse.astype(np.int32), device=dev)
+    cleaned = ["" if v is None else str(v) for v in values]
+    uniques = sorted(set(cleaned))
+    code_of = {value: code for code, value in enumerate(uniques)}
+    dictionary = encode_strings(uniques)
+    codes = ops.tensor(np.fromiter(map(code_of.__getitem__, cleaned),
+                                   dtype=np.int32, count=len(cleaned)),
+                       device=dev)
     return TensorColumn(codes, LogicalType.STRING,
                         encoding=DictionaryEncoding(ops.tensor(dictionary, device=dev)))
 
@@ -109,7 +114,7 @@ def encode_column(array: np.ndarray, mode: str = "auto",
     column is dictionary-encoded, everything else is a plain tensor.
 
     ``ndv`` is an optional precomputed distinct-value count (from the catalog
-    statistics); without it the dictionary decision pays one ``np.unique``.
+    statistics); without it the dictionary decision hashes the column once.
     """
     if mode not in ENCODING_MODES:
         raise ExecutionError(f"unknown encoding mode {mode!r} "
@@ -117,28 +122,34 @@ def encode_column(array: np.ndarray, mode: str = "auto",
     rows = len(array)
     if mode == "auto" and array.dtype.kind in "OU" and rows >= MIN_ENCODE_ROWS:
         if ndv is None:
-            ndv = len(np.unique(np.array(
-                ["" if v is None else str(v) for v in array], dtype=object)))
+            ndv = len({"" if v is None else str(v) for v in array})
         if ndv <= max(1, int(rows * DICTIONARY_MAX_NDV_RATIO)):
             return dictionary_encode(array, device=device)
     return TensorColumn.from_numpy(array, device=device)
 
 
-def encode_table(frame, fields: Iterable, mode: str = "auto",
-                 column_ndv: Optional[dict[str, int]] = None,
-                 device: Device | str = "cpu") -> dict[str, TensorColumn]:
-    """Convert the named DataFrame columns for one scan.
+def encode_table(record, fields: Iterable, mode: str = "auto"
+                 ) -> dict[str, TensorColumn]:
+    """The columns one scan reads of a table generation, converted once.
 
-    ``fields`` are the scan's (possibly qualified) field objects; the mapping
-    returned is keyed by the qualified field name, matching what the scan
-    operators expect.  Called by ``repro.core.executor.convert_scan_input``,
-    the one converter.
+    ``record`` is the catalog's :class:`~repro.frontend.catalog.TableRecord`:
+    its frame is the source, its statistics lend the NDV counts, and its
+    ``columns`` memo is read before converting and filled after, so scans that
+    share a column share its tensors.  ``fields`` are the scan's (possibly
+    qualified) field objects; the mapping returned is keyed by the qualified
+    field name, matching what the scan operators expect.  Called by
+    ``repro.core.executor.convert_scan_input``, the one converter.
     """
+    stats = record.statistics
     columns: dict[str, TensorColumn] = {}
     for field in fields:
         name = field.name
         base = name.split(".", 1)[1] if "." in name else name
-        ndv = (column_ndv or {}).get(base)
-        columns[name] = encode_column(frame[base], mode=mode, ndv=ndv,
-                                      device=device)
+        column = record.columns.get((base, mode))
+        if column is None:
+            known = stats.column(base) if stats is not None else None
+            column = record.columns[base, mode] = encode_column(
+                record.frame[base], mode=mode,
+                ndv=known.ndv if known is not None else None)
+        columns[name] = column
     return columns

@@ -87,7 +87,9 @@ def _column_statistics(name: str, array: np.ndarray, kind: str,
     nulls = _null_mask(array, kind)
     null_count = int(nulls.sum())
     non_null = values[~nulls]
-    ndv = int(len(np.unique(non_null))) if len(non_null) else 0
+    # Hashed: ``np.unique`` on an object array sorts Python strings.
+    ndv = (len(set(non_null)) if kind == "string"
+           else int(len(np.unique(non_null))))
 
     bounds = morsel_bounds(len(values), block_rows)
     object_blocks = kind == "string"

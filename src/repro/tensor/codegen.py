@@ -19,7 +19,9 @@ Two function bodies are generated from the same IR:
   inline :class:`~repro.tensor.profiler.OpEvent` per node, emitting byte
   counts, devices and worker lanes *identical* to interpreted replay, so the
   simulated GPU/WASM cost models and the lane accounting cannot tell the two
-  executors apart.
+  executors apart.  It is three quarters of the text and most programs never
+  profile, so :func:`compile_graph` leaves it to the first run that does
+  (:meth:`CompiledGraphProgram.profiled_fn`).
 
 Both bodies take their per-node semantics from the shared registry
 (:mod:`repro.tensor.op_semantics`); no op is implemented here (enforced by
@@ -35,17 +37,22 @@ There is no fallback: :func:`compile_graph` raises a typed
   a hand-built or loaded graph carrying a Python object).
 
 Set the ``REPRO_CODEGEN_DUMP`` environment variable to a directory to write
-every generated source file there for debugging (or to ``-`` to print it to
-stderr); ``CompiledGraphProgram.source`` always holds the text.
+every generated source there for debugging (or to ``-`` to print it to
+stderr): ``<graph>_<n>.py`` at compile, ``<graph>_<n>_profiled.py`` if and
+when the profiled body is built.  ``CompiledGraphProgram.source`` /
+``.profiled_source`` always hold the text.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import linecache
 import os
 import sys
+import threading
 import time
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +67,8 @@ from repro.tensor.tensor import Tensor
 #: Environment variable controlling generated-source dumps.
 DUMP_ENV_VAR = "REPRO_CODEGEN_DUMP"
 
-_counter = 0
+#: Numbers the generated modules (``next()`` is atomic across threads).
+_serial = itertools.count(1)
 
 
 def _attrs_are_portable(attrs: dict) -> bool:
@@ -279,15 +287,50 @@ class _Emitter:
 class CompiledGraphProgram:
     """A graph lowered to generated code; call :meth:`run` to execute it."""
 
-    def __init__(self, graph: Graph, source: str, fast_fn, profiled_fn,
-                 output_devices: "list[Device | None]"):
+    def __init__(self, graph: Graph, model: dict):
         self.graph = graph
-        #: The generated Python source (for debugging / the dump option).
-        self.source = source
-        self._fast = fast_fn
-        self._profiled = profiled_fn
-        #: Per-output static device tag (``None`` = the run device).
-        self._output_devices = output_devices
+        #: The portable IR both bodies are lowered from.
+        self._model = model
+        self._name = f"{graph.name}:{next(_serial)}"
+        #: ``source`` is the fast body's text; an output's static device tag
+        #: is ``None`` where that is the run device.
+        self.source, self._fast, self._output_devices = self._lower(False)
+        #: Text of the profiled body; ``None`` until something profiles.
+        self.profiled_source: "str | None" = None
+        self._profiled = None
+        self._profiled_lock = threading.Lock()
+
+    def _lower(self, profiled: bool):
+        """One body: ``(source, compiled function, output device tags)``."""
+        emitter = _Emitter(self._model)
+        source = "\n".join(emitter.emit(profiled))
+        namespace = emitter.namespace
+        for vid, array in self._model["initializers"].items():
+            namespace[f"_c{vid}"] = array
+        name = self._name + (":profiled" if profiled else "")
+        filename = f"<tqp-codegen:{name}>"
+        exec(compile(source, filename, "exec"), namespace)
+        # Visible to tracebacks and pdb while the program lives; ``checkcache``
+        # never evicts an entry without an mtime, so the program's end does.
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        weakref.finalize(self, linecache.cache.pop, filename, None)
+        _dump_source(name.replace(":", "_"), source)
+        return (source, namespace["run_profiled" if profiled else "run"],
+                [emitter.value_device.get(vid)
+                 for vid in self._model["outputs"]])
+
+    def profiled_fn(self):
+        """The profiled body, built on first use: racing first profiled runs
+        (serving workers) wait on one build, published by one assignment."""
+        fn = self._profiled
+        if fn is None:
+            with self._profiled_lock:
+                fn = self._profiled
+                if fn is None:
+                    self.profiled_source, fn, _ = self._lower(True)
+                    self._profiled = fn
+        return fn
 
     def run(self, inputs: Sequence[Tensor], device: Device | str | None = None
             ) -> list[Tensor]:
@@ -314,7 +357,7 @@ class CompiledGraphProgram:
         if prof is None:
             out_arrays = self._fast(arrays, dev_str)
         else:
-            out_arrays = self._profiled(arrays, dev_str, prof)
+            out_arrays = self.profiled_fn()(arrays, dev_str, prof)
         return [Tensor(array, dev if tag is None else tag)
                 for array, tag in zip(out_arrays, self._output_devices)]
 
@@ -352,33 +395,13 @@ def _dump_source(name: str, source: str) -> None:
 
 
 def compile_graph(graph: Graph) -> CompiledGraphProgram:
-    """Lower ``graph`` to a :class:`CompiledGraphProgram`.
+    """Lower ``graph`` to a :class:`CompiledGraphProgram` (fast body only).
 
     Raises :class:`~repro.errors.CodegenError` naming the unsupported
     construct when the graph cannot be lowered.
     """
-    global _counter
     reason = unsupported_reason(graph)
     if reason is not None:
         raise CodegenError(f"cannot compile graph {graph.name!r}: {reason}")
-    model = onnxlike.export_ir(graph, encode_initializers=False)
-    emitter = _Emitter(model)
-    lines = emitter.emit(profiled=False)
-    lines += emitter.emit(profiled=True)
-    source = "\n".join(lines)
-    for vid, array in model["initializers"].items():
-        emitter.namespace[f"_c{vid}"] = array
-
-    _counter += 1
-    filename = f"<tqp-codegen:{graph.name}:{_counter}>"
-    namespace = dict(emitter.namespace)
-    code = compile(source, filename, "exec")
-    exec(code, namespace)
-    # Make the generated source visible to tracebacks and pdb.
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    _dump_source(f"{graph.name}_{_counter}", source)
-    output_devices = [emitter.value_device.get(vid)
-                      for vid in model["outputs"]]
-    return CompiledGraphProgram(graph, source, namespace["run"],
-                                namespace["run_profiled"], output_devices)
+    return CompiledGraphProgram(
+        graph, onnxlike.export_ir(graph, encode_initializers=False))

@@ -55,6 +55,18 @@ class ScriptedProgram:
         """The generated Python source (``None`` under ``interpret``)."""
         return self._replay.source if self.executor == "compiled" else None
 
+    @property
+    def compiled_profiled_source(self) -> "str | None":
+        """The generated profiled body (``None`` until a run has profiled)."""
+        return (self._replay.profiled_source if self.executor == "compiled"
+                else None)
+
+    def build_profiled(self) -> None:
+        """Build the profiled body now rather than inside the first profiled
+        :meth:`run`, for a caller about to time one."""
+        if self.executor == "compiled":
+            self._replay.profiled_fn()
+
     def serving_fn(self, device: Device | str):
         """Unprofiled serving entry (see ``CompiledGraphProgram.serving_fn``).
 

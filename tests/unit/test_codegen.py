@@ -16,6 +16,12 @@ Covers the three contracts the compiled path makes:
 
 from __future__ import annotations
 
+import gc
+import linecache
+import sys
+import threading
+import traceback
+
 import numpy as np
 import pytest
 
@@ -120,6 +126,71 @@ def test_numpy_scalar_attrs_are_portable():
     assert not codegen._attrs_are_portable({"fn": lambda: None})
 
 
+# -- generated sources live exactly as long as their program ------------------
+
+
+def _codegen_entries():
+    return {name for name in linecache.cache if name.startswith("<tqp-codegen")}
+
+
+def _generated_frame(program, profiled):
+    """The traceback entry of the generated function when a kernel raises."""
+    mismatched = [ops.tensor([1.0, 2.0]), ops.tensor([1.0, 2.0, 3.0])]
+    with pytest.raises(ValueError) as raised:
+        if profiled:
+            with Profiler():
+                program.run(mismatched)
+        else:
+            program.run(mismatched)
+    return next(entry for entry in traceback.extract_tb(raised.tb)
+                if entry.filename.startswith("<tqp-codegen"))
+
+
+def test_generated_source_shows_in_tracebacks_and_dies_with_the_program():
+    before = _codegen_entries()
+    program = codegen.compile_graph(_graph())
+    fast = _generated_frame(program, profiled=False)
+    assert fast.line and fast.line in program.source
+    twin = _generated_frame(program, profiled=True)
+    assert twin.filename == fast.filename[:-1] + ":profiled>"
+    assert twin.line and twin.line in program.profiled_source
+    mine = {fast.filename, twin.filename}
+    assert _codegen_entries() - before == mine
+    del program
+    gc.collect()
+    assert not _codegen_entries() & mine
+
+
+def test_racing_compiles_never_share_a_module_name():
+    """Two programs under one filename would show each other's source in
+    tracebacks, and the first to die would evict the survivor's."""
+    workers, each = 8, 25
+    graphs = [[_graph() for _ in range(each)] for _ in range(workers)]
+    programs = [[] for _ in range(workers)]
+    barrier = threading.Barrier(workers)
+
+    def compile_all(slot):
+        barrier.wait(timeout=30)
+        for graph in graphs[slot]:
+            programs[slot].append(codegen.compile_graph(graph))
+
+    before = _codegen_entries()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=compile_all, args=(slot,))
+                   for slot in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sum(map(len, programs)) == workers * each
+    assert len(_codegen_entries() - before) == workers * each
+
+
 # -- parameter rebinding through the compiled serving path --------------------
 
 
@@ -181,10 +252,17 @@ def test_profiled_compiled_run_records_identical_events(event_stream):
     x = [ops.tensor([1.0, 2.0, 3.0, 4.0])]
     with Profiler() as interp_prof:
         interpreted.run(x, device="cuda")
+    # The profiled body does not exist until a run profiles, and the first
+    # run of this program is the profiled one.
+    assert compiled.compiled_profiled_source is None
     with Profiler() as compiled_prof:
-        compiled.run(x, device="cuda")
+        profiled_out = compiled.run(x, device="cuda")
+    assert compiled.compiled_profiled_source.startswith("def run_profiled(")
+    assert "def run_profiled(" not in compiled.compiled_source
     assert len(interp_prof.events) > 0
     assert event_stream(interp_prof) == event_stream(compiled_prof)
+    np.testing.assert_array_equal(profiled_out[0].numpy(),
+                                  compiled.run(x, device="cuda")[0].numpy())
 
 
 def test_session_profile_events_match_across_executors(toy_session,

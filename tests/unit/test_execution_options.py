@@ -109,6 +109,27 @@ def test_one_generation_one_way_in_is_pinned():
     assert snapshot_callers == {"repro/core/session.py"}
 
 
+def test_the_cold_path_converts_and_factorizes_in_one_place():
+    """One converter call site (``encode_table``, which reads and fills the
+    record's per-column memo, is the only caller of ``encode_column``), no
+    sort of every row left in the string encoder, and no option added on the
+    way: ``ExecutionOptions`` still has the 10 fields pinned above."""
+    callers = set()
+    for where, text, tree, _ in _src_modules():
+        for scope in ast.walk(tree):
+            if isinstance(scope, ast.FunctionDef):
+                callers.update(
+                    (where, scope.name) for node in ast.walk(scope)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None))
+                    == "encode_column")
+        if where == "repro/storage/encodings.py":
+            assert "np.unique" not in text
+    assert callers == {("repro/storage/encodings.py", "encode_table")}
+    assert len(dataclasses.fields(ExecutionOptions)) == 10
+
+
 def test_resolved_fills_session_defaults():
     defaults = ExecutionOptions(backend="torchscript", device="cuda",
                                 parallelism=4, devices=2)

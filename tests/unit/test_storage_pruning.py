@@ -74,6 +74,18 @@ def test_zone_maps_align_with_morsel_blocks(frame):
     assert tag.block_min[0] == "even" and tag.block_max[0] == "odd"
 
 
+def test_string_ndv_and_null_counts_match_the_sorting_count():
+    """String NDVs are counted by hashing; the count (over non-NULL values,
+    ``''`` being one) is what ``np.unique`` gave."""
+    for values in (["b", None, "a", "", "b", None, ""], [None, None], [],
+                   ["x", 7, "7", 7.5]):
+        stats = compute_table_statistics(
+            DataFrame({"s": np.array(values, dtype=object)})).column("s")
+        live = np.array([str(v) for v in values if v is not None], dtype=object)
+        assert stats.ndv == len(np.unique(live))
+        assert stats.null_count == sum(v is None for v in values)
+
+
 def test_zone_discrimination_separates_clustered_from_random(frame):
     stats = compute_table_statistics(frame)
     assert zone_discrimination(stats.column("k")) == 0.0    # one value per block

@@ -1,0 +1,54 @@
+#!/usr/bin/env python
+"""CI size line: what the first executions of Q1 + Q3 + Q6 convert and generate.
+
+Two counts that repeat exactly on an unchanged tree, printed beside the
+``src/`` line count they belong with: ``encode_column`` calls (one per distinct
+scanned column when conversion is shared) and generated source lines
+registered with ``linecache`` (the plain bodies only, while nothing profiles).
+
+Run from the repository root: ``python tools/cold_path_counts.py``
+(``PYTHONPATH=src``, as in CI).
+"""
+
+from __future__ import annotations
+
+import linecache
+import pathlib
+import sys
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro import ExecutionOptions, TQPSession  # noqa: E402
+from repro.datasets import tpch  # noqa: E402
+from repro.storage import encodings  # noqa: E402
+
+SCALE_FACTOR = 0.002
+QUERIES = (1, 3, 6)
+
+
+def main() -> None:
+    calls = []
+    convert = encodings.encode_column
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return convert(*args, **kwargs)
+
+    encodings.encode_column = counted
+    session = TQPSession(
+        default_options=ExecutionOptions(backend="torchscript"))
+    for name, frame in tpch.generate_tables(SCALE_FACTOR).items():
+        session.register(name, frame)
+    held = [session.compile(tpch.query(q, SCALE_FACTOR)) for q in QUERIES]
+    for compiled in held:
+        compiled.run()
+    lines = sum(len(entry[2]) for name, entry in linecache.cache.items()
+                if name.startswith("<tqp-codegen"))
+    print(f"{len(calls)} encode_column calls, {lines} generated source lines "
+          f"(first executions of Q{', Q'.join(map(str, QUERIES))} at "
+          f"SF {SCALE_FACTOR})")
+
+
+if __name__ == "__main__":
+    main()
