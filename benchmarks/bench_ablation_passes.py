@@ -7,6 +7,8 @@
 3. Frontend scan-column pruning — compare the bytes converted with and without
    the pruning rule (the padded string representation makes unused string
    columns expensive).
+4. Late materialization — ``passes.optimize`` with and without the pass, by the
+   bytes the gather ops of Q3 write (profile events, not wall clock).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.datasets import tpch
 from repro.frontend import sql_to_logical
 from repro.frontend.logical import LogicalScan, walk_plan
 from repro import ExecutionOptions
+from repro.tensor import GraphInterpreter, Profiler, passes
 
 BACKEND_PAIRS = [
     ("torchscript", "graph passes ON"),
@@ -54,6 +57,37 @@ def test_ablation_graph_passes_shrink_program(tpch_env, scale_factor):
     raw = unoptimized.executor.compile_program(
         session.prepare_inputs(unoptimized.executor))
     assert optimized.executor.compile_program(inputs).num_nodes < raw.num_nodes
+
+
+def test_ablation_late_materialization_writes_fewer_gather_bytes(
+        tpch_env, scale_factor):
+    """Q3 through the full pipeline vs the pipeline minus late materialization:
+    same answer, fewer bytes written by ``take`` / ``boolean_mask`` /
+    ``nonzero`` (every filter and join copy that was composed away)."""
+    session, _ = tpch_env
+    compiled = session.compile(
+        tpch.query(3, scale_factor),
+        options=ExecutionOptions(backend="torchscript-noopt", use_cache=False))
+    inputs = session.prepare_inputs(compiled.executor)
+    raw = compiled.executor.compile_program(inputs).graph
+    tensors, _ = compiled.executor._flatten_inputs(inputs)
+    without = tuple(p for p in passes.DEFAULT_PASSES
+                    if p is not passes.late_materialization)
+
+    def run(pipeline):
+        graph = passes.optimize(raw.clone(), passes=pipeline)
+        with Profiler() as profile:
+            outputs = GraphInterpreter(graph).run(tensors)
+        gathered = sum(e.output_bytes for e in profile.events
+                       if e.op in ("take", "boolean_mask", "nonzero"))
+        return [t.numpy().tobytes() for t in outputs], gathered
+
+    full_outputs, full_bytes = run(passes.DEFAULT_PASSES)
+    ablated_outputs, ablated_bytes = run(without)
+    assert full_outputs == ablated_outputs
+    assert full_bytes < ablated_bytes, (full_bytes, ablated_bytes)
+    print(f"\nQ3 gather output bytes: {ablated_bytes:,} without late "
+          f"materialization, {full_bytes:,} with")
 
 
 @pytest.mark.parametrize("query_id", [6, 14])

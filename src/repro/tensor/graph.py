@@ -93,13 +93,6 @@ class Graph:
 
     # -- inspection ----------------------------------------------------------
 
-    def producer_of(self, value_id: int) -> Node | None:
-        """Return the node producing ``value_id`` (None for inputs/initializers)."""
-        for node in self.nodes:
-            if value_id in node.outputs:
-                return node
-        return None
-
     def op_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for node in self.nodes:

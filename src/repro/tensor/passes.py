@@ -1,15 +1,20 @@
 """Graph optimization passes applied before execution on compiled targets.
 
-These are the tensor-level analogue of the rule-based IR optimizer TQP applies
-on relational plans: dead-code elimination, constant folding, common
-subexpression elimination, and a small peephole pass (redundant casts/device
-moves).  The ablation benchmark (``benchmarks/bench_ablation_passes.py``)
-measures their effect.
+The tensor-level analogue of the rule-based IR optimizer TQP applies on
+relational plans, in the order ``optimize`` runs them: peephole (no-op casts,
+cast chains whose inner cast loses nothing), common subexpression elimination,
+folding of shape-only ops no bind parameter reaches, constant folding,
+dead-code elimination, late materialization (filters as selection vectors,
+composed through joins; row-wise work moved below the gather) and elementwise
+fusion.  ``benchmarks/bench_ablation_passes.py`` measures their effect.
 """
 
 from __future__ import annotations
 
+import collections
 import json
+
+import numpy as np
 
 from repro.tensor import ops
 from repro.tensor.graph import Graph, Node
@@ -40,7 +45,7 @@ def dead_code_elimination(graph: Graph) -> Graph:
     live: set[int] = set(graph.outputs)
     kept_reversed: list[Node] = []
     for node in reversed(graph.nodes):
-        if node.op in _SIDE_EFFECT_OPS or any(out in live for out in node.outputs):
+        if node.op in _SIDE_EFFECT_OPS or not live.isdisjoint(node.outputs):
             kept_reversed.append(node)
             live.update(node.inputs)
     graph.nodes = list(reversed(kept_reversed))
@@ -57,6 +62,11 @@ def dead_code_elimination(graph: Graph) -> Graph:
 _SHAPE_ONLY_OPS = {"row_count", "full_like_rows", "arange_like"}
 
 
+def _param_inputs(graph: Graph) -> set[int]:
+    """The graph inputs bound per execution (``param:<name>``)."""
+    return {vid for vid in graph.inputs if graph.values[vid].name.startswith("param:")}
+
+
 def fold_param_free_shapes(graph: Graph) -> Graph:
     """Fold shape-only ops that cannot be affected by a bind parameter.
 
@@ -71,31 +81,19 @@ def fold_param_free_shapes(graph: Graph) -> Graph:
     kernel-launch counts (and fusion opportunities) of non-parameterized
     plans.
     """
-    import numpy as np
-
     from repro.tensor import dtype as dtypes
 
-    tainted: set[int] = {
-        vid for vid in graph.inputs
-        if (value := graph.values.get(vid)) is not None
-        and value.name.startswith("param:")
-    }
-
-    def shape_of(vid: int):
-        if vid in graph.initializers:
-            return graph.initializers[vid].shape
-        value = graph.values.get(vid)
-        return value.shape if value is not None else None
-
+    tainted = _param_inputs(graph)
     new_nodes: list[Node] = []
     for node in graph.nodes:
-        if any(vid in tainted for vid in node.inputs):
+        if tainted and not tainted.isdisjoint(node.inputs):
             tainted.update(node.outputs)
             new_nodes.append(node)
             continue
         if node.op in _SHAPE_ONLY_OPS and node.inputs:
-            shape = shape_of(node.inputs[0])
-            if shape is not None and len(shape) >= 1:
+            value = graph.values.get(node.inputs[0])
+            shape = value.shape if value is not None else None
+            if shape:
                 attrs = node.attrs
                 if node.op == "row_count":
                     folded = np.asarray(shape[0], dtype=np.int64)
@@ -126,7 +124,7 @@ def constant_folding(graph: Graph) -> Graph:
         foldable = (
             node.op not in _IMPURE_OPS
             and (node.op in _CREATION_OPS or node.inputs)
-            and all(vid in constant_ids for vid in node.inputs)
+            and constant_ids.issuperset(node.inputs)
         )
         if not foldable:
             new_nodes.append(node)
@@ -140,8 +138,8 @@ def constant_folding(graph: Graph) -> Graph:
     return graph
 
 
-def _node_key(node: Node) -> str:
-    return json.dumps([node.op, node.inputs, node.attrs], sort_keys=True, default=str)
+# CSE's node key; ``json.dumps`` with options builds a fresh encoder per call.
+_node_key = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def merge_duplicate_initializers(graph: Graph) -> Graph:
@@ -177,7 +175,7 @@ def common_subexpression_elimination(graph: Graph) -> Graph:
         if node.op in _IMPURE_OPS:
             new_nodes.append(node)
             continue
-        key = _node_key(node)
+        key = _node_key([node.op, node.inputs, node.attrs])
         if key in seen:
             original = seen[key]
             for old, new in zip(node.outputs, original.outputs):
@@ -190,8 +188,24 @@ def common_subexpression_elimination(graph: Graph) -> Graph:
     return graph
 
 
+def _cast_is_lossless(src: "str | None", mid: str) -> bool:
+    """Whether a cast from ``src`` to ``mid`` keeps every value (numpy calls
+    int64 -> float64 safe; 53 bits of mantissa say otherwise)."""
+    if src is None:
+        return False
+    a, b = np.dtype(src), np.dtype(mid)
+    return np.can_cast(a, b, "safe") and (
+        a.kind not in "iu" or b.kind != "f" or a.itemsize < b.itemsize)
+
+
 def peephole(graph: Graph) -> Graph:
-    """Small local rewrites: collapse cast→cast chains and no-op casts."""
+    """Small local rewrites: collapse cast→cast chains whose inner cast loses
+    nothing, and drop no-op casts."""
+
+    def dtype_of(vid: int) -> "str | None":
+        value = graph.values.get(vid)
+        return value.dtype if value is not None else None
+
     producers: dict[int, Node] = {}
     replacements: dict[int, int] = {}
     new_nodes: list[Node] = []
@@ -200,12 +214,12 @@ def peephole(graph: Graph) -> Graph:
         if node.op == "cast" and node.inputs:
             src = node.inputs[0]
             src_node = producers.get(src)
-            # cast(cast(x, a), b) -> cast(x, b)
-            if src_node is not None and src_node.op == "cast":
+            # cast(cast(x, a), b) -> cast(x, b) when x -> a keeps every value
+            if src_node is not None and src_node.op == "cast" and _cast_is_lossless(
+                    dtype_of(src_node.inputs[0]), src_node.attrs["dtype"]):
                 node.inputs[0] = src_node.inputs[0]
             # cast(x, dtype_of_x) -> x  (only known when the value metadata is present)
-            value = graph.values.get(node.inputs[0])
-            if value is not None and value.dtype == node.attrs.get("dtype"):
+            if dtype_of(node.inputs[0]) == node.attrs.get("dtype"):
                 replacements[node.outputs[0]] = node.inputs[0]
                 continue
         for out in node.outputs:
@@ -221,6 +235,151 @@ def _is_fusible(node: Node) -> bool:
         return False
     opdef = ops.OP_REGISTRY.get(node.op)
     return opdef is not None and opdef.elementwise
+
+
+def _row_wise(node: Node) -> bool:
+    """Whether output row *r* of ``node`` reads row *r* of its operands only."""
+    if node.op == "slice":  # a key that keeps axis 0 whole
+        key = node.attrs["key"].get("tuple")
+        return bool(key) and key[0] == {"slice": [None, None, None]}
+    if node.op in ("all", "any"):  # reduced over an inner axis
+        return (node.attrs.get("axis") or 0) > 0
+    return node.op == "find" or _is_fusible(node)
+
+
+def late_materialization(graph: Graph) -> Graph:
+    """Gather a column once, through composed row ids, when a non-gather reads it.
+
+    A *row gather* is ``take(x, i, axis=0)`` with a rank-1 ``i``.  A use-list
+    walk counts, per row gather, the readers that need it whole (``forcing``:
+    all but row gathers on the same lane / shard reading it as data); a forward
+    walk rewrites, holding each row gather back until an emitted node reads it:
+
+    * **R1** ``boolean_mask(x, m)``, ``m`` rank-1, is ``take(x, nonzero(m))``:
+      one ``nonzero`` per mask and stamp, however many columns it selects.
+    * **R2** ``take(take(x, i), j)`` is ``take(x, take(i, j))`` when nothing
+      needs the inner gather whole; the ids are composed once per ``(i, j)``.
+    * **R3** ``f(take(x, i), ...)`` is ``take(f(x, ...), i)`` for a row-wise
+      ``f`` when every operand that reaches the output's axis 0 is gathered
+      through ``i`` from as many rows, and ``x`` was traced with no more rows
+      than ``i`` (a ``slice``, free where it is, only follows its readers).
+
+    Each is exact at any size: traced shapes decide profitability, and the
+    equal row counts of two sources only where no parameter reaches them.
+    """
+    values = graph.values
+
+    def shape_of(vid: int) -> "tuple | None":
+        value = values.get(vid)
+        return None if value is None else value.shape
+
+    def rank(vid: int) -> "int | None":
+        shape = shape_of(vid)
+        return None if shape is None else len(shape)
+
+    def rows(vid: int) -> "int | None":
+        return (shape_of(vid) or (None,))[0]
+
+    def stamp(node: Node) -> dict:
+        return {k: node.attrs[k] for k in ("lane", "shard") if k in node.attrs}
+
+    gathers: dict[int, Node] = {}  # value -> the row gather that defines it
+    gathered = gathers.keys()
+    views: set[int] = set()  # slice outputs
+    forcing = collections.Counter(graph.outputs)
+    for node in graph.nodes:
+        gather = (node.op == "boolean_mask" or node.op == "take"
+                  and node.attrs.get("axis", 0) == 0) and rank(node.inputs[1]) == 1
+        if not gathered.isdisjoint(node.inputs):
+            forcing.update(vid for slot, vid in enumerate(node.inputs)
+                           if vid in gathers and not (gather and slot == 0 and
+                                                      stamp(gathers[vid]) == stamp(node)))
+        if not views.isdisjoint(node.inputs) and not _row_wise(node):
+            forcing.update(views.intersection(node.inputs))
+        if gather:
+            gathers[node.outputs[0]] = node
+        elif node.op == "slice":
+            views.add(node.outputs[0])
+
+    tainted = _param_inputs(graph)
+    pending: dict[int, Node] = {}  # row gathers no emitted node reads yet
+    memo: dict[tuple, int] = {}
+    nodes: list[Node] = []
+
+    def emit(node: Node) -> None:
+        for vid in node.inputs:
+            if vid in pending:
+                emit(pending.pop(vid))
+        nodes.append(node)
+
+    def shared(op: str, inputs: list[int], like: Node, shape, dtype, **attrs) -> int:
+        """``op(*inputs)`` under ``like``'s stamp: one node per distinct key."""
+        key = (op, *inputs, *stamp(like).items())
+        if key not in memo:
+            memo[key] = graph.new_value(f"{op}_out0", shape, dtype).id
+            if not tainted.isdisjoint(inputs):
+                tainted.add(memo[key])
+            emit(Node(op, inputs, [memo[key]], {**stamp(like), **attrs}))
+        return memo[key]
+
+    def sinkable(node: Node) -> dict[int, Node]:
+        """R3: the gathers, by operand slot, that ``node`` can run below."""
+        held = {slot: gathers[vid] for slot, vid in enumerate(node.inputs)
+                if vid in gathers and stamp(gathers[vid]) == stamp(node)}
+        out = node.outputs[0]
+        if not held or len(node.outputs) > 1 or not _row_wise(node) \
+                or node.op == "slice" and forcing[out]:
+            return {}
+        src, idx = next(iter(held.values())).inputs
+        sources = {gather.inputs[0] for gather in held.values()}
+        if not rank(out) or None in (rows(src), rows(idx)) or rows(src) > rows(idx) \
+                or len(sources) > 1 and tainted & sources:
+            return {}
+        for slot, vid in enumerate(node.inputs):
+            # An operand reaches axis 0 unless it has fewer axes than the output.
+            if rank(vid) is None or (slot in held) == (rank(vid) < rank(out)) \
+                    or slot in held and (held[slot].inputs[1] != idx
+                                         or rows(held[slot].inputs[0]) != rows(src)):
+                return {}
+        return held
+
+    def visit(node: Node) -> None:
+        if tainted and not tainted.isdisjoint(node.inputs):
+            tainted.update(node.outputs)
+        out = node.outputs[0]
+        if out not in gathers and gathered.isdisjoint(node.inputs):
+            nodes.append(node)  # most nodes: no gather in sight, nothing pending
+        elif gathers.get(out) is node:
+            if node.op == "boolean_mask":  # R1
+                node.op, node.attrs = "take", {**node.attrs, "axis": 0}
+                node.inputs[1] = shared("nonzero", node.inputs[1:], node,
+                                        (rows(out),), "int64")
+            inner = gathers.get(node.inputs[0])
+            if inner and not forcing[inner.outputs[0]] and stamp(inner) == stamp(node):
+                (src, i), j = inner.inputs, node.inputs[1]  # R2
+                node.inputs = [src, shared("take", [i, j], node, shape_of(j),
+                                           values[i].dtype, axis=0)]
+            pending[out] = node
+        elif held := sinkable(node):
+            src, idx = next(iter(held.values())).inputs
+            below = graph.new_value(values[out].name, (rows(src),) + shape_of(out)[1:],
+                                    values[out].dtype).id
+            forcing.subtract(gather.outputs[0] for gather in held.values())
+            visit(Node(node.op, [held[slot].inputs[0] if slot in held else vid
+                                 for slot, vid in enumerate(node.inputs)],
+                       [below], node.attrs))
+            gathers[out] = Node("take", [below, idx], [out], {**stamp(node), "axis": 0})
+            visit(gathers[out])
+        else:
+            emit(node)
+
+    for node in graph.nodes:
+        visit(node)
+    for vid in graph.outputs:
+        if vid in pending:
+            emit(pending.pop(vid))
+    graph.nodes = nodes
+    return graph
 
 
 def _build_fused_node(group: list[Node], external_used: set[int]) -> Node:
@@ -388,7 +547,7 @@ def fuse_elementwise(graph: Graph, min_group_size: int = 2) -> Graph:
 
 DEFAULT_PASSES = (peephole, common_subexpression_elimination,
                   fold_param_free_shapes, constant_folding,
-                  dead_code_elimination, fuse_elementwise)
+                  dead_code_elimination, late_materialization, fuse_elementwise)
 
 
 def optimize(graph: Graph, passes=DEFAULT_PASSES, validate: bool = True) -> Graph:

@@ -9,7 +9,7 @@ queries as tensor programs, exactly as the paper does with PyTorch.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -222,16 +222,3 @@ def same_device(tensors: Iterable[Tensor]) -> Device:
                 f"tensors are on different devices: {device} vs {t.device}"
             )
     return device if device is not None else CPU
-
-
-def broadcast_scalars(values: Sequence[Any], device: Device) -> list[Tensor]:
-    """Convert python scalars in ``values`` to 0-d tensors on ``device``."""
-    from repro.tensor import ops as _ops
-
-    out: list[Tensor] = []
-    for value in values:
-        if isinstance(value, Tensor):
-            out.append(value)
-        else:
-            out.append(_ops.tensor(value, device=device))
-    return out

@@ -7,8 +7,10 @@ holds its output at the commit *before* the operator families were collapsed
 into one (PR 14), plus the one ``slice`` event per ``column = 'literal'`` that
 PR 15 added when the compare narrowed to the literal's decisive columns, minus
 the two ``repeat`` decodes Q3's scans paid under ``lanes`` while run-length
-encoding existed (ISSUE 19); ``test_partition_golden.py`` compares today's
-against it.
+encoding existed (ISSUE 19).  ISSUE 21 regenerated it on purpose: plans,
+dispatches and exchange bytes byte-identical, the graph backends' ``events``
+trading every ``boolean_mask`` for ``nonzero`` + ``take`` (late
+materialization).  ``test_partition_golden.py`` compares today's against it.
 
 Regenerate (only when a plan-shape change is intended), from the repo root::
 

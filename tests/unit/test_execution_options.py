@@ -14,8 +14,10 @@ from repro.bench import time_tqp
 from repro.core.executor import Executor
 from repro.core.options import ENCODING_MODES
 from repro.core.planner import plan_ir
+from repro.datasets import tpch
 from repro.errors import ExecutionError
 from repro.serve import ServingRuntime
+from repro.tensor import passes
 from repro.tensor.script import EXECUTOR_MODES
 
 import numpy as np
@@ -128,6 +130,25 @@ def test_the_cold_path_converts_and_factorizes_in_one_place():
             assert "np.unique" not in text
     assert callers == {("repro/storage/encodings.py", "encode_table")}
     assert len(dataclasses.fields(ExecutionOptions)) == 10
+
+
+def test_late_materialization_is_a_pass_not_a_knob(tpch_tiny):
+    """Seven passes, the seventh unconditional: no option selects it, and no
+    filter compaction survives it on Q1 / Q3 / Q6 (``torchscript-noopt`` skips
+    it with every other pass)."""
+    assert len(passes.DEFAULT_PASSES) == 7
+    assert passes.late_materialization in passes.DEFAULT_PASSES
+    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    session, _ = tpch_tiny
+    for query_id in (1, 3, 6):
+        compiled = session.compile(
+            tpch.query(query_id, 0.002),
+            options=ExecutionOptions(backend="torchscript-noopt", use_cache=False))
+        raw = compiled.executor.compile_program(
+            session.prepare_inputs(compiled.executor)).graph
+        assert raw.op_counts().get("boolean_mask", 0) > 0
+        counts = passes.optimize(raw.clone()).op_counts()
+        assert "boolean_mask" not in counts and counts["nonzero"] > 0
 
 
 def test_resolved_fills_session_defaults():

@@ -199,6 +199,27 @@ def test_nullable_aggregates_match_row_engine(session, tables, frames_match, sql
                  rel_tol=1e-9, abs_tol=1e-9)
 
 
+#: A lossy cast under a widening one: the graph passes once collapsed the pair
+#: into the outer cast alone (avg 2.625 for 2.5, sum 10.5 for 10.0).
+CAST_CHAIN_QUERIES = {
+    "select avg(cast(x as integer)) as a from c": 2.5,
+    "select sum(cast(cast(x as integer) as double)) as s from c": 10.0,
+}
+
+
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript", "onnx"])
+@pytest.mark.parametrize("sql", CAST_CHAIN_QUERIES)
+def test_cast_chains_truncate_on_every_backend(frames_match, sql, backend):
+    tables = {"c": DataFrame({"x": np.array([1.7, 2.2, -3.9, 10.5])})}
+    sess = TQPSession()
+    sess.register("c", tables["c"])
+    got = sess.sql(sql, options=ExecutionOptions(backend=backend))
+    oracle = RowEngine(tables).execute_to_dataframe(
+        sql_to_physical(sql, sess.catalog))
+    frames_match(got, oracle, f"{backend}: {sql}", rel_tol=0, abs_tol=0)
+    assert list(got.to_dict().values()) == [[CAST_CHAIN_QUERIES[sql]]]
+
+
 # -- LIKE: multi-segment, doubly anchored and self-overlapping patterns -------
 
 #: Width 8; ``abcdefgh`` / ``xbcdefgh`` fill it, so a match that ran past the

@@ -1,6 +1,7 @@
 """Unit tests for graph optimization passes."""
 
 import numpy as np
+import pytest
 
 from repro.tensor import GraphInterpreter, ops, passes, trace
 
@@ -46,13 +47,42 @@ def test_cse_merges_identical_subexpressions():
 
 def test_peephole_collapses_cast_chains():
     def fn(x):
-        return ops.cast(ops.cast(x, "float32"), "int64")
+        return ops.cast(ops.cast(x, "int64"), "float64")
 
-    graph = trace(fn, [ops.tensor([1.9])])
+    graph = trace(fn, [ops.tensor(np.array([3], dtype=np.int32))])
     passes.peephole(graph)
     passes.dead_code_elimination(graph)
-    assert sum(1 for n in graph.nodes if n.op == "cast") == 1
-    assert _run(graph, [2.9])[0].tolist() == [2]
+    assert [n.attrs["dtype"] for n in graph.nodes if n.op == "cast"] == ["float64"]
+    out = _run(graph, np.array([-7], dtype=np.int32))[0]
+    assert out.dtype.name == "float64" and out.tolist() == [-7.0]
+
+
+@pytest.mark.parametrize("value,chain", [
+    (np.array([1.7, 2.2, -3.9, 10.5]), ("int64", "float64")),   # truncation
+    (np.array([2**40 + 5], dtype=np.int64), ("int32", "int64")),  # wrap-around
+    (np.array([5], dtype=np.int64), ("bool", "int64")),           # saturation
+    (np.array([2**53 + 1], dtype=np.int64), ("float64", "int64")),  # mantissa
+])
+def test_peephole_keeps_a_lossy_inner_cast(value, chain):
+    def fn(x):
+        return ops.cast(ops.cast(x, chain[0]), chain[1])
+
+    example = [ops.tensor(value)]
+    graph = trace(fn, example)
+    expected = fn(*example).numpy()
+    assert not np.array_equal(expected, value)  # the chain is not the identity
+    optimized = passes.optimize(graph)
+    assert sum(1 for n in optimized.nodes for step in
+               (n.attrs.get("steps") or [{"op": n.op}]) if step["op"] == "cast") == 2
+    np.testing.assert_array_equal(_run(optimized, value)[0].numpy(), expected)
+
+
+def test_peephole_keeps_both_casts_when_the_source_dtype_is_unknown():
+    graph = trace(lambda x: ops.cast(ops.cast(x, "int64"), "float64"),
+                  [ops.tensor(np.array([3], dtype=np.int32))])
+    graph.values[graph.inputs[0]].dtype = None
+    passes.peephole(graph)
+    assert sum(1 for n in graph.nodes if n.op == "cast") == 2
 
 
 def test_peephole_removes_noop_cast():
@@ -88,3 +118,158 @@ def test_impure_ops_not_folded_or_merged():
     graph = trace(fn, [ops.tensor([1.0])])
     passes.optimize(graph)
     assert sum(1 for n in graph.nodes if n.op == "to_device") == 2
+
+
+# -- late materialization: structure ------------------------------------------
+
+
+def _late(fn, example):
+    """``fn`` traced and run through DCE + the late-materialization pass."""
+    graph = passes.dead_code_elimination(trace(fn, example))
+    expected = [t.numpy() for t in GraphInterpreter(graph.clone()).run(example)]
+    graph = passes.late_materialization(graph)
+    graph.validate()
+    for want, got in zip(expected, GraphInterpreter(graph).run(example)):
+        np.testing.assert_array_equal(got.numpy(), want)
+    return graph
+
+
+def _table():
+    return [ops.tensor(np.arange(8.0)), ops.tensor(np.arange(8.0) * 10),
+            ops.tensor(np.arange(24, dtype=np.int32).reshape(8, 3))]
+
+
+def test_columns_under_one_mask_share_one_nonzero():
+    def fn(a, b, codes):
+        mask = ops.gt(a, 2.0)
+        return [ops.boolean_mask(column, mask) for column in (a, b, codes)]
+
+    graph = _late(fn, _table())
+    assert graph.op_counts() == {"gt": 1, "nonzero": 1, "take": 3}
+
+
+def test_a_gather_read_only_by_gathers_is_never_emitted():
+    def fn(a, b, codes):
+        order = ops.argsort(a)
+        keep = ops.tensor(np.array([0, 1, -1]))
+        return [ops.take(ops.take(column, order), keep) for column in (a, b, codes)]
+
+    graph = _late(fn, _table())
+    # One composed index for all three columns; each column gathered once,
+    # three rows of it, straight from the program input.
+    assert graph.op_counts() == {"argsort": 1, "take": 4}
+    gathers = [n for n in graph.nodes
+               if n.op == "take" and n.inputs[0] in graph.inputs]
+    assert len(gathers) == 3 and len({n.inputs[1] for n in gathers}) == 1
+    assert all(graph.values[n.outputs[0]].shape[0] == 3 for n in gathers)
+
+
+def test_a_gather_with_another_reader_is_kept_and_read_by_its_gathers():
+    def fn(a, b, codes):
+        sorted_a = ops.take(a, ops.argsort(b))
+        return ops.cumsum(sorted_a), ops.take(sorted_a, ops.tensor([2, 0])), sorted_a
+
+    graph = _late(fn, _table())
+    kept = graph.outputs[2]
+    readers = [n.op for n in graph.nodes if kept in n.inputs]
+    assert sorted(readers) == ["cumsum", "take"]
+
+
+def test_gathers_on_different_lanes_or_shards_are_not_composed():
+    from repro.tensor import lane_scope, shard_scope
+
+    def fn(a, b, codes):
+        index, keep = ops.argsort(a), ops.tensor([1, 0])
+        with lane_scope(0):
+            on_lane = ops.take(b, index)
+        with lane_scope(1):
+            across_lanes = ops.take(on_lane, keep)
+        with shard_scope(0):
+            on_shard = ops.take(codes, index)
+            same_shard = ops.take(on_shard, keep)
+        with shard_scope(1):
+            same_pair_other_shard = ops.take(ops.take(a, index), keep)
+        return across_lanes, same_shard, same_pair_other_shard
+
+    graph = _late(fn, _table())
+    by_output = {n.outputs[0]: n for n in graph.nodes}
+    across, same, other = (by_output[vid] for vid in graph.outputs)
+    assert by_output[across.inputs[0]].attrs["lane"] == 0     # kept, lane 0's work
+    assert same.inputs[0] in graph.inputs                      # composed
+    assert other.inputs[0] in graph.inputs
+    # One composed index per stamp, never shared across stamps.
+    assert same.inputs[1] != other.inputs[1]
+    assert by_output[same.inputs[1]].attrs["shard"] == 0
+    assert by_output[other.inputs[1]].attrs["shard"] == 1
+
+
+def test_rank2_masks_and_axis1_takes_are_left_alone():
+    def fn(a, b, codes):
+        picked = ops.take(ops.take(codes, ops.tensor([0, 2]), axis=1),
+                          ops.tensor([1]), axis=1)
+        return picked, ops.boolean_mask(codes, ops.gt(codes, 5))
+
+    graph = _late(fn, _table())
+    assert graph.op_counts() == {"take": 2, "gt": 1, "boolean_mask": 1}
+    assert all(n.attrs["axis"] == 1 for n in graph.nodes if n.op == "take")
+
+
+def test_row_wise_readers_run_below_the_gather():
+    def fn(a, b, codes):
+        index = ops.tensor(np.arange(16) % 8)           # more rows out than in
+        wide = ops.take(codes, index)
+        literal = ops.tensor(np.array([3, 4], dtype=np.int32))
+        hit = ops.all_(ops.eq(ops.narrow(wide, 1, 0, 2), literal), axis=1)
+        total = ops.add(ops.take(a, index), ops.take(b, index))
+        return hit, total, ops.find(wide, 0, [7])
+
+    graph = _late(fn, _table())
+    rows = {n.op: graph.values[n.outputs[0]].shape[0] for n in graph.nodes
+            if n.op != "take"}
+    assert rows == {"slice": 8, "eq": 8, "all": 8, "add": 8, "find": 8}
+    assert graph.op_counts()["take"] == 3               # one per result
+
+
+def test_row_wise_readers_stay_above_a_gather_that_shrinks():
+    def fn(a, b, codes):
+        return ops.mul(ops.take(a, ops.tensor([1, 2])), 2.0)
+
+    graph = _late(fn, _table())
+    assert [n.op for n in graph.nodes] == ["take", "mul"]
+
+
+def test_an_operand_aligned_with_the_gathered_rows_blocks_the_sink():
+    per_row = np.arange(16.0)
+
+    def fn(a, b, codes):
+        index = ops.tensor(np.arange(16) % 4)
+        gathered = ops.take(a, index)
+        return (ops.add(gathered, ops.tensor(per_row)),             # (16,) vs rows
+                ops.add(gathered, ops.take(b, ops.tensor(np.arange(16) % 8))),
+                ops.add(gathered, ops.take(ops.cumsum(ops.narrow(b, 0, 0, 4)), index)))
+
+    graph = _late(fn, _table())
+    assert all(graph.values[n.outputs[0]].shape == (16,)
+               for n in graph.nodes if n.op == "add")
+
+
+def test_two_sources_sink_together_only_when_no_parameter_sizes_them():
+    def fn(a, b, threshold):
+        index = ops.tensor(np.arange(16) % 4)
+        # As many rows as ``b`` while tracing; fewer under another binding.
+        kept = ops.cumsum(ops.boolean_mask(a, ops.gt(a, threshold)))
+        return (ops.add(ops.take(kept, index), ops.take(b, index)),
+                ops.add(ops.take(a, index), ops.take(b, index)))
+
+    example = [ops.tensor(np.arange(8.0)), ops.tensor(np.arange(8.0)),
+               ops.tensor(-1.0)]
+    graph = passes.dead_code_elimination(
+        trace(fn, example, input_names=["t.a", "t.b", "param:threshold"]))
+    graph = passes.late_materialization(graph)
+    adds = [graph.values[n.outputs[0]].shape[0] for n in graph.nodes if n.op == "add"]
+    assert sorted(adds) == [8, 16]
+    # ... and the program still answers when the binding drops rows.
+    replay = GraphInterpreter(graph).run(example[:2] + [ops.tensor(2.5)])
+    picked = np.arange(16) % 4
+    np.testing.assert_array_equal(
+        replay[0].numpy(), np.cumsum(np.arange(3.0, 8.0))[picked] + np.arange(8.0)[picked])

@@ -1,10 +1,12 @@
 #!/usr/bin/env python
 """CI size line: what the first executions of Q1 + Q3 + Q6 convert and generate.
 
-Two counts that repeat exactly on an unchanged tree, printed beside the
-``src/`` line count they belong with: ``encode_column`` calls (one per distinct
-scanned column when conversion is shared) and generated source lines
-registered with ``linecache`` (the plain bodies only, while nothing profiles).
+Counts that repeat exactly on an unchanged tree, printed beside the ``src/``
+line count they belong with: ``encode_column`` calls (one per distinct scanned
+column when conversion is shared), generated source lines registered with
+``linecache`` (the plain bodies only, while nothing profiles), and the gather
+nodes of the three optimized programs (``take`` / ``nonzero`` /
+``boolean_mask``: what late materialization left to run).
 
 Run from the repository root: ``python tools/cold_path_counts.py``
 (``PYTHONPATH=src``, as in CI).
@@ -12,6 +14,7 @@ Run from the repository root: ``python tools/cold_path_counts.py``
 
 from __future__ import annotations
 
+import collections
 import linecache
 import pathlib
 import sys
@@ -45,7 +48,12 @@ def main() -> None:
         compiled.run()
     lines = sum(len(entry[2]) for name, entry in linecache.cache.items()
                 if name.startswith("<tqp-codegen"))
-    print(f"{len(calls)} encode_column calls, {lines} generated source lines "
+    ops = collections.Counter()
+    for compiled in held:
+        ops.update(compiled.executor_graph().op_counts())
+    print(f"{len(calls)} encode_column calls, {lines} generated source lines, "
+          f"{ops['take']} take / {ops['nonzero']} nonzero / "
+          f"{ops['boolean_mask']} boolean_mask nodes "
           f"(first executions of Q{', Q'.join(map(str, QUERIES))} at "
           f"SF {SCALE_FACTOR})")
 
