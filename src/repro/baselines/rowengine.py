@@ -232,14 +232,15 @@ class RowEngine:
         if ltype == LogicalType.FLOAT:
             return np.array([np.nan if v is None else float(v) for v in values],
                             dtype=np.float64)
-        if ltype == LogicalType.BOOL:
-            return np.array([bool(v) for v in values], dtype=bool)
+        cast, dtype = ((bool, bool) if ltype == LogicalType.BOOL
+                       else (int, np.int64))
         if any(v is None for v in values):
-            # NULL-able integers keep their NULLs (matching the tensor
-            # engine's validity-masked columns) instead of collapsing to 0.
-            return np.array([None if v is None else int(v) for v in values],
+            # NULL-able integers and booleans keep their NULLs (matching the
+            # tensor engine's validity-masked columns) instead of collapsing
+            # to 0 / False.
+            return np.array([None if v is None else cast(v) for v in values],
                             dtype=object)
-        return np.array([int(v) for v in values], dtype=np.int64)
+        return np.array([cast(v) for v in values], dtype=dtype)
 
     # -- subquery support --------------------------------------------------------
 

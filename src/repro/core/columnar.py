@@ -349,12 +349,14 @@ class TensorTable:
         return parse_device("cpu")
 
     @property
-    def anchor(self) -> "Tensor | None":
-        """A per-row tensor of this table, if any — the size reference the
-        shape-polymorphic creation ops (``full_like_rows`` etc.) hang off."""
+    def anchor(self) -> Tensor:
+        """A per-row tensor of this table — the one size reference the
+        shape-polymorphic creation ops (``full_like_rows`` etc.) hang off, so
+        no traced program bakes a row count in."""
         for col in self._columns.values():
             return col.tensor
-        return None
+        raise ExecutionError(
+            "a table without columns has no rows to size a result against")
 
     def __contains__(self, name: str) -> bool:
         return name in self._columns

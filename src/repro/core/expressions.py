@@ -45,6 +45,12 @@ class ExprValue:
     encoding: Optional[object] = None
 
 
+def column_value(column: TensorColumn) -> ExprValue:
+    """A stored column as a per-row value (dictionary codes stay codes)."""
+    return ExprValue(column.tensor, column.ltype, False, column.valid,
+                     column.encoding)
+
+
 def decode_value(value: ExprValue) -> ExprValue:
     """The plain (decoded) form of an expression value; no-op when unencoded."""
     if value.encoding is None:
@@ -100,14 +106,12 @@ _LTYPE_TO_DTYPE = {
 }
 
 
-def to_column(value: ExprValue, num_rows: int,
-              like: Optional[Tensor] = None) -> TensorColumn:
-    """Materialize an expression value as a column of ``num_rows`` rows.
+def to_column(value: ExprValue, table: TensorTable) -> TensorColumn:
+    """Materialize an expression value as a column of ``table``'s rows.
 
-    ``like`` is an optional per-row tensor of the target table; when given,
-    scalar broadcasts size themselves off it at run time (``full_like_rows``)
-    instead of baking ``num_rows`` into the traced graph — required for
-    intermediate tables whose size depends on a bind parameter.
+    Scalar broadcasts size themselves off the table's anchor at run time
+    (``full_like_rows``), never off a row count baked into the traced graph —
+    an intermediate table's size may depend on a bind parameter.
     """
     if value.encoding is not None and not value.is_scalar:
         return TensorColumn(value.tensor, value.ltype, value.valid,
@@ -116,38 +120,26 @@ def to_column(value: ExprValue, num_rows: int,
     if value.is_scalar:
         if value.ltype == LogicalType.STRING:
             width = tensor.shape[-1] if tensor.ndim else 1
-            if like is not None:
-                base = ops.full_like_rows(like, 1, dtype="int32", width=width)
-            else:
-                base = ops.ones((num_rows, width), dtype="int32",
-                                device=tensor.device)
+            base = ops.full_like_rows(table.anchor, 1, dtype="int32",
+                                      width=width)
             tensor = ops.mul(base, ops.cast(tensor, "int32"))
             tensor = ops.cast(tensor, "int32")
         else:
             dtype = _LTYPE_TO_DTYPE[value.ltype]
-            if like is not None:
-                base = ops.full_like_rows(like, 0, dtype=dtype)
-            else:
-                base = ops.zeros((num_rows,), dtype=dtype, device=tensor.device)
+            base = ops.full_like_rows(table.anchor, 0, dtype=dtype)
             tensor = ops.add(base, ops.cast(tensor, dtype))
     return TensorColumn(tensor, value.ltype, value.valid)
 
 
-def as_mask(value: ExprValue, num_rows: int,
-            like: Optional[Tensor] = None) -> Tensor:
-    """Convert a boolean expression value into a filter mask (NULL → False).
-
-    ``like`` plays the same role as in :func:`to_column`: a run-time size
-    reference for broadcasting scalar conditions.
-    """
+def as_mask(value: ExprValue, table: TensorTable) -> Tensor:
+    """Convert a boolean expression value into a filter mask over ``table``'s
+    rows (NULL → False); a scalar condition broadcasts off the anchor, as in
+    :func:`to_column`."""
     if value.ltype != LogicalType.BOOL:
         raise ExecutionError("filter condition must be boolean")
     tensor = value.tensor
     if value.is_scalar:
-        if like is not None:
-            base = ops.full_like_rows(like, True, dtype="bool")
-        else:
-            base = ops.full((num_rows,), True, dtype="bool", device=tensor.device)
+        base = ops.full_like_rows(table.anchor, True, dtype="bool")
         tensor = ops.logical_and(base, tensor)
     if value.valid is not None:
         tensor = ops.logical_and(tensor, value.valid)
@@ -201,9 +193,7 @@ def evaluate_encoded(expr: ast.Expr, table: TensorTable,
     codes (``value.encoding`` set) instead of materializing the code-point
     matrix."""
     if isinstance(expr, ast.ColumnRef):
-        column = table.column(expr.resolved or expr.display)
-        return ExprValue(column.tensor, column.ltype, False, column.valid,
-                         column.encoding)
+        return column_value(table.column(expr.resolved or expr.display))
 
     if isinstance(expr, ast.Literal):
         return _evaluate_literal(expr, ctx)
@@ -276,12 +266,9 @@ def evaluate_encoded(expr: ast.Expr, table: TensorTable,
 
     if isinstance(expr, ast.ExistsSubquery):
         result_table = ctx.run_subquery(expr.subplan)
-        anchor = result_table.anchor
-        if anchor is None:
-            raise ExecutionError("EXISTS subquery produced no columns")
         # Computed as a tensor (not a Python bool) so the row count is
         # re-evaluated when a traced program replays under a new binding.
-        value = ops.gt(ops.row_count(anchor), 0)
+        value = ops.gt(ops.row_count(result_table.anchor), 0)
         if expr.negated:
             value = ops.logical_not(value)
         return ExprValue(value, LogicalType.BOOL, True)
@@ -436,8 +423,17 @@ def _string_comparison(op: str, expr: ast.BinaryOp, left: ExprValue,
 def _evaluate_case(expr: ast.CaseWhen, table: TensorTable,
                    ctx: EvaluationContext) -> ExprValue:
     otype = expr.otype or LogicalType.FLOAT
+
+    def branch(value_expr: ast.Expr) -> ExprValue:
+        value = evaluate(value_expr, table, ctx)
+        if value.ltype == LogicalType.STRING:
+            # ``where`` over ragged code-point matrices has no common width.
+            raise UnsupportedOperationError(
+                "CASE with a string THEN / ELSE branch is not supported")
+        return value
+
     if expr.else_value is not None:
-        result_value = evaluate(expr.else_value, table, ctx)
+        result_value = branch(expr.else_value)
         result = result_value.tensor
         valid: Optional[Tensor] = result_value.valid
     else:
@@ -450,7 +446,7 @@ def _evaluate_case(expr: ast.CaseWhen, table: TensorTable,
     any_scalar = True
     for condition, value in reversed(expr.whens):
         cond_value = evaluate(condition, table, ctx)
-        branch_value = evaluate(value, table, ctx)
+        branch_value = branch(value)
         cond = cond_value.tensor
         if cond_value.valid is not None:
             # A NULL condition selects the branch below, never this one.
@@ -469,15 +465,8 @@ def _evaluate_case(expr: ast.CaseWhen, table: TensorTable,
         # ``result`` is per-row whenever the CASE is non-scalar, so it is a
         # safe run-time size reference for broadcasting the validity mask.
         anchor = result if result.ndim else table.anchor
-        if anchor is not None and anchor.ndim:
-            valid = ops.logical_and(
-                ops.full_like_rows(anchor, True, dtype="bool"), valid
-            )
-        else:
-            valid = ops.logical_and(
-                ops.full((table.num_rows,), True, dtype="bool", device=ctx.device),
-                valid,
-            )
+        valid = ops.logical_and(
+            ops.full_like_rows(anchor, True, dtype="bool"), valid)
     return ExprValue(result, otype, any_scalar, valid)
 
 
@@ -591,12 +580,12 @@ def _evaluate_scalar_function(expr: ast.FuncCall, table: TensorTable,
         return ExprValue(datetime_ops.extract_field(args[0].tensor, name),
                          LogicalType.INT, args[0].is_scalar, args[0].valid)
     if name == "coalesce":
-        return _evaluate_coalesce(args, table.num_rows, table.anchor)
+        return _evaluate_coalesce(args, table)
     raise UnsupportedOperationError(f"unsupported function {expr.name!r}")
 
 
-def _evaluate_coalesce(args: list[ExprValue], num_rows: int,
-                       anchor: Optional[Tensor] = None) -> ExprValue:
+def _evaluate_coalesce(args: list[ExprValue], table: TensorTable
+                       ) -> ExprValue:
     """COALESCE: per row, the first non-NULL argument (tensorized as a chain
     of validity-masked ``where`` selects)."""
     if not args:
@@ -616,7 +605,7 @@ def _evaluate_coalesce(args: list[ExprValue], num_rows: int,
         )
 
     def materialize(value: ExprValue) -> TensorColumn:
-        column = to_column(value, num_rows, like=anchor)
+        column = to_column(value, table)
         if column.ltype != ltype:
             return TensorColumn(ops.cast(column.tensor, "float64"), ltype,
                                 column.valid)

@@ -1,41 +1,46 @@
 """Group-by aggregation as a tensor program.
 
-Group keys are densified into integer group ids (see
-:mod:`repro.core.operators.grouping`); aggregates are then computed with
-scatter/segmented reductions (``scatter_add`` / ``scatter_min`` /
-``scatter_max`` / ``bincount``), which is the standard way of expressing
-SQL aggregation on tensor runtimes.
+Group keys are densified into integer group ids
+(:func:`repro.core.operators.grouping.group_rows`) and every aggregate is one
+scatter reduction over those ids.  Each function is written once, as a row of
+the state table below:
 
-Over a partitioned input the operator runs the standard two-phase scheme,
-one implementation whether the partitions are morsels on worker lanes or
-shards on devices: every partition computes a *partial table* — group key
-values plus decomposed aggregate state (``sum``/``count``/``min``/``max``;
-``avg`` carries a sum and a count), a few rows per group — and a merge phase
-gathers the partials (the only rows that cross the interconnect, the classic
+* **state** — the columns it keeps per group (:data:`AGGREGATE_STATE`):
+  ``count`` keeps a ``count``; ``sum`` and ``avg`` keep a ``sum`` and
+  ``min`` / ``max`` their extreme, each beside a ``vcount`` — how many
+  non-NULL rows contributed, which is what makes an all-NULL group (or an
+  empty global input) report NULL;
+* **combine** — the one scatter reduction per state column
+  (:data:`COMBINE`) that both builds it from rows and merges it across
+  partial states (``scatter_add`` / ``scatter_min`` / ``scatter_max``);
+* **finalize** — state to output column: cast, ``sum / max(vcount, 1)``,
+  NULL where ``vcount == 0``.
+
+A serial plan runs state → finalize on its one table.  Over a partitioned
+input — morsels on worker lanes or shards on devices, one implementation —
+every partition runs the same state step and stores it as a *partial table*
+(group keys plus state columns, a few rows per group); ``gather`` brings the
+partials together (the only rows that cross the interconnect, the classic
 reason two-phase aggregation is the backbone of every distributed engine),
-re-groups them and combines the states.  The output is one unpartitioned
-table.
+they are re-grouped, combined, and finalized by the same function.  The
+output is one unpartitioned table.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
 import numpy as np
 
-from typing import Iterable
-
 from repro.core.columnar import LogicalType, TensorColumn, TensorTable
-from repro.core.expressions import (
-    ExprValue,
-    evaluate,
-    evaluate_encoded,
-    to_column,
-)
+from repro.core.expressions import column_value, evaluate_encoded, to_column
 from repro.core.operators.base import ExecutionContext, TensorOperator
 from repro.core.operators.grouping import (
-    combine_ids,
     factorize_single,
+    group_rows,
     id_count,
-    static_radix_group_ids,
+    representatives,
 )
 from repro.core.operators.partition import (
     NONE,
@@ -50,14 +55,36 @@ from repro.frontend.logical import AggregateCall
 from repro.tensor import Tensor, ops
 
 
-#: Aggregate functions whose partial states merge losslessly (COUNT DISTINCT
-#: would need full value sets per group, so it stays on the serial path).
-_MERGEABLE_AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
+#: The state columns each aggregate function keeps per group.  A function is
+#: mergeable — may run under a partitioned input — exactly when it is a row
+#: here (COUNT DISTINCT would need full value sets per group, so it has no
+#: mergeable state and stays on the serial path).
+AGGREGATE_STATE: dict[str, tuple[str, ...]] = {
+    "count": ("count",),
+    "sum": ("sum", "vcount"),
+    "avg": ("sum", "vcount"),
+    "min": ("min", "vcount"),
+    "max": ("max", "vcount"),
+}
+
+#: The scatter reduction that builds a state column from rows *and* merges it
+#: across partial states.
+COMBINE: dict[str, Callable[..., Tensor]] = {
+    "count": ops.scatter_add,
+    "vcount": ops.scatter_add,
+    "sum": ops.scatter_add,
+    "min": ops.scatter_min,
+    "max": ops.scatter_max,
+}
+
+#: ``state column -> tensor`` for one aggregate call, plus whether its output
+#: needs a validity mask.
+State = tuple[dict[str, Tensor], bool]
 
 
 def aggregates_are_mergeable(aggregates: list[AggregateCall]) -> bool:
     """True when every aggregate has a lossless partial-then-merge split."""
-    return all(call.func in _MERGEABLE_AGGREGATES and not call.distinct
+    return all(call.func in AGGREGATE_STATE and not call.distinct
                for call in aggregates)
 
 
@@ -77,6 +104,69 @@ def masked_for_reduce(data: Tensor, valid: "Tensor | None", mode: str) -> Tensor
     return ops.where(valid, data, sentinel)
 
 
+def _contribution(func: str, column: TensorColumn) -> Tensor:
+    """What each row feeds the reduction: NULLs contribute its identity."""
+    if func in ("min", "max"):
+        return masked_for_reduce(column.tensor, column.valid, func)
+    data = column.tensor
+    if func == "avg" or column.ltype == LogicalType.BOOL:
+        # (a bool must add as a number: scatter_add over bools is a logical OR)
+        data = ops.cast(data, "float64")
+    if column.valid is None:
+        return data
+    return ops.where(column.valid, data, 0.0 if func == "avg" else 0)
+
+
+def _sum_dtype(call: AggregateCall) -> str:
+    return "int64" if call.output_type == LogicalType.INT else "float64"
+
+
+def _stored_name(call: AggregateCall, name: str) -> str:
+    return f"__partial_{call.output_name}_{name}"
+
+
+def _state_of_partials(merged: TensorTable, call: AggregateCall,
+                       group_ids: Tensor, num_groups: "Tensor | int") -> State:
+    """One aggregate's state combined across the gathered partial tables."""
+    return ({name: COMBINE[name](group_ids,
+                                 merged.column(_stored_name(call, name)).tensor,
+                                 size=num_groups)
+             for name in AGGREGATE_STATE[call.func]}, True)
+
+
+def _store(call: AggregateCall, state: State) -> dict[str, TensorColumn]:
+    """State as the columns of a partial table, in their storage types."""
+    stored = {}
+    for name, tensor in state[0].items():
+        if name in ("min", "max"):
+            column = TensorColumn(tensor, call.output_type)
+        elif name == "sum":
+            column = TensorColumn(ops.cast(tensor, _sum_dtype(call)),
+                                  call.output_type)
+        else:
+            column = TensorColumn(ops.cast(tensor, "int64"), LogicalType.INT)
+        stored[_stored_name(call, name)] = column
+    return stored
+
+
+def _finalize(call: AggregateCall, state: State) -> dict[str, TensorColumn]:
+    """State to output column: cast, ``sum / max(vcount, 1)``, and NULL for
+    a group nothing contributed to — all inputs NULL, or no input at all."""
+    tensors, nullable = state
+    if call.func == "count":
+        return {call.output_name: TensorColumn(
+            ops.cast(tensors["count"], "int64"), LogicalType.INT)}
+    populated = tensors["vcount"]
+    valid = ops.gt(populated, 0) if nullable else None
+    name = AGGREGATE_STATE[call.func][0]
+    value = tensors[name]
+    if name == "sum":
+        value = ops.cast(value, _sum_dtype(call))
+    if call.func == "avg":
+        value = ops.div(value, ops.cast(ops.maximum(populated, 1), "float64"))
+    return {call.output_name: TensorColumn(value, call.output_type, valid)}
+
+
 class HashAggregateOperator(TensorOperator):
     """Hash/group aggregation (SUM, AVG, MIN, MAX, COUNT, COUNT DISTINCT)."""
 
@@ -87,6 +177,10 @@ class HashAggregateOperator(TensorOperator):
                  aggregates: list[AggregateCall],
                  input_partitioning: Partitioning = NONE):
         super().__init__([child])
+        for call in aggregates:
+            if call.func not in AGGREGATE_STATE:
+                raise ExecutionError(
+                    f"unsupported aggregate function {call.func!r}")
         if (input_partitioning.kind != "none"
                 and not aggregates_are_mergeable(aggregates)):
             raise ExecutionError(
@@ -103,314 +197,91 @@ class HashAggregateOperator(TensorOperator):
         return partition_label(self.labels, self.input_partitioning,
                                f"groups={len(self.group_exprs)}")
 
-    # -- helpers ------------------------------------------------------------
-
-    @staticmethod
-    def _grouping(key_values: list[ExprValue], table: TensorTable
-                  ) -> "tuple[Tensor, Tensor | int, Tensor | None]":
-        """``(group ids, group count, presence mask)`` of ``table``'s rows.
-
-        All-dictionary keys take the sort-free static-radix path
-        (:func:`~repro.core.operators.grouping.static_radix_group_ids`): the
-        id space then covers every dictionary combination, so the caller must
-        drop the groups the presence mask rules out.  Otherwise keys are
-        densified with sort-based factorization (presence ``None``: the ids
-        are already dense) and the count stays a run-time tensor (never
-        ``.item()``) so scatter sizes are recomputed when a prepared query is
-        re-executed with a binding that changes how many rows / groups
-        survive the child plan.
-        """
-        if not key_values:
-            if table.anchor is not None:
-                group_ids = ops.full_like_rows(table.anchor, 0, dtype="int64")
-            else:
-                group_ids = ops.zeros((table.num_rows,), dtype="int64",
-                                      device=table.device)
-            return (group_ids,
-                    ops.tensor(1, dtype="int64", device=table.device), None)
-        static = static_radix_group_ids(key_values)
-        if static is not None:
-            group_ids, num_groups = static
-            return group_ids, num_groups, ops.gt(
-                ops.bincount(group_ids, minlength=num_groups), 0)
-        ids = [factorize_single(value) for value in key_values]
-        group_ids = combine_ids(ids)
-        # id_count is empty-safe (0 groups for 0 rows), so no Python branch on
-        # num_rows may be traced here — it would bake the wrong size into the
-        # program for every other binding.
-        return group_ids, id_count(group_ids), None
-
-    def _aggregate_column(self, call: AggregateCall, table: TensorTable,
-                          group_ids: Tensor, num_groups: Tensor,
-                          ctx: ExecutionContext) -> TensorColumn:
-        if call.func == "count" and call.expr is None:
-            counts = ops.bincount(group_ids, minlength=num_groups)
-            return TensorColumn(ops.cast(counts, "int64"), LogicalType.INT)
-
-        # COUNT (and COUNT DISTINCT) work directly on dictionary codes; the
-        # numeric reductions below only ever see plain columns.
-        value = evaluate_encoded(call.expr, table, ctx.eval_ctx)
-        column = to_column(value, table.num_rows, like=table.anchor)
-        data = column.tensor
-
-        if call.func == "count":
-            if call.distinct:
-                return TensorColumn(
-                    self._count_distinct(column, group_ids, num_groups), LogicalType.INT
-                )
-            if column.valid is not None:
-                counts = ops.scatter_add(group_ids, ops.cast(column.valid, "int64"),
-                                         size=num_groups)
-            else:
-                counts = ops.bincount(group_ids, minlength=num_groups)
-            return TensorColumn(ops.cast(counts, "int64"), LogicalType.INT)
-
-        if column.ltype == LogicalType.STRING:
+    def _state_of_rows(self, table: TensorTable, ctx: ExecutionContext,
+                       call: AggregateCall, group_ids: Tensor,
+                       num_groups: "Tensor | int") -> State:
+        """One aggregate's per-group state over ``table``'s rows."""
+        if call.expr is None:  # count(*)
+            return {"count": ops.bincount(group_ids, minlength=num_groups)}, False
+        # Dictionary codes stay codes: COUNT (and COUNT DISTINCT) need no
+        # decoding, and the reductions below only ever see plain columns.
+        column = to_column(evaluate_encoded(call.expr, table, ctx.eval_ctx),
+                           table)
+        if call.func == "count" and call.distinct:
+            return {"count": self._count_distinct(column, group_ids,
+                                                  num_groups)}, False
+        if call.func != "count" and column.ltype == LogicalType.STRING:
             raise UnsupportedOperationError(
                 "sum/avg/min/max over string columns are not supported"
             )
-
-        # SQL aggregates skip NULL inputs and return NULL when nothing
-        # contributed: count per group how many non-NULL rows there are.  For
-        # non-nullable input the mask is only needed in the global case (a
-        # group always has >= 1 row, but an ungrouped input may be empty).
+        # SQL aggregates skip NULL inputs: count, per group, the non-NULL rows.
         if column.valid is not None:
             populated = ops.scatter_add(group_ids, ops.cast(column.valid, "int64"),
                                         size=num_groups)
         else:
             populated = ops.bincount(group_ids, minlength=num_groups)
-        valid = None
-        if column.valid is not None or not self.group_exprs:
-            valid = ops.gt(populated, 0)
-
-        if call.func == "sum":
-            if column.valid is not None:
-                data = ops.where(column.valid, data, 0)
-            result = ops.scatter_add(group_ids, data, size=num_groups)
-            if call.output_type == LogicalType.INT:
-                result = ops.cast(result, "int64")
-            else:
-                result = ops.cast(result, "float64")
-            return TensorColumn(result, call.output_type, valid)
-
-        if call.func == "avg":
-            addend = ops.cast(data, "float64")
-            if column.valid is not None:
-                addend = ops.where(column.valid, addend, 0.0)
-            totals = ops.cast(ops.scatter_add(group_ids, addend, size=num_groups),
-                              "float64")
-            return TensorColumn(ops.div(totals, ops.cast(ops.maximum(populated, 1),
-                                                         "float64")),
-                                LogicalType.FLOAT, valid)
-
-        if call.func == "min":
-            result = ops.scatter_min(
-                group_ids, masked_for_reduce(data, column.valid, "min"),
-                size=num_groups)
-            return TensorColumn(result, call.output_type, valid)
-
-        if call.func == "max":
-            result = ops.scatter_max(
-                group_ids, masked_for_reduce(data, column.valid, "max"),
-                size=num_groups)
-            return TensorColumn(result, call.output_type, valid)
-
-        raise ExecutionError(f"unsupported aggregate function {call.func!r}")
+        if call.func == "count":
+            return {"count": populated}, False
+        name = AGGREGATE_STATE[call.func][0]
+        reduced = COMBINE[name](group_ids, _contribution(call.func, column),
+                                size=num_groups)
+        # For non-nullable input the mask is only needed in the global case (a
+        # group always has >= 1 row, but an ungrouped input may be empty).
+        return ({name: reduced, "vcount": populated},
+                column.valid is not None or not self.group_exprs)
 
     @staticmethod
     def _count_distinct(column: TensorColumn, group_ids: Tensor,
-                        num_groups: Tensor) -> Tensor:
-        value_ids = factorize_single(
-            ExprValue(column.tensor, column.ltype, False, column.valid,
-                      column.encoding)
-        )
+                        num_groups: "Tensor | int") -> Tensor:
+        """Distinct values per group: ``unique`` over (group, value) pairs —
+        a set, which no scatter reduction can merge."""
+        value_ids = factorize_single(column_value(column))
         radix = id_count(value_ids)
         pair_ids = ops.add(ops.mul(group_ids, radix), value_ids)
         unique_pairs, _, _ = ops.unique(pair_ids)
-        pair_groups = ops.floordiv(unique_pairs, radix)
-        return ops.cast(ops.bincount(pair_groups, minlength=num_groups), "int64")
+        return ops.bincount(ops.floordiv(unique_pairs, radix),
+                            minlength=num_groups)
 
-    # -- execution ----------------------------------------------------------------
+    # -- execution ------------------------------------------------------------
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
         data = input_of(self.children[0], self.input_partitioning, ctx,
                         closed=True)
+
+        def over_rows(table: TensorTable, finish) -> TensorTable:
+            # Group keys keep dictionary codes: densification runs on ``(n,)``
+            # integers, the output key columns stay encoded until consumed,
+            # and every partition shares the stored column's dictionary.
+            keys = [to_column(evaluate_encoded(expr, table, ctx.eval_ctx), table)
+                    for expr in self.group_exprs]
+            return self._grouped(
+                table, keys, partial(self._state_of_rows, table, ctx), finish)
+
         if isinstance(data, TensorTable):
-            return self._aggregate_table(data, ctx)
+            return over_rows(data, _finalize)
         label = self.describe()
-        partials = data.map(lambda table: self._partial_table(table, ctx), label)
-        return self._merge_partials(gather(partials, label))
+        merged = gather(data.map(lambda table: over_rows(table, _store), label),
+                        label)
+        return self._grouped(
+            merged, [merged.column(name) for name in self.group_names],
+            partial(_state_of_partials, merged), _finalize)
 
-    def _key_columns(self, columns: Iterable[TensorColumn], group_ids: Tensor,
-                     num_groups, presence: "Tensor | None"
-                     ) -> dict[str, TensorColumn]:
-        """The output key columns: each group's key is its first row's."""
-        if not self.group_exprs:
-            return {}
-        representatives = ops.scatter_min(
-            group_ids, ops.arange_like(group_ids), num_groups
-        )
-        if presence is not None:
-            # Static-radix ids cover every dictionary combination; keep
-            # only the representatives of groups some row actually hit.
-            representatives = ops.boolean_mask(representatives, presence)
-        return {name: column.gather(representatives)
-                for name, column in zip(self.group_names, columns)}
-
-    def _aggregate_table(self, table: TensorTable, ctx: ExecutionContext
-                         ) -> TensorTable:
-        """Aggregate one materialized table (the single-stream path)."""
-        # Group keys keep dictionary codes: densification runs on ``(n,)``
-        # integers and the output key columns stay encoded until consumed.
-        key_values = [evaluate_encoded(expr, table, ctx.eval_ctx)
-                      for expr in self.group_exprs]
-        group_ids, num_groups, presence = self._grouping(key_values, table)
-        columns = self._key_columns(
-            (to_column(value, table.num_rows, like=table.anchor)
-             for value in key_values), group_ids, num_groups, presence)
+    def _grouped(self, table: TensorTable, key_columns: list[TensorColumn],
+                 state_of, finish) -> TensorTable:
+        """The one grouped skeleton: group ``table``'s rows by their keys,
+        emit each group's key (its first row's) and, per aggregate,
+        ``finish(state_of(...))`` — ``_finalize`` where the output is due,
+        ``_store`` where the state still has to cross an exchange."""
+        group_ids, num_groups, presence = group_rows(
+            [column_value(column) for column in key_columns], table)
+        columns: dict[str, TensorColumn] = {}
+        if key_columns:
+            first_rows = representatives(group_ids, num_groups, presence)
+            columns = {name: column.gather(first_rows)
+                       for name, column in zip(self.group_names, key_columns)}
         for call in self.aggregates:
-            column = self._aggregate_column(
-                call, table, group_ids, num_groups, ctx
-            )
-            if presence is not None:
-                column = column.mask(presence)
-            columns[call.output_name] = column
-        return TensorTable(columns)
-
-    # -- partial phase ------------------------------------------------------------
-
-    def _partial_table(self, sub: TensorTable, ctx: ExecutionContext) -> TensorTable:
-        # Dictionary-encoded keys keep their codes through the partial tables:
-        # every partition shares the stored column's dictionary, so the merge
-        # phase re-densifies codes without ever touching code-point matrices.
-        key_values = [evaluate_encoded(expr, sub, ctx.eval_ctx)
-                      for expr in self.group_exprs]
-        group_ids, num_groups, presence = self._grouping(key_values, sub)
-        columns = self._key_columns(
-            (to_column(value, sub.num_rows, like=sub.anchor)
-             for value in key_values), group_ids, num_groups, presence)
-        for index, call in enumerate(self.aggregates):
-            for name, column in self._partial_columns(
-                    index, call, sub, group_ids, num_groups, ctx).items():
+            state = state_of(call, group_ids, num_groups)
+            for name, column in finish(call, state).items():
                 columns[name] = (column.mask(presence) if presence is not None
                                  else column)
         return TensorTable(columns)
-
-    def _partial_columns(self, index: int, call: AggregateCall, table: TensorTable,
-                         group_ids: Tensor, num_groups: Tensor,
-                         ctx: ExecutionContext) -> dict[str, TensorColumn]:
-        """One partition's decomposed aggregate state.
-
-        Mirrors the serial NULL semantics: every non-count state carries a
-        ``_vcount`` column (non-NULL contributors per group) so the merge can
-        report NULL for groups nothing contributed to, and NULL positions are
-        zeroed (sum/avg) or replaced by the reduction identity (min/max) so
-        they cannot influence the merged value.
-        """
-        prefix = f"__p{index}"
-        if call.func == "count" and call.expr is None:
-            counts = ops.bincount(group_ids, minlength=num_groups)
-            return {f"{prefix}_count":
-                    TensorColumn(ops.cast(counts, "int64"), LogicalType.INT)}
-
-        value = evaluate(call.expr, table, ctx.eval_ctx)
-        column = to_column(value, table.num_rows, like=table.anchor)
-        data = column.tensor
-        if column.valid is not None:
-            populated = ops.scatter_add(group_ids, ops.cast(column.valid, "int64"),
-                                        size=num_groups)
-        else:
-            populated = ops.bincount(group_ids, minlength=num_groups)
-        vcount = TensorColumn(ops.cast(populated, "int64"), LogicalType.INT)
-
-        if call.func == "count":
-            return {f"{prefix}_count": vcount}
-        if call.func == "sum":
-            if column.valid is not None:
-                data = ops.where(column.valid, data, 0)
-            result = ops.scatter_add(group_ids, data, size=num_groups)
-            target = "int64" if call.output_type == LogicalType.INT else "float64"
-            return {f"{prefix}_sum":
-                    TensorColumn(ops.cast(result, target), call.output_type),
-                    f"{prefix}_vcount": vcount}
-        if call.func == "avg":
-            addend = ops.cast(data, "float64")
-            if column.valid is not None:
-                addend = ops.where(column.valid, addend, 0.0)
-            totals = ops.cast(ops.scatter_add(group_ids, addend, size=num_groups),
-                              "float64")
-            return {f"{prefix}_sum": TensorColumn(totals, LogicalType.FLOAT),
-                    f"{prefix}_vcount": vcount}
-        if call.func == "min":
-            result = ops.scatter_min(
-                group_ids, masked_for_reduce(data, column.valid, "min"),
-                size=num_groups)
-            return {f"{prefix}_min": TensorColumn(result, call.output_type),
-                    f"{prefix}_vcount": vcount}
-        if call.func == "max":
-            result = ops.scatter_max(
-                group_ids, masked_for_reduce(data, column.valid, "max"),
-                size=num_groups)
-            return {f"{prefix}_max": TensorColumn(result, call.output_type),
-                    f"{prefix}_vcount": vcount}
-        raise ExecutionError(f"unsupported mergeable aggregate {call.func!r}")
-
-    # -- merge phase --------------------------------------------------------------
-
-    def _merge_partials(self, merged: TensorTable) -> TensorTable:
-        """Re-group the gathered partial rows and combine their states."""
-        key_columns = [merged.column(name) for name in self.group_names]
-        key_values = [
-            ExprValue(column.tensor, column.ltype, False, column.valid,
-                      column.encoding)
-            for column in key_columns
-        ]
-        group_ids, num_groups, presence = self._grouping(key_values, merged)
-        columns = self._key_columns(key_columns, group_ids, num_groups, presence)
-        for index, call in enumerate(self.aggregates):
-            column = self._merge_column(
-                index, call, merged, group_ids, num_groups
-            )
-            if presence is not None:
-                column = column.mask(presence)
-            columns[call.output_name] = column
-        return TensorTable(columns)
-
-    def _merge_column(self, index: int, call: AggregateCall, merged: TensorTable,
-                      group_ids: Tensor, num_groups: Tensor) -> TensorColumn:
-        prefix = f"__p{index}"
-        if call.func == "count":
-            counts = ops.scatter_add(group_ids,
-                                     merged.column(f"{prefix}_count").tensor,
-                                     size=num_groups)
-            return TensorColumn(ops.cast(counts, "int64"), LogicalType.INT)
-
-        # SQL NULL semantics, matching the serial path: a group (or the global
-        # aggregate) nothing contributed to — all inputs NULL, or an empty
-        # input altogether — reports NULL.
-        populated = ops.scatter_add(group_ids,
-                                    merged.column(f"{prefix}_vcount").tensor,
-                                    size=num_groups)
-        valid = ops.gt(populated, 0)
-        if call.func == "sum":
-            total = ops.scatter_add(group_ids, merged.column(f"{prefix}_sum").tensor,
-                                    size=num_groups)
-            target = "int64" if call.output_type == LogicalType.INT else "float64"
-            return TensorColumn(ops.cast(total, target), call.output_type, valid)
-        if call.func == "avg":
-            totals = ops.scatter_add(group_ids, merged.column(f"{prefix}_sum").tensor,
-                                     size=num_groups)
-            return TensorColumn(
-                ops.div(ops.cast(totals, "float64"),
-                        ops.cast(ops.maximum(populated, 1), "float64")),
-                LogicalType.FLOAT, valid,
-            )
-        if call.func == "min":
-            result = ops.scatter_min(group_ids, merged.column(f"{prefix}_min").tensor,
-                                     size=num_groups)
-            return TensorColumn(result, call.output_type, valid)
-        if call.func == "max":
-            result = ops.scatter_max(group_ids, merged.column(f"{prefix}_max").tensor,
-                                     size=num_groups)
-            return TensorColumn(result, call.output_type, valid)
-        raise ExecutionError(f"unsupported mergeable aggregate {call.func!r}")

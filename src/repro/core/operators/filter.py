@@ -22,5 +22,5 @@ class FilterOperator(MapOperator):
 
     def _apply(self, table: TensorTable, ctx: ExecutionContext) -> TensorTable:
         value = evaluate(self.condition, table, ctx.eval_ctx)
-        mask = as_mask(value, table.num_rows, like=table.anchor)
+        mask = as_mask(value, table)
         return table.mask(mask)

@@ -22,7 +22,7 @@ from one to the other when it is rebound.
 from __future__ import annotations
 
 from repro.core import strings
-from repro.core.columnar import LogicalType
+from repro.core.columnar import LogicalType, TensorTable
 from repro.core.expressions import ExprValue
 from repro.core.tuning import MAX_STATIC_GROUP_IDS
 from repro.errors import ExecutionError
@@ -130,3 +130,45 @@ def combine_ids(id_columns: list[Tensor]) -> Tensor:
         mixed = ops.add(ops.mul(combined, radix), ids)
         _, combined, _ = ops.unique(mixed)
     return combined
+
+
+def group_rows(key_values: list[ExprValue], table: TensorTable
+               ) -> "tuple[Tensor, Tensor | int, Tensor | None]":
+    """``(group ids, group count, presence mask)`` of ``table``'s rows — the
+    one grouping routine of aggregation (serial, partial and merge) and
+    DISTINCT.
+
+    All-dictionary keys take the sort-free static-radix path
+    (:func:`static_radix_group_ids`): the id space then covers every
+    dictionary combination, so the caller must drop the groups the presence
+    mask rules out.  Otherwise keys are densified with sort-based
+    factorization (presence ``None``: the ids are already dense) and the count
+    stays a run-time tensor (never ``.item()``) so scatter sizes are recomputed
+    when a prepared query is re-executed with a binding that changes how many
+    rows / groups survive the child plan.  No keys is one global group.
+    """
+    if not key_values:
+        return (ops.full_like_rows(table.anchor, 0, dtype="int64"),
+                ops.tensor(1, dtype="int64", device=table.device), None)
+    static = static_radix_group_ids(key_values)
+    if static is not None:
+        group_ids, num_groups = static
+        return group_ids, num_groups, ops.gt(
+            ops.bincount(group_ids, minlength=num_groups), 0)
+    group_ids = combine_ids([factorize_single(value) for value in key_values])
+    # id_count is empty-safe (0 groups for 0 rows), so no Python branch on
+    # num_rows may be traced here — it would bake the wrong size into the
+    # program for every other binding.
+    return group_ids, id_count(group_ids), None
+
+
+def representatives(group_ids: Tensor, num_groups: "Tensor | int",
+                    presence: "Tensor | None") -> Tensor:
+    """The row index of each group's first row, in group-id order."""
+    first_rows = ops.scatter_min(group_ids, ops.arange_like(group_ids),
+                                 num_groups)
+    if presence is not None:
+        # Static-radix ids cover every dictionary combination; keep only the
+        # representatives of groups some row actually hit.
+        first_rows = ops.boolean_mask(first_rows, presence)
+    return first_rows

@@ -69,37 +69,73 @@ def merge_tables(left: TensorTable, right: TensorTable) -> TensorTable:
     return TensorTable(columns)
 
 
-def _null_column_like(column: TensorColumn, num_rows: int,
-                      anchor: "Tensor | None" = None) -> TensorColumn:
-    """An all-NULL column with the same type/width as ``column``.
-
-    ``anchor`` is a per-row tensor of the target table; when given, sizes are
-    derived from it at run time instead of baking ``num_rows`` into the trace.
-    """
-    device = column.device
-    if anchor is not None:
-        if column.ltype == LogicalType.STRING:
-            data = ops.full_like_rows(anchor, 0, dtype="int32",
-                                      width=column.string_width)
-        elif column.ltype == LogicalType.FLOAT:
-            data = ops.full_like_rows(anchor, 0, dtype="float64")
-        elif column.ltype == LogicalType.BOOL:
-            data = ops.full_like_rows(anchor, False, dtype="bool")
-        else:
-            data = ops.full_like_rows(anchor, 0, dtype="int64")
-        valid = ops.full_like_rows(anchor, False, dtype="bool")
-        return TensorColumn(data, column.ltype, valid)
+def _null_column_like(column: TensorColumn, table: TensorTable
+                      ) -> TensorColumn:
+    """An all-NULL column with the type / width of ``column`` and one row per
+    row of ``table`` (sized off its anchor at run time, never a baked count)."""
+    anchor = table.anchor
     if column.ltype == LogicalType.STRING:
-        data = ops.zeros((num_rows, column.string_width), dtype="int32",
-                         device=device)
+        data = ops.full_like_rows(anchor, 0, dtype="int32",
+                                  width=column.string_width)
     elif column.ltype == LogicalType.FLOAT:
-        data = ops.zeros((num_rows,), dtype="float64", device=device)
+        data = ops.full_like_rows(anchor, 0, dtype="float64")
     elif column.ltype == LogicalType.BOOL:
-        data = ops.zeros((num_rows,), dtype="bool", device=device)
+        data = ops.full_like_rows(anchor, False, dtype="bool")
     else:
-        data = ops.zeros((num_rows,), dtype="int64", device=device)
-    valid = ops.full((num_rows,), False, dtype="bool", device=device)
+        data = ops.full_like_rows(anchor, 0, dtype="int64")
+    valid = ops.full_like_rows(anchor, False, dtype="bool")
     return TensorColumn(data, column.ltype, valid)
+
+
+def finish_join(kind: str, residual: Optional[Expr], left_table: TensorTable,
+                right_table: TensorTable, counts: Optional[Tensor],
+                pairs: Optional[tuple[Tensor, Tensor]],
+                ctx: ExecutionContext) -> TensorTable:
+    """Turn a join's candidate matches into its output — the one finish of
+    every pair list, hash-matched or cross product.
+
+    ``pairs`` are the flattened ``(left row, right row)`` candidates;
+    ``counts`` (matches per left row) suffices for a semi / anti join without
+    a residual, which never materializes pairs.
+    """
+    n_left = ops.row_count(left_table.anchor)
+    if pairs is None:  # semi/anti without residual: counts are enough
+        matched = ops.gt(counts, 0)
+        mask = matched if kind == "semi" else ops.logical_not(matched)
+        return left_table.mask(mask)
+
+    pair_left, pair_right = pairs
+    combined = merge_tables(left_table.gather(pair_left),
+                            right_table.gather(pair_right))
+
+    residual_mask: Optional[Tensor] = None
+    if residual is not None:
+        residual_mask = as_mask(evaluate(residual, combined, ctx.eval_ctx),
+                                combined)
+
+    if kind in ("inner", "cross"):
+        return combined.mask(residual_mask) if residual_mask is not None else combined
+
+    if kind in ("semi", "anti"):
+        hits = ops.scatter_add(pair_left, ops.cast(residual_mask, "int64"),
+                               size=n_left)
+        matched = ops.gt(hits, 0)
+        mask = matched if kind == "semi" else ops.logical_not(matched)
+        return left_table.mask(mask)
+
+    # left outer join
+    if residual_mask is not None:
+        combined = combined.mask(residual_mask)
+        pair_left = ops.boolean_mask(pair_left, residual_mask)
+    hits = ops.scatter_add(pair_left,
+                           ops.full_like_rows(pair_left, 1, dtype="int64"),
+                           size=n_left)
+    left_unmatched = left_table.mask(ops.eq(hits, 0))
+    null_right = TensorTable({
+        name: _null_column_like(column, left_unmatched)
+        for name, column in right_table.columns()
+    })
+    return concat_rows([combined, merge_tables(left_unmatched, null_right)])
 
 
 class HashJoinOperator(TensorOperator):
@@ -176,7 +212,7 @@ class HashJoinOperator(TensorOperator):
         The ids are dense, so the build side is a direct-address table: one
         ``bincount`` of the right ids, indexed by the left ids.  The radix
         exchange runs this per key partition; everything downstream
-        (:meth:`_finish`) is shared.
+        (:func:`finish_join`) is shared.
         """
         # bincount grows past ``minlength`` to cover the right ids, so the
         # table spans both sides (and is empty-safe under any rebinding).
@@ -269,7 +305,8 @@ class HashJoinOperator(TensorOperator):
         left_ids, right_ids = self._key_ids(left_table, right_table, ctx)
         need_pairs = not (self.kind in ("semi", "anti") and self.residual is None)
         counts, pairs = match_pairs(left_ids, right_ids, need_pairs)
-        return self._finish(left_table, right_table, counts, pairs, ctx)
+        return finish_join(self.kind, self.residual, left_table, right_table,
+                           counts, pairs, ctx)
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
         left_table = self.children[0].execute(ctx)
@@ -300,55 +337,6 @@ class HashJoinOperator(TensorOperator):
                 self._match_pairs),
             self.describe())
 
-    def _finish(self, left_table: TensorTable, right_table: TensorTable,
-                counts: Tensor, pairs: Optional[tuple[Tensor, Tensor]],
-                ctx: ExecutionContext) -> TensorTable:
-        n_left = ops.row_count(left_table.anchor) if left_table.anchor is not None \
-            else left_table.num_rows
-
-        if pairs is None:  # semi/anti without residual: counts are enough
-            matched = ops.gt(counts, 0)
-            mask = matched if self.kind == "semi" else ops.logical_not(matched)
-            return left_table.mask(mask)
-
-        pair_left, pair_right = pairs
-        matched_left = left_table.gather(pair_left)
-        matched_right = right_table.gather(pair_right)
-        combined = merge_tables(matched_left, matched_right)
-
-        residual_mask: Optional[Tensor] = None
-        if self.residual is not None:
-            residual_value = evaluate(self.residual, combined, ctx.eval_ctx)
-            residual_mask = as_mask(residual_value, combined.num_rows,
-                                    like=combined.anchor)
-
-        if self.kind == "inner":
-            return combined.mask(residual_mask) if residual_mask is not None else combined
-
-        if self.kind in ("semi", "anti"):
-            hits = ops.scatter_add(pair_left, ops.cast(residual_mask, "int64"),
-                                   size=n_left)
-            matched = ops.gt(hits, 0)
-            mask = matched if self.kind == "semi" else ops.logical_not(matched)
-            return left_table.mask(mask)
-
-        # left outer join
-        if residual_mask is not None:
-            combined = combined.mask(residual_mask)
-            pair_left = ops.boolean_mask(pair_left, residual_mask)
-        hits = ops.scatter_add(pair_left,
-                               ops.full_like_rows(pair_left, 1, dtype="int64"),
-                               size=n_left)
-        unmatched = ops.eq(hits, 0)
-        left_unmatched = left_table.mask(unmatched)
-        null_right = TensorTable({
-            name: _null_column_like(column, left_unmatched.num_rows,
-                                    anchor=left_unmatched.anchor)
-            for name, column in right_table.columns()
-        })
-        padded = merge_tables(left_unmatched, null_right)
-        return concat_rows([combined, padded])
-
 
 class NestedLoopJoinOperator(TensorOperator):
     """Cross product (optionally filtered) — the fallback for non-equi joins."""
@@ -370,34 +358,19 @@ class NestedLoopJoinOperator(TensorOperator):
         left_table = self.children[0].execute(ctx)
         right_table = self.children[1].execute(ctx)
         left_anchor, right_anchor = left_table.anchor, right_table.anchor
-        if left_anchor is None or right_anchor is None:
-            raise ExecutionError("nested-loop join requires materialized inputs")
-
+        n_right = ops.row_count(right_anchor)
+        every_left = ops.mul(ops.full_like_rows(left_anchor, 1, dtype="int64"),
+                             n_right)
+        if self.condition is None and self.kind in ("semi", "anti"):
+            # Every left row pairs with every right row: counts are enough.
+            return finish_join(self.kind, None, left_table, right_table,
+                               every_left, None, ctx)
         # The cross-product index arithmetic is built from run-time extents so
         # a rebound parameter that changes either input's size replays
         # correctly on the graph backends.
-        n_left_t = ops.row_count(left_anchor)
-        n_right_t = ops.row_count(right_anchor)
-        pair_left = ops.repeat(
-            ops.arange_like(left_anchor),
-            ops.mul(ops.full_like_rows(left_anchor, 1, dtype="int64"), n_right_t))
-        pair_right = ops.mod(ops.arange_until(ops.mul(n_left_t, n_right_t)),
-                             ops.maximum(n_right_t, 1))
-        combined = merge_tables(left_table.gather(pair_left),
-                                right_table.gather(pair_right))
-
-        mask: Optional[Tensor] = None
-        if self.condition is not None:
-            value = evaluate(self.condition, combined, ctx.eval_ctx)
-            mask = as_mask(value, combined.num_rows, like=combined.anchor)
-
-        if self.kind in ("inner", "cross"):
-            return combined.mask(mask) if mask is not None else combined
-
-        if mask is None:
-            mask = ops.full_like_rows(pair_left, True, dtype="bool")
-        hits = ops.scatter_add(pair_left, ops.cast(mask, "int64"), size=n_left_t)
-        matched = ops.gt(hits, 0)
-        if self.kind == "anti":
-            matched = ops.logical_not(matched)
-        return left_table.mask(matched)
+        pair_left = ops.repeat(ops.arange_like(left_anchor), every_left)
+        pair_right = ops.mod(
+            ops.arange_until(ops.mul(ops.row_count(left_anchor), n_right)),
+            ops.maximum(n_right, 1))
+        return finish_join(self.kind, self.condition, left_table, right_table,
+                           None, (pair_left, pair_right), ctx)

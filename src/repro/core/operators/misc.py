@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from repro.core.columnar import TensorTable
-from repro.core.expressions import ExprValue
+from repro.core.expressions import column_value
 from repro.core.operators.base import ExecutionContext, MapOperator, TensorOperator
-from repro.core.operators.grouping import combine_ids, factorize_single, id_count
+from repro.core.operators.grouping import group_rows, representatives
 from repro.core.operators.partition import NONE, Partitioning, gather
 from repro.errors import ExecutionError
 from repro.frontend.logical import Field
@@ -26,17 +26,15 @@ class LimitOperator(TensorOperator):
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
         table = self.children[0].execute(ctx)
-        anchor = table.anchor
-        if anchor is None:
-            return table
         # min(count, num_rows) computed at run time so the traced program
         # keeps the right number of rows under a new parameter binding.
-        keep = ops.minimum(ops.row_count(anchor), self.count)
+        keep = ops.minimum(ops.row_count(table.anchor), self.count)
         return table.gather(ops.arange_until(keep))
 
 
 class DistinctOperator(TensorOperator):
-    """Remove duplicate rows (grouping over all output columns)."""
+    """Remove duplicate rows: group by every column, keep each group's first
+    row (the aggregate's grouping, static-radix path included)."""
 
     name = "Distinct"
 
@@ -45,17 +43,8 @@ class DistinctOperator(TensorOperator):
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
         table = self.children[0].execute(ctx)
-        id_columns = []
-        for _, column in table.columns():
-            value = ExprValue(column.tensor, column.ltype, False, column.valid,
-                              column.encoding)
-            id_columns.append(factorize_single(value))
-        group_ids = combine_ids(id_columns)
-        num_groups = id_count(group_ids)
-        representatives = ops.scatter_min(
-            group_ids, ops.arange_like(group_ids), num_groups
-        )
-        return table.gather(representatives)
+        keys = [column_value(column) for _, column in table.columns()]
+        return table.gather(representatives(*group_rows(keys, table)))
 
 
 class RenameOperator(MapOperator):

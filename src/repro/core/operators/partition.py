@@ -251,7 +251,7 @@ def _dispatched(table: TensorTable, morsel: int) -> TensorTable:
     tagged = TensorColumn(
         ops.morsel_dispatch(first.tensor, current_lane(), morsel,
                             rows=first.num_rows),
-        first.ltype, first.valid,
+        first.ltype, first.valid, first.encoding,
     )
     return table.with_column(names[0], tagged)
 

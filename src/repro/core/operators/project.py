@@ -26,7 +26,7 @@ class ProjectOperator(MapOperator):
         columns = {}
         for expr, name in zip(self.exprs, self.names):
             value = evaluate(expr, table, ctx.eval_ctx)
-            columns[name] = to_column(value, table.num_rows, like=table.anchor)
+            columns[name] = to_column(value, table)
         return TensorTable(columns)
 
     def _details(self) -> tuple:

@@ -32,7 +32,7 @@ class SortOperator(TensorOperator):
         subkeys: list[Tensor] = []
         for expr, ascending in self.keys:
             value = evaluate_encoded(expr, table, ctx.eval_ctx)
-            column = to_column(value, table.num_rows, like=table.anchor)
+            column = to_column(value, table)
             if column.encoding is not None:
                 # Dictionary codes are order-preserving (sorted dictionary):
                 # one integer sub-key replaces m per-character sub-keys.

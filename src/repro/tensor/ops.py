@@ -885,6 +885,8 @@ def _scatter_min_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarra
     index, values = arrays
     if values.dtype.kind == "f":
         fill = np.inf
+    elif values.dtype.kind == "b":
+        fill = True
     else:
         fill = np.iinfo(values.dtype).max
     out = np.full(size, fill, dtype=values.dtype)
@@ -905,6 +907,8 @@ def _scatter_max_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarra
     index, values = arrays
     if values.dtype.kind == "f":
         fill = -np.inf
+    elif values.dtype.kind == "b":
+        fill = False
     else:
         fill = np.iinfo(values.dtype).min
     out = np.full(size, fill, dtype=values.dtype)

@@ -21,11 +21,11 @@ from repro.bench.harness import tpch_session
 
 
 def normalize_cell(value):
-    """Canonical python value for one cell (NaN and None both mean NULL)."""
+    """Canonical python value for one cell (NaN, NaT and None all mean NULL)."""
     if value is None:
         return None
     if isinstance(value, np.datetime64):
-        return str(value.astype("datetime64[D]"))
+        return None if np.isnat(value) else str(value.astype("datetime64[D]"))
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (float, np.floating)):

@@ -132,6 +132,29 @@ def test_the_cold_path_converts_and_factorizes_in_one_place():
     assert len(dataclasses.fields(ExecutionOptions)) == 10
 
 
+def test_each_aggregate_is_written_once():
+    """One state table, one combine per state column, one finalize: serial is
+    the one-partition case, so the per-function copies of the serial / partial
+    / merge drivers are gone, each extreme reduction is named at exactly one
+    site, and DISTINCT groups through ``grouping.group_rows`` instead of
+    factorizing on its own."""
+    modules = {where: (tree, identifiers)
+               for where, _, tree, identifiers in _src_modules()}
+    tree, identifiers = modules["repro/core/operators/aggregate.py"]
+    assert not identifiers & {"_aggregate_column", "_partial_columns",
+                              "_merge_column", "_aggregate_table",
+                              "_partial_table", "_merge_partials"}
+    for reduction in ("scatter_min", "scatter_max"):
+        sites = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == reduction]
+        assert len(sites) == 1, reduction
+    tree, identifiers = modules["repro/core/operators/misc.py"]
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not (identifiers | imported) & {"combine_ids", "factorize_single"}
+    assert len(dataclasses.fields(ExecutionOptions)) == 10
+
+
 def test_late_materialization_is_a_pass_not_a_knob(tpch_tiny):
     """Seven passes, the seventh unconditional: no option selects it, and no
     filter compaction survives it on Q1 / Q3 / Q6 (``torchscript-noopt`` skips

@@ -145,12 +145,12 @@ def test_logical_operators_and_not():
 
 def test_to_column_broadcasts_scalars_and_as_mask():
     scalar = evaluate(_lit(7, LogicalType.INT), _table(), CTX)
-    column = to_column(scalar, 3)
+    column = to_column(scalar, _table())
     assert column.tensor.tolist() == [7, 7, 7]
     mask_value = evaluate(_binary(">", QTY(), _lit(1, LogicalType.INT)), _table(), CTX)
-    assert as_mask(mask_value, 3).tolist() == [False, True, True]
+    assert as_mask(mask_value, _table()).tolist() == [False, True, True]
     with pytest.raises(ExecutionError):
-        as_mask(evaluate(QTY(), _table(), CTX), 3)
+        as_mask(evaluate(QTY(), _table(), CTX), _table())
 
 
 def test_null_literal_and_is_null():
@@ -188,4 +188,20 @@ def test_validity_propagates_through_comparisons():
     cmp = _binary(">", _col("t.v", LogicalType.FLOAT), _lit(0.0, LogicalType.FLOAT))
     value = evaluate(cmp, table, CTX)
     # NULL comparisons are not true: the mask removes the invalid row.
-    assert as_mask(value, 3).tolist() == [True, False, True]
+    assert as_mask(value, table).tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
+@pytest.mark.parametrize("then", ["s", "'hi'"])
+def test_case_with_a_string_branch_is_a_typed_error(backend, then):
+    """Code-point matrices of different widths have no ``where``: the
+    construct is rejected by name, not by a numpy broadcast error."""
+    from repro import ExecutionOptions, TQPSession
+
+    session = TQPSession()
+    session.register("t", DataFrame({
+        "a": np.array([1, 2, 3, 4], dtype=np.int64),
+        "s": np.array(["x", "yy", "zzz", "x"], dtype=object)}))
+    with pytest.raises(UnsupportedOperationError, match="CASE with a string"):
+        session.sql(f"select case when a > 2 then {then} else 'zz' end as c "
+                    "from t", options=ExecutionOptions(backend=backend))

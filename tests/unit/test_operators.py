@@ -131,6 +131,80 @@ def test_limit_and_distinct():
     assert distinct.to_dict() == {"grp": ["a", "b", "c"]}
 
 
+def _rows(table):
+    """A leaf operator over a ready-made table, for operator-level tests."""
+    from repro.core.operators import TensorOperator
+
+    class Rows(TensorOperator):
+        def _execute(self, ctx):
+            return table
+
+    return Rows([])
+
+
+def test_distinct_over_dictionary_codes_takes_the_static_radix_path():
+    """DISTINCT is "group by every column, keep each group's first row"
+    through the aggregate's grouping: all-dictionary inputs densify without a
+    ``unique``, absent dictionary combinations are masked out, and the rows
+    (order included) are those the sort-based path keeps."""
+    from repro.core.columnar import TensorColumn, TensorTable
+    from repro.core.operators import DistinctOperator, ExecutionContext
+    from repro.storage.encodings import dictionary_encode
+    from repro.tensor import Profiler
+
+    left = ["b", "a", "b", "c", "a", "b"]
+    right = ["y", "x", "y", "x", "x", "x"]  # 4 of the 3 x 2 combinations
+    encoded = TensorTable({"l": dictionary_encode(left),
+                           "r": dictionary_encode(right)})
+    plain = TensorTable({
+        name: TensorColumn.from_numpy(np.array(values, dtype=object))
+        for name, values in (("l", left), ("r", right))})
+    ctx = ExecutionContext({})
+    with Profiler() as profile:
+        out = DistinctOperator(_rows(encoded)).execute(ctx).to_dataframe()
+    assert "unique" not in {event.op for event in profile.events}
+    assert out.to_dict() == {"l": ["a", "b", "b", "c"], "r": ["x", "x", "y", "x"]}
+    assert out.to_dict() == DistinctOperator(_rows(plain)).execute(
+        ctx).to_dataframe().to_dict()
+
+
+@pytest.mark.parametrize("kind,conditional,expected", [
+    ("semi", True, [1, 2, 3]), ("anti", True, [4]),
+    ("semi", False, [1, 2, 3, 4]), ("anti", False, []),
+    ("inner", True, [1, 1, 1, 2, 2, 3]),
+])
+def test_nested_loop_join_finishes_like_the_hash_join(kind, conditional,
+                                                      expected):
+    """The nested loop builds only its cross-product pair list (or, with no
+    condition to evaluate, a match count per left row) and shares
+    ``finish_join`` with the hash join — semi / anti kinds included, which no
+    SQL reaches (a correlated EXISTS needs an equality and plans a hash join)."""
+    from repro.core.columnar import LogicalType, TensorTable
+    from repro.core.operators import ExecutionContext, NestedLoopJoinOperator
+    from repro.frontend import ast
+
+    def col(name, ltype=LogicalType.FLOAT):
+        ref = ast.ColumnRef(None, name, resolved=name)
+        ref.otype = ltype
+        return ref
+
+    condition = ast.BinaryOp(">", col("w"), col("v"))
+    condition.otype = LogicalType.BOOL
+    left = TensorTable.from_dataframe(DataFrame({
+        "k": np.array([1, 2, 3, 4], dtype=np.int64),
+        "v": np.array([10.0, 20.0, 30.0, 40.0])}))
+    right = TensorTable.from_dataframe(DataFrame({
+        "w": np.array([15.0, 25.0, 35.0, 5.0])}))
+    join = NestedLoopJoinOperator(_rows(left), _rows(right), kind,
+                                  condition if conditional else None)
+    out = join.execute(ExecutionContext({})).to_dataframe()
+    assert out.to_dict()["k"] == expected
+    empty = NestedLoopJoinOperator(_rows(left), _rows(right.slice(0, 0)), kind,
+                                   condition if conditional else None)
+    kept = empty.execute(ExecutionContext({})).to_dataframe().to_dict()["k"]
+    assert kept == ([1, 2, 3, 4] if kind == "anti" else [])
+
+
 def test_in_subquery_and_scalar_subquery_runtime():
     session = _session()
     out = session.sql(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,13 @@ from repro.core.columnar import (
 )
 from repro.core.operators import lanes, run_partitions
 from repro.core.operators.partition import effective_morsel_rows
-from repro.core.tuning import DEFAULT_TUNING
-from repro.errors import AnalysisError, CatalogError, ExecutionError
+from repro.core.tuning import DEFAULT_TUNING, tuning_overrides
+from repro.errors import (
+    AnalysisError,
+    CatalogError,
+    ExecutionError,
+    UnsupportedOperationError,
+)
 from repro.tensor import Profiler, current_lane, lane_scope, ops, passes, tracing
 from repro import ExecutionOptions
 
@@ -43,7 +51,7 @@ def frames():
         "customer_id": np.arange(600, dtype=np.int64),
         "region": rng.choice(["EU", "US", "APAC"], size=600).astype(object),
     })
-    return {"orders": orders, "customers": customers}
+    return {"orders": orders, "customers": customers, "m": _matrix_frame()}
 
 
 @pytest.fixture(scope="module")
@@ -164,28 +172,189 @@ def test_parallel_matches_serial(session, frames_match, sql):
                      f"{sql} @ parallelism={parallelism}")
 
 
-def test_parallel_nullable_aggregates_match_serial_and_oracle(session, frames,
-                                                               frames_match):
-    """Partial-then-merge must skip NULL inputs exactly like the serial path
-    and the row-engine oracle (per-group valid counts, masked min/max)."""
+# -- the aggregate matrix ------------------------------------------------------
+#
+# Every aggregate function is one row of ``aggregate.AGGREGATE_STATE``; serial,
+# lanes and shards run the same state -> combine -> finalize.  A seeded
+# generator (plain ``random``, the style of ``test_expr_differential.py``)
+# spreads {count(*), count(x), sum, avg, min, max} x {int, float, date, bool}
+# over the NULL shapes below; every case runs at every option point.
+
+MATRIX_ROWS = DEFAULT_TUNING.parallel_threshold_rows + 808  # lanes / shards really run
+MATRIX_SEED = 20221022
+OPTION_POINTS = [
+    dict(backend=backend, **partitioning)
+    for partitioning in ({}, {"parallelism": 4}, {"devices": 4})
+    for backend in ("pytorch", "torchscript")
+]
+#: input column -> the functions defined over its type (``sum`` / ``avg`` of a
+#: date is epoch arithmetic nobody means).
+MATRIX_FUNCTIONS = {
+    "i": ("count", "sum", "avg", "min", "max"),
+    "f": ("count", "sum", "avg", "min", "max"),
+    "d": ("count", "min", "max"),
+    "b": ("count", "sum", "avg", "min", "max"),
+}
+#: NULLs enter through CASE without ELSE: ``some`` spares rows of every group,
+#: ``gone`` is set on every row of group 'c', ``id < 0`` holds nowhere.
+NULL_SHAPES = {
+    "no_nulls": "{x}",
+    "some_nulls": "case when some = 0 then {x} end",
+    "all_null_group": "case when gone = 0 then {x} end",
+    "all_null": "case when id < 0 then {x} end",
+}
+
+
+def _matrix_frame() -> DataFrame:
+    rng = np.random.default_rng(MATRIX_SEED)
+    g = rng.choice(["a", "b", "c", "d"], size=MATRIX_ROWS).astype(object)
+    s = rng.choice(["x", "yy", "zzz"], size=MATRIX_ROWS).astype(object)
+    s[(g == "a") & (s == "zzz")] = "x"  # a dictionary combination no row has
+    return DataFrame({
+        "id": np.arange(MATRIX_ROWS, dtype=np.int64),
+        "g": g,
+        "i": rng.integers(-50, 50, size=MATRIX_ROWS).astype(np.int64),
+        # Multiples of 1/4: every partial sum is exact, so re-associating them
+        # across partitions cannot move a bit.
+        "f": rng.integers(-400, 400, size=MATRIX_ROWS) / 4.0,
+        "d": (np.datetime64("1995-01-01")
+              + rng.integers(0, 900, size=MATRIX_ROWS)).astype("datetime64[D]"),
+        "b": rng.integers(0, 2, size=MATRIX_ROWS).astype(bool),
+        "s": s,
+        # Too many distinct values to dictionary-encode: a plain string column.
+        "p": np.array([f"p{k % 3000:04d}" for k in range(MATRIX_ROWS)],
+                      dtype=object),
+        "some": rng.integers(0, 2, size=MATRIX_ROWS).astype(np.int64),
+        "gone": np.where(g == "c", 1, rng.integers(0, 2, size=MATRIX_ROWS)
+                         ).astype(np.int64),
+    })
+
+
+BOTH = ("parallelism", "devices")
+
+
+@dataclasses.dataclass(frozen=True)
+class AggregateCase:
+    name: str
+    sql: str
+    #: Parameter dicts run in order through one prepared statement.
+    bindings: tuple = ({},)
+    #: The options under which the plan must hold a partitioned aggregate.
+    partitioned: tuple = BOTH
+    #: Sums are exact (the matrix's are): not a bit may move between points.
+    exact: bool = True
+    #: Behind a filter the estimate alone would plan the aggregate serial.
+    force_lanes: bool = False
+    raises: "type | None" = None
+
+
+def _aggregate_cases() -> list[AggregateCase]:
+    rng = random.Random(MATRIX_SEED)
+    pairs = [(fn, col) for col, fns in MATRIX_FUNCTIONS.items() for fn in fns]
+
+    def select(shape: str, count: int) -> str:
+        chosen = rng.sample(pairs, count)
+        items = ["count(*) as n"] + [
+            f"{fn}({NULL_SHAPES[shape].format(x=col)}) as {fn}_{col}"
+            for fn, col in chosen]
+        return ", ".join(items)
+
+    cases = []
+    for shape in ("no_nulls", "some_nulls", "all_null_group"):
+        cases.append(AggregateCase(
+            f"grouped-{shape}",
+            f"select g, {select(shape, len(pairs))} from m group by g order by g"))
+        cases.append(AggregateCase(
+            f"global-{shape}", f"select {select(shape, 6)} from m"))
+    cases.append(AggregateCase(
+        "global-all_null", f"select {select('all_null', 6)} from m"))
+    # Empty input, statically and by a rebind of one prepared statement
+    # (parameterized plans fall back to one device).
+    for kind, head, tail in (("grouped", "select g, ", " group by g order by g"),
+                             ("global", "select ", "")):
+        cases.append(AggregateCase(
+            f"{kind}-empty",
+            f"{head}{select('some_nulls', 6)} from m where id < 0{tail}",
+            force_lanes=True))
+        cases.append(AggregateCase(
+            f"{kind}-rebind-to-empty",
+            f"{head}{select('some_nulls', 6)} from m where id < :cut{tail}",
+            bindings=({"cut": MATRIX_ROWS}, {"cut": 0}, {"cut": 4000}),
+            partitioned=("parallelism",), force_lanes=True))
+    # DISTINCT is the same grouping (its child here is a projection, which
+    # decodes: the static-radix path has an operator-level test).
+    for columns in ("g", "g, s", "p", "g, p", "s, i, g"):
+        cases.append(AggregateCase(
+            f"distinct-{columns.replace(', ', '-')}",
+            f"select distinct {columns} from m", partitioned=()))
+    # One typed error, whatever the partitioning: strings have no sum / order.
+    for fn in ("sum", "avg", "min", "max"):
+        cases.append(AggregateCase(
+            f"string-{fn}", f"select g, {fn}(s) as v from m group by g",
+            raises=UnsupportedOperationError))
+    return cases
+
+
+AGGREGATE_CASES = [
+    AggregateCase(
+        "orders-case-nulls",
+        "select segment, avg(case when amount > 250 then amount end) as a, "
+        "min(case when amount > 450 then amount end) as lo, "
+        "max(case when amount > 450 then amount end) as hi, "
+        "sum(case when amount > 250 then amount end) as s, "
+        "count(case when amount > 250 then amount end) as c "
+        "from orders group by segment order by segment", exact=False),
+    # A group where nothing contributes must be NULL, at every parallelism.
+    AggregateCase(
+        "orders-nothing-contributes",
+        "select min(case when amount > 1e9 then amount end) as lo from orders",
+        exact=False),
+] + _aggregate_cases()
+
+
+@pytest.mark.parametrize("case", AGGREGATE_CASES,
+                         ids=[case.name for case in AGGREGATE_CASES])
+def test_parallel_nullable_aggregates_match_serial_and_oracle(
+        session, frames, frames_match, case):
+    """State -> combine -> finalize must skip NULL inputs exactly like the
+    row-engine oracle (per-group valid counts, masked min/max), and answer
+    bit-identically whether it ran on one table, on lanes or on shards, eager
+    or traced — errors included."""
     from repro.baselines import RowEngine
     from repro.frontend import sql_to_physical
 
-    sql = ("select segment, avg(case when amount > 250 then amount end) as a, "
-           "min(case when amount > 450 then amount end) as lo, "
-           "max(case when amount > 450 then amount end) as hi, "
-           "sum(case when amount > 250 then amount end) as s, "
-           "count(case when amount > 250 then amount end) as c "
-           "from orders group by segment order by segment")
-    serial = session.sql(sql, options=ExecutionOptions(parallelism=1))
-    frames_match(session.sql(sql, options=ExecutionOptions(parallelism=4)), serial, sql)
-    oracle = RowEngine(frames).execute_to_dataframe(
-        sql_to_physical(sql, session.catalog))
-    frames_match(serial, oracle, sql)
-    # A group where nothing contributes must be NULL, at every parallelism.
-    sql = "select min(case when amount > 1e9 then amount end) as lo from orders"
-    assert session.sql(sql, options=ExecutionOptions(parallelism=1)).to_dict() == {"lo": [None]}
-    assert session.sql(sql, options=ExecutionOptions(parallelism=4)).to_dict() == {"lo": [None]}
+    reference = None
+    for point in OPTION_POINTS:
+        options = ExecutionOptions(use_cache=False, **point)
+        with tuning_overrides(**({"parallel_threshold_rows": 0}
+                                 if case.force_lanes else {})):
+            statement = session.prepare(case.sql, options=options)
+        if set(point) & set(case.partitioned):
+            plan = statement.compiled.operator_plan.root.pretty()
+            assert ("ParallelHashAggregate" in plan
+                    or "ShardedAggregate" in plan), (point, plan)
+        if case.raises is not None:
+            with pytest.raises(case.raises,
+                               match="sum/avg/min/max over string columns"):
+                statement.run()
+            continue
+        results = [statement.run(**binding).to_dict()
+                   for binding in case.bindings]
+        if reference is None:
+            reference = results
+            for binding, frame in zip(case.bindings, results):
+                bound = case.sql
+                for key, value in binding.items():
+                    bound = bound.replace(f":{key}", str(value))
+                oracle = RowEngine(frames).execute_to_dataframe(
+                    sql_to_physical(bound, session.catalog))
+                frames_match(DataFrame(frame), oracle, f"{case.name}: {bound}")
+        elif case.exact:
+            assert results == reference, (case.name, point)
+        else:
+            for frame, expected in zip(results, reference):
+                frames_match(DataFrame(frame), DataFrame(expected),
+                             f"{case.name} @ {point}")
 
 
 def test_partitioned_join_kinds_match_serial(session, frames_match):

@@ -4,9 +4,12 @@
 Counts that repeat exactly on an unchanged tree, printed beside the ``src/``
 line count they belong with: ``encode_column`` calls (one per distinct scanned
 column when conversion is shared), generated source lines registered with
-``linecache`` (the plain bodies only, while nothing profiles), and the gather
+``linecache`` (the plain bodies only, while nothing profiles), the gather
 nodes of the three optimized programs (``take`` / ``nonzero`` /
-``boolean_mask``: what late materialization left to run).
+``boolean_mask``: what late materialization left to run), and their reduction
+nodes (``scatter_add`` / ``scatter_min`` / ``scatter_max`` / ``bincount`` /
+``unique``: what grouping and the aggregate state table emit — a rewrite of
+either that changes no program repeats these exactly).
 
 Run from the repository root: ``python tools/cold_path_counts.py``
 (``PYTHONPATH=src``, as in CI).
@@ -28,6 +31,8 @@ from repro.storage import encodings  # noqa: E402
 
 SCALE_FACTOR = 0.002
 QUERIES = (1, 3, 6)
+GATHERS = ("take", "nonzero", "boolean_mask")
+REDUCTIONS = ("scatter_add", "scatter_min", "scatter_max", "bincount", "unique")
 
 
 def main() -> None:
@@ -51,9 +56,11 @@ def main() -> None:
     ops = collections.Counter()
     for compiled in held:
         ops.update(compiled.executor_graph().op_counts())
+    def nodes(names: tuple) -> str:
+        return " / ".join(f"{ops[name]} {name}" for name in names)
+
     print(f"{len(calls)} encode_column calls, {lines} generated source lines, "
-          f"{ops['take']} take / {ops['nonzero']} nonzero / "
-          f"{ops['boolean_mask']} boolean_mask nodes "
+          f"{nodes(GATHERS)} nodes, {nodes(REDUCTIONS)} nodes "
           f"(first executions of Q{', Q'.join(map(str, QUERIES))} at "
           f"SF {SCALE_FACTOR})")
 
