@@ -1,9 +1,11 @@
 """Scenario 1 (paper §3.1): DS-tool integration — profiling a query.
 
 Runs TPC-H Q6 with the op-level profiler enabled and produces the artifacts a
-TensorBoard-style UI consumes: the per-operator runtime breakdown (Figure 2),
-the per-kernel breakdown, a Chrome-trace JSON file, and the executor graph in
-DOT + JSON form (Figure 4's graph view).
+TensorBoard-style UI consumes: the per-operator runtime breakdown (Figure 2)
+— of the eager run and of the compiled ``torchscript`` program, whose traced
+nodes carry the operator they belong to — the per-kernel breakdown, a
+Chrome-trace JSON file, and the executor graph in DOT + JSON form (Figure 4's
+graph view).
 
 Run with:  python examples/profiling_tensorboard.py [output_dir]
 """
@@ -38,6 +40,11 @@ def main(output_dir: str = "profiling_output") -> None:
 
     print(format_breakdown(operator_breakdown(profile, top_k=10),
                            "TPC-H Q6 — runtime breakdown by relational operator"))
+    print()
+    scripted = session.compile(tpch.query(6), options=ExecutionOptions(
+        backend="torchscript", device="cpu")).execute(profile=True)
+    print(format_breakdown(operator_breakdown(scripted.profile, top_k=10),
+                           "TPC-H Q6 compiled (torchscript) — the same breakdown"))
     print()
     print(format_breakdown(kernel_breakdown(profile, top_k=10),
                            "TPC-H Q6 — runtime breakdown by tensor kernel"))

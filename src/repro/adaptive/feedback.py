@@ -55,12 +55,16 @@ _FAMILY_PREFIXES = (
     ("Distinct", "Distinct"),
 )
 
-#: The op whose input→output byte ratio is the observed-selectivity proxy:
-#: every filter materializes surviving rows by masking each column with
-#: exactly this op.  It is counted inside ``Filter`` scopes and inside lane
-#: sub-scopes (``...@w0``) — morsel pipelines fuse the filter into the
-#: downstream operator's workers, so that is where its masks run.
-_MASK_OP = "boolean_mask"
+#: The ops whose input→output byte ratio is the observed-selectivity proxy,
+#: each with the bytes in that one row weighs against a byte out.  An eager
+#: filter materializes surviving rows by masking each column with
+#: ``boolean_mask``; an optimized graph program (``late_materialization``)
+#: turns the mask into one ``nonzero`` selection vector instead — 8-byte row
+#: ids out over a 1-byte-per-row mask in, an exact row ratio.  They are
+#: counted inside ``Filter`` scopes and inside lane sub-scopes (``...@w0``) —
+#: morsel pipelines fuse the filter into the downstream operator's workers,
+#: so that is where its masks run.
+_SELECTION_OPS = {"boolean_mask": 1, "nonzero": 8}
 
 
 def scope_family(scope: str) -> str:
@@ -141,9 +145,9 @@ def harvest_feedback(profile: Profiler) -> tuple[
         bucket["kernel_s"] += event.elapsed_s
         bucket["in"] += event.input_bytes
         bucket["out"] += event.output_bytes
-        if event.op == _MASK_OP and (
-                family == "Filter" or "@" in (event.scope or "")):
-            mask_in += event.input_bytes
+        weight = _SELECTION_OPS.get(event.op)
+        if weight and (family == "Filter" or "@" in event.scope):
+            mask_in += weight * event.input_bytes
             mask_out += event.output_bytes
     observations = tuple(
         OperatorObservation(family=family, calls=bucket["calls"],

@@ -41,7 +41,7 @@ class Region:
     """The events of one device (the host, or one shard), by worker lane.
 
     Attributes:
-        serial: events outside any ``lane_scope``.
+        serial: events whose stamp names no worker lane.
         lanes: worker-lane id → the events executed on that lane.  Lanes run
             concurrently: a region's time charges its *slowest lane*.
         dispatches: morsel hand-offs.  Morsels are handed out one at a time
@@ -78,8 +78,8 @@ def split_partitions(events) -> tuple[Region, dict, list]:
     ``shard_gather``) are pulled out first, whatever annotation they carry —
     they are zero-copy identities whose *payload bytes* (their output tensor;
     input + output would count the payload twice) the cost models charge
-    against an interconnect tier, never as kernels.  Events outside any
-    ``shard_scope`` run on the host.  Devices run concurrently, so a sharded
+    against an interconnect tier, never as kernels.  Events whose stamp names
+    no shard run on the host.  Devices run concurrently, so a sharded
     plan charges its *slowest shard*, plus the host region, plus the
     exchanges.
     """

@@ -22,7 +22,7 @@ from repro.core.operators.partition import (
     partition_label,
 )
 from repro.errors import ExecutionError
-from repro.tensor import current_profiler
+from repro.tensor import stamped
 from repro.tensor.device import Device, parse_device
 
 
@@ -63,10 +63,9 @@ class TensorOperator:
         self.partitioning = partitioning
 
     def _scoped(self, body, ctx: ExecutionContext):
-        profiler = current_profiler()
-        if profiler is None:
-            return body(ctx)
-        with profiler.scope(self.describe()):
+        """Run ``body`` stamped with this operator's label: eager events and
+        traced nodes alike say which operator they belong to."""
+        with stamped(scope=self.describe()):
             return body(ctx)
 
     def execute(self, ctx: ExecutionContext) -> TensorTable:

@@ -56,7 +56,7 @@ from repro.core.operators.partition import (
 from repro.core.tuning import DEFAULT_TUNING
 from repro.errors import ExecutionError
 from repro.frontend.ast import Expr
-from repro.tensor import Tensor, current_lane, ops
+from repro.tensor import Tensor, current_stamp, ops
 
 
 def merge_tables(left: TensorTable, right: TensorTable) -> TensorTable:
@@ -277,7 +277,8 @@ class HashJoinOperator(TensorOperator):
             # Ids sharing ``id mod P`` stay distinct and ordered under
             # ``id // P`` and are dense again, so each table is ~G/P slots.
             lids = ops.floordiv(
-                ops.morsel_dispatch(ops.take(left_ids, lsel), current_lane(), p,
+                ops.morsel_dispatch(ops.take(left_ids, lsel),
+                                    current_stamp().lane, p,
                                     rows=lsel.shape[0]), partitions)
             rids = ops.floordiv(ops.take(right_ids, rsel), partitions)
             local_counts, local_pairs = self._match_pairs(lids, rids, need_pairs)

@@ -19,8 +19,9 @@ replicated) and :func:`gather` (anything → none).
 
 Results are always computed with real kernels, one partition after another
 (deterministic, trace- and profile-friendly); like the simulated devices,
-only *time* is simulated.  Each partition runs inside a
-:func:`~repro.tensor.profiler.lane_scope` / ``shard_scope`` annotation, a lane
+only *time* is simulated.  Each partition runs under one
+:class:`~repro.tensor.profiler.stamped` frame — the operator's label plus the
+worker lane or device shard, on every event and every traced node — a lane
 hand-off is one ``morsel_dispatch`` op, and data movement between devices is
 explicit — one ``shard_exchange`` / ``shard_broadcast`` / ``shard_gather``
 identity op per column tensor (plus one per validity mask), so the bytes a
@@ -51,14 +52,7 @@ from repro.distributed.sharding import (
     string_hash_weights,
 )
 from repro.errors import ExecutionError
-from repro.tensor import (
-    Tensor,
-    current_lane,
-    current_profiler,
-    lane_scope,
-    ops,
-    shard_scope,
-)
+from repro.tensor import Tensor, current_stamp, ops, stamped
 
 #: The partitioning kinds, in the order operators list their ``labels``.
 KINDS = ("none", "lanes", "shards")
@@ -132,22 +126,16 @@ def run_partitions(scheme: Partitioning, fn: Callable[[int], object],
 
     Partitions execute one after another, round-robin over the scheme's ``n``
     slots (``count`` defaults to one partition per slot); results come back
-    in partition order.  Each runs inside a ``lane_scope`` or ``shard_scope``
-    — the cost models turn the annotations back into concurrent timelines —
-    and, when profiling, under the scope ``<label>@w<lane>`` / ``@d<shard>``.
+    in partition order.  Each runs stamped with its slot as worker lane or
+    device shard — the cost models turn the stamps back into concurrent
+    timelines — and with the scope ``<label>@w<lane>`` / ``<label>@d<shard>``.
     """
-    profiler = current_profiler()
-    scope, tag = ((lane_scope, "w") if scheme.kind == "lanes"
-                  else (shard_scope, "d"))
+    field, tag = ("lane", "w") if scheme.kind == "lanes" else ("shard", "d")
     results = []
     for index in range(scheme.n if count is None else count):
         slot = index % scheme.n
-        with scope(slot):
-            if profiler is not None and label:
-                with profiler.scope(f"{label}@{tag}{slot}"):
-                    results.append(fn(index))
-            else:
-                results.append(fn(index))
+        with stamped(scope=label and f"{label}@{tag}{slot}", **{field: slot}):
+            results.append(fn(index))
     return results
 
 
@@ -249,7 +237,7 @@ def _dispatched(table: TensorTable, morsel: int) -> TensorTable:
         return table
     first = table.column(names[0])
     tagged = TensorColumn(
-        ops.morsel_dispatch(first.tensor, current_lane(), morsel,
+        ops.morsel_dispatch(first.tensor, current_stamp().lane, morsel,
                             rows=first.num_rows),
         first.ltype, first.valid, first.encoding,
     )

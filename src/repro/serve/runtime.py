@@ -37,7 +37,7 @@ clients and a :class:`~repro.core.session.TQPSession`:
   requests repeat a few bindings, so the batcher executes the distinct work,
   not the arrival count.
 
-Profiler activation is captured at submission
+The submitter's active profilers and stamp are captured at submission
 (:func:`repro.tensor.profiler.capture_scope`) and re-entered on the worker
 thread, so a profiled request reports the same events whether it runs on the
 caller's thread or the pool's.
@@ -131,8 +131,8 @@ class _Request:
         self.compiled = compiled
         self.bound = bound
         self.profile = profile
-        # Profiler/lane activation travels with the request so pooled
-        # execution profiles exactly like caller-thread execution.
+        # The submitter's profilers and stamp travel with the request so
+        # pooled execution profiles exactly like caller-thread execution.
         self.scope = capture_scope()
         self.deadline = deadline
         self.ticket = ServingTicket()

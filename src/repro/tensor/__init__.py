@@ -27,11 +27,9 @@ from repro.tensor.profiler import (
     OpEvent,
     OpSummary,
     Profiler,
-    current_lane,
     current_profiler,
-    current_shard,
-    lane_scope,
-    shard_scope,
+    current_stamp,
+    stamped,
 )
 from repro.tensor.script import ScriptedProgram, script_trace
 from repro.tensor.tensor import Tensor, as_tensor
@@ -59,12 +57,9 @@ __all__ = [
     "as_tensor",
     "bool_",
     "by_name",
-    "current_lane",
     "current_profiler",
-    "current_shard",
+    "current_stamp",
     "current_trace",
-    "lane_scope",
-    "shard_scope",
     "float32",
     "float64",
     "from_numpy",
@@ -77,6 +72,7 @@ __all__ = [
     "passes",
     "result_type",
     "script_trace",
+    "stamped",
     "tensor",
     "trace",
     "uint8",

@@ -17,11 +17,13 @@ Two function bodies are generated from the same IR:
   active (the wall-clock serving path), and
 * a **profiled** body — the same calls bracketed with ``perf_counter`` and an
   inline :class:`~repro.tensor.profiler.OpEvent` per node, emitting byte
-  counts, devices and worker lanes *identical* to interpreted replay, so the
-  simulated GPU/WASM cost models and the lane accounting cannot tell the two
-  executors apart.  It is three quarters of the text and most programs never
-  profile, so :func:`compile_graph` leaves it to the first run that does
-  (:meth:`CompiledGraphProgram.profiled_fn`).
+  counts, devices and stamps *identical* to interpreted replay — the operator
+  scope, worker lane and device shard a node was traced under are literals in
+  the text, a field it carries none of is the run's ambient one — so the
+  simulated GPU/WASM cost models, the lane accounting and the per-operator
+  breakdown cannot tell the two executors apart.  It is three quarters of the
+  text and most programs never profile, so :func:`compile_graph` leaves it to
+  the first run that does (:meth:`CompiledGraphProgram.profiled_fn`).
 
 Both bodies take their per-node semantics from the shared registry
 (:mod:`repro.tensor.op_semantics`); no op is implemented here (enforced by
@@ -61,7 +63,12 @@ from repro.errors import CodegenError, GraphError
 from repro.tensor import onnxlike, op_semantics
 from repro.tensor.device import Device, parse_device
 from repro.tensor.graph import Graph
-from repro.tensor.profiler import OpEvent, current_profiler
+from repro.tensor.profiler import (
+    OpEvent,
+    Stamp,
+    current_profiler,
+    current_stamp,
+)
 from repro.tensor.tensor import Tensor
 
 #: Environment variable controlling generated-source dumps.
@@ -117,6 +124,7 @@ class _Emitter:
             "_asarray": np.asarray,
             "_pc": time.perf_counter,
             "_EV": OpEvent,
+            "_stamp": current_stamp,
         }
         #: Static device tag per value id: ``None`` means "the run device"
         #: (only ``to_device`` outputs ever differ, see the emit loop).
@@ -126,6 +134,14 @@ class _Emitter:
 
     def _ref(self, vid: int) -> str:
         return f"_c{vid}" if vid in self.model["initializers"] else f"v{vid}"
+
+    @staticmethod
+    def _where(attrs: dict) -> str:
+        """The stamp arguments of a node's event: the fields it was traced
+        under as literals, the run's ambient ones for those it carries none of
+        — what the interpreter's ``stamped(*Stamp.of(attrs))`` resolves to."""
+        return ", ".join(repr(attrs[field]) if field in attrs else f"_{field}"
+                         for field in Stamp._fields)
 
     def _emit_preamble(self, lines: list[str]) -> None:
         if self._input_ids:
@@ -185,8 +201,6 @@ class _Emitter:
             return
         in_bytes = " + ".join(f"{ref}.nbytes" for ref in in_refs) or "0"
         out_bytes = " + ".join(f"{name}.nbytes" for name in unpack)
-        lane = op_semantics.node_lane(attrs)
-        shard = op_semantics.node_shard(attrs)
         lines.append("    _t = _pc()")
         for stmt in body:
             lines.append(f"    {stmt}")
@@ -195,7 +209,7 @@ class _Emitter:
             lines.append(f"    {name} = _asarray({res})")
         lines.append(
             f"    _events.append(_EV({op!r}, _el, {in_bytes}, {out_bytes}, "
-            f"dev_str, _pc() - _t0, _scope(), {lane!r}, {shard!r}))")
+            f"dev_str, _pc() - _t0, {self._where(attrs)}))")
 
     def _unrolled_fused(self, index: int, node: dict, in_refs: list[str],
                         attrs: dict) -> tuple[list[str], list[str]]:
@@ -243,11 +257,9 @@ class _Emitter:
         if not profiled:
             lines.append(f"    {out_ref} = {in_ref}")
             return
-        lane = op_semantics.node_lane(attrs)
-        shard = op_semantics.node_shard(attrs)
         event = (f"_events.append(_EV('to_device', _pc() - _t, {in_ref}.nbytes, "
-                 f"{out_ref}.nbytes, {str(target)!r}, _pc() - _t0, _scope(), "
-                 f"{lane!r}, {shard!r}))")
+                 f"{out_ref}.nbytes, {str(target)!r}, _pc() - _t0, "
+                 f"{self._where(attrs)}))")
         if src_dev is not None and op_semantics.transfer_is_noop(src_dev, target):
             lines.append(f"    {out_ref} = {in_ref}")
             return
@@ -271,8 +283,7 @@ class _Emitter:
         if profiled:
             lines.append("    _events = prof.events")
             lines.append("    _t0 = prof._start")
-            lines.append(
-                "    _scope = lambda: prof._scopes[-1] if prof._scopes else ''")
+            lines.append("    _scope, _lane, _shard = _stamp()")
         self._emit_preamble(lines)
         self.value_device = {vid: None for vid in self._input_ids}
         self.value_device.update({vid: None for vid in self._init_ids})

@@ -4,7 +4,9 @@ The interpreter replays a :class:`~repro.tensor.graph.Graph` over new inputs,
 one node at a time.  It is the de-optimized sibling of the codegen executor
 (:mod:`repro.tensor.codegen`): both consume the shared op-semantics registry
 (:mod:`repro.tensor.op_semantics`), so a graph produces identical results and
-identical profile-event streams under either.  Generated code is what every
+identical profile-event streams under either: each node runs inside the
+:class:`~repro.tensor.profiler.stamped` frame — operator scope, worker lane,
+device shard — it was traced under.  Generated code is what every
 graph backend replays through; the interpreter is the *reference* executor
 (``executor="interpret"``) that the codegen differential suites, the
 compiled-vs-interpreted benchmark gate and the ledger's trace twin hold the
@@ -20,29 +22,8 @@ from repro.errors import GraphError
 from repro.tensor import op_semantics, ops
 from repro.tensor.device import Device, parse_device
 from repro.tensor.graph import Graph
-from repro.tensor.profiler import lane_scope, shard_scope
+from repro.tensor.profiler import Stamp, stamped
 from repro.tensor.tensor import Tensor
-
-
-class _replay_scopes:
-    """Re-enter the lane/shard scopes a node was traced under (either may be
-    ``None``), composing :class:`shard_scope` around :class:`lane_scope`."""
-
-    def __init__(self, lane: "int | None", shard: "int | None"):
-        self._guards = []
-        if shard is not None:
-            self._guards.append(shard_scope(shard))
-        if lane is not None:
-            self._guards.append(lane_scope(lane))
-
-    def __enter__(self) -> "_replay_scopes":
-        for guard in self._guards:
-            guard.__enter__()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for guard in reversed(self._guards):
-            guard.__exit__(*exc_info)
 
 
 class GraphInterpreter:
@@ -75,18 +56,12 @@ class GraphInterpreter:
                         node_inputs[0].device, node_device):
                     env[node.outputs[0]] = node_inputs[0]
                     continue
-            lane = op_semantics.node_lane(node.attrs)
-            shard = op_semantics.node_shard(node.attrs)
-            if lane is None and shard is None:
+            # Re-enter the stamp the node was traced under — operator, worker
+            # lane, device shard — so the profile (and the cost models that
+            # read it) sees the plan's structure; a field the node does not
+            # carry keeps the replaying thread's ambient value.
+            with stamped(*Stamp.of(node.attrs)):
                 outputs = ops.execute_op(node.op, node_inputs, node.attrs, node_device)
-            else:
-                # Nodes traced inside a morsel-parallel or sharded region carry
-                # the worker lane / device shard they ran on; re-entering those
-                # scopes while replaying keeps the profile (and therefore the
-                # simulated-device cost models) aware of the structure.
-                with _replay_scopes(lane, shard):
-                    outputs = ops.execute_op(node.op, node_inputs, node.attrs,
-                                             node_device)
             if len(outputs) != len(node.outputs):
                 raise GraphError(
                     f"op {node.op} produced {len(outputs)} outputs, "

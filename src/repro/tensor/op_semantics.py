@@ -5,8 +5,10 @@ Traced graphs are executed by two backends — the node-by-node
 (:mod:`repro.tensor.codegen`), which lowers a whole graph into one generated
 Python function.  Both MUST agree exactly on what each node does: the kernel
 that runs, how many outputs it produces, and the special-case rules
-(``to_device`` forwarding, worker-lane stamping, profile-event content) that
-the simulated device cost models depend on.
+(``to_device`` forwarding, fused-step unrolling, profile-event content) that
+the simulated device cost models depend on.  Where a node ran is not one of
+them: it is the :class:`~repro.tensor.profiler.Stamp` in the node's attrs,
+which the interpreter re-enters and the emitter writes out as literals.
 
 This module is the single place those semantics live.  The executors consume
 it; neither implements an op of its own — ``tools/lint_op_registry.py``
@@ -89,28 +91,6 @@ def transfer_is_noop(source: Device, target: Device) -> bool:
     and compiled execution.
     """
     return source == target
-
-
-def node_lane(attrs: dict) -> "int | None":
-    """The worker lane a node was traced on (``None`` = serial region).
-
-    The interpreter re-enters the lane via
-    :class:`~repro.tensor.profiler.lane_scope` while dispatching; the codegen
-    executor stamps the same lane straight onto the events it records.  Both
-    roads lead to identical per-lane timelines for the cost models.
-    """
-    return attrs.get("lane")
-
-
-def node_shard(attrs: dict) -> "int | None":
-    """The device shard a node was traced on (``None`` = host/unsharded).
-
-    Exactly parallel to :func:`node_lane`: the interpreter re-enters the shard
-    via :class:`~repro.tensor.profiler.shard_scope`, the codegen executor
-    stamps it onto its events, and the device cost models use it to overlap
-    per-shard compute across simulated devices.
-    """
-    return attrs.get("shard")
 
 
 #: Zero-copy identity ops whose traced nodes carry the interconnect payload

@@ -110,17 +110,10 @@ def _record_trace(name: str, inputs: Sequence[Tensor], outputs: Sequence[Tensor]
     ctx = _tracing.current_trace()
     if ctx is None:
         return
-    attrs = dict(attrs)
-    # Stamp the active worker lane onto the node so that replaying the traced
-    # graph preserves the morsel-parallel structure for the cost models.
-    lane = _profiler.current_lane()
-    if lane is not None:
-        attrs.setdefault("lane", lane)
-    # Likewise for the active device shard, so distributed plans replay with
-    # their per-device structure (and interconnect accounting) intact.
-    shard = _profiler.current_shard()
-    if shard is not None:
-        attrs.setdefault("shard", shard)
+    # Stamp where the op ran onto the node: a replay then attributes it to the
+    # same relational operator and keeps the morsel-parallel / per-device
+    # structure the cost models rebuild their timelines from.
+    attrs = {**_profiler.current_stamp().as_attrs(), **attrs}
     ctx.record(name, list(inputs), list(outputs), attrs)
 
 

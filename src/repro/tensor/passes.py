@@ -18,7 +18,30 @@ import numpy as np
 
 from repro.tensor import ops
 from repro.tensor.graph import Graph, Node
+from repro.tensor.profiler import Stamp
 from repro.tensor.tensor import Tensor
+
+# Where a node ran is the stamp in its attrs (``repro.tensor.profiler.Stamp``).
+# Lane and shard are *structural*: identical nodes on different lanes never
+# merge, a fused kernel never spans two, a gather composes only with one
+# under the same pair.  The operator scope is *descriptive*, it decides
+# nothing: identical nodes traced under different operators still CSE-merge
+# (the survivor keeps the first scope), a fused kernel takes the stamp of the
+# step producing its first output (its steps carry none of their own), a node
+# ``late_materialization`` creates inherits the stamp of the node it was
+# derived from, and a node traced outside any operator carries no scope and
+# takes the replaying thread's.
+
+
+def _placement(node: Node) -> tuple:
+    """The structural half of a node's stamp: ``(lane, shard)``."""
+    return Stamp.of(node.attrs)[1:]
+
+
+def _stamp_of(node: Node) -> dict:
+    """The whole stamp, as attrs: what a node derived from ``node`` inherits."""
+    return Stamp.of(node.attrs).as_attrs()
+
 
 # Creation ops that only depend on attributes and therefore fold to constants.
 _CREATION_OPS = {"zeros", "full", "arange"}
@@ -175,7 +198,8 @@ def common_subexpression_elimination(graph: Graph) -> Graph:
         if node.op in _IMPURE_OPS:
             new_nodes.append(node)
             continue
-        key = _node_key([node.op, node.inputs, node.attrs])
+        key = _node_key([node.op, node.inputs,
+                         {k: v for k, v in node.attrs.items() if k != "scope"}])
         if key in seen:
             original = seen[key]
             for old, new in zip(node.outputs, original.outputs):
@@ -280,9 +304,6 @@ def late_materialization(graph: Graph) -> Graph:
     def rows(vid: int) -> "int | None":
         return (shape_of(vid) or (None,))[0]
 
-    def stamp(node: Node) -> dict:
-        return {k: node.attrs[k] for k in ("lane", "shard") if k in node.attrs}
-
     gathers: dict[int, Node] = {}  # value -> the row gather that defines it
     gathered = gathers.keys()
     views: set[int] = set()  # slice outputs
@@ -291,9 +312,11 @@ def late_materialization(graph: Graph) -> Graph:
         gather = (node.op == "boolean_mask" or node.op == "take"
                   and node.attrs.get("axis", 0) == 0) and rank(node.inputs[1]) == 1
         if not gathered.isdisjoint(node.inputs):
-            forcing.update(vid for slot, vid in enumerate(node.inputs)
-                           if vid in gathers and not (gather and slot == 0 and
-                                                      stamp(gathers[vid]) == stamp(node)))
+            forcing.update(
+                vid for slot, vid in enumerate(node.inputs)
+                if vid in gathers and not (
+                    gather and slot == 0
+                    and _placement(gathers[vid]) == _placement(node)))
         if not views.isdisjoint(node.inputs) and not _row_wise(node):
             forcing.update(views.intersection(node.inputs))
         if gather:
@@ -314,18 +337,18 @@ def late_materialization(graph: Graph) -> Graph:
 
     def shared(op: str, inputs: list[int], like: Node, shape, dtype, **attrs) -> int:
         """``op(*inputs)`` under ``like``'s stamp: one node per distinct key."""
-        key = (op, *inputs, *stamp(like).items())
+        key = (op, *inputs, *_placement(like))
         if key not in memo:
             memo[key] = graph.new_value(f"{op}_out0", shape, dtype).id
             if not tainted.isdisjoint(inputs):
                 tainted.add(memo[key])
-            emit(Node(op, inputs, [memo[key]], {**stamp(like), **attrs}))
+            emit(Node(op, inputs, [memo[key]], {**_stamp_of(like), **attrs}))
         return memo[key]
 
     def sinkable(node: Node) -> dict[int, Node]:
         """R3: the gathers, by operand slot, that ``node`` can run below."""
         held = {slot: gathers[vid] for slot, vid in enumerate(node.inputs)
-                if vid in gathers and stamp(gathers[vid]) == stamp(node)}
+                if vid in gathers and _placement(gathers[vid]) == _placement(node)}
         out = node.outputs[0]
         if not held or len(node.outputs) > 1 or not _row_wise(node) \
                 or node.op == "slice" and forcing[out]:
@@ -355,7 +378,8 @@ def late_materialization(graph: Graph) -> Graph:
                 node.inputs[1] = shared("nonzero", node.inputs[1:], node,
                                         (rows(out),), "int64")
             inner = gathers.get(node.inputs[0])
-            if inner and not forcing[inner.outputs[0]] and stamp(inner) == stamp(node):
+            if inner and not forcing[inner.outputs[0]] \
+                    and _placement(inner) == _placement(node):
                 (src, i), j = inner.inputs, node.inputs[1]  # R2
                 node.inputs = [src, shared("take", [i, j], node, shape_of(j),
                                            values[i].dtype, axis=0)]
@@ -368,7 +392,8 @@ def late_materialization(graph: Graph) -> Graph:
             visit(Node(node.op, [held[slot].inputs[0] if slot in held else vid
                                  for slot, vid in enumerate(node.inputs)],
                        [below], node.attrs))
-            gathers[out] = Node("take", [below, idx], [out], {**stamp(node), "axis": 0})
+            gathers[out] = Node("take", [below, idx], [out],
+                                {**_stamp_of(node), "axis": 0})
             visit(gathers[out])
         else:
             emit(node)
@@ -403,26 +428,22 @@ def _build_fused_node(group: list[Node], external_used: set[int]) -> Node:
         local[node.outputs[0]] = base + j
     steps = [
         {"op": node.op, "inputs": [local[vid] for vid in node.inputs],
-         "attrs": dict(node.attrs)}
+         "attrs": {k: v for k, v in node.attrs.items() if k not in Stamp._fields}}
         for node in group
     ]
     exposed = [node.outputs[0] for node in group if node.outputs[0] in external_used]
     if not exposed:  # fully dead group (DCE not run): keep the last value alive
         exposed = [group[-1].outputs[0]]
+    # One launch runs in one place: the group shares a lane and a shard (the
+    # grouping never crosses either), so the stamp of the step producing the
+    # first output is the kernel's.
+    first = next(node for node in group if node.outputs[0] == exposed[0])
     attrs = {
         "steps": steps,
         "outputs": [local[vid] for vid in exposed],
         "label": "+".join(node.op for node in group),
+        **_stamp_of(first),
     }
-    # A chain fused entirely inside one morsel keeps its worker-lane stamp so
-    # the parallel cost models still attribute the fused launch to that lane;
-    # likewise a chain fused inside one device shard keeps its shard stamp.
-    lanes = {node.attrs.get("lane") for node in group}
-    if len(lanes) == 1 and None not in lanes:
-        attrs["lane"] = lanes.pop()
-    shards = {node.attrs.get("shard") for node in group}
-    if len(shards) == 1 and None not in shards:
-        attrs["shard"] = shards.pop()
     return Node("fused_kernel", ext_inputs, exposed, attrs)
 
 
@@ -494,9 +515,7 @@ def fuse_elementwise(graph: Graph, min_group_size: int = 2) -> Graph:
             # Never fuse across worker lanes or device shards: a fused kernel
             # is one launch, and one launch cannot run on two morsel workers
             # (or two simulated devices) at once.
-            if current and (
-                    current[-1].attrs.get("lane") != node.attrs.get("lane")
-                    or current[-1].attrs.get("shard") != node.attrs.get("shard")):
+            if current and _placement(current[-1]) != _placement(node):
                 runs.append(current)
                 current = []
             current.append(node)

@@ -1,7 +1,9 @@
 """Op-level profiler (the PyTorch-Profiler / TensorBoard stand-in).
 
 The profiler collects one event per executed op: name, wall time, bytes read
-and written, and the device the op ran on.  Downstream consumers:
+and written, the device the op ran on, and *where in the plan* it ran — the
+:class:`Stamp` of relational operator, worker lane and device shard that was
+active.  Downstream consumers:
 
 * ``repro.viz.breakdown`` renders the Figure-2 per-operator runtime breakdown,
 * ``repro.backends.gpu_sim`` / ``wasm_sim`` feed the events into their cost
@@ -16,154 +18,132 @@ import dataclasses
 import json
 import threading
 import time
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.tensor.device import Device
 
-# Profiler/lane activation is **execution-scoped**: each thread has its own
-# activation stacks, so concurrent executions on a serving worker pool never
-# see each other's profilers, and a profiler is active exactly where it was
-# entered.  Code that hands an execution to another thread ships the caller's
-# activation along with it via :func:`capture_scope` — without that, ops
-# dispatched on the worker thread would find no active profiler and their
-# events would be silently dropped (wrong simulated kernel times, missing
-# lane events).
-_STATE = threading.local()
+# -- where an op ran ----------------------------------------------------------
+#
+# One annotation, three fields.  ``scope`` names the relational operator (what
+# Figure 2 breaks runtime down by); ``lane`` / ``shard`` are the simulated
+# worker lane / device a partition runs on (``repro.core.operators.partition``),
+# from which the device cost models reconstruct concurrent timelines out of a
+# single-threaded run.  The stamp is pushed whether or not anything profiles:
+# :meth:`Profiler.record` reads it for eager events, ``ops._record_trace``
+# writes it onto every traced node, and both replay executors hand it back, so
+# a profile says the same thing on every backend.
+
+
+class Stamp(NamedTuple):
+    """Where an op ran.  The defaults mean: no operator, serial, on the host."""
+
+    scope: str = ""
+    lane: "int | None" = None
+    shard: "int | None" = None
+
+    def as_attrs(self) -> dict:
+        """The set fields, as the attributes a traced node carries them in."""
+        return {name: value for name, value in zip(self._fields, self)
+                if value not in ("", None)}
+
+    @classmethod
+    def of(cls, attrs: dict) -> "Stamp":
+        """The stamp a traced node carries (unset where it carries none)."""
+        return cls(attrs.get("scope", ""), attrs.get("lane"), attrs.get("shard"))
+
+
+_NOWHERE = Stamp()
+
+
+class _ThreadState(threading.local):
+    """Activation is **execution-scoped**: each thread has its own stack of
+    active profilers and its own stack of stamps, so concurrent executions on
+    a serving worker pool never see each other's, and a profiler is active
+    exactly where it was entered.  Code that hands an execution to another
+    thread ships the caller's activation along with it via
+    :func:`capture_scope` — without that, ops dispatched on the worker thread
+    would find no active profiler and their events would be silently dropped
+    (wrong simulated kernel times, missing lane events)."""
+
+    def __init__(self):
+        self.stack: "list[Profiler]" = []
+        self.stamps = [_NOWHERE]
+
+
+_STATE = _ThreadState()
 
 
 def current_profiler() -> "Profiler | None":
-    stack = getattr(_STATE, "stack", None)
-    if not stack:
-        return None
-    return stack[-1]
+    stack = _STATE.stack
+    return stack[-1] if stack else None
 
 
-def capture_scope() -> "ProfileScope":
-    """Snapshot the calling thread's profiler/lane activation.
+def current_stamp() -> Stamp:
+    """The calling thread's innermost :class:`stamped` frame."""
+    return _STATE.stamps[-1]
 
-    The returned :class:`ProfileScope` is a context manager that re-activates
-    the captured profilers on whatever thread enters it.  A serving runtime
-    captures the scope at request admission and enters it on the worker
-    thread around the execution, so profiled results are identical whether a
-    query runs on the caller thread or a pool thread.
+
+class stamped:
+    """Context manager: ops inside run under these fields; a field left unset
+    keeps the value of the frame below."""
+
+    def __init__(self, scope: str = "", lane: "int | None" = None,
+                 shard: "int | None" = None):
+        self._given = (scope, lane, shard)
+
+    def __enter__(self) -> "stamped":
+        stamps = _STATE.stamps
+        below = stamps[-1]
+        scope, lane, shard = self._given
+        stamps.append(Stamp(scope or below.scope,
+                            below.lane if lane is None else lane,
+                            below.shard if shard is None else shard))
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _STATE.stamps.pop()
+
+
+def capture_scope() -> "Activation":
+    """Snapshot the calling thread's profilers and stamp.
+
+    The returned :class:`Activation` is a context manager that re-activates
+    them on whatever thread enters it.  A serving runtime captures it at
+    request admission and enters it on the worker thread around the
+    execution, so profiled results are identical whether a query runs on the
+    caller thread or a pool thread.
     """
-    return ProfileScope(list(getattr(_STATE, "stack", None) or ()),
-                        list(getattr(_STATE, "lanes", None) or ()),
-                        list(getattr(_STATE, "shards", None) or ()))
+    return Activation(list(_STATE.stack), current_stamp())
 
 
-class ProfileScope:
-    """A captured profiler/lane activation, re-enterable on any thread.
+class Activation:
+    """Captured profilers and stamp, re-enterable on any thread.
 
     Entering pushes the captured profilers onto the *current* thread's
     activation stack (recording itself is thread-safe, see
-    :meth:`Profiler.record`); exiting restores the thread's previous state.
-    Re-entrant and usable from several threads at once.
+    :meth:`Profiler.record`) and the captured stamp onto its stamp stack;
+    exiting removes exactly those.  Re-entrant and usable from several
+    threads at once.
     """
 
-    def __init__(self, stack: "list[Profiler]", lanes: "list[int]",
-                 shards: "list[int] | None" = None):
-        self._stack = stack
-        self._lanes = lanes
-        self._shards = shards or []
+    def __init__(self, profilers: "list[Profiler]", stamp: Stamp):
+        self._profilers = profilers
+        self._stamp = stamp
 
     @property
     def is_empty(self) -> bool:
-        """True when no profiler was active at capture time."""
-        return not self._stack and not self._lanes and not self._shards
+        """True when nothing was active at capture time."""
+        return not self._profilers and self._stamp == _NOWHERE
 
-    def __enter__(self) -> "ProfileScope":
-        saved = (getattr(_STATE, "stack", None) or [],
-                 getattr(_STATE, "lanes", None) or [],
-                 getattr(_STATE, "shards", None) or [])
-        if not hasattr(_STATE, "saved"):
-            _STATE.saved = []
-        _STATE.saved.append(saved)
-        _STATE.stack = saved[0] + self._stack
-        _STATE.lanes = saved[1] + self._lanes
-        _STATE.shards = saved[2] + self._shards
+    def __enter__(self) -> "Activation":
+        _STATE.stack.extend(self._profilers)
+        _STATE.stamps.append(self._stamp)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        saved = _STATE.saved.pop() if getattr(_STATE, "saved", None) \
-            else ([], [], [])
-        _STATE.stack, _STATE.lanes, _STATE.shards = saved
-
-
-# -- worker-lane annotation ---------------------------------------------------
-#
-# Operators under a ``lanes`` partitioning (``repro.core.operators.partition``)
-# execute one morsel at a time on a simulated worker lane.  While a lane is
-# active every recorded op event carries its lane id, and every traced graph
-# node is stamped with a ``lane`` attribute — which is how the device cost
-# models reconstruct per-worker timelines from a single-threaded run, on both
-# the eager and the traced (graph-replay) backends.
-
-
-def current_lane() -> "int | None":
-    """The active worker lane id, or ``None`` outside any parallel region."""
-    lanes = getattr(_STATE, "lanes", None)
-    if not lanes:
-        return None
-    return lanes[-1]
-
-
-class lane_scope:
-    """Context manager marking ops executed inside it as worker-lane work."""
-
-    def __init__(self, lane: int):
-        self.lane = lane
-
-    def __enter__(self) -> "lane_scope":
-        lanes = getattr(_STATE, "lanes", None)
-        if lanes is None:
-            lanes = []
-            _STATE.lanes = lanes
-        lanes.append(self.lane)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        lanes = getattr(_STATE, "lanes", [])
-        if lanes:
-            lanes.pop()
-
-
-# -- device-shard annotation --------------------------------------------------
-#
-# Operators under a ``shards`` partitioning execute one table shard at a time
-# on a simulated device.  While a shard scope is active every recorded
-# op event carries its shard id and every traced graph node is stamped with a
-# ``shard`` attribute — the per-device analogue of worker lanes: the cost
-# models reconstruct per-device timelines (and charge interconnect transfers
-# between them) from a single-threaded run.
-
-
-def current_shard() -> "int | None":
-    """The active device-shard id, or ``None`` outside any sharded region."""
-    shards = getattr(_STATE, "shards", None)
-    if not shards:
-        return None
-    return shards[-1]
-
-
-class shard_scope:
-    """Context manager marking ops executed inside it as per-shard work."""
-
-    def __init__(self, shard: int):
-        self.shard = shard
-
-    def __enter__(self) -> "shard_scope":
-        shards = getattr(_STATE, "shards", None)
-        if shards is None:
-            shards = []
-            _STATE.shards = shards
-        shards.append(self.shard)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        shards = getattr(_STATE, "shards", [])
-        if shards:
-            shards.pop()
+        _STATE.stamps.pop()
+        for profiler in reversed(self._profilers):
+            profiler.__exit__()
 
 
 @dataclasses.dataclass
@@ -207,7 +187,6 @@ class Profiler:
     def __init__(self, name: str = "profile"):
         self.name = name
         self.events: list[OpEvent] = []
-        self._scopes: list[str] = []
         self._start = time.perf_counter()
         # Appends are guarded so a profiler propagated to worker threads (see
         # :func:`capture_scope`) collects every event instead of losing some
@@ -218,42 +197,10 @@ class Profiler:
 
     def record(self, op: str, elapsed_s: float, input_bytes: int,
                output_bytes: int, device: Device) -> None:
-        event = OpEvent(
-            op=op,
-            elapsed_s=elapsed_s,
-            input_bytes=input_bytes,
-            output_bytes=output_bytes,
-            device=str(device),
-            timestamp_s=time.perf_counter() - self._start,
-            scope=self._scopes[-1] if self._scopes else "",
-            lane=current_lane(),
-            shard=current_shard(),
-        )
+        event = OpEvent(op, elapsed_s, input_bytes, output_bytes, str(device),
+                        time.perf_counter() - self._start, *current_stamp())
         with self._record_lock:
             self.events.append(event)
-
-    def push_scope(self, scope: str) -> None:
-        """Enter a named scope (used to attribute ops to relational operators)."""
-        self._scopes.append(scope)
-
-    def pop_scope(self) -> None:
-        if self._scopes:
-            self._scopes.pop()
-
-    class _ScopeGuard:
-        def __init__(self, profiler: "Profiler", scope: str):
-            self._profiler = profiler
-            self._scope = scope
-
-        def __enter__(self):
-            self._profiler.push_scope(self._scope)
-            return self
-
-        def __exit__(self, *exc_info):
-            self._profiler.pop_scope()
-
-    def scope(self, name: str) -> "_ScopeGuard":
-        return Profiler._ScopeGuard(self, name)
 
     # -- aggregation ---------------------------------------------------------
 
@@ -325,11 +272,7 @@ class Profiler:
     # -- context management ----------------------------------------------
 
     def __enter__(self) -> "Profiler":
-        stack = getattr(_STATE, "stack", None)
-        if stack is None:
-            stack = []
-            _STATE.stack = stack
-        stack.append(self)
+        _STATE.stack.append(self)
         self._start = time.perf_counter()
         return self
 
@@ -338,7 +281,7 @@ class Profiler:
         # wherever it sits: an unbalanced inner enter/exit (or an exception
         # unwinding through several activations) must never leave a dead
         # profiler active on a long-lived serving worker thread.
-        stack = getattr(_STATE, "stack", [])
+        stack = _STATE.stack
         for index in range(len(stack) - 1, -1, -1):
             if stack[index] is self:
                 del stack[index]

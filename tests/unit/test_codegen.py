@@ -10,7 +10,7 @@ Covers the three contracts the compiled path makes:
   correctly as bindings change shape, including rebinding to an empty
   selection and back;
 * **event parity** — a profiled compiled run records the same event stream
-  (op, bytes, device, scope, lane) as interpreted replay, which is what keeps
+  (op, bytes, device, scope, lane, shard) as interpreted replay, which is what keeps
   the simulated cost models executor-blind.
 """
 
@@ -280,5 +280,9 @@ def test_session_profile_events_match_across_executors(toy_session,
         profiles[mode] = result
     interp, compiled = profiles["interpret"], profiles["compiled"]
     assert event_stream(interp.profile) == event_stream(compiled.profile)
+    # ... operator scopes included: both replays say which operator ran what
+    # (the input transfers precede every operator).
+    assert {e.scope.split("[")[0].split("(")[0] for e in compiled.profile.events
+            if e.op != "to_device"} == {"HashJoin", "HashAggregate", "Sort"}
     # Identical events mean identical simulated accounting.
     assert interp.reported_s == compiled.reported_s

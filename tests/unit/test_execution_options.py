@@ -17,6 +17,7 @@ from repro.core.planner import plan_ir
 from repro.datasets import tpch
 from repro.errors import ExecutionError
 from repro.serve import ServingRuntime
+from repro import tensor
 from repro.tensor import passes
 from repro.tensor.script import EXECUTOR_MODES
 
@@ -152,6 +153,32 @@ def test_each_aggregate_is_written_once():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not (identifiers | imported) & {"combine_ids", "factorize_single"}
+    assert len(dataclasses.fields(ExecutionOptions)) == 10
+
+
+def test_where_an_op_ran_is_one_stamp():
+    """Operator scope, worker lane and device shard are one thread-local stack
+    of stamps with one context manager and one reader: the per-``Profiler``
+    scope list, the two lane / shard stacks and their per-field readers are
+    gone from every layer, generated code included, and nothing aliases them."""
+    gone = {"lane_scope", "shard_scope", "current_lane", "current_shard",
+            "push_scope", "pop_scope", "_ScopeGuard", "_scopes", "ProfileScope",
+            "_replay_scopes", "node_lane", "node_shard"}
+    for where, text, tree, identifiers in _src_modules():
+        assert not identifiers & gone, f"{identifiers & gone} in {where}"
+        # Inside string literals too (what codegen writes into a profiled body).
+        assert not [name for name in gone if name in text], where
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "scope"], where
+        if where == "repro/tensor/profiler.py":
+            # Two thread-local stacks: the active profilers, and the stamps.
+            slots = {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and getattr(node.value, "id", None) == "_STATE"}
+            assert slots == set(vars(tensor.profiler._STATE)) == {
+                "stack", "stamps"}
+    assert not hasattr(tensor.Profiler, "scope")
+    assert {"stamped", "current_stamp"} <= set(tensor.__all__)
     assert len(dataclasses.fields(ExecutionOptions)) == 10
 
 

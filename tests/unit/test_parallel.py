@@ -27,7 +27,7 @@ from repro.errors import (
     ExecutionError,
     UnsupportedOperationError,
 )
-from repro.tensor import Profiler, current_lane, lane_scope, ops, passes, tracing
+from repro.tensor import Profiler, current_stamp, ops, passes, stamped, tracing
 from repro import ExecutionOptions
 
 # comfortably above the parallel threshold
@@ -106,14 +106,14 @@ def test_slice_preserves_validity_mask(frames):
 def test_partitions_are_assigned_to_lanes_round_robin():
     # Each partition observes its lane via the thread-local annotation, and
     # results come back in partition order.
-    seen = run_partitions(lanes(3), lambda i: (i, current_lane()), count=7)
+    seen = run_partitions(lanes(3), lambda i: (i, current_stamp().lane), count=7)
     assert seen == [(0, 0), (1, 1), (2, 2), (3, 0), (4, 1), (5, 2), (6, 0)]
-    assert current_lane() is None
+    assert current_stamp().lane is None
 
 
 def test_profiler_records_lanes_and_dispatch():
     with Profiler() as prof:
-        with lane_scope(2):
+        with stamped(lane=2):
             ops.add(ops.tensor([1.0, 2.0]), 1.0)
             ops.morsel_dispatch(ops.tensor([1.0]), lane=2, morsel=0)
         ops.add(ops.tensor([1.0]), 1.0)
@@ -126,7 +126,7 @@ def test_profiler_records_lanes_and_dispatch():
 
 def test_lane_annotation_survives_trace_and_replay():
     def fn(t):
-        with lane_scope(1):
+        with stamped(lane=1):
             t = ops.morsel_dispatch(t, lane=1, morsel=0)
             t = ops.mul(t, 2.0)
         return ops.add(t, 1.0)
@@ -435,7 +435,7 @@ def _synthetic_profile(lanes: int, events_per_lane: int, bytes_per_event: int,
     prof = Profiler()
     device = ops.tensor([1.0]).device
     for lane in range(lanes):
-        with lane_scope(lane):
+        with stamped(lane=lane):
             prof.record("morsel_dispatch", 0.0, 0, 0, device)
             for _ in range(events_per_lane):
                 prof.record("mul", elapsed_s, bytes_per_event, bytes_per_event,

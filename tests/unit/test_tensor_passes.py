@@ -176,18 +176,18 @@ def test_a_gather_with_another_reader_is_kept_and_read_by_its_gathers():
 
 
 def test_gathers_on_different_lanes_or_shards_are_not_composed():
-    from repro.tensor import lane_scope, shard_scope
+    from repro.tensor import stamped
 
     def fn(a, b, codes):
         index, keep = ops.argsort(a), ops.tensor([1, 0])
-        with lane_scope(0):
+        with stamped(lane=0):
             on_lane = ops.take(b, index)
-        with lane_scope(1):
+        with stamped(lane=1):
             across_lanes = ops.take(on_lane, keep)
-        with shard_scope(0):
+        with stamped(shard=0):
             on_shard = ops.take(codes, index)
             same_shard = ops.take(on_shard, keep)
-        with shard_scope(1):
+        with stamped(shard=1):
             same_pair_other_shard = ops.take(ops.take(a, index), keep)
         return across_lanes, same_shard, same_pair_other_shard
 
@@ -201,6 +201,89 @@ def test_gathers_on_different_lanes_or_shards_are_not_composed():
     assert same.inputs[1] != other.inputs[1]
     assert by_output[same.inputs[1]].attrs["shard"] == 0
     assert by_output[other.inputs[1]].attrs["shard"] == 1
+
+
+# -- the operator scope is descriptive, never structural -----------------------
+
+
+def test_identical_nodes_under_different_operators_still_merge():
+    from repro.tensor import stamped
+
+    def fn(a, b, codes):
+        with stamped(scope="Filter"):
+            first = ops.mul(a, 2.0)
+        with stamped(scope="Project"):
+            second = ops.mul(a, 2.0)
+        with stamped(scope="Project", lane=1):
+            elsewhere = ops.mul(a, 2.0)
+        return ops.add(first, second), elsewhere
+
+    graph = passes.common_subexpression_elimination(trace(fn, _table()))
+    muls = [n.attrs for n in graph.nodes if n.op == "mul"]
+    # The survivor keeps the first scope; another lane is another node.
+    assert muls == [{"scope": "Filter"}, {"scope": "Project", "lane": 1}]
+
+
+def test_a_fused_kernel_takes_the_scope_of_its_first_output():
+    from repro.tensor import stamped
+
+    def fn(a, b, codes):
+        with stamped(scope="Filter", shard=2):
+            dead_end = ops.mul(a, 2.0)
+            kept = ops.add(dead_end, b)
+        with stamped(scope="Project", shard=2):
+            return ops.sub(kept, 1.0), kept
+
+    graph = passes.fuse_elementwise(trace(fn, _table()))
+    (fused,) = graph.nodes
+    assert fused.op == "fused_kernel"
+    assert (fused.attrs["scope"], fused.attrs["shard"]) == ("Filter", 2)
+    assert "lane" not in fused.attrs
+    assert all(not {"scope", "lane", "shard"} & step["attrs"].keys()
+               for step in fused.attrs["steps"])
+
+
+def test_nodes_late_materialization_creates_inherit_their_sources_stamp():
+    from repro.tensor import stamped
+
+    def fn(a, b, codes):
+        with stamped(scope="Filter", lane=3):
+            kept = ops.boolean_mask(a, ops.gt(b, 2.0))          # R1
+            twice = ops.take(ops.take(a, ops.argsort(b)), ops.tensor([1, 0]))  # R2
+        index = ops.tensor(np.arange(16) % 8)
+        with stamped(scope="Project"):
+            sunk = ops.add(ops.take(a, index), ops.take(b, index))  # R3
+        return kept, twice, sunk
+
+    graph = _late(fn, _table())
+    by_output = {n.outputs[0]: n for n in graph.nodes}
+    kept, twice, sunk = (by_output[vid] for vid in graph.outputs)
+    filter_lane = {"scope": "Filter", "lane": 3}
+    nonzero, composed = by_output[kept.inputs[1]], by_output[twice.inputs[1]]
+    assert (nonzero.op, nonzero.attrs) == ("nonzero", filter_lane)
+    assert (composed.op, composed.attrs) == ("take", {**filter_lane, "axis": 0})
+    below = by_output[sunk.inputs[0]]
+    assert (sunk.op, below.op) == ("take", "add")
+    assert sunk.attrs["scope"] == below.attrs["scope"] == "Project"
+
+
+def test_a_node_traced_outside_any_operator_takes_the_ambient_scope():
+    from repro.tensor import Profiler, ScriptedProgram, stamped
+
+    def model(a, b, codes):                 # a script_trace'd ML function
+        with stamped(lane=1):
+            scaled = ops.mul(a, 2.0)
+        return ops.cumsum(ops.add(scaled, b))
+
+    graph = passes.optimize(trace(model, _table()))
+    assert all("scope" not in n.attrs for n in graph.nodes)
+    for executor in ("compiled", "interpret"):
+        program = ScriptedProgram(graph.clone(), executor=executor)
+        with Profiler() as profiler, stamped(scope="Project", shard=0):
+            program.run(_table())
+        assert [(e.op, e.scope, e.lane, e.shard) for e in profiler.events] == [
+            ("mul", "Project", 1, 0), ("add", "Project", None, 0),
+            ("cumsum", "Project", None, 0)], executor
 
 
 def test_rank2_masks_and_axis1_takes_are_left_alone():

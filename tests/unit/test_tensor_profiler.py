@@ -2,7 +2,7 @@
 
 import json
 
-from repro.tensor import Profiler, current_profiler, ops
+from repro.tensor import Profiler, current_profiler, ops, stamped
 from repro.tensor.profiler import merge_profiles
 
 
@@ -21,9 +21,9 @@ def test_profiler_records_ops_and_bytes():
 
 def test_profiler_scopes_attribute_ops_to_operators():
     with Profiler() as profiler:
-        with profiler.scope("Filter"):
+        with stamped(scope="Filter"):
             ops.gt(ops.tensor([1.0, 5.0]), 2.0)
-        with profiler.scope("Project"):
+        with stamped(scope="Project"):
             ops.mul(ops.tensor([1.0]), 3.0)
     scopes = {event.scope for event in profiler.events}
     assert scopes == {"Filter", "Project"}

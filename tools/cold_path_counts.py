@@ -9,7 +9,10 @@ nodes of the three optimized programs (``take`` / ``nonzero`` /
 ``boolean_mask``: what late materialization left to run), and their reduction
 nodes (``scatter_add`` / ``scatter_min`` / ``scatter_max`` / ``bincount`` /
 ``unique``: what grouping and the aggregate state table emit — a rewrite of
-either that changes no program repeats these exactly).
+either that changes no program repeats these exactly).  A second line
+profiles the three programs once and counts the events no relational operator
+claims (0: every traced node carries the operator it was traced under) and the
+distinct operator families the profile breaks down into.
 
 Run from the repository root: ``python tools/cold_path_counts.py``
 (``PYTHONPATH=src``, as in CI).
@@ -26,6 +29,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import ExecutionOptions, TQPSession  # noqa: E402
+from repro.adaptive.feedback import scope_family  # noqa: E402
 from repro.datasets import tpch  # noqa: E402
 from repro.storage import encodings  # noqa: E402
 
@@ -63,6 +67,13 @@ def main() -> None:
           f"{nodes(GATHERS)} nodes, {nodes(REDUCTIONS)} nodes "
           f"(first executions of Q{', Q'.join(map(str, QUERIES))} at "
           f"SF {SCALE_FACTOR})")
+    # After the line count: profiling builds the profiled bodies.
+    events = [event for compiled in held
+              for event in compiled.execute(profile=True).profile.events]
+    families = {scope_family(event.scope) for event in events if event.scope}
+    print(f"{sum(not event.scope for event in events)} events outside any "
+          f"operator, {len(families)} operator families (the same statements "
+          f"profiled once on torchscript)")
 
 
 if __name__ == "__main__":
