@@ -39,7 +39,6 @@ from repro.core.operators.base import ExecutionContext, TensorOperator
 from repro.core.operators.grouping import (
     factorize_single,
     group_rows,
-    id_count,
     representatives,
 )
 from repro.core.operators.partition import (
@@ -235,8 +234,7 @@ class HashAggregateOperator(TensorOperator):
                         num_groups: "Tensor | int") -> Tensor:
         """Distinct values per group: ``unique`` over (group, value) pairs —
         a set, which no scatter reduction can merge."""
-        value_ids = factorize_single(column_value(column))
-        radix = id_count(value_ids)
+        value_ids, radix = factorize_single(column_value(column))
         pair_ids = ops.add(ops.mul(group_ids, radix), value_ids)
         unique_pairs, _, _ = ops.unique(pair_ids)
         return ops.bincount(ops.floordiv(unique_pairs, radix),

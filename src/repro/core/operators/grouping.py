@@ -29,8 +29,8 @@ from repro.errors import ExecutionError
 from repro.tensor import Tensor, ops
 
 
-def factorize_single(value: ExprValue) -> Tensor:
-    """Dense int64 ids (0..G-1) for one key column.
+def factorize_single(value: ExprValue) -> tuple[Tensor, Tensor]:
+    """Dense int64 ids (0..G-1) for one key column, and ``G``.
 
     Dictionary-encoded string keys densify their int32 codes directly — one
     ``unique`` over ``(n,)`` integers instead of the lexsort-based
@@ -38,15 +38,18 @@ def factorize_single(value: ExprValue) -> Tensor:
     dictionary is sorted, the resulting ids are still in lexicographic order.
     """
     if value.ltype == LogicalType.STRING and value.encoding is None:
-        return strings.dense_rank(value.tensor)
-    _, inverse, _ = ops.unique(value.tensor)
-    return inverse
+        ids = strings.dense_rank(value.tensor)
+        return ids, id_count(ids)
+    values, inverse, _ = ops.unique(value.tensor)
+    return inverse, ops.row_count(values)
 
 
 def id_count(ids: Tensor) -> Tensor:
     """``max(ids) + 1`` as a 0-d int64 tensor, and 0 for an empty input.
 
-    Used for scatter sizes.  Padding with a ``-1`` sentinel before the max
+    Only for ids that arrive without their ``unique`` (string ``dense_rank``):
+    everywhere else the count is the row count of the distinct values and
+    travels with the ids.  Padding with a ``-1`` sentinel before the max
     keeps the traced op valid when a parameter rebinding empties the input
     (``np.max`` has no identity on empty arrays).
     """
@@ -55,8 +58,10 @@ def id_count(ids: Tensor) -> Tensor:
     return ops.cast(ops.add(ops.max_(padded), 1), "int64")
 
 
-def factorize_pair(left: ExprValue, right: ExprValue) -> tuple[Tensor, Tensor]:
-    """Jointly densify one key column of a join's left and right side.
+def factorize_pair(left: ExprValue, right: ExprValue
+                   ) -> tuple[Tensor, Tensor, Tensor]:
+    """Jointly densify one key column of a join's left and right side:
+    ``(left ids, right ids, id count)``.
 
     Both sides must receive ids drawn from the same dictionary so equal values
     map to equal ids; this is achieved by concatenating the two key columns
@@ -70,6 +75,7 @@ def factorize_pair(left: ExprValue, right: ExprValue) -> tuple[Tensor, Tensor]:
         both = ops.concat([ops.pad2d(left.tensor, width),
                            ops.pad2d(right.tensor, width)], axis=0)
         ids = strings.dense_rank(both)
+        count = id_count(ids)
     else:
         if LogicalType.FLOAT in (left.ltype, right.ltype):
             target = "float64"
@@ -77,17 +83,18 @@ def factorize_pair(left: ExprValue, right: ExprValue) -> tuple[Tensor, Tensor]:
             target = "int64"
         both = ops.concat([ops.cast(left.tensor, target),
                            ops.cast(right.tensor, target)], axis=0)
-        _, ids, _ = ops.unique(both)
+        values, ids, _ = ops.unique(both)
+        count = ops.row_count(values)
     # The split point is read from the left side's row count at run time so a
     # parameter rebinding that changes either input's size replays correctly.
     left_ids, right_ids = ops.split_rows(ids, left.tensor)
     if left.valid is not None or right.valid is not None:
-        fresh = id_count(ids)
         if left.valid is not None:
-            left_ids = ops.where(left.valid, left_ids, fresh)
+            left_ids = ops.where(left.valid, left_ids, count)
         if right.valid is not None:
-            right_ids = ops.where(right.valid, right_ids, ops.add(fresh, 1))
-    return left_ids, right_ids
+            right_ids = ops.where(right.valid, right_ids, ops.add(count, 1))
+        count = ops.add(count, 2)
+    return left_ids, right_ids, count
 
 
 def static_radix_group_ids(key_values: list[ExprValue]
@@ -120,16 +127,18 @@ def static_radix_group_ids(key_values: list[ExprValue]
     return combined, num_groups
 
 
-def combine_ids(id_columns: list[Tensor]) -> Tensor:
-    """Mix several dense id columns into one dense composite id column."""
+def combine_ids(id_columns: list[tuple[Tensor, Tensor]]
+                ) -> tuple[Tensor, Tensor]:
+    """Mix several dense ``(ids, id count)`` columns into one dense composite
+    id column and its count."""
     if not id_columns:
         raise ExecutionError("combine_ids() requires at least one id column")
-    combined = id_columns[0]
-    for ids in id_columns[1:]:
-        radix = id_count(ids)
+    combined, count = id_columns[0]
+    for ids, radix in id_columns[1:]:
         mixed = ops.add(ops.mul(combined, radix), ids)
-        _, combined, _ = ops.unique(mixed)
-    return combined
+        values, combined, _ = ops.unique(mixed)
+        count = ops.row_count(values)
+    return combined, count
 
 
 def group_rows(key_values: list[ExprValue], table: TensorTable
@@ -155,11 +164,11 @@ def group_rows(key_values: list[ExprValue], table: TensorTable
         group_ids, num_groups = static
         return group_ids, num_groups, ops.gt(
             ops.bincount(group_ids, minlength=num_groups), 0)
-    group_ids = combine_ids([factorize_single(value) for value in key_values])
-    # id_count is empty-safe (0 groups for 0 rows), so no Python branch on
+    # The count is empty-safe (0 groups for 0 rows), so no Python branch on
     # num_rows may be traced here — it would bake the wrong size into the
     # program for every other binding.
-    return group_ids, id_count(group_ids), None
+    return (*combine_ids([factorize_single(value) for value in key_values]),
+            None)
 
 
 def representatives(group_ids: Tensor, num_groups: "Tensor | int",

@@ -3,13 +3,24 @@
 The equi-join follows the TQP strategy of staying inside the tensor op
 vocabulary, and is the hash join of that vocabulary: join keys of both sides
 are densified into one id space ``0..G-1``
-(:mod:`repro.core.operators.grouping`), the build side becomes a
-direct-address table over it — ``bincount`` of the right ids, its prefix sum
-the start of each id's run in the id-ordered build rows — and probe rows read
-their match count and start with one ``take`` each.  The ragged match lists
-are flattened with ``repeat`` + ``arange`` arithmetic into flat gather
-indices.  Semi/anti/left-outer variants and residual (non-equi) conditions
-are layered on top of the same machinery.
+(:mod:`repro.core.operators.grouping`, which hands ``G`` over with the ids),
+the build side becomes a direct-address table over it — ``bincount`` of the
+right ids — and probe rows read their match count with one ``take``.  The
+``(left row, right row)`` pairs are then built one of three ways, chosen by
+the planner (``key_side``, derived from the scanned tables' statistics —
+:meth:`repro.core.planner.Planner._unique_sets` — never from the data):
+
+* **key build** (the right side is unique on its keys): the pair list *is* a
+  lookup — the matched left rows, and for each the one right row its id maps
+  to in a position table (``scatter_max`` of the right row numbers);
+* **key probe** (the left side is): the mirror image from the right rows,
+  then one stable ``argsort`` of the matched left rows to put them first;
+* **neither** (N:M): the ragged match lists are flattened with an ``argsort``
+  of the build ids, prefix sums and ``repeat`` + ``arange`` arithmetic.
+
+All three emit the same pairs in the same order.  Semi/anti/left-outer
+variants and residual (non-equi) conditions are layered on top of the same
+machinery.
 
 Where a sort remains it is the kernels' own per-call choice, never this
 module's: ``unique`` and the stable ``argsort`` that orders the build rows
@@ -38,11 +49,7 @@ from typing import Optional
 from repro.core.columnar import LogicalType, TensorColumn, TensorTable
 from repro.core.expressions import as_mask, evaluate
 from repro.core.operators.base import ExecutionContext, TensorOperator
-from repro.core.operators.grouping import (
-    combine_ids,
-    factorize_pair,
-    id_count,
-)
+from repro.core.operators.grouping import combine_ids, factorize_pair
 from repro.core.operators.partition import broadcast as broadcast_table
 from repro.core.operators.partition import (
     NONE,
@@ -157,13 +164,17 @@ class HashJoinOperator(TensorOperator):
                  left_keys: list[Expr], right_keys: list[Expr],
                  residual: Optional[Expr] = None, *,
                  exchange: Partitioning = NONE,
-                 broadcast: Optional[str] = None):
+                 broadcast: Optional[str] = None,
+                 key_side: Optional[str] = None,
+                 key_reason: str = "no-statistics"):
         super().__init__([left, right],
                          exchange if exchange.kind == "shards" else NONE)
         if kind not in ("inner", "left", "semi", "anti"):
             raise ExecutionError(f"unsupported hash join kind {kind!r}")
         if broadcast not in (None, "left", "right"):
             raise ExecutionError(f"unknown broadcast side {broadcast!r}")
+        if key_side not in (None, "left", "right"):
+            raise ExecutionError(f"unknown key side {key_side!r}")
         if broadcast == "left" and kind != "inner":
             raise ExecutionError(
                 "broadcasting the left side is only sound for inner joins")
@@ -173,58 +184,81 @@ class HashJoinOperator(TensorOperator):
         self.residual = residual
         self.exchange = exchange
         self.broadcast = broadcast
+        #: The side the planner derived to be unique on its join keys
+        #: (``"right"`` preferred), or ``None`` and why not.
+        self.key_side = key_side
+        self.key_reason = key_reason
 
     def describe(self) -> str:
         labels = ("HashJoin", "PartitionedHashJoin",
                   "BroadcastJoin" if self.broadcast else "ShuffleJoin")
+        after = [f"broadcast={self.broadcast}"] if self.broadcast else []
+        after.append(f"key={self.key_side or self.key_reason}")
         return partition_label(
             tuple(f"{name}[{self.kind}]" for name in labels), self.exchange,
             f"partitions={self.exchange.n}"
             if self.exchange.kind == "lanes" else "",
-            after=f"broadcast={self.broadcast}" if self.broadcast else "")
+            after=", ".join(after))
 
     # -- key handling -------------------------------------------------------
 
     def _key_ids(self, left_table: TensorTable, right_table: TensorTable,
-                 ctx: ExecutionContext) -> tuple[Tensor, Tensor]:
-        left_ids, right_ids = [], []
-        for left_expr, right_expr in zip(self.left_keys, self.right_keys):
-            left_value = evaluate(left_expr, left_table, ctx.eval_ctx)
-            right_value = evaluate(right_expr, right_table, ctx.eval_ctx)
-            lid, rid = factorize_pair(left_value, right_value)
-            left_ids.append(lid)
-            right_ids.append(rid)
-        if len(left_ids) == 1:
-            return left_ids[0], right_ids[0]
-        both = [ops.concat([l, r], axis=0) for l, r in zip(left_ids, right_ids)]
-        combined = combine_ids(both)
-        head, tail = ops.split_rows(combined, left_ids[0])
-        return head, tail
+                 ctx: ExecutionContext) -> tuple[Tensor, Tensor, Tensor]:
+        """``(left ids, right ids, id count)`` of the join keys."""
+        columns = [
+            factorize_pair(evaluate(left_expr, left_table, ctx.eval_ctx),
+                           evaluate(right_expr, right_table, ctx.eval_ctx))
+            for left_expr, right_expr in zip(self.left_keys, self.right_keys)]
+        if len(columns) == 1:
+            return columns[0]
+        combined, count = combine_ids(
+            [(ops.concat([l, r], axis=0), n) for l, r, n in columns])
+        head, tail = ops.split_rows(combined, columns[0][0])
+        return head, tail, count
 
     # -- matching -----------------------------------------------------------
 
     def _match_pairs(self, left_ids: Tensor, right_ids: Tensor,
-                     need_pairs: bool
+                     num_ids: Tensor, need_pairs: bool
                      ) -> tuple[Tensor, Optional[tuple[Tensor, Tensor]]]:
         """Match densified keys: per-left-row match ``counts`` plus, when
-        ``need_pairs``, the flattened ``(pair_left, pair_right)`` row indices.
+        ``need_pairs``, the flattened ``(pair_left, pair_right)`` row indices
+        in (left row, right row) order — whichever construction builds them.
 
-        The ids are dense, so the build side is a direct-address table: one
-        ``bincount`` of the right ids, indexed by the left ids.  The radix
-        exchange runs this per key partition; everything downstream
-        (:func:`finish_join`) is shared.
+        The ids are dense, so the build side is a direct-address table of
+        ``num_ids`` slots: one ``bincount`` of the right ids, indexed by the
+        left ids.  The radix exchange runs this per key partition; everything
+        downstream (:func:`finish_join`) is shared.
         """
-        # bincount grows past ``minlength`` to cover the right ids, so the
-        # table spans both sides (and is empty-safe under any rebinding).
-        build = ops.bincount(right_ids, minlength=id_count(left_ids))
+        build = ops.bincount(right_ids, minlength=num_ids)
         counts = ops.take(build, left_ids)
         if not need_pairs:
             return counts, None
+        if self.key_side == "right":
+            # Key build: a matched left row pairs with the one row of its id.
+            pair_left = ops.nonzero(ops.gt(counts, 0))
+            position = ops.scatter_max(right_ids, ops.arange_like(right_ids),
+                                       num_ids)
+            return counts, (pair_left, ops.take(
+                position, ops.take(left_ids, pair_left)))
+        if self.key_side == "left":
+            # Key probe, the mirror image: each right row has at most one left
+            # row (``scatter_max`` leaves an id no left row carries negative);
+            # one stable sort of those puts the pairs in left-row order.
+            position = ops.scatter_max(left_ids, ops.arange_like(left_ids),
+                                       num_ids)
+            left_of = ops.take(position, right_ids)
+            matched_right = ops.nonzero(ops.ge(left_of, 0))
+            matched_left = ops.take(left_of, matched_right)
+            order = ops.argsort(matched_left)
+            return counts, (ops.take(matched_left, order),
+                            ops.take(matched_right, order))
 
-        # All extents below are tensors so the flattening replays correctly
-        # when a rebound parameter changes the match counts.  ``order`` lists
-        # the right rows grouped by id (stable, so in row order within an id)
-        # and the exclusive prefix sum of the table is each group's start.
+        # Neither side is a key: ragged match lists.  All extents below are
+        # tensors so the flattening replays correctly when a rebound parameter
+        # changes the match counts.  ``order`` lists the right rows grouped by
+        # id (stable, so in row order within an id) and the exclusive prefix
+        # sum of the table is each group's start.
         order = ops.argsort(right_ids)
         start = ops.take(ops.sub(ops.cumsum(build), build), left_ids)
         total = ops.sum_(counts)
@@ -238,7 +272,7 @@ class HashJoinOperator(TensorOperator):
         return counts, (pair_left, pair_right)
 
     def _radix_match_pairs(self, left_ids: Tensor, right_ids: Tensor,
-                           need_pairs: bool
+                           num_ids: Tensor, need_pairs: bool
                            ) -> tuple[Tensor, Optional[tuple[Tensor, Tensor]]]:
         """:meth:`_match_pairs`, one key partition per worker lane.
 
@@ -252,7 +286,7 @@ class HashJoinOperator(TensorOperator):
         partitions = self.exchange.n
         if (partitions <= 1 or n_left == 0 or n_right == 0
                 or max(n_left, n_right) < DEFAULT_TUNING.parallel_threshold_rows):
-            return self._match_pairs(left_ids, right_ids, need_pairs)
+            return self._match_pairs(left_ids, right_ids, num_ids, need_pairs)
 
         # Single-pass radix partition (the serial phase): one stable argsort
         # per side groups the row indices of every partition contiguously, and
@@ -268,6 +302,7 @@ class HashJoinOperator(TensorOperator):
 
         left_order, left_bounds = partition_layout(left_ids)
         right_order, right_bounds = partition_layout(right_ids)
+        local_ids = ops.floordiv(ops.add(num_ids, partitions - 1), partitions)
 
         def match_partition(p: int):
             lsel = ops.narrow(left_order, 0, left_bounds[p],
@@ -281,7 +316,8 @@ class HashJoinOperator(TensorOperator):
                                     current_stamp().lane, p,
                                     rows=lsel.shape[0]), partitions)
             rids = ops.floordiv(ops.take(right_ids, rsel), partitions)
-            local_counts, local_pairs = self._match_pairs(lids, rids, need_pairs)
+            local_counts, local_pairs = self._match_pairs(
+                lids, rids, local_ids, need_pairs)
             if local_pairs is None:
                 return lsel, local_counts, None, None
             return (lsel, local_counts,
@@ -303,9 +339,9 @@ class HashJoinOperator(TensorOperator):
     def _join_tables(self, left_table: TensorTable, right_table: TensorTable,
                      ctx: ExecutionContext, match_pairs) -> TensorTable:
         """Join two materialized tables: densify, match, finish."""
-        left_ids, right_ids = self._key_ids(left_table, right_table, ctx)
         need_pairs = not (self.kind in ("semi", "anti") and self.residual is None)
-        counts, pairs = match_pairs(left_ids, right_ids, need_pairs)
+        counts, pairs = match_pairs(
+            *self._key_ids(left_table, right_table, ctx), need_pairs)
         return finish_join(self.kind, self.residual, left_table, right_table,
                            counts, pairs, ctx)
 

@@ -25,7 +25,11 @@ The planner is also where storage statistics enter the plan:
   cardinality estimates feeding the row-threshold decisions, so a highly
   selective filter no longer forces partial-merge operators onto a handful of
   surviving rows.  A ``filter_correction`` hook lets the adaptive layer blend
-  *observed* selectivities from past executions into those static estimates.
+  *observed* selectivities from past executions into those static estimates;
+* **key-ness** — the column sets on which a node's output has no two rows
+  sharing a non-NULL value (:meth:`Planner._unique_sets`) — is derived from
+  the scanned tables' NDV and row counts, and tells each hash join which of
+  its sides, if any, is unique on the join keys (``key_side``).
 """
 
 from __future__ import annotations
@@ -166,6 +170,18 @@ def exprs_are_partition_safe(exprs) -> bool:
                    for expr in exprs for sub in ast.walk_expr(expr))
 
 
+def _key_column(key: ast.Expr, other: Optional[ast.Expr] = None
+                ) -> Optional[str]:
+    """The child column ``key`` reads as it stands, else ``None``: an
+    expression — or a column the join casts to meet a FLOAT ``other`` side,
+    where distinct integers may meet as one float."""
+    if not isinstance(key, ast.ColumnRef) or (
+            other is not None and other.otype == LogicalType.FLOAT
+            and key.otype != LogicalType.FLOAT):
+        return None
+    return key.resolved or key.display
+
+
 def ir_contains_subqueries(root: ir.IRNode) -> bool:
     """True when any expression embeds a runtime-evaluated subquery."""
     return not all(exprs_are_partition_safe(ir_node_expressions(node))
@@ -229,6 +245,7 @@ class Planner:
             if seen[column] == 1
         }
         self._row_estimates: dict[int, int] = {}
+        self._unique: dict[int, frozenset] = {}
         self._params: dict[str, ParameterSpec] = {}
         self._model_names: set[str] = set()
         self._contains_params = False
@@ -343,6 +360,73 @@ class Planner:
         self._row_estimates[id(node)] = estimate
         return estimate
 
+    # -- key-ness -------------------------------------------------------------
+
+    def _unique_sets(self, node: ir.IRNode) -> frozenset:
+        """Column sets on which ``node``'s output has no two rows sharing a
+        non-NULL value.
+
+        Derived from the scanned tables' own statistics, so it holds for
+        every parameter binding (filters only remove rows) and for exactly
+        the table generation this plan is compiled for.  Anything not listed
+        (expressions, nested loops, no statistics) derives nothing.  A stored
+        column counts only with no NULLs in it: a stored NULL carries no
+        validity, so the kernels see NaN / ``''`` values that may repeat."""
+        cached = self._unique.get(id(node))
+        if cached is not None:
+            return cached
+        attrs = node.attrs
+        below = [self._unique_sets(child) for child in node.children]
+        sets: frozenset = frozenset()
+        if node.op == ir.SCAN:
+            stats = self.table_stats.get(attrs["table"].lower())
+            if stats is not None:
+                sets = frozenset(
+                    frozenset([field.name]) for field in attrs["fields"]
+                    for column in [stats.column(field.name)]
+                    if column is not None and column.ndv == stats.row_count)
+        elif node.op in (ir.FILTER, ir.SORT, ir.LIMIT, ir.DISTINCT):
+            sets = below[0]
+        elif node.op in (ir.PROJECT, ir.RENAME):
+            sources = (map(_key_column, attrs["exprs"])
+                       if node.op == ir.PROJECT
+                       else node.children[0].field_names())
+            renamed = dict(zip(sources, node.field_names()))
+            sets = frozenset(frozenset(renamed[name] for name in unique)
+                             for unique in below[0] if unique <= renamed.keys())
+        elif node.op == ir.HASH_AGGREGATE:
+            sets = frozenset([frozenset(attrs["group_names"])])
+        elif node.op == ir.HASH_JOIN:
+            # A side matched by at most one row of the other is not duplicated.
+            left_is_key, right_is_key, _ = self._join_keys(node)
+            if attrs["kind"] in ("semi", "anti") or right_is_key:
+                sets = below[0]
+            if attrs["kind"] in ("inner", "left") and left_is_key:
+                sets = sets | below[1]
+        self._unique[id(node)] = sets
+        return sets
+
+    def _join_keys(self, node: ir.IRNode) -> tuple[bool, bool, str]:
+        """``(left is a key, right is a key, why neither)`` of an equi-join:
+        a key list is unique when every key is a bare column and together
+        they cover a unique set of their side."""
+        sides = [(node.attrs["left_keys"], node.attrs["right_keys"]),
+                 (node.attrs["right_keys"], node.attrs["left_keys"])]
+        names = [{_key_column(key, other) for key, other in zip(keys, others)}
+                 for keys, others in sides]
+        left_is_key, right_is_key = (
+            None not in columns
+            and any(unique <= columns for unique in self._unique_sets(child))
+            for columns, child in zip(names, node.children))
+        if any(self.table_stats.get(scan.attrs["table"].lower()) is None
+               for scan in node.walk() if scan.op == ir.SCAN):
+            reason = "no-statistics"
+        elif None in names[0] | names[1]:
+            reason = "expression-key"
+        else:
+            reason = "not-unique"
+        return left_is_key, right_is_key, reason
+
     # -- partitioning rules --------------------------------------------------
 
     def _region_min_rows(self) -> int:
@@ -448,10 +532,13 @@ class Planner:
                 child if exchange.kind == "shards" and broadcast != side
                 else self._closed(child)
                 for child, side in zip(children, ("left", "right")))
-            return HashJoinOperator(left_op, right_op, attrs["kind"],
-                                    attrs["left_keys"], attrs["right_keys"],
-                                    attrs.get("residual"), exchange=exchange,
-                                    broadcast=broadcast)
+            left_is_key, right_is_key, key_reason = self._join_keys(node)
+            return HashJoinOperator(
+                left_op, right_op, attrs["kind"], attrs["left_keys"],
+                attrs["right_keys"], attrs.get("residual"), exchange=exchange,
+                broadcast=broadcast, key_reason=key_reason,
+                key_side=("right" if right_is_key
+                          else "left" if left_is_key else None))
         if node.op == ir.NESTED_LOOP_JOIN:
             return NestedLoopJoinOperator(*map(self._closed, children),
                                           attrs["kind"], attrs.get("condition"))

@@ -1005,11 +1005,12 @@ def _argsort_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
     if kind == "stable" and a.size >= RADIX_ARGSORT_MIN_ROWS \
             and a.dtype.itemsize * 8 > _RADIX_DIGIT_BITS:
         bounds = _integer_span(a)
-        # Keys already in order (a primary-key build side: 18 of the 27 calls
-        # of this size in a 22-query TPC-H sweep) stay with timsort, which is
-        # O(n) on them.  Sorted, 2 digits: 75k rows 0.06 vs 2.3 ms radix, 300k
-        # 0.30 vs 9.7 ms (8% of the SF 0.05 lineitem-orders join); the scan
-        # costs 0.03 / 0.11 ms, and under 64k keys both sorts cost the same.
+        # Keys already in order stay with timsort, which is O(n) on them: the
+        # clustered build side of an N:M join (key builds no longer sort, so 2
+        # of the 13 calls of this size in a 22-query TPC-H sweep, SF 0.02:
+        # Q21's lineitem self-joins; it was 17 of 26).  Sorted, 2 digits: 75k
+        # rows 0.06 vs 2.3 ms radix, 300k 0.30 vs 9.7 ms; 1 digit, 120k: 0.10
+        # vs 0.21 ms.  The scan costs 0.04 ms per 120k rows.
         if bounds is not None and not bounds[1] >> 63 \
                 and (a[1:] < a[:-1]).any():
             return [_radix_argsort(a, *bounds).astype(np.int64, copy=False)]

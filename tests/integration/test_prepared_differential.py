@@ -209,3 +209,38 @@ def test_one_trace_crosses_direct_and_sorted_densification(env, monkeypatch):
     # The same compiled program really took both paths.
     assert largest_direct["dense_large"] == join_keys
     assert largest_direct["sparse_large"] < join_keys
+
+
+#: One statement per key path: ``:k`` sizes the key side (``orders``, unique
+#: on ``o_orderkey``), which builds under ``lineitem join orders`` and probes
+#: under ``orders join lineitem``.
+KEY_SIDE_SQL = {
+    "right": "lineitem join orders on l_orderkey = o_orderkey",
+    "left": "orders join lineitem on o_orderkey = l_orderkey",
+}
+
+
+@pytest.mark.parametrize("key_side", sorted(KEY_SIDE_SQL))
+def test_one_trace_serves_an_empty_a_one_row_and_a_full_key_side(env, key_side):
+    """The position table of a key join is sized and filled at run time: a
+    trace captured on an empty key side answers for one row and for all."""
+    from repro.core.operators import HashJoinOperator
+
+    session, tables = env
+    sql = f"""select o_orderpriority, count(*) as c, sum(l_extendedprice) as s
+              from {KEY_SIDE_SQL[key_side]} where o_orderkey <= :k
+              group by o_orderpriority order by o_orderpriority"""
+    prepared = session.prepare(sql, options=ExecutionOptions(
+        backend="torchscript", use_cache=False))
+    assert [op.key_side for op in prepared.compiled.operator_plan.root.walk()
+            if isinstance(op, HashJoinOperator)] == [key_side]
+    line_keys = tables["lineitem"]["l_orderkey"]
+    first = int(tables["orders"]["o_orderkey"].min())
+    for k in (first - 1, first, 1 << 40):            # empty, one row, every row
+        got = prepared.bind(k=k).run().to_dict()
+        expected = run_sql(sql, tables, params={"k": k}).to_dict()
+        assert sum(got["c"]) == int((line_keys <= k).sum())
+        assert got["o_orderpriority"] == expected["o_orderpriority"], k
+        assert got["c"] == expected["c"], k
+        assert got["s"] == pytest.approx(expected["s"], rel=1e-9), k
+    assert prepared.compiled.executor.compile_count == 1

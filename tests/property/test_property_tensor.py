@@ -229,6 +229,15 @@ def _sorted_match_pairs(left_ids, right_ids):
     return [counts, pair_left, pair_right]
 
 
+def _join(key_side=None, **kwargs):
+    return HashJoinOperator(None, None, "inner", [], [], key_side=key_side,
+                            **kwargs)
+
+
+def _count(num_ids):
+    return ops.tensor(num_ids, dtype="int64")
+
+
 def test_direct_address_match_pairs_equals_sorted_probe():
     rng = np.random.default_rng(11)
     shapes = [(0, 0, 1), (0, 5, 3), (5, 0, 3), (1, 1, 1), (40, 40, 1),
@@ -238,19 +247,41 @@ def test_direct_address_match_pairs_equals_sorted_probe():
         left = rng.integers(0, num_ids, n_left)
         right = rng.integers(0, num_ids, n_right)
         want = _sorted_match_pairs(left, right)
-        counts, pairs = HashJoinOperator._match_pairs(
-            None, ops.tensor(left), ops.tensor(right), True)
+        counts, pairs = _join()._match_pairs(
+            ops.tensor(left), ops.tensor(right), _count(num_ids), True)
         _assert_same_arrays(
             [counts.numpy(), pairs[0].numpy(), pairs[1].numpy()], want)
-        counts, pairs = HashJoinOperator._match_pairs(
-            None, ops.tensor(left), ops.tensor(right), False)
+        counts, pairs = _join()._match_pairs(
+            ops.tensor(left), ops.tensor(right), _count(num_ids), False)
         assert pairs is None
         _assert_same_arrays([counts.numpy()], want[:1])
 
 
+def test_key_side_match_pairs_equal_the_general_construction():
+    """A key build / key probe side (unique ids, bar the one fresh NULL id a
+    side's rows may share and the other side never carries) gives the general
+    path's counts and pairs, order included."""
+    rng = np.random.default_rng(17)
+    for n_key, n_other, num_ids in [(0, 0, 0), (0, 6, 4), (6, 0, 8), (1, 1, 1),
+                                    (50, 400, 80), (400, 50, 400),
+                                    (3000, 9000, 5000)]:
+        key = rng.permutation(num_ids)[:n_key]
+        other = rng.integers(0, max(num_ids, 1), n_other)
+        key[:3], other[:2] = num_ids, num_ids + 1       # NULLs of each side
+        for key_side, (left, right) in (("right", (other, key)),
+                                        ("left", (key, other))):
+            args = (ops.tensor(left), ops.tensor(right), _count(num_ids + 2))
+            want_counts, want = _join()._match_pairs(*args, True)
+            counts, pairs = _join(key_side)._match_pairs(*args, True)
+            _assert_same_arrays(
+                [counts.numpy(), pairs[0].numpy(), pairs[1].numpy()],
+                [want_counts.numpy(), want[0].numpy(), want[1].numpy()])
+
+
 def test_partitioned_match_pairs_equals_serial(monkeypatch):
     """Each partition matches on ``id // P`` (a dense table of ~G/P slots);
-    the matches must be the serial join's, NULL-style fresh ids included."""
+    the matches must be the serial join's, NULL-style fresh ids included —
+    and a key side stays a key inside a partition."""
     from repro.core.operators import join as join_module
     from repro.core.operators import lanes
 
@@ -261,21 +292,25 @@ def test_partitioned_match_pairs_equals_serial(monkeypatch):
         join_module.DEFAULT_TUNING.replace(parallel_threshold_rows=0))
     rng = np.random.default_rng(13)
     for partitions in (2, 3, 4):
-        join = HashJoinOperator(None, None, "inner", [], [],
-                                exchange=lanes(partitions))
         for n_left, n_right, num_ids in ((400, 300, 90), (300, 500, 5000),
                                          (64, 64, 3)):
-            left = rng.integers(0, num_ids, n_left)
-            right = rng.integers(0, num_ids, n_right)
-            left[:3], right[:3] = num_ids, num_ids + 1   # never match
-            serial = HashJoinOperator._match_pairs(
-                join, ops.tensor(left), ops.tensor(right), True)
-            counts, pairs = join._radix_match_pairs(
-                ops.tensor(left), ops.tensor(right), True)
-            _assert_same_arrays([counts.numpy()], [serial[0].numpy()])
-            got = sorted(zip(pairs[0].numpy(), pairs[1].numpy()))
-            want = sorted(zip(serial[1][0].numpy(), serial[1][1].numpy()))
-            assert got == want
+            for key_side in (None, "left", "right"):
+                join = _join(key_side, exchange=lanes(partitions))
+                left = rng.integers(0, num_ids, n_left)
+                right = rng.integers(0, num_ids, n_right)
+                if key_side == "left":
+                    left = rng.permutation(max(num_ids, n_left))[:n_left]
+                if key_side == "right":
+                    right = rng.permutation(max(num_ids, n_right))[:n_right]
+                table = max(num_ids, n_left, n_right)
+                left[:3], right[:3] = table, table + 1   # never match
+                args = (ops.tensor(left), ops.tensor(right), _count(table + 2))
+                serial = _join()._match_pairs(*args, True)
+                counts, pairs = join._radix_match_pairs(*args, True)
+                _assert_same_arrays([counts.numpy()], [serial[0].numpy()])
+                got = sorted(zip(pairs[0].numpy(), pairs[1].numpy()))
+                want = sorted(zip(serial[1][0].numpy(), serial[1][1].numpy()))
+                assert got == want
 
 
 def test_power_of_two_mod_mask_equals_np_mod():

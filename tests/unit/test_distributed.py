@@ -176,7 +176,7 @@ def test_null_join_keys_plan_stays_distributed(session):
     query = session.compile(NULL_KEY_SQL,
                             options=ExecutionOptions(devices=2))
     labels = [op.describe() for op in query.operator_plan.root.walk()]
-    assert "ShuffleJoin[inner](devices=2)" in labels
+    assert "ShuffleJoin[inner](devices=2, key=right)" in labels
     assert "DistributedRename(devices=2)" in labels
 
 

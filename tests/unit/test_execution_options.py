@@ -182,6 +182,38 @@ def test_where_an_op_ran_is_one_stamp():
     assert len(dataclasses.fields(ExecutionOptions)) == 10
 
 
+def test_key_ness_is_a_planned_fact_not_a_knob_or_a_host_read(tpch_tiny):
+    """Which pair construction a hash join runs is a planner-set argument
+    derived from statistics, printed by ``explain()`` (with the reason when no
+    side is a key), selected by no option, and decided without reading a
+    tensor on the host — in the join and in the derivation alike."""
+    session, _ = tpch_tiny
+
+    def key_sides(query_id):
+        plan = session.compile(tpch.query(query_id, 0.002)).explain()
+        return re.findall(r"key=([a-z-]+)", plan.split("== Operator plan ==")[1])
+
+    assert key_sides(3) == ["left", "left"]
+    assert key_sides(14) == ["right"]
+    assert "not-unique" in key_sides(21)      # the lineitem self-joins
+    modules = {where: tree for where, _, tree, _ in _src_modules()}
+    for where, names in (
+            ("repro/core/operators/join.py", {"_match_pairs"}),
+            ("repro/core/planner.py",
+             {"_unique_sets", "_join_keys", "_key_column"})):
+        functions = [node for node in ast.walk(modules[where])
+                     if isinstance(node, ast.FunctionDef) and node.name in names]
+        assert {function.name for function in functions} == names
+        for function in functions:
+            calls = [node.func for node in ast.walk(function)
+                     if isinstance(node, ast.Call)]
+            assert not [call for call in calls
+                        if getattr(call, "attr", None) in ("numpy", "item")
+                        or getattr(call, "id", None) == "int"], function.name
+    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(passes.DEFAULT_PASSES) == 7
+
+
 def test_late_materialization_is_a_pass_not_a_knob(tpch_tiny):
     """Seven passes, the seventh unconditional: no option selects it, and no
     filter compaction survives it on Q1 / Q3 / Q6 (``torchscript-noopt`` skips

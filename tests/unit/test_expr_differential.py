@@ -10,11 +10,14 @@ NULLs enter through ``CASE WHEN ... THEN ... END`` without an ELSE branch and
 flow through arithmetic, comparisons, ``IS [NOT] NULL``, ``COALESCE`` and the
 three-valued logic of ``WHERE``.  They also reach join keys: the generator
 ends with outer→inner join chains, where the NULL-extended side of a LEFT JOIN
-is the key of the next join and must match nothing.
+is the key of the next join and must match nothing, and with keyed join
+chains that draw, per join, which side (if any) is a key — the planner-derived
+fact that picks the join's pair construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -22,6 +25,9 @@ import pytest
 
 from repro import DataFrame, ExecutionOptions, TQPSession
 from repro.baselines import RowEngine
+from repro.core.operators import HashJoinOperator
+from repro.core.operators import join as join_module
+from repro.core.tuning import tuning_overrides
 from repro.frontend import sql_to_physical
 
 N_ROWS = 64
@@ -143,6 +149,76 @@ class ExprGen:
         return sql
 
 
+    def keyed_join_chain(self, path: str, kind: str, residual: bool
+                         ) -> "tuple[str, list[tuple[str, str]]]":
+        """One statement whose first join takes ``path`` (which side is a
+        key), plus the ``(kind, key side)`` of every hash join it plans.
+
+        Each side is drawn among the relations with the wanted key-ness —
+        NULL-extended or not, sometimes emptied; inner / left joins chain into
+        a second join on a drawn column, semi / anti joins are an EXISTS.
+        """
+        emptied = self.rng.choice(("l", "r", "t") + (None,) * 7)
+
+        def relation(unique: bool, alias: str):
+            name = self.rng.choice(sorted(
+                n for n, spec in KEY_RELATIONS.items() if spec[1] == unique))
+            sql, _, payload = KEY_RELATIONS[name]
+            if alias == emptied:
+                sql += f" where {payload} < -1"          # an empty side
+            return (f"({sql}) {alias}",
+                    [("left", "right")] if name.startswith("null_") else [])
+
+        left_unique = path in ("probe", "both")
+        right_unique = path in ("build", "both")
+        side = ("right" if right_unique else "left" if left_unique
+                else "not-unique")
+        (left, joins), (right, more) = (relation(left_unique, "l"),
+                                        relation(right_unique, "r"))
+        joins = joins + more + [(kind, side)]
+        extra = " and l.p < r.p + 2" if residual else ""
+        if kind in ("semi", "anti"):
+            negation = "not " if kind == "anti" else ""
+            return (f"select l.k as lk, l.p as lp from {left} where {negation}"
+                    f"exists (select 1 from {right} where r.k = l.k{extra})",
+                    joins)
+        # The second join: a first-join column stays unique only when both
+        # first-join sides were keys (neither side's rows were duplicated).
+        column = self.rng.choice(("l.k", "r.k", "l.p", "r.p"))
+        third_unique = self.rng.random() < 0.5
+        third, more = relation(third_unique, "t")
+        chained = "right" if third_unique else (
+            "left" if column.endswith(".k") and left_unique and right_unique
+            else "not-unique")
+        next_kind = self.rng.choice(("inner", "left"))
+        joins = joins + more + [(next_kind, chained)]
+        return (f"select l.k as lk, l.p as lp, r.k as rk, r.p as rp, t.k as tk "
+                f"from {left} {kind} join {right} on l.k = r.k{extra} "
+                f"{next_kind} join {third} on {column} = t.k", joins)
+
+
+#: Derived tables ``(k, p)``: their SQL, whether ``k`` is unique (derivable
+#: from the base tables' statistics), and the payload column an emptying
+#: filter reads.  ``null_*`` NULL-extend ``k`` through a LEFT JOIN.
+KEY_RELATIONS = {
+    "key": ("select aid as k, av as p from ka", True, "av"),
+    "null_key": ("select bid as k, av as p from ka left join kb on aid = bid",
+                 True, "av"),
+    "dup": ("select fk as k, fv as p from fa", False, "fv"),
+    "null_dup": ("select bid as k, fv as p from fa left join kb on fk = bid",
+                 False, "fv"),
+}
+
+KEYED_JOIN_POINTS = list(itertools.product(
+    ("build", "probe", "both", "neither"), ("inner", "left", "semi", "anti"),
+    (False, True)))
+
+
+def _generated_keyed_joins():
+    gen = ExprGen(random.Random(SEED + 3))
+    return [gen.keyed_join_chain(*point) for point in KEYED_JOIN_POINTS]
+
+
 def _generated_queries():
     rng = random.Random(SEED)
     gen = ExprGen(rng)
@@ -171,6 +247,74 @@ def test_random_join_chain_matches_row_engine(session, tables, frames_match, sql
         sql_to_physical(sql, session.catalog))
     # Outer joins append their unmatched rows last: compare as multisets.
     frames_match(session.sql(sql), oracle, sql)
+
+
+@pytest.fixture(scope="module")
+def key_tables():
+    rng = np.random.default_rng(SEED + 3)
+    return {
+        "ka": DataFrame({"aid": np.arange(16, dtype=np.int64),
+                         "av": rng.integers(0, 5, size=16).astype(np.int64)}),
+        # Every third key, half of them past ``ka``: unmatched on both sides.
+        "kb": DataFrame({"bid": np.arange(0, 30, 3, dtype=np.int64),
+                         "bv": rng.integers(0, 5, size=10).astype(np.int64)}),
+        "fa": DataFrame({"fk": rng.integers(-2, 20, size=40).astype(np.int64),
+                         "fv": rng.integers(0, 5, size=40).astype(np.int64)}),
+    }
+
+
+@pytest.fixture(scope="module")
+def key_session(key_tables):
+    sess = TQPSession()
+    for name, frame in key_tables.items():
+        sess.register(name, frame)
+    return sess
+
+
+def _sorted_rows(frame) -> list[tuple]:
+    rows = zip(*(frame[name] for name in frame.columns))
+    return sorted((tuple(None if cell is None or cell != cell else int(cell)
+                         for cell in row) for row in rows),
+                  key=lambda row: tuple((cell is None, cell or 0) for cell in row))
+
+
+KEYED_JOIN_OPTIONS = [
+    ExecutionOptions(backend="pytorch"), ExecutionOptions(backend="torchscript"),
+    ExecutionOptions(backend="torchscript", parallelism=4),
+    ExecutionOptions(backend="torchscript", devices=4)]
+
+
+@pytest.mark.parametrize(
+    "sql,expected_joins", _generated_keyed_joins(),
+    ids=["-".join((path, kind, "residual" if residual else "equi"))
+         for path, kind, residual in KEYED_JOIN_POINTS])
+def test_keyed_join_chain_takes_its_path_and_matches_row_engine(
+        key_session, key_tables, frames_match, monkeypatch, sql, expected_joins):
+    """Key build, key probe, both and neither, with NULL, unmatched and empty
+    sides: every strategy plans the drawn path, answers like the row engine,
+    and answers the same rows bit for bit."""
+    oracle = RowEngine(key_tables).execute_to_dataframe(
+        sql_to_physical(sql, key_session.catalog))
+    # Sixteen-row tables: zero thresholds so lanes really radix-partition and
+    # shards really shuffle / broadcast.
+    monkeypatch.setattr(
+        join_module, "DEFAULT_TUNING",
+        join_module.DEFAULT_TUNING.replace(parallel_threshold_rows=0))
+    results = []
+    for options in KEYED_JOIN_OPTIONS:
+        with tuning_overrides(parallel_threshold_rows=0, shard_min_rows=0):
+            compiled = key_session.compile(sql, options=options)
+        planned = [(op.kind, op.key_side or op.key_reason)
+                   for op in compiled.operator_plan.root.walk()
+                   if isinstance(op, HashJoinOperator)]
+        assert sorted(planned) == sorted(expected_joins), (
+            sql, compiled.operator_plan.root.pretty())
+        results.append(compiled.run())
+        frames_match(results[-1], oracle, f"{options}: {sql}")
+    eager, traced, lanes, shards = results
+    assert eager.to_dict() == traced.to_dict()        # row order included
+    assert (_sorted_rows(traced) == _sorted_rows(lanes)
+            == _sorted_rows(shards))
 
 
 NULLABLE_AGGREGATE_QUERIES = [
@@ -284,3 +428,4 @@ def test_like_patterns_match_row_engine(like_session, like_tables, frames_match,
 def test_generator_is_deterministic():
     assert _generated_queries() == _generated_queries()
     assert _generated_join_chains() == _generated_join_chains()
+    assert _generated_keyed_joins() == _generated_keyed_joins()

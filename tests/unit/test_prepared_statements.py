@@ -239,3 +239,51 @@ def test_long_lived_compiled_query_never_reads_stale_converted_columns(session):
     # must be converted from the *new* table, not served from the old
     # conversion-cache entry.
     assert compiled.run().to_dict() == {"s": [2.0]}
+
+
+# -- key-ness belongs to one table generation ------------------------------------
+
+
+@pytest.mark.parametrize("route", ["session", "serving"])
+def test_a_held_statement_forgets_a_key_side_its_new_generation_lost(route):
+    """Key-ness is derived from one generation's statistics.  Re-registering
+    the dimension table with one duplicated key must re-plan the held
+    statement onto the general pair construction: a position table over
+    duplicate keys would be a wrong answer, not an error."""
+    from repro.baselines.rowengine import run_sql
+    from repro.core.operators import HashJoinOperator
+    from repro.serve import ServingRuntime
+
+    def dims(duplicate: bool) -> DataFrame:
+        return DataFrame({
+            "dk": np.array([1, 2, 3, 3 if duplicate else 4], dtype=np.int64),
+            "label": np.array([10, 20, 30, 40], dtype=np.int64)})
+
+    tables = {"facts": DataFrame({
+        "fk": np.array([3, 1, 3, 2, 4], dtype=np.int64),
+        "w": np.array([1.0, 2.0, 3.0, 4.0, 5.0])}), "dims": dims(False)}
+    session = TQPSession()
+    for name, frame in tables.items():
+        session.register(name, frame)
+    sql = ("select fk, w, label from facts join dims on fk = dk "
+           "where w >= :lo order by w, label")
+    options = ExecutionOptions(backend="torchscript")
+
+    def check(statement, compiled, key):
+        for lo in (0.0, 2.5):
+            assert statement.run(lo=lo).to_dict() == run_sql(
+                sql, tables, params={"lo": lo}).to_dict()
+        (join,) = [op for op in compiled.operator_plan.root.walk()
+                   if isinstance(op, HashJoinOperator)]
+        assert (join.key_side, join.describe()) == key
+
+    with ServingRuntime(session, workers=2, default_options=options) as runtime:
+        statement = (runtime.prepare(sql) if route == "serving"
+                     else session.prepare(sql, options=options))
+        compiled = (statement.prepared if route == "serving"
+                    else statement).compiled
+        check(statement, compiled, ("right", "HashJoin[inner](key=right)"))
+        tables["dims"] = dims(True)
+        session.register("dims", tables["dims"])
+        check(statement, compiled, (None, "HashJoin[inner](key=not-unique)"))
+        assert len(statement.run(lo=0.0)["label"]) == 6   # both 3s match twice

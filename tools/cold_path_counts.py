@@ -9,7 +9,10 @@ nodes of the three optimized programs (``take`` / ``nonzero`` /
 ``boolean_mask``: what late materialization left to run), and their reduction
 nodes (``scatter_add`` / ``scatter_min`` / ``scatter_max`` / ``bincount`` /
 ``unique``: what grouping and the aggregate state table emit — a rewrite of
-either that changes no program repeats these exactly).  A second line
+either that changes no program repeats these exactly), and the join's index
+arithmetic (``repeat`` / ``argsort`` / ``cumsum`` / ``arange_until``: one
+``argsort`` per key-probe join, nothing else while every join has a key
+side).  A second line
 profiles the three programs once and counts the events no relational operator
 claims (0: every traced node carries the operator it was traced under) and the
 distinct operator families the profile breaks down into.
@@ -37,6 +40,7 @@ SCALE_FACTOR = 0.002
 QUERIES = (1, 3, 6)
 GATHERS = ("take", "nonzero", "boolean_mask")
 REDUCTIONS = ("scatter_add", "scatter_min", "scatter_max", "bincount", "unique")
+JOIN_ARITHMETIC = ("repeat", "argsort", "cumsum", "arange_until")
 
 
 def main() -> None:
@@ -64,7 +68,8 @@ def main() -> None:
         return " / ".join(f"{ops[name]} {name}" for name in names)
 
     print(f"{len(calls)} encode_column calls, {lines} generated source lines, "
-          f"{nodes(GATHERS)} nodes, {nodes(REDUCTIONS)} nodes "
+          f"{nodes(GATHERS)} nodes, {nodes(REDUCTIONS)} nodes, "
+          f"{nodes(JOIN_ARITHMETIC)} nodes "
           f"(first executions of Q{', Q'.join(map(str, QUERIES))} at "
           f"SF {SCALE_FACTOR})")
     # After the line count: profiling builds the profiled bodies.
