@@ -1,22 +1,21 @@
 """Shared key-factorization machinery used by joins, aggregation and DISTINCT.
 
 Grouping and joining over arbitrary key types stay inside the tensor op
-vocabulary: every key column is densified into ids ``0..G-1`` that preserve
-the key order, and everything downstream (direct-address join tables,
-scatter reductions, DISTINCT) works on those ids.  Numeric, date and
-dictionary-code keys are densified with ``unique``; padded string keys with
-the sort + neighbour-comparison trick of
-:func:`repro.core.strings.dense_rank`; multi-column keys are mixed pairwise
-and re-densified to avoid overflow.
+vocabulary: every key column becomes int64 ids that everything downstream
+(direct-address join tables, scatter reductions, DISTINCT) works on.  Grouping
+and DISTINCT read the group order off the ids, so they densify each key into
+order-preserving ids ``0..G-1`` — numeric, date and dictionary-code keys with
+``unique``, padded strings with :func:`repro.core.strings.dense_rank`,
+multi-column keys mixed pairwise and re-densified to avoid overflow.  A join
+only indexes tables with its ids, so a numeric key pair goes through
+``join_ids``, where bounded integer keys are their own ids.
 
-How ``unique`` densifies is decided per call inside the kernel
-(:mod:`repro.tensor.ops`), from the keys it is handed: integer keys whose
-``max - min`` is within a small multiple of the row count — TPC-H keys,
-dictionary codes, ids that are already dense — index a presence table
-directly in O(n + range); floats, epoch-ns dates and sparse domains are
-sorted.  The two paths return identical arrays, so there is no switch here,
-in the planner or in ``ExecutionOptions``, and a prepared statement may cross
-from one to the other when it is rebound.
+Each kernel picks its path per call (:mod:`repro.tensor.ops`) from the keys it
+is handed: integer keys whose ``max - min`` is within a small multiple of the
+row count — TPC-H keys, dictionary codes, ids that are already dense — take
+the direct-address path; floats, epoch-ns dates and sparse domains are sorted.
+There is no switch here, in the planner or in ``ExecutionOptions``, and a
+prepared statement may cross from one path to the other when it is rebound.
 """
 
 from __future__ import annotations
@@ -58,15 +57,15 @@ def id_count(ids: Tensor) -> Tensor:
     return ops.cast(ops.add(ops.max_(padded), 1), "int64")
 
 
-def factorize_pair(left: ExprValue, right: ExprValue
+def factorize_pair(left: ExprValue, right: ExprValue, dense: bool = False
                    ) -> tuple[Tensor, Tensor, Tensor]:
-    """Jointly densify one key column of a join's left and right side:
-    ``(left ids, right ids, id count)``.
+    """One key column of a join's two sides as ids from one id space, so equal
+    values map to equal ids: ``(left ids, right ids, id count)``.
 
-    Both sides must receive ids drawn from the same dictionary so equal values
-    map to equal ids; this is achieved by concatenating the two key columns
-    before densification.  A NULL key equals nothing, itself included: NULL
-    rows take one fresh id per side, which no row of the other side carries.
+    Numeric keys go through :func:`repro.tensor.ops.join_ids` (``dense``: ids
+    ``0..G-1`` in key order); padded strings are ranked together.  A NULL key
+    equals nothing, itself included: NULL rows take one fresh id per side,
+    which no row of the other side carries.
     """
     if (left.ltype == LogicalType.STRING) != (right.ltype == LogicalType.STRING):
         raise ExecutionError("join key types do not match")
@@ -76,18 +75,14 @@ def factorize_pair(left: ExprValue, right: ExprValue
                            ops.pad2d(right.tensor, width)], axis=0)
         ids = strings.dense_rank(both)
         count = id_count(ids)
+        # The split point is read from the left side's row count at run time
+        # so a rebinding that changes either input's size replays correctly.
+        left_ids, right_ids = ops.split_rows(ids, left.tensor)
     else:
-        if LogicalType.FLOAT in (left.ltype, right.ltype):
-            target = "float64"
-        else:
-            target = "int64"
-        both = ops.concat([ops.cast(left.tensor, target),
-                           ops.cast(right.tensor, target)], axis=0)
-        values, ids, _ = ops.unique(both)
-        count = ops.row_count(values)
-    # The split point is read from the left side's row count at run time so a
-    # parameter rebinding that changes either input's size replays correctly.
-    left_ids, right_ids = ops.split_rows(ids, left.tensor)
+        target = ("float64" if LogicalType.FLOAT in (left.ltype, right.ltype)
+                  else "int64")
+        left_ids, right_ids, count = ops.join_ids(
+            ops.cast(left.tensor, target), ops.cast(right.tensor, target), dense)
     if left.valid is not None or right.valid is not None:
         if left.valid is not None:
             left_ids = ops.where(left.valid, left_ids, count)
@@ -129,8 +124,13 @@ def static_radix_group_ids(key_values: list[ExprValue]
 
 def combine_ids(id_columns: list[tuple[Tensor, Tensor]]
                 ) -> tuple[Tensor, Tensor]:
-    """Mix several dense ``(ids, id count)`` columns into one dense composite
-    id column and its count."""
+    """Mix several ``(ids, id count)`` columns into one dense composite id
+    column and its count.
+
+    Each mix is re-densified, so only the first product reaches
+    ``count * count``.  A join's counts come from ``join_ids`` (at most
+    ``max(DIRECT_ADDRESS_MIN_SPAN, DIRECT_ADDRESS_SLACK * n)``), which keeps
+    that product within int64 for up to ~7e8 key rows."""
     if not id_columns:
         raise ExecutionError("combine_ids() requires at least one id column")
     combined, count = id_columns[0]

@@ -2,10 +2,10 @@
 
 The equi-join follows the TQP strategy of staying inside the tensor op
 vocabulary, and is the hash join of that vocabulary: join keys of both sides
-are densified into one id space ``0..G-1``
-(:mod:`repro.core.operators.grouping`, which hands ``G`` over with the ids),
-the build side becomes a direct-address table over it — ``bincount`` of the
-right ids — and probe rows read their match count with one ``take``.  The
+are mapped into one id space ``0..G-1`` (``ops.join_ids``: bounded integer
+keys are their own ids, the rest is densified jointly), the build side
+becomes a direct-address table over it — ``bincount`` of the right ids — and
+probe rows read their match count with one ``take``.  The
 ``(left row, right row)`` pairs are then built one of three ways, chosen by
 the planner (``key_side``, derived from the scanned tables' statistics —
 :meth:`repro.core.planner.Planner._unique_sets` — never from the data):
@@ -23,18 +23,19 @@ variants and residual (non-equi) conditions are layered on top of the same
 machinery.
 
 Where a sort remains it is the kernels' own per-call choice, never this
-module's: ``unique`` and the stable ``argsort`` that orders the build rows
-address bounded integer keys directly (presence table, LSD radix) and fall
-back to a comparison sort for floats, epoch-ns dates and domains much wider
-than the row count — see the constants in :mod:`repro.tensor.ops`.  The
-output (row order included) is the same either way.
+module's: ``join_ids``, ``unique`` and the stable ``argsort`` of the build
+rows use bounded integer keys directly (as ids, presence table, LSD radix)
+and sort floats, epoch-ns dates and domains much wider than the row count —
+see the constants in :mod:`repro.tensor.ops`.  The output (row order
+included) is the same either way.
 
 Partitioned plans keep two exchange strategies because they are different
 algorithms, selected by the partitioning the planner placed the join under:
 
-* ``lanes`` — **radix partitioning** of the globally densified ids: key
-  densification stays global (both sides must share one dictionary), and the
-  build/probe runs per key partition on its own worker lane;
+* ``lanes`` — **radix partitioning** of globally densified ids: both sides
+  share one dictionary (``join_ids(dense=True)``: the partition of a key and
+  the table of a partition read the numbering), and the build/probe runs per
+  key partition on its own worker lane;
 * ``shards`` — a **value-hash shuffle** (both sides repartition on the join
   keys, so equal keys meet on one device and every join kind is decided
   locally) or a **broadcast** of one small unsharded side to every device;
@@ -146,7 +147,7 @@ def finish_join(kind: str, residual: Optional[Expr], left_table: TensorTable,
 
 
 class HashJoinOperator(TensorOperator):
-    """Equi-join on densified keys (inner / left outer / semi / anti).
+    """Equi-join on key ids (inner / left outer / semi / anti).
 
     ``exchange`` is the partitioning the join runs under (see the module
     docstring).  Under ``shards`` both children stay sharded (shuffle) unless
@@ -207,7 +208,8 @@ class HashJoinOperator(TensorOperator):
         """``(left ids, right ids, id count)`` of the join keys."""
         columns = [
             factorize_pair(evaluate(left_expr, left_table, ctx.eval_ctx),
-                           evaluate(right_expr, right_table, ctx.eval_ctx))
+                           evaluate(right_expr, right_table, ctx.eval_ctx),
+                           dense=self.exchange.kind == "lanes")
             for left_expr, right_expr in zip(self.left_keys, self.right_keys)]
         if len(columns) == 1:
             return columns[0]
@@ -221,11 +223,11 @@ class HashJoinOperator(TensorOperator):
     def _match_pairs(self, left_ids: Tensor, right_ids: Tensor,
                      num_ids: Tensor, need_pairs: bool
                      ) -> tuple[Tensor, Optional[tuple[Tensor, Tensor]]]:
-        """Match densified keys: per-left-row match ``counts`` plus, when
+        """Match key ids: per-left-row match ``counts`` plus, when
         ``need_pairs``, the flattened ``(pair_left, pair_right)`` row indices
         in (left row, right row) order — whichever construction builds them.
 
-        The ids are dense, so the build side is a direct-address table of
+        The ids are bounded, so the build side is a direct-address table of
         ``num_ids`` slots: one ``bincount`` of the right ids, indexed by the
         left ids.  The radix exchange runs this per key partition; everything
         downstream (:func:`finish_join`) is shared.

@@ -944,14 +944,16 @@ def bincount(index: Tensor, weights: Tensor | None = None,
 # that are already dense) are addressed directly in O(n + range); everything
 # else (floats, epoch-ns dates, sparse domains) keeps the comparison sort.
 # Nothing is baked into a traced program, so one compiled plan may take
-# either path on different bindings, and both paths return identical arrays.
+# either path on different bindings, and both paths return identical arrays
+# (``join_ids``' paths number keys differently; equal keys always share an id).
 
-#: ``unique`` addresses a table directly while ``max - min`` stays under
-#: ``DIRECT_ADDRESS_SLACK * n`` (or under ``DIRECT_ADDRESS_MIN_SPAN`` for a
-#: handful of rows).  Measured on int64 keys, direct vs sorted, in ms:
-#: n=120k: span 4k 0.25 vs 3.6, span 4n 2.1 vs 3.9, span 8n 4.2 vs 3.8 (the
-#: crossover); n=1M: 4n 37 vs 53, 8n 67 vs 50; n=10: span 4k 0.010 vs 0.013,
-#: span 16k 0.017 vs 0.013.  The tables are three arrays of ``span + 1``.
+#: The direct-address limit of ``unique`` (a presence table, ``max - min``)
+#: and ``join_ids`` (keys as ids, ``max``), see :func:`_direct_limit`: under
+#: ``DIRECT_ADDRESS_SLACK * n``, or under ``DIRECT_ADDRESS_MIN_SPAN`` for a
+#: handful of rows.  Measured for ``unique`` on int64 keys, direct vs sorted,
+#: in ms: n=120k: span 4k 0.25 vs 3.6, span 4n 2.1 vs 3.9, span 8n 4.2 vs 3.8
+#: (the crossover); n=1M: 4n 37 vs 53, 8n 67 vs 50; n=10: span 4k 0.010 vs
+#: 0.013, span 16k 0.017 vs 0.013.  The tables are three arrays of ``span + 1``.
 DIRECT_ADDRESS_SLACK = 4
 DIRECT_ADDRESS_MIN_SPAN = 4096
 
@@ -962,6 +964,12 @@ DIRECT_ADDRESS_MIN_SPAN = 4096
 #: vs 0.002.
 RADIX_ARGSORT_MIN_ROWS = 2048
 _RADIX_DIGIT_BITS = 16
+
+
+def _direct_limit(n: int) -> int:
+    """``n`` keys are addressed directly while their span (``unique``) or
+    largest key (``join_ids``) stays below this."""
+    return max(DIRECT_ADDRESS_MIN_SPAN, DIRECT_ADDRESS_SLACK * n)
 
 
 def _integer_span(a: np.ndarray) -> "tuple[int, int] | None":
@@ -1075,8 +1083,7 @@ def _direct_unique(a: np.ndarray, low: int, span: int) -> list[np.ndarray]:
 def _unique_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
     a = arrays[0]
     bounds = _integer_span(a)
-    if bounds is not None and bounds[1] < max(DIRECT_ADDRESS_MIN_SPAN,
-                                               DIRECT_ADDRESS_SLACK * a.size):
+    if bounds is not None and bounds[1] < _direct_limit(a.size):
         return _direct_unique(a, *bounds)
     values, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
     return [values, inverse.astype(np.int64), counts.astype(np.int64)]
@@ -1085,6 +1092,35 @@ def _unique_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
 def unique(a: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Sorted unique values, inverse indices, and counts of a 1-d tensor."""
     out = _apply_multi("unique", [_coerce(a)])
+    return out[0], out[1], out[2]
+
+
+@register_op("join_ids", n_outputs=3)
+def _join_ids_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
+    left, right = arrays
+    if not attrs.get("dense") and left.dtype == right.dtype == np.int64:
+        low = min((int(a.min()) for a in arrays if a.size), default=0)
+        high = max((int(a.max()) for a in arrays if a.size), default=-1)
+        if low >= 0 and high < _direct_limit(left.size + right.size):
+            return [left, right, np.asarray(high + 1, dtype=np.int64)]
+    values, ids, _ = _unique_kernel([np.concatenate([left, right])], {})
+    return [ids[:left.size], ids[left.size:],
+            np.asarray(values.size, dtype=np.int64)]
+
+
+def join_ids(left: Tensor, right: Tensor, dense: bool = False
+             ) -> tuple[Tensor, Tensor, Tensor]:
+    """``(left ids, right ids, id count)`` of two 1-d key columns of one dtype:
+    equal keys get equal int64 ids in ``0..count-1``, bounded but not dense.
+
+    Per call: non-negative int64 keys under the direct-address limit are their
+    own ids (the inputs come back as outputs, which is safe because no kernel
+    writes into an input); anything else — every key when ``dense`` — is
+    densified by one joint ``unique`` into ids in key order.
+    """
+    tl, tr, device = _pair(left, right)
+    out = _apply_multi("join_ids", [tl, tr], {"dense": True} if dense else None,
+                       device=device)
     return out[0], out[1], out[2]
 
 

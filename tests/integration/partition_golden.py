@@ -11,6 +11,9 @@ encoding existed (ISSUE 19).  ISSUE 21 regenerated it on purpose: plans,
 dispatches and exchange bytes byte-identical, the graph backends' ``events``
 trading every ``boolean_mask`` for ``nonzero`` + ``take`` (late
 materialization).  ``test_partition_golden.py`` compares today's against it.
+Regenerated once more when a join's keys became one ``join_ids`` op: plans,
+dispatches and exchange bytes byte-identical, each join's ``concat`` /
+``unique`` / ``split_rows`` events becoming one ``join_ids`` event.
 
 Regenerate (only when a plan-shape change is intended), from the repo root::
 

@@ -9,6 +9,7 @@ from a single trace — the compile-once/bind-many contract.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import ExecutionOptions, TQPSession
@@ -159,8 +160,8 @@ def test_auto_parameterized_q6_matches_literal_execution(env, frames_match,
 
 
 #: One statement whose join build side (lineitem) a rebinding takes through
-#: every regime of key densification: ``:k`` / ``:q`` size it, ``:m``
-#: stretches the key domain past what a direct-address table may span.
+#: every path of ``join_ids``: ``:k`` / ``:q`` size it, ``:m`` stretches the
+#: key domain past what a direct-address table may span or negates it.
 CROSSING_SQL = """
     select o_orderpriority, count(*) as c, sum(l_extendedprice) as s
     from orders join lineitem on l_orderkey * :m = o_orderkey * :m
@@ -172,27 +173,40 @@ CROSSING_BINDINGS = [
     ("tiny", {"m": 1, "k": 40, "q": 51.0}),
     ("dense_large", {"m": 1, "k": 1 << 40, "q": 51.0}),
     ("sparse_large", {"m": 1_000_003, "k": 1 << 40, "q": 51.0}),
+    ("negated_large", {"m": -1, "k": 1 << 40, "q": 51.0}),
     ("tiny_again", {"m": 1, "k": 40, "q": 51.0}),
 ]
+
+
+def join_id_paths(monkeypatch) -> list[tuple[str, list]]:
+    """Record, per ``join_ids`` call, the path its kernel took — ``identity``
+    (the keys are handed back as ids) or ``unique`` (the joint densification)
+    — and the key arrays it was handed.  Patch before anything compiles:
+    generated programs bind the kernel once."""
+    taken: list[tuple[str, list]] = []
+    opdef = ops.OP_REGISTRY["join_ids"]
+    kernel = opdef.kernel
+
+    def spied(arrays, attrs):
+        out = kernel(arrays, attrs)
+        taken.append(("identity" if out[0] is arrays[0] else "unique", arrays))
+        return out
+
+    monkeypatch.setattr(opdef, "kernel", spied)
+    return taken
 
 
 def test_one_trace_crosses_direct_and_sorted_densification(env, monkeypatch):
     session, tables = env
     options = ExecutionOptions(backend="torchscript", use_cache=False)
+    taken = join_id_paths(monkeypatch)
     prepared = session.prepare(CROSSING_SQL, options=options)
 
-    direct_sizes: list[int] = []
-    direct = ops._direct_unique
-    monkeypatch.setattr(
-        ops, "_direct_unique",
-        lambda a, low, span: direct_sizes.append(a.size) or direct(a, low, span))
-    join_keys = tables["orders"].num_rows + tables["lineitem"].num_rows
-
-    largest_direct = {}
+    paths = {}
     for name, binding in CROSSING_BINDINGS:
-        direct_sizes.clear()
+        taken.clear()
         got = prepared.bind(**binding).run().to_dict()
-        largest_direct[name] = max(direct_sizes, default=0)
+        paths[name] = [path for path, _ in taken]
         expected = run_sql(CROSSING_SQL, tables, params=binding).to_dict()
         assert bool(got["c"]) == (name != "empty"), name
         assert got["o_orderpriority"] == expected["o_orderpriority"], name
@@ -206,9 +220,46 @@ def test_one_trace_crosses_direct_and_sorted_densification(env, monkeypatch):
             .bind(**binding).run().to_dict() == got, name
     assert prepared.compiled.executor.compile_count == 1
 
-    # The same compiled program really took both paths.
-    assert largest_direct["dense_large"] == join_keys
-    assert largest_direct["sparse_large"] < join_keys
+    # The same compiled program really took the keys as ids, then the joint
+    # densification once ``:m`` stretched or negated the domain, then the
+    # keys again.
+    assert paths["dense_large"] == ["identity"]
+    assert paths["sparse_large"] == ["unique"]
+    assert paths["negated_large"] == ["unique"]
+    assert paths["tiny_again"] == ["identity"]
+
+
+def test_identity_ids_leave_the_stored_key_columns_untouched(env, monkeypatch):
+    """The identity path hands the stored key columns back as the join's ids;
+    no kernel writes into an input, so replays leave every converted column
+    of both tables byte for byte as it was."""
+    session, _ = env
+    taken = join_id_paths(monkeypatch)
+    compiled = session.compile(
+        """select o_orderpriority, count(*) as c from orders join lineitem
+           on l_orderkey = o_orderkey group by o_orderpriority""",
+        options=ExecutionOptions(backend="torchscript", use_cache=False))
+    first = compiled.run().to_dict()
+    stored = {(table, key): column for table in ("orders", "lineitem")
+              for key, column in session.catalog.record(table).columns.items()}
+
+    def snapshot():
+        return {key: (column.tensor.numpy().tobytes(),
+                      None if column.valid is None
+                      else column.valid.numpy().tobytes())
+                for key, column in stored.items()}
+
+    before = snapshot()
+    for _ in range(3):
+        assert compiled.run().to_dict() == first
+    assert snapshot() == before
+    assert {path for path, _ in taken} == {"identity"}
+    handed = taken[-1][1]
+    for table, column in (("orders", "o_orderkey"), ("lineitem", "l_orderkey")):
+        key = stored[table, (column, "auto")].tensor.numpy()
+        assert any(array is key for array in handed), column
+        np.testing.assert_array_equal(
+            key, session.catalog.record(table).frame[column])
 
 
 #: One statement per key path: ``:k`` sizes the key side (``orders``, unique

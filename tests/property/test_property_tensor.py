@@ -181,6 +181,132 @@ def test_unique_paths_agree_on_every_edge(monkeypatch):
     assert not _UNIQUE([np.zeros(0, dtype=np.int64)], {})[0].size
 
 
+def _join_id_cases():
+    """``name -> (left keys, right keys, expected path)`` around every edge of
+    ``join_ids``' path choice."""
+    rng = np.random.default_rng(20250611)
+    slack, floor = ops.DIRECT_ADDRESS_SLACK, ops.DIRECT_ADDRESS_MIN_SPAN
+
+    def split(keys, at):
+        return keys[:at], keys[at:]
+
+    def spanning(low, span, size):
+        keys = rng.integers(0, span + 1, size)
+        keys[0], keys[-1] = 0, span   # pin max - min to exactly ``span``
+        return rng.permutation(keys) + low
+
+    empty = np.zeros(0, dtype=np.int64)
+    dense = rng.integers(0, 900, 1500)
+    cases = {
+        "both_empty": (empty, empty, "identity"),
+        "left_empty": (empty, dense, "identity"),
+        "right_empty": (dense, empty, "identity"),
+        "dense": (*split(dense, 1000), "identity"),
+        "shifted": (*split(dense + (1 << 40), 600), "unique"),
+        "negative": (*split(rng.integers(-900, -100, 3000), 2000), "unique"),
+        "int32": (*split(dense.astype(np.int32), 700), "unique"),
+        "int64_near_max": (*split(_I64.max - rng.integers(0, 100, 400), 250),
+                           "unique"),
+        "int64_near_min": (*split(_I64.min + rng.integers(0, 100, 400), 150),
+                           "unique"),
+        "uint64_near_2_63": (*split(rng.integers(0, 50, 300).astype(np.uint64)
+                                    + np.uint64(2**63 - 25), 100), "unique"),
+        "uint64_high": (*split(rng.integers(0, 50, 300).astype(np.uint64)
+                               + np.uint64(2**64 - 60), 200), "unique"),
+        "whole_int64_range": (np.array([_I64.min, 0, -1], dtype=np.int64),
+                              np.array([_I64.max, 0, _I64.min]), "unique"),
+        "sparse": (*split(rng.integers(0, 1 << 40, 3000), 1000), "unique"),
+        "float_nan": (np.array([0.5, np.nan, 2.0, np.nan, -1.0]),
+                      np.array([np.nan, 2.0, 7.0, 0.5]), "unique"),
+    }
+    n = 2000
+    # The keys are their own ids while ``max`` (not ``max - min``) is under
+    # the limit and no key is negative.
+    for low, path in ((0, "identity"), (-5, "unique")):
+        cases[f"span_under_limit_{low}"] = (
+            *split(spanning(low, slack * n - 1, n), 1200), path)
+        cases[f"floor_under_limit_{low}"] = (
+            *split(spanning(low, floor - 1, 10), 4), path)
+    cases["span_at_limit"] = (*split(spanning(0, slack * n, n), 1200), "unique")
+    cases["floor_at_limit"] = (*split(spanning(0, floor, 10), 3), "unique")
+    return cases
+
+
+def test_join_id_paths_keep_key_equality_on_every_edge():
+    """``left_ids[i] == right_ids[j]`` exactly when ``left[i] == right[j]``
+    (NaN equal to NaN, as ``unique`` has it), on both paths, and every id
+    lies in ``0..count-1``."""
+    for name, (left, right, path) in _join_id_cases().items():
+        left_ids, right_ids, count = ops.OP_REGISTRY["join_ids"].kernel(
+            [left, right], {})
+        taken = ("identity" if left_ids is left and right_ids is right
+                 else "unique")
+        assert taken == path, name
+        assert count.dtype == np.int64 and count.shape == (), name
+        keys = np.concatenate([left, right])
+        ids = np.concatenate([left_ids, right_ids])
+        assert ids.dtype == np.int64 and ids.shape == keys.shape, name
+        assert ((0 <= ids) & (ids < count)).all(), name
+        same_key = keys[:, None] == keys[None, :]
+        if keys.dtype.kind == "f":
+            same_key |= np.isnan(keys)[:, None] & np.isnan(keys)[None, :]
+        np.testing.assert_array_equal(ids[:, None] == ids[None, :], same_key,
+                                      err_msg=name)
+
+
+def test_join_output_equals_the_joint_unique_output(monkeypatch):
+    """Every join answers exactly — row order and float bits included — what
+    it answers when ``join_ids`` is forced onto the joint densification, on
+    serial, ``parallelism=4`` and ``devices=4`` plans: key builds, key probes
+    and N:M joins over keys that are their own ids, negative keys, sparse keys,
+    float keys and NULL keys."""
+    from repro import DataFrame, ExecutionOptions, TQPSession
+    from repro.core.operators import join as join_module
+    from repro.core.tuning import tuning_overrides
+
+    rng = np.random.default_rng(29)
+    dim_keys = rng.permutation(400)
+    fact_keys = rng.integers(-3, 420, 3000)
+
+    def keyed(prefix, keys):
+        return {f"{prefix}k": keys, f"{prefix}n": -keys - 1,
+                f"{prefix}s": keys * 1_000_003, f"{prefix}f": keys / 2.0}
+
+    session = TQPSession()
+    session.register("dim", DataFrame({
+        **keyed("d", dim_keys), "g": dim_keys % 7,
+        "w": rng.uniform(0, 1, dim_keys.size)}))
+    session.register("fact", DataFrame({
+        **keyed("f", fact_keys), "x": rng.uniform(0, 100, fact_keys.size)}))
+    queries = [
+        f"select g, sum(x * w) as s, count(*) as c from fact "
+        f"{kind} join dim on f{suffix} = d{suffix} group by g order by g"
+        for kind in ("", "left") for suffix in "knsf"]
+    queries += [
+        f"select d{suffix}, x * w as p from dim join fact on d{suffix} = f{suffix}"
+        for suffix in "knsf"]
+    queries += [
+        "select count(*) as c, sum(a.x - b.x) as s from fact a "
+        "join fact b on a.fk = b.fk",
+        "select g, sum(x) as s from fact join dim "
+        "on case when x > 30 then fn end = dn group by g order by g",
+        "select count(*) as c from fact where fk in (select dk from dim)"]
+    monkeypatch.setattr(
+        join_module, "DEFAULT_TUNING",
+        join_module.DEFAULT_TUNING.replace(parallel_threshold_rows=0))
+    for options in (ExecutionOptions(backend="torchscript"),
+                    ExecutionOptions(backend="torchscript", parallelism=4),
+                    ExecutionOptions(backend="torchscript", devices=4)):
+        for sql in queries:
+            with tuning_overrides(parallel_threshold_rows=0, shard_min_rows=0):
+                compiled = session.compile(sql, options=options)
+            got = compiled.run().to_dict()
+            with monkeypatch.context() as forced:
+                forced.setattr(ops, "DIRECT_ADDRESS_SLACK", 0)
+                forced.setattr(ops, "DIRECT_ADDRESS_MIN_SPAN", 0)
+                assert compiled.run().to_dict() == got, (options, sql)
+
+
 def test_argsort_paths_agree_on_every_edge():
     for name, keys in _key_cases().items():
         want = np.argsort(keys, kind="stable").astype(np.int64)

@@ -6,10 +6,11 @@ line count they belong with: ``encode_column`` calls (one per distinct scanned
 column when conversion is shared), generated source lines registered with
 ``linecache`` (the plain bodies only, while nothing profiles), the gather
 nodes of the three optimized programs (``take`` / ``nonzero`` /
-``boolean_mask``: what late materialization left to run), and their reduction
-nodes (``scatter_add`` / ``scatter_min`` / ``scatter_max`` / ``bincount`` /
-``unique``: what grouping and the aggregate state table emit — a rewrite of
-either that changes no program repeats these exactly), and the join's index
+``boolean_mask``: what late materialization left to run), their reduction
+and key-id nodes (``scatter_add`` / ``scatter_min`` / ``scatter_max`` /
+``bincount`` / ``unique``: what grouping and the aggregate state table emit —
+a rewrite of either that changes no program repeats these exactly — and
+``join_ids``, one per join key column), and the join's index
 arithmetic (``repeat`` / ``argsort`` / ``cumsum`` / ``arange_until``: one
 ``argsort`` per key-probe join, nothing else while every join has a key
 side).  A second line
@@ -39,7 +40,8 @@ from repro.storage import encodings  # noqa: E402
 SCALE_FACTOR = 0.002
 QUERIES = (1, 3, 6)
 GATHERS = ("take", "nonzero", "boolean_mask")
-REDUCTIONS = ("scatter_add", "scatter_min", "scatter_max", "bincount", "unique")
+REDUCTIONS = ("scatter_add", "scatter_min", "scatter_max", "bincount", "unique",
+              "join_ids")
 JOIN_ARITHMETIC = ("repeat", "argsort", "cumsum", "arange_until")
 
 
