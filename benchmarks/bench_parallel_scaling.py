@@ -1,25 +1,26 @@
-"""Morsel-parallel scaling: Q1/Q6 reported time vs. worker count.
+"""Morsel-parallel scaling: Q1/Q6 *modelled* time vs. worker count.
 
 Runs the scan-heavy TPC-H queries (Q1: filter + wide grouped aggregation,
 Q6: filter + global aggregation) at ``parallelism`` ∈ {1, 2, 4, 8} and prints
-a speedup table per device model:
+a speedup table per device model.  Lanes are a model: every worker count
+runs the serial program (bit-identical results, the serial wall clock), and
+the cost model prices each kernel of an operator the planner put on ``N``
+lanes as one lane's share — over ``k``, one lane per whole 2,048-row morsel
+of the kernel's rows, at most ``N`` — plus ``N`` morsel dispatches per such
+operator:
 
-* ``cpu`` — profiled runs report kernel time with worker lanes charged as the
-  slowest lane plus a per-morsel dispatch cost: the multicore morsel-execution
-  model.  This is where morsel parallelism pays, and the curve must show ≥2×
-  at 4 workers on both queries.
-* ``cuda (simulated)`` — the roofline model charges kernel-launch overhead per
-  launch, so at benchmark scale morselization *loses*: each morsel re-pays
-  launch floors that one whole-column launch paid once.  The table records
-  that honestly; GPU morsel gains only appear once per-kernel bytes dominate
-  the 5 µs launch floor (morsels of several hundred thousand rows).
+* ``cpu`` — kernel time, ``elapsed / k`` per lanes kernel plus 8 µs per
+  dispatch.  The curve must show ≥2× at 4 workers on both queries;
+* ``cuda (simulated)`` — the roofline ``max(launch, bytes / (k · HBM))`` per
+  lanes kernel plus 4 µs per dispatch, so at benchmark scale lanes *lose*:
+  every kernel still pays its 5 µs launch floor.  The table records that
+  honestly.
 
-Both are *models* of concurrent lanes built from measured kernel times; the
-lanes themselves run one after another on this host, so the table prints the
-wall-clock 1w/4w ratio beside the modelled one, labelled as such.  Every cell
-is the median of ``RUNS`` executions after ``WARMUP`` warm-ups: the plans take
-a fraction of a millisecond, and three runs were too few to keep the asserted
-ratio out of the noise.
+The wall-clock 1w/4w ratio is printed beside the modelled one, labelled as
+such (≈1×: both run the same program).  Every cell is the median of ``RUNS``
+executions after ``WARMUP`` warm-ups: the plans take a fraction of a
+millisecond, and three runs were too few to keep the asserted ratio out of
+the noise.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from repro.datasets import tpch
 QUERIES = (1, 6)
 WORKERS = (1, 2, 4, 8)
 
-#: Morsels only amortize their per-kernel fixed costs with enough rows per
-#: lane; below this scale the suite still runs, but the 2x assertion is only
+#: Lanes only repay their dispatches with enough whole morsels per kernel;
+#: below this scale the suite still runs, but the 2x assertion is only
 #: meaningful at >= this scale factor.
 MIN_MEANINGFUL_SF = 0.01
 

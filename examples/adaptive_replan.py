@@ -16,6 +16,10 @@ entirely on how many rows survive the filter — runs under
    "exact" means bit-identical): strategies change operator variants,
    never results.
 
+The reported times are the ``cpu`` cost model's: lanes are a model, every
+strategy runs the serial program, and only the model spreads a lanes
+operator's kernels over its lanes and charges its morsel dispatches.
+
 Run with:  PYTHONPATH=src python examples/adaptive_replan.py
 """
 

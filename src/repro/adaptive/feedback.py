@@ -61,9 +61,8 @@ _FAMILY_PREFIXES = (
 #: ``boolean_mask``; an optimized graph program (``late_materialization``)
 #: turns the mask into one ``nonzero`` selection vector instead — 8-byte row
 #: ids out over a 1-byte-per-row mask in, an exact row ratio.  They are
-#: counted inside ``Filter`` scopes and inside lane sub-scopes (``...@w0``) —
-#: morsel pipelines fuse the filter into the downstream operator's workers,
-#: so that is where its masks run.
+#: counted inside ``Filter`` scopes (a shard's shuffle masks rows too, but
+#: selects nothing).
 _SELECTION_OPS = {"boolean_mask": 1, "nonzero": 8}
 
 
@@ -109,7 +108,8 @@ class ExecutionFeedback:
     region: tuple
     strategy: str
     #: Cost-model reported time — on the CPU device with profiling on, the
-    #: simulated kernel time (serial + slowest lane + dispatch overhead).
+    #: modelled kernel time (serial + one lane's share of the lanes work +
+    #: dispatch overhead).
     reported_s: float
     result_rows: int
     #: Observed fraction of filter input bytes that survived the masks, or
@@ -146,7 +146,7 @@ def harvest_feedback(profile: Profiler) -> tuple[
         bucket["in"] += event.input_bytes
         bucket["out"] += event.output_bytes
         weight = _SELECTION_OPS.get(event.op)
-        if weight and (family == "Filter" or "@" in event.scope):
+        if weight and family == "Filter":
             mask_in += weight * event.input_bytes
             mask_out += event.output_bytes
     observations = tuple(
@@ -249,8 +249,8 @@ class FeedbackStore:
 
         Pass ``strategy`` and ``plan_signature`` to compare like with like:
         different strategies (and different generations of one strategy's
-        plan) fuse operators differently — a morsel pipeline folds scan and
-        filter into the aggregate's scope — so their per-family byte
+        plan) run different kernels per operator — a sharded plan exchanges
+        rows and merges partial aggregates — so their per-family byte
         profiles are not comparable.
         """
         per_family: dict[str, list[int]] = {}

@@ -11,62 +11,66 @@ A *backend* in TQP terms is a compilation target for the tensor program
 
 Results are always computed by real kernels; only *time* is ever simulated.
 
-Partitioned plans (:mod:`repro.core.operators.partition`) run their partitions
-one after another and annotate every event with the worker lane / device shard
-it belongs to; :func:`split_partitions` is the one place that turns those
-annotations back into the concurrent structure every cost model charges:
-host work, plus the *slowest* shard, each of them serial work plus its
-*slowest* lane plus a fixed cost per morsel dispatch, plus every exchange as
-an interconnect transfer.
+Partitioned plans (:mod:`repro.core.operators.partition`) stamp every event
+with its operator's lanes width and its device shard; :func:`split_partitions`
+turns the stamps into the concurrent structure every cost model charges: host
+work plus the *slowest* shard, each serial work plus one lane's share of every
+lanes event plus ``n`` morsel dispatches per lanes operator, plus every
+exchange as an interconnect transfer.  Lanes are a *model*: the kernels are
+the serial program's, and so is the wall clock.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from repro.core.columnar import DEFAULT_MORSEL_ROWS
 from repro.tensor.op_semantics import EXCHANGE_OPS
 from repro.tensor.profiler import Profiler
 
 #: Ops charged by cost models as host<->device transfers rather than kernels.
 TRANSFER_OPS = frozenset({"to_device"})
 
-#: Ops that mark the hand-off of one morsel to a worker lane.  They are
-#: zero-copy identities — cost models must ignore their pass-through byte
-#: counts and charge a fixed per-dispatch scheduling cost instead.
-DISPATCH_OPS = frozenset({"morsel_dispatch"})
-
 
 @dataclasses.dataclass
 class Region:
-    """The events of one device (the host, or one shard), by worker lane.
+    """The events of one device (the host, or one shard).
 
     Attributes:
-        serial: events whose stamp names no worker lane.
-        lanes: worker-lane id → the events executed on that lane.  Lanes run
-            concurrently: a region's time charges its *slowest lane*.
-        dispatches: morsel hand-offs.  Morsels are handed out one at a time
-            by the scheduler, so dispatch is the part of a parallel region
-            that never scales: a fixed cost each, their bytes ignored.
+        serial: events with no lanes width, or under two :func:`morsel_lanes`.
+        spread: ``(event, k)`` for every other event: a lane runs 1/k of it.
+        operators: the lanes operators' stamps ``(scope, n)``, each handing
+            out ``n`` morsels.  A set, not a run of events: a graph pass that
+            moves or fuses a kernel leaves the count alone (operators sharing
+            a label share one entry).
     """
 
     serial: list = dataclasses.field(default_factory=list)
-    lanes: dict = dataclasses.field(default_factory=dict)
-    dispatches: list = dataclasses.field(default_factory=list)
+    spread: list = dataclasses.field(default_factory=list)
+    operators: set = dataclasses.field(default_factory=set)
 
-    def events(self):
+    @property
+    def dispatches(self) -> int:
+        """Morsel hand-offs: one scheduler, so they never scale."""
+        return sum(n for _, n in self.operators)
+
+    def events(self) -> list:
         """Every event of the region."""
-        yield from self.serial
-        for lane_events in self.lanes.values():
-            yield from lane_events
-        yield from self.dispatches
+        return self.serial + [event for event, _ in self.spread]
 
-    def time(self, cost, dispatch_overhead_s: float) -> float:
-        """Serial work + the slowest lane + per-dispatch scheduling, with
-        ``cost(event)`` the model's price of one kernel."""
+    def time(self, cost, dispatch_overhead_s: float, share=None) -> float:
+        """Serial work + one lane's share of the lanes work + dispatches:
+        ``cost(event)`` prices a kernel, ``share(event, k)`` a lane's part."""
+        share = share or (lambda event, n: cost(event) / n)
         return (sum(cost(event) for event in self.serial)
-                + max((sum(cost(event) for event in lane_events)
-                       for lane_events in self.lanes.values()), default=0.0)
-                + len(self.dispatches) * dispatch_overhead_s)
+                + sum(share(event, n) for event, n in self.spread)
+                + self.dispatches * dispatch_overhead_s)
+
+
+def morsel_lanes(event) -> int:
+    """The lanes an event's work spreads over: one per whole morsel of its
+    rows, at most its operator's width (under two, it is priced whole)."""
+    return max(1, min(event.lanes or 1, event.rows // DEFAULT_MORSEL_ROWS))
 
 
 def split_partitions(events) -> tuple[Region, dict, list]:
@@ -79,9 +83,7 @@ def split_partitions(events) -> tuple[Region, dict, list]:
     they are zero-copy identities whose *payload bytes* (their output tensor;
     input + output would count the payload twice) the cost models charge
     against an interconnect tier, never as kernels.  Events whose stamp names
-    no shard run on the host.  Devices run concurrently, so a sharded
-    plan charges its *slowest shard*, plus the host region, plus the
-    exchanges.
+    no shard run on the host.
     """
     host, shards, exchanges = Region(), {}, []
     for event in events:
@@ -90,12 +92,13 @@ def split_partitions(events) -> tuple[Region, dict, list]:
             continue
         region = (host if event.shard is None
                   else shards.setdefault(event.shard, Region()))
-        if event.op in DISPATCH_OPS:
-            region.dispatches.append(event)
-        elif event.lane is None:
+        if event.lanes is not None:
+            region.operators.add((event.scope, event.lanes))
+        lanes = morsel_lanes(event)
+        if lanes < 2:
             region.serial.append(event)
         else:
-            region.lanes.setdefault(event.lane, []).append(event)
+            region.spread.append((event, lanes))
     return host, shards, exchanges
 
 

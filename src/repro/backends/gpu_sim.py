@@ -66,7 +66,7 @@ class SimulatedGPU(DeviceCostModel):
         self.pcie_latency_s = pcie_latency_s
         #: Stream/scheduling cost charged per morsel handed to a worker lane
         #: (the GPU analogue is launching the morsel's kernels on a side
-        #: stream).  Dispatch is serial — it caps morsel-parallel speedup.
+        #: stream), ``n`` per lanes operator.  It caps the modelled speedup.
         self.morsel_dispatch_overhead_s = morsel_dispatch_overhead_s
         #: Peer-to-peer bandwidth between simulated GPUs (NVLink-class).
         self.nvlink_bandwidth_gbs = nvlink_bandwidth_gbs
@@ -91,14 +91,16 @@ class SimulatedGPU(DeviceCostModel):
         transfers, kernels = profile.partition(TRANSFER_OPS)
         host, shards, exchanges = split_partitions(kernels)
 
-        def kernel_cost(event) -> float:
-            return max(self.kernel_launch_overhead_s, event.total_bytes / hbm_bps)
+        def kernel_cost(event, lanes: int = 1) -> float:
+            # A lane moves 1/lanes of the bytes but pays a whole launch.
+            return max(self.kernel_launch_overhead_s,
+                       event.total_bytes / (lanes * hbm_bps))
 
         def region_cost(region) -> float:
-            # Worker lanes run concurrently: the parallel region costs its
-            # slowest lane.  Per-morsel dispatch stays serial (one scheduler),
-            # which is what bends the speedup curve at high worker counts.
-            return region.time(kernel_cost, self.morsel_dispatch_overhead_s)
+            # Per-morsel dispatch stays serial (one scheduler), which is what
+            # bends the speedup curve at high worker counts.
+            return region.time(kernel_cost, self.morsel_dispatch_overhead_s,
+                               kernel_cost)
 
         # Simulated devices run concurrently: a distributed region costs its
         # slowest device, on top of everything the host executes serially.

@@ -28,9 +28,8 @@ class SimulatedWASM(DeviceCostModel):
         #: JS/WASM boundary crossing cost charged per executed op.
         self.per_op_overhead_s = per_op_overhead_s
         #: ``postMessage``-style cost charged per morsel handed to a Web
-        #: Worker — on top of the boundary crossing the dispatch op pays like
-        #: every other event, and deliberately steep: browsers make fine-
-        #: grained task parallelism expensive.
+        #: Worker (``n`` per lanes operator) — deliberately steep: browsers
+        #: make fine-grained task parallelism expensive.
         self.morsel_dispatch_overhead_s = morsel_dispatch_overhead_s
         #: Structured-clone serialization bandwidth for moving a shard
         #: fragment between Web Workers — the browser's "interconnect" copies
@@ -47,10 +46,9 @@ class SimulatedWASM(DeviceCostModel):
         Every profiler event pays the JS/WASM boundary cost once, so fused
         elementwise chains pay it once per fused kernel.
 
-        Morsel-parallel plans model Web-Worker execution: the measured time of
-        worker-lane kernels is replaced by the slowest lane's share before the
-        slowdown is applied, and every morsel dispatch pays a ``postMessage``
-        charge on top of its boundary crossing.
+        Morsel-parallel plans model Web-Worker execution: a lanes kernel's
+        measured time becomes one lane's share, ``elapsed / k``, before the
+        slowdown, and every morsel dispatch pays a ``postMessage`` charge.
 
         Multi-device plans model a Web-Worker *pool*: each shard's kernels run
         on their own worker, so the measured time of all shard kernels (and of
@@ -71,15 +69,13 @@ class SimulatedWASM(DeviceCostModel):
                                             for event in exchanges)
             kernel_s = max(0.0,
                            kernel_s - off_host_s + max(shard_s, default=0.0))
-        if host.lanes:
-            lane_s = [sum(event.elapsed_s for event in lane_events)
-                      for lane_events in host.lanes.values()]
-            kernel_s = max(0.0, kernel_s - sum(lane_s) + max(lane_s))
+        kernel_s = max(0.0, kernel_s - sum(event.elapsed_s * (n - 1) / n
+                                           for event, n in host.spread))
         bandwidth_bps = self.message_bandwidth_gbs * 1e9
         message_s = sum(self.message_latency_s
                         + event.output_bytes / bandwidth_bps
                         for event in exchanges)
         return (kernel_s * self.slowdown
                 + n_boundary_crossings * self.per_op_overhead_s
-                + len(host.dispatches) * self.morsel_dispatch_overhead_s
+                + host.dispatches * self.morsel_dispatch_overhead_s
                 + message_s)

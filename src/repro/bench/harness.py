@@ -85,8 +85,8 @@ def time_tqp(session: TQPSession, sql: str, options: ExecutionOptions,
              profile: bool = False) -> BenchResult:
     """Compile ``sql`` once and measure ``runs`` executions after ``warmup``.
 
-    Pass ``profile=True`` for every point of a lane / shard scaling curve, so
-    the device cost models see the per-lane and per-shard timelines and every
+    Pass ``profile=True`` for every point of a lanes / shard scaling curve, so
+    the device cost models see the lanes widths and shard timelines and every
     point reports on the same basis (the CPU device reports kernel time for
     profiled runs, wall time otherwise; mixing the two would make speedups
     incomparable).

@@ -100,9 +100,9 @@ def date_literal_to_ns(text: str) -> int:
 
 # -- morsels -------------------------------------------------------------------
 
-#: Rows per morsel for the morsel-driven parallel operators.  Chosen so one
-#: morsel of a typical TPC-H lineitem projection (~6 columns × 8 bytes) stays
-#: around L2-cache size, the classic morsel-driven-execution sizing rule.
+#: Rows per morsel (zone-map block, partitioning-threshold and lanes-model
+#: unit): one morsel of a typical TPC-H lineitem projection (~6 columns × 8
+#: bytes) stays around L2-cache size, the classic morsel-driven sizing rule.
 DEFAULT_MORSEL_ROWS = 2048
 
 
@@ -397,12 +397,6 @@ class TensorTable:
         """A contiguous row range of every column (zero-copy views)."""
         return TensorTable({name: col.slice(start, length)
                             for name, col in self._columns.items()})
-
-    def morsels(self, morsel_rows: int = DEFAULT_MORSEL_ROWS
-                ) -> Iterable["TensorTable"]:
-        """Partition the table into fixed-size row morsels (last one short)."""
-        for start, length in morsel_bounds(self.num_rows, morsel_rows):
-            yield self.slice(start, length)
 
     def to(self, device: Device | str) -> "TensorTable":
         return TensorTable({name: col.to(device)

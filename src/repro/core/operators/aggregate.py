@@ -16,14 +16,14 @@ the state table below:
 * **finalize** — state to output column: cast, ``sum / max(vcount, 1)``,
   NULL where ``vcount == 0``.
 
-A serial plan runs state → finalize on its one table.  Over a partitioned
-input — morsels on worker lanes or shards on devices, one implementation —
-every partition runs the same state step and stores it as a *partial table*
-(group keys plus state columns, a few rows per group); ``gather`` brings the
-partials together (the only rows that cross the interconnect, the classic
-reason two-phase aggregation is the backbone of every distributed engine),
-they are re-grouped, combined, and finalized by the same function.  The
-output is one unpartitioned table.
+A serial plan runs state → finalize on its one table, and so does a lanes
+plan (lanes are a cost model: :mod:`repro.core.operators.partition`).  Over a
+sharded input every shard runs the same state step and stores it as a
+*partial table* (group keys plus state columns, a few rows per group);
+``gather`` brings the partials together (the only rows that cross the
+interconnect, the classic reason two-phase aggregation is the backbone of
+every distributed engine), they are re-grouped, combined, and finalized by
+the same function.  The output is one unpartitioned table.
 """
 
 from __future__ import annotations
@@ -192,6 +192,10 @@ class HashAggregateOperator(TensorOperator):
         #: How the partial phase is partitioned; the merged output is not.
         self.input_partitioning = input_partitioning
 
+    @property
+    def scheme(self) -> Partitioning:
+        return self.input_partitioning
+
     def describe(self) -> str:
         return partition_label(self.labels, self.input_partitioning,
                                f"groups={len(self.group_exprs)}")
@@ -243,8 +247,7 @@ class HashAggregateOperator(TensorOperator):
     # -- execution ------------------------------------------------------------
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        data = input_of(self.children[0], self.input_partitioning, ctx,
-                        closed=True)
+        data = input_of(self.children[0], self.input_partitioning, ctx)
 
         def over_rows(table: TensorTable, finish) -> TensorTable:
             # Group keys keep dictionary codes: densification runs on ``(n,)``
@@ -258,8 +261,7 @@ class HashAggregateOperator(TensorOperator):
         if isinstance(data, TensorTable):
             return over_rows(data, _finalize)
         label = self.describe()
-        merged = gather(data.map(lambda table: over_rows(table, _store), label),
-                        label)
+        merged = gather(data.map(lambda table: over_rows(table, _store), label))
         return self._grouped(
             merged, [merged.column(name) for name in self.group_names],
             partial(_state_of_partials, merged), _finalize)

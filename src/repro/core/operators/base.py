@@ -58,14 +58,22 @@ class TensorOperator:
                  partitioning: Partitioning = NONE):
         self.children = children
         #: How this operator's output is partitioned (chosen by the planner).
-        #: ``execute`` always hands back one table; a partitioned operator
-        #: also streams its output through ``partitions``.
+        #: ``execute`` always hands back one table; a sharded operator also
+        #: hands its shards over through ``partitions``.
         self.partitioning = partitioning
 
+    @property
+    def scheme(self) -> Partitioning:
+        """The partitioning this operator runs under (its output's)."""
+        return self.partitioning
+
     def _scoped(self, body, ctx: ExecutionContext):
-        """Run ``body`` stamped with this operator's label: eager events and
-        traced nodes alike say which operator they belong to."""
-        with stamped(scope=self.describe()):
+        """Run ``body`` stamped with this operator's label and lanes width:
+        eager events and traced nodes alike say which operator they belong
+        to and how many worker lanes the cost models spread it over."""
+        scheme = self.scheme
+        with stamped(scope=self.describe(),
+                     lanes=scheme.n if scheme.kind == "lanes" else None):
             return body(ctx)
 
     def execute(self, ctx: ExecutionContext) -> TensorTable:
@@ -73,7 +81,7 @@ class TensorOperator:
         return self._scoped(self._execute, ctx)
 
     def partitions(self, ctx: ExecutionContext) -> PartitionedTable:
-        """Execute the subtree into the partitions of ``self.partitioning``."""
+        """Execute the subtree into the shards of ``self.partitioning``."""
         return self._scoped(self._partitions, ctx)
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
@@ -120,15 +128,14 @@ class MapOperator(TensorOperator):
         return parts.map(lambda table: self._apply(table, ctx), self.describe())
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        data = input_of(self.children[0], self.partitioning, ctx, closed=True)
+        data = input_of(self.children[0], self.partitioning, ctx)
         if isinstance(data, TensorTable):
             return self._apply(data, ctx)
-        return gather(self._mapped(data, ctx), self.describe())
+        return gather(self._mapped(data, ctx))
 
     def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
         return self._mapped(
-            input_of(self.children[0], self.partitioning, ctx, closed=False),
-            ctx)
+            input_of(self.children[0], self.partitioning, ctx), ctx)
 
     def _details(self) -> tuple:
         """What the label shows before the partitioning suffix."""

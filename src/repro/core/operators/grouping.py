@@ -57,13 +57,13 @@ def id_count(ids: Tensor) -> Tensor:
     return ops.cast(ops.add(ops.max_(padded), 1), "int64")
 
 
-def factorize_pair(left: ExprValue, right: ExprValue, dense: bool = False
+def factorize_pair(left: ExprValue, right: ExprValue
                    ) -> tuple[Tensor, Tensor, Tensor]:
     """One key column of a join's two sides as ids from one id space, so equal
     values map to equal ids: ``(left ids, right ids, id count)``.
 
-    Numeric keys go through :func:`repro.tensor.ops.join_ids` (``dense``: ids
-    ``0..G-1`` in key order); padded strings are ranked together.  A NULL key
+    Numeric keys go through :func:`repro.tensor.ops.join_ids`; padded strings
+    are ranked together.  A NULL key
     equals nothing, itself included: NULL rows take one fresh id per side,
     which no row of the other side carries.
     """
@@ -82,7 +82,7 @@ def factorize_pair(left: ExprValue, right: ExprValue, dense: bool = False
         target = ("float64" if LogicalType.FLOAT in (left.ltype, right.ltype)
                   else "int64")
         left_ids, right_ids, count = ops.join_ids(
-            ops.cast(left.tensor, target), ops.cast(right.tensor, target), dense)
+            ops.cast(left.tensor, target), ops.cast(right.tensor, target))
     if left.valid is not None or right.valid is not None:
         if left.valid is not None:
             left_ids = ops.where(left.valid, left_ids, count)

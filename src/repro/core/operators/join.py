@@ -29,17 +29,12 @@ and sort floats, epoch-ns dates and domains much wider than the row count —
 see the constants in :mod:`repro.tensor.ops`.  The output (row order
 included) is the same either way.
 
-Partitioned plans keep two exchange strategies because they are different
-algorithms, selected by the partitioning the planner placed the join under:
-
-* ``lanes`` — **radix partitioning** of globally densified ids: both sides
-  share one dictionary (``join_ids(dense=True)``: the partition of a key and
-  the table of a partition read the numbering), and the build/probe runs per
-  key partition on its own worker lane;
-* ``shards`` — a **value-hash shuffle** (both sides repartition on the join
-  keys, so equal keys meet on one device and every join kind is decided
-  locally) or a **broadcast** of one small unsharded side to every device;
-  each device then runs the ordinary serial join on what it holds.
+A ``lanes`` join is the serial join, stamped with its lanes width for the
+cost models.  A ``shards`` join exchanges first: a **value-hash shuffle**
+(both sides repartition on the join keys, so equal keys meet on one device
+and every join kind is decided locally) or a **broadcast** of one small
+unsharded side to every device; each device then runs the ordinary serial
+join on what it holds.
 """
 
 from __future__ import annotations
@@ -59,12 +54,10 @@ from repro.core.operators.partition import (
     concat_rows,
     partition_label,
     repartition,
-    run_partitions,
 )
-from repro.core.tuning import DEFAULT_TUNING
 from repro.errors import ExecutionError
 from repro.frontend.ast import Expr
-from repro.tensor import Tensor, current_stamp, ops
+from repro.tensor import Tensor, ops
 
 
 def merge_tables(left: TensorTable, right: TensorTable) -> TensorTable:
@@ -155,8 +148,7 @@ class HashJoinOperator(TensorOperator):
     ``"right"`` (sharded probe side) is valid for every join kind — each left
     row lives on exactly one shard and sees the complete right side there —
     while ``"left"`` is inner-only: a broadcast left row would match (or
-    survive) once per shard under any other kind.  The output stays sharded;
-    a ``lanes`` join takes and returns whole tables.
+    survive) once per shard under any other kind.  The output stays sharded.
     """
 
     name = "HashJoin"
@@ -190,6 +182,10 @@ class HashJoinOperator(TensorOperator):
         self.key_side = key_side
         self.key_reason = key_reason
 
+    @property
+    def scheme(self) -> Partitioning:
+        return self.exchange
+
     def describe(self) -> str:
         labels = ("HashJoin", "PartitionedHashJoin",
                   "BroadcastJoin" if self.broadcast else "ShuffleJoin")
@@ -208,8 +204,7 @@ class HashJoinOperator(TensorOperator):
         """``(left ids, right ids, id count)`` of the join keys."""
         columns = [
             factorize_pair(evaluate(left_expr, left_table, ctx.eval_ctx),
-                           evaluate(right_expr, right_table, ctx.eval_ctx),
-                           dense=self.exchange.kind == "lanes")
+                           evaluate(right_expr, right_table, ctx.eval_ctx))
             for left_expr, right_expr in zip(self.left_keys, self.right_keys)]
         if len(columns) == 1:
             return columns[0]
@@ -229,8 +224,7 @@ class HashJoinOperator(TensorOperator):
 
         The ids are bounded, so the build side is a direct-address table of
         ``num_ids`` slots: one ``bincount`` of the right ids, indexed by the
-        left ids.  The radix exchange runs this per key partition; everything
-        downstream (:func:`finish_join`) is shared.
+        left ids.  Everything downstream (:func:`finish_join`) is shared.
         """
         build = ops.bincount(right_ids, minlength=num_ids)
         counts = ops.take(build, left_ids)
@@ -273,87 +267,20 @@ class HashJoinOperator(TensorOperator):
         pair_right = ops.take(order, pair_right_sorted)
         return counts, (pair_left, pair_right)
 
-    def _radix_match_pairs(self, left_ids: Tensor, right_ids: Tensor,
-                           num_ids: Tensor, need_pairs: bool
-                           ) -> tuple[Tensor, Optional[tuple[Tensor, Tensor]]]:
-        """:meth:`_match_pairs`, one key partition per worker lane.
-
-        The direct-address table of the build ids and the ordering of the
-        build rows are built per partition (``id mod P``, matched on
-        ``id // P`` so every partition's table is dense, ~G/P slots).
-        Partition row indices map local matches back to global row ids.
-        """
-        n_left = left_ids.shape[0]
-        n_right = right_ids.shape[0]
-        partitions = self.exchange.n
-        if (partitions <= 1 or n_left == 0 or n_right == 0
-                or max(n_left, n_right) < DEFAULT_TUNING.parallel_threshold_rows):
-            return self._match_pairs(left_ids, right_ids, num_ids, need_pairs)
-
-        # Single-pass radix partition (the serial phase): one stable argsort
-        # per side groups the row indices of every partition contiguously, and
-        # searchsorted yields all partition boundaries at once — instead of
-        # rescanning the full key arrays once per partition.
-        def partition_layout(ids: Tensor) -> tuple[Tensor, list[int]]:
-            part = ops.mod(ids, partitions)
-            order = ops.argsort(part)
-            bounds = ops.searchsorted(
-                ops.take(part, order),
-                ops.arange(partitions + 1, device=ids.device), side="left")
-            return order, [int(b) for b in bounds.numpy()]
-
-        left_order, left_bounds = partition_layout(left_ids)
-        right_order, right_bounds = partition_layout(right_ids)
-        local_ids = ops.floordiv(ops.add(num_ids, partitions - 1), partitions)
-
-        def match_partition(p: int):
-            lsel = ops.narrow(left_order, 0, left_bounds[p],
-                              left_bounds[p + 1] - left_bounds[p])
-            rsel = ops.narrow(right_order, 0, right_bounds[p],
-                              right_bounds[p + 1] - right_bounds[p])
-            # Ids sharing ``id mod P`` stay distinct and ordered under
-            # ``id // P`` and are dense again, so each table is ~G/P slots.
-            lids = ops.floordiv(
-                ops.morsel_dispatch(ops.take(left_ids, lsel),
-                                    current_stamp().lane, p,
-                                    rows=lsel.shape[0]), partitions)
-            rids = ops.floordiv(ops.take(right_ids, rsel), partitions)
-            local_counts, local_pairs = self._match_pairs(
-                lids, rids, local_ids, need_pairs)
-            if local_pairs is None:
-                return lsel, local_counts, None, None
-            return (lsel, local_counts,
-                    ops.take(lsel, local_pairs[0]), ops.take(rsel, local_pairs[1]))
-
-        parts = run_partitions(self.exchange, match_partition, self.describe())
-
-        counts = ops.scatter_add(ops.concat([part[0] for part in parts], axis=0),
-                                 ops.concat([part[1] for part in parts], axis=0),
-                                 size=n_left)
-        if not need_pairs:
-            return counts, None
-        pair_left = ops.concat([part[2] for part in parts], axis=0)
-        pair_right = ops.concat([part[3] for part in parts], axis=0)
-        return counts, (pair_left, pair_right)
-
     # -- execution ------------------------------------------------------------
 
     def _join_tables(self, left_table: TensorTable, right_table: TensorTable,
-                     ctx: ExecutionContext, match_pairs) -> TensorTable:
+                     ctx: ExecutionContext) -> TensorTable:
         """Join two materialized tables: densify, match, finish."""
         need_pairs = not (self.kind in ("semi", "anti") and self.residual is None)
-        counts, pairs = match_pairs(
+        counts, pairs = self._match_pairs(
             *self._key_ids(left_table, right_table, ctx), need_pairs)
         return finish_join(self.kind, self.residual, left_table, right_table,
                            counts, pairs, ctx)
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        left_table = self.children[0].execute(ctx)
-        right_table = self.children[1].execute(ctx)
-        return self._join_tables(
-            left_table, right_table, ctx,
-            self._radix_match_pairs if self.exchange.kind == "lanes"
-            else self._match_pairs)
+        return self._join_tables(self.children[0].execute(ctx),
+                                 self.children[1].execute(ctx), ctx)
 
     def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
         left_op, right_op = self.children
@@ -372,8 +299,7 @@ class HashJoinOperator(TensorOperator):
         return PartitionedTable.run(
             scheme,
             lambda shard: self._join_tables(
-                left.produce(shard), right.produce(shard), ctx,
-                self._match_pairs),
+                left.produce(shard), right.produce(shard), ctx),
             self.describe())
 
 

@@ -5,54 +5,54 @@ morsel-parallel and a multi-device plan is the :class:`Partitioning` the
 planner placed each operator under:
 
 * ``none`` — one table, one execution lane;
-* ``lanes(n)`` — the classic Hyper-style morsel model: the input is cut into
-  morsels that ``n`` worker lanes of one device work through;
+* ``lanes(n)`` — a *model* of ``n`` worker lanes of one device.  The operator
+  runs its serial body inside one ``stamped(lanes=n)`` frame, so a lanes plan
+  traces, optimizes and generates exactly the serial program; the device cost
+  models (:mod:`repro.backends.base`) price each event stamped ``lanes=n`` as
+  one lane's share over one lane per whole morsel of its rows (at most
+  ``n``), plus ``n`` morsel dispatches per lanes operator;
 * ``shards(n, hash|range)`` — the table lives on ``n`` simulated devices,
   placed at load time (:mod:`repro.distributed.sharding`).
 
-A partitioned operator hands its parent a :class:`PartitionedTable` and every
-per-partition body runs through :func:`run_partitions`.  Where a child's
-property is not what its parent needs, an **enforcer** from this module sits
-on the edge: :func:`slice_table` (none → lanes), :func:`repartition`
-(shards → shards by join-key hash), :func:`broadcast` (none → shards,
-replicated) and :func:`gather` (anything → none).
+A sharded operator hands its parent a :class:`PartitionedTable` and every
+per-shard body runs through :func:`run_partitions`.  Where a child's property
+is not what its parent needs, an **enforcer** from this module sits on the
+edge: :func:`repartition` (shards → shards by join-key hash),
+:func:`broadcast` (none → shards, replicated) and :func:`gather` (shards →
+none).
 
-Results are always computed with real kernels, one partition after another
+Results are always computed with real kernels, one shard after another
 (deterministic, trace- and profile-friendly); like the simulated devices,
-only *time* is simulated.  Each partition runs under one
+only *time* is simulated.  Each shard runs under one
 :class:`~repro.tensor.profiler.stamped` frame — the operator's label plus the
-worker lane or device shard, on every event and every traced node — a lane
-hand-off is one ``morsel_dispatch`` op, and data movement between devices is
-explicit — one ``shard_exchange`` / ``shard_broadcast`` / ``shard_gather``
-identity op per column tensor (plus one per validity mask), so the bytes a
-cost model charges are exactly the bytes the plan moves.  The device cost
-models replay those annotations into concurrent timelines: reported time
-charges the *slowest* lane or device, a fixed cost per dispatch, and every
-exchange as an interconnect transfer.
+device shard, on every event and every traced node — and data movement
+between devices is explicit: one ``shard_exchange`` / ``shard_broadcast`` /
+``shard_gather`` identity op per column tensor (plus one per validity mask),
+so the bytes a cost model charges are exactly the bytes the plan moves.  The
+device cost models replay those annotations into concurrent timelines:
+reported time charges the *slowest* device and every exchange as an
+interconnect transfer.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from repro.core.columnar import (
-    DEFAULT_MORSEL_ROWS,
     LogicalType,
     TensorColumn,
     TensorTable,
     concat_columns,
-    morsel_bounds,
 )
 from repro.core.expressions import ExprValue, decode_value, evaluate
-from repro.core.tuning import DEFAULT_TUNING
 from repro.distributed.sharding import (
     HASH_MIX,
     STRING_HASH_BASE,
     string_hash_weights,
 )
 from repro.errors import ExecutionError
-from repro.tensor import Tensor, current_stamp, ops, stamped
+from repro.tensor import Tensor, ops, stamped
 
 #: The partitioning kinds, in the order operators list their ``labels``.
 KINDS = ("none", "lanes", "shards")
@@ -68,13 +68,11 @@ class Partitioning:
         placement: ``shards`` only — the load-time placement of base tables
             (``"hash"`` or ``"range"``).  Query-time exchanges re-hash by join
             key, so both placements run the same plans.
-        morsel_rows: ``lanes`` only — the morsel size floor.
     """
 
     kind: str = "none"
     n: int = 1
     placement: str = ""
-    morsel_rows: int = DEFAULT_MORSEL_ROWS
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -91,8 +89,8 @@ class Partitioning:
 NONE = Partitioning()
 
 
-def lanes(n: int, morsel_rows: int = DEFAULT_MORSEL_ROWS) -> Partitioning:
-    return Partitioning("lanes", n, morsel_rows=morsel_rows)
+def lanes(n: int) -> Partitioning:
+    return Partitioning("lanes", n)
 
 
 def shards(n: int, placement: str = "hash") -> Partitioning:
@@ -117,25 +115,19 @@ def partition_label(labels: tuple, scheme: Partitioning, *details: str,
     return f"{name}({', '.join(args)})" if args else name
 
 
-# -- running partitions ---------------------------------------------------------
+# -- running shards -------------------------------------------------------------
 
 
 def run_partitions(scheme: Partitioning, fn: Callable[[int], object],
-                   label: str = "", count: Optional[int] = None) -> list:
-    """Run ``fn(index)`` for every partition, inside its slot's annotation.
-
-    Partitions execute one after another, round-robin over the scheme's ``n``
-    slots (``count`` defaults to one partition per slot); results come back
-    in partition order.  Each runs stamped with its slot as worker lane or
-    device shard — the cost models turn the stamps back into concurrent
-    timelines — and with the scope ``<label>@w<lane>`` / ``<label>@d<shard>``.
-    """
-    field, tag = ("lane", "w") if scheme.kind == "lanes" else ("shard", "d")
+                   label: str = "") -> list:
+    """Run ``fn(shard)`` for every shard of ``scheme``, one after another,
+    each stamped with its shard and the scope ``<label>@d<shard>``; results
+    come back in shard order.  The cost models turn the stamps back into
+    concurrent timelines."""
     results = []
-    for index in range(scheme.n if count is None else count):
-        slot = index % scheme.n
-        with stamped(scope=label and f"{label}@{tag}{slot}", **{field: slot}):
-            results.append(fn(index))
+    for shard in range(scheme.n):
+        with stamped(scope=label and f"{label}@d{shard}", shard=shard):
+            results.append(fn(shard))
     return results
 
 
@@ -154,128 +146,50 @@ def concat_rows(tables: list[TensorTable]) -> TensorTable:
 
 
 class PartitionedTable:
-    """One table per partition of a :class:`Partitioning`.
+    """One table per shard of a ``shards`` :class:`Partitioning`.
 
-    Partitions are *producers*: zero-argument callables that
-    :meth:`tables` runs inside the partition's annotation.  Under ``lanes``
-    a :meth:`map` only composes producers, so a morsel cut by the scan is
-    filtered, projected and pre-aggregated on the *same* worker lane with no
-    materialization barrier between the stages; under ``shards`` every
-    operator is a step all devices finish before the next one starts, so
-    :meth:`map` settles its result at once.
+    Partitions are *producers*: zero-argument callables that the consumer
+    runs inside the shard's annotation, which is how :func:`broadcast` and
+    :func:`repartition` deliver moved data on the receiving shard.  Every
+    operator is a step all devices finish before the next one starts, so an
+    operator's own output (:meth:`run`, :meth:`map`) is computed at once.
     """
 
     def __init__(self, scheme: Partitioning,
-                 producers: list[Callable[[], TensorTable]],
-                 settled: Optional[list[TensorTable]] = None):
+                 producers: list[Callable[[], TensorTable]]):
         self.scheme = scheme
         self._producers = producers
-        self._settled = settled
 
     @classmethod
     def of(cls, scheme: Partitioning, tables: list[TensorTable]
            ) -> "PartitionedTable":
         """Partitions that are already computed."""
-        return cls(scheme, [], settled=list(tables))
+        return cls(scheme, [lambda table=table: table for table in tables])
 
     @classmethod
     def run(cls, scheme: Partitioning, fn: Callable[[int], TensorTable],
             label: str = "") -> "PartitionedTable":
-        """One partition per slot, computed now (see :func:`run_partitions`)."""
+        """One partition per shard, computed now (see :func:`run_partitions`)."""
         return cls.of(scheme, run_partitions(scheme, fn, label))
-
-    def __len__(self) -> int:
-        return len(self._producers if self._settled is None else self._settled)
 
     def produce(self, index: int) -> TensorTable:
         """Partition ``index``; the caller is inside its annotation."""
-        if self._settled is not None:
-            return self._settled[index]
         return self._producers[index]()
-
-    def tables(self, label: str = "") -> list[TensorTable]:
-        """Every partition, in partition order (computed once)."""
-        if self._settled is None:
-            self._settled = run_partitions(self.scheme, self.produce, label,
-                                           count=len(self))
-        return self._settled
 
     def map(self, fn: Callable[[TensorTable], TensorTable], label: str = ""
             ) -> "PartitionedTable":
-        mapped = PartitionedTable(
-            self.scheme,
-            [(lambda i=i: fn(self.produce(i))) for i in range(len(self))])
-        if self.scheme.kind == "shards":
-            mapped.tables(label)
-        return mapped
+        return PartitionedTable.run(
+            self.scheme, lambda shard: fn(self.produce(shard)), label)
 
 
-# -- enforcers: none -> lanes ---------------------------------------------------
-
-#: Morsels handed to each worker lane before the input is exhausted.  One per
-#: lane when the input is large: round-robin assignment over uniform slices is
-#: perfectly balanced anyway (the simulation has no work stealing to feed),
-#: and larger morsels amortize the fixed per-kernel cost that would otherwise
-#: drown cheap predicates in per-morsel overhead.  Inputs near the morsel
-#: floor still split into many ``morsel_rows``-sized pieces.
-_MORSELS_PER_LANE = 1
-
-
-def effective_morsel_rows(num_rows: int, morsel_rows: int, parallelism: int) -> int:
-    """Adaptive morsel size: at least ``morsel_rows``, at most what spreads the
-    input over ``_MORSELS_PER_LANE`` morsels per worker lane."""
-    target = -(-num_rows // max(1, parallelism * _MORSELS_PER_LANE))
-    return max(morsel_rows, target)
-
-
-def _dispatched(table: TensorTable, morsel: int) -> TensorTable:
-    """Stamp a morsel hand-off: thread the first column through the
-    ``morsel_dispatch`` identity op so both the profile and the traced graph
-    record one dispatch per morsel per worker."""
-    names = table.column_names
-    if not names:
-        return table
-    first = table.column(names[0])
-    tagged = TensorColumn(
-        ops.morsel_dispatch(first.tensor, current_stamp().lane, morsel,
-                            rows=first.num_rows),
-        first.ltype, first.valid, first.encoding,
-    )
-    return table.with_column(names[0], tagged)
-
-
-def slice_table(table: TensorTable, scheme: Partitioning) -> PartitionedTable:
-    """Cut a materialized table into dispatch-stamped morsels, one zero-copy
-    ``narrow`` view each (one empty morsel for an empty input, so downstream
-    consumers still see the schema)."""
-    if scheme.kind != "lanes":
-        raise ExecutionError(f"cannot slice a table into {scheme.kind}")
-    rows = effective_morsel_rows(table.num_rows, scheme.morsel_rows, scheme.n)
-    bounds = morsel_bounds(table.num_rows, rows) or [(0, 0)]
-    return PartitionedTable(scheme, [
-        (lambda i=i, start=start, length=length:
-         _dispatched(table.slice(start, length), i))
-        for i, (start, length) in enumerate(bounds)])
-
-
-def input_of(child, scheme: Partitioning, ctx, closed: bool
+def input_of(child, scheme: Partitioning, ctx
              ) -> Union[TensorTable, PartitionedTable]:
     """``child``'s output in the form an operator running under ``scheme``
-    consumes.
-
-    A child partitioned the same way streams its partitions.  Otherwise the
-    child's table is materialized and, under ``lanes``, sliced — except that
-    an operator asked for its ``closed`` (one-table) output whose input turns
-    out below the parallel threshold runs its serial body on the whole table:
-    per-morsel dispatch would outweigh any lane parallelism.
-    """
-    if scheme.kind != "none" and child.partitioning.kind == scheme.kind:
+    consumes: its shards under ``shards``, else one table (a lanes operator
+    runs its serial body on the whole table)."""
+    if scheme.kind == "shards":
         return child.partitions(ctx)
-    table = child.execute(ctx)
-    if scheme.kind == "none" or (
-            closed and table.num_rows < DEFAULT_TUNING.parallel_threshold_rows):
-        return table
-    return slice_table(table, scheme)
+    return child.execute(ctx)
 
 
 # -- enforcers: explicit data movement between shards ----------------------------
@@ -297,15 +211,14 @@ def _move_table(table: TensorTable, move: Callable[[Tensor], Tensor]
     return TensorTable(moved)
 
 
-def gather(parts: PartitionedTable, label: str = "") -> TensorTable:
-    """Close a partitioned region: one table, concatenated in partition order
-    (so partitioned plans are deterministic).  Shard results return to the
-    host through ``shard_gather``; lanes share their device's memory."""
-    tables = parts.tables(label)
-    if parts.scheme.kind == "shards":
-        tables = [_move_table(table, lambda t, src=src: ops.shard_gather(t, src))
-                  for src, table in enumerate(tables)]
-    return concat_rows(tables)
+def gather(parts: PartitionedTable) -> TensorTable:
+    """Close a sharded region (an operator's computed shards): one table,
+    concatenated in shard order (so sharded plans are deterministic), each
+    shard's result returning to the host through ``shard_gather``."""
+    return concat_rows([
+        _move_table(parts.produce(src),
+                    lambda t, src=src: ops.shard_gather(t, src))
+        for src in range(parts.scheme.n)])
 
 
 def broadcast(table: TensorTable, scheme: Partitioning) -> PartitionedTable:

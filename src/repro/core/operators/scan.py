@@ -20,12 +20,11 @@ Three pruning regimes keep this sound under every backend:
   per-row gather — the traced program then re-evaluates block survival from
   the runtime parameter inputs on every binding.
 
-A scan is also where partitioned regions start.  Under ``lanes`` the (pruned)
-table is cut into morsels, zero-copy ``narrow`` views stamped with one
-dispatch each — and handed over whole, at zero overhead, when the parent
-consumes one table.  Under ``shards`` input preparation has already placed
-the converted table across the devices (load-time placement is data layout,
-not query work), and the scan selects each shard's columns inside that
+A scan is also where partitioned regions start.  Under ``lanes`` it is the
+serial scan, stamped with its lanes width for the cost models.  Under
+``shards`` input preparation has already placed the converted table across
+the devices (load-time placement is data layout, not query work), and the
+scan selects each shard's columns inside that
 shard's annotation; zone-map pruning does not apply there: the statistics
 describe the unsharded table, and a sharded scan's parallelism already comes
 from the placement.
@@ -43,7 +42,6 @@ from repro.core.operators.partition import (
     Partitioning,
     concat_rows,
     partition_label,
-    slice_table,
 )
 from repro.distributed.sharding import ShardedTable
 from repro.errors import ExecutionError
@@ -87,13 +85,6 @@ class ScanOperator(TensorOperator):
         #: Prunable conjuncts attached by the planner (empty = no pruning).
         self.pruning = []
 
-    @property
-    def traced_dynamic_pruning(self) -> bool:
-        """Whether parameterized conjuncts may lower to a traced row mask.
-        Not under ``lanes``: the static morsel bounds would bake the first
-        binding's (dynamic) row count into the trace."""
-        return self.partitioning.kind == "none"
-
     def _select_fields(self, table) -> TensorTable:
         missing = [f.name for f in self.fields if f.name not in table]
         if missing:
@@ -127,7 +118,7 @@ class ScanOperator(TensorOperator):
         # compiling into the trace; the rest would re-run on every binding
         # without ever skipping anything.
         traced_dynamic = ([c for c in dynamic if c.discriminative]
-                          if tracing and self.traced_dynamic_pruning else [])
+                          if tracing else [])
         return mask, traced_dynamic
 
     def _apply_pruning(self, table: TensorTable, ctx: ExecutionContext
@@ -210,8 +201,6 @@ class ScanOperator(TensorOperator):
 
     def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
         scheme = self.partitioning
-        if scheme.kind == "lanes":
-            return slice_table(self._execute(ctx), scheme)
         sharded = ctx.input_table(self.alias)
         if not isinstance(sharded, ShardedTable):
             raise ExecutionError(

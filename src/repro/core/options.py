@@ -35,8 +35,9 @@ class ExecutionOptions:
         device: ``cpu``, ``cuda`` (simulated) or ``wasm`` (simulated) —
             ``None`` inherits the session default (``cpu``).
         use_cache: serve repeated compilations from the session plan cache.
-        parallelism: worker lanes for the morsel-driven parallel operators —
-            ``None`` inherits the session default (1).
+        parallelism: worker lanes the planner may put operators on —
+            ``None`` inherits the session default (1).  A *model*: the plan
+            runs the serial program; only its reported time spreads.
         auto_parameterize: lift literals out of ad-hoc ``sql()`` calls into
             bind parameters, so queries differing only in constants share one
             compiled plan (opt-in; see ``repro.core.parameters``).
@@ -65,8 +66,9 @@ class ExecutionOptions:
         adaptive: let the session's adaptive runtime
             (:mod:`repro.adaptive`) pick the execution strategy from runtime
             feedback.  Executions are profiled, their observed cardinalities
-            and simulated kernel times are recorded in the session's feedback
-            store, and a recurring statement is re-planned in place when the
+            and *modelled* kernel times (``reported_s``: lanes move no
+            wall-clock time) are recorded in the session's feedback store,
+            and a recurring statement is re-planned in place when the
             observations (or the learned cost model) prefer a different
             strategy — results are always identical across strategies.
             ``parallelism`` then sets the lane budget the adaptive planner

@@ -3,8 +3,9 @@
 There is one operator per relational operator and one recursive walk.  What
 the planner decides per node is the **partitioning** the operator runs under
 (:mod:`repro.core.operators.partition`): ``none``, ``lanes(n)`` for
-``parallelism > 1`` (morsel-driven execution on one device) or ``shards(n)``
-for ``devices > 1`` (tables placed across simulated devices).  A partitioned
+``parallelism > 1`` (morsel-driven execution on one device, a cost model: the
+operator runs its serial body) or ``shards(n)`` for ``devices > 1`` (tables
+placed across simulated devices).  A partitioned
 region opens at a base-table scan whose estimated cardinality clears the
 region's row threshold, stays open through operators whose expressions are
 free of runtime subqueries (and, for aggregates, whose states merge), and is
@@ -196,8 +197,6 @@ class Planner:
             operators only (the default, and the pre-parallelism behaviour).
         table_rows: registered row counts per table name, the cardinality
             estimates behind the parallel-operator threshold decision.
-        morsel_rows: rows per morsel for the parallel operators (defaults to
-            the tuning's ``morsel_rows``).
         tuning: the size/cost thresholds this plan is built under; defaults
             to the thread's :func:`~repro.core.tuning.active_tuning`.
         filter_correction: optional hook mapping a static filter-selectivity
@@ -207,7 +206,6 @@ class Planner:
 
     def __init__(self, parallelism: int = 1,
                  table_rows: Optional[Mapping[str, int]] = None,
-                 morsel_rows: Optional[int] = None,
                  table_stats: Optional[Mapping[str, object]] = None,
                  devices: int = 1, shard_mode: str = "hash",
                  tuning: Optional[Tuning] = None,
@@ -216,15 +214,12 @@ class Planner:
         self._scans: list[ScanOperator] = []
         self.tuning = tuning if tuning is not None else active_tuning()
         self.filter_correction = filter_correction
-        if morsel_rows is None:
-            morsel_rows = self.tuning.morsel_rows
         self.parallelism = max(1, int(parallelism))
         #: Simulated devices for sharded execution; 1 keeps plans single-device.
         self.devices = max(1, int(devices))
         self.shard_mode = shard_mode
         self.table_rows = {name.lower(): rows
                            for name, rows in (table_rows or {}).items()}
-        self.morsel_rows = morsel_rows
         #: Per-table storage statistics (``repro.storage.TableStatistics``):
         #: row counts, NDV and zone maps, keyed by lower-cased table name.
         self.table_stats = {name.lower(): stats
@@ -248,25 +243,20 @@ class Planner:
         self._unique: dict[int, frozenset] = {}
         self._params: dict[str, ParameterSpec] = {}
         self._model_names: set[str] = set()
-        self._contains_params = False
         #: The partitioning this query's partitioned regions run under.
         self._target: Partitioning = NONE
 
     def plan(self, root: ir.IRNode) -> OperatorPlan:
-        # Pre-scan for bind parameters: parameterized plans restrict the
-        # lanes choice to the morsel pipelines whose traced form replays
-        # correctly when a rebinding changes intermediate sizes (the
-        # radix-partitioned join bakes its partition layout into the trace).
-        self._contains_params = ir_contains_params(root)
         # Sharding is all-or-nothing per query: parameterized plans would
         # bake binding-dependent shuffle layouts into the trace, and runtime
         # subqueries execute outside the shard pipeline, so both fall back to
-        # single-device planning wholesale.
-        if (self.devices > 1 and not self._contains_params
+        # single-device planning wholesale.  Lanes bake nothing: a lanes
+        # operator runs its serial body.
+        if (self.devices > 1 and not ir_contains_params(root)
                 and not ir_contains_subqueries(root)):
             self._target = shards(self.devices, self.shard_mode)
         elif self.parallelism > 1:
-            self._target = lanes(self.parallelism, self.morsel_rows)
+            self._target = lanes(self.parallelism)
         operator_root = self._closed(self._plan(root))
         params = sorted(self._params.values(), key=lambda spec: spec.position)
         return OperatorPlan(operator_root, self._scans, list(root.fields),
@@ -448,18 +438,11 @@ class Planner:
             # operator is sharded exactly when its input is.
             eligible = child_op.partitioning.kind == "shards"
         elif target.kind == "lanes":
-            # A lanes operator may sit on any large enough child (the slice
-            # enforcer materializes and cuts it) — except in a parameterized
-            # plan, where slicing would bake a parameter-dependent layout
-            # into the trace: there only on an unbroken morsel chain rooted
-            # at a base-table scan.  A rename is pure metadata — nothing for
-            # worker lanes to share.
-            eligible = (
-                node.op != ir.RENAME
-                and (self._estimate_rows(node.children[0])
-                     >= self._region_min_rows())
-                and (not self._contains_params
-                     or child_op.partitioning.kind == "lanes"))
+            # A lanes operator may sit on any large enough child.  A rename is
+            # pure metadata — nothing for worker lanes to share.
+            eligible = (node.op != ir.RENAME
+                        and (self._estimate_rows(node.children[0])
+                             >= self._region_min_rows()))
         else:
             eligible = False
         if (not eligible
@@ -480,7 +463,7 @@ class Planner:
             return NONE, None
         if target.kind == "lanes":
             rows = max(self._estimate_rows(child) for child in node.children)
-            if rows >= self._region_min_rows() and not self._contains_params:
+            if rows >= self._region_min_rows():
                 return target, None
             return NONE, None
         left_sharded = left_op.partitioning.kind == "shards"
@@ -497,8 +480,7 @@ class Planner:
 
     def _closed(self, op: TensorOperator) -> TensorOperator:
         """``op`` as a producer of one host table: the gather enforcer over a
-        sharded operator (lanes close themselves — worker lanes share their
-        device's memory, so ``execute`` just concatenates)."""
+        sharded operator (a lanes operator already produces one table)."""
         return GatherOperator(op) if op.partitioning.kind == "shards" else op
 
     # -- node translation --------------------------------------------------
@@ -509,11 +491,10 @@ class Planner:
 
         Partitioned regions grow from large base-table scans and are closed
         as late as possible: filters and projections keep them open, joins
-        keep them open through their exchange (radix under lanes;
-        shuffle/broadcast under shards), mergeable aggregations close them
-        with a partial-gather-merge, and everything else (sort, limit,
-        distinct, nested loops, small inputs, subquery expressions) consumes
-        one closed table.
+        keep them open (through a shuffle/broadcast under shards), mergeable
+        aggregations close them (with a partial-gather-merge under shards),
+        and everything else (sort, limit, distinct, nested loops, small
+        inputs, subquery expressions) consumes one closed table.
         """
         self._plan_expressions(node)
         attrs = node.attrs
@@ -647,7 +628,6 @@ class Planner:
 
 def plan_ir(root: ir.IRNode, parallelism: int = 1,
             table_rows: Optional[Mapping[str, int]] = None,
-            morsel_rows: Optional[int] = None,
             table_stats: Optional[Mapping[str, object]] = None,
             devices: int = 1, shard_mode: str = "hash",
             tuning: Optional[Tuning] = None,
@@ -655,7 +635,6 @@ def plan_ir(root: ir.IRNode, parallelism: int = 1,
             ) -> OperatorPlan:
     """Convenience wrapper: plan an IR tree into an :class:`OperatorPlan`."""
     return Planner(parallelism=parallelism, table_rows=table_rows,
-                   morsel_rows=morsel_rows,
                    table_stats=table_stats, devices=devices,
                    shard_mode=shard_mode, tuning=tuning,
                    filter_correction=filter_correction).plan(root)

@@ -3,13 +3,11 @@
 Before this module existed the planner's magic numbers were scattered: the
 parallel threshold lived with the morsel operators, ``SHARD_MIN_ROWS`` in
 :mod:`repro.distributed.sharding`, ``MIN_PRUNING_BLOCKS`` in
-:mod:`repro.storage.pruning`, morsel sizing in :mod:`repro.core.columnar`.
-They are now fields of one frozen :class:`Tuning` dataclass; the last three
-modules re-export their historical names from :data:`DEFAULT_TUNING` (so
-existing imports keep working), and the planner reads every threshold through
-the :class:`Tuning` it was constructed with — never a module-level literal
-(``tools/lint_op_registry.py`` enforces this statically, also for the runtime
-small-input fallbacks of the partitioned operators).
+:mod:`repro.storage.pruning`.  They are now fields of one frozen
+:class:`Tuning` dataclass, and the planner reads every threshold through the
+:class:`Tuning` it was constructed with — never a module-level literal
+(``tools/lint_op_registry.py`` enforces this statically, also for the join,
+grouping and partition operators).
 
 Two ways to deviate from the defaults:
 
@@ -52,13 +50,11 @@ class Tuning:
             overhead and the final gather outweigh multi-device parallelism.
         min_pruning_blocks: minimum number of zone-map blocks for scan
             pruning to be worth the bookkeeping.
-        morsel_rows: rows per morsel for the parallel operators.
     """
 
     parallel_threshold_rows: int = 2 * DEFAULT_MORSEL_ROWS
     shard_min_rows: int = DEFAULT_MORSEL_ROWS
     min_pruning_blocks: int = 4
-    morsel_rows: int = DEFAULT_MORSEL_ROWS
 
     def replace(self, **changes) -> "Tuning":
         return dataclasses.replace(self, **changes)

@@ -18,9 +18,9 @@ Two function bodies are generated from the same IR:
 * a **profiled** body — the same calls bracketed with ``perf_counter`` and an
   inline :class:`~repro.tensor.profiler.OpEvent` per node, emitting byte
   counts, devices and stamps *identical* to interpreted replay — the operator
-  scope, worker lane and device shard a node was traced under are literals in
-  the text, a field it carries none of is the run's ambient one — so the
-  simulated GPU/WASM cost models, the lane accounting and the per-operator
+  scope, lanes width and device shard a node was traced under are literals in
+  the text, a scope or shard it carries none of is the run's ambient one — so
+  the simulated GPU/WASM cost models, the lanes accounting and the per-operator
   breakdown cannot tell the two executors apart.  It is three quarters of the
   text and most programs never profile, so :func:`compile_graph` leaves it to
   the first run that does (:meth:`CompiledGraphProgram.profiled_fn`).
@@ -68,6 +68,7 @@ from repro.tensor.profiler import (
     Stamp,
     current_profiler,
     current_stamp,
+    leading_rows,
 )
 from repro.tensor.tensor import Tensor
 
@@ -124,6 +125,7 @@ class _Emitter:
             "_asarray": np.asarray,
             "_pc": time.perf_counter,
             "_EV": OpEvent,
+            "_rows": leading_rows,
             "_stamp": current_stamp,
         }
         #: Static device tag per value id: ``None`` means "the run device"
@@ -138,9 +140,11 @@ class _Emitter:
     @staticmethod
     def _where(attrs: dict) -> str:
         """The stamp arguments of a node's event: the fields it was traced
-        under as literals, the run's ambient ones for those it carries none of
-        — what the interpreter's ``stamped(*Stamp.of(attrs))`` resolves to."""
-        return ", ".join(repr(attrs[field]) if field in attrs else f"_{field}"
+        under as literals, the run's ambient scope / shard where it carries
+        none (a lanes width is never inherited) — what the interpreter's
+        ``stamped(*Stamp.of(attrs))`` resolves to."""
+        return ", ".join(repr(attrs.get(field)) if field in attrs or
+                         field == "lanes" else f"_{field}"
                          for field in Stamp._fields)
 
     def _emit_preamble(self, lines: list[str]) -> None:
@@ -209,7 +213,9 @@ class _Emitter:
             lines.append(f"    {name} = _asarray({res})")
         lines.append(
             f"    _events.append(_EV({op!r}, _el, {in_bytes}, {out_bytes}, "
-            f"dev_str, _pc() - _t0, {self._where(attrs)}))")
+            f"dev_str, _pc() - _t0, {self._where(attrs)}, "
+            f"_rows({op!r}, ({''.join(ref + ', ' for ref in in_refs)}), "
+            f"({''.join(name + ', ' for name in unpack)}))))")
 
     def _unrolled_fused(self, index: int, node: dict, in_refs: list[str],
                         attrs: dict) -> tuple[list[str], list[str]]:
@@ -283,7 +289,7 @@ class _Emitter:
         if profiled:
             lines.append("    _events = prof.events")
             lines.append("    _t0 = prof._start")
-            lines.append("    _scope, _lane, _shard = _stamp()")
+            lines.append("    _scope, _, _shard = _stamp()")
         self._emit_preamble(lines)
         self.value_device = {vid: None for vid in self._input_ids}
         self.value_device.update({vid: None for vid in self._init_ids})

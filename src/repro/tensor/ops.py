@@ -99,7 +99,8 @@ def _record_profile(name: str, inputs: Sequence[Tensor], outputs: Sequence[Tenso
         return
     in_bytes = sum(t.nbytes for t in inputs)
     out_bytes = sum(t.nbytes for t in outputs)
-    prof.record(name, elapsed_s, in_bytes, out_bytes, device)
+    prof.record(name, elapsed_s, in_bytes, out_bytes, device,
+                _profiler.leading_rows(name, inputs, outputs))
 
 
 def _record_trace(name: str, inputs: Sequence[Tensor], outputs: Sequence[Tensor],
@@ -111,7 +112,7 @@ def _record_trace(name: str, inputs: Sequence[Tensor], outputs: Sequence[Tensor]
     if ctx is None:
         return
     # Stamp where the op ran onto the node: a replay then attributes it to the
-    # same relational operator and keeps the morsel-parallel / per-device
+    # same relational operator and keeps the lanes width / per-device
     # structure the cost models rebuild their timelines from.
     attrs = {**_profiler.current_stamp().as_attrs(), **attrs}
     ctx.record(name, list(inputs), list(outputs), attrs)
@@ -353,25 +354,6 @@ def to_device(a: Tensor, device: Device | str) -> Tensor:
     if dev == a.device:
         return a
     return _apply("to_device", [a], {"device": str(dev)}, device=dev)
-
-
-@register_op("morsel_dispatch")
-def _morsel_dispatch_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
-    # Identity: no data moves.  The event/node marks the hand-off of one morsel
-    # to a worker lane; device cost models charge a fixed scheduling cost per
-    # dispatch and must ignore the pass-through byte counts.
-    return [arrays[0]]
-
-
-def morsel_dispatch(a: Tensor, lane: int, morsel: int, rows: int = 0) -> Tensor:
-    """Mark ``a`` (one column of a morsel) as dispatched to a worker lane.
-
-    The op is a zero-copy identity kept load-bearing in traced graphs by
-    threading the tensor through it, so dead-code elimination cannot drop the
-    dispatch accounting that the morsel-parallel cost models rely on.
-    """
-    return _apply("morsel_dispatch", [a],
-                  {"lane": int(lane), "morsel": int(morsel), "rows": int(rows)})
 
 
 # -- distributed exchange ops -------------------------------------------------
@@ -1053,17 +1035,6 @@ def lexsort(keys: Sequence[Tensor]) -> Tensor:
     return _apply("lexsort", ts, device=same_device(ts))
 
 
-@register_op("searchsorted")
-def _searchsorted_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
-    side = attrs.get("side", "left")
-    return [np.searchsorted(arrays[0], arrays[1], side=side).astype(np.int64)]
-
-
-def searchsorted(sorted_values: Tensor, values: Tensor, side: str = "left") -> Tensor:
-    ta, tv, device = _pair(sorted_values, values)
-    return _apply("searchsorted", [ta, tv], {"side": side}, device=device)
-
-
 def _direct_unique(a: np.ndarray, low: int, span: int) -> list[np.ndarray]:
     """``unique`` over a presence table: ``bincount`` the offset keys, then
     number the occupied slots in order and read each key's number back."""
@@ -1098,7 +1069,7 @@ def unique(a: Tensor) -> tuple[Tensor, Tensor, Tensor]:
 @register_op("join_ids", n_outputs=3)
 def _join_ids_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
     left, right = arrays
-    if not attrs.get("dense") and left.dtype == right.dtype == np.int64:
+    if left.dtype == right.dtype == np.int64:
         low = min((int(a.min()) for a in arrays if a.size), default=0)
         high = max((int(a.max()) for a in arrays if a.size), default=-1)
         if low >= 0 and high < _direct_limit(left.size + right.size):
@@ -1108,19 +1079,17 @@ def _join_ids_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
             np.asarray(values.size, dtype=np.int64)]
 
 
-def join_ids(left: Tensor, right: Tensor, dense: bool = False
-             ) -> tuple[Tensor, Tensor, Tensor]:
+def join_ids(left: Tensor, right: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """``(left ids, right ids, id count)`` of two 1-d key columns of one dtype:
     equal keys get equal int64 ids in ``0..count-1``, bounded but not dense.
 
     Per call: non-negative int64 keys under the direct-address limit are their
     own ids (the inputs come back as outputs, which is safe because no kernel
-    writes into an input); anything else — every key when ``dense`` — is
-    densified by one joint ``unique`` into ids in key order.
+    writes into an input); anything else is densified by one joint ``unique``
+    into ids in key order.
     """
     tl, tr, device = _pair(left, right)
-    out = _apply_multi("join_ids", [tl, tr], {"dense": True} if dense else None,
-                       device=device)
+    out = _apply_multi("join_ids", [tl, tr], device=device)
     return out[0], out[1], out[2]
 
 

@@ -22,20 +22,21 @@ from repro.tensor.profiler import Stamp
 from repro.tensor.tensor import Tensor
 
 # Where a node ran is the stamp in its attrs (``repro.tensor.profiler.Stamp``).
-# Lane and shard are *structural*: identical nodes on different lanes never
-# merge, a fused kernel never spans two, a gather composes only with one
-# under the same pair.  The operator scope is *descriptive*, it decides
-# nothing: identical nodes traced under different operators still CSE-merge
-# (the survivor keeps the first scope), a fused kernel takes the stamp of the
-# step producing its first output (its steps carry none of their own), a node
+# The shard is *structural*: identical nodes on different shards never merge,
+# a fused kernel never spans two, a gather composes only with one on the same
+# shard.  The operator scope and its lanes width are *descriptive*, they decide
+# nothing (so a lanes plan optimizes into exactly the serial program):
+# identical nodes traced under different operators still CSE-merge (the
+# survivor keeps the first stamp), a fused kernel takes the stamp of the step
+# producing its first output (its steps carry none of their own), a node
 # ``late_materialization`` creates inherits the stamp of the node it was
 # derived from, and a node traced outside any operator carries no scope and
 # takes the replaying thread's.
 
 
-def _placement(node: Node) -> tuple:
-    """The structural half of a node's stamp: ``(lane, shard)``."""
-    return Stamp.of(node.attrs)[1:]
+def _placement(node: Node) -> "int | None":
+    """The structural part of a node's stamp: its shard."""
+    return Stamp.of(node.attrs).shard
 
 
 def _stamp_of(node: Node) -> dict:
@@ -50,13 +51,7 @@ _CREATION_OPS = {"zeros", "full", "arange"}
 # execution environment rather than only on input values.  The shard-exchange
 # identities are here so constant folding/CSE/fusion cannot collapse the
 # interconnect-transfer accounting distributed cost models charge per event.
-_IMPURE_OPS = {"to_device", "morsel_dispatch",
-               "shard_exchange", "shard_broadcast", "shard_gather"}
-
-# Ops kept alive even when their outputs are unused: they exist for their
-# accounting side effect (a morsel dispatch event the parallel cost models
-# count), not for their data.
-_SIDE_EFFECT_OPS = {"morsel_dispatch"}
+_IMPURE_OPS = {"to_device", "shard_exchange", "shard_broadcast", "shard_gather"}
 
 # Never fuse these: impure ops, and already-fused kernels (fusion is one-shot;
 # nesting fused programs would complicate the local SSA numbering for no win).
@@ -68,7 +63,7 @@ def dead_code_elimination(graph: Graph) -> Graph:
     live: set[int] = set(graph.outputs)
     kept_reversed: list[Node] = []
     for node in reversed(graph.nodes):
-        if node.op in _SIDE_EFFECT_OPS or not live.isdisjoint(node.outputs):
+        if not live.isdisjoint(node.outputs):
             kept_reversed.append(node)
             live.update(node.inputs)
     graph.nodes = list(reversed(kept_reversed))
@@ -198,8 +193,9 @@ def common_subexpression_elimination(graph: Graph) -> Graph:
         if node.op in _IMPURE_OPS:
             new_nodes.append(node)
             continue
-        key = _node_key([node.op, node.inputs,
-                         {k: v for k, v in node.attrs.items() if k != "scope"}])
+        key = _node_key([node.op, node.inputs,  # the descriptive stamp aside
+                         {k: v for k, v in node.attrs.items()
+                          if k not in ("scope", "lanes")}])
         if key in seen:
             original = seen[key]
             for old, new in zip(node.outputs, original.outputs):
@@ -276,7 +272,7 @@ def late_materialization(graph: Graph) -> Graph:
 
     A *row gather* is ``take(x, i, axis=0)`` with a rank-1 ``i``.  A use-list
     walk counts, per row gather, the readers that need it whole (``forcing``:
-    all but row gathers on the same lane / shard reading it as data); a forward
+    all but row gathers on the same shard reading it as data); a forward
     walk rewrites, holding each row gather back until an emitted node reads it:
 
     * **R1** ``boolean_mask(x, m)``, ``m`` rank-1, is ``take(x, nonzero(m))``:
@@ -337,7 +333,7 @@ def late_materialization(graph: Graph) -> Graph:
 
     def shared(op: str, inputs: list[int], like: Node, shape, dtype, **attrs) -> int:
         """``op(*inputs)`` under ``like``'s stamp: one node per distinct key."""
-        key = (op, *inputs, *_placement(like))
+        key = (op, *inputs, _placement(like))
         if key not in memo:
             memo[key] = graph.new_value(f"{op}_out0", shape, dtype).id
             if not tainted.isdisjoint(inputs):
@@ -434,9 +430,9 @@ def _build_fused_node(group: list[Node], external_used: set[int]) -> Node:
     exposed = [node.outputs[0] for node in group if node.outputs[0] in external_used]
     if not exposed:  # fully dead group (DCE not run): keep the last value alive
         exposed = [group[-1].outputs[0]]
-    # One launch runs in one place: the group shares a lane and a shard (the
-    # grouping never crosses either), so the stamp of the step producing the
-    # first output is the kernel's.
+    # One launch runs in one place: the group shares a shard (the grouping
+    # never crosses one), so the stamp of the step producing the first output
+    # is the kernel's.
     first = next(node for node in group if node.outputs[0] == exposed[0])
     attrs = {
         "steps": steps,
@@ -512,9 +508,8 @@ def fuse_elementwise(graph: Graph, min_group_size: int = 2) -> Graph:
     current: list[Node] = []
     for node in graph.nodes:
         if _is_fusible(node):
-            # Never fuse across worker lanes or device shards: a fused kernel
-            # is one launch, and one launch cannot run on two morsel workers
-            # (or two simulated devices) at once.
+            # Never fuse across device shards: a fused kernel is one launch,
+            # and one launch cannot run on two simulated devices at once.
             if current and _placement(current[-1]) != _placement(node):
                 runs.append(current)
                 current = []

@@ -25,10 +25,12 @@ from repro.tensor.device import Device
 # -- where an op ran ----------------------------------------------------------
 #
 # One annotation, three fields.  ``scope`` names the relational operator (what
-# Figure 2 breaks runtime down by); ``lane`` / ``shard`` are the simulated
-# worker lane / device a partition runs on (``repro.core.operators.partition``),
-# from which the device cost models reconstruct concurrent timelines out of a
-# single-threaded run.  The stamp is pushed whether or not anything profiles:
+# Figure 2 breaks runtime down by); ``lanes`` is the number of worker lanes the
+# planner gave that operator, over which the device cost models spread its
+# work; ``shard`` is the simulated device a partition runs on
+# (``repro.core.operators.partition``), from which the cost models reconstruct
+# concurrent timelines out of a single-threaded run.  The stamp is pushed
+# whether or not anything profiles:
 # :meth:`Profiler.record` reads it for eager events, ``ops._record_trace``
 # writes it onto every traced node, and both replay executors hand it back, so
 # a profile says the same thing on every backend.
@@ -38,7 +40,7 @@ class Stamp(NamedTuple):
     """Where an op ran.  The defaults mean: no operator, serial, on the host."""
 
     scope: str = ""
-    lane: "int | None" = None
+    lanes: "int | None" = None
     shard: "int | None" = None
 
     def as_attrs(self) -> dict:
@@ -49,7 +51,7 @@ class Stamp(NamedTuple):
     @classmethod
     def of(cls, attrs: dict) -> "Stamp":
         """The stamp a traced node carries (unset where it carries none)."""
-        return cls(attrs.get("scope", ""), attrs.get("lane"), attrs.get("shard"))
+        return cls(attrs.get("scope", ""), attrs.get("lanes"), attrs.get("shard"))
 
 
 _NOWHERE = Stamp()
@@ -63,7 +65,7 @@ class _ThreadState(threading.local):
     thread ships the caller's activation along with it via
     :func:`capture_scope` — without that, ops dispatched on the worker thread
     would find no active profiler and their events would be silently dropped
-    (wrong simulated kernel times, missing lane events)."""
+    (wrong simulated kernel times, missing lanes events)."""
 
     def __init__(self):
         self.stack: "list[Profiler]" = []
@@ -84,19 +86,20 @@ def current_stamp() -> Stamp:
 
 
 class stamped:
-    """Context manager: ops inside run under these fields; a field left unset
-    keeps the value of the frame below."""
+    """Context manager: ops inside run under these fields.  A scope or shard
+    left unset keeps the value of the frame below; ``lanes`` is each frame's
+    own (every operator states its width, so a serial child of a lanes
+    operator runs serial)."""
 
-    def __init__(self, scope: str = "", lane: "int | None" = None,
+    def __init__(self, scope: str = "", lanes: "int | None" = None,
                  shard: "int | None" = None):
-        self._given = (scope, lane, shard)
+        self._given = (scope, lanes, shard)
 
     def __enter__(self) -> "stamped":
         stamps = _STATE.stamps
         below = stamps[-1]
-        scope, lane, shard = self._given
-        stamps.append(Stamp(scope or below.scope,
-                            below.lane if lane is None else lane,
+        scope, lanes, shard = self._given
+        stamps.append(Stamp(scope or below.scope, lanes,
                             below.shard if shard is None else shard))
         return self
 
@@ -146,6 +149,15 @@ class Activation:
             profiler.__exit__()
 
 
+def leading_rows(op: str, inputs, outputs) -> int:
+    """The rows ``op`` runs over: the longest leading dimension of its inputs
+    — of its outputs for a gather or slice, which read only the rows they
+    write (a scalar counts one row, no array none)."""
+    arrays = outputs if op in ("take", "slice") else inputs
+    return max((array.shape[0] if array.shape else 1 for array in arrays),
+               default=0)
+
+
 @dataclasses.dataclass
 class OpEvent:
     """One executed op."""
@@ -157,10 +169,13 @@ class OpEvent:
     device: str
     timestamp_s: float
     scope: str = ""
-    #: Simulated worker lane the op ran on (``None`` = serial region).
-    lane: "int | None" = None
+    #: Worker lanes the op's operator was planned on (``None`` = serial).
+    lanes: "int | None" = None
     #: Simulated device shard the op ran on (``None`` = host/unsharded).
     shard: "int | None" = None
+    #: Rows the op ran over (:func:`leading_rows`), cut into morsels by the
+    #: lanes model.
+    rows: int = 0
 
     @property
     def total_bytes(self) -> int:
@@ -196,9 +211,10 @@ class Profiler:
     # -- recording ---------------------------------------------------------
 
     def record(self, op: str, elapsed_s: float, input_bytes: int,
-               output_bytes: int, device: Device) -> None:
+               output_bytes: int, device: Device, rows: int = 0) -> None:
         event = OpEvent(op, elapsed_s, input_bytes, output_bytes, str(device),
-                        time.perf_counter() - self._start, *current_stamp())
+                        time.perf_counter() - self._start, *current_stamp(),
+                        rows)
         with self._record_lock:
             self.events.append(event)
 

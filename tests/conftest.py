@@ -15,9 +15,9 @@ from repro.bench.harness import tpch_session
 # -- differential frame comparison --------------------------------------------
 #
 # Shared by the differential suites (TPC-H conformance, expression properties,
-# parallel-vs-serial): morsel-parallel plans reorder join output and
-# re-associate partial sums, so frames are compared as row multisets within a
-# float tolerance, never bitwise.
+# parallel-vs-serial): sharded plans reorder join output and re-associate
+# partial sums, so frames are compared as row multisets within a float
+# tolerance, never bitwise.
 
 
 def normalize_cell(value):
@@ -93,7 +93,7 @@ def event_stream():
     else)."""
     def keys(profile):
         return [(e.op, e.input_bytes, e.output_bytes, e.device, e.scope,
-                 e.lane, e.shard) for e in profile.events]
+                 e.lanes, e.shard) for e in profile.events]
 
     return keys
 

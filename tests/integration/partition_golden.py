@@ -1,8 +1,8 @@
 """Golden plan shapes and profile structure of partitioned execution.
 
 ``collect()`` compiles all 22 TPC-H queries plus the parameterized serving
-shapes under every partitioning the planner can choose, and profiles Q1/Q3/Q6
-under ``lanes(4)`` and ``shards(4)``.  ``tests/fixtures/partition_golden.json``
+shapes serially and under every ``shards`` placement, and profiles Q1/Q3/Q6
+under ``shards(4)``.  ``tests/fixtures/partition_golden.json``
 holds its output at the commit *before* the operator families were collapsed
 into one (PR 14), plus the one ``slice`` event per ``column = 'literal'`` that
 PR 15 added when the compare narrowed to the literal's decisive columns, minus
@@ -13,7 +13,10 @@ trading every ``boolean_mask`` for ``nonzero`` + ``take`` (late
 materialization).  ``test_partition_golden.py`` compares today's against it.
 Regenerated once more when a join's keys became one ``join_ids`` op: plans,
 dispatches and exchange bytes byte-identical, each join's ``concat`` /
-``unique`` / ``split_rows`` events becoming one ``join_ids`` event.
+``unique`` / ``split_rows`` events becoming one ``join_ids`` event.  When
+lanes became a cost model (a ``lanes`` plan runs the serial program) its
+``lanes4`` entries and the always-zero shards ``morsel_dispatch`` counts were
+deleted, the shards entries left as they were.
 
 Regenerate (only when a plan-shape change is intended), from the repo root::
 
@@ -35,16 +38,16 @@ SCALE_FACTOR = 0.01
 FIXTURE = (pathlib.Path(__file__).resolve().parent.parent
            / "fixtures" / "partition_golden.json")
 
-#: Every partitioning a plan can run under, as the options that select it.
+#: Every partitioning whose plan shape is pinned, as the options that select
+#: it (a ``lanes`` plan's kernels are the serial plan's).
 CONFIGS = {
     "serial": {},
-    "lanes4": {"parallelism": 4},
     "shards2-hash": {"devices": 2, "shard": "hash"},
     "shards4-hash": {"devices": 4, "shard": "hash"},
     "shards4-range": {"devices": 4, "shard": "range"},
 }
 PROFILED_QUERIES = (1, 3, 6)
-PROFILED_CONFIGS = ("lanes4", "shards4-hash")
+PROFILED_CONFIGS = ("shards4-hash",)
 BACKENDS = ("pytorch", "torchscript")
 
 
@@ -78,8 +81,8 @@ def plan_shapes(session: TQPSession) -> dict[str, str]:
 
 def profile_structure(session: TQPSession) -> dict[str, dict]:
     """``q<N>/<config>/<backend>`` → the structure the cost models charge:
-    the multiset of ``(op, lane, shard)`` events, the morsel dispatches and
-    the bytes crossing the interconnect."""
+    the multiset of ``(op, lanes, shard)`` events and the bytes crossing the
+    interconnect."""
     structure = {}
     for number in PROFILED_QUERIES:
         for config in PROFILED_CONFIGS:
@@ -88,15 +91,12 @@ def profile_structure(session: TQPSession) -> dict[str, dict]:
                 events = session.compile(
                     tpch.query(number, SCALE_FACTOR), options=options
                 ).execute(profile=True).profile.events
-                counts = Counter((e.op, e.lane, e.shard) for e in events)
+                counts = Counter((e.op, e.lanes, e.shard) for e in events)
                 structure[f"q{number}/{config}/{backend}"] = {
                     "events": sorted(
-                        ([op, lane, shard, n]
-                         for (op, lane, shard), n in counts.items()),
+                        ([op, lanes, shard, n]
+                         for (op, lanes, shard), n in counts.items()),
                         key=repr),
-                    "morsel_dispatch": sum(
-                        n for (op, _, _), n in counts.items()
-                        if op == "morsel_dispatch"),
                     "exchange_bytes": sum(e.output_bytes for e in events
                                           if e.op in EXCHANGE_OPS),
                 }

@@ -5,7 +5,7 @@ the codegen path (``executor="compiled"``, which *raises* rather than falls
 back, so a query silently losing codegen support fails loudly here) — across
 serial and morsel-parallel plans, and must match the row-at-a-time oracle
 row-for-row (sorted, float tolerance, as everywhere in the differential
-suites: morsel-parallel plans reorder and re-associate).
+suites).
 
 ``bench_compiled_executor.py`` separately holds the two modes to *bitwise*
 equality against each other on ``torchscript``; this suite pins both to the
@@ -71,7 +71,7 @@ def test_tpch_compiled_differential(tpch_tiny, oracle, frames_match, query_id,
 
 ONNX_DEVICES = ("cpu", "wasm")
 
-#: Partitionings for the lane / shard tags of the event stream; the serial
+#: Partitionings for the lanes / shard tags of the event stream; the serial
 #: plans cover all 22 queries, these the three the golden fixture pins too.
 PARTITIONED = {"lanes4": dict(parallelism=4), "shards4": dict(devices=4)}
 PARTITIONED_QUERY_IDS = (1, 3, 6)

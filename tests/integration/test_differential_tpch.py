@@ -4,10 +4,9 @@ Every TPC-H query runs through the tensor engine across parallelism levels,
 backends and devices, and must return row-for-row the result the row-at-a-time
 oracle (:mod:`repro.baselines.rowengine`) produces from the same physical
 plan.  Rows are compared *sorted* with a float tolerance (the shared
-``frames_match`` helper): morsel-parallel plans reorder join output and
-re-associate partial-aggregate sums, so bitwise row order / float identity
-with the serial engine is explicitly not promised — set equality within fp
-tolerance is.
+``frames_match`` helper): the oracle's row order and float association are
+not the engine's — set equality within fp tolerance is what is promised.
+(A morsel-parallel plan runs the serial program: lanes are a cost model.)
 """
 
 from __future__ import annotations

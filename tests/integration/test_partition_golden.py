@@ -1,18 +1,23 @@
 """Partitioned execution against the golden fixture of the parent commit.
 
 One operator family renders its labels from the partitioning property and
-runs every partition through one ``run_partitions``; the plans it builds and
-the profile structure the cost models charge must be the ones the three
-operator families it replaced produced (see ``partition_golden.py``).
+runs every shard through one ``run_partitions``; the plans it builds and the
+profile structure the cost models charge must be the ones the three operator
+families it replaced produced (see ``partition_golden.py``).  A ``lanes``
+plan runs the serial program: its kernels are the serial plan's, op for op.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 import partition_golden as golden
+from repro import ExecutionOptions
+from repro.backends.base import split_partitions
+from repro.datasets import tpch
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +48,36 @@ def test_profile_structure_is_unchanged(session, expected):
     assert actual.keys() == expected["profiles"].keys()
     for key, want in expected["profiles"].items():
         got = actual[key]
-        assert got["morsel_dispatch"] == want["morsel_dispatch"], key
         assert got["exchange_bytes"] == want["exchange_bytes"], key
         assert got["events"] == want["events"], key
-    # The fixture really exercises both kinds.
-    assert expected["profiles"]["q1/lanes4/pytorch"]["morsel_dispatch"] > 0
+    # The fixture really exercises the shuffle.
     assert expected["profiles"]["q3/shards4-hash/pytorch"]["exchange_bytes"] > 0
+
+
+def test_lanes_plans_run_the_serial_kernels(session):
+    for number in golden.PROFILED_QUERIES:
+        for backend in golden.BACKENDS:
+            ops = [Counter(event.op for event in session.compile(
+                tpch.query(number, golden.SCALE_FACTOR),
+                options=ExecutionOptions(backend=backend, parallelism=width)
+            ).execute(profile=True).profile.events) for width in (1, 4)]
+            assert ops[0] == ops[1], (number, backend)
+
+
+def test_lanes_dispatches_do_not_depend_on_the_backend(session):
+    """A lanes operator hands out its n morsels once, however the graph
+    passes reorder, merge or fuse its kernels: the count follows the stamps,
+    not the order of the events."""
+    for number in golden.PROFILED_QUERIES:
+        counts = {}
+        for backend in golden.BACKENDS:
+            compiled = session.compile(
+                tpch.query(number, golden.SCALE_FACTOR),
+                options=ExecutionOptions(backend=backend, parallelism=4))
+            events = compiled.execute(profile=True).profile.events
+            host, _, _ = split_partitions(events)
+            lanes_scopes = {event.scope for event in events if event.lanes}
+            assert host.dispatches == 4 * len(lanes_scopes) > 0, number
+            assert len(lanes_scopes) <= compiled.explain().count("workers=4")
+            counts[backend] = host.dispatches
+        assert len(set(counts.values())) == 1, (number, counts)

@@ -1,7 +1,7 @@
 """Where an op ran, on every backend.
 
 A traced node carries the stamp it was traced under — relational operator,
-worker lane, device shard — so a replay profiles into the same operator
+lanes width, device shard — so a replay profiles into the same operator
 breakdown the eager backend reports (Figure 2 on the targets the paper
 compiles to), whether it runs compiled, after the ``onnx`` round trip, on the
 caller's thread or on a serving worker.
@@ -22,7 +22,7 @@ from repro.serve import ServingRuntime
 SCALE_FACTOR = 0.002
 STRATEGIES = {"serial": {}, "lanes4": {"parallelism": 4}, "shards4": {"devices": 4}}
 GRAPH_BACKENDS = ("torchscript", "onnx")
-_SUB_SCOPE = re.compile(r"@([wd])(\d+)$")
+_SUB_SCOPE = re.compile(r"@d(\d+)$")
 
 
 def _profile(session, query: int, backend: str, strategy: str = "serial"):
@@ -43,11 +43,13 @@ def test_graph_backends_profile_into_the_eager_operator_families(
         assert all(e.scope for e in events), backend
         assert {scope_family(e.scope) for e in events} == eager, backend
         for event in events:
-            # ``<operator>@w<k>`` ran on lane k, ``<operator>@d<k>`` on shard k.
+            # ``<operator>@d<k>`` ran on shard k; an operator on lanes stamps
+            # its width beside its label.
             sub = _SUB_SCOPE.search(event.scope)
             if sub:
-                slot = event.lane if sub.group(1) == "w" else event.shard
-                assert slot == int(sub.group(2)), (backend, event)
+                assert event.shard == int(sub.group(1)), (backend, event)
+            assert (event.lanes == 4) == ("workers=4" in event.scope), (
+                backend, event)
 
 
 def test_q3_breaks_down_by_operator_and_feeds_back_its_selectivity(tpch_tiny):
@@ -74,7 +76,7 @@ def test_a_served_request_profiles_into_the_callers_scopes(tpch_tiny):
     inline = session.compile(sql, options=options).execute(profile=True)
     with ServingRuntime(session, workers=2, default_options=options) as runtime:
         pooled = runtime.execute(sql, profile=True)
-    stamps = [(e.op, e.scope, e.lane, e.shard) for e in inline.profile.events]
-    assert stamps == [(e.op, e.scope, e.lane, e.shard)
+    stamps = [(e.op, e.scope, e.lanes, e.shard) for e in inline.profile.events]
+    assert stamps == [(e.op, e.scope, e.lanes, e.shard)
                       for e in pooled.profile.events]
     assert all(scope for _, scope, _, _ in stamps)

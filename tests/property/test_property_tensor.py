@@ -261,7 +261,6 @@ def test_join_output_equals_the_joint_unique_output(monkeypatch):
     and N:M joins over keys that are their own ids, negative keys, sparse keys,
     float keys and NULL keys."""
     from repro import DataFrame, ExecutionOptions, TQPSession
-    from repro.core.operators import join as join_module
     from repro.core.tuning import tuning_overrides
 
     rng = np.random.default_rng(29)
@@ -291,9 +290,6 @@ def test_join_output_equals_the_joint_unique_output(monkeypatch):
         "select g, sum(x) as s from fact join dim "
         "on case when x > 30 then fn end = dn group by g order by g",
         "select count(*) as c from fact where fk in (select dk from dim)"]
-    monkeypatch.setattr(
-        join_module, "DEFAULT_TUNING",
-        join_module.DEFAULT_TUNING.replace(parallel_threshold_rows=0))
     for options in (ExecutionOptions(backend="torchscript"),
                     ExecutionOptions(backend="torchscript", parallelism=4),
                     ExecutionOptions(backend="torchscript", devices=4)):
@@ -402,41 +398,6 @@ def test_key_side_match_pairs_equal_the_general_construction():
             _assert_same_arrays(
                 [counts.numpy(), pairs[0].numpy(), pairs[1].numpy()],
                 [want_counts.numpy(), want[0].numpy(), want[1].numpy()])
-
-
-def test_partitioned_match_pairs_equals_serial(monkeypatch):
-    """Each partition matches on ``id // P`` (a dense table of ~G/P slots);
-    the matches must be the serial join's, NULL-style fresh ids included —
-    and a key side stays a key inside a partition."""
-    from repro.core.operators import join as join_module
-    from repro.core.operators import lanes
-
-    # The radix exchange falls back to the serial match below the parallel
-    # threshold; these inputs are far smaller.
-    monkeypatch.setattr(
-        join_module, "DEFAULT_TUNING",
-        join_module.DEFAULT_TUNING.replace(parallel_threshold_rows=0))
-    rng = np.random.default_rng(13)
-    for partitions in (2, 3, 4):
-        for n_left, n_right, num_ids in ((400, 300, 90), (300, 500, 5000),
-                                         (64, 64, 3)):
-            for key_side in (None, "left", "right"):
-                join = _join(key_side, exchange=lanes(partitions))
-                left = rng.integers(0, num_ids, n_left)
-                right = rng.integers(0, num_ids, n_right)
-                if key_side == "left":
-                    left = rng.permutation(max(num_ids, n_left))[:n_left]
-                if key_side == "right":
-                    right = rng.permutation(max(num_ids, n_right))[:n_right]
-                table = max(num_ids, n_left, n_right)
-                left[:3], right[:3] = table, table + 1   # never match
-                args = (ops.tensor(left), ops.tensor(right), _count(table + 2))
-                serial = _join()._match_pairs(*args, True)
-                counts, pairs = join._radix_match_pairs(*args, True)
-                _assert_same_arrays([counts.numpy()], [serial[0].numpy()])
-                got = sorted(zip(pairs[0].numpy(), pairs[1].numpy()))
-                want = sorted(zip(serial[1][0].numpy(), serial[1][1].numpy()))
-                assert got == want
 
 
 def test_power_of_two_mod_mask_equals_np_mod():

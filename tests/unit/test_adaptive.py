@@ -72,8 +72,9 @@ def sorted_rows(result):
 
 def bytes_charge(self, measured_s, profile):
     """Deterministic stand-in for measured kernel times: the same concurrent
-    structure (serial work + slowest lane + per-morsel dispatch), each kernel
-    charged a fixed launch cost plus the bytes it wrote."""
+    structure (serial work + one lane's share of the lanes work + per-morsel
+    dispatch), each kernel charged a fixed launch cost plus the bytes it
+    wrote."""
     host, _, _ = split_partitions(profile.events)
     return host.time(lambda event: 1e-6 + event.output_bytes / 1e9,
                      self.morsel_dispatch_overhead_s)

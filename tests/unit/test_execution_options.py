@@ -157,7 +157,7 @@ def test_each_aggregate_is_written_once():
 
 
 def test_where_an_op_ran_is_one_stamp():
-    """Operator scope, worker lane and device shard are one thread-local stack
+    """Operator scope, lanes width and device shard are one thread-local stack
     of stamps with one context manager and one reader: the per-``Profiler``
     scope list, the two lane / shard stacks and their per-field readers are
     gone from every layer, generated code included, and nothing aliases them."""
@@ -362,3 +362,36 @@ def test_unknown_backend_still_rejected(session):
     with pytest.raises(ExecutionError):
         session.compile("select sum(a) as s from t",
                         options=ExecutionOptions(backend="nope"))
+
+
+def test_lanes_are_a_model_not_a_plan_shape():
+    """``lanes(n)`` is the planner's per-operator decision and the cost
+    models' business only: nothing slices, dispatches, radix-partitions or
+    merges per lane, no key numbering or pruning rule depends on lanes, and
+    no knob sizes a morsel."""
+    from repro.backends import base
+    from repro.core import columnar, planner, tuning
+    from repro.core.operators import grouping, join, partition, scan
+    from repro.tensor import ops
+
+    gone = {partition: ("slice_table", "_dispatched", "effective_morsel_rows",
+                        "_MORSELS_PER_LANE"),
+            join.HashJoinOperator: ("_radix_match_pairs",),
+            ops: ("morsel_dispatch",),
+            base: ("DISPATCH_OPS",),
+            passes: ("_SIDE_EFFECT_OPS",),
+            scan.ScanOperator: ("traced_dynamic_pruning",),
+            columnar.TensorTable: ("morsels",)}
+    for owner, names in gone.items():
+        assert not [name for name in names if hasattr(owner, name)], owner
+    assert "morsel_dispatch" not in ops.OP_REGISTRY
+    for function, parameter in ((ops.join_ids, "dense"),
+                                (grouping.factorize_pair, "dense"),
+                                (planner.Planner, "morsel_rows"),
+                                (plan_ir, "morsel_rows"),
+                                (partition.input_of, "closed"),
+                                (partition.lanes, "morsel_rows")):
+        assert parameter not in inspect.signature(function).parameters, function
+    assert len(dataclasses.fields(tuning.Tuning)) == 3
+    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(passes.DEFAULT_PASSES) == 7

@@ -26,7 +26,6 @@ import pytest
 from repro import DataFrame, ExecutionOptions, TQPSession
 from repro.baselines import RowEngine
 from repro.core.operators import HashJoinOperator
-from repro.core.operators import join as join_module
 from repro.core.tuning import tuning_overrides
 from repro.frontend import sql_to_physical
 
@@ -289,17 +288,14 @@ KEYED_JOIN_OPTIONS = [
     ids=["-".join((path, kind, "residual" if residual else "equi"))
          for path, kind, residual in KEYED_JOIN_POINTS])
 def test_keyed_join_chain_takes_its_path_and_matches_row_engine(
-        key_session, key_tables, frames_match, monkeypatch, sql, expected_joins):
+        key_session, key_tables, frames_match, sql, expected_joins):
     """Key build, key probe, both and neither, with NULL, unmatched and empty
     sides: every strategy plans the drawn path, answers like the row engine,
     and answers the same rows bit for bit."""
     oracle = RowEngine(key_tables).execute_to_dataframe(
         sql_to_physical(sql, key_session.catalog))
-    # Sixteen-row tables: zero thresholds so lanes really radix-partition and
+    # Sixteen-row tables: zero thresholds so joins really plan on lanes and
     # shards really shuffle / broadcast.
-    monkeypatch.setattr(
-        join_module, "DEFAULT_TUNING",
-        join_module.DEFAULT_TUNING.replace(parallel_threshold_rows=0))
     results = []
     for options in KEYED_JOIN_OPTIONS:
         with tuning_overrides(parallel_threshold_rows=0, shard_min_rows=0):
@@ -312,9 +308,9 @@ def test_keyed_join_chain_takes_its_path_and_matches_row_engine(
         results.append(compiled.run())
         frames_match(results[-1], oracle, f"{options}: {sql}")
     eager, traced, lanes, shards = results
-    assert eager.to_dict() == traced.to_dict()        # row order included
-    assert (_sorted_rows(traced) == _sorted_rows(lanes)
-            == _sorted_rows(shards))
+    # Row order included: a lanes plan runs the serial program.
+    assert eager.to_dict() == traced.to_dict() == lanes.to_dict()
+    assert _sorted_rows(traced) == _sorted_rows(shards)
 
 
 NULLABLE_AGGREGATE_QUERIES = [

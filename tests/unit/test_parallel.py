@@ -1,4 +1,9 @@
-"""Unit tests for the morsel-driven parallel execution layer."""
+"""Unit tests for morsel-parallel plans: lanes are a cost model.
+
+A ``parallelism=N`` plan runs the serial program; the operators the planner
+put on lanes stamp their work ``lanes=N`` and the device cost models spread
+it (one lane's share of every such event, over one lane per whole morsel of
+its rows and at most N, plus N morsel dispatches per lanes operator)."""
 
 from __future__ import annotations
 
@@ -9,17 +14,25 @@ import numpy as np
 import pytest
 
 from repro import DataFrame, TQPSession
-from repro.backends.base import split_partitions
+from repro.backends.base import morsel_lanes, split_partitions
 from repro.backends.cpu import CPUDevice
 from repro.backends.gpu_sim import SimulatedGPU
+from repro.backends.wasm_sim import SimulatedWASM
 from repro.core.columnar import (
     DEFAULT_MORSEL_ROWS,
+    LogicalType,
     TensorColumn,
     TensorTable,
     morsel_bounds,
 )
-from repro.core.operators import lanes, run_partitions
-from repro.core.operators.partition import effective_morsel_rows
+from repro.core.operators import (
+    ExecutionContext,
+    MapOperator,
+    TensorOperator,
+    lanes,
+    run_partitions,
+    shards,
+)
 from repro.core.tuning import DEFAULT_TUNING, tuning_overrides
 from repro.errors import (
     AnalysisError,
@@ -27,7 +40,16 @@ from repro.errors import (
     ExecutionError,
     UnsupportedOperationError,
 )
-from repro.tensor import Profiler, current_stamp, ops, passes, stamped, tracing
+from repro.tensor import (
+    GraphInterpreter,
+    Profiler,
+    codegen,
+    current_stamp,
+    ops,
+    passes,
+    stamped,
+    tracing,
+)
 from repro import ExecutionOptions
 
 # comfortably above the parallel threshold
@@ -74,20 +96,11 @@ def test_morsel_bounds_cover_input_exactly():
         morsel_bounds(10, 0)
 
 
-def test_effective_morsel_rows_adapts_to_input():
-    # Small inputs stay at the floor; large inputs split across the lanes.
-    assert effective_morsel_rows(1_000, 2048, 4) == 2048
-    assert effective_morsel_rows(1_000_000, 2048, 4) == 250_000
-
-
-def test_table_slice_and_morsels_roundtrip(frames):
+def test_table_slice_roundtrip(frames):
     table = TensorTable.from_dataframe(frames["orders"])
     piece = table.slice(100, 50)
     assert piece.num_rows == 50
     assert piece.column("order_id").tensor.numpy().tolist() == list(range(100, 150))
-    # String columns keep their width; a full morsel sweep covers every row.
-    total = sum(m.num_rows for m in table.morsels(DEFAULT_MORSEL_ROWS))
-    assert total == table.num_rows
 
 
 def test_slice_preserves_validity_mask(frames):
@@ -100,52 +113,38 @@ def test_slice_preserves_validity_mask(frames):
     assert piece.valid.numpy().tolist() == [True, False, True, False]
 
 
-# -- lane scheduling and annotations ------------------------------------------
+# -- stamps -------------------------------------------------------------------
 
 
-def test_partitions_are_assigned_to_lanes_round_robin():
-    # Each partition observes its lane via the thread-local annotation, and
-    # results come back in partition order.
-    seen = run_partitions(lanes(3), lambda i: (i, current_stamp().lane), count=7)
-    assert seen == [(0, 0), (1, 1), (2, 2), (3, 0), (4, 1), (5, 2), (6, 0)]
-    assert current_stamp().lane is None
+def test_shards_run_in_order_each_stamped_with_its_shard():
+    seen = run_partitions(shards(3), lambda i: (i, current_stamp().shard))
+    assert seen == [(0, 0), (1, 1), (2, 2)]
+    assert current_stamp().shard is None
 
 
-def test_profiler_records_lanes_and_dispatch():
-    with Profiler() as prof:
-        with stamped(lane=2):
-            ops.add(ops.tensor([1.0, 2.0]), 1.0)
-            ops.morsel_dispatch(ops.tensor([1.0]), lane=2, morsel=0)
-        ops.add(ops.tensor([1.0]), 1.0)
-    host, shards, exchanges = split_partitions(prof.events)
-    assert not shards and not exchanges
-    assert len(host.serial) == 1 and set(host.lanes) == {2}
-    assert len(host.dispatches) == 1
-    assert host.lanes[2][0].lane == 2
-
-
-def test_lane_annotation_survives_trace_and_replay():
-    def fn(t):
-        with stamped(lane=1):
-            t = ops.morsel_dispatch(t, lane=1, morsel=0)
-            t = ops.mul(t, 2.0)
-        return ops.add(t, 1.0)
+def test_lanes_width_survives_trace_and_replay():
+    """The width is a stamp like the scope: every traced node carries it, a
+    replay (interpreted or generated) hands it back on the events, and it
+    decides nothing — the optimized program is the serial one."""
+    def fn(t, width):
+        with stamped(scope="Filter", lanes=width):
+            t = ops.mul(ops.add(t, 1.0), 2.0)
+        return ops.sub(t, 1.0)
 
     example = ops.tensor([1.0, 2.0])
-    graph = tracing.trace(fn, [example])
-    lanes_in_graph = [n.attrs.get("lane") for n in graph.nodes]
-    assert lanes_in_graph == [1, 1, None]
-    # DCE keeps dispatch nodes alive; fusion never crosses a lane boundary.
+    graph = tracing.trace(lambda t: fn(t, 4), [example])
+    assert [n.attrs.get("lanes") for n in graph.nodes] == [4, 4, None]
+    serial = tracing.trace(lambda t: fn(t, None), [example])
     optimized = passes.optimize(graph.clone())
-    assert "morsel_dispatch" in optimized.op_counts()
-
-    from repro.tensor import GraphInterpreter
-
-    with Profiler() as prof:
-        out = GraphInterpreter(graph).run([ops.tensor([3.0, 4.0])])
-    assert out[0].numpy().tolist() == [7.0, 9.0]
-    host, _, _ = split_partitions(prof.events)
-    assert set(host.lanes) == {1} and len(host.dispatches) == 1
+    assert [(n.op, n.inputs, n.outputs) for n in optimized.nodes] == [
+        (n.op, n.inputs, n.outputs)
+        for n in passes.optimize(serial.clone()).nodes]
+    for replay in (GraphInterpreter(graph).run,
+                   codegen.compile_graph(graph).run):
+        with Profiler() as prof:
+            out = replay([ops.tensor([3.0, 4.0])])
+        assert out[0].numpy().tolist() == [7.0, 9.0]
+        assert [e.lanes for e in prof.events] == [4, 4, None]
 
 
 # -- parallel operators match serial execution --------------------------------
@@ -428,56 +427,184 @@ def test_prepare_inputs_validates_tables_and_columns(session, frames):
 
 
 # -- cost models --------------------------------------------------------------
+#
+# One lanes operator's events carry ``lanes=n``; each model prices such an
+# event as one lane's share at its own price — over one lane per whole morsel
+# of the event's rows, at most n — and charges n morsel dispatches per lanes
+# operator: per lanes-stamped scope, wherever its events fall.
+
+DEVICE = ops.tensor([1.0]).device
+#: Rows of a synthetic event: enough whole morsels for four lanes.
+BIG = 4 * DEFAULT_MORSEL_ROWS
 
 
-def _synthetic_profile(lanes: int, events_per_lane: int, bytes_per_event: int,
-                       elapsed_s: float = 1e-4) -> Profiler:
+def _profile(*events) -> Profiler:
+    """``(op, elapsed_s, bytes, scope, lanes, shard[, rows])`` rows as a
+    profile; each event reads and writes ``bytes`` and runs over ``rows``
+    (default :data:`BIG`)."""
     prof = Profiler()
-    device = ops.tensor([1.0]).device
-    for lane in range(lanes):
-        with stamped(lane=lane):
-            prof.record("morsel_dispatch", 0.0, 0, 0, device)
-            for _ in range(events_per_lane):
-                prof.record("mul", elapsed_s, bytes_per_event, bytes_per_event,
-                            device)
+    for op, elapsed_s, nbytes, scope, width, shard, *rows in events:
+        with stamped(scope=scope, lanes=width, shard=shard):
+            prof.record(op, elapsed_s, nbytes, nbytes, DEVICE, *rows or [BIG])
     return prof
 
 
-def test_gpu_model_charges_slowest_lane_plus_dispatch():
-    model = SimulatedGPU()
-    serial = Profiler()
-    device = ops.tensor([1.0]).device
-    for _ in range(4 * 3):
-        serial.record("mul", 1e-4, 10_000_000, 10_000_000, device)
-    parallel = _synthetic_profile(lanes=4, events_per_lane=3,
-                                  bytes_per_event=10_000_000)
-    t_serial = model.report_time(1.0, serial)
-    t_parallel = model.report_time(1.0, parallel)
-    # 4 concurrent lanes: ~4x faster, minus the per-morsel dispatch charge.
-    assert t_parallel < t_serial / 3
-    assert t_parallel >= t_serial / 4
-    expected_lane = 3 * max(model.kernel_launch_overhead_s,
-                            20_000_000 / (model.hbm_bandwidth_gbs * 1e9))
-    assert t_parallel == pytest.approx(
-        expected_lane + 4 * model.morsel_dispatch_overhead_s)
-
-
-def test_cpu_model_reports_kernel_time_and_lanes():
+def test_cpu_prices_a_lanes_event_as_one_lanes_share():
     model = CPUDevice()
     assert model.report_time(0.5, None) == 0.5
-    parallel = _synthetic_profile(lanes=4, events_per_lane=2,
-                                  bytes_per_event=1000, elapsed_s=1e-3)
-    reported = model.report_time(1.0, parallel)
-    assert reported == pytest.approx(
-        2e-3 + 4 * model.morsel_dispatch_overhead_s)
+    serial = _profile(("mul", 4e-3, 100, "Filter", None, None))
+    spread = _profile(("mul", 4e-3, 100, "MorselFilter", 4, None))
+    assert model.report_time(1.0, serial) == pytest.approx(4e-3)
+    assert model.report_time(1.0, spread) == pytest.approx(
+        4e-3 / 4 + 4 * model.morsel_dispatch_overhead_s)
 
 
-def test_dispatch_event_bytes_are_ignored():
+def test_gpu_prices_a_lanes_event_at_its_share_of_the_bandwidth():
     model = SimulatedGPU()
-    prof = Profiler()
-    device = ops.tensor([1.0]).device
-    # A dispatch is an identity pass-through: huge byte counts, zero charge
-    # beyond the fixed scheduling cost.
-    prof.record("morsel_dispatch", 0.0, 10**12, 10**12, device)
-    assert model.report_time(0.0, prof) == pytest.approx(
-        model.morsel_dispatch_overhead_s)
+    hbm = model.hbm_bandwidth_gbs * 1e9
+    big = _profile(("mul", 1e-4, 10_000_000, "MorselFilter", 4, None))
+    assert model.report_time(1.0, big) == pytest.approx(
+        20_000_000 / (4 * hbm) + 4 * model.morsel_dispatch_overhead_s)
+    # A lane still pays a whole launch: a small kernel does not get cheaper.
+    small = _profile(("mul", 1e-4, 1_000, "MorselFilter", 4, None))
+    assert model.report_time(1.0, small) == pytest.approx(
+        model.kernel_launch_overhead_s + 4 * model.morsel_dispatch_overhead_s)
+
+
+def test_wasm_spreads_lanes_time_before_the_slowdown():
+    model = SimulatedWASM()
+    prof = _profile(("mul", 4e-3, 100, "MorselFilter", 4, None),
+                    ("add", 1e-3, 100, "Sort", None, None))
+    measured = 6e-3  # 1 ms of it outside any kernel
+    assert model.report_time(measured, prof) == pytest.approx(
+        (measured - 4e-3 + 4e-3 / 4) * model.slowdown
+        + 2 * model.per_op_overhead_s + 4 * model.morsel_dispatch_overhead_s)
+
+
+@pytest.mark.parametrize("rows, spread", [
+    (BIG, 4), (3 * DEFAULT_MORSEL_ROWS + 5, 3), (2 * DEFAULT_MORSEL_ROWS, 2),
+    (2 * DEFAULT_MORSEL_ROWS - 1, 1), (0, 1)])
+def test_a_lanes_event_spreads_over_one_lane_per_whole_morsel(rows, spread):
+    """Under two whole morsels a kernel is priced whole — what the planner's
+    ``parallel_threshold_rows`` keeps serial — but its operator still runs on
+    its lanes and pays their dispatches."""
+    prof = _profile(("mul", 4e-3, 100, "MorselFilter", 4, None, rows))
+    (event,) = prof.events
+    assert event.rows == rows and morsel_lanes(event) == spread
+    host, _, _ = split_partitions(prof.events)
+    assert [n for _, n in host.spread] == ([spread] if spread > 1 else [])
+    assert host.dispatches == 4
+    model = CPUDevice()
+    assert model.report_time(1.0, prof) == pytest.approx(
+        4e-3 / spread + 4 * model.morsel_dispatch_overhead_s)
+
+
+def test_an_event_runs_over_its_longest_input_or_what_a_gather_writes():
+    with Profiler() as prof:
+        column = ops.tensor(np.arange(10.0))
+        ops.add(column, 1.0)
+        ops.take(column, ops.tensor(np.array([1, 2, 3])))
+    add, take = (e for e in prof.events if e.op in ("add", "take"))
+    assert (add.rows, take.rows) == (10, 3)
+
+
+@pytest.mark.parametrize("model", [CPUDevice, SimulatedGPU, SimulatedWASM])
+def test_dispatches_are_charged_once_per_lanes_operator(model):
+    events = [("mul", 1e-3, 8, "MorselScan", 4, None),
+              ("add", 1e-3, 8, "MorselFilter", 4, None),
+              ("mul", 1e-3, 8, "MorselFilter", 4, None),
+              ("sum", 1e-3, 8, "Sort", None, None),
+              ("mul", 1e-3, 8, "MorselFilter", 4, None),
+              ("mul", 1e-3, 8, "MorselProject", 2, None)]
+    prof = _profile(*events)
+    host, shards_, exchanges = split_partitions(prof.events)
+    assert not shards_ and not exchanges
+    # MorselScan | MorselFilter (both of its runs) | MorselProject
+    assert host.dispatches == 4 + 4 + 2
+    assert [n for _, n in host.spread] == [4, 4, 4, 4, 2]
+    # The order of the events (a graph pass may move a kernel) is no matter.
+    assert split_partitions(prof.events[::-1])[0].dispatches == 10
+    # Each device charges them at its own per-dispatch price.
+    charged = (model().report_time(1.0, prof)
+               - model(morsel_dispatch_overhead_s=0.0).report_time(1.0, prof))
+    assert charged == pytest.approx(10 * model().morsel_dispatch_overhead_s)
+    if model is CPUDevice:
+        assert model().report_time(1.0, prof) == pytest.approx(
+            1e-3 * (1 + 4 / 4 + 1 / 2) + charged)
+
+
+def test_shards_pricing_is_unchanged():
+    """Shards run concurrently: host work + the slowest shard + every
+    exchange as an interconnect transfer; no dispatch is charged."""
+    prof = _profile(("mul", 1e-3, 8, "DistributedFilter@d0", None, 0),
+                    ("mul", 3e-3, 8, "DistributedFilter@d1", None, 1),
+                    ("add", 2e-3, 8, "DistributedFilter@d1", None, 1),
+                    ("shard_gather", 0.0, 1_000_000, "Gather", None, 1),
+                    ("sum", 1e-3, 8, "Sort", None, None))
+    host, by_shard, exchanges = split_partitions(prof.events)
+    assert host.dispatches == 0 and sorted(by_shard) == [0, 1]
+    cpu = CPUDevice()
+    assert cpu.report_time(1.0, prof) == pytest.approx(
+        1e-3 + 5e-3 + cpu.interconnect_latency_s
+        + 1_000_000 / (cpu.interconnect_bandwidth_gbs * 1e9))
+    gpu = SimulatedGPU()
+    launch = gpu.kernel_launch_overhead_s
+    assert gpu.report_time(1.0, prof) == pytest.approx(
+        launch + 2 * launch + gpu.pcie_latency_s
+        + 1_000_000 / (gpu.pcie_bandwidth_gbs * 1e9))
+    wasm = SimulatedWASM()
+    measured = 10e-3  # the shard kernels' 6 ms become the slowest shard's 5
+    assert wasm.report_time(measured, prof) == pytest.approx(
+        (measured - 6e-3 + 5e-3) * wasm.slowdown + 5 * wasm.per_op_overhead_s
+        + wasm.message_latency_s
+        + 1_000_000 / (wasm.message_bandwidth_gbs * 1e9))
+
+
+def test_a_serial_child_under_a_lanes_parent_is_priced_serial():
+    """Every operator states its own width: a lanes operator's stamp does not
+    leak into the serial child it executes, which the models price whole."""
+
+    class Serial(TensorOperator):
+        def _execute(self, ctx):
+            data = ops.add(ops.tensor(np.arange(1.0, BIG + 1.0)), 1.0)
+            return TensorTable({"x": TensorColumn(data, LogicalType.FLOAT)})
+
+    class Doubled(MapOperator):
+        labels = ("Doubled", "MorselDoubled", "DistributedDoubled")
+
+        def _apply(self, table, ctx):
+            column = table.column("x")
+            return TensorTable({"x": TensorColumn(
+                ops.mul(column.tensor, 2.0), column.ltype)})
+
+    with Profiler() as prof:
+        out = Doubled(Serial([]), lanes(4)).execute(ExecutionContext({}))
+    assert out.column("x").tensor.numpy()[:3].tolist() == [4.0, 6.0, 8.0]
+    child, own = (e for e in prof.events if e.op in ("add", "mul"))
+    assert (child.scope, child.lanes) == ("operator", None)
+    assert (own.scope, own.lanes) == ("MorselDoubled(workers=4)", 4)
+    model = CPUDevice()
+    assert model.report_time(1.0, prof) == pytest.approx(
+        sum(e.elapsed_s for e in prof.events if e is not own)
+        + own.elapsed_s / 4 + 4 * model.morsel_dispatch_overhead_s)
+
+
+def test_a_lanes_plan_models_a_speedup_over_its_serial_program(session):
+    """The modelled gain of a lanes plan comes only from the cost model: its
+    kernels are the serial plan's, op for op."""
+    sql = "select segment, sum(amount) as s from orders group by segment"
+    runs = {}
+    for parallelism in (1, 4):
+        compiled = session.compile(sql, options=ExecutionOptions(
+            backend="torchscript", parallelism=parallelism))
+        runs[parallelism] = compiled.execute(profile=True).profile
+    serial, spread = runs[1], runs[4]
+    assert [e.op for e in serial.events] == [e.op for e in spread.events]
+    assert {e.lanes for e in serial.events} == {None}
+    assert 4 in {e.lanes for e in spread.events}
+
+    def bytes_moved(profile) -> float:  # a deterministic price per kernel
+        host, _, _ = split_partitions(profile.events)
+        return host.time(lambda event: event.total_bytes, 0.0)
+
+    assert bytes_moved(spread) < bytes_moved(serial)

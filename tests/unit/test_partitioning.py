@@ -1,9 +1,10 @@
 """Partitioning as a property: every partitionable operator, mapped over a
 partitioned table, must equal the same operator run serially.
 
-One parameterized set over ``none``, ``lanes(2|4)`` and ``shards(2|4)`` ×
-``hash|range`` — the operators are the same classes under every scheme, so
-one test body covers what used to need one test per operator family.
+One parameterized set over ``none`` and ``shards(2|4)`` × ``hash|range`` —
+the operators are the same classes under every scheme, so one test body
+covers what used to need one test per operator family.  (``lanes`` is a cost
+model: a lanes operator runs its serial body, see ``test_parallel.py``.)
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from repro.core.operators import (
     ProjectOperator,
     RenameOperator,
     TensorOperator,
-    lanes,
     shards,
 )
 from repro.distributed import shard_table
 
-SCHEMES = [NONE, lanes(2), lanes(4),
-           shards(2, "hash"), shards(4, "hash"),
+SCHEMES = [NONE, shards(2, "hash"), shards(4, "hash"),
            shards(2, "range"), shards(4, "range")]
 
 #: Filter → Project → Rename → HashAggregate over one scan, with a group key
@@ -65,16 +64,10 @@ class Source(TensorOperator):
         return self.parts
 
 
-def split(table, scheme, rng) -> PartitionedTable:
-    """``table`` under ``scheme``: shards by their load-time placement, lanes
-    at random cut points (repeated points make empty partitions)."""
-    if scheme.kind == "shards":
-        return PartitionedTable.of(
-            scheme, shard_table(table, scheme.n, scheme.placement).shards)
-    cuts = sorted(rng.integers(0, table.num_rows + 1, scheme.n - 1).tolist())
-    bounds = zip([0] + cuts, cuts + [table.num_rows])
+def split(table, scheme) -> PartitionedTable:
+    """``table`` under ``scheme``: shards by their load-time placement."""
     return PartitionedTable.of(
-        scheme, [table.slice(start, end - start) for start, end in bounds])
+        scheme, shard_table(table, scheme.n, scheme.placement).shards)
 
 
 def under(operator, scheme, child):
@@ -99,7 +92,6 @@ def test_operators_over_partitions_equal_serial(scheme, rows, frames_match):
     if rows == 1000:  # tiny tables are not worth encoding
         assert table.column("t.tag").encoding is not None
     ctx = ExecutionContext({})
-    rng = np.random.default_rng(scheme.n)
 
     # The serial plan, bottom-up: each operator is checked on its own, fed
     # the serial output of the one below it.
@@ -109,7 +101,7 @@ def test_operators_over_partitions_equal_serial(scheme, rows, frames_match):
     for operator in chain[1:5]:
         serial = under(operator, NONE, Source(table)).execute(ctx)
         source = (Source(table) if scheme.kind == "none"
-                  else Source(table, split(table, scheme, rng)))
+                  else Source(table, split(table, scheme)))
         replanned = under(operator, scheme, source)
         partitioned = replanned.execute(ctx)
         if scheme.kind != "none":

@@ -300,3 +300,40 @@ def test_pruning_survives_plan_cache_and_reregistration(frame):
     result = second.execute()
     assert result.to_dataframe().to_dict()["c"] == [0]
     assert result.pruning["t"]["blocks_skipped"] == BLOCKS
+
+
+def test_a_parameterized_lanes_plan_prunes_in_its_one_trace(frames_match):
+    """Lanes bake nothing into a trace, so a prepared statement plans them
+    above and at a join and still lowers its zone-map-prunable parameter to
+    the traced row mask: one trace serves the empty, the one-row and the
+    every-row binding, each answering like the row engine."""
+    from repro.baselines import RowEngine
+    from repro.frontend import sql_to_physical
+
+    rows = 8 * DEFAULT_MORSEL_ROWS
+    rng = np.random.default_rng(5)
+    frames = {
+        "t": DataFrame({"id": np.arange(rows, dtype=np.int64),
+                        "k": rng.integers(0, 50, rows).astype(np.int64),
+                        "f": rng.random(rows)}),
+        "u": DataFrame({"uk": np.arange(50, dtype=np.int64),
+                        "g": np.arange(50, dtype=np.int64) % 3,
+                        "w": rng.random(50)}),
+    }
+    session = TQPSession()
+    for name, data in frames.items():
+        session.register(name, data)
+    sql = ("select g, count(*) as c, sum(f * w) as s from t join u on k = uk "
+           "where id >= :lo and f + w >= 0 group by g order by g")
+    query = session.prepare(sql, options=ExecutionOptions(
+        backend="torchscript", parallelism=4))
+    plan = query.compiled.operator_plan.root.pretty()
+    assert "MorselFilter(workers=4)\n        PartitionedHashJoin" in plan, plan
+    for lo, groups in ((rows, 0), (rows - 1, 1), (0, 3)):
+        result = query.bind(lo=lo).execute()
+        assert result.pruning["t"]["dynamic"] is True
+        assert result.to_dataframe().num_rows == groups
+        oracle = RowEngine(frames).execute_to_dataframe(
+            sql_to_physical(sql.replace(":lo", str(lo)), session.catalog))
+        frames_match(result.to_dataframe(), oracle, f"lo={lo}")
+    assert query.compiled.executor.compile_count == 1

@@ -69,15 +69,10 @@ def test_reductions_with_axis_and_keepdims():
     assert not ops.all_(m > 0).item()
 
 
-def test_sorting_and_searching():
+def test_sorting():
     a = ops.tensor([3, 1, 2])
     np.testing.assert_array_equal(ops.argsort(a).numpy(), [1, 2, 0])
     np.testing.assert_array_equal(ops.sort(a).numpy(), [1, 2, 3])
-    sorted_vals = ops.tensor([1, 3, 5, 7])
-    np.testing.assert_array_equal(
-        ops.searchsorted(sorted_vals, ops.tensor([0, 4, 7])).numpy(), [0, 2, 3])
-    np.testing.assert_array_equal(
-        ops.searchsorted(sorted_vals, ops.tensor([7]), side="right").numpy(), [4])
 
 
 def test_lexsort_last_key_is_primary():

@@ -175,15 +175,14 @@ def test_a_gather_with_another_reader_is_kept_and_read_by_its_gathers():
     assert sorted(readers) == ["cumsum", "take"]
 
 
-def test_gathers_on_different_lanes_or_shards_are_not_composed():
+def test_gathers_on_different_shards_are_not_composed():
     from repro.tensor import stamped
 
     def fn(a, b, codes):
         index, keep = ops.argsort(a), ops.tensor([1, 0])
-        with stamped(lane=0):
-            on_lane = ops.take(b, index)
-        with stamped(lane=1):
-            across_lanes = ops.take(on_lane, keep)
+        with stamped(lanes=4):
+            on_lanes = ops.take(b, index)
+        across_lanes = ops.take(on_lanes, keep)
         with stamped(shard=0):
             on_shard = ops.take(codes, index)
             same_shard = ops.take(on_shard, keep)
@@ -194,8 +193,8 @@ def test_gathers_on_different_lanes_or_shards_are_not_composed():
     graph = _late(fn, _table())
     by_output = {n.outputs[0]: n for n in graph.nodes}
     across, same, other = (by_output[vid] for vid in graph.outputs)
-    assert by_output[across.inputs[0]].attrs["lane"] == 0     # kept, lane 0's work
-    assert same.inputs[0] in graph.inputs                      # composed
+    assert across.inputs[0] in graph.inputs  # a lanes width is descriptive
+    assert same.inputs[0] in graph.inputs    # composed on one shard
     assert other.inputs[0] in graph.inputs
     # One composed index per stamp, never shared across stamps.
     assert same.inputs[1] != other.inputs[1]
@@ -203,7 +202,7 @@ def test_gathers_on_different_lanes_or_shards_are_not_composed():
     assert by_output[other.inputs[1]].attrs["shard"] == 1
 
 
-# -- the operator scope is descriptive, never structural -----------------------
+# -- the operator scope and lanes width are descriptive, never structural ------
 
 
 def test_identical_nodes_under_different_operators_still_merge():
@@ -212,16 +211,16 @@ def test_identical_nodes_under_different_operators_still_merge():
     def fn(a, b, codes):
         with stamped(scope="Filter"):
             first = ops.mul(a, 2.0)
-        with stamped(scope="Project"):
+        with stamped(scope="Project", lanes=4):
             second = ops.mul(a, 2.0)
-        with stamped(scope="Project", lane=1):
+        with stamped(scope="Project", shard=1):
             elsewhere = ops.mul(a, 2.0)
         return ops.add(first, second), elsewhere
 
     graph = passes.common_subexpression_elimination(trace(fn, _table()))
     muls = [n.attrs for n in graph.nodes if n.op == "mul"]
-    # The survivor keeps the first scope; another lane is another node.
-    assert muls == [{"scope": "Filter"}, {"scope": "Project", "lane": 1}]
+    # The survivor keeps the first stamp; another shard is another node.
+    assert muls == [{"scope": "Filter"}, {"scope": "Project", "shard": 1}]
 
 
 def test_a_fused_kernel_takes_the_scope_of_its_first_output():
@@ -238,8 +237,8 @@ def test_a_fused_kernel_takes_the_scope_of_its_first_output():
     (fused,) = graph.nodes
     assert fused.op == "fused_kernel"
     assert (fused.attrs["scope"], fused.attrs["shard"]) == ("Filter", 2)
-    assert "lane" not in fused.attrs
-    assert all(not {"scope", "lane", "shard"} & step["attrs"].keys()
+    assert "lanes" not in fused.attrs
+    assert all(not {"scope", "lanes", "shard"} & step["attrs"].keys()
                for step in fused.attrs["steps"])
 
 
@@ -247,7 +246,7 @@ def test_nodes_late_materialization_creates_inherit_their_sources_stamp():
     from repro.tensor import stamped
 
     def fn(a, b, codes):
-        with stamped(scope="Filter", lane=3):
+        with stamped(scope="Filter", lanes=3):
             kept = ops.boolean_mask(a, ops.gt(b, 2.0))          # R1
             twice = ops.take(ops.take(a, ops.argsort(b)), ops.tensor([1, 0]))  # R2
         index = ops.tensor(np.arange(16) % 8)
@@ -258,7 +257,7 @@ def test_nodes_late_materialization_creates_inherit_their_sources_stamp():
     graph = _late(fn, _table())
     by_output = {n.outputs[0]: n for n in graph.nodes}
     kept, twice, sunk = (by_output[vid] for vid in graph.outputs)
-    filter_lane = {"scope": "Filter", "lane": 3}
+    filter_lane = {"scope": "Filter", "lanes": 3}
     nonzero, composed = by_output[kept.inputs[1]], by_output[twice.inputs[1]]
     assert (nonzero.op, nonzero.attrs) == ("nonzero", filter_lane)
     assert (composed.op, composed.attrs) == ("take", {**filter_lane, "axis": 0})
@@ -271,9 +270,9 @@ def test_a_node_traced_outside_any_operator_takes_the_ambient_scope():
     from repro.tensor import Profiler, ScriptedProgram, stamped
 
     def model(a, b, codes):                 # a script_trace'd ML function
-        with stamped(lane=1):
-            scaled = ops.mul(a, 2.0)
-        return ops.cumsum(ops.add(scaled, b))
+        with stamped(lanes=4):
+            summed = ops.cumsum(a)
+        return ops.cumsum(ops.add(summed, b))
 
     graph = passes.optimize(trace(model, _table()))
     assert all("scope" not in n.attrs for n in graph.nodes)
@@ -281,8 +280,9 @@ def test_a_node_traced_outside_any_operator_takes_the_ambient_scope():
         program = ScriptedProgram(graph.clone(), executor=executor)
         with Profiler() as profiler, stamped(scope="Project", shard=0):
             program.run(_table())
-        assert [(e.op, e.scope, e.lane, e.shard) for e in profiler.events] == [
-            ("mul", "Project", 1, 0), ("add", "Project", None, 0),
+        # Scope and shard are the replaying thread's; a width is the node's.
+        assert [(e.op, e.scope, e.lanes, e.shard) for e in profiler.events] == [
+            ("cumsum", "Project", 4, 0), ("add", "Project", None, 0),
             ("cumsum", "Project", None, 0)], executor
 
 

@@ -16,7 +16,10 @@ arithmetic (``repeat`` / ``argsort`` / ``cumsum`` / ``arange_until``: one
 side).  A second line
 profiles the three programs once and counts the events no relational operator
 claims (0: every traced node carries the operator it was traced under) and the
-distinct operator families the profile breaks down into.
+distinct operator families the profile breaks down into.  A third line
+compiles the three statements at ``parallelism=4`` and counts the programs
+whose generated plain source has the serial program's sha1 (3: a lanes plan
+runs the serial program; its width lives in the profiled body's stamps).
 
 Run from the repository root: ``python tools/cold_path_counts.py``
 (``PYTHONPATH=src``, as in CI).
@@ -25,6 +28,7 @@ Run from the repository root: ``python tools/cold_path_counts.py``
 from __future__ import annotations
 
 import collections
+import hashlib
 import linecache
 import pathlib
 import sys
@@ -81,6 +85,20 @@ def main() -> None:
     print(f"{sum(not event.scope for event in events)} events outside any "
           f"operator, {len(families)} operator families (the same statements "
           f"profiled once on torchscript)")
+
+    def source_sha1(compiled) -> str:
+        compiled.run()
+        source = compiled.executor._program.scripted.compiled_source
+        return hashlib.sha1(source.encode()).hexdigest()
+
+    lanes = [session.compile(tpch.query(q, SCALE_FACTOR),
+                             options=ExecutionOptions(parallelism=4))
+             for q in QUERIES]
+    same = sum(source_sha1(serial) == source_sha1(spread)
+               for serial, spread in zip(held, lanes))
+    print(f"{same} / {len(QUERIES)} parallelism=4 programs identical to "
+          f"serial (sha1 of the generated plain source, "
+          f"Q{' + Q'.join(map(str, QUERIES))})")
 
 
 if __name__ == "__main__":

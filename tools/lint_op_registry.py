@@ -18,13 +18,15 @@ rots:
    special-case rules are themselves defined in ``op_semantics``;
 4. both executor modules import ``op_semantics``;
 5. the planner, the join / grouping operators and the partition module
-   (whose runtime small-input fallback sends a lanes operator down its serial
-   body) gate on :mod:`repro.core.tuning` constants, never on hard-coded
-   threshold literals (which the adaptive runtime could not override);
+   gate on :mod:`repro.core.tuning` constants, never on hard-coded threshold
+   literals (which the adaptive runtime could not override);
 6. the cost models read the partitioned structure of a profile from the one
    ``backends.base.split_partitions`` and classify exchanges by
    ``op_semantics.EXCHANGE_OPS`` / ``GATHER_OP`` — no model looks at an
-   event's lane or shard, or names a dispatch/exchange op, on its own.
+   event's lanes width or shard, or names an exchange op, on its own;
+7. operators and expressions never read a tensor on the host (``.numpy()`` /
+   ``.item()``) outside :data:`HOST_READ_ALLOWED`: a traced program must not
+   depend on the values its trace saw.
 
 Run from the repository root: ``python tools/lint_op_registry.py``
 (``PYTHONPATH=src``, as in CI).
@@ -47,13 +49,13 @@ EXECUTOR_MODULES = (
 )
 
 #: The module whose ``split_partitions`` is the only code allowed to read an
-#: event's lane / shard annotation or to tell dispatch ops from kernels.
+#: event's lanes / shard annotation.
 COST_MODEL_BASE = REPO_ROOT / "src" / "repro" / "backends" / "base.py"
 
 #: Cost-model modules that classify exchange ops for interconnect charging.
 #: They must consume ``op_semantics.EXCHANGE_OPS`` / ``GATHER_OP`` rather
 #: than spell shard-op names, so adding an exchange variant cannot silently
-#: leave a backend charging it as a kernel — and they must take the lane /
+#: leave a backend charging it as a kernel — and they must take the lanes /
 #: shard structure from ``split_partitions``, so the three models cannot
 #: drift apart in what they call concurrent.
 COST_MODEL_MODULES = (
@@ -63,8 +65,7 @@ COST_MODEL_MODULES = (
 )
 
 #: What only ``split_partitions`` may touch.
-PARTITION_ATTRIBUTES = {"lane", "shard"}
-PARTITION_NAMES = {"DISPATCH_OPS"}
+PARTITION_ATTRIBUTES = {"lanes", "shard"}
 
 #: Op names whose special-case handling is allowed to appear by name in the
 #: executors: their rules (transfer forwarding, fused-step unrolling) are
@@ -84,6 +85,20 @@ TUNED_OPERATOR_MODULES = (
     REPO_ROOT / "src" / "repro" / "core" / "operators" / "join.py",
     REPO_ROOT / "src" / "repro" / "core" / "operators" / "partition.py",
 )
+
+#: Where a host read (``.numpy()`` / ``.item()``) would tie a traced program
+#: to the values its trace saw: every operator module and the expression
+#: compiler.
+HOST_READ_MODULES = (
+    *sorted((REPO_ROOT / "src" / "repro" / "core" / "operators").glob("*.py")),
+    REPO_ROOT / "src" / "repro" / "core" / "expressions.py",
+)
+HOST_READS = {"numpy", "item"}
+
+#: ``(module stem, function)`` allowed a host read.  The scan folds bound
+#: parameter values into its zone-map check on the eager path only; a trace
+#: lowers the same conjuncts to tensor ops.
+HOST_READ_ALLOWED = {("scan", "_param_python_values")}
 
 
 def check_registry_coverage(problems: list[str]) -> None:
@@ -118,8 +133,8 @@ def check_exchange_ops(problems: list[str]) -> None:
     import dataclasses as _dc
 
     fields = {field.name for field in _dc.fields(OpEvent)}
-    if "shard" not in fields or "lane" not in fields:
-        problems.append("OpEvent must carry lane and shard attribution for "
+    if not PARTITION_ATTRIBUTES <= fields:
+        problems.append("OpEvent must carry lanes and shard attribution for "
                         "the cost models' timeline splits")
 
 
@@ -128,8 +143,7 @@ def check_cost_model(path: pathlib.Path, problems: list[str]) -> None:
 
     Nowhere: a hard-coded exchange op name.  In the base: exactly one
     ``split_*`` function, ``split_partitions``.  In a model: it is imported,
-    and nothing else reads ``event.lane`` / ``event.shard`` or the dispatch
-    op set.
+    and nothing else reads ``event.lanes`` / ``event.shard``.
     """
     rel = path.relative_to(REPO_ROOT)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(rel))
@@ -158,17 +172,13 @@ def check_cost_model(path: pathlib.Path, problems: list[str]) -> None:
     }
     if "split_partitions" not in imported:
         problems.append(f"{rel}: does not import split_partitions — the "
-                        f"lane/shard structure must come from the shared split")
+                        f"lanes/shard structure must come from the shared split")
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute)
                 and node.attr in PARTITION_ATTRIBUTES):
             problems.append(
                 f"{rel}:{node.lineno}: reads '.{node.attr}' of an event — "
                 f"classify events through split_partitions only")
-        if isinstance(node, ast.Name) and node.id in PARTITION_NAMES:
-            problems.append(
-                f"{rel}:{node.lineno}: references {node.id} — dispatch ops "
-                f"are split out by split_partitions only")
 
 
 def check_module(path: pathlib.Path, problems: list[str]) -> None:
@@ -201,6 +211,28 @@ def check_module(path: pathlib.Path, problems: list[str]) -> None:
             problems.append(
                 f"{rel}:{node.lineno}: hard-coded op name {node.value!r} — "
                 f"per-op special cases belong in op_semantics / the registry")
+
+
+def check_host_reads(path: pathlib.Path, problems: list[str]) -> None:
+    """No ``.numpy()`` / ``.item()`` call in ``path`` outside the functions
+    :data:`HOST_READ_ALLOWED` names."""
+    rel = path.relative_to(REPO_ROOT)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(rel))
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in HOST_READS
+                and (path.stem, function) not in HOST_READ_ALLOWED):
+            problems.append(
+                f"{rel}:{node.lineno}: host read .{node.func.attr}() in "
+                f"{function or '<module>'} — a traced program must not depend "
+                f"on the values its trace saw")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
 
 
 def check_threshold_literals(path: pathlib.Path, problems: list[str]) -> None:
@@ -252,6 +284,8 @@ def main() -> int:
     check_planner_tuning(PLANNER_MODULE, problems)
     for path in TUNED_OPERATOR_MODULES:
         check_threshold_literals(path, problems)
+    for path in HOST_READ_MODULES:
+        check_host_reads(path, problems)
     if problems:
         print("op-registry lint FAILED:")
         for problem in problems:
