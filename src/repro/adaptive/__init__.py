@@ -1,10 +1,9 @@
-"""Adaptive execution: runtime feedback, learned cost models, self-tuning plans.
+"""Adaptive execution: runtime feedback, corrected estimates, observed choice.
 
 The planner's static choices (serial vs morsel-parallel operators, pruning
 gates) rest on zone-map/NDV estimates — but the profiler already observes
-*exact* per-operator cardinalities and simulated kernel times on every run.
-This package closes that loop, the paper's leverage-the-ML-ecosystem thesis
-pointed inward at our own engine:
+*exact* per-operator cardinalities and modelled kernel times on every run.
+This package closes that loop:
 
 * :mod:`repro.adaptive.feedback` — a bounded, thread-safe store of
   per-execution observations harvested from the existing profiler events,
@@ -13,20 +12,16 @@ pointed inward at our own engine:
   into the static estimates feeding the parallel threshold, bucketed per
   binding region so rebinds into a different selectivity regime don't
   poison each other;
-* :mod:`repro.adaptive.cost_model` — plan featurization plus a learned
-  cost model (our own :mod:`repro.ml` linear/tree regressors) predicting
-  simulated cost per execution strategy;
 * :mod:`repro.adaptive.planner` — the :class:`AdaptiveRuntime` a session
-  owns: plans strategy candidates, explores them, settles on the observed
-  winner, and re-plans a cached statement in place (via the existing
-  ``CompiledQuery._refresh_from`` machinery) when the preference changes or
-  observed cardinalities drift.
+  owns: explores each strategy candidate, settles on the fastest observed
+  one, plans only that candidate, and re-plans a cached statement in place
+  (via the existing ``CompiledQuery._refresh_from`` machinery) when the
+  choice changes or observed cardinalities drift.
 
 Opt in per statement with ``ExecutionOptions(adaptive=True)``; inspect the
 collected feedback via ``session.adaptive.feedback.dump()``.
 """
 
-from repro.adaptive.cost_model import FEATURE_NAMES, StrategyCostModel, featurize
 from repro.adaptive.estimates import EstimateCorrector, binding_region
 from repro.adaptive.feedback import (
     ExecutionFeedback,
@@ -41,13 +36,10 @@ __all__ = [
     "AdaptiveRuntime",
     "EstimateCorrector",
     "ExecutionFeedback",
-    "FEATURE_NAMES",
     "FeedbackStore",
     "OperatorObservation",
     "Strategy",
-    "StrategyCostModel",
     "binding_region",
-    "featurize",
     "harvest_feedback",
     "scope_family",
 ]

@@ -22,6 +22,8 @@ import math
 import statistics
 from typing import Callable, Mapping, Optional
 
+import numpy as np
+
 from repro.adaptive.feedback import FeedbackStore
 
 #: Observation count at which the blend weighs observed and static equally;
@@ -41,8 +43,15 @@ def _bucket_value(value) -> object:
     Numbers bucket by sign and magnitude (``round(log2(|v|+1))``: values in
     the same factor-of-~2 band share a bucket), dates by year, strings by
     value.  The goal is stability *within* a workload regime and separation
-    *between* regimes, not precision.
+    *between* regimes, not precision.  Numpy scalars, which the binders
+    accept, bucket like their Python counterparts.
     """
+    if isinstance(value, np.datetime64):
+        if np.isnat(value):
+            return str(value)
+        return int(value.astype("datetime64[Y]").astype(np.int64)) + 1970
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         return value
     if isinstance(value, (datetime.date, datetime.datetime)):
@@ -70,10 +79,8 @@ def binding_region(params: Optional[Mapping[str, object]]) -> tuple:
 class EstimateCorrector:
     """Builds per-(statement, region) selectivity corrections from feedback."""
 
-    def __init__(self, store: FeedbackStore,
-                 prior_weight: float = PRIOR_WEIGHT):
+    def __init__(self, store: FeedbackStore):
         self.store = store
-        self.prior_weight = prior_weight
 
     def observed_selectivity(self, statement_key: str,
                              region: tuple) -> Optional[tuple[float, int]]:
@@ -90,14 +97,14 @@ class EstimateCorrector:
         """The planner's ``filter_correction`` hook, or ``None`` w/o history.
 
         The returned function blends ``static`` with the observed median:
-        ``w·observed + (1-w)·static`` where ``w = n/(n + prior_weight)`` — a
+        ``w·observed + (1-w)·static`` where ``w = n/(n + PRIOR_WEIGHT)`` — a
         lone observation nudges the estimate, a settled history dominates it.
         """
         observed = self.observed_selectivity(statement_key, region)
         if observed is None:
             return None
         ratio, n = observed
-        weight = n / (n + self.prior_weight)
+        weight = n / (n + PRIOR_WEIGHT)
 
         def correct(static: float) -> float:
             return weight * ratio + (1.0 - weight) * static

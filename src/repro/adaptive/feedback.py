@@ -117,9 +117,6 @@ class ExecutionFeedback:
     #: selectivity that corrects the static estimates.
     filter_selectivity: Optional[float]
     operators: tuple[OperatorObservation, ...]
-    #: Plan features at execution time (see ``repro.adaptive.cost_model``);
-    #: the learned cost model's training rows.
-    features: Optional[tuple[float, ...]] = None
     #: Shape signature of the executed operator plan (``root.pretty()``).
     #: Drift detection only compares executions of the *same* shape: one
     #: strategy can legitimately change shape as estimate corrections land,
@@ -174,8 +171,7 @@ class FeedbackStore:
         self._buckets: "OrderedDict[tuple[str, tuple], deque[ExecutionFeedback]]" \
             = OrderedDict()
         self._lock = threading.Lock()
-        #: Total records ever recorded (not bounded by eviction) — the
-        #: cost model's retraining clock.
+        #: Total records ever recorded (not bounded by eviction).
         self.total_recorded = 0
 
     # -- writing -----------------------------------------------------------
@@ -216,30 +212,12 @@ class FeedbackStore:
         return [fb for fb in rows
                 if strategy is None or fb.strategy == strategy]
 
-    def count(self, statement_key: str, region: tuple,
-              strategy: str) -> int:
-        return len(self.records(statement_key, region, strategy))
-
     def median_reported_s(self, statement_key: str, region: tuple,
                           strategy: str) -> Optional[float]:
         rows = self.records(statement_key, region, strategy)
         if not rows:
             return None
         return statistics.median(fb.reported_s for fb in rows)
-
-    def best_reported_s(self, statement_key: str, region: tuple,
-                        strategy: str) -> Optional[float]:
-        """Fastest observed time — the settling statistic.
-
-        A strategy's cost is deterministic for fixed data while the measured
-        kernel times carry nonnegative scheduling noise, so the minimum over
-        observations estimates the true cost; a median would fold the noise
-        of the slow runs into the comparison.
-        """
-        rows = self.records(statement_key, region, strategy)
-        if not rows:
-            return None
-        return min(fb.reported_s for fb in rows)
 
     def median_operator_bytes(self, statement_key: str, region: tuple,
                               strategy: Optional[str] = None,
@@ -262,14 +240,6 @@ class FeedbackStore:
                 per_family.setdefault(obs.family, []).append(obs.output_bytes)
         return {family: float(statistics.median(values))
                 for family, values in per_family.items()}
-
-    def training_data(self) -> tuple[list[list[float]], list[float]]:
-        """Every record with features, as ``(X, y)`` for the cost model."""
-        with self._lock:
-            rows = [fb for bucket in self._buckets.values() for fb in bucket]
-        X = [list(fb.features) for fb in rows if fb.features is not None]
-        y = [fb.reported_s for fb in rows if fb.features is not None]
-        return X, y
 
     def dump(self) -> list[dict]:
         """The store as plain dicts (for inspection / JSON serialization)."""

@@ -1,7 +1,7 @@
 """The adaptive runtime: strategy candidates, exploration, re-planning.
 
 One :class:`AdaptiveRuntime` lives on each session.  For every statement
-compiled with ``ExecutionOptions(adaptive=True)`` it plans a small set of
+compiled with ``ExecutionOptions(adaptive=True)`` it keeps a small set of
 **strategy candidates** — the same query under different
 :class:`~repro.core.tuning.Tuning` / parallelism settings:
 
@@ -15,8 +15,7 @@ Strategies never change results — only which operator variants run — so the
 runtime is free to *explore*: early executions of a statement rotate through
 the candidates while the feedback store accumulates observed simulated
 times, then the choice settles on the observed winner per binding region.
-The learned cost model ranks exploration (and skips candidates predicted to
-be far worse) for statements it has transferable history on.
+Every compile and re-plan plans the chosen candidate only.
 
 A settled choice is revisited on every execution: when the preferred
 strategy differs from the compiled one — new observations, a different
@@ -34,7 +33,6 @@ import threading
 from collections import OrderedDict
 from typing import Optional
 
-from repro.adaptive.cost_model import StrategyCostModel, featurize
 from repro.adaptive.estimates import EstimateCorrector, binding_region
 from repro.adaptive.feedback import ExecutionFeedback, FeedbackStore, harvest_feedback
 from repro.core.plan_cache import normalize_sql
@@ -43,6 +41,19 @@ from repro.core.tuning import active_tuning
 
 #: Lane budget when the statement's options don't ask for parallelism.
 DEFAULT_ADAPTIVE_LANES = 4
+#: Feedback records kept per (statement, binding region) bucket.
+HISTORY = 32
+#: Statements (and feedback buckets) kept, least recently used evicted.
+MAX_STATEMENTS = 256
+#: Observations required per (statement, region, strategy) before the choice
+#: settles on the fastest observed time.
+MIN_OBSERVATIONS = 2
+#: Output-bytes (or selectivity) ratio between an execution and the bucket
+#: median at which cardinalities count as drifted: the history is flushed and
+#: exploration restarts against the current data.
+DRIFT_FACTOR = 4.0
+#: Operators moving fewer bytes than this never signal drift.
+DRIFT_FLOOR_BYTES = 16384
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,37 +77,20 @@ class AdaptiveRuntime:
     """Per-session feedback loop: observe, correct, choose, re-plan.
 
     Thread-safety: the runtime has its own lock for its decision state; the
-    feedback store and cost model guard themselves.  The session calls
+    feedback store guards itself.  The session calls
     :meth:`plan_statement` and :meth:`wants_replan` under the session lock
     (lock order session → runtime) and :meth:`observe` outside it.
     """
 
-    def __init__(self, history: int = 32, max_statements: int = 256,
-                 min_observations: int = 2, drift_factor: float = 4.0,
-                 drift_floor_bytes: int = 16384,
-                 prune_factor: float = 8.0):
-        self.feedback = FeedbackStore(history=history,
-                                      max_buckets=max_statements)
+    min_observations = MIN_OBSERVATIONS
+
+    def __init__(self):
+        self.feedback = FeedbackStore(history=HISTORY,
+                                      max_buckets=MAX_STATEMENTS)
         self.corrector = EstimateCorrector(self.feedback)
-        self.cost_model = StrategyCostModel()
-        #: Observations required per (statement, region, strategy) before
-        #: the choice settles on the fastest observed time.
-        self.min_observations = max(1, int(min_observations))
-        #: Output-bytes ratio between an execution and the bucket median at
-        #: which cardinalities are considered drifted (history is flushed
-        #: and exploration restarts against the current data).
-        self.drift_factor = float(drift_factor)
-        #: Operators moving fewer bytes than this never signal drift.
-        self.drift_floor_bytes = int(drift_floor_bytes)
-        #: Skip exploring a candidate the trained cost model predicts to be
-        #: worse than this factor times the best candidate's prediction.
-        self.prune_factor = float(prune_factor)
-        self.max_statements = max(1, int(max_statements))
         self._lock = threading.Lock()
         #: statement key → candidate strategies, in exploration order.
         self._candidates: "OrderedDict[str, list[Strategy]]" = OrderedDict()
-        #: (statement key, strategy name) → plan features of the candidate.
-        self._features: dict[tuple[str, str], tuple[float, ...]] = {}
         #: statement key → binding region of the latest execution.
         self._last_region: dict[str, tuple] = {}
         #: Total in-place re-plans triggered by strategy changes (telemetry).
@@ -112,10 +106,8 @@ class AdaptiveRuntime:
         lanes = resolved.parallelism if (resolved.parallelism or 0) > 1 \
             else DEFAULT_ADAPTIVE_LANES
         if ir_contains_subqueries(query_ir):
-            # Planning mutates embedded subquery subplans in place, so the
-            # same IR tree cannot be planned once per candidate; these
-            # statements keep the static choice (still corrected, observed,
-            # and used as training data).
+            # Statements with subqueries keep the static choice: corrected
+            # and observed, never explored.
             return [Strategy("auto", lanes)]
         return [Strategy("auto", lanes),
                 Strategy("serial", 1),
@@ -124,7 +116,7 @@ class AdaptiveRuntime:
     # -- compile-time entry points ------------------------------------------
 
     def plan_statement(self, sql: str, query_ir, resolved, plan_kwargs):
-        """Plan every candidate, pick one, return its artifacts.
+        """Pick this statement's strategy, then plan that candidate only.
 
         Called by the session's ``_compile_uncached`` (under the session
         lock) for adaptive statements.  Returns ``(operator_plan,
@@ -135,29 +127,21 @@ class AdaptiveRuntime:
         key = self.statement_key(sql)
         candidates = self._candidate_set(resolved, query_ir)
         with self._lock:
-            region = self._last_region.get(key, ())
-        correction = self.corrector.correction_fn(key, region)
-        plans = {}
-        for strategy in candidates:
-            plans[strategy.name] = plan_ir(
-                query_ir, parallelism=strategy.parallelism,
-                tuning=strategy.tuning(), filter_correction=correction,
-                **plan_kwargs)
-        with self._lock:
             self._candidates[key] = candidates
             self._candidates.move_to_end(key)
-            for strategy in candidates:
-                self._features[(key, strategy.name)] = featurize(
-                    plans[strategy.name], strategy.parallelism)
-            while len(self._candidates) > self.max_statements:
-                stale_key, stale = self._candidates.popitem(last=False)
-                for strategy in stale:
-                    self._features.pop((stale_key, strategy.name), None)
+            while len(self._candidates) > MAX_STATEMENTS:
+                stale_key, _ = self._candidates.popitem(last=False)
                 self._last_region.pop(stale_key, None)
-        chosen = self._choose(key, region) or candidates[0].name
+            region = self._last_region.get(key, ())
+        chosen = self._choose(key, region)
         strategy = next(s for s in candidates if s.name == chosen)
+        operator_plan = plan_ir(
+            query_ir, parallelism=strategy.parallelism,
+            tuning=strategy.tuning(),
+            filter_correction=self.corrector.correction_fn(key, region),
+            **plan_kwargs)
         exec_options = resolved.replace(parallelism=strategy.parallelism)
-        return plans[chosen], exec_options, chosen
+        return operator_plan, exec_options, chosen
 
     def wants_replan(self, compiled, params: Optional[dict]) -> bool:
         """Should this statement be re-planned before executing?
@@ -178,53 +162,29 @@ class AdaptiveRuntime:
 
     # -- the choice ---------------------------------------------------------
 
-    def _predicted(self, key: str, name: str) -> Optional[float]:
-        with self._lock:
-            features = self._features.get((key, name))
-        if features is None:
-            return None
-        return self.cost_model.predict_seconds(features)
-
     def _choose(self, key: str, region: tuple) -> Optional[str]:
         """The strategy this (statement, region) should run next.
 
         Under-observed candidates are explored first (fewest observations
-        first, candidate order breaking ties), unless the trained cost model
-        predicts one to be ``prune_factor``× worse than the best candidate —
-        those are skipped and scored by prediction.  Once every surviving
-        candidate has ``min_observations``, the *fastest* observed time per
-        candidate decides: the underlying cost is deterministic for fixed
-        data and the measurement noise is nonnegative, so the per-strategy
-        minimum compares true costs where a median would compare noise.
+        first, candidate order breaking ties).  Once every candidate has
+        ``min_observations``, the *fastest* observed time per candidate
+        decides: the underlying cost is deterministic for fixed data and the
+        measurement noise is nonnegative, so the per-strategy minimum
+        compares true costs where a median would compare noise.
         """
         with self._lock:
             candidates = self._candidates.get(key)
         if not candidates:
             return None
         names = [strategy.name for strategy in candidates]
-        counts = {name: self.feedback.count(key, region, name)
-                  for name in names}
-        predictions = {name: self._predicted(key, name) for name in names}
-        known = [p for p in predictions.values() if p is not None]
-        floor = min(known) if known else None
-        pruned = {
-            name for name in names
-            if counts[name] == 0 and floor is not None
-            and predictions[name] is not None
-            and predictions[name] > self.prune_factor * max(floor, 1e-9)
-        }
+        rows = self.feedback.records(key, region)
+        times = {name: [fb.reported_s for fb in rows if fb.strategy == name]
+                 for name in names}
         under = [name for name in names
-                 if name not in pruned
-                 and counts[name] < self.min_observations]
+                 if len(times[name]) < self.min_observations]
         if under:
-            return min(under, key=lambda n: (counts[n], names.index(n)))
-        scores = {}
-        for name in names:
-            observed = self.feedback.best_reported_s(key, region, name)
-            if observed is None:
-                observed = predictions[name]
-            scores[name] = observed if observed is not None else float("inf")
-        return min(names, key=lambda n: (scores[n], names.index(n)))
+            return min(under, key=lambda n: (len(times[n]), names.index(n)))
+        return min(names, key=lambda n: (min(times[n]), names.index(n)))
 
     # -- run-time entry point -----------------------------------------------
 
@@ -234,7 +194,7 @@ class AdaptiveRuntime:
         strategy and plan shape of the snapshot it ran against.
 
         Flushes the statement's history first when the observed per-operator
-        output cardinalities drifted past ``drift_factor`` against the
+        output cardinalities drifted past ``DRIFT_FACTOR`` against the
         bucket's median — the signal that the underlying data changed shape
         (e.g. a re-registered table with inverted skew) and the settled
         strategy choice must be re-earned against the new distribution.
@@ -243,19 +203,17 @@ class AdaptiveRuntime:
         region = binding_region(params)
         with self._lock:
             self._last_region[key] = region
-            features = self._features.get((key, strategy))
         operators, selectivity = harvest_feedback(result.profile)
         feedback = ExecutionFeedback(
             statement_key=key, region=region, strategy=strategy,
             reported_s=result.reported_s,
             result_rows=result.table.num_rows,
             filter_selectivity=selectivity, operators=operators,
-            features=features, plan_signature=plan_signature)
+            plan_signature=plan_signature)
         if self._drifted(key, region, strategy, plan_signature,
                          operators, selectivity):
             self.feedback.forget_statement(key)
         self.feedback.record(feedback)
-        self.cost_model.maybe_train(self.feedback)
 
     def _drifted(self, key: str, region: tuple, strategy: str,
                  plan_signature: Optional[str], operators,
@@ -270,7 +228,7 @@ class AdaptiveRuntime:
             if baseline_sel is not None:
                 base, _ = baseline_sel
                 hi, lo = max(selectivity, base), min(selectivity, base)
-                if hi - lo > 0.02 and hi / max(lo, 1e-6) > self.drift_factor:
+                if hi - lo > 0.02 and hi / max(lo, 1e-6) > DRIFT_FACTOR:
                     return True
         # Signal 2: per-operator-family output bytes moved.  Compare
         # same-strategy, same-plan-shape executions only: strategies (and
@@ -285,8 +243,8 @@ class AdaptiveRuntime:
                 continue
             hi = max(float(obs.output_bytes), base)
             lo = min(float(obs.output_bytes), base)
-            if hi < self.drift_floor_bytes:
+            if hi < DRIFT_FLOOR_BYTES:
                 continue
-            if lo <= 0.0 or hi / lo > self.drift_factor:
+            if lo <= 0.0 or hi / lo > DRIFT_FACTOR:
                 return True
         return False

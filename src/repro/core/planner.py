@@ -100,10 +100,6 @@ class OperatorPlan:
     output_fields: list[Field]
     params: list[ParameterSpec] = dataclasses.field(default_factory=list)
     model_names: frozenset[str] = frozenset()
-    #: Planner cardinality estimates (``root_rows``, ``max_scan_rows``,
-    #: ``total_scan_rows``, ``max_ndv``) — the plan features the adaptive
-    #: layer's learned cost model trains on.
-    estimates: dict = dataclasses.field(default_factory=dict)
 
 
 def ir_node_expressions(node: ir.IRNode) -> list[ast.Expr]:
@@ -261,29 +257,7 @@ class Planner:
         params = sorted(self._params.values(), key=lambda spec: spec.position)
         return OperatorPlan(operator_root, self._scans, list(root.fields),
                             params=params,
-                            model_names=frozenset(self._model_names),
-                            estimates=self._plan_estimates(root))
-
-    def _plan_estimates(self, root: ir.IRNode) -> dict:
-        """Summary cardinality/NDV estimates of a planned query.
-
-        Recorded on the :class:`OperatorPlan` so downstream consumers (the
-        adaptive layer's plan featurization) see the same numbers the
-        parallel/shard threshold decisions were made from.
-        """
-        scan_rows = [self._estimate_rows(node) for node in root.walk()
-                     if node.op == ir.SCAN]
-        ndvs = [column.ndv or 0
-                for node in root.walk() if node.op == ir.SCAN
-                for stats in [self.table_stats.get(node.attrs["table"].lower())]
-                if stats is not None
-                for column in stats.columns.values()]
-        return {
-            "root_rows": self._estimate_rows(root),
-            "max_scan_rows": max(scan_rows, default=0),
-            "total_scan_rows": sum(scan_rows),
-            "max_ndv": max(ndvs, default=0),
-        }
+                            model_names=frozenset(self._model_names))
 
     # -- expressions: parameters, models, runtime subqueries -----------------
 

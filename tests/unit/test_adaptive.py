@@ -2,8 +2,9 @@
 
 Covers the feedback store (bounded history, LRU bucket cap, thread-safety
 under a serving pool), binding-region bucketing and estimate-correction
-isolation across rebinds, the strategy exploration/settling loop, and the
-learned cost model's training gate.
+isolation across rebinds, and the strategy exploration/settling loop: every
+candidate is observed before the choice settles, and only the chosen one is
+planned.
 """
 
 from __future__ import annotations
@@ -15,29 +16,29 @@ import numpy as np
 import pytest
 
 from repro import DataFrame, ExecutionOptions, TQPSession
+import repro.adaptive.planner as adaptive_planner
 from repro.adaptive import (
     EstimateCorrector,
     ExecutionFeedback,
     FeedbackStore,
     OperatorObservation,
-    StrategyCostModel,
     binding_region,
     scope_family,
 )
 from repro.backends.base import split_partitions
 from repro.backends.cpu import CPUDevice
+from repro.core.planner import plan_ir
 from repro.serve import ServingRuntime
 
 N_ROWS = 20000
 
 
 def make_feedback(key="q", region=(), strategy="auto", reported_s=1e-3,
-                  selectivity=None, operators=(), features=None):
+                  selectivity=None, operators=()):
     return ExecutionFeedback(
         statement_key=key, region=region, strategy=strategy,
         reported_s=reported_s, result_rows=10,
-        filter_selectivity=selectivity, operators=tuple(operators),
-        features=features)
+        filter_selectivity=selectivity, operators=tuple(operators))
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +207,26 @@ def test_binding_region_buckets_magnitudes_and_dates():
         == binding_region({"b": "x", "a": 1})
 
 
+def test_binding_region_buckets_numpy_scalars_like_python_values():
+    # The binders accept numpy scalars; each must share its Python
+    # counterpart's bucket instead of opening a region per distinct value.
+    assert binding_region({"k": np.int64(100)}) == binding_region({"k": 101})
+    assert binding_region({"k": np.int64(100)}) \
+        == binding_region({"k": np.int32(120)})
+    assert binding_region({"q": np.float64(50.0)}) \
+        == binding_region({"q": 60.0})
+    assert binding_region({"q": np.float32(-50.0)}) \
+        == binding_region({"q": -50.0})
+    assert binding_region({"d": np.datetime64("1995-03-01")}) \
+        == binding_region({"d": datetime.date(1995, 11, 30)})
+    assert binding_region({"d": np.datetime64("1995-03-01")}) \
+        == binding_region({"d": np.datetime64("1995-12-31T23:00", "ns")})
+    assert binding_region({"d": np.datetime64("1995-03-01")}) \
+        != binding_region({"d": np.datetime64("1998-03-01")})
+    assert binding_region({"b": np.bool_(True)}) \
+        == binding_region({"b": True}) != binding_region({"b": False})
+
+
 def test_correction_buckets_are_isolated_across_rebinds():
     store = FeedbackStore()
     broad = binding_region({"cut": 50.0})
@@ -240,35 +261,6 @@ def test_correction_weight_grows_with_history():
     assert many == pytest.approx(0.9, abs=0.11)
 
 
-# -- cost model ----------------------------------------------------------------
-
-
-def test_cost_model_trains_after_min_samples_and_predicts():
-    store = FeedbackStore()
-    model = StrategyCostModel(min_samples=8, retrain_every=4)
-    # Synthetic regime: feature[0] alone determines cost.
-    for i in range(12):
-        x = float(i % 4)
-        features = (x,) + (0.0,) * 12
-        store.record(make_feedback(reported_s=1e-3 * (1.0 + x),
-                                   features=features))
-        model.maybe_train(store)
-    assert model.ready
-    cheap = model.predict_seconds((0.0,) + (0.0,) * 12)
-    dear = model.predict_seconds((3.0,) + (0.0,) * 12)
-    assert cheap is not None and dear is not None
-    assert dear > cheap
-
-
-def test_cost_model_not_ready_below_min_samples():
-    store = FeedbackStore()
-    model = StrategyCostModel(min_samples=8)
-    for _ in range(7):
-        store.record(make_feedback(features=(1.0,) * 13))
-        assert model.maybe_train(store) is False
-    assert model.predict_seconds((1.0,) * 13) is None
-
-
 # -- end-to-end adaptive loop --------------------------------------------------
 
 
@@ -292,6 +284,47 @@ def test_adaptive_explores_then_settles_per_region(session):
     assert all(r["statement_key"] == query.compiled.sql.strip().lower()
                or r["statement_key"] for r in records)
     assert any(r["filter_selectivity"] is not None for r in records)
+
+
+def test_history_of_other_statements_does_not_cut_exploration(session):
+    runtime = session.adaptive
+    others = [session.prepare(SQL.replace(":cut", str(cut)), options=ADAPTIVE)
+              for cut in (10.0, 30.0, 70.0, 90.0)]
+    for other in others:
+        for _ in range(3):
+            other.execute()
+    assert runtime.feedback.total_recorded >= 12
+    query = session.prepare(EXACT_SQL, options=ADAPTIVE)
+    explore = 3 * runtime.min_observations
+    seen = []
+    for _ in range(explore + 3):
+        query.bind(cut=50.0).execute()
+        seen.append(query.compiled.strategy)
+    # Every candidate runs min_observations times before the choice settles,
+    # however much history the runtime holds on other statements.
+    assert {name: seen[:explore].count(name) for name in STRATEGIES} \
+        == {name: runtime.min_observations for name in STRATEGIES}
+    assert len(set(seen[explore:])) == 1
+
+
+def test_compile_and_replan_plan_only_the_chosen_candidate(session,
+                                                           monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["parallelism"])
+        return plan_ir(*args, **kwargs)
+
+    monkeypatch.setattr(adaptive_planner, "plan_ir", spy)
+    query = session.prepare(SQL, options=ADAPTIVE)
+    assert (query.compiled.strategy, len(calls)) == ("auto", 1)
+    query.bind(cut=50.0).execute()
+    assert len(calls) == 1
+    # "serial" is now the least observed candidate: the next execution
+    # re-plans to it, planning that candidate alone.
+    query.bind(cut=50.0).execute()
+    assert query.compiled.strategy == "serial"
+    assert calls[1:] == [1]
 
 
 def test_adaptive_keeps_independent_choices_per_region(session, monkeypatch):

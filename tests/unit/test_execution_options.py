@@ -395,3 +395,30 @@ def test_lanes_are_a_model_not_a_plan_shape():
     assert len(dataclasses.fields(tuning.Tuning)) == 3
     assert len(dataclasses.fields(ExecutionOptions)) == 10
     assert len(passes.DEFAULT_PASSES) == 7
+
+
+def test_adaptive_chooses_from_what_it_observed():
+    """The adaptive runtime settles on observed times alone: no learned
+    strategy cost model, no plan features, no knobs."""
+    import importlib
+
+    from repro import adaptive
+    from repro.adaptive.feedback import ExecutionFeedback, FeedbackStore
+    from repro.adaptive.planner import AdaptiveRuntime
+    from repro.core import planner, tuning
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.adaptive.cost_model")
+    gone = {adaptive: ("StrategyCostModel", "featurize", "FEATURE_NAMES"),
+            planner.Planner: ("_plan_estimates",),
+            FeedbackStore: ("training_data",),
+            AdaptiveRuntime: ("prune_factor",)}
+    for owner, names in gone.items():
+        assert not [name for name in names if hasattr(owner, name)], owner
+    for cls, field in ((planner.OperatorPlan, "estimates"),
+                       (ExecutionFeedback, "features")):
+        assert field not in {f.name for f in dataclasses.fields(cls)}, cls
+    assert len(inspect.signature(AdaptiveRuntime).parameters) == 0
+    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(dataclasses.fields(tuning.Tuning)) == 3
+    assert len(passes.DEFAULT_PASSES) == 7
