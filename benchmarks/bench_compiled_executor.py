@@ -42,7 +42,7 @@ from repro.datasets import tpch
 SERVING_SF = 0.0001
 
 #: Scale factor for the tier-2 all-queries parity sweep (shares the on-disk
-#: TPC-H cache with the tier-2 differential suites).
+#: TPC-H cache with the differential harness).
 PARITY_SF = 0.002
 
 #: Requests per measured ``execute_many`` batch, and best-of repetitions.

@@ -356,6 +356,7 @@ class RowEngine:
     def _nested_loop_join(self, plan: phys.PhysicalNestedLoopJoin) -> list[Row]:
         left_rows = self.execute(plan.left)
         right_rows = self.execute(plan.right)
+        right_nulls = {f.name: None for f in plan.right.schema()}
         out: list[Row] = []
         for left_row in left_rows:
             matches = []
@@ -366,10 +367,16 @@ class RowEngine:
                     matches.append(combined)
             if plan.kind in ("inner", "cross"):
                 out.extend(matches)
-            elif plan.kind == "semi" and matches:
-                out.append(left_row)
-            elif plan.kind == "anti" and not matches:
-                out.append(left_row)
+            elif plan.kind == "left":
+                out.extend(matches or [{**left_row, **right_nulls}])
+            elif plan.kind == "semi":
+                if matches:
+                    out.append(left_row)
+            elif plan.kind == "anti":
+                if not matches:
+                    out.append(left_row)
+            else:
+                raise UnsupportedOperationError(f"join kind {plan.kind!r}")
         return out
 
     def _aggregate(self, plan: phys.PhysicalHashAggregate) -> list[Row]:

@@ -376,11 +376,6 @@ class TensorTable:
         return TensorTable({name: self.column(name) for name in names},
                            self.statistics)
 
-    def with_column(self, name: str, column: TensorColumn) -> "TensorTable":
-        columns = dict(self._columns)
-        columns[name] = column
-        return TensorTable(columns)
-
     def rename(self, mapping: Mapping[str, str]) -> "TensorTable":
         return TensorTable({mapping.get(name, name): col
                             for name, col in self._columns.items()})

@@ -311,7 +311,7 @@ class NestedLoopJoinOperator(TensorOperator):
     def __init__(self, left: TensorOperator, right: TensorOperator, kind: str,
                  condition: Optional[Expr] = None):
         super().__init__([left, right])
-        if kind not in ("inner", "cross", "semi", "anti"):
+        if kind not in ("inner", "cross", "left", "semi", "anti"):
             raise ExecutionError(f"unsupported nested-loop join kind {kind!r}")
         self.kind = kind
         self.condition = condition

@@ -43,7 +43,7 @@ class ExecutionOptions:
             compiled plan (opt-in; see ``repro.core.parameters``).
         encoding: storage-encoding configuration for table conversion —
             ``auto`` (dictionary-encode low-cardinality strings) or ``off``
-            (plain tensors, the differential suites' reference).  Part of
+            (plain tensors, bit for bit the same answers).  Part of
             the plan-cache and conversion-cache keys: a traced program is
             tied to the storage layout it was traced against, so changing
             the encoding can never serve stale tensors.
@@ -51,7 +51,7 @@ class ExecutionOptions:
             default: the graph is lowered to generated code; one the emitter
             cannot lower raises :class:`~repro.errors.CodegenError` at first
             execution) or ``interpret`` (the node-by-node graph interpreter,
-            the reference executor of the differential suites).  Part of the
+            the reference executor of the differential harness).  Part of the
             plan-cache key.  Only affects graph backends; the eager
             ``pytorch`` backend has no traced graph to replay.
         devices: number of simulated devices the plan's tables may be

@@ -173,10 +173,6 @@ class Analyzer:
 
     # -- parameter typing -----------------------------------------------------
 
-    def parameter_types(self) -> dict[str, LogicalType]:
-        """Inferred parameter types, by name (valid after :meth:`analyze`)."""
-        return dict(self._param_types)
-
     def _note_param_type(self, name: str, ltype: LogicalType) -> None:
         current = self._param_types.get(name)
         if current is not None and current != ltype:

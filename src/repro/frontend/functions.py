@@ -13,24 +13,7 @@ AGGREGATE_FUNCTIONS = {
     "count": LogicalType.INT,
 }
 
-#: Scalar functions with a fixed result type (None = follows first argument).
-SCALAR_FUNCTIONS = {
-    "abs": None,
-    "round": None,
-    "floor": LogicalType.FLOAT,
-    "ceil": LogicalType.FLOAT,
-    "sqrt": LogicalType.FLOAT,
-    "length": LogicalType.INT,
-    "year": LogicalType.INT,
-    "month": LogicalType.INT,
-    "day": LogicalType.INT,
-    "coalesce": None,
-}
-
 
 def is_aggregate_name(name: str) -> bool:
     return name.lower() in AGGREGATE_FUNCTIONS
 
-
-def is_scalar_function(name: str) -> bool:
-    return name.lower() in SCALAR_FUNCTIONS

@@ -32,7 +32,7 @@ from repro.tensor.profiler import (
     stamped,
 )
 from repro.tensor.script import ScriptedProgram, script_trace
-from repro.tensor.tensor import Tensor, as_tensor
+from repro.tensor.tensor import Tensor
 from repro.tensor.tracing import TraceContext, current_trace, trace
 from repro.tensor import allocator  # noqa: F401 - fixes the C allocator's thresholds
 from repro.tensor import onnxlike, ops, passes
@@ -54,7 +54,6 @@ __all__ = [
     "Tensor",
     "TraceContext",
     "Value",
-    "as_tensor",
     "bool_",
     "by_name",
     "current_profiler",

@@ -8,7 +8,7 @@ identical profile-event streams under either: each node runs inside the
 :class:`~repro.tensor.profiler.stamped` frame — operator scope, lanes width,
 device shard — it was traced under.  Generated code is what every
 graph backend replays through; the interpreter is the *reference* executor
-(``executor="interpret"``) that the codegen differential suites, the
+(``executor="interpret"``) that the differential harness, the
 compiled-vs-interpreted benchmark gate and the ledger's trace twin hold the
 generated code against, and what replays a loaded portable graph whose
 attributes the emitter cannot lower.

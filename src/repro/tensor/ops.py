@@ -838,8 +838,10 @@ def _scatter_add_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarra
     index, values = arrays
     if values.dtype.kind == "f" and index.ndim == 1 and values.ndim == 1:
         # bincount accumulates out[index[i]] += values[i] in the same pass
-        # order as np.add.at, already in float64, and is much faster.
-        return [np.bincount(index, weights=values, minlength=size)]
+        # order as np.add.at, already in float64, and is much faster.  On an
+        # empty index numpy returns int64, so the cast keeps the dtype.
+        return [np.bincount(index, weights=values, minlength=size)
+                .astype(np.float64, copy=False)]
     out = np.zeros(size, dtype=np.result_type(values.dtype, np.float64)
                    if values.dtype.kind == "f" else values.dtype)
     np.add.at(out, index, values)
@@ -1091,20 +1093,6 @@ def join_ids(left: Tensor, right: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     tl, tr, device = _pair(left, right)
     out = _apply_multi("join_ids", [tl, tr], device=device)
     return out[0], out[1], out[2]
-
-
-@register_op("reduceat_sum")
-def _reduceat_sum_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
-    data, offsets = arrays
-    if offsets.size == 0:
-        return [np.zeros(0, dtype=data.dtype)]
-    return [np.add.reduceat(data, offsets)]
-
-
-def reduceat_sum(data: Tensor, offsets: Tensor) -> Tensor:
-    """Segmented sum: ``offsets`` are the start index of each segment."""
-    td, to, device = _pair(data, offsets)
-    return _apply("reduceat_sum", [td, to], device=device)
 
 
 @register_op("repeat")

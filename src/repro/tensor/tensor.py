@@ -202,15 +202,6 @@ class Tensor:
         )
 
 
-def as_tensor(value: Any, device: Device | str | None = None) -> Tensor:
-    """Coerce ``value`` (Tensor, numpy array, scalar, sequence) to a Tensor."""
-    from repro.tensor import ops as _ops
-
-    if isinstance(value, Tensor):
-        return value
-    return _ops.tensor(value, device=device)
-
-
 def same_device(tensors: Iterable[Tensor]) -> Device:
     """Return the common device of ``tensors``, raising on a mismatch."""
     device: Device | None = None

@@ -171,7 +171,7 @@ def test_distinct_over_dictionary_codes_takes_the_static_radix_path():
 @pytest.mark.parametrize("kind,conditional,expected", [
     ("semi", True, [1, 2, 3]), ("anti", True, [4]),
     ("semi", False, [1, 2, 3, 4]), ("anti", False, []),
-    ("inner", True, [1, 1, 1, 2, 2, 3]),
+    ("inner", True, [1, 1, 1, 2, 2, 3]), ("left", True, [1, 1, 1, 2, 2, 3, 4]),
 ])
 def test_nested_loop_join_finishes_like_the_hash_join(kind, conditional,
                                                       expected):
@@ -202,7 +202,7 @@ def test_nested_loop_join_finishes_like_the_hash_join(kind, conditional,
     empty = NestedLoopJoinOperator(_rows(left), _rows(right.slice(0, 0)), kind,
                                    condition if conditional else None)
     kept = empty.execute(ExecutionContext({})).to_dataframe().to_dict()["k"]
-    assert kept == ([1, 2, 3, 4] if kind == "anti" else [])
+    assert kept == ([1, 2, 3, 4] if kind in ("anti", "left") else [])
 
 
 def test_in_subquery_and_scalar_subquery_runtime():

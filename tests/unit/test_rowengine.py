@@ -5,8 +5,9 @@ import pytest
 
 from repro.baselines import RowEngine, run_sql
 from repro.dataframe import DataFrame
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, UnsupportedOperationError
 from repro.frontend import Catalog, sql_to_physical
+from repro.frontend.physical import PhysicalNestedLoopJoin, walk_physical
 
 
 @pytest.fixture
@@ -50,6 +51,22 @@ def test_joins_inner_left_semi_anti(tables):
     anti = _run("select emp_id from emp where not exists "
                 "(select * from dept where dept.dept = emp.dept)", tables)
     assert anti.to_dict() == {"emp_id": [4]}
+
+
+def test_non_equi_left_join_null_extends_and_unknown_kinds_raise(tables):
+    sql = ("select emp_id, floor from emp left join dept "
+           "on emp.salary < dept.floor * 35 order by emp_id")
+    assert _run(sql, tables).to_dict() == {"emp_id": [1, 2, 3, 4],
+                                           "floor": [3, None, 3, 3]}
+    catalog = Catalog()
+    for name, frame in tables.items():
+        catalog.register(name, frame)
+    plan = sql_to_physical(sql, catalog)
+    join, = [node for node in walk_physical(plan)
+             if isinstance(node, PhysicalNestedLoopJoin)]
+    join.kind = "full"
+    with pytest.raises(UnsupportedOperationError, match="'full'"):
+        RowEngine(tables).execute(plan)
 
 
 def test_aggregation_and_having(tables):

@@ -107,6 +107,15 @@ def test_gather_scatter_and_masks():
         ops.bincount(ops.tensor([0, 2, 2]), minlength=4).numpy(), [1, 0, 2, 0])
 
 
+def test_float_scatter_add_over_no_rows_stays_float():
+    """``np.bincount`` answers an empty index in int64; a float sum over zero
+    rows must not change dtype with the binding."""
+    out = ops.scatter_add(ops.tensor(np.zeros(0, dtype=np.int64)),
+                          ops.tensor(np.zeros(0)), size=2)
+    assert out.numpy().dtype == np.float64
+    np.testing.assert_array_equal(out.numpy(), [0.0, 0.0])
+
+
 def test_repeat_and_cumsum():
     np.testing.assert_array_equal(
         ops.repeat(ops.tensor([1, 2, 3]), ops.tensor([2, 0, 1])).numpy(), [1, 1, 3])
