@@ -3,10 +3,10 @@
 After every adaptive execution the session harvests the profiler events the
 run already produced (no extra instrumentation): per-operator observed
 cardinalities (via input/output bytes) and per-(fused-)kernel simulated
-times, aggregated per *operator family* — the scope strings the operators
-stamp on their events, canonicalized so ``Filter`` and
-``MorselFilter(workers=4)`` (the same relational operator under different
-strategies) land in the same bucket and stay comparable across plans.
+times, aggregated per *operator family* — the scopes the operators stamp on
+their events (``Filter#4``, ``Filter#9``), canonicalized to the operator's
+name so the operators of one kind land in the same bucket and stay
+comparable across plans.
 
 Records are keyed by ``(plan-cache statement key, binding region)`` — the
 same normalized-SQL key the session's plan cache uses, plus the coarse
@@ -26,35 +26,6 @@ from typing import Iterable, Optional
 
 from repro.tensor.profiler import Profiler
 
-#: Operator-name prefixes → canonical family.  Longest prefix wins, so the
-#: serial, morsel-parallel and distributed variants of one relational
-#: operator aggregate into one feedback bucket.
-_FAMILY_PREFIXES = (
-    ("PartitionedHashJoin", "HashJoin"),
-    ("ShuffleJoin", "HashJoin"),
-    ("BroadcastJoin", "HashJoin"),
-    ("NestedLoopJoin", "NestedLoopJoin"),
-    ("HashJoin", "HashJoin"),
-    ("ParallelHashAggregate", "HashAggregate"),
-    ("ShardedAggregate", "HashAggregate"),
-    ("HashAggregate", "HashAggregate"),
-    ("DistributedScan", "Scan"),
-    ("MorselScan", "Scan"),
-    ("TableScan", "Scan"),
-    ("DistributedFilter", "Filter"),
-    ("MorselFilter", "Filter"),
-    ("Filter", "Filter"),
-    ("DistributedProject", "Project"),
-    ("MorselProject", "Project"),
-    ("Project", "Project"),
-    ("DistributedRename", "Rename"),
-    ("Rename", "Rename"),
-    ("Gather", "Gather"),
-    ("Sort", "Sort"),
-    ("Limit", "Limit"),
-    ("Distinct", "Distinct"),
-)
-
 #: The ops whose input→output byte ratio is the observed-selectivity proxy,
 #: each with the bytes in that one row weighs against a byte out.  An eager
 #: filter materializes surviving rows by masking each column with
@@ -67,25 +38,17 @@ _SELECTION_OPS = {"boolean_mask": 1, "nonzero": 8}
 
 
 def scope_family(scope: str) -> str:
-    """Canonical operator family of a profiler scope string.
-
-    ``"MorselFilter(workers=4)"`` → ``"Filter"``;
-    ``"ShuffleJoin[inner](devices=2)"`` → ``"HashJoin"``;
-    scans keep their table so two scans in one plan stay distinct:
-    ``"MorselScan(lineitem, workers=4)"`` → ``"Scan(lineitem)"``.
+    """Canonical operator family of a profiler scope: its label's name,
+    without the ``#id`` / ``@d<k>`` suffixes (the scope of one operator in
+    one plan); scans keep their table, so two scans in one plan stay
+    distinct.  ``"HashJoin[inner](key=right)#3:shuffle@d1"`` →
+    ``"HashJoin"``; ``"TableScan(lineitem, pruned=2 conjuncts)#1"`` →
+    ``"Scan(lineitem)"``.
     """
-    text = scope.split("@", 1)[0].strip()
-    head, _, rest = text.partition("(")
-    head = head.split("[", 1)[0].strip()
-    family = head
-    for prefix, canonical in _FAMILY_PREFIXES:
-        if head.startswith(prefix):
-            family = canonical
-            break
-    if family == "Scan":
-        table = rest.rstrip(")").split(",", 1)[0].strip()
-        if table and "=" not in table:
-            return f"Scan({table})"
+    head, _, rest = scope.split("#", 1)[0].partition("(")
+    family = head.split("[", 1)[0].strip()
+    if family == "TableScan":
+        return f"Scan({rest.rstrip(')').split(',', 1)[0].strip()})"
     return family
 
 

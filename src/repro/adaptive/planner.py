@@ -23,7 +23,8 @@ binding region, or a drift flush after observed cardinalities moved — the
 session re-plans the statement **in place** through the existing
 ``CompiledQuery._refresh_from`` machinery, under the session lock, so
 in-flight serving requests keep their snapshot and later ones get the new
-plan.
+plan — which replays the program already traced wherever its operators are
+the current plan's: candidates differ in lanes widths, which live on the plan.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Optional
 from repro.adaptive.estimates import EstimateCorrector, binding_region
 from repro.adaptive.feedback import ExecutionFeedback, FeedbackStore, harvest_feedback
 from repro.core.plan_cache import normalize_sql
-from repro.core.planner import ir_contains_subqueries, plan_ir
+from repro.core.planner import plan_ir
 from repro.core.tuning import active_tuning
 
 #: Lane budget when the statement's options don't ask for parallelism.
@@ -102,13 +103,10 @@ class AdaptiveRuntime:
     def statement_key(sql: str) -> str:
         return normalize_sql(sql)
 
-    def _candidate_set(self, resolved, query_ir) -> list[Strategy]:
+    @staticmethod
+    def _candidate_set(resolved) -> list[Strategy]:
         lanes = resolved.parallelism if (resolved.parallelism or 0) > 1 \
             else DEFAULT_ADAPTIVE_LANES
-        if ir_contains_subqueries(query_ir):
-            # Statements with subqueries keep the static choice: corrected
-            # and observed, never explored.
-            return [Strategy("auto", lanes)]
         return [Strategy("auto", lanes),
                 Strategy("serial", 1),
                 Strategy("parallel", lanes, parallel_threshold_rows=0)]
@@ -125,7 +123,7 @@ class AdaptiveRuntime:
         keeps the caller's options.
         """
         key = self.statement_key(sql)
-        candidates = self._candidate_set(resolved, query_ir)
+        candidates = self._candidate_set(resolved)
         with self._lock:
             self._candidates[key] = candidates
             self._candidates.move_to_end(key)

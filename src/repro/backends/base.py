@@ -11,13 +11,14 @@ A *backend* in TQP terms is a compilation target for the tensor program
 
 Results are always computed by real kernels; only *time* is ever simulated.
 
-Partitioned plans (:mod:`repro.core.operators.partition`) stamp every event
-with its operator's lanes width and its device shard; :func:`split_partitions`
-turns the stamps into the concurrent structure every cost model charges: host
-work plus the *slowest* shard, each serial work plus one lane's share of every
-lanes event plus ``n`` morsel dispatches per lanes operator, plus every
-exchange as an interconnect transfer.  Lanes are a *model*: the kernels are
-the serial program's, and so is the wall clock.
+Every event names its operator (``scope``, ``label#id``) and its device
+shard; the plan's ``lanes`` map (``OperatorPlan.lanes``, ``{scope: n}``) says
+which operators the planner put on ``n`` worker lanes.
+:func:`split_partitions` turns the two into the concurrent structure every
+cost model charges: host work plus the *slowest* shard, each serial work plus
+one lane's share of every lanes event plus ``n`` morsel dispatches per lanes
+operator, plus every exchange as an interconnect transfer.  Lanes are a
+*model*: the kernels are the serial program's, and so is the wall clock.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ class Region:
     """The events of one device (the host, or one shard).
 
     Attributes:
-        serial: events with no lanes width, or under two :func:`morsel_lanes`.
+        serial: events of serial operators, or under two :func:`morsel_lanes`.
         spread: ``(event, k)`` for every other event: a lane runs 1/k of it.
-        operators: the lanes operators' stamps ``(scope, n)``, each handing
-            out ``n`` morsels.  A set, not a run of events: a graph pass that
-            moves or fuses a kernel leaves the count alone (operators sharing
-            a label share one entry).
+        operators: ``(scope, n)`` of every lanes operator with an event here,
+            each handing out ``n`` morsels.  A set, not a run of events: a
+            graph pass that moves or fuses a kernel leaves the count alone.
     """
 
     serial: list = dataclasses.field(default_factory=list)
@@ -67,13 +67,15 @@ class Region:
                 + self.dispatches * dispatch_overhead_s)
 
 
-def morsel_lanes(event) -> int:
+def morsel_lanes(event, n: int) -> int:
     """The lanes an event's work spreads over: one per whole morsel of its
-    rows, at most its operator's width (under two, it is priced whole)."""
-    return max(1, min(event.lanes or 1, event.rows // DEFAULT_MORSEL_ROWS))
+    rows, at most ``n``, its operator's width (under two, it is priced
+    whole)."""
+    return max(1, min(n, event.rows // DEFAULT_MORSEL_ROWS))
 
 
-def split_partitions(events) -> tuple[Region, dict, list]:
+def split_partitions(events, lanes: "dict[str, int] | None" = None
+                     ) -> tuple[Region, dict, list]:
     """Partition kernel events into the partitioned execution structure.
 
     Returns ``(host, shards, exchanges)``: the host's :class:`Region`, a
@@ -83,8 +85,10 @@ def split_partitions(events) -> tuple[Region, dict, list]:
     they are zero-copy identities whose *payload bytes* (their output tensor;
     input + output would count the payload twice) the cost models charge
     against an interconnect tier, never as kernels.  Events whose stamp names
-    no shard run on the host.
+    no shard run on the host; ``lanes`` (the plan's ``{scope: n}``) gives
+    each event its operator's width, and a scope it does not name is serial.
     """
+    lanes = lanes or {}
     host, shards, exchanges = Region(), {}, []
     for event in events:
         if event.op in EXCHANGE_OPS:
@@ -92,13 +96,14 @@ def split_partitions(events) -> tuple[Region, dict, list]:
             continue
         region = (host if event.shard is None
                   else shards.setdefault(event.shard, Region()))
-        if event.lanes is not None:
-            region.operators.add((event.scope, event.lanes))
-        lanes = morsel_lanes(event)
-        if lanes < 2:
+        width = lanes.get(event.scope, 1)
+        if width > 1:
+            region.operators.add((event.scope, width))
+        spread = morsel_lanes(event, width)
+        if spread < 2:
             region.serial.append(event)
         else:
-            region.spread.append((event, lanes))
+            region.spread.append((event, spread))
     return host, shards, exchanges
 
 
@@ -132,13 +137,16 @@ class DeviceCostModel:
 
     name = "measured"
 
-    def report_time(self, measured_s: float, profile: Profiler | None
-                    ) -> float:
+    def report_time(self, measured_s: float, profile: Profiler | None,
+                    lanes: "dict[str, int] | None" = None) -> float:
         """Return the execution time to report for a run.
 
         Args:
             measured_s: wall-clock seconds of the real (numpy) execution.
             profile: op-level profile of that execution (may be ``None`` when
                 profiling was disabled; cost models must degrade gracefully).
+            lanes: the plan's ``{scope: n}`` lanes widths
+                (``OperatorPlan.lanes``); ``None`` prices every operator
+                serial.
         """
         return measured_s

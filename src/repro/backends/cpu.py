@@ -5,13 +5,15 @@ report *kernel time* — the sum of the profiler's per-op durations — which
 excludes the pure-Python dispatch overhead of this simulation harness (the
 regime a compiled engine or the paper's TorchScript backend operates in).
 Kernel time is also what the lanes model spreads: a ``parallelism=N`` plan
-runs the serial program, and each kernel of an operator the planner put on
-``N`` lanes is charged one lane's share, ``elapsed / k`` with ``k`` its
-``morsel_lanes`` (one lane per whole morsel of its rows, at most ``N``; a
-kernel under two morsels stays serial), plus a fixed cost per morsel
-dispatch, ``N`` per lanes operator.  Serial plans charge every kernel — same
-basis, so ``parallelism=1`` vs ``parallelism=N`` speedup curves are apples to
-apples.  They are a *model*: the wall clock of both is the serial program's.
+runs the serial program, and each kernel of an operator the plan's ``lanes``
+map puts on ``N`` lanes (looked up by the event's scope, ``label#id``) is
+charged one lane's share, ``elapsed / k`` with ``k`` its ``morsel_lanes``
+(one lane per whole morsel of its rows, at most ``N``; a kernel under two
+morsels stays serial), plus a fixed cost per morsel dispatch, ``N`` per lanes
+operator — each its own, even where two render the same label.  Serial
+plans charge every kernel — same basis, so ``parallelism=1`` vs
+``parallelism=N`` speedup curves are apples to apples.  They are a *model*:
+the wall clock of both is the serial program's.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ class CPUDevice(DeviceCostModel):
         #: Fixed per-message cost charged per exchange op.
         self.interconnect_latency_s = interconnect_latency_s
 
-    def report_time(self, measured_s: float, profile: Profiler | None
-                    ) -> float:
+    def report_time(self, measured_s: float, profile: Profiler | None,
+                    lanes: "dict[str, int] | None" = None) -> float:
         if profile is None or not profile.events:
             return measured_s
-        host, shards, exchanges = split_partitions(profile.events)
+        host, shards, exchanges = split_partitions(profile.events, lanes)
         bandwidth_bps = self.interconnect_bandwidth_gbs * 1e9
         exchange_s = sum(self.interconnect_latency_s
                          + event.output_bytes / bandwidth_bps

@@ -78,8 +78,8 @@ class SimulatedGPU(DeviceCostModel):
         """Physical floor: no GPU run beats one launch plus one copy setup."""
         return self.kernel_launch_overhead_s + self.pcie_latency_s
 
-    def report_time(self, measured_s: float, profile: Profiler | None
-                    ) -> float:
+    def report_time(self, measured_s: float, profile: Profiler | None,
+                    lanes: "dict[str, int] | None" = None) -> float:
         if profile is None or not profile.events:
             # No profile to drive the roofline: apply the fallback speedup,
             # clamped so the report can never dip below the launch+transfer
@@ -89,7 +89,7 @@ class SimulatedGPU(DeviceCostModel):
         pcie_bps = self.pcie_bandwidth_gbs * 1e9
         nvlink_bps = self.nvlink_bandwidth_gbs * 1e9
         transfers, kernels = profile.partition(TRANSFER_OPS)
-        host, shards, exchanges = split_partitions(kernels)
+        host, shards, exchanges = split_partitions(kernels, lanes)
 
         def kernel_cost(event, lanes: int = 1) -> float:
             # A lane moves 1/lanes of the bytes but pays a whole launch.

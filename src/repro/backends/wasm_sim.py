@@ -39,8 +39,8 @@ class SimulatedWASM(DeviceCostModel):
         #: Fixed event-loop round-trip latency charged per exchanged message.
         self.message_latency_s = message_latency_s
 
-    def report_time(self, measured_s: float, profile: Profiler | None
-                    ) -> float:
+    def report_time(self, measured_s: float, profile: Profiler | None,
+                    lanes: "dict[str, int] | None" = None) -> float:
         """``measured × slowdown + events × per_op_overhead``.
 
         Every profiler event pays the JS/WASM boundary cost once, so fused
@@ -61,7 +61,7 @@ class SimulatedWASM(DeviceCostModel):
         n_boundary_crossings = len(profile.events)
         _, kernels = profile.partition(TRANSFER_OPS)
         kernel_s = measured_s
-        host, shards, exchanges = split_partitions(kernels)
+        host, shards, exchanges = split_partitions(kernels, lanes)
         if shards or exchanges:
             shard_s = [sum(event.elapsed_s for event in region.events())
                        for region in shards.values()]

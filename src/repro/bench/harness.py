@@ -86,10 +86,10 @@ def time_tqp(session: TQPSession, sql: str, options: ExecutionOptions,
     """Compile ``sql`` once and measure ``runs`` executions after ``warmup``.
 
     Pass ``profile=True`` for every point of a lanes / shard scaling curve, so
-    the device cost models see the lanes widths and shard timelines and every
-    point reports on the same basis (the CPU device reports kernel time for
-    profiled runs, wall time otherwise; mixing the two would make speedups
-    incomparable).
+    the device cost models see the events whose scopes the plan's lanes map
+    widens and the shard timelines, and every point reports on the same
+    basis (the CPU device reports kernel time for profiled runs, wall time
+    otherwise; mixing the two would make speedups incomparable).
     """
     query = session.compile(sql, options=options)
     for _ in range(warmup):

@@ -245,6 +245,7 @@ class Executor:
         backend, device = self.backend.name, str(self.device)
         mode = self.executor_mode
         report_time, perf_counter = self.cost_model.report_time, time.perf_counter
+        lanes = self.plan.lanes
         results: list[ExecutionResult] = []
         for bound in bindings:
             profiler = (Profiler(name=f"{backend}-{device}")
@@ -255,7 +256,8 @@ class Executor:
                 measured = perf_counter() - start
             results.append(ExecutionResult(
                 table=table, measured_s=measured,
-                reported_s=report_time(measured, profiler), backend=backend,
+                reported_s=report_time(measured, profiler, lanes),
+                backend=backend,
                 device=device, profile=profiler, pruning=pruning,
                 executor_mode=mode))
         return results
@@ -402,6 +404,12 @@ class Executor:
                 if program is None:
                     program = self._compile_locked(inputs, bound)
         return program
+
+    def adopt_program(self, other: "Executor") -> None:
+        """Replay ``other``'s traced program instead of tracing one: sound
+        for a re-plan of the same statement and generation whose operators
+        keep their scopes (lanes widths live on the plan, not the program)."""
+        self._program = other._program
 
     def compile_program(self, inputs: dict[str, TensorTable],
                         params: Optional[dict] = None) -> ScriptedProgram:

@@ -29,7 +29,7 @@ the same function.  The output is one unpartitioned table.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -196,8 +196,8 @@ class HashAggregateOperator(TensorOperator):
     def scheme(self) -> Partitioning:
         return self.input_partitioning
 
-    def describe(self) -> str:
-        return partition_label(self.labels, self.input_partitioning,
+    def describe(self, scheme: Optional[Partitioning] = None) -> str:
+        return partition_label(self.labels, scheme or self.input_partitioning,
                                f"groups={len(self.group_exprs)}")
 
     def _state_of_rows(self, table: TensorTable, ctx: ExecutionContext,
@@ -260,8 +260,8 @@ class HashAggregateOperator(TensorOperator):
 
         if isinstance(data, TensorTable):
             return over_rows(data, _finalize)
-        label = self.describe()
-        merged = gather(data.map(lambda table: over_rows(table, _store), label))
+        merged = gather(data.map(lambda table: over_rows(table, _store),
+                                 self.scope))
         return self._grouped(
             merged, [merged.column(name) for name in self.group_names],
             partial(_state_of_partials, merged), _finalize)

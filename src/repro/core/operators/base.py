@@ -53,6 +53,10 @@ class TensorOperator:
 
     #: short name used by the profiler scopes and the Figure-2 breakdown
     name = "operator"
+    #: Plan-unique name its events and traced nodes are stamped with,
+    #: ``label#id`` (the label rendered without partitioning), given out by
+    #: the planner alike in serial and lanes plans; unset, it stamps nothing.
+    scope = ""
 
     def __init__(self, children: list["TensorOperator"],
                  partitioning: Partitioning = NONE):
@@ -68,12 +72,11 @@ class TensorOperator:
         return self.partitioning
 
     def _scoped(self, body, ctx: ExecutionContext):
-        """Run ``body`` stamped with this operator's label and lanes width:
-        eager events and traced nodes alike say which operator they belong
-        to and how many worker lanes the cost models spread it over."""
-        scheme = self.scheme
-        with stamped(scope=self.describe(),
-                     lanes=scheme.n if scheme.kind == "lanes" else None):
+        """Run ``body`` stamped with this operator's scope: eager events and
+        traced nodes alike say which operator they belong to.  How many
+        worker lanes the cost models spread it over is the plan's business
+        (``OperatorPlan.lanes``), not the program's."""
+        with stamped(scope=self.scope):
             return body(ctx)
 
     def execute(self, ctx: ExecutionContext) -> TensorTable:
@@ -90,7 +93,9 @@ class TensorOperator:
     def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
         raise ExecutionError(f"{self.describe()} has no partitioned output")
 
-    def describe(self) -> str:
+    def describe(self, scheme: Optional[Partitioning] = None) -> str:
+        """This operator's label, rendered under ``scheme`` (its own by
+        default; ``NONE`` gives the label its scope is built from)."""
         return self.name
 
     def pretty(self, indent: int = 0) -> str:
@@ -125,7 +130,7 @@ class MapOperator(TensorOperator):
 
     def _mapped(self, parts: PartitionedTable, ctx: ExecutionContext
                 ) -> PartitionedTable:
-        return parts.map(lambda table: self._apply(table, ctx), self.describe())
+        return parts.map(lambda table: self._apply(table, ctx), self.scope)
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
         data = input_of(self.children[0], self.partitioning, ctx)
@@ -141,6 +146,6 @@ class MapOperator(TensorOperator):
         """What the label shows before the partitioning suffix."""
         return ()
 
-    def describe(self) -> str:
-        return partition_label(self.labels, self.partitioning,
+    def describe(self, scheme: Optional[Partitioning] = None) -> str:
+        return partition_label(self.labels, scheme or self.partitioning,
                                *self._details())

@@ -186,15 +186,15 @@ class HashJoinOperator(TensorOperator):
     def scheme(self) -> Partitioning:
         return self.exchange
 
-    def describe(self) -> str:
+    def describe(self, scheme: Optional[Partitioning] = None) -> str:
+        scheme = scheme or self.exchange
         labels = ("HashJoin", "PartitionedHashJoin",
                   "BroadcastJoin" if self.broadcast else "ShuffleJoin")
         after = [f"broadcast={self.broadcast}"] if self.broadcast else []
         after.append(f"key={self.key_side or self.key_reason}")
         return partition_label(
-            tuple(f"{name}[{self.kind}]" for name in labels), self.exchange,
-            f"partitions={self.exchange.n}"
-            if self.exchange.kind == "lanes" else "",
+            tuple(f"{name}[{self.kind}]" for name in labels), scheme,
+            f"partitions={scheme.n}" if scheme.kind == "lanes" else "",
             after=", ".join(after))
 
     # -- key handling -------------------------------------------------------
@@ -295,12 +295,12 @@ class HashJoinOperator(TensorOperator):
             left, right = repartition(
                 [(left_op.partitions(ctx), self.left_keys),
                  (right_op.partitions(ctx), self.right_keys)],
-                ctx, f"{self.describe()}:shuffle")
+                ctx, f"{self.scope}:shuffle")
         return PartitionedTable.run(
             scheme,
             lambda shard: self._join_tables(
                 left.produce(shard), right.produce(shard), ctx),
-            self.describe())
+            self.scope)
 
 
 class NestedLoopJoinOperator(TensorOperator):
@@ -316,7 +316,7 @@ class NestedLoopJoinOperator(TensorOperator):
         self.kind = kind
         self.condition = condition
 
-    def describe(self) -> str:
+    def describe(self, scheme=None) -> str:
         return f"NestedLoopJoin[{self.kind}]"
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:

@@ -21,7 +21,7 @@ class LimitOperator(TensorOperator):
         super().__init__([child])
         self.count = count
 
-    def describe(self) -> str:
+    def describe(self, scheme=None) -> str:
         return f"Limit({self.count})"
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
@@ -84,7 +84,7 @@ class GatherOperator(TensorOperator):
     def __init__(self, child: TensorOperator):
         super().__init__([child])
 
-    def describe(self) -> str:
+    def describe(self, scheme=None) -> str:
         return f"Gather({self.children[0].partitioning.suffix})"
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:

@@ -6,11 +6,12 @@ planner placed each operator under:
 
 * ``none`` — one table, one execution lane;
 * ``lanes(n)`` — a *model* of ``n`` worker lanes of one device.  The operator
-  runs its serial body inside one ``stamped(lanes=n)`` frame, so a lanes plan
-  traces, optimizes and generates exactly the serial program; the device cost
-  models (:mod:`repro.backends.base`) price each event stamped ``lanes=n`` as
-  one lane's share over one lane per whole morsel of its rows (at most
-  ``n``), plus ``n`` morsel dispatches per lanes operator;
+  runs its serial body under its own scope, so a lanes plan traces, optimizes
+  and generates exactly the serial program; only the plan knows the width
+  (``OperatorPlan.lanes``, keyed by scope), and the device cost models
+  (:mod:`repro.backends.base`) price each event of a lanes operator as one
+  lane's share over one lane per whole morsel of its rows (at most ``n``),
+  plus ``n`` morsel dispatches per lanes operator;
 * ``shards(n, hash|range)`` — the table lives on ``n`` simulated devices,
   placed at load time (:mod:`repro.distributed.sharding`).
 
@@ -24,7 +25,7 @@ none).
 Results are always computed with real kernels, one shard after another
 (deterministic, trace- and profile-friendly); like the simulated devices,
 only *time* is simulated.  Each shard runs under one
-:class:`~repro.tensor.profiler.stamped` frame — the operator's label plus the
+:class:`~repro.tensor.profiler.stamped` frame — the operator's scope plus the
 device shard, on every event and every traced node — and data movement
 between devices is explicit: one ``shard_exchange`` / ``shard_broadcast`` /
 ``shard_gather`` identity op per column tensor (plus one per validity mask),

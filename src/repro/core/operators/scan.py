@@ -32,6 +32,8 @@ from the placement.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.core.columnar import TensorTable, morsel_bounds
@@ -213,10 +215,11 @@ class ScanOperator(TensorOperator):
         return PartitionedTable.run(
             scheme,
             lambda shard: self._select_fields(sharded.shards[shard]),
-            self.describe())
+            self.scope)
 
-    def describe(self) -> str:
+    def describe(self, scheme: Optional[Partitioning] = None) -> str:
+        scheme = scheme or self.partitioning
         pruned = (f"pruned={len(self.pruning)} conjuncts"
-                  if self.pruning and self.partitioning.kind == "none" else "")
-        return partition_label(self.labels, self.partitioning, self.table,
-                               pruned, after=self.partitioning.placement)
+                  if self.pruning and scheme.kind == "none" else "")
+        return partition_label(self.labels, scheme, self.table, pruned,
+                               after=scheme.placement)

@@ -24,7 +24,7 @@ class SortOperator(TensorOperator):
         super().__init__([child])
         self.keys = keys
 
-    def describe(self) -> str:
+    def describe(self, scheme=None) -> str:
         return f"Sort(keys={len(self.keys)})"
 
     def _key_tensors(self, table: TensorTable, ctx: ExecutionContext) -> list[Tensor]:

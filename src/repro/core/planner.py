@@ -93,6 +93,9 @@ class OperatorPlan:
         model_names: ML models referenced by ``PREDICT`` calls; the session's
             plan cache uses this to invalidate only the plans that actually
             depend on a re-registered model.
+        lanes: ``{scope: n}`` of every operator planned on ``n`` worker
+            lanes, runtime subqueries included: the one place a width lives,
+            where the cost models look each event's scope up.
     """
 
     root: TensorOperator
@@ -100,6 +103,7 @@ class OperatorPlan:
     output_fields: list[Field]
     params: list[ParameterSpec] = dataclasses.field(default_factory=list)
     model_names: frozenset[str] = frozenset()
+    lanes: dict[str, int] = dataclasses.field(default_factory=dict)
 
 
 def ir_node_expressions(node: ir.IRNode) -> list[ast.Expr]:
@@ -235,6 +239,9 @@ class Planner:
             for column, stats in table.columns.items()
             if seen[column] == 1
         }
+        #: Every operator planned, in the order scope ids are given out (the
+        #: same in a statement's serial and lanes plans).
+        self._operators: list[TensorOperator] = []
         self._row_estimates: dict[int, int] = {}
         self._unique: dict[int, frozenset] = {}
         self._params: dict[str, ParameterSpec] = {}
@@ -255,9 +262,15 @@ class Planner:
             self._target = lanes(self.parallelism)
         operator_root = self._closed(self._plan(root))
         params = sorted(self._params.values(), key=lambda spec: spec.position)
+        # Scopes last: a scan's label shows the pruning its filter attaches.
+        for index, op in enumerate(self._operators, start=1):
+            op.scope = f"{op.describe(NONE)}#{index}"
         return OperatorPlan(operator_root, self._scans, list(root.fields),
                             params=params,
-                            model_names=frozenset(self._model_names))
+                            model_names=frozenset(self._model_names),
+                            lanes={op.scope: op.scheme.n
+                                   for op in self._operators
+                                   if op.scheme.kind == "lanes"})
 
     # -- expressions: parameters, models, runtime subqueries -----------------
 
@@ -455,13 +468,21 @@ class Planner:
     def _closed(self, op: TensorOperator) -> TensorOperator:
         """``op`` as a producer of one host table: the gather enforcer over a
         sharded operator (a lanes operator already produces one table)."""
-        return GatherOperator(op) if op.partitioning.kind == "shards" else op
+        if op.partitioning.kind != "shards":
+            return op
+        return self._planned(GatherOperator(op))
+
+    def _planned(self, op: TensorOperator) -> TensorOperator:
+        """Register ``op`` for a scope id."""
+        self._operators.append(op)
+        return op
 
     # -- node translation --------------------------------------------------
 
     def _plan(self, node: ir.IRNode) -> TensorOperator:
         """Translate one IR node; the result's ``partitioning`` is the
-        physical property its parent plans against.
+        physical property its parent plans against.  Runtime subqueries,
+        then the children, are planned (and numbered) before the node.
 
         Partitioned regions grow from large base-table scans and are closed
         as late as possible: filters and projections keep them open, joins
@@ -471,8 +492,13 @@ class Planner:
         inputs, subquery expressions) consumes one closed table.
         """
         self._plan_expressions(node)
-        attrs = node.attrs
         children = [self._plan(child) for child in node.children]
+        return self._planned(self._translate(node, children))
+
+    def _translate(self, node: ir.IRNode, children: list[TensorOperator]
+                   ) -> TensorOperator:
+        """The operator of one IR node over its planned children."""
+        attrs = node.attrs
 
         if node.op == ir.SCAN:
             opens = (self._target.kind != "none"

@@ -300,6 +300,11 @@ class PreparedQuery:
         return f"PreparedQuery([{names}])"
 
 
+def _scope_order(compiled: CompiledQuery) -> list[str]:
+    """The plan's operator scopes, in walk order."""
+    return [op.scope for op in compiled.operator_plan.root.walk()]
+
+
 class TQPSession:
     """Entry point: register data and models, compile SQL, execute on backends."""
 
@@ -548,17 +553,25 @@ class TQPSession:
         Adaptive statements re-plan through the same path when the runtime
         prefers another strategy for the region of the first of ``bindings``
         (what the caller is about to execute); an inspection call passes none.
+        A re-plan of the current generation whose operators keep their scopes
+        keeps the traced program too: only the plan's lanes widths changed.
         """
         with self._lock:
-            replan = not self._plan_is_current(compiled)
+            current = self._plan_is_current(compiled)
+            replan = not current
             if bindings is not None and compiled.options.adaptive:
                 # Always consulted (lock order session → runtime): it also
                 # records the binding region a triggered re-plan compiles for.
                 first = next((b for b in bindings if isinstance(b, dict)), None)
                 replan = self.adaptive.wants_replan(compiled, first) or replan
             if replan:
-                compiled._refresh_from(self._compile_uncached(
-                    compiled.sql, compiled.options, compiled.param_types))
+                fresh = self._compile_uncached(
+                    compiled.sql, compiled.options, compiled.param_types)
+                if current and _scope_order(fresh) == _scope_order(compiled):
+                    # A strategy switch: same generation, same operators,
+                    # only lanes widths differ — and those live on the plan.
+                    fresh.executor.adopt_program(compiled.executor)
+                compiled._refresh_from(fresh)
             executor = compiled.executor
             return executor, self.prepare_inputs(executor)
 

@@ -18,12 +18,13 @@ Two function bodies are generated from the same IR:
 * a **profiled** body — the same calls bracketed with ``perf_counter`` and an
   inline :class:`~repro.tensor.profiler.OpEvent` per node, emitting byte
   counts, devices and stamps *identical* to interpreted replay — the operator
-  scope, lanes width and device shard a node was traced under are literals in
-  the text, a scope or shard it carries none of is the run's ambient one — so
-  the simulated GPU/WASM cost models, the lanes accounting and the per-operator
-  breakdown cannot tell the two executors apart.  It is three quarters of the
-  text and most programs never profile, so :func:`compile_graph` leaves it to
-  the first run that does (:meth:`CompiledGraphProgram.profiled_fn`).
+  scope and device shard a node was traced under are literals in the text, a
+  scope or shard it carries none of is the run's ambient one — so the
+  simulated GPU/WASM cost models, the lanes accounting (keyed by scope) and
+  the per-operator breakdown cannot tell the two executors apart.  It is
+  three quarters of the text and most programs never profile, so
+  :func:`compile_graph` leaves it to the first run that does
+  (:meth:`CompiledGraphProgram.profiled_fn`).
 
 Both bodies take their per-node semantics from the shared registry
 (:mod:`repro.tensor.op_semantics`); no op is implemented here (enforced by
@@ -141,10 +142,9 @@ class _Emitter:
     def _where(attrs: dict) -> str:
         """The stamp arguments of a node's event: the fields it was traced
         under as literals, the run's ambient scope / shard where it carries
-        none (a lanes width is never inherited) — what the interpreter's
-        ``stamped(*Stamp.of(attrs))`` resolves to."""
-        return ", ".join(repr(attrs.get(field)) if field in attrs or
-                         field == "lanes" else f"_{field}"
+        none — what the interpreter's ``stamped(*Stamp.of(attrs))`` resolves
+        to."""
+        return ", ".join(repr(attrs[field]) if field in attrs else f"_{field}"
                          for field in Stamp._fields)
 
     def _emit_preamble(self, lines: list[str]) -> None:
@@ -289,7 +289,7 @@ class _Emitter:
         if profiled:
             lines.append("    _events = prof.events")
             lines.append("    _t0 = prof._start")
-            lines.append("    _scope, _, _shard = _stamp()")
+            lines.append("    _scope, _shard = _stamp()")
         self._emit_preamble(lines)
         self.value_device = {vid: None for vid in self._input_ids}
         self.value_device.update({vid: None for vid in self._init_ids})

@@ -112,8 +112,8 @@ def _record_trace(name: str, inputs: Sequence[Tensor], outputs: Sequence[Tensor]
     if ctx is None:
         return
     # Stamp where the op ran onto the node: a replay then attributes it to the
-    # same relational operator and keeps the lanes width / per-device
-    # structure the cost models rebuild their timelines from.
+    # same relational operator and keeps the per-device structure the cost
+    # models rebuild their timelines from.
     attrs = {**_profiler.current_stamp().as_attrs(), **attrs}
     ctx.record(name, list(inputs), list(outputs), attrs)
 
@@ -198,12 +198,6 @@ def tensor(data: Any, dtype: dtypes.DType | str | None = None,
         dtypes.from_numpy(arr.dtype)  # raises for truly unsupported kinds
         arr = arr.astype(dtypes.from_numpy(arr.dtype).np_dtype, copy=False)
     return Tensor(arr, dev)
-
-
-def constant(data: Any, dtype: dtypes.DType | str | None = None,
-             device: Device | str | None = None) -> Tensor:
-    """Alias of :func:`tensor` used by compilers for literal values."""
-    return tensor(data, dtype=dtype, device=device)
 
 
 @register_op("zeros")
@@ -1118,32 +1112,6 @@ def _matmul_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ta, tb, device = _pair(a, b)
     return _apply("matmul", [ta, tb], device=device)
-
-
-@register_op("softmax")
-def _softmax_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
-    axis = attrs.get("axis", -1)
-    x = arrays[0]
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return [e / np.sum(e, axis=axis, keepdims=True)]
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return _apply("softmax", [_coerce(a)], {"axis": axis})
-
-
-@register_op("one_hot")
-def _one_hot_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
-    depth = int(attrs["depth"])
-    idx = arrays[0].astype(np.int64)
-    out = np.zeros((idx.shape[0], depth), dtype=np.float64)
-    out[np.arange(idx.shape[0]), idx] = 1.0
-    return [out]
-
-
-def one_hot(indices: Tensor, depth: int) -> Tensor:
-    return _apply("one_hot", [_coerce(indices)], {"depth": depth})
 
 
 # Convenient python-keyword-free aliases (mirroring torch naming).

@@ -24,14 +24,13 @@ from repro.tensor.tensor import Tensor
 # Where a node ran is the stamp in its attrs (``repro.tensor.profiler.Stamp``).
 # The shard is *structural*: identical nodes on different shards never merge,
 # a fused kernel never spans two, a gather composes only with one on the same
-# shard.  The operator scope and its lanes width are *descriptive*, they decide
-# nothing (so a lanes plan optimizes into exactly the serial program):
-# identical nodes traced under different operators still CSE-merge (the
-# survivor keeps the first stamp), a fused kernel takes the stamp of the step
-# producing its first output (its steps carry none of their own), a node
+# shard.  The operator scope is *descriptive*, it decides nothing: identical
+# nodes traced under different operators still CSE-merge (the survivor keeps
+# the first stamp), a fused kernel takes the stamp of the step producing its
+# first output (its steps carry none of their own), a node
 # ``late_materialization`` creates inherits the stamp of the node it was
 # derived from, and a node traced outside any operator carries no scope and
-# takes the replaying thread's.
+# takes the replaying thread's.  A lanes width is not in the program at all.
 
 
 def _placement(node: Node) -> "int | None":
@@ -193,9 +192,9 @@ def common_subexpression_elimination(graph: Graph) -> Graph:
         if node.op in _IMPURE_OPS:
             new_nodes.append(node)
             continue
-        key = _node_key([node.op, node.inputs,  # the descriptive stamp aside
+        key = _node_key([node.op, node.inputs,  # the descriptive scope aside
                          {k: v for k, v in node.attrs.items()
-                          if k not in ("scope", "lanes")}])
+                          if k != "scope"}])
         if key in seen:
             original = seen[key]
             for old, new in zip(node.outputs, original.outputs):

@@ -2,8 +2,8 @@
 
 The profiler collects one event per executed op: name, wall time, bytes read
 and written, the device the op ran on, and *where in the plan* it ran — the
-:class:`Stamp` of relational operator, worker lane and device shard that was
-active.  Downstream consumers:
+:class:`Stamp` of relational operator and device shard that was active.
+Downstream consumers:
 
 * ``repro.viz.breakdown`` renders the Figure-2 per-operator runtime breakdown,
 * ``repro.backends.gpu_sim`` / ``wasm_sim`` feed the events into their cost
@@ -24,10 +24,10 @@ from repro.tensor.device import Device
 
 # -- where an op ran ----------------------------------------------------------
 #
-# One annotation, three fields.  ``scope`` names the relational operator (what
-# Figure 2 breaks runtime down by); ``lanes`` is the number of worker lanes the
-# planner gave that operator, over which the device cost models spread its
-# work; ``shard`` is the simulated device a partition runs on
+# One annotation, two fields.  ``scope`` names the relational operator — its
+# plan-unique scope, ``label#id`` (what Figure 2 breaks runtime down by, and
+# what the plan's ``lanes`` map keys the cost models' lanes widths by);
+# ``shard`` is the simulated device a partition runs on
 # (``repro.core.operators.partition``), from which the cost models reconstruct
 # concurrent timelines out of a single-threaded run.  The stamp is pushed
 # whether or not anything profiles:
@@ -37,10 +37,9 @@ from repro.tensor.device import Device
 
 
 class Stamp(NamedTuple):
-    """Where an op ran.  The defaults mean: no operator, serial, on the host."""
+    """Where an op ran.  The defaults mean: no operator, on the host."""
 
     scope: str = ""
-    lanes: "int | None" = None
     shard: "int | None" = None
 
     def as_attrs(self) -> dict:
@@ -51,7 +50,7 @@ class Stamp(NamedTuple):
     @classmethod
     def of(cls, attrs: dict) -> "Stamp":
         """The stamp a traced node carries (unset where it carries none)."""
-        return cls(attrs.get("scope", ""), attrs.get("lanes"), attrs.get("shard"))
+        return cls(attrs.get("scope", ""), attrs.get("shard"))
 
 
 _NOWHERE = Stamp()
@@ -65,7 +64,7 @@ class _ThreadState(threading.local):
     thread ships the caller's activation along with it via
     :func:`capture_scope` — without that, ops dispatched on the worker thread
     would find no active profiler and their events would be silently dropped
-    (wrong simulated kernel times, missing lanes events)."""
+    (wrong simulated kernel times, missing per-operator events)."""
 
     def __init__(self):
         self.stack: "list[Profiler]" = []
@@ -87,19 +86,16 @@ def current_stamp() -> Stamp:
 
 class stamped:
     """Context manager: ops inside run under these fields.  A scope or shard
-    left unset keeps the value of the frame below; ``lanes`` is each frame's
-    own (every operator states its width, so a serial child of a lanes
-    operator runs serial)."""
+    left unset keeps the value of the frame below."""
 
-    def __init__(self, scope: str = "", lanes: "int | None" = None,
-                 shard: "int | None" = None):
-        self._given = (scope, lanes, shard)
+    def __init__(self, scope: str = "", shard: "int | None" = None):
+        self._given = (scope, shard)
 
     def __enter__(self) -> "stamped":
         stamps = _STATE.stamps
         below = stamps[-1]
-        scope, lanes, shard = self._given
-        stamps.append(Stamp(scope or below.scope, lanes,
+        scope, shard = self._given
+        stamps.append(Stamp(scope or below.scope,
                             below.shard if shard is None else shard))
         return self
 
@@ -168,9 +164,9 @@ class OpEvent:
     output_bytes: int
     device: str
     timestamp_s: float
+    #: The operator's plan-unique scope (``label#id``); the plan's ``lanes``
+    #: map says how many worker lanes the cost models spread it over.
     scope: str = ""
-    #: Worker lanes the op's operator was planned on (``None`` = serial).
-    lanes: "int | None" = None
     #: Simulated device shard the op ran on (``None`` = host/unsharded).
     shard: "int | None" = None
     #: Rows the op ran over (:func:`leading_rows`), cut into morsels by the

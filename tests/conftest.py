@@ -89,11 +89,11 @@ def pytest_collection_modifyitems(config, items):
 def event_stream():
     """``profile -> [event key, ...]``: everything of a profile's events except
     the wall-clock fields, which legitimately differ between two runs.  Equal
-    streams mean equal simulated accounting (the cost models read nothing
-    else)."""
+    streams mean equal simulated accounting (beside the plan's lanes map,
+    the cost models read nothing else)."""
     def keys(profile):
         return [(e.op, e.input_bytes, e.output_bytes, e.device, e.scope,
-                 e.lanes, e.shard) for e in profile.events]
+                 e.shard) for e in profile.events]
 
     return keys
 

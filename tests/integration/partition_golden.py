@@ -16,7 +16,9 @@ dispatches and exchange bytes byte-identical, each join's ``concat`` /
 ``unique`` / ``split_rows`` events becoming one ``join_ids`` event.  When
 lanes became a cost model (a ``lanes`` plan runs the serial program) its
 ``lanes4`` entries and the always-zero shards ``morsel_dispatch`` counts were
-deleted, the shards entries left as they were.
+deleted, the shards entries left as they were.  When the lanes width left the
+stamp, each profile row lost its always-``null`` lanes column (an edit of the
+rows, not a regeneration).
 
 Regenerate (only when a plan-shape change is intended), from the repo root::
 
@@ -81,7 +83,7 @@ def plan_shapes(session: TQPSession) -> dict[str, str]:
 
 def profile_structure(session: TQPSession) -> dict[str, dict]:
     """``q<N>/<config>/<backend>`` → the structure the cost models charge:
-    the multiset of ``(op, lanes, shard)`` events and the bytes crossing the
+    the multiset of ``(op, shard)`` events and the bytes crossing the
     interconnect."""
     structure = {}
     for number in PROFILED_QUERIES:
@@ -91,12 +93,10 @@ def profile_structure(session: TQPSession) -> dict[str, dict]:
                 events = session.compile(
                     tpch.query(number, SCALE_FACTOR), options=options
                 ).execute(profile=True).profile.events
-                counts = Counter((e.op, e.lanes, e.shard) for e in events)
+                counts = Counter((e.op, e.shard) for e in events)
                 structure[f"q{number}/{config}/{backend}"] = {
-                    "events": sorted(
-                        ([op, lanes, shard, n]
-                         for (op, lanes, shard), n in counts.items()),
-                        key=repr),
+                    "events": sorted(([op, shard, n] for (op, shard), n
+                                      in counts.items()), key=repr),
                     "exchange_bytes": sum(e.output_bytes for e in events
                                           if e.op in EXCHANGE_OPS),
                 }

@@ -71,12 +71,12 @@ def sorted_rows(result):
     return sorted(zip(*[frame[c] for c in frame.columns]))
 
 
-def bytes_charge(self, measured_s, profile):
+def bytes_charge(self, measured_s, profile, lanes=None):
     """Deterministic stand-in for measured kernel times: the same concurrent
     structure (serial work + one lane's share of the lanes work + per-morsel
     dispatch), each kernel charged a fixed launch cost plus the bytes it
     wrote."""
-    host, _, _ = split_partitions(profile.events)
+    host, _, _ = split_partitions(profile.events, lanes)
     return host.time(lambda event: 1e-6 + event.output_bytes / 1e9,
                      self.morsel_dispatch_overhead_s)
 
@@ -170,17 +170,20 @@ def test_store_concurrent_recording_is_consistent():
 # -- scope canonicalization ----------------------------------------------------
 
 
-def test_scope_family_canonicalizes_strategy_variants():
+def test_scope_family_strips_the_operator_id_and_shard():
     assert scope_family("Filter") == "Filter"
-    assert scope_family("MorselFilter(workers=4)") == "Filter"
-    assert scope_family("DistributedFilter(devices=2)") == "Filter"
-    assert scope_family("ShuffleJoin[inner](devices=2)") == "HashJoin"
-    assert scope_family("PartitionedHashJoin[left](workers=4)") == "HashJoin"
-    assert scope_family("ParallelHashAggregate(groups=1, workers=4)@w2") \
-        == "HashAggregate"
+    assert scope_family("Filter#7") == "Filter"
+    assert scope_family("Filter#7@d2") == "Filter"
+    assert scope_family("HashJoin[inner](key=right)#3") == "HashJoin"
+    assert scope_family("HashJoin[inner](broadcast=right, key=left)#3@d1") \
+        == "HashJoin"
+    assert scope_family("HashJoin[inner](key=right)#3:shuffle@d0") \
+        == "HashJoin"
+    assert scope_family("HashAggregate(groups=1)#5@d2") == "HashAggregate"
     # Scans keep their table so two scans in one plan stay distinct.
-    assert scope_family("TableScan(lineitem)") == "Scan(lineitem)"
-    assert scope_family("MorselScan(lineitem, workers=4)") == "Scan(lineitem)"
+    assert scope_family("TableScan(lineitem)#2") == "Scan(lineitem)"
+    assert scope_family("TableScan(lineitem, pruned=2 conjuncts)#4@d0") \
+        == "Scan(lineitem)"
 
 
 # -- binding regions & estimate correction -------------------------------------

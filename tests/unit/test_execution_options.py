@@ -53,7 +53,8 @@ def test_the_knob_set_is_pinned():
     assert parameters(ServingRuntime.__init__) == [
         "session", "workers", "max_queue_depth", "batch_window",
         "default_options", "default_timeout"]
-    assert parameters(DeviceCostModel.report_time) == ["measured_s", "profile"]
+    assert parameters(DeviceCostModel.report_time) == ["measured_s", "profile",
+                                                       "lanes"]
     assert parameters(time_tqp) == ["session", "sql", "options", "runs",
                                     "warmup", "profile"]
 
@@ -157,10 +158,10 @@ def test_each_aggregate_is_written_once():
 
 
 def test_where_an_op_ran_is_one_stamp():
-    """Operator scope, lanes width and device shard are one thread-local stack
-    of stamps with one context manager and one reader: the per-``Profiler``
-    scope list, the two lane / shard stacks and their per-field readers are
-    gone from every layer, generated code included, and nothing aliases them."""
+    """Operator scope and device shard are one thread-local stack of stamps
+    with one context manager and one reader: the per-``Profiler`` scope list,
+    the two lane / shard stacks and their per-field readers are gone from
+    every layer, generated code included, and nothing aliases them."""
     gone = {"lane_scope", "shard_scope", "current_lane", "current_shard",
             "push_scope", "pop_scope", "_ScopeGuard", "_scopes", "ProfileScope",
             "_replay_scopes", "node_lane", "node_shard"}

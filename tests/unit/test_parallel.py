@@ -1,9 +1,10 @@
 """Unit tests for morsel-parallel plans: lanes are a cost model.
 
-A ``parallelism=N`` plan runs the serial program; the operators the planner
-put on lanes stamp their work ``lanes=N`` and the device cost models spread
-it (one lane's share of every such event, over one lane per whole morsel of
-its rows and at most N, plus N morsel dispatches per lanes operator)."""
+A ``parallelism=N`` plan runs the serial program; the plan's ``lanes`` map
+names the operators the planner put on N lanes, by scope, and the device cost
+models spread their events (one lane's share of each, over one lane per whole
+morsel of its rows and at most N, plus N morsel dispatches per lanes
+operator)."""
 
 from __future__ import annotations
 
@@ -46,7 +47,6 @@ from repro.tensor import (
     codegen,
     current_stamp,
     ops,
-    passes,
     stamped,
     tracing,
 )
@@ -122,29 +122,25 @@ def test_shards_run_in_order_each_stamped_with_its_shard():
     assert current_stamp().shard is None
 
 
-def test_lanes_width_survives_trace_and_replay():
-    """The width is a stamp like the scope: every traced node carries it, a
-    replay (interpreted or generated) hands it back on the events, and it
-    decides nothing — the optimized program is the serial one."""
-    def fn(t, width):
-        with stamped(scope="Filter", lanes=width):
+def test_the_scope_survives_trace_and_replay_and_keys_the_lanes_width():
+    """A traced node carries its operator's scope and no width; a replay
+    (interpreted or generated) hands the scope back on the events, and the
+    plan's lanes map gives it its width."""
+    def fn(t):
+        with stamped(scope="Filter#1"):
             t = ops.mul(ops.add(t, 1.0), 2.0)
         return ops.sub(t, 1.0)
 
-    example = ops.tensor([1.0, 2.0])
-    graph = tracing.trace(lambda t: fn(t, 4), [example])
-    assert [n.attrs.get("lanes") for n in graph.nodes] == [4, 4, None]
-    serial = tracing.trace(lambda t: fn(t, None), [example])
-    optimized = passes.optimize(graph.clone())
-    assert [(n.op, n.inputs, n.outputs) for n in optimized.nodes] == [
-        (n.op, n.inputs, n.outputs)
-        for n in passes.optimize(serial.clone()).nodes]
+    graph = tracing.trace(fn, [ops.tensor([1.0, 2.0])])
+    assert [n.attrs for n in graph.nodes] == [{"scope": "Filter#1"}] * 2 + [{}]
     for replay in (GraphInterpreter(graph).run,
                    codegen.compile_graph(graph).run):
         with Profiler() as prof:
             out = replay([ops.tensor([3.0, 4.0])])
         assert out[0].numpy().tolist() == [7.0, 9.0]
-        assert [e.lanes for e in prof.events] == [4, 4, None]
+        assert [e.scope for e in prof.events] == ["Filter#1"] * 2 + [""]
+        host, _, _ = split_partitions(prof.events, {"Filter#1": 4})
+        assert host.operators == {("Filter#1", 4)}
 
 
 # -- parallel operators match serial execution --------------------------------
@@ -428,23 +424,28 @@ def test_prepare_inputs_validates_tables_and_columns(session, frames):
 
 # -- cost models --------------------------------------------------------------
 #
-# One lanes operator's events carry ``lanes=n``; each model prices such an
-# event as one lane's share at its own price — over one lane per whole morsel
-# of the event's rows, at most n — and charges n morsel dispatches per lanes
-# operator: per lanes-stamped scope, wherever its events fall.
+# The plan's lanes map gives an operator's events its width n; each model
+# prices such an event as one lane's share at its own price — over one lane
+# per whole morsel of the event's rows, at most n — and charges n morsel
+# dispatches per lanes operator: per scope in the map, wherever its events
+# fall.
 
 DEVICE = ops.tensor([1.0]).device
 #: Rows of a synthetic event: enough whole morsels for four lanes.
 BIG = 4 * DEFAULT_MORSEL_ROWS
 
 
+#: A plan's lanes map: its ``Filter#1`` runs on four lanes.
+WIDE = {"Filter#1": 4}
+
+
 def _profile(*events) -> Profiler:
-    """``(op, elapsed_s, bytes, scope, lanes, shard[, rows])`` rows as a
-    profile; each event reads and writes ``bytes`` and runs over ``rows``
-    (default :data:`BIG`)."""
+    """``(op, elapsed_s, bytes, scope, shard[, rows])`` rows as a profile;
+    each event reads and writes ``bytes`` and runs over ``rows`` (default
+    :data:`BIG`)."""
     prof = Profiler()
-    for op, elapsed_s, nbytes, scope, width, shard, *rows in events:
-        with stamped(scope=scope, lanes=width, shard=shard):
+    for op, elapsed_s, nbytes, scope, shard, *rows in events:
+        with stamped(scope=scope, shard=shard):
             prof.record(op, elapsed_s, nbytes, nbytes, DEVICE, *rows or [BIG])
     return prof
 
@@ -452,31 +453,32 @@ def _profile(*events) -> Profiler:
 def test_cpu_prices_a_lanes_event_as_one_lanes_share():
     model = CPUDevice()
     assert model.report_time(0.5, None) == 0.5
-    serial = _profile(("mul", 4e-3, 100, "Filter", None, None))
-    spread = _profile(("mul", 4e-3, 100, "MorselFilter", 4, None))
-    assert model.report_time(1.0, serial) == pytest.approx(4e-3)
-    assert model.report_time(1.0, spread) == pytest.approx(
+    prof = _profile(("mul", 4e-3, 100, "Filter#1", None))
+    assert model.report_time(1.0, prof) == pytest.approx(4e-3)
+    # Only the operator the map names is spread, not one sharing its label.
+    assert model.report_time(1.0, prof, {"Filter#2": 4}) == pytest.approx(4e-3)
+    assert model.report_time(1.0, prof, WIDE) == pytest.approx(
         4e-3 / 4 + 4 * model.morsel_dispatch_overhead_s)
 
 
 def test_gpu_prices_a_lanes_event_at_its_share_of_the_bandwidth():
     model = SimulatedGPU()
     hbm = model.hbm_bandwidth_gbs * 1e9
-    big = _profile(("mul", 1e-4, 10_000_000, "MorselFilter", 4, None))
-    assert model.report_time(1.0, big) == pytest.approx(
+    big = _profile(("mul", 1e-4, 10_000_000, "Filter#1", None))
+    assert model.report_time(1.0, big, WIDE) == pytest.approx(
         20_000_000 / (4 * hbm) + 4 * model.morsel_dispatch_overhead_s)
     # A lane still pays a whole launch: a small kernel does not get cheaper.
-    small = _profile(("mul", 1e-4, 1_000, "MorselFilter", 4, None))
-    assert model.report_time(1.0, small) == pytest.approx(
+    small = _profile(("mul", 1e-4, 1_000, "Filter#1", None))
+    assert model.report_time(1.0, small, WIDE) == pytest.approx(
         model.kernel_launch_overhead_s + 4 * model.morsel_dispatch_overhead_s)
 
 
 def test_wasm_spreads_lanes_time_before_the_slowdown():
     model = SimulatedWASM()
-    prof = _profile(("mul", 4e-3, 100, "MorselFilter", 4, None),
-                    ("add", 1e-3, 100, "Sort", None, None))
+    prof = _profile(("mul", 4e-3, 100, "Filter#1", None),
+                    ("add", 1e-3, 100, "Sort#2", None))
     measured = 6e-3  # 1 ms of it outside any kernel
-    assert model.report_time(measured, prof) == pytest.approx(
+    assert model.report_time(measured, prof, WIDE) == pytest.approx(
         (measured - 4e-3 + 4e-3 / 4) * model.slowdown
         + 2 * model.per_op_overhead_s + 4 * model.morsel_dispatch_overhead_s)
 
@@ -488,14 +490,14 @@ def test_a_lanes_event_spreads_over_one_lane_per_whole_morsel(rows, spread):
     """Under two whole morsels a kernel is priced whole — what the planner's
     ``parallel_threshold_rows`` keeps serial — but its operator still runs on
     its lanes and pays their dispatches."""
-    prof = _profile(("mul", 4e-3, 100, "MorselFilter", 4, None, rows))
+    prof = _profile(("mul", 4e-3, 100, "Filter#1", None, rows))
     (event,) = prof.events
-    assert event.rows == rows and morsel_lanes(event) == spread
-    host, _, _ = split_partitions(prof.events)
+    assert event.rows == rows and morsel_lanes(event, 4) == spread
+    host, _, _ = split_partitions(prof.events, WIDE)
     assert [n for _, n in host.spread] == ([spread] if spread > 1 else [])
     assert host.dispatches == 4
     model = CPUDevice()
-    assert model.report_time(1.0, prof) == pytest.approx(
+    assert model.report_time(1.0, prof, WIDE) == pytest.approx(
         4e-3 / spread + 4 * model.morsel_dispatch_overhead_s)
 
 
@@ -510,37 +512,64 @@ def test_an_event_runs_over_its_longest_input_or_what_a_gather_writes():
 
 @pytest.mark.parametrize("model", [CPUDevice, SimulatedGPU, SimulatedWASM])
 def test_dispatches_are_charged_once_per_lanes_operator(model):
-    events = [("mul", 1e-3, 8, "MorselScan", 4, None),
-              ("add", 1e-3, 8, "MorselFilter", 4, None),
-              ("mul", 1e-3, 8, "MorselFilter", 4, None),
-              ("sum", 1e-3, 8, "Sort", None, None),
-              ("mul", 1e-3, 8, "MorselFilter", 4, None),
-              ("mul", 1e-3, 8, "MorselProject", 2, None)]
+    events = [("mul", 1e-3, 8, "TableScan(t)#1", None),
+              ("add", 1e-3, 8, "Filter#2", None),
+              ("mul", 1e-3, 8, "Filter#2", None),
+              ("sum", 1e-3, 8, "Sort#4", None),
+              ("mul", 1e-3, 8, "Filter#2", None),
+              ("mul", 1e-3, 8, "Project(1 cols)#3", None)]
+    widths = {"TableScan(t)#1": 4, "Filter#2": 4, "Project(1 cols)#3": 2,
+              "Filter#5": 4}  # Filter#5 ran no kernel: no dispatch
     prof = _profile(*events)
-    host, shards_, exchanges = split_partitions(prof.events)
+    host, shards_, exchanges = split_partitions(prof.events, widths)
     assert not shards_ and not exchanges
-    # MorselScan | MorselFilter (both of its runs) | MorselProject
+    # TableScan | Filter (both of its runs) | Project
     assert host.dispatches == 4 + 4 + 2
     assert [n for _, n in host.spread] == [4, 4, 4, 4, 2]
     # The order of the events (a graph pass may move a kernel) is no matter.
-    assert split_partitions(prof.events[::-1])[0].dispatches == 10
+    assert split_partitions(prof.events[::-1], widths)[0].dispatches == 10
     # Each device charges them at its own per-dispatch price.
-    charged = (model().report_time(1.0, prof)
-               - model(morsel_dispatch_overhead_s=0.0).report_time(1.0, prof))
+    charged = (model().report_time(1.0, prof, widths)
+               - model(morsel_dispatch_overhead_s=0.0).report_time(
+                   1.0, prof, widths))
     assert charged == pytest.approx(10 * model().morsel_dispatch_overhead_s)
     if model is CPUDevice:
-        assert model().report_time(1.0, prof) == pytest.approx(
+        assert model().report_time(1.0, prof, widths) == pytest.approx(
             1e-3 * (1 + 4 / 4 + 1 / 2) + charged)
+
+
+@pytest.mark.parametrize("model", [CPUDevice, SimulatedGPU, SimulatedWASM])
+def test_two_lanes_operators_of_one_label_pay_their_own_dispatches(session,
+                                                                  model):
+    """A self-join filters both of its sides on lanes: two operators that
+    render the same ``MorselFilter(workers=4)`` label, each handing out its
+    own four morsels."""
+    compiled = session.compile(
+        "select a.order_id from orders a, orders b "
+        "where a.order_id = b.order_id and a.amount > 100 and b.amount < 400",
+        options=ExecutionOptions(backend="torchscript", parallelism=4))
+    assert compiled.explain().count("MorselFilter(workers=4)") == 2
+    widths = compiled.operator_plan.lanes
+    events = compiled.execute(profile=True).profile
+    filters = {e.scope for e in events.events
+               if e.scope in widths and e.scope.startswith("Filter#")}
+    assert len(filters) == 2
+    ran = {e.scope for e in events.events if e.scope in widths}
+    charged = (model().report_time(1.0, events, widths)
+               - model(morsel_dispatch_overhead_s=0.0).report_time(
+                   1.0, events, widths))
+    assert charged == pytest.approx(
+        4 * len(ran) * model().morsel_dispatch_overhead_s)
 
 
 def test_shards_pricing_is_unchanged():
     """Shards run concurrently: host work + the slowest shard + every
     exchange as an interconnect transfer; no dispatch is charged."""
-    prof = _profile(("mul", 1e-3, 8, "DistributedFilter@d0", None, 0),
-                    ("mul", 3e-3, 8, "DistributedFilter@d1", None, 1),
-                    ("add", 2e-3, 8, "DistributedFilter@d1", None, 1),
-                    ("shard_gather", 0.0, 1_000_000, "Gather", None, 1),
-                    ("sum", 1e-3, 8, "Sort", None, None))
+    prof = _profile(("mul", 1e-3, 8, "Filter#1@d0", 0),
+                    ("mul", 3e-3, 8, "Filter#1@d1", 1),
+                    ("add", 2e-3, 8, "Filter#1@d1", 1),
+                    ("shard_gather", 0.0, 1_000_000, "Gather(devices=2)#2", 1),
+                    ("sum", 1e-3, 8, "Sort#3", None))
     host, by_shard, exchanges = split_partitions(prof.events)
     assert host.dispatches == 0 and sorted(by_shard) == [0, 1]
     cpu = CPUDevice()
@@ -561,8 +590,9 @@ def test_shards_pricing_is_unchanged():
 
 
 def test_a_serial_child_under_a_lanes_parent_is_priced_serial():
-    """Every operator states its own width: a lanes operator's stamp does not
-    leak into the serial child it executes, which the models price whole."""
+    """Every event names its innermost operator: a lanes operator's width
+    does not leak into the serial child it executes, which the models price
+    whole."""
 
     class Serial(TensorOperator):
         def _execute(self, ctx):
@@ -577,14 +607,16 @@ def test_a_serial_child_under_a_lanes_parent_is_priced_serial():
             return TensorTable({"x": TensorColumn(
                 ops.mul(column.tensor, 2.0), column.ltype)})
 
+    child = Serial([])
+    parent = Doubled(child, lanes(4))
+    child.scope, parent.scope = "operator#1", "Doubled#2"
     with Profiler() as prof:
-        out = Doubled(Serial([]), lanes(4)).execute(ExecutionContext({}))
+        out = parent.execute(ExecutionContext({}))
     assert out.column("x").tensor.numpy()[:3].tolist() == [4.0, 6.0, 8.0]
-    child, own = (e for e in prof.events if e.op in ("add", "mul"))
-    assert (child.scope, child.lanes) == ("operator", None)
-    assert (own.scope, own.lanes) == ("MorselDoubled(workers=4)", 4)
+    below, own = (e for e in prof.events if e.op in ("add", "mul"))
+    assert (below.scope, own.scope) == ("operator#1", "Doubled#2")
     model = CPUDevice()
-    assert model.report_time(1.0, prof) == pytest.approx(
+    assert model.report_time(1.0, prof, {"Doubled#2": 4}) == pytest.approx(
         sum(e.elapsed_s for e in prof.events if e is not own)
         + own.elapsed_s / 4 + 4 * model.morsel_dispatch_overhead_s)
 
@@ -597,14 +629,16 @@ def test_a_lanes_plan_models_a_speedup_over_its_serial_program(session):
     for parallelism in (1, 4):
         compiled = session.compile(sql, options=ExecutionOptions(
             backend="torchscript", parallelism=parallelism))
-        runs[parallelism] = compiled.execute(profile=True).profile
-    serial, spread = runs[1], runs[4]
-    assert [e.op for e in serial.events] == [e.op for e in spread.events]
-    assert {e.lanes for e in serial.events} == {None}
-    assert 4 in {e.lanes for e in spread.events}
+        runs[parallelism] = (compiled.execute(profile=True).profile,
+                             compiled.operator_plan.lanes)
+    (serial, serial_lanes), (spread, spread_lanes) = runs[1], runs[4]
+    assert [(e.op, e.scope) for e in serial.events] == [
+        (e.op, e.scope) for e in spread.events]
+    assert serial_lanes == {} and 4 in spread_lanes.values()
 
-    def bytes_moved(profile) -> float:  # a deterministic price per kernel
-        host, _, _ = split_partitions(profile.events)
+    def bytes_moved(profile, widths) -> float:  # a deterministic kernel price
+        host, _, _ = split_partitions(profile.events, widths)
         return host.time(lambda event: event.total_bytes, 0.0)
 
-    assert bytes_moved(spread) < bytes_moved(serial)
+    assert bytes_moved(spread, spread_lanes) < bytes_moved(serial,
+                                                           serial_lanes)

@@ -180,20 +180,20 @@ def test_gathers_on_different_shards_are_not_composed():
 
     def fn(a, b, codes):
         index, keep = ops.argsort(a), ops.tensor([1, 0])
-        with stamped(lanes=4):
-            on_lanes = ops.take(b, index)
-        across_lanes = ops.take(on_lanes, keep)
+        with stamped(scope="Filter#1"):
+            in_filter = ops.take(b, index)
+        across_scopes = ops.take(in_filter, keep)
         with stamped(shard=0):
             on_shard = ops.take(codes, index)
             same_shard = ops.take(on_shard, keep)
         with stamped(shard=1):
             same_pair_other_shard = ops.take(ops.take(a, index), keep)
-        return across_lanes, same_shard, same_pair_other_shard
+        return across_scopes, same_shard, same_pair_other_shard
 
     graph = _late(fn, _table())
     by_output = {n.outputs[0]: n for n in graph.nodes}
     across, same, other = (by_output[vid] for vid in graph.outputs)
-    assert across.inputs[0] in graph.inputs  # a lanes width is descriptive
+    assert across.inputs[0] in graph.inputs  # a scope is descriptive
     assert same.inputs[0] in graph.inputs    # composed on one shard
     assert other.inputs[0] in graph.inputs
     # One composed index per stamp, never shared across stamps.
@@ -202,7 +202,7 @@ def test_gathers_on_different_shards_are_not_composed():
     assert by_output[other.inputs[1]].attrs["shard"] == 1
 
 
-# -- the operator scope and lanes width are descriptive, never structural ------
+# -- the operator scope is descriptive, never structural ----------------------
 
 
 def test_identical_nodes_under_different_operators_still_merge():
@@ -211,7 +211,7 @@ def test_identical_nodes_under_different_operators_still_merge():
     def fn(a, b, codes):
         with stamped(scope="Filter"):
             first = ops.mul(a, 2.0)
-        with stamped(scope="Project", lanes=4):
+        with stamped(scope="Project"):
             second = ops.mul(a, 2.0)
         with stamped(scope="Project", shard=1):
             elsewhere = ops.mul(a, 2.0)
@@ -237,8 +237,7 @@ def test_a_fused_kernel_takes_the_scope_of_its_first_output():
     (fused,) = graph.nodes
     assert fused.op == "fused_kernel"
     assert (fused.attrs["scope"], fused.attrs["shard"]) == ("Filter", 2)
-    assert "lanes" not in fused.attrs
-    assert all(not {"scope", "lanes", "shard"} & step["attrs"].keys()
+    assert all(not {"scope", "shard"} & step["attrs"].keys()
                for step in fused.attrs["steps"])
 
 
@@ -246,7 +245,7 @@ def test_nodes_late_materialization_creates_inherit_their_sources_stamp():
     from repro.tensor import stamped
 
     def fn(a, b, codes):
-        with stamped(scope="Filter", lanes=3):
+        with stamped(scope="Filter#3"):
             kept = ops.boolean_mask(a, ops.gt(b, 2.0))          # R1
             twice = ops.take(ops.take(a, ops.argsort(b)), ops.tensor([1, 0]))  # R2
         index = ops.tensor(np.arange(16) % 8)
@@ -257,10 +256,10 @@ def test_nodes_late_materialization_creates_inherit_their_sources_stamp():
     graph = _late(fn, _table())
     by_output = {n.outputs[0]: n for n in graph.nodes}
     kept, twice, sunk = (by_output[vid] for vid in graph.outputs)
-    filter_lane = {"scope": "Filter", "lanes": 3}
+    in_filter = {"scope": "Filter#3"}
     nonzero, composed = by_output[kept.inputs[1]], by_output[twice.inputs[1]]
-    assert (nonzero.op, nonzero.attrs) == ("nonzero", filter_lane)
-    assert (composed.op, composed.attrs) == ("take", {**filter_lane, "axis": 0})
+    assert (nonzero.op, nonzero.attrs) == ("nonzero", in_filter)
+    assert (composed.op, composed.attrs) == ("take", {**in_filter, "axis": 0})
     below = by_output[sunk.inputs[0]]
     assert (sunk.op, below.op) == ("take", "add")
     assert sunk.attrs["scope"] == below.attrs["scope"] == "Project"
@@ -270,9 +269,7 @@ def test_a_node_traced_outside_any_operator_takes_the_ambient_scope():
     from repro.tensor import Profiler, ScriptedProgram, stamped
 
     def model(a, b, codes):                 # a script_trace'd ML function
-        with stamped(lanes=4):
-            summed = ops.cumsum(a)
-        return ops.cumsum(ops.add(summed, b))
+        return ops.cumsum(ops.add(ops.cumsum(a), b))
 
     graph = passes.optimize(trace(model, _table()))
     assert all("scope" not in n.attrs for n in graph.nodes)
@@ -280,10 +277,10 @@ def test_a_node_traced_outside_any_operator_takes_the_ambient_scope():
         program = ScriptedProgram(graph.clone(), executor=executor)
         with Profiler() as profiler, stamped(scope="Project", shard=0):
             program.run(_table())
-        # Scope and shard are the replaying thread's; a width is the node's.
-        assert [(e.op, e.scope, e.lanes, e.shard) for e in profiler.events] == [
-            ("cumsum", "Project", 4, 0), ("add", "Project", None, 0),
-            ("cumsum", "Project", None, 0)], executor
+        # Scope and shard are the replaying thread's.
+        assert [(e.op, e.scope, e.shard) for e in profiler.events] == [
+            ("cumsum", "Project", 0), ("add", "Project", 0),
+            ("cumsum", "Project", 0)], executor
 
 
 def test_rank2_masks_and_axis1_takes_are_left_alone():

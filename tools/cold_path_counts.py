@@ -19,7 +19,8 @@ claims (0: every traced node carries the operator it was traced under) and the
 distinct operator families the profile breaks down into.  A third line
 compiles the three statements at ``parallelism=4`` and counts the programs
 whose generated plain source has the serial program's sha1 (3: a lanes plan
-runs the serial program; its width lives in the profiled body's stamps).
+runs the serial program), and a fourth counts those whose profiled source
+does (3: the width lives on the plan, not in the program's stamps).
 
 Run from the repository root: ``python tools/cold_path_counts.py``
 (``PYTHONPATH=src``, as in CI).
@@ -86,19 +87,23 @@ def main() -> None:
           f"operator, {len(families)} operator families (the same statements "
           f"profiled once on torchscript)")
 
-    def source_sha1(compiled) -> str:
-        compiled.run()
-        source = compiled.executor._program.scripted.compiled_source
+    def source_sha1(compiled, body: str) -> str:
+        compiled.execute(profile=body == "profiled")
+        scripted = compiled.executor._program.scripted
+        source = (scripted.compiled_profiled_source if body == "profiled"
+                  else scripted.compiled_source)
         return hashlib.sha1(source.encode()).hexdigest()
 
     lanes = [session.compile(tpch.query(q, SCALE_FACTOR),
                              options=ExecutionOptions(parallelism=4))
              for q in QUERIES]
-    same = sum(source_sha1(serial) == source_sha1(spread)
-               for serial, spread in zip(held, lanes))
-    print(f"{same} / {len(QUERIES)} parallelism=4 programs identical to "
-          f"serial (sha1 of the generated plain source, "
-          f"Q{' + Q'.join(map(str, QUERIES))})")
+    for body in ("plain", "profiled"):
+        same = sum(source_sha1(serial, body) == source_sha1(spread, body)
+                   for serial, spread in zip(held, lanes))
+        label = "" if body == "plain" else "profiled "
+        print(f"{same} / {len(QUERIES)} parallelism=4 {label}programs "
+              f"identical to serial (sha1 of the generated {body} source, "
+              f"Q{' + Q'.join(map(str, QUERIES))})")
 
 
 if __name__ == "__main__":

@@ -23,10 +23,13 @@ rots:
 6. the cost models read the partitioned structure of a profile from the one
    ``backends.base.split_partitions`` and classify exchanges by
    ``op_semantics.EXCHANGE_OPS`` / ``GATHER_OP`` — no model looks at an
-   event's lanes width or shard, or names an exchange op, on its own;
+   event's shard, or names an exchange op, on its own;
 7. operators and expressions never read a tensor on the host (``.numpy()`` /
    ``.item()``) outside :data:`HOST_READ_ALLOWED`: a traced program must not
-   depend on the values its trace saw.
+   depend on the values its trace saw;
+8. nothing under ``src/repro/tensor/`` reads or writes a lanes stamp (a
+   ``lanes=`` argument, a ``.lanes`` attribute or a ``"lanes"`` key): a lanes
+   width lives on the plan (``OperatorPlan.lanes``), never in the program.
 
 Run from the repository root: ``python tools/lint_op_registry.py``
 (``PYTHONPATH=src``, as in CI).
@@ -49,7 +52,7 @@ EXECUTOR_MODULES = (
 )
 
 #: The module whose ``split_partitions`` is the only code allowed to read an
-#: event's lanes / shard annotation.
+#: event's shard annotation (and to look its scope up in the plan's lanes).
 COST_MODEL_BASE = REPO_ROOT / "src" / "repro" / "backends" / "base.py"
 
 #: Cost-model modules that classify exchange ops for interconnect charging.
@@ -65,7 +68,10 @@ COST_MODEL_MODULES = (
 )
 
 #: What only ``split_partitions`` may touch.
-PARTITION_ATTRIBUTES = {"lanes", "shard"}
+PARTITION_ATTRIBUTES = {"shard"}
+
+#: The tensor layer: traced programs, their passes, executors and profiler.
+TENSOR_PACKAGE = REPO_ROOT / "src" / "repro" / "tensor"
 
 #: Op names whose special-case handling is allowed to appear by name in the
 #: executors: their rules (transfer forwarding, fused-step unrolling) are
@@ -134,8 +140,8 @@ def check_exchange_ops(problems: list[str]) -> None:
 
     fields = {field.name for field in _dc.fields(OpEvent)}
     if not PARTITION_ATTRIBUTES <= fields:
-        problems.append("OpEvent must carry lanes and shard attribution for "
-                        "the cost models' timeline splits")
+        problems.append("OpEvent must carry shard attribution for the cost "
+                        "models' timeline splits")
 
 
 def check_cost_model(path: pathlib.Path, problems: list[str]) -> None:
@@ -143,7 +149,7 @@ def check_cost_model(path: pathlib.Path, problems: list[str]) -> None:
 
     Nowhere: a hard-coded exchange op name.  In the base: exactly one
     ``split_*`` function, ``split_partitions``.  In a model: it is imported,
-    and nothing else reads ``event.lanes`` / ``event.shard``.
+    and nothing else reads ``event.shard``.
     """
     rel = path.relative_to(REPO_ROOT)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(rel))
@@ -179,6 +185,22 @@ def check_cost_model(path: pathlib.Path, problems: list[str]) -> None:
             problems.append(
                 f"{rel}:{node.lineno}: reads '.{node.attr}' of an event — "
                 f"classify events through split_partitions only")
+
+
+def check_no_lanes_stamp(problems: list[str]) -> None:
+    """No module of the tensor layer passes ``lanes=``, reads ``.lanes`` or
+    spells a ``"lanes"`` key: the program never carries a lanes width."""
+    for path in sorted(TENSOR_PACKAGE.rglob("*.py")):
+        rel = path.relative_to(REPO_ROOT)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(rel))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.keyword) and node.arg == "lanes"
+                    or isinstance(node, ast.Attribute) and node.attr == "lanes"
+                    or isinstance(node, ast.Constant)
+                    and node.value == "lanes"):
+                problems.append(
+                    f"{rel}:{node.lineno}: a lanes stamp — the width lives "
+                    f"on the plan, not in the program")
 
 
 def check_module(path: pathlib.Path, problems: list[str]) -> None:
@@ -286,6 +308,7 @@ def main() -> int:
         check_threshold_literals(path, problems)
     for path in HOST_READ_MODULES:
         check_host_reads(path, problems)
+    check_no_lanes_stamp(problems)
     if problems:
         print("op-registry lint FAILED:")
         for problem in problems:
