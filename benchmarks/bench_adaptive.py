@@ -10,9 +10,10 @@ within noise):
 * **serial** — every query compiled at ``parallelism=1``;
 * **parallel** — every query compiled at 4 lanes with the parallel threshold
   forced to zero (morsel operators everywhere they are semantically safe);
-* **adaptive** — ``ExecutionOptions(adaptive=True)``: the runtime explores
-  its strategy candidates on the first executions of each statement, then
-  settles per statement on the observed winner (see :mod:`repro.adaptive`).
+* **adaptive** — ``ExecutionOptions(adaptive=True)``: every execution's
+  profile prices the three strategy candidates, and each execution after a
+  statement's first runs the cheapest of the latest prices (see
+  :mod:`repro.adaptive`).
 
 The gate is the subsystem's whole point: across the workload, *no fixed
 strategy wins* — heavy scan/join queries profit from lanes while small
@@ -22,9 +23,9 @@ adaptive total must come in strictly below **both** fixed totals.
 Measurement protocol: eager ``pytorch`` backend (strategy choice is about
 operator variants, not trace replay), warm-up executions outside the clock,
 then measured rounds interleaved round-robin across the three arms with each
-(query, arm) reporting its best round.  The adaptive arm's exploration runs
-happen before its clock starts — by then each statement has settled, which
-is exactly the steady state a serving deployment measures.
+(query, arm) reporting its best round.  The adaptive arm's first execution
+(which runs ``auto`` before any price exists) happens before its clock
+starts, like the other arms' warm-up.
 
 The scale factor is pinned: the serial/parallel crossover position depends
 on absolute table sizes, and the gate is a statement about the mix at a
@@ -82,12 +83,10 @@ def _fixed_arm(session, sql: str, options: ExecutionOptions,
 
 
 def _adaptive_arm(session, sql: str):
-    """Adaptive statement run through exploration until its choice settles."""
+    """Adaptive statement, priced once and warmed on its choice."""
     compiled = session.compile(sql, options=ADAPTIVE)
-    runtime = session.adaptive
-    # Exploration budget: every candidate observed to the settling point,
-    # plus warm-up on the settled plan.
-    for _ in range(3 * runtime.min_observations + WARMUP):
+    # The first execution prices the candidates; the warm-up runs the choice.
+    for _ in range(1 + WARMUP):
         compiled.execute()
     return compiled
 
@@ -137,7 +136,7 @@ def test_adaptive_beats_fixed_strategies(bench_session, json_out, capsys):
             f"  adaptive vs {other + ':':<9s} "
             f"{totals[other] / totals['adaptive']:.2f}x modelled, "
             f"{wall_totals[other] / wall_totals['adaptive']:.2f}x wall-clock")
-    lines.append("  settled strategies: " + ", ".join(
+    lines.append("  chosen strategies: " + ", ".join(
         f"q{qid}={strategies[qid]}" for qid in ALL_QUERY_IDS))
     with capsys.disabled():
         print("\n" + "\n".join(lines))
@@ -164,7 +163,7 @@ def test_adaptive_beats_fixed_strategies(bench_session, json_out, capsys):
     # assert that too, so the bench fails loudly if the workload ever
     # degenerates into one regime.
     assert len(chosen) > 1, (
-        f"every query settled on {chosen}: the workload no longer "
+        f"every query chose {chosen}: the workload no longer "
         f"discriminates between strategies")
     assert totals["adaptive"] < totals["serial"], (
         f"adaptive {totals['adaptive']:.6f}s not better than always-serial "

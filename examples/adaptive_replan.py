@@ -1,23 +1,26 @@
-"""Adaptive execution: settle on a strategy, drift the data, watch it flip.
+"""Adaptive execution: price the candidates, drift the data, watch it flip.
 
 One statement — a filter + GROUP BY whose best execution strategy depends
 entirely on how many rows survive the filter — runs under
-``ExecutionOptions(adaptive=True)``:
+``ExecutionOptions(adaptive=True)``.  Its three strategy candidates
+(``auto`` / ``serial`` / ``parallel``) share one program, so every
+execution's profile prices all three, and the next execution runs the
+cheapest:
 
-1. against a *broad* distribution (~99 % of rows pass) the runtime explores
-   its three strategy candidates (``auto`` / ``serial`` / ``parallel``),
-   then settles on a morsel-parallel plan — big intermediates pay for lanes;
+1. against a *broad* distribution (~99 % of rows pass) the first execution
+   runs ``auto`` and the prices keep it there — a morsel-parallel plan, since
+   big intermediates pay for lanes;
 2. the table is re-registered with the skew inverted (~1 % of rows pass):
-   the runtime notices the selectivity drift *from its own feedback*,
-   flushes the stale history, re-explores, and settles on a serial shape —
-   morsel dispatch over a handful of rows costs more than it saves;
+   the new generation's first profile re-prices every candidate, and the
+   next execution runs a serial shape — morsel dispatch over a handful of
+   rows costs more than it saves;
 3. every single execution, before, during and after the flip, returns the
    exact answer for the data it ran against (integer aggregates, so
    "exact" means bit-identical): strategies change operator variants,
    never results.
 
-The reported times are the ``cpu`` cost model's: lanes are a model, every
-strategy runs the serial program, and only the model spreads a lanes
+The prices are the ``cpu`` cost model's: lanes are a model, every
+candidate runs the serial program, and only the model spreads a lanes
 operator's kernels over its lanes and charges its morsel dispatches.
 
 Run with:  PYTHONPATH=src python examples/adaptive_replan.py
@@ -51,14 +54,16 @@ def exact_rows(data: DataFrame) -> list:
     return sorted(zip(result["grp"], result["n"], result["sk"]))
 
 
-def drive(query, oracle_rows, rounds: int) -> None:
+def drive(query, runtime, oracle_rows, rounds: int) -> None:
     for i in range(rounds):
         result = query.execute()
         data = result.to_dataframe().to_dict()
         rows = sorted(zip(data["grp"], data["n"], data["sk"]))
         assert rows == oracle_rows, "adaptive execution changed the answer"
-        print(f"  run {i}: strategy={query.compiled.strategy:<8s} "
-              f"reported {result.reported_s * 1e3:7.3f} ms  (exact)")
+        record = runtime.feedback.dump()[-1]
+        print(f"  run {i}: ran {record['strategy']:<8s} priced " + ", ".join(
+            f"{name} {price * 1e3:.3f}"
+            for name, price in record["prices"].items()) + " ms  (exact)")
 
 
 def main() -> None:
@@ -67,26 +72,25 @@ def main() -> None:
     session.register("events", broad)
     query = session.prepare(SQL, options=ExecutionOptions(adaptive=True))
     runtime = session.adaptive
-    rounds = 3 * runtime.min_observations + 3
+    rounds = 4
 
     print("phase 1 — broad distribution (~99 % of rows pass the filter):")
-    drive(query, exact_rows(broad), rounds)
+    drive(query, runtime, exact_rows(broad), rounds)
     shape = query.compiled.operator_plan.root.pretty()
     assert "Morsel" in shape
-    print(f"  settled: {query.compiled.strategy} "
+    print(f"  chosen: {query.compiled.strategy} "
           f"(morsel-parallel plan — lanes pay on big intermediates)\n")
 
-    print("phase 2 — skew inverted (~1 % pass); the runtime detects the "
-          "drift\nfrom its own feedback, flushes history, re-explores:")
+    print("phase 2 — skew inverted (~1 % pass); the new generation's first "
+          "profile\nre-prices every candidate:")
     session.register("events", narrow)
-    drive(query, exact_rows(narrow), rounds)
+    drive(query, runtime, exact_rows(narrow), rounds)
     shape = query.compiled.operator_plan.root.pretty()
     assert "Morsel" not in shape
-    print(f"  settled: {query.compiled.strategy} (serial shape — morsel "
+    print(f"  chosen: {query.compiled.strategy} (serial shape — morsel "
           f"dispatch over ~200 rows costs more than it saves)\n")
 
-    print(f"re-plans triggered by the runtime: {runtime.replan_count}; "
-          f"feedback records held: {len(runtime.feedback)}")
+    print(f"feedback records held: {len(runtime.feedback)}")
 
 
 if __name__ == "__main__":

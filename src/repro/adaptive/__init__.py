@@ -1,45 +1,28 @@
-"""Adaptive execution: runtime feedback, corrected estimates, observed choice.
+"""Adaptive execution: price every strategy candidate, run the cheapest.
 
-The planner's static choices (serial vs morsel-parallel operators, pruning
-gates) rest on zone-map/NDV estimates — but the profiler already observes
-*exact* per-operator cardinalities and modelled kernel times on every run.
-This package closes that loop:
+A statement's strategy candidates (``auto`` / ``serial`` / ``parallel``)
+differ only in their plans' lanes widths, so they share one traced program
+and one profiled execution prices all of them under the device's cost model.
+This package keeps the loop that follows from that:
 
-* :mod:`repro.adaptive.feedback` — a bounded, thread-safe store of
-  per-execution observations harvested from the existing profiler events,
-  keyed by plan-cache statement key and binding region;
-* :mod:`repro.adaptive.estimates` — blends observed filter selectivities
-  into the static estimates feeding the parallel threshold, bucketed per
-  binding region so rebinds into a different selectivity regime don't
-  poison each other;
+* :mod:`repro.adaptive.feedback` — a bounded, thread-safe store of one record
+  per execution (the candidate that ran and every candidate's price), keyed
+  by plan-cache statement key and binding region;
 * :mod:`repro.adaptive.planner` — the :class:`AdaptiveRuntime` a session
-  owns: explores each strategy candidate, settles on the fastest observed
-  one, plans only that candidate, and re-plans a cached statement in place
-  (via the existing ``CompiledQuery._refresh_from`` machinery) when the
-  choice changes or observed cardinalities drift.
+  owns: plans the candidates once per table generation, prices each
+  execution, and points the statement at the cheapest candidate of its
+  bucket's latest record.
 
 Opt in per statement with ``ExecutionOptions(adaptive=True)``; inspect the
-collected feedback via ``session.adaptive.feedback.dump()``.
+prices via ``session.adaptive.feedback.dump()``.
 """
 
-from repro.adaptive.estimates import EstimateCorrector, binding_region
-from repro.adaptive.feedback import (
-    ExecutionFeedback,
-    FeedbackStore,
-    OperatorObservation,
-    harvest_feedback,
-    scope_family,
-)
-from repro.adaptive.planner import AdaptiveRuntime, Strategy
+from repro.adaptive.feedback import ExecutionFeedback, FeedbackStore, binding_region
+from repro.adaptive.planner import AdaptiveRuntime
 
 __all__ = [
     "AdaptiveRuntime",
-    "EstimateCorrector",
     "ExecutionFeedback",
     "FeedbackStore",
-    "OperatorObservation",
-    "Strategy",
     "binding_region",
-    "harvest_feedback",
-    "scope_family",
 ]

@@ -278,7 +278,8 @@ class Executor:
         ctx = ExecutionContext(moved, device=self.device)
         ctx.eval_ctx = EvaluationContext(
             device=self.device,
-            subquery_runner=lambda subplan: subplan.execute(ctx),
+            subquery_runner=lambda subplan: self.plan.subqueries[
+                subplan].execute(ctx),
             models=self.models,
             params=params,
         )
@@ -404,12 +405,6 @@ class Executor:
                 if program is None:
                     program = self._compile_locked(inputs, bound)
         return program
-
-    def adopt_program(self, other: "Executor") -> None:
-        """Replay ``other``'s traced program instead of tracing one: sound
-        for a re-plan of the same statement and generation whose operators
-        keep their scopes (lanes widths live on the plan, not the program)."""
-        self._program = other._program
 
     def compile_program(self, inputs: dict[str, TensorTable],
                         params: Optional[dict] = None) -> ScriptedProgram:

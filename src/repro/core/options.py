@@ -64,15 +64,14 @@ class ExecutionOptions:
             ``hash`` (rows spread by key hash) or ``range`` (contiguous row
             ranges).  Part of the plan-cache and conversion-cache keys.
         adaptive: let the session's adaptive runtime
-            (:mod:`repro.adaptive`) pick the execution strategy from runtime
-            feedback.  Executions are profiled, their observed cardinalities
-            and *modelled* kernel times (``reported_s``: lanes move no
-            wall-clock time) are recorded in the session's feedback store,
-            and a recurring statement is re-planned in place when the
-            observations (or the learned cost model) prefer a different
-            strategy — results are always identical across strategies.
-            ``parallelism`` then sets the lane budget the adaptive planner
-            may use, not a fixed choice.  Part of the plan-cache key.
+            (:mod:`repro.adaptive`) pick the execution strategy.  The
+            statement plans three candidates that share one program;
+            every execution is profiled, its profile prices each candidate
+            under the device's cost model (``reported_s``: lanes move no
+            wall-clock time), and the next execution runs the cheapest —
+            results are always identical across strategies.
+            ``parallelism`` then sets the lane budget the candidates may
+            use, not a fixed choice.  Part of the plan-cache key.
     """
 
     backend: Optional[str] = None

@@ -25,8 +25,7 @@ The planner is also where storage statistics enter the plan:
 * filter **selectivity estimates** from the same statistics refine the
   cardinality estimates feeding the row-threshold decisions, so a highly
   selective filter no longer forces partial-merge operators onto a handful of
-  surviving rows.  A ``filter_correction`` hook lets the adaptive layer blend
-  *observed* selectivities from past executions into those static estimates;
+  surviving rows;
 * **key-ness** — the column sets on which a node's output has no two rows
   sharing a non-NULL value (:meth:`Planner._unique_sets`) — is derived from
   the scanned tables' NDV and row counts, and tells each hash join which of
@@ -36,7 +35,7 @@ The planner is also where storage statistics enter the plan:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.core import ir
 from repro.core.columnar import LogicalType
@@ -96,6 +95,10 @@ class OperatorPlan:
         lanes: ``{scope: n}`` of every operator planned on ``n`` worker
             lanes, runtime subqueries included: the one place a width lives,
             where the cost models look each event's scope up.
+        subqueries: the operator subtree planned for each runtime subquery,
+            keyed by the physical subplan its expression names — the plan
+            holds them, so planning leaves the IR as it found it and one IR
+            can be planned again.
     """
 
     root: TensorOperator
@@ -104,6 +107,23 @@ class OperatorPlan:
     params: list[ParameterSpec] = dataclasses.field(default_factory=list)
     model_names: frozenset[str] = frozenset()
     lanes: dict[str, int] = dataclasses.field(default_factory=dict)
+    subqueries: dict[PhysicalNode, TensorOperator] = dataclasses.field(
+        default_factory=dict)
+
+
+def scope_family(scope: str) -> str:
+    """Canonical operator family of a profiler scope: its label's name,
+    without the ``#id`` / ``@d<k>`` suffixes (the scope of one operator in
+    one plan); scans keep their table, so two scans in one plan stay
+    distinct.  ``"HashJoin[inner](key=right)#3:shuffle@d1"`` →
+    ``"HashJoin"``; ``"TableScan(lineitem, pruned=2 conjuncts)#1"`` →
+    ``"Scan(lineitem)"``.
+    """
+    head, _, rest = scope.split("#", 1)[0].partition("(")
+    family = head.split("[", 1)[0].strip()
+    if family == "TableScan":
+        return f"Scan({rest.rstrip(')').split(',', 1)[0].strip()})"
+    return family
 
 
 def ir_node_expressions(node: ir.IRNode) -> list[ast.Expr]:
@@ -199,21 +219,16 @@ class Planner:
             estimates behind the parallel-operator threshold decision.
         tuning: the size/cost thresholds this plan is built under; defaults
             to the thread's :func:`~repro.core.tuning.active_tuning`.
-        filter_correction: optional hook mapping a static filter-selectivity
-            estimate to a corrected one — the adaptive layer passes a blend
-            with observed selectivities for recurring statements.
     """
 
     def __init__(self, parallelism: int = 1,
                  table_rows: Optional[Mapping[str, int]] = None,
                  table_stats: Optional[Mapping[str, object]] = None,
                  devices: int = 1, shard_mode: str = "hash",
-                 tuning: Optional[Tuning] = None,
-                 filter_correction: Optional[Callable[[float], float]] = None
-                 ) -> None:
+                 tuning: Optional[Tuning] = None) -> None:
         self._scans: list[ScanOperator] = []
+        self._subqueries: dict[PhysicalNode, TensorOperator] = {}
         self.tuning = tuning if tuning is not None else active_tuning()
-        self.filter_correction = filter_correction
         self.parallelism = max(1, int(parallelism))
         #: Simulated devices for sharded execution; 1 keeps plans single-device.
         self.devices = max(1, int(devices))
@@ -270,14 +285,15 @@ class Planner:
                             model_names=frozenset(self._model_names),
                             lanes={op.scope: op.scheme.n
                                    for op in self._operators
-                                   if op.scheme.kind == "lanes"})
+                                   if op.scheme.kind == "lanes"},
+                            subqueries=self._subqueries)
 
     # -- expressions: parameters, models, runtime subqueries -----------------
 
     def _plan_expressions(self, node: ir.IRNode) -> None:
         """Collect the bind parameters and models a node's expressions
-        reference, and replace the physical subplans inside them with
-        operator subtrees.
+        reference, and plan an operator subtree for each physical subplan
+        inside them (kept on the plan, not written into the expression).
 
         Uncorrelated IN / EXISTS / scalar subqueries are evaluated at runtime;
         by planning them here their scans participate in input preparation and
@@ -299,9 +315,10 @@ class Planner:
                 elif isinstance(sub, ast.PredictExpr):
                     self._model_names.add(sub.model_name)
                 elif (isinstance(sub, _SUBQUERY_EXPRS)
-                      and isinstance(sub.subplan, PhysicalNode)):
+                      and sub.subplan not in self._subqueries):
                     sub_ir = optimize_ir(build_ir(sub.subplan))
-                    sub.subplan = self._closed(self._plan(sub_ir))
+                    self._subqueries[sub.subplan] = \
+                        self._closed(self._plan(sub_ir))
 
     # -- cardinality estimation --------------------------------------------
 
@@ -330,9 +347,6 @@ class Planner:
 
                     selectivity = estimate_selectivity(node.attrs["condition"],
                                                        self._column_stats)
-                if self.filter_correction is not None:
-                    selectivity = min(1.0, max(
-                        0.0, self.filter_correction(selectivity)))
                 estimate = int(estimate * selectivity)
         self._row_estimates[id(node)] = estimate
         return estimate
@@ -630,11 +644,8 @@ def plan_ir(root: ir.IRNode, parallelism: int = 1,
             table_rows: Optional[Mapping[str, int]] = None,
             table_stats: Optional[Mapping[str, object]] = None,
             devices: int = 1, shard_mode: str = "hash",
-            tuning: Optional[Tuning] = None,
-            filter_correction: Optional[Callable[[float], float]] = None
-            ) -> OperatorPlan:
+            tuning: Optional[Tuning] = None) -> OperatorPlan:
     """Convenience wrapper: plan an IR tree into an :class:`OperatorPlan`."""
     return Planner(parallelism=parallelism, table_rows=table_rows,
                    table_stats=table_stats, devices=devices,
-                   shard_mode=shard_mode, tuning=tuning,
-                   filter_correction=filter_correction).plan(root)
+                   shard_mode=shard_mode, tuning=tuning).plan(root)

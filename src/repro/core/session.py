@@ -101,9 +101,15 @@ class CompiledQuery:
     #: Parameter-type hints the statement was compiled with (needed to
     #: re-plan faithfully when a held handle refreshes after a re-register).
     param_types: Optional[dict] = None
-    #: Adaptive strategy this plan was built under (``None`` when compiled
-    #: statically; see :mod:`repro.adaptive`).
+    #: Adaptive candidate in force — the one the latest execution ran —
+    #: whose plan is ``operator_plan`` (``None`` when compiled statically;
+    #: see :mod:`repro.adaptive`).
     strategy: Optional[str] = None
+    #: Every adaptive candidate's plan of this generation, in candidate
+    #: order (empty when compiled statically).  They name the same
+    #: operators, so ``executor`` — built on the first — runs each of them.
+    candidates: dict[str, OperatorPlan] = dataclasses.field(
+        default_factory=dict)
 
     @property
     def params(self) -> list[ParameterSpec]:
@@ -131,6 +137,7 @@ class CompiledQuery:
         self.executor = fresh.executor
         self.schema_fingerprint = fresh.schema_fingerprint
         self.strategy = fresh.strategy
+        self.candidates = fresh.candidates
 
     def execute_many(self, bindings: "list[dict | BatchBindingError]",
                      profile: bool = False, on_error: str = "raise"
@@ -144,26 +151,24 @@ class CompiledQuery:
         against the snapshot's executor (a re-plan may have changed parameter
         types) with the typed errors of :meth:`Executor.execute_many`.
 
-        Under ``ExecutionOptions(adaptive=True)`` every execution profiles
-        (the feedback the runtime learns from) and every result is fed back
-        to ``session.adaptive``, batched or not.
+        Under ``ExecutionOptions(adaptive=True)`` every execution profiles,
+        and its profile prices every candidate (``session.adaptive``), batched
+        or not; its ``reported_s`` is the price of the candidate it ran.
         """
         adaptive = self.options.adaptive
-        executor, inputs = self.session.execution_state(self, bindings)
-        # The strategy this snapshot runs under; read before executing so a
-        # concurrent re-plan can't misattribute the observations.
-        strategy = self.strategy
+        executor, inputs, strategy, candidates = \
+            self.session.execution_state(self, bindings)
         outcomes = executor.execute_many(
             inputs, bindings, profile=profile or adaptive, on_error=on_error)
         if adaptive:
-            # Outside the session lock (observe only takes the adaptive
-            # runtime's own locks), so workers record feedback concurrently.
-            signature = executor.plan.root.pretty()
+            # Outside the session lock (the feedback store guards itself),
+            # so workers record concurrently.
             for bound, outcome in zip(bindings, outcomes):
                 if isinstance(outcome, ExecutionResult):
-                    self.session.adaptive.observe(
-                        self, bound, outcome, strategy=strategy,
-                        plan_signature=signature)
+                    prices = self.session.adaptive.observe(
+                        self.sql, bound, outcome, strategy, candidates,
+                        executor.cost_model)
+                    outcome.reported_s = prices[strategy]
         return outcomes
 
     def execute(self, profile: bool = False,
@@ -194,7 +199,7 @@ class CompiledQuery:
 
     def executor_graph(self, params: Optional[dict] = None):
         """Traced tensor graph of the query (Figure-4 style artifact)."""
-        executor, inputs = self.session.execution_state(self)
+        executor, inputs, _, _ = self.session.execution_state(self)
         return executor.executor_graph(inputs, params=params)
 
     def export_onnx(self, path: str, params: Optional[dict] = None) -> None:
@@ -300,11 +305,6 @@ class PreparedQuery:
         return f"PreparedQuery([{names}])"
 
 
-def _scope_order(compiled: CompiledQuery) -> list[str]:
-    """The plan's operator scopes, in walk order."""
-    return [op.scope for op in compiled.operator_plan.root.walk()]
-
-
 class TQPSession:
     """Entry point: register data and models, compile SQL, execute on backends."""
 
@@ -324,10 +324,10 @@ class TQPSession:
         self._models: dict[str, tuple[int, Callable]] = {}
         #: Compiled-plan LRU: repeated queries skip parse→optimize→plan→trace.
         self.plan_cache = PlanCache(capacity=plan_cache_size)
-        #: Feedback loop behind ``ExecutionOptions(adaptive=True)``: observes
-        #: executions, corrects estimates, and re-plans cached statements when
-        #: a different strategy looks better (``self.adaptive.feedback.dump()``
-        #: exposes the collected observations).
+        #: Feedback loop behind ``ExecutionOptions(adaptive=True)``: prices
+        #: every candidate on each execution's profile and points the
+        #: statement at the cheapest (``self.adaptive.feedback.dump()``
+        #: exposes the prices).
         self.adaptive = AdaptiveRuntime()
         #: Guards the mutable session state (catalog records, models) against
         #: concurrent serving workers.  Re-entrant so locked entry points may
@@ -478,28 +478,25 @@ class TQPSession:
                 table_stats={name: self.catalog.statistics(name)
                              for name in names},
                 devices=resolved.devices, shard_mode=resolved.shard)
-            strategy = None
+            candidates = {}
             if resolved.adaptive:
-                # The runtime plans every strategy candidate and returns the
-                # preferred one; the executor runs under the strategy's lane
-                # count while the statement keeps ``resolved`` as its cache
-                # identity (so re-plans land on the same cache entry).
-                operator_plan, exec_options, strategy = \
-                    self.adaptive.plan_statement(
-                        sql, query_ir, resolved, plan_kwargs)
+                # Every candidate, planned from this one IR; the executor
+                # traces the first (``auto``), which runs first.
+                candidates = self.adaptive.plan_candidates(
+                    query_ir, resolved, plan_kwargs)
+                operator_plan = next(iter(candidates.values()))
             else:
                 operator_plan = plan_ir(
                     query_ir, parallelism=resolved.parallelism, **plan_kwargs)
-                exec_options = resolved
             executor = Executor(
-                operator_plan, options=exec_options,
+                operator_plan, options=resolved,
                 models={name: model
                         for name, (_, model) in self._models.items()})
             return CompiledQuery(
                 sql=sql, physical_plan=physical, ir=query_ir,
                 operator_plan=operator_plan, executor=executor,
                 session=self, options=resolved, param_types=param_types,
-                strategy=strategy,
+                strategy=next(iter(candidates), None), candidates=candidates,
                 schema_fingerprint=self._fingerprint(operator_plan))
 
     def prepare(self, sql: str, options: Optional[ExecutionOptions] = None,
@@ -540,40 +537,37 @@ class TQPSession:
 
     def execution_state(self, compiled: CompiledQuery,
                         bindings: Optional[list] = None
-                        ) -> tuple[Executor, dict[str, TensorTable]]:
-        """Per-execution snapshot of one generation: ``(executor, inputs)``.
+                        ) -> tuple[Executor, dict[str, TensorTable],
+                                   Optional[str], dict[str, OperatorPlan]]:
+        """Per-execution snapshot of one generation: ``(executor, inputs,
+        strategy, candidates)``.
 
-        Both are resolved under one hold of the session lock, and the inputs
-        carry the zone maps they were converted beside, so a concurrent
-        ``register()`` either precedes the whole snapshot or follows it.
+        All four are resolved under one hold of the session lock, and the
+        inputs carry the zone maps they were converted beside, so a
+        concurrent ``register()`` either precedes the whole snapshot or
+        follows it.
 
         A handle whose compile-time generation went stale (a table or model it
         uses was re-registered; its cache entry is purged, but long-lived
         handles keep their object) is re-planned here and refreshed in place.
-        Adaptive statements re-plan through the same path when the runtime
-        prefers another strategy for the region of the first of ``bindings``
-        (what the caller is about to execute); an inspection call passes none.
-        A re-plan of the current generation whose operators keep their scopes
-        keeps the traced program too: only the plan's lanes widths changed.
+        An adaptive statement then switches to the candidate the runtime
+        chooses for the region of the first of ``bindings`` (what the caller
+        is about to execute; an inspection call passes none): it repoints
+        ``strategy`` and ``operator_plan`` at an already-planned candidate,
+        which runs the program already traced.
         """
         with self._lock:
-            current = self._plan_is_current(compiled)
-            replan = not current
-            if bindings is not None and compiled.options.adaptive:
-                # Always consulted (lock order session → runtime): it also
-                # records the binding region a triggered re-plan compiles for.
+            if not self._plan_is_current(compiled):
+                compiled._refresh_from(self._compile_uncached(
+                    compiled.sql, compiled.options, compiled.param_types))
+            if bindings is not None and compiled.candidates:
                 first = next((b for b in bindings if isinstance(b, dict)), None)
-                replan = self.adaptive.wants_replan(compiled, first) or replan
-            if replan:
-                fresh = self._compile_uncached(
-                    compiled.sql, compiled.options, compiled.param_types)
-                if current and _scope_order(fresh) == _scope_order(compiled):
-                    # A strategy switch: same generation, same operators,
-                    # only lanes widths differ — and those live on the plan.
-                    fresh.executor.adopt_program(compiled.executor)
-                compiled._refresh_from(fresh)
+                compiled.strategy = self.adaptive.choose(
+                    compiled.sql, first, compiled.strategy)
+                compiled.operator_plan = compiled.candidates[compiled.strategy]
             executor = compiled.executor
-            return executor, self.prepare_inputs(executor)
+            return (executor, self.prepare_inputs(executor), compiled.strategy,
+                    compiled.candidates)
 
     def prepare_inputs(self, executor: Executor) -> dict[str, TensorTable]:
         """Convert registered DataFrames into tensor tables for an executor.

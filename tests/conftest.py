@@ -115,6 +115,26 @@ def scaling_model():
     return scaling
 
 
+@pytest.fixture
+def bytes_priced(monkeypatch):
+    """Price ``cpu`` runs deterministically, so tests that assert *which*
+    adaptive candidate is cheapest do not depend on host speed: the same
+    concurrent structure as ``CPUDevice.report_time`` (serial work + one
+    lane's share of the lanes work + per-morsel dispatch), each kernel
+    charged a fixed launch cost plus the bytes it wrote."""
+    from repro.backends.base import split_partitions
+    from repro.backends.cpu import CPUDevice
+
+    def bytes_charge(self, measured_s, profile, lanes=None):
+        if profile is None:
+            return measured_s
+        host, _, _ = split_partitions(profile.events, lanes)
+        return host.time(lambda event: 1e-6 + event.output_bytes / 1e9,
+                         self.morsel_dispatch_overhead_s)
+
+    monkeypatch.setattr(CPUDevice, "report_time", bytes_charge)
+
+
 @pytest.fixture(scope="session")
 def frames_match():
     """The shared differential frame assertion (see :func:`assert_frames_match`).

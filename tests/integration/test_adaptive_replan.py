@@ -1,12 +1,14 @@
-"""Integration: adaptive re-planning on data drift, differential vs oracle.
+"""Integration: adaptive pricing across data drift, differential vs oracle.
 
-The scenario the adaptive subsystem exists for: a statement's strategy
-settles against one data distribution, the table is re-registered with the
-skew inverted, and the runtime must (a) notice the drift from its own
-observations, (b) flush the stale history and re-explore, (c) settle on a
-different strategy — while every single execution, before, during and after
-the flip, returns results bit-identical to a fresh non-adaptive oracle
-session over the same data.
+The scenario the adaptive subsystem exists for: a statement's candidate is
+chosen against one data distribution, the table is re-registered with the
+skew inverted, and the new generation's first profile reprices every
+candidate, so the next execution runs a different one — while every single
+execution, before, during and after the flip, returns results bit-identical
+to a fresh non-adaptive oracle session over the same data.
+
+Which candidate is cheapest is asserted, so prices come from the
+deterministic ``bytes_priced`` cost model, not from the host's clock.
 
 All aggregates here are integer-typed, so "bit-identical" is exact equality:
 no strategy (serial, morsel-parallel, threshold-gated) may change a single
@@ -16,7 +18,6 @@ bit of the answer.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import DataFrame, ExecutionOptions, TQPSession
 
@@ -60,7 +61,28 @@ def result_rows(result) -> list:
     return sorted(zip(data["grp"], data["n"], data["sk"]))
 
 
-def test_drift_replans_and_stays_bit_identical():
+CANDIDATES = ["auto", "serial", "parallel"]
+
+
+def argmin(record: dict) -> str:
+    return min(CANDIDATES, key=record["prices"].__getitem__)
+
+
+def run_priced(query, runtime, oracle: list, executions: int) -> list:
+    """Execute ``executions`` times, each bit-identical to ``oracle`` and
+    each after the first running the argmin of the record before it.
+    Returns the records of these executions."""
+    ran = []
+    for _ in range(executions):
+        assert result_rows(query.execute()) == oracle
+        ran.append(query.compiled.strategy)
+    records = runtime.feedback.dump()[-executions:]
+    assert [record["strategy"] for record in records] == ran
+    assert ran[1:] == [argmin(record) for record in records[:-1]]
+    return records
+
+
+def test_drift_reprices_and_stays_bit_identical(bytes_priced):
     broad, narrow = broad_frame(), narrow_frame()
     broad_oracle, narrow_oracle = oracle_rows(broad), oracle_rows(narrow)
 
@@ -68,61 +90,40 @@ def test_drift_replans_and_stays_bit_identical():
     session.register("events", broad)
     query = session.prepare(SQL, options=ExecutionOptions(adaptive=True))
     runtime = session.adaptive
-    settle = 3 * runtime.min_observations + 4
-
-    # Phase 1: settle against the broad distribution.
-    for _ in range(settle):
-        assert result_rows(query.execute()) == broad_oracle
-    before_shape = query.compiled.operator_plan.root.pretty()
-    before_strategy = query.compiled.strategy
-    assert "Morsel" in before_shape  # lanes win while 99% of rows survive
-
-    # Phase 2: invert the skew.  Every execution from the first one on must
-    # serve the new data exactly; the runtime detects the selectivity drift
-    # from its own feedback, flushes the stale history, re-explores, and
-    # settles on a different strategy.
-    recorded_before = runtime.feedback.total_recorded
-    session.register("events", narrow)
-    strategies = []
-    for _ in range(settle):
-        assert result_rows(query.execute()) == narrow_oracle
-        strategies.append(query.compiled.strategy)
-    after_shape = query.compiled.operator_plan.root.pretty()
-
-    # The drift flush discarded the settled history: the store holds fewer
-    # records than were ever recorded, and exploration visited every
-    # candidate again.
-    assert len(runtime.feedback) < recorded_before \
-        + len(strategies)
-    assert set(strategies) == {"auto", "serial", "parallel"}
-    # The settled choice flipped to a serial shape for the 1%-pass regime.
-    assert "Morsel" not in after_shape
-    assert (query.compiled.strategy, after_shape) \
-        != (before_strategy, before_shape)
-
-    # Phase 3: drift back.  The same machinery flips the statement again.
-    session.register("events", broad)
-    for _ in range(settle):
-        assert result_rows(query.execute()) == broad_oracle
-    assert "Morsel" in query.compiled.operator_plan.root.pretty()
+    phases = (
+        # Lanes win while 99% of rows survive; "auto" and "parallel" plan
+        # identically here, and the tie goes to "auto".
+        (broad, broad_oracle, "auto", True),
+        # Inverted skew: a 4-lane filter over ~200 surviving rows pays more
+        # dispatch than it saves.
+        (narrow, narrow_oracle, "serial", False),
+        # Drift back: the same pricing flips the statement again.
+        (broad, broad_oracle, "auto", True))
+    previous = None
+    for frame, oracle, cheapest, morsel in phases:
+        if previous is not None:
+            session.register("events", frame)
+        records = run_priced(query, runtime, oracle, 5)
+        # A new generation's first execution runs the old generation's
+        # choice; its own profile reprices every candidate.
+        assert records[0]["strategy"] == (previous or "auto")
+        assert [argmin(record) for record in records] == [cheapest] * 5
+        assert query.compiled.strategy == cheapest
+        shape = query.compiled.operator_plan.root.pretty()
+        assert ("Morsel" in shape) == morsel, shape
+        previous = cheapest
 
 
-def test_reregister_alone_does_not_flush_without_drift():
-    """Re-registering *equivalent* data re-plans (version bump) but must not
-    discard the learned history: no drift, no flush, no re-exploration."""
+def test_reregistering_equal_data_keeps_the_choice(bytes_priced):
     session = TQPSession()
     session.register("events", broad_frame())
     query = session.prepare(SQL, options=ExecutionOptions(adaptive=True))
     runtime = session.adaptive
-    for _ in range(3 * runtime.min_observations + 2):
-        query.execute()
-    settled = query.compiled.strategy
-    stored = len(runtime.feedback)
+    oracle = oracle_rows(broad_frame())
+    run_priced(query, runtime, oracle, 3)
+    chosen = query.compiled.strategy
 
     session.register("events", broad_frame())  # same distribution
-    oracle = oracle_rows(broad_frame())
     for _ in range(3):
         assert result_rows(query.execute()) == oracle
-        # The settled choice holds: equal data yields no drift signal.
-        assert query.compiled.strategy == settled
-    assert len(runtime.feedback) >= stored
+        assert query.compiled.strategy == chosen

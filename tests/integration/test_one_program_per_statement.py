@@ -3,25 +3,35 @@
 The planner names every operator ``label#id`` in one deterministic order and
 keeps the lanes widths in ``OperatorPlan.lanes``; nothing about lanes reaches
 the traced program.  So a ``parallelism=4`` plan generates the serial plan's
-source, plain and profiled, and an adaptive statement that switches strategy
-replays the program it already traced instead of tracing another.
+source, plain and profiled, and an adaptive statement plans its three
+candidates from one IR, traces the one program they share, prices every
+candidate on each execution's profile, and switches between candidates
+without parsing, planning or tracing anything.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 
 import pytest
 
+import repro.adaptive.planner as adaptive_planner
+import repro.core.session as session_module
 from repro import ExecutionOptions, TQPSession
+from repro.adaptive import ExecutionFeedback
+from repro.core import ir_builder, ir_optimizer
 from repro.core.executor import Executor
+from repro.core.planner import plan_ir
 from repro.datasets import tpch
+from repro.frontend import sql_to_physical
 from test_differential import column_bits
 
 SCALE_FACTOR = 0.002
 SERIAL = ExecutionOptions(backend="torchscript")
 ADAPTIVE = ExecutionOptions(backend="torchscript", parallelism=4,
                             adaptive=True)
+CANDIDATES = ["auto", "serial", "parallel"]
 
 
 def bits(result) -> list:
@@ -31,7 +41,8 @@ def bits(result) -> list:
 
 @pytest.fixture
 def session(tpch_tiny):
-    """A session of its own: the tests below re-register a table."""
+    """A session of its own: the tests below re-register a table and read
+    the adaptive runtime's records."""
     _, tables = tpch_tiny
     fresh = TQPSession()
     for name, frame in tables.items():
@@ -40,28 +51,44 @@ def session(tpch_tiny):
 
 
 @pytest.fixture
-def traces(monkeypatch):
-    """Every trace any executor runs, as the plan it traced."""
-    seen = []
-    compile_locked = Executor._compile_locked
+def calls(monkeypatch):
+    """How often anything parses, plans or traces."""
+    seen = collections.Counter()
 
-    def spy(self, inputs, bound):
-        seen.append(self.plan)
-        return compile_locked(self, inputs, bound)
+    def counted(name, function):
+        def spy(*args, **kwargs):
+            seen[name] += 1
+            return function(*args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(Executor, "_compile_locked", spy)
+    monkeypatch.setattr(session_module, "sql_to_physical",
+                        counted("sql_to_physical", sql_to_physical))
+    monkeypatch.setattr(session_module, "plan_ir", counted("plan_ir", plan_ir))
+    monkeypatch.setattr(adaptive_planner, "plan_ir",
+                        counted("plan_ir", plan_ir))
+    monkeypatch.setattr(Executor, "_compile_locked",
+                        counted("trace", Executor._compile_locked))
     return seen
 
 
-def _explore(prepared, reference: list, executions: int) -> list:
+def _run(prepared, reference: list, executions: int) -> list:
     """Run an adaptive statement ``executions`` times; every result must be
-    bit-identical to ``reference``.  Returns the strategies it ran."""
+    bit-identical to ``reference``.  Returns the candidates it ran."""
     ran = []
     for _ in range(executions):
         result = prepared.execute()
         ran.append(prepared.compiled.strategy)
         assert bits(result) == reference, ran
     return ran
+
+
+def _argmin(record: dict) -> str:
+    return min(CANDIDATES, key=record["prices"].__getitem__)
+
+
+def _scopes(plan) -> list:
+    return [op.scope for op in plan.root.walk()] + [
+        op.scope for sub in plan.subqueries.values() for op in sub.walk()]
 
 
 @pytest.mark.parametrize("query", (1, 3, 6, 21))
@@ -85,40 +112,76 @@ def test_a_lanes_plan_generates_the_serial_source(tpch_tiny, query):
     assert compiled.operator_plan.lanes, query  # the plan is a lanes plan
 
 
-def test_strategy_switches_replay_the_traced_program(session, traces):
-    runtime = session.adaptive
-    executions = 3 * runtime.min_observations + 3
-    held = {}
-    for query in (1, 3, 6):
-        sql = tpch.query(query, SCALE_FACTOR)
-        reference = bits(session.compile(sql, options=SERIAL).execute())
-        before, replans = len(traces), runtime.replan_count
-        held[query] = session.prepare(sql, options=ADAPTIVE)
-        ran = _explore(held[query], reference, executions)
-        assert {ran.count(name) >= runtime.min_observations
-                for name in ("auto", "serial", "parallel")} == {True}, ran
-        assert runtime.replan_count > replans
-        assert len(traces) - before == 1, (query, ran)
-    # A new generation of a scanned table is a new program: one trace.
-    session.register("lineitem", session.dataframe("lineitem"))
-    reference = bits(session.compile(tpch.query(6, SCALE_FACTOR),
-                                     options=SERIAL).execute())
-    before = len(traces)
-    _explore(held[6], reference, executions)
-    assert len(traces) - before == 1
+@pytest.mark.parametrize("query", (11, 15, 16, 18, 20, 22))
+def test_planning_an_ir_twice_leaves_it_untouched(tpch_tiny, query):
+    """Planning keeps runtime subqueries' operators on the plan, so a second
+    plan of one IR scans, names and answers what the first does."""
+    session, _ = tpch_tiny
+    physical = sql_to_physical(tpch.query(query, SCALE_FACTOR),
+                               session.catalog)
+    query_ir = ir_optimizer.optimize_ir(ir_builder.build_ir(physical))
+    names = session.table_names()
+    stats = {name: session.catalog.statistics(name) for name in names}
+    plans = [plan_ir(query_ir, parallelism=4, table_stats=stats)
+             for _ in range(2)]
+    first, second = ([(scan.table, scan.alias, [f.name for f in scan.fields])
+                      for scan in plan.scans] for plan in plans)
+    assert first == second, query
+    assert ([op.scope for op in plans[0].root.walk()]
+            == [op.scope for op in plans[1].root.walk()])
+    results = []
+    for plan in plans:
+        executor = Executor(plan, options=SERIAL)
+        results.append(bits(executor.execute(session.prepare_inputs(executor))))
+    assert results[0] == results[1], query
 
 
-@pytest.mark.parametrize("query", (18, 22))
-def test_subquery_statements_explore_every_candidate(session, traces, query):
-    runtime = session.adaptive
+@pytest.mark.parametrize("query", tpch.ALL_QUERY_IDS)
+def test_candidates_share_one_program_and_the_priced_argmin_runs(
+        session, calls, query):
+    """Every TPC-H statement: the three candidates name the same operators,
+    each execution is bit-identical to static serial, the statement traces
+    once and plans only at compile, every record prices all three
+    candidates, and each execution after the first runs the cheapest
+    candidate of the record before it."""
     sql = tpch.query(query, SCALE_FACTOR)
     reference = bits(session.compile(sql, options=SERIAL).execute())
-    before = len(traces)
-    _explore(session.prepare(sql, options=ADAPTIVE), reference,
-             3 * runtime.min_observations)
-    observed = [record["strategy"] for record in runtime.feedback.dump()]
-    assert {name: observed.count(name)
-            for name in ("auto", "serial", "parallel")} == {
-        name: runtime.min_observations
-        for name in ("auto", "serial", "parallel")}
-    assert len(traces) - before == 1
+    compiled = session.compile(sql, options=ADAPTIVE)
+    assert list(compiled.candidates) == CANDIDATES
+    scopes = [_scopes(plan) for plan in compiled.candidates.values()]
+    assert scopes[0] == scopes[1] == scopes[2], query
+    calls.clear()
+    ran = _run(session.prepare(sql, options=ADAPTIVE), reference, 4)
+    assert calls == {"trace": 1}, (query, calls)
+    records = session.adaptive.feedback.dump()
+    assert [list(record["prices"]) for record in records] == [CANDIDATES] * 4
+    assert [record["strategy"] for record in records] == ran
+    assert ran == ["auto"] + [_argmin(record) for record in records[:-1]]
+
+
+def test_a_switch_plans_and_traces_nothing(session, calls):
+    """Switching repoints the statement at an already-planned candidate: no
+    parse, no plan, no trace — until a new generation of a scanned table
+    plans the candidates again and traces one program."""
+    sql = tpch.query(6, SCALE_FACTOR)
+    reference = bits(session.compile(sql, options=SERIAL).execute())
+    calls.clear()
+    prepared = session.prepare(sql, options=ADAPTIVE)
+    assert calls == {"sql_to_physical": 1, "plan_ir": 3}
+    key = session.adaptive.statement_key(sql)
+    calls.clear()
+    for favoured in ("serial", "parallel", "auto", "serial"):
+        # Prices that favour ``favoured``: the next execution switches.
+        prices = {name: 1.0 + (name != favoured) for name in CANDIDATES}
+        session.adaptive.feedback.record(
+            ExecutionFeedback(key, (), "auto", prices))
+        assert _run(prepared, reference, 1) == [favoured]
+        assert prepared.compiled.operator_plan \
+            is prepared.compiled.candidates[favoured]
+    assert calls == {"trace": 1}
+    # A new generation of a scanned table is planned and traced once more.
+    session.register("lineitem", session.dataframe("lineitem"))
+    reference = bits(session.compile(sql, options=SERIAL).execute())
+    calls.clear()
+    _run(prepared, reference, 3)
+    assert calls == {"sql_to_physical": 1, "plan_ir": 3, "trace": 1}

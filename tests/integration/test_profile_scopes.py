@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import ExecutionOptions
-from repro.adaptive.feedback import harvest_feedback, scope_family
+from repro.core.planner import scope_family
 from repro.datasets import tpch
 from repro.serve import ServingRuntime
 
@@ -71,7 +71,7 @@ def test_q21_breaks_down_into_one_row_per_operator(tpch_tiny):
     assert len([scope for scope in rows if scope.startswith("Filter#")]) == 4
 
 
-def test_q3_breaks_down_by_operator_and_feeds_back_its_selectivity(tpch_tiny):
+def test_q3_breaks_down_by_operator_and_its_filters_count_rows(tpch_tiny):
     session, tables = tpch_tiny
     customer, orders, lineitem = (tables[name] for name in
                                   ("customer", "orders", "lineitem"))
@@ -84,8 +84,15 @@ def test_q3_breaks_down_by_operator_and_feeds_back_its_selectivity(tpch_tiny):
         profile = _profile(session, 3, backend)
         assert {scope_family(row.key) for row in profile.by_scope()} == {
             "Filter", "HashJoin", "HashAggregate", "Sort", "Limit"}
-        # One ``nonzero`` per filter: ids out over mask rows in, exactly.
-        assert harvest_feedback(profile)[1] == kept / scanned
+        # One ``nonzero`` per filter: 8-byte ids out over 1-byte mask rows
+        # in, so the filters' selectivity reads exactly off the events.
+        selections = [event for event in profile.events
+                      if event.op == "nonzero"
+                      and scope_family(event.scope) == "Filter"]
+        assert len(selections) == 3
+        assert (sum(event.output_bytes for event in selections)
+                / (8 * sum(event.input_bytes for event in selections))
+                == kept / scanned)
 
 
 def test_a_served_request_profiles_into_the_callers_scopes(tpch_tiny):

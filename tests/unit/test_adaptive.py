@@ -1,10 +1,11 @@
 """Unit tests for the adaptive execution subsystem.
 
 Covers the feedback store (bounded history, LRU bucket cap, thread-safety
-under a serving pool), binding-region bucketing and estimate-correction
-isolation across rebinds, and the strategy exploration/settling loop: every
-candidate is observed before the choice settles, and only the chosen one is
-planned.
+under a serving pool), binding-region bucketing, and pricing: every
+execution prices all three candidates on its own profile, the first
+execution runs ``auto`` and every later one the cheapest candidate of its
+region's latest record, whether it ran alone, in ``execute_many`` or in a
+serving batch.
 """
 
 from __future__ import annotations
@@ -16,29 +17,18 @@ import numpy as np
 import pytest
 
 from repro import DataFrame, ExecutionOptions, TQPSession
-import repro.adaptive.planner as adaptive_planner
-from repro.adaptive import (
-    EstimateCorrector,
-    ExecutionFeedback,
-    FeedbackStore,
-    OperatorObservation,
-    binding_region,
-    scope_family,
-)
-from repro.backends.base import split_partitions
-from repro.backends.cpu import CPUDevice
-from repro.core.planner import plan_ir
+from repro.adaptive import ExecutionFeedback, FeedbackStore, binding_region
+from repro.core.planner import scope_family
 from repro.serve import ServingRuntime
 
 N_ROWS = 20000
+CANDIDATES = ["auto", "serial", "parallel"]
 
 
-def make_feedback(key="q", region=(), strategy="auto", reported_s=1e-3,
-                  selectivity=None, operators=()):
+def make_feedback(key="q", region=(), strategy="auto", price=1e-3):
     return ExecutionFeedback(
         statement_key=key, region=region, strategy=strategy,
-        reported_s=reported_s, result_rows=10,
-        filter_selectivity=selectivity, operators=tuple(operators))
+        prices={name: price for name in CANDIDATES})
 
 
 @pytest.fixture(scope="module")
@@ -60,25 +50,19 @@ def session(frames):
 
 ADAPTIVE = ExecutionOptions(adaptive=True)
 SQL = "select grp, sum(v) as sv from t where v < :cut group by grp"
-#: Integer aggregation: exact under every strategy, so exploration cannot
+#: Integer aggregation: exact under every strategy, so a switch cannot
 #: produce float round-off differences between results.
 EXACT_SQL = "select grp, sum(k) as sk from t where v < :cut group by grp"
-STRATEGIES = {"auto", "serial", "parallel"}
+
+
+def argmin(record: dict) -> str:
+    """The candidate a record's prices favour, candidate order on a tie."""
+    return min(CANDIDATES, key=record["prices"].__getitem__)
 
 
 def sorted_rows(result):
     frame = result.to_dataframe()
     return sorted(zip(*[frame[c] for c in frame.columns]))
-
-
-def bytes_charge(self, measured_s, profile, lanes=None):
-    """Deterministic stand-in for measured kernel times: the same concurrent
-    structure (serial work + one lane's share of the lanes work + per-morsel
-    dispatch), each kernel charged a fixed launch cost plus the bytes it
-    wrote."""
-    host, _, _ = split_partitions(profile.events, lanes)
-    return host.time(lambda event: 1e-6 + event.output_bytes / 1e9,
-                     self.morsel_dispatch_overhead_s)
 
 
 class WorkerGate:
@@ -114,11 +98,11 @@ def submit_behind_gate(serving, gate, statement, cuts):
 def test_store_bounds_history_per_bucket():
     store = FeedbackStore(history=4)
     for i in range(10):
-        store.record(make_feedback(reported_s=float(i)))
+        store.record(make_feedback(price=float(i)))
     rows = store.records("q", ())
     assert len(rows) == 4
     # Oldest evicted first: only the newest four survive.
-    assert [fb.reported_s for fb in rows] == [6.0, 7.0, 8.0, 9.0]
+    assert [fb.prices["auto"] for fb in rows] == [6.0, 7.0, 8.0, 9.0]
     assert store.total_recorded == 10
 
 
@@ -136,16 +120,6 @@ def test_store_bounds_bucket_count_lru():
     assert store.records("c", ()) == []
 
 
-def test_store_forget_statement_drops_every_region():
-    store = FeedbackStore()
-    store.record(make_feedback(region=(("p", 1),)))
-    store.record(make_feedback(region=(("p", 2),)))
-    store.record(make_feedback(key="other"))
-    assert store.forget_statement("q") == 2
-    assert store.records("q") == []
-    assert len(store.records("other", ())) == 1
-
-
 def test_store_concurrent_recording_is_consistent():
     store = FeedbackStore(history=64)
     barrier = threading.Barrier(8)
@@ -153,10 +127,8 @@ def test_store_concurrent_recording_is_consistent():
     def hammer(worker):
         barrier.wait()
         for i in range(50):
-            store.record(make_feedback(key=f"q{worker % 4}",
-                                       reported_s=float(i)))
+            store.record(make_feedback(key=f"q{worker % 4}", price=float(i)))
             store.records(f"q{worker % 4}", ())
-            store.median_reported_s(f"q{worker % 4}", (), "auto")
 
     threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
     for t in threads:
@@ -186,7 +158,7 @@ def test_scope_family_strips_the_operator_id_and_shard():
         == "Scan(lineitem)"
 
 
-# -- binding regions & estimate correction -------------------------------------
+# -- binding regions -----------------------------------------------------------
 
 
 def test_binding_region_buckets_magnitudes_and_dates():
@@ -230,131 +202,72 @@ def test_binding_region_buckets_numpy_scalars_like_python_values():
         == binding_region({"b": True}) != binding_region({"b": False})
 
 
-def test_correction_buckets_are_isolated_across_rebinds():
-    store = FeedbackStore()
-    broad = binding_region({"cut": 50.0})
-    narrow = binding_region({"cut": 0.05})
-    for _ in range(4):
-        store.record(make_feedback(region=broad, selectivity=0.5))
-        store.record(make_feedback(region=narrow, selectivity=0.001))
-    corrector = EstimateCorrector(store)
-    sel_broad, n_broad = corrector.observed_selectivity("q", broad)
-    sel_narrow, n_narrow = corrector.observed_selectivity("q", narrow)
-    assert sel_broad == pytest.approx(0.5)
-    assert sel_narrow == pytest.approx(0.001)
-    assert n_broad == n_narrow == 4
-    # The corrections pull the same static estimate in opposite directions.
-    correct_broad = corrector.correction_fn("q", broad)
-    correct_narrow = corrector.correction_fn("q", narrow)
-    assert correct_broad(0.1) > 0.3
-    assert correct_narrow(0.1) < 0.05
-    # A region with no history yields no correction at all.
-    assert corrector.correction_fn("q", binding_region({"cut": 1e9})) is None
+# -- pricing -------------------------------------------------------------------
 
 
-def test_correction_weight_grows_with_history():
-    store = FeedbackStore()
-    corrector = EstimateCorrector(store)
-    store.record(make_feedback(selectivity=0.9))
-    one = corrector.correction_fn("q", ())(0.1)
-    for _ in range(15):
-        store.record(make_feedback(selectivity=0.9))
-    many = corrector.correction_fn("q", ())(0.1)
-    assert 0.1 < one < many < 0.9
-    assert many == pytest.approx(0.9, abs=0.11)
-
-
-# -- end-to-end adaptive loop --------------------------------------------------
-
-
-def test_adaptive_explores_then_settles_per_region(session):
+def test_first_execution_runs_auto_and_then_the_priced_argmin(session):
     query = session.prepare(SQL, options=ADAPTIVE)
-    runtime = session.adaptive
-    seen = []
-    for _ in range(3 * runtime.min_observations + 4):
+    ran = []
+    for _ in range(6):
         query.bind(cut=50.0).execute()
-        seen.append(query.compiled.strategy)
-    # Every candidate explored, then the choice settles (stops changing).
-    assert set(seen) == {"auto", "serial", "parallel"}
-    settle = 3 * runtime.min_observations
-    assert len(set(seen[settle:])) == 1
+        ran.append(query.compiled.strategy)
+    records = session.adaptive.feedback.dump()
+    assert ran[0] == "auto"
     # This is the measured path (kernel times off the wall clock): *which*
-    # strategy wins is the machine's business, that one does is ours.
-    assert seen[-1] in STRATEGIES
-    # Feedback was recorded under the statement's plan-cache key, with the
-    # observed selectivity attached.
-    records = runtime.feedback.dump()
-    assert all(r["statement_key"] == query.compiled.sql.strip().lower()
-               or r["statement_key"] for r in records)
-    assert any(r["filter_selectivity"] is not None for r in records)
+    # candidate is cheapest is the machine's business; that the cheapest
+    # of the latest record runs next is ours.
+    assert ran[1:] == [argmin(record) for record in records[:-1]]
+    assert [record["strategy"] for record in records] == ran
+    key = session.adaptive.statement_key(SQL)
+    assert {record["statement_key"] for record in records} == {key}
 
 
-def test_history_of_other_statements_does_not_cut_exploration(session):
-    runtime = session.adaptive
-    others = [session.prepare(SQL.replace(":cut", str(cut)), options=ADAPTIVE)
-              for cut in (10.0, 30.0, 70.0, 90.0)]
-    for other in others:
-        for _ in range(3):
-            other.execute()
-    assert runtime.feedback.total_recorded >= 12
-    query = session.prepare(EXACT_SQL, options=ADAPTIVE)
-    explore = 3 * runtime.min_observations
-    seen = []
-    for _ in range(explore + 3):
-        query.bind(cut=50.0).execute()
-        seen.append(query.compiled.strategy)
-    # Every candidate runs min_observations times before the choice settles,
-    # however much history the runtime holds on other statements.
-    assert {name: seen[:explore].count(name) for name in STRATEGIES} \
-        == {name: runtime.min_observations for name in STRATEGIES}
-    assert len(set(seen[explore:])) == 1
-
-
-def test_compile_and_replan_plan_only_the_chosen_candidate(session,
-                                                           monkeypatch):
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs["parallelism"])
-        return plan_ir(*args, **kwargs)
-
-    monkeypatch.setattr(adaptive_planner, "plan_ir", spy)
+def test_every_record_prices_every_candidate_under_its_lanes(session):
     query = session.prepare(SQL, options=ADAPTIVE)
-    assert (query.compiled.strategy, len(calls)) == ("auto", 1)
-    query.bind(cut=50.0).execute()
-    assert len(calls) == 1
-    # "serial" is now the least observed candidate: the next execution
-    # re-plans to it, planning that candidate alone.
-    query.bind(cut=50.0).execute()
-    assert query.compiled.strategy == "serial"
-    assert calls[1:] == [1]
+    compiled = query.compiled
+    price = compiled.executor.cost_model.report_time
+    for _ in range(4):
+        result = query.bind(cut=50.0).execute()
+        record = session.adaptive.feedback.dump()[-1]
+        assert list(record["prices"]) == CANDIDATES
+        assert record["prices"] == {
+            name: price(result.measured_s, result.profile, plan.lanes)
+            for name, plan in compiled.candidates.items()}
+        # The result reports the price of the candidate it ran.
+        assert record["strategy"] == compiled.strategy
+        assert result.reported_s == record["prices"][compiled.strategy]
+    # The three candidates are three lanes maps over one set of operators.
+    lanes = {name: plan.lanes for name, plan in compiled.candidates.items()}
+    assert lanes["serial"] == {}
+    assert lanes["auto"] and set(lanes["auto"]) <= set(lanes["parallel"])
 
 
-def test_adaptive_keeps_independent_choices_per_region(session, monkeypatch):
+def test_adaptive_keeps_independent_choices_per_region(session, bytes_priced):
     # Which shape wins a region is asserted below, so the cost must not be a
     # measurement: measured, serial and lanes are ~20% apart on 20k rows and
     # the winner flipped one run in eight.
-    monkeypatch.setattr(CPUDevice, "report_time", bytes_charge)
     query = session.prepare(SQL, options=ADAPTIVE)
     runtime = session.adaptive
-    rounds = 3 * runtime.min_observations + 4
-    for _ in range(rounds):
+    for _ in range(3):
         query.bind(cut=99.0).execute()
     broad_choice = query.compiled.strategy
     broad_shape = query.compiled.operator_plan.root.pretty()
-    for _ in range(rounds):
+    # The first narrow execution has no record in its region, so it runs
+    # the broad choice; its own prices decide the next one.
+    query.bind(cut=0.02).execute()
+    assert query.compiled.strategy == broad_choice
+    for _ in range(2):
         query.bind(cut=0.02).execute()
     narrow_shape = query.compiled.operator_plan.root.pretty()
-    # Flipping back needs no re-exploration: the broad region's history is
-    # intact, so the first broad execution re-plans straight to its winner.
+    # Flipping back reads the broad region's latest record: no exploration.
     query.bind(cut=99.0).execute()
     assert query.compiled.strategy == broad_choice
     regions = {r["region"] for r in runtime.feedback.dump()}
     assert len(regions) == 2
     # On 20k rows the broad regime profits from lanes ("auto" and
-    # "parallel" plan identically there, so either name may win the tie);
-    # the needle regime settles on a serial shape — either the "serial"
-    # strategy or "auto" whose corrected estimate fell under the threshold.
+    # "parallel" plan identically there and tie, so "auto" wins); the
+    # needle regime is cheapest serial.
+    assert broad_choice == "auto"
     assert "Morsel" in broad_shape
     assert "Morsel" not in narrow_shape
 
@@ -401,14 +314,11 @@ def test_execute_many_records_one_feedback_row_per_binding(session):
     for cut, result in zip(cuts, results):
         assert result.profile is not None
         assert sorted_rows(result) == sorted_rows(static.bind(cut=cut).execute())
-    # The batch noted its first binding's region, so a re-plan it triggers
-    # compiles with that region's corrections (not the unparameterized one).
-    key = session.adaptive.statement_key(adaptive.compiled.sql)
-    assert session.adaptive._last_region[key] == binding_region({"cut": 50.0})
-    # Batches explore too: the second one runs under the next candidate.
-    first = adaptive.compiled.strategy
+    # The whole batch ran one candidate; the next batch runs the cheapest
+    # candidate of the batch's last record.
+    assert {r["strategy"] for r in store.dump()} == {"auto"}
     adaptive.execute_many([{"cut": cut} for cut in cuts])
-    assert adaptive.compiled.strategy != first
+    assert adaptive.compiled.strategy == argmin(store.dump()[9])
     assert store.total_recorded == 20
 
 
@@ -434,49 +344,55 @@ def test_batched_serving_records_one_row_per_distinct_execution(session):
         assert sorted_rows(result) == sorted_rows(static.bind(cut=cut).execute())
 
 
-def test_batch_only_traffic_still_explores_and_settles(session):
+def test_batch_only_traffic_is_priced_too(session):
     gate = WorkerGate()
     session.register_model("gate", gate)
     static = session.prepare(EXACT_SQL.replace("sk", "sk2"))
     cuts = [50.0, 52.0, 54.0]
     expected = [sorted_rows(static.bind(cut=cut).execute()) for cut in cuts]
-    seen = []
+    ran = []
     with ServingRuntime(session, workers=1, batch_window=8) as serving:
         statement = serving.prepare(EXACT_SQL, options=ADAPTIVE)
-        for _ in range(8):
+        for _ in range(4):
             results = submit_behind_gate(serving, gate, statement, cuts)
-            seen.append(statement.prepared.compiled.strategy)
+            ran.append(statement.prepared.compiled.strategy)
             assert [sorted_rows(r) for r in results] == expected
         stats = serving.stats()
     # Every request of the statement ran inside a batch ...
-    assert stats["batches"] == 8 and stats["batched_requests"] == 24
-    # ... and each batch's three observations advance the rotation one
-    # candidate (min_observations is 2), after which the choice holds.
-    assert seen[:3] == ["auto", "serial", "parallel"]
-    assert len(set(seen[3:])) == 1 and seen[-1] in STRATEGIES
-    assert session.adaptive.feedback.total_recorded == 24
+    assert stats["batches"] == 4 and stats["batched_requests"] == 12
+    # ... each priced every candidate, and each batch after the first ran
+    # the cheapest candidate of the batch before's last record.
+    records = session.adaptive.feedback.dump()
+    assert len(records) == 12
+    assert all(list(record["prices"]) == CANDIDATES for record in records)
+    assert ran[0] == "auto"
+    assert ran[1:] == [argmin(records[3 * i + 2]) for i in range(3)]
 
 
-def test_inspection_calls_do_not_replan(session, tmp_path):
+def test_inspection_calls_do_not_switch(session, tmp_path):
     query = session.prepare(
         SQL, options=ADAPTIVE.replace(backend="torchscript"))
-    for _ in range(session.adaptive.min_observations):
-        query.bind(cut=50.0).execute()
-    # "auto" is now fully observed, so the next *execution* re-plans to the
-    # next candidate; looking at the graph or exporting it must not.
+    query.bind(cut=50.0).execute()
+    # Prices that favour "parallel": the next *execution* switches to it;
+    # looking at the graph or exporting it must not.
+    key = session.adaptive.statement_key(SQL)
+    region = binding_region({"cut": 50.0})
+    session.adaptive.feedback.record(ExecutionFeedback(
+        key, region, "auto", {"auto": 2.0, "serial": 3.0, "parallel": 1.0}))
     compiled = query.compiled
-    before = (session.adaptive.replan_count, compiled.strategy,
-              compiled.executor)
+    before = (compiled.strategy, compiled.operator_plan, compiled.executor)
     compiled.executor_graph(params={"cut": 50.0})
     compiled.export_onnx(str(tmp_path / "q.onnx"), params={"cut": 50.0})
-    assert (session.adaptive.replan_count, compiled.strategy,
+    assert (compiled.strategy, compiled.operator_plan,
             compiled.executor) == before
     query.bind(cut=50.0).execute()
-    assert session.adaptive.replan_count == before[0] + 1
-    assert compiled.strategy != before[1]
+    assert compiled.strategy == "parallel"
+    assert compiled.operator_plan is compiled.candidates["parallel"]
+    assert compiled.executor is before[2]
 
 
 def test_non_adaptive_statements_record_nothing(session):
-    session.prepare(SQL).bind(cut=50.0).execute()
+    compiled = session.prepare(SQL).compiled
+    compiled.execute(params={"cut": 50.0})
     assert len(session.adaptive.feedback) == 0
-    assert session.adaptive.replan_count == 0
+    assert (compiled.strategy, compiled.candidates) == (None, {})

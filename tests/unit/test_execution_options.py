@@ -423,3 +423,38 @@ def test_adaptive_chooses_from_what_it_observed():
     assert len(dataclasses.fields(ExecutionOptions)) == 10
     assert len(dataclasses.fields(tuning.Tuning)) == 3
     assert len(passes.DEFAULT_PASSES) == 7
+
+
+def test_adaptive_prices_its_candidates_instead_of_running_them():
+    """One profile prices every candidate, so exploration, drift flushes,
+    estimate correction and strategy-switch re-plans are gone: no
+    ``filter_correction`` hook on the planner, no re-plan path that lends a
+    traced program to another executor."""
+    import importlib
+
+    from repro import adaptive
+    from repro.adaptive import feedback, planner as adaptive_planner
+    from repro.core import planner, session
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.adaptive.estimates")
+    for function in (planner.Planner, plan_ir):
+        assert "filter_correction" not in inspect.signature(
+            function).parameters, function
+    gone = {adaptive: ("EstimateCorrector", "harvest_feedback",
+                       "OperatorObservation"),
+            feedback: ("harvest_feedback", "OperatorObservation"),
+            adaptive_planner: ("MIN_OBSERVATIONS", "DRIFT_FACTOR",
+                               "DRIFT_FLOOR_BYTES", "PRIOR_WEIGHT"),
+            adaptive.AdaptiveRuntime: ("min_observations", "_drifted",
+                                       "wants_replan", "plan_statement"),
+            adaptive.FeedbackStore: ("forget_statement",
+                                     "median_operator_bytes",
+                                     "median_reported_s"),
+            Executor: ("adopt_program",),
+            session: ("_scope_order",)}
+    for owner, names in gone.items():
+        assert not [name for name in names if hasattr(owner, name)], owner
+    assert [f.name for f in dataclasses.fields(adaptive.ExecutionFeedback)] \
+        == ["statement_key", "region", "strategy", "prices"]
+    assert len(dataclasses.fields(ExecutionOptions)) == 10

@@ -20,7 +20,13 @@ distinct operator families the profile breaks down into.  A third line
 compiles the three statements at ``parallelism=4`` and counts the programs
 whose generated plain source has the serial program's sha1 (3: a lanes plan
 runs the serial program), and a fourth counts those whose profiled source
-does (3: the width lives on the plan, not in the program's stamps).
+does (3: the width lives on the plan, not in the program's stamps).  A fifth
+runs the three statements adaptively (``parallelism=4``, 10 executions each)
+and counts the programs traced (3: the candidates share one), the
+``plan_ir`` calls after compile (0: a switch repoints the statement at a
+candidate planned at compile) and the executions of a statement before the
+priced choice is in force (1: the first runs ``auto``, every later one the
+cheapest candidate of the record before it).
 
 Run from the repository root: ``python tools/cold_path_counts.py``
 (``PYTHONPATH=src``, as in CI).
@@ -37,8 +43,11 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import repro.adaptive.planner as adaptive_planner  # noqa: E402
+import repro.core.session as session_module  # noqa: E402
 from repro import ExecutionOptions, TQPSession  # noqa: E402
-from repro.adaptive.feedback import scope_family  # noqa: E402
+from repro.core.executor import Executor  # noqa: E402
+from repro.core.planner import scope_family  # noqa: E402
 from repro.datasets import tpch  # noqa: E402
 from repro.storage import encodings  # noqa: E402
 
@@ -48,6 +57,38 @@ GATHERS = ("take", "nonzero", "boolean_mask")
 REDUCTIONS = ("scatter_add", "scatter_min", "scatter_max", "bincount", "unique",
               "join_ids")
 JOIN_ARITHMETIC = ("repeat", "argsort", "cumsum", "arange_until")
+ADAPTIVE_EXECUTIONS = 10
+
+
+def adaptive_counts(session) -> tuple[int, int, int]:
+    """``(traces, plan_ir calls after compile, executions before the priced
+    choice)`` of the adaptive statements, the last the most of any one."""
+    counts = collections.Counter()
+
+    def counted(name, function):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return spy
+
+    for module in (adaptive_planner, session_module):
+        module.plan_ir = counted("plan_ir", module.plan_ir)
+    Executor._compile_locked = counted("trace", Executor._compile_locked)
+    options = ExecutionOptions(parallelism=4, adaptive=True)
+    held = [session.compile(tpch.query(q, SCALE_FACTOR), options=options)
+            for q in QUERIES]
+    planned = counts["plan_ir"]
+    unpriced = 0
+    for compiled in held:
+        for _ in range(ADAPTIVE_EXECUTIONS):
+            compiled.execute()
+        records = session.adaptive.feedback.records(
+            session.adaptive.statement_key(compiled.sql))
+        cheapest = [min(r.prices, key=r.prices.__getitem__) for r in records]
+        unpriced = max(unpriced, 1 + sum(
+            record.strategy != previous
+            for record, previous in zip(records[1:], cheapest)))
+    return counts["trace"], counts["plan_ir"] - planned, unpriced
 
 
 def main() -> None:
@@ -104,6 +145,11 @@ def main() -> None:
         print(f"{same} / {len(QUERIES)} parallelism=4 {label}programs "
               f"identical to serial (sha1 of the generated {body} source, "
               f"Q{' + Q'.join(map(str, QUERIES))})")
+    traces, replans, unpriced = adaptive_counts(session)
+    print(f"{traces} traces, {replans} plan_ir calls after compile, "
+          f"{unpriced} execution per statement before the priced choice "
+          f"(adaptive Q{' + Q'.join(map(str, QUERIES))}, parallelism=4, "
+          f"{ADAPTIVE_EXECUTIONS} executions each)")
 
 
 if __name__ == "__main__":
