@@ -11,9 +11,8 @@ within noise):
 * **parallel** — every query compiled at 4 lanes with the parallel threshold
   forced to zero (morsel operators everywhere they are semantically safe);
 * **adaptive** — ``ExecutionOptions(adaptive=True)``: every execution's
-  profile prices the three strategy candidates, and each execution after a
-  statement's first runs the cheapest of the latest prices (see
-  :mod:`repro.adaptive`).
+  profile prices the three strategy candidates, and the execution reports
+  the cheapest (see :mod:`repro.adaptive`).
 
 The gate is the subsystem's whole point: across the workload, *no fixed
 strategy wins* — heavy scan/join queries profit from lanes while small
@@ -23,9 +22,7 @@ adaptive total must come in strictly below **both** fixed totals.
 Measurement protocol: eager ``pytorch`` backend (strategy choice is about
 operator variants, not trace replay), warm-up executions outside the clock,
 then measured rounds interleaved round-robin across the three arms with each
-(query, arm) reporting its best round.  The adaptive arm's first execution
-(which runs ``auto`` before any price exists) happens before its clock
-starts, like the other arms' warm-up.
+(query, arm) reporting its best round.
 
 The scale factor is pinned: the serial/parallel crossover position depends
 on absolute table sizes, and the gate is a statement about the mix at a
@@ -83,10 +80,9 @@ def _fixed_arm(session, sql: str, options: ExecutionOptions,
 
 
 def _adaptive_arm(session, sql: str):
-    """Adaptive statement, priced once and warmed on its choice."""
+    """Adaptive statement, warmed outside the clock like the fixed arms."""
     compiled = session.compile(sql, options=ADAPTIVE)
-    # The first execution prices the candidates; the warm-up runs the choice.
-    for _ in range(1 + WARMUP):
+    for _ in range(WARMUP):
         compiled.execute()
     return compiled
 

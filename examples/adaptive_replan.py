@@ -4,16 +4,15 @@ One statement — a filter + GROUP BY whose best execution strategy depends
 entirely on how many rows survive the filter — runs under
 ``ExecutionOptions(adaptive=True)``.  Its three strategy candidates
 (``auto`` / ``serial`` / ``parallel``) share one program, so every
-execution's profile prices all three, and the next execution runs the
-cheapest:
+execution's profile prices all three (``repro.adaptive.price``), and the
+execution reports the cheapest:
 
-1. against a *broad* distribution (~99 % of rows pass) the first execution
-   runs ``auto`` and the prices keep it there — a morsel-parallel plan, since
-   big intermediates pay for lanes;
+1. against a *broad* distribution (~99 % of rows pass) every execution
+   reports ``auto`` — a morsel-parallel plan, since big intermediates pay
+   for lanes;
 2. the table is re-registered with the skew inverted (~1 % of rows pass):
-   the new generation's first profile re-prices every candidate, and the
-   next execution runs a serial shape — morsel dispatch over a handful of
-   rows costs more than it saves;
+   the new generation's first execution already reports a serial shape —
+   morsel dispatch over a handful of rows costs more than it saves;
 3. every single execution, before, during and after the flip, returns the
    exact answer for the data it ran against (integer aggregates, so
    "exact" means bit-identical): strategies change operator variants,
@@ -29,6 +28,7 @@ Run with:  PYTHONPATH=src python examples/adaptive_replan.py
 import numpy as np
 
 from repro import DataFrame, ExecutionOptions, TQPSession
+from repro.adaptive import price
 
 N_ROWS = 20000
 SQL = ("SELECT grp, COUNT(*) AS n, SUM(k) AS sk FROM events "
@@ -54,16 +54,18 @@ def exact_rows(data: DataFrame) -> list:
     return sorted(zip(result["grp"], result["n"], result["sk"]))
 
 
-def drive(query, runtime, oracle_rows, rounds: int) -> None:
+def drive(query, oracle_rows, rounds: int) -> None:
+    compiled = query.compiled
     for i in range(rounds):
         result = query.execute()
         data = result.to_dataframe().to_dict()
         rows = sorted(zip(data["grp"], data["n"], data["sk"]))
         assert rows == oracle_rows, "adaptive execution changed the answer"
-        record = runtime.feedback.dump()[-1]
-        print(f"  run {i}: ran {record['strategy']:<8s} priced " + ", ".join(
-            f"{name} {price * 1e3:.3f}"
-            for name, price in record["prices"].items()) + " ms  (exact)")
+        prices = price(compiled.candidates, result,
+                       compiled.executor.cost_model)
+        print(f"  run {i}: reported {compiled.strategy:<8s} priced "
+              + ", ".join(f"{name} {s * 1e3:.3f}"
+                          for name, s in prices.items()) + " ms  (exact)")
 
 
 def main() -> None:
@@ -71,26 +73,23 @@ def main() -> None:
     session = TQPSession()
     session.register("events", broad)
     query = session.prepare(SQL, options=ExecutionOptions(adaptive=True))
-    runtime = session.adaptive
     rounds = 4
 
     print("phase 1 — broad distribution (~99 % of rows pass the filter):")
-    drive(query, runtime, exact_rows(broad), rounds)
+    drive(query, exact_rows(broad), rounds)
     shape = query.compiled.operator_plan.root.pretty()
     assert "Morsel" in shape
     print(f"  chosen: {query.compiled.strategy} "
           f"(morsel-parallel plan — lanes pay on big intermediates)\n")
 
-    print("phase 2 — skew inverted (~1 % pass); the new generation's first "
-          "profile\nre-prices every candidate:")
+    print("phase 2 — skew inverted (~1 % pass); each execution of the new "
+          "generation\nprices every candidate on its own profile:")
     session.register("events", narrow)
-    drive(query, runtime, exact_rows(narrow), rounds)
+    drive(query, exact_rows(narrow), rounds)
     shape = query.compiled.operator_plan.root.pretty()
     assert "Morsel" not in shape
     print(f"  chosen: {query.compiled.strategy} (serial shape — morsel "
-          f"dispatch over ~200 rows costs more than it saves)\n")
-
-    print(f"feedback records held: {len(runtime.feedback)}")
+          f"dispatch over ~200 rows costs more than it saves)")
 
 
 if __name__ == "__main__":

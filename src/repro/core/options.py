@@ -63,13 +63,12 @@ class ExecutionOptions:
         shard: sharding strategy for base tables when ``devices > 1`` —
             ``hash`` (rows spread by key hash) or ``range`` (contiguous row
             ranges).  Part of the plan-cache and conversion-cache keys.
-        adaptive: let the session's adaptive runtime
-            (:mod:`repro.adaptive`) pick the execution strategy.  The
-            statement plans three candidates that share one program;
-            every execution is profiled, its profile prices each candidate
-            under the device's cost model (``reported_s``: lanes move no
-            wall-clock time), and the next execution runs the cheapest —
-            results are always identical across strategies.
+        adaptive: price every execution under each strategy candidate
+            (:mod:`repro.adaptive`).  The statement plans three candidates
+            that share one program; every execution is profiled, its
+            profile prices each candidate under the device's cost model
+            (``reported_s``: lanes move no wall-clock time), and it reports
+            the cheapest — results are always identical across strategies.
             ``parallelism`` then sets the lane budget the candidates may
             use, not a fixed choice.  Part of the plan-cache key.
     """

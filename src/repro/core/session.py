@@ -34,8 +34,8 @@ enters through one function, :meth:`CompiledQuery.execute_many`: it takes one
 generation of the session's state (a registered table is one catalog record —
 frame, statistics, version, converted inputs — and models are versioned the
 same way, so a held handle re-plans after ``register()`` /
-``register_model()``), runs the bindings, and feeds adaptive statements'
-results back to ``session.adaptive``.
+``register_model()``), runs the bindings, and prices adaptive statements'
+executions under every strategy candidate (:mod:`repro.adaptive`).
 
 All knobs (backend, device, plan cache, parallelism, auto-parameterization,
 executor) live on one :class:`ExecutionOptions` object, and a session's
@@ -61,7 +61,7 @@ import dataclasses
 import threading
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.adaptive.planner import AdaptiveRuntime
+from repro.adaptive import plan_candidates, price
 from repro.backends import BACKENDS
 from repro.core import ir_builder, ir_optimizer
 from repro.core.columnar import TensorTable
@@ -101,9 +101,10 @@ class CompiledQuery:
     #: Parameter-type hints the statement was compiled with (needed to
     #: re-plan faithfully when a held handle refreshes after a re-register).
     param_types: Optional[dict] = None
-    #: Adaptive candidate in force — the one the latest execution ran —
-    #: whose plan is ``operator_plan`` (``None`` when compiled statically;
-    #: see :mod:`repro.adaptive`).
+    #: Adaptive candidate the latest execution reported — the cheapest on
+    #: its own profile (``auto`` before any) — whose plan is
+    #: ``operator_plan`` (``None`` when compiled statically; see
+    #: :mod:`repro.adaptive`).
     strategy: Optional[str] = None
     #: Every adaptive candidate's plan of this generation, in candidate
     #: order (empty when compiled statically).  They name the same
@@ -122,7 +123,8 @@ class CompiledQuery:
         return self.operator_plan.model_names
 
     def _refresh_from(self, fresh: "CompiledQuery") -> None:
-        """Adopt a freshly compiled generation of this statement in place.
+        """Adopt the current generation of this statement in place (a fresh
+        compile, or the plan cache's current entry for it).
 
         Held handles (PreparedQuery, a serving runtime's statements) keep
         *this* object's identity; after a ``register()`` / ``register_model()``
@@ -152,23 +154,28 @@ class CompiledQuery:
         types) with the typed errors of :meth:`Executor.execute_many`.
 
         Under ``ExecutionOptions(adaptive=True)`` every execution profiles,
-        and its profile prices every candidate (``session.adaptive``), batched
-        or not; its ``reported_s`` is the price of the candidate it ran.
+        batched or not, and its profile prices every candidate: its
+        ``reported_s`` is the cheapest price, and afterwards ``strategy`` /
+        ``operator_plan`` name the cheapest candidate of the last execution.
         """
         adaptive = self.options.adaptive
-        executor, inputs, strategy, candidates = \
-            self.session.execution_state(self, bindings)
+        executor, inputs, candidates = self.session.execution_state(self)
         outcomes = executor.execute_many(
             inputs, bindings, profile=profile or adaptive, on_error=on_error)
-        if adaptive:
-            # Outside the session lock (the feedback store guards itself),
-            # so workers record concurrently.
-            for bound, outcome in zip(bindings, outcomes):
-                if isinstance(outcome, ExecutionResult):
-                    prices = self.session.adaptive.observe(
-                        self.sql, bound, outcome, strategy, candidates,
-                        executor.cost_model)
-                    outcome.reported_s = prices[strategy]
+        cheapest = None
+        for outcome in outcomes:
+            if adaptive and isinstance(outcome, ExecutionResult):
+                # Outside the session lock, so workers price concurrently.
+                prices = price(candidates, outcome, executor.cost_model)
+                cheapest = min(prices, key=prices.__getitem__)
+                outcome.reported_s = prices[cheapest]
+        if cheapest is not None:
+            with self.session._lock:
+                # A concurrent ``register()`` may have refreshed this handle:
+                # one generation's choice never lands on another's plans.
+                if self.candidates is candidates:
+                    self.strategy = cheapest
+                    self.operator_plan = candidates[cheapest]
         return outcomes
 
     def execute(self, profile: bool = False,
@@ -199,7 +206,7 @@ class CompiledQuery:
 
     def executor_graph(self, params: Optional[dict] = None):
         """Traced tensor graph of the query (Figure-4 style artifact)."""
-        executor, inputs, _, _ = self.session.execution_state(self)
+        executor, inputs, _ = self.session.execution_state(self)
         return executor.executor_graph(inputs, params=params)
 
     def export_onnx(self, path: str, params: Optional[dict] = None) -> None:
@@ -324,17 +331,13 @@ class TQPSession:
         self._models: dict[str, tuple[int, Callable]] = {}
         #: Compiled-plan LRU: repeated queries skip parse→optimize→plan→trace.
         self.plan_cache = PlanCache(capacity=plan_cache_size)
-        #: Feedback loop behind ``ExecutionOptions(adaptive=True)``: prices
-        #: every candidate on each execution's profile and points the
-        #: statement at the cheapest (``self.adaptive.feedback.dump()``
-        #: exposes the prices).
-        self.adaptive = AdaptiveRuntime()
         #: Guards the mutable session state (catalog records, models) against
         #: concurrent serving workers.  Re-entrant so locked entry points may
         #: call each other.
         #: Lock ordering is session lock → plan-cache lock, never the
         #: reverse: ``_plan_is_current`` runs under the cache lock and must
-        #: therefore stay lock-free (its dict reads are GIL-atomic).
+        #: therefore stay lock-free (its dict reads are GIL-atomic), and
+        #: code holding the session lock never waits on a cache builder.
         self._lock = threading.RLock()
 
     # -- data & model registration ------------------------------------------
@@ -450,14 +453,18 @@ class TQPSession:
         """
         resolved = self._resolve_options(options)
         if resolved.use_cache:
-            hint_key = tuple(sorted(
-                (name, ltype.value) for name, ltype in (param_types or {}).items()))
-            cache_key = (normalize_sql(sql), resolved.cache_key(), hint_key)
             return self.plan_cache.get_or_create(
-                cache_key,
+                self._cache_key(sql, resolved, param_types),
                 lambda: self._compile_uncached(sql, resolved, param_types),
                 validate=self._plan_is_current)
         return self._compile_uncached(sql, resolved, param_types)
+
+    @staticmethod
+    def _cache_key(sql: str, resolved: ExecutionOptions,
+                   param_types: Optional[dict]) -> tuple:
+        hint_key = tuple(sorted(
+            (name, ltype.value) for name, ltype in (param_types or {}).items()))
+        return (normalize_sql(sql), resolved.cache_key(), hint_key)
 
     def _compile_uncached(self, sql: str, resolved: ExecutionOptions,
                           param_types: Optional[dict]) -> CompiledQuery:
@@ -480,10 +487,9 @@ class TQPSession:
                 devices=resolved.devices, shard_mode=resolved.shard)
             candidates = {}
             if resolved.adaptive:
-                # Every candidate, planned from this one IR; the executor
-                # traces the first (``auto``), which runs first.
-                candidates = self.adaptive.plan_candidates(
-                    query_ir, resolved, plan_kwargs)
+                # Every candidate, planned from this one IR; the executor,
+                # built on the first (``auto``), runs the program all share.
+                candidates = plan_candidates(query_ir, resolved, plan_kwargs)
                 operator_plan = next(iter(candidates.values()))
             else:
                 operator_plan = plan_ir(
@@ -535,39 +541,42 @@ class TQPSession:
 
     # -- input preparation (data conversion phase) ----------------------------------
 
-    def execution_state(self, compiled: CompiledQuery,
-                        bindings: Optional[list] = None
+    def execution_state(self, compiled: CompiledQuery
                         ) -> tuple[Executor, dict[str, TensorTable],
-                                   Optional[str], dict[str, OperatorPlan]]:
+                                   dict[str, OperatorPlan]]:
         """Per-execution snapshot of one generation: ``(executor, inputs,
-        strategy, candidates)``.
+        candidates)``.
 
-        All four are resolved under one hold of the session lock, and the
+        All three are resolved under one hold of the session lock, and the
         inputs carry the zone maps they were converted beside, so a
         concurrent ``register()`` either precedes the whole snapshot or
         follows it.
 
         A handle whose compile-time generation went stale (a table or model it
         uses was re-registered; its cache entry is purged, but long-lived
-        handles keep their object) is re-planned here and refreshed in place.
-        An adaptive statement then switches to the candidate the runtime
-        chooses for the region of the first of ``bindings`` (what the caller
-        is about to execute; an inspection call passes none): it repoints
-        ``strategy`` and ``operator_plan`` at an already-planned candidate,
-        which runs the program already traced.
+        handles keep their object) is refreshed in place here: from the plan
+        cache's current entry for its statement when there is one (sharing
+        its executor), else from a fresh compile, which then enters the
+        cache as the handle itself.  Only ``get`` / ``put`` run here: a
+        ``get_or_create`` under the session lock could wait on a builder
+        that waits on this lock.
         """
         with self._lock:
             if not self._plan_is_current(compiled):
-                compiled._refresh_from(self._compile_uncached(
-                    compiled.sql, compiled.options, compiled.param_types))
-            if bindings is not None and compiled.candidates:
-                first = next((b for b in bindings if isinstance(b, dict)), None)
-                compiled.strategy = self.adaptive.choose(
-                    compiled.sql, first, compiled.strategy)
-                compiled.operator_plan = compiled.candidates[compiled.strategy]
+                key = (self._cache_key(compiled.sql, compiled.options,
+                                       compiled.param_types)
+                       if compiled.options.use_cache else None)
+                current = key and self.plan_cache.get(
+                    key, validate=self._plan_is_current)
+                if current is not None:
+                    compiled._refresh_from(current)
+                else:
+                    compiled._refresh_from(self._compile_uncached(
+                        compiled.sql, compiled.options, compiled.param_types))
+                    if key is not None:
+                        self.plan_cache.put(key, compiled)
             executor = compiled.executor
-            return (executor, self.prepare_inputs(executor), compiled.strategy,
-                    compiled.candidates)
+            return executor, self.prepare_inputs(executor), compiled.candidates
 
     def prepare_inputs(self, executor: Executor) -> dict[str, TensorTable]:
         """Convert registered DataFrames into tensor tables for an executor.

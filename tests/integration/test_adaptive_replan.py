@@ -1,11 +1,11 @@
 """Integration: adaptive pricing across data drift, differential vs oracle.
 
-The scenario the adaptive subsystem exists for: a statement's candidate is
-chosen against one data distribution, the table is re-registered with the
-skew inverted, and the new generation's first profile reprices every
-candidate, so the next execution runs a different one — while every single
-execution, before, during and after the flip, returns results bit-identical
-to a fresh non-adaptive oracle session over the same data.
+The scenario the adaptive subsystem exists for: a statement is priced
+against one data distribution, the table is re-registered with the skew
+inverted, and the new generation's first execution already reports a
+different cheapest candidate — while every single execution, before, during
+and after the flip, returns results bit-identical to a fresh non-adaptive
+oracle session over the same data.
 
 Which candidate is cheapest is asserted, so prices come from the
 deterministic ``bytes_priced`` cost model, not from the host's clock.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import DataFrame, ExecutionOptions, TQPSession
+from repro.adaptive import price
 
 N_ROWS = 20000
 SQL = ("SELECT grp, COUNT(*) AS n, SUM(k) AS sk FROM events "
@@ -64,22 +65,23 @@ def result_rows(result) -> list:
 CANDIDATES = ["auto", "serial", "parallel"]
 
 
-def argmin(record: dict) -> str:
-    return min(CANDIDATES, key=record["prices"].__getitem__)
-
-
-def run_priced(query, runtime, oracle: list, executions: int) -> list:
+def run_priced(query, oracle: list, executions: int) -> list:
     """Execute ``executions`` times, each bit-identical to ``oracle`` and
-    each after the first running the argmin of the record before it.
-    Returns the records of these executions."""
+    each reporting the cheapest candidate of its own prices, which the
+    statement then names.  Returns those candidates."""
+    compiled = query.compiled
     ran = []
     for _ in range(executions):
-        assert result_rows(query.execute()) == oracle
-        ran.append(query.compiled.strategy)
-    records = runtime.feedback.dump()[-executions:]
-    assert [record["strategy"] for record in records] == ran
-    assert ran[1:] == [argmin(record) for record in records[:-1]]
-    return records
+        result = query.execute()
+        assert result_rows(result) == oracle
+        prices = price(compiled.candidates, result,
+                       compiled.executor.cost_model)
+        assert list(prices) == CANDIDATES
+        assert result.reported_s == min(prices.values())
+        ran.append(min(prices, key=prices.__getitem__))
+        assert compiled.strategy == ran[-1]
+        assert compiled.operator_plan is compiled.candidates[ran[-1]]
+    return ran
 
 
 def test_drift_reprices_and_stays_bit_identical(bytes_priced):
@@ -89,7 +91,6 @@ def test_drift_reprices_and_stays_bit_identical(bytes_priced):
     session = TQPSession()
     session.register("events", broad)
     query = session.prepare(SQL, options=ExecutionOptions(adaptive=True))
-    runtime = session.adaptive
     phases = (
         # Lanes win while 99% of rows survive; "auto" and "parallel" plan
         # identically here, and the tie goes to "auto".
@@ -99,31 +100,23 @@ def test_drift_reprices_and_stays_bit_identical(bytes_priced):
         (narrow, narrow_oracle, "serial", False),
         # Drift back: the same pricing flips the statement again.
         (broad, broad_oracle, "auto", True))
-    previous = None
-    for frame, oracle, cheapest, morsel in phases:
-        if previous is not None:
+    for phase, (frame, oracle, cheapest, morsel) in enumerate(phases):
+        if phase:
             session.register("events", frame)
-        records = run_priced(query, runtime, oracle, 5)
-        # A new generation's first execution runs the old generation's
-        # choice; its own profile reprices every candidate.
-        assert records[0]["strategy"] == (previous or "auto")
-        assert [argmin(record) for record in records] == [cheapest] * 5
-        assert query.compiled.strategy == cheapest
+        # A new generation's first execution already reports its own
+        # cheapest candidate: nothing is carried over from the last one.
+        assert run_priced(query, oracle, 5) == [cheapest] * 5
         shape = query.compiled.operator_plan.root.pretty()
         assert ("Morsel" in shape) == morsel, shape
-        previous = cheapest
 
 
 def test_reregistering_equal_data_keeps_the_choice(bytes_priced):
     session = TQPSession()
     session.register("events", broad_frame())
     query = session.prepare(SQL, options=ExecutionOptions(adaptive=True))
-    runtime = session.adaptive
     oracle = oracle_rows(broad_frame())
-    run_priced(query, runtime, oracle, 3)
-    chosen = query.compiled.strategy
+    chosen = run_priced(query, oracle, 3)
+    assert len(set(chosen)) == 1
 
     session.register("events", broad_frame())  # same distribution
-    for _ in range(3):
-        assert result_rows(query.execute()) == oracle
-        assert query.compiled.strategy == chosen
+    assert run_priced(query, oracle, 3) == chosen

@@ -6,7 +6,9 @@ the traced program.  So a ``parallelism=4`` plan generates the serial plan's
 source, plain and profiled, and an adaptive statement plans its three
 candidates from one IR, traces the one program they share, prices every
 candidate on each execution's profile, and switches between candidates
-without parsing, planning or tracing anything.
+without parsing, planning or tracing anything.  A held handle refreshed
+after a ``register()`` is the plan-cache entry of its new generation, so
+that generation traces once too.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import hashlib
 
 import pytest
 
-import repro.adaptive.planner as adaptive_planner
+import repro.adaptive as adaptive
 import repro.core.session as session_module
 from repro import ExecutionOptions, TQPSession
-from repro.adaptive import ExecutionFeedback
+from repro.adaptive import price
 from repro.core import ir_builder, ir_optimizer
 from repro.core.executor import Executor
 from repro.core.planner import plan_ir
@@ -41,8 +43,8 @@ def bits(result) -> list:
 
 @pytest.fixture
 def session(tpch_tiny):
-    """A session of its own: the tests below re-register a table and read
-    the adaptive runtime's records."""
+    """A session of its own: the tests below re-register a table and count
+    plan-cache entries."""
     _, tables = tpch_tiny
     fresh = TQPSession()
     for name, frame in tables.items():
@@ -64,7 +66,7 @@ def calls(monkeypatch):
     monkeypatch.setattr(session_module, "sql_to_physical",
                         counted("sql_to_physical", sql_to_physical))
     monkeypatch.setattr(session_module, "plan_ir", counted("plan_ir", plan_ir))
-    monkeypatch.setattr(adaptive_planner, "plan_ir",
+    monkeypatch.setattr(adaptive, "plan_ir",
                         counted("plan_ir", plan_ir))
     monkeypatch.setattr(Executor, "_compile_locked",
                         counted("trace", Executor._compile_locked))
@@ -73,17 +75,21 @@ def calls(monkeypatch):
 
 def _run(prepared, reference: list, executions: int) -> list:
     """Run an adaptive statement ``executions`` times; every result must be
-    bit-identical to ``reference``.  Returns the candidates it ran."""
+    bit-identical to ``reference`` and report the cheapest candidate of its
+    own prices, which the statement then names.  Returns those candidates."""
+    compiled = prepared.compiled
     ran = []
     for _ in range(executions):
         result = prepared.execute()
-        ran.append(prepared.compiled.strategy)
         assert bits(result) == reference, ran
+        prices = price(compiled.candidates, result,
+                       compiled.executor.cost_model)
+        assert list(prices) == CANDIDATES
+        assert result.reported_s == min(prices.values())
+        ran.append(min(prices, key=prices.__getitem__))
+        assert compiled.strategy == ran[-1]
+        assert compiled.operator_plan is compiled.candidates[ran[-1]]
     return ran
-
-
-def _argmin(record: dict) -> str:
-    return min(CANDIDATES, key=record["prices"].__getitem__)
 
 
 def _scopes(plan) -> list:
@@ -137,13 +143,12 @@ def test_planning_an_ir_twice_leaves_it_untouched(tpch_tiny, query):
 
 
 @pytest.mark.parametrize("query", tpch.ALL_QUERY_IDS)
-def test_candidates_share_one_program_and_the_priced_argmin_runs(
+def test_candidates_share_one_program_and_each_execution_reports_its_cheapest(
         session, calls, query):
     """Every TPC-H statement: the three candidates name the same operators,
-    each execution is bit-identical to static serial, the statement traces
-    once and plans only at compile, every record prices all three
-    candidates, and each execution after the first runs the cheapest
-    candidate of the record before it."""
+    each execution is bit-identical to static serial and reports the
+    cheapest candidate of its own prices, the first included, and the
+    statement traces once and plans only at compile."""
     sql = tpch.query(query, SCALE_FACTOR)
     reference = bits(session.compile(sql, options=SERIAL).execute())
     compiled = session.compile(sql, options=ADAPTIVE)
@@ -151,15 +156,11 @@ def test_candidates_share_one_program_and_the_priced_argmin_runs(
     scopes = [_scopes(plan) for plan in compiled.candidates.values()]
     assert scopes[0] == scopes[1] == scopes[2], query
     calls.clear()
-    ran = _run(session.prepare(sql, options=ADAPTIVE), reference, 4)
+    _run(session.prepare(sql, options=ADAPTIVE), reference, 4)
     assert calls == {"trace": 1}, (query, calls)
-    records = session.adaptive.feedback.dump()
-    assert [list(record["prices"]) for record in records] == [CANDIDATES] * 4
-    assert [record["strategy"] for record in records] == ran
-    assert ran == ["auto"] + [_argmin(record) for record in records[:-1]]
 
 
-def test_a_switch_plans_and_traces_nothing(session, calls):
+def test_a_switch_plans_and_traces_nothing(session, calls, monkeypatch):
     """Switching repoints the statement at an already-planned candidate: no
     parse, no plan, no trace — until a new generation of a scanned table
     plans the candidates again and traces one program."""
@@ -168,20 +169,57 @@ def test_a_switch_plans_and_traces_nothing(session, calls):
     calls.clear()
     prepared = session.prepare(sql, options=ADAPTIVE)
     assert calls == {"sql_to_physical": 1, "plan_ir": 3}
-    key = session.adaptive.statement_key(sql)
     calls.clear()
     for favoured in ("serial", "parallel", "auto", "serial"):
-        # Prices that favour ``favoured``: the next execution switches.
-        prices = {name: 1.0 + (name != favoured) for name in CANDIDATES}
-        session.adaptive.feedback.record(
-            ExecutionFeedback(key, (), "auto", prices))
-        assert _run(prepared, reference, 1) == [favoured]
+        # Prices that favour ``favoured``: this execution switches to it.
+        monkeypatch.setattr(
+            session_module, "price",
+            lambda candidates, result, cost_model, favoured=favoured: {
+                name: 1.0 + (name != favoured) for name in candidates})
+        assert bits(prepared.execute()) == reference
+        assert prepared.compiled.strategy == favoured
         assert prepared.compiled.operator_plan \
             is prepared.compiled.candidates[favoured]
     assert calls == {"trace": 1}
+    monkeypatch.setattr(session_module, "price", price)
     # A new generation of a scanned table is planned and traced once more.
     session.register("lineitem", session.dataframe("lineitem"))
     reference = bits(session.compile(sql, options=SERIAL).execute())
     calls.clear()
     _run(prepared, reference, 3)
     assert calls == {"sql_to_physical": 1, "plan_ir": 3, "trace": 1}
+
+
+@pytest.mark.parametrize("options", (SERIAL, ADAPTIVE),
+                         ids=("serial", "adaptive"))
+def test_a_refreshed_stale_handle_is_its_generations_cache_entry(
+        session, calls, options):
+    """A handle held across a ``register()`` refreshes on its next
+    execution and enters the plan cache, so compiling the statement again
+    returns the handle and its new generation traces once; a handle
+    refreshed after the cache already compiled the new generation adopts
+    that entry's executor instead of tracing its own."""
+    sql = tpch.query(6, SCALE_FACTOR)
+    held = session.compile(sql, options=options)
+    held.execute()
+    session.register("lineitem", session.dataframe("lineitem"))
+    calls.clear()
+    held.execute()
+    assert session.compile(sql, options=options) is held
+    assert calls["trace"] == 1
+
+    session.register("lineitem", session.dataframe("lineitem"))
+    fresh = session.compile(sql, options=options)
+    assert fresh is not held
+    calls.clear()
+    held.execute()
+    fresh.execute()
+    assert held.executor is fresh.executor
+    assert calls == {"trace": 1}
+    assert session.compile(sql, options=options) is fresh
+
+    # Without the cache the handle refreshes alone and stays out of it.
+    uncached = session.compile(sql, options=options.replace(use_cache=False))
+    session.register("lineitem", session.dataframe("lineitem"))
+    uncached.execute()
+    assert session.compile(sql, options=options) is not uncached

@@ -93,23 +93,25 @@ def test_one_generation_one_way_in_is_pinned():
     """Which generation of the session's state an execution sees, and who
     observes it, is decided in one place (``CompiledQuery.execute_many``):
     zone maps ride on their inputs instead of being threaded beside them, the
-    snapshot is taken by session code only, feedback is recorded at one call
-    site, and the serving runtime does not know adaptive execution exists."""
-    observe_calls, snapshot_callers = [], set()
+    snapshot is taken by session code only, executions are priced at one
+    call site, and the serving runtime does not know adaptive execution
+    exists."""
+    price_calls, snapshot_callers = [], set()
     for where, text, tree, identifiers in _src_modules():
         for gone in ("scan_stats", "zone_maps"):
             assert gone not in text, f"{gone} in {where}"
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                owner = node.func.value
-                owner_name = getattr(owner, "attr", getattr(owner, "id", None))
-                if node.func.attr == "observe" and owner_name == "adaptive":
-                    observe_calls.append(where)
-                if node.func.attr == "execution_state":
-                    snapshot_callers.add(where)
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "price":
+                price_calls.append(where)
+            if name == "execution_state" \
+                    and isinstance(node.func, ast.Attribute):
+                snapshot_callers.add(where)
         if where == "repro/serve/runtime.py":
             assert "adaptive" not in identifiers
-    assert observe_calls == ["repro/core/session.py"]
+    assert price_calls == ["repro/core/session.py"]
     assert snapshot_callers == {"repro/core/session.py"}
 
 
@@ -404,22 +406,19 @@ def test_adaptive_chooses_from_what_it_observed():
     import importlib
 
     from repro import adaptive
-    from repro.adaptive.feedback import ExecutionFeedback, FeedbackStore
-    from repro.adaptive.planner import AdaptiveRuntime
     from repro.core import planner, tuning
 
     with pytest.raises(ImportError):
         importlib.import_module("repro.adaptive.cost_model")
-    gone = {adaptive: ("StrategyCostModel", "featurize", "FEATURE_NAMES"),
-            planner.Planner: ("_plan_estimates",),
-            FeedbackStore: ("training_data",),
-            AdaptiveRuntime: ("prune_factor",)}
+    # The classes that owned ``training_data``, ``prune_factor`` and the
+    # ``features`` field are gone too (see the pins below).
+    gone = {adaptive: ("StrategyCostModel", "featurize", "FEATURE_NAMES",
+                       "training_data", "prune_factor", "features"),
+            planner.Planner: ("_plan_estimates",)}
     for owner, names in gone.items():
         assert not [name for name in names if hasattr(owner, name)], owner
-    for cls, field in ((planner.OperatorPlan, "estimates"),
-                       (ExecutionFeedback, "features")):
-        assert field not in {f.name for f in dataclasses.fields(cls)}, cls
-    assert len(inspect.signature(AdaptiveRuntime).parameters) == 0
+    assert "estimates" not in {
+        f.name for f in dataclasses.fields(planner.OperatorPlan)}
     assert len(dataclasses.fields(ExecutionOptions)) == 10
     assert len(dataclasses.fields(tuning.Tuning)) == 3
     assert len(passes.DEFAULT_PASSES) == 7
@@ -433,7 +432,6 @@ def test_adaptive_prices_its_candidates_instead_of_running_them():
     import importlib
 
     from repro import adaptive
-    from repro.adaptive import feedback, planner as adaptive_planner
     from repro.core import planner, session
 
     with pytest.raises(ImportError):
@@ -442,19 +440,38 @@ def test_adaptive_prices_its_candidates_instead_of_running_them():
         assert "filter_correction" not in inspect.signature(
             function).parameters, function
     gone = {adaptive: ("EstimateCorrector", "harvest_feedback",
-                       "OperatorObservation"),
-            feedback: ("harvest_feedback", "OperatorObservation"),
-            adaptive_planner: ("MIN_OBSERVATIONS", "DRIFT_FACTOR",
-                               "DRIFT_FLOOR_BYTES", "PRIOR_WEIGHT"),
-            adaptive.AdaptiveRuntime: ("min_observations", "_drifted",
-                                       "wants_replan", "plan_statement"),
-            adaptive.FeedbackStore: ("forget_statement",
-                                     "median_operator_bytes",
-                                     "median_reported_s"),
+                       "OperatorObservation", "MIN_OBSERVATIONS",
+                       "DRIFT_FACTOR", "DRIFT_FLOOR_BYTES", "PRIOR_WEIGHT",
+                       "min_observations", "_drifted", "wants_replan",
+                       "plan_statement", "forget_statement",
+                       "median_operator_bytes", "median_reported_s"),
             Executor: ("adopt_program",),
             session: ("_scope_order",)}
     for owner, names in gone.items():
         assert not [name for name in names if hasattr(owner, name)], owner
-    assert [f.name for f in dataclasses.fields(adaptive.ExecutionFeedback)] \
-        == ["statement_key", "region", "strategy", "prices"]
+    assert len(dataclasses.fields(ExecutionOptions)) == 10
+
+
+def test_adaptive_prices_the_run_it_just_made():
+    """Each execution reports its own cheapest candidate, so nothing is
+    stored between executions and nothing is chosen before one: no feedback
+    store, no binding regions, no runtime object on the session, and the
+    snapshot carries no strategy."""
+    import importlib
+
+    from repro import adaptive
+    from repro.core import session
+
+    for module in ("repro.adaptive.feedback", "repro.adaptive.planner"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    assert not [name for name in (
+        "AdaptiveRuntime", "FeedbackStore", "ExecutionFeedback",
+        "binding_region", "_bucket_value", "choose", "observe",
+        "statement_key", "HISTORY", "MAX_STATEMENTS", "records", "dump")
+        if hasattr(adaptive, name)]
+    assert callable(adaptive.plan_candidates) and callable(adaptive.price)
+    assert not hasattr(TQPSession(), "adaptive")
+    assert list(inspect.signature(
+        session.TQPSession.execution_state).parameters) == ["self", "compiled"]
     assert len(dataclasses.fields(ExecutionOptions)) == 10

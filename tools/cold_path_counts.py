@@ -24,9 +24,10 @@ does (3: the width lives on the plan, not in the program's stamps).  A fifth
 runs the three statements adaptively (``parallelism=4``, 10 executions each)
 and counts the programs traced (3: the candidates share one), the
 ``plan_ir`` calls after compile (0: a switch repoints the statement at a
-candidate planned at compile) and the executions of a statement before the
-priced choice is in force (1: the first runs ``auto``, every later one the
-cheapest candidate of the record before it).
+candidate planned at compile) and the executions of a statement that did not
+report the cheapest candidate of their own prices (0: each execution, the
+first included, prices every candidate on its own profile), counted from the
+results.
 
 Run from the repository root: ``python tools/cold_path_counts.py``
 (``PYTHONPATH=src``, as in CI).
@@ -43,7 +44,7 @@ import sys
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-import repro.adaptive.planner as adaptive_planner  # noqa: E402
+import repro.adaptive as adaptive  # noqa: E402
 import repro.core.session as session_module  # noqa: E402
 from repro import ExecutionOptions, TQPSession  # noqa: E402
 from repro.core.executor import Executor  # noqa: E402
@@ -62,7 +63,9 @@ ADAPTIVE_EXECUTIONS = 10
 
 def adaptive_counts(session) -> tuple[int, int, int]:
     """``(traces, plan_ir calls after compile, executions before the priced
-    choice)`` of the adaptive statements, the last the most of any one."""
+    choice)`` of the adaptive statements, the last the most of any one: an
+    execution counts when its ``reported_s`` is not the cheapest of its own
+    prices or the statement does not name that candidate after it."""
     counts = collections.Counter()
 
     def counted(name, function):
@@ -71,7 +74,7 @@ def adaptive_counts(session) -> tuple[int, int, int]:
             return function(*args, **kwargs)
         return spy
 
-    for module in (adaptive_planner, session_module):
+    for module in (adaptive, session_module):
         module.plan_ir = counted("plan_ir", module.plan_ir)
     Executor._compile_locked = counted("trace", Executor._compile_locked)
     options = ExecutionOptions(parallelism=4, adaptive=True)
@@ -80,14 +83,15 @@ def adaptive_counts(session) -> tuple[int, int, int]:
     planned = counts["plan_ir"]
     unpriced = 0
     for compiled in held:
+        missed = 0
         for _ in range(ADAPTIVE_EXECUTIONS):
-            compiled.execute()
-        records = session.adaptive.feedback.records(
-            session.adaptive.statement_key(compiled.sql))
-        cheapest = [min(r.prices, key=r.prices.__getitem__) for r in records]
-        unpriced = max(unpriced, 1 + sum(
-            record.strategy != previous
-            for record, previous in zip(records[1:], cheapest)))
+            result = compiled.execute()
+            prices = adaptive.price(compiled.candidates, result,
+                                    compiled.executor.cost_model)
+            cheapest = min(prices, key=prices.__getitem__)
+            missed += (result.reported_s != prices[cheapest]
+                       or compiled.strategy != cheapest)
+        unpriced = max(unpriced, missed)
     return counts["trace"], counts["plan_ir"] - planned, unpriced
 
 
@@ -147,7 +151,7 @@ def main() -> None:
               f"Q{' + Q'.join(map(str, QUERIES))})")
     traces, replans, unpriced = adaptive_counts(session)
     print(f"{traces} traces, {replans} plan_ir calls after compile, "
-          f"{unpriced} execution per statement before the priced choice "
+          f"{unpriced} executions per statement before the priced choice "
           f"(adaptive Q{' + Q'.join(map(str, QUERIES))}, parallelism=4, "
           f"{ADAPTIVE_EXECUTIONS} executions each)")
 
