@@ -67,16 +67,17 @@ def bench_session():
 
 def _fixed_arm(session, sql: str, options: ExecutionOptions,
                force_parallel: bool = False):
-    """Compiled fixed-strategy executor + inputs, warmed outside the clock."""
+    """Compiled fixed-strategy statement, warmed outside the clock.  It runs
+    through ``execute``: the statement prices its runs under its lanes map,
+    which a direct executor call (priced serially) would not."""
     if force_parallel:
         with tuning_overrides(parallel_threshold_rows=0):
             compiled = session.compile(sql, options=options)
     else:
         compiled = session.compile(sql, options=options)
-    inputs = session.prepare_inputs(compiled.executor)
     for _ in range(WARMUP):
-        compiled.executor.execute(inputs, profile=True)
-    return compiled, inputs
+        compiled.execute(profile=True)
+    return compiled
 
 
 def _adaptive_arm(session, sql: str):
@@ -104,11 +105,8 @@ def test_adaptive_beats_fixed_strategies(bench_session, json_out, capsys):
     for _ in range(ROUNDS):
         for qid in ALL_QUERY_IDS:
             for name in ("serial", "parallel", "adaptive"):
-                if name == "adaptive":
-                    outcome = arms[qid]["adaptive"].execute()
-                else:
-                    compiled, inputs = arms[qid][name]
-                    outcome = compiled.executor.execute(inputs, profile=True)
+                # Adaptive executions always profile.
+                outcome = arms[qid][name].execute(profile=True)
                 times[name][qid] = min(times[name][qid], outcome.reported_s)
                 walls[name][qid] = min(walls[name][qid], outcome.measured_s)
 

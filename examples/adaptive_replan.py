@@ -77,7 +77,7 @@ def main() -> None:
 
     print("phase 1 — broad distribution (~99 % of rows pass the filter):")
     drive(query, exact_rows(broad), rounds)
-    shape = query.compiled.operator_plan.root.pretty()
+    shape = query.compiled.explain()
     assert "Morsel" in shape
     print(f"  chosen: {query.compiled.strategy} "
           f"(morsel-parallel plan — lanes pay on big intermediates)\n")
@@ -86,7 +86,7 @@ def main() -> None:
           "generation\nprices every candidate on its own profile:")
     session.register("events", narrow)
     drive(query, exact_rows(narrow), rounds)
-    shape = query.compiled.operator_plan.root.pretty()
+    shape = query.compiled.explain()
     assert "Morsel" not in shape
     print(f"  chosen: {query.compiled.strategy} (serial shape — morsel "
           f"dispatch over ~200 rows costs more than it saves)")

@@ -13,7 +13,7 @@ Results are always computed by real kernels; only *time* is ever simulated.
 
 Every event names its operator (``scope``, ``label#id``) and its device
 shard; the plan's ``lanes`` map (``OperatorPlan.lanes``, ``{scope: n}``) says
-which operators the planner put on ``n`` worker lanes.
+which operators its pricing put on ``n`` worker lanes.
 :func:`split_partitions` turns the two into the concurrent structure every
 cost model charges: host work plus the *slowest* shard, each serial work plus
 one lane's share of every lanes event plus ``n`` morsel dispatches per lanes

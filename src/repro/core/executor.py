@@ -12,9 +12,9 @@ The Executor is the runnable artifact TQP produces for a query:
 
 Either way there is one program and one per-binding loop
 (:meth:`Executor._replay`): ``execute(p)`` is ``execute_many([p])[0]``.  An
-executor is ``(plan, models, options)``; everything about the data — columns,
-encodings, shard placement, the zone maps scans prune against — arrives in
-the ``inputs`` (:func:`convert_scan_input`).
+executor is ``(plan, models, options)`` of a width-free plan; the data arrives
+in the ``inputs`` (:func:`convert_scan_input`), and the lanes widths a run is
+priced under with the run (``lanes``).
 
 Devices: results are always computed with real kernels; the CPU reports
 measured wall time while the simulated ``cuda`` / ``wasm`` devices report time
@@ -131,8 +131,8 @@ class Executor:
                  models: Optional[dict[str, Callable]] = None,
                  options: Optional[ExecutionOptions] = None):
         self.plan = plan
-        #: Fully resolved.  The plan already embeds the lane / shard choice;
-        #: the options say where and how it runs.
+        #: Fully resolved.  The plan already embeds the shard choice; the
+        #: options say where and how it runs.
         self.options = (options or ExecutionOptions()).resolved()
         self.backend: BackendSpec = get_backend(self.options.backend)
         self.device: Device = self.options.device
@@ -184,7 +184,7 @@ class Executor:
 
     def execute(self, inputs: dict[str, TensorTable], profile: bool = False,
                 params: Optional[dict] = None) -> ExecutionResult:
-        """Run the query over prepared inputs and return the result.
+        """Run the query over prepared inputs; the result is priced serially.
 
         ``params`` binds the plan's parameters (validated up front with typed
         errors); on the graph backends the values are runtime inputs of the
@@ -192,18 +192,20 @@ class Executor:
 
         This is the one-binding case of :meth:`execute_many`.
         """
-        return self._replay(inputs, [self.bind(params)], profile)[0]
+        return self._replay(inputs, [self.bind(params)], profile, None)[0]
 
     def execute_many(self, inputs: dict[str, TensorTable],
                      param_batches: "list[dict]",
                      profile: bool = False,
-                     on_error: str = "raise"
+                     on_error: str = "raise",
+                     lanes: Optional[dict[str, int]] = None
                      ) -> "list[ExecutionResult | BatchBindingError]":
         """Serving loop: run many parameter bindings over one input set.
 
         All bindings are validated up front, then each one runs against the
         one program (:meth:`_replay`): the table inputs are flattened once,
         and each binding costs one parameter conversion plus one call.
+        ``lanes`` (``OperatorPlan.lanes``; ``None``: serial) prices each run.
 
         A bad binding raises a typed :class:`~repro.errors.BatchBindingError`
         naming the request index (``on_error="raise"``, nothing executes), or
@@ -216,20 +218,20 @@ class Executor:
                  if not isinstance(bound, BatchBindingError)]
         if valid:
             results = self._replay(inputs, [slots[index] for index in valid],
-                                   profile)
+                                   profile, lanes)
             for index, result in zip(valid, results):
                 slots[index] = result
         return slots
 
     def _replay(self, inputs: dict[str, TensorTable], bindings: "list[dict]",
-                profile: bool) -> list[ExecutionResult]:
+                profile: bool, lanes: Optional[dict]) -> list[ExecutionResult]:
         """One result per normalized binding: the only place a plan runs.
 
         What a run *is* — the eager plan, or the traced program over inputs
         flattened once — is decided before the loop; the loop only binds,
         times and reports.  ``measured_s`` is the wall clock around the run,
         ``reported_s`` what the device's cost model makes of it (and of the
-        profile, which simulated devices always collect).
+        profile, which simulated devices always collect) under ``lanes``.
         """
         want_profile = profile or self.device.is_simulated
         if self.backend.strategy == "eager":
@@ -245,7 +247,6 @@ class Executor:
         backend, device = self.backend.name, str(self.device)
         mode = self.executor_mode
         report_time, perf_counter = self.cost_model.report_time, time.perf_counter
-        lanes = self.plan.lanes
         results: list[ExecutionResult] = []
         for bound in bindings:
             profiler = (Profiler(name=f"{backend}-{device}")

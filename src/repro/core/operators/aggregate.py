@@ -192,10 +192,6 @@ class HashAggregateOperator(TensorOperator):
         #: How the partial phase is partitioned; the merged output is not.
         self.input_partitioning = input_partitioning
 
-    @property
-    def scheme(self) -> Partitioning:
-        return self.input_partitioning
-
     def describe(self, scheme: Optional[Partitioning] = None) -> str:
         return partition_label(self.labels, scheme or self.input_partitioning,
                                f"groups={len(self.group_exprs)}")

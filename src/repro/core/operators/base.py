@@ -9,7 +9,7 @@ device.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.core.columnar import TensorTable
 from repro.core.expressions import EvaluationContext
@@ -19,6 +19,7 @@ from repro.core.operators.partition import (
     Partitioning,
     gather,
     input_of,
+    lanes,
     partition_label,
 )
 from repro.errors import ExecutionError
@@ -55,7 +56,7 @@ class TensorOperator:
     name = "operator"
     #: Plan-unique name its events and traced nodes are stamped with,
     #: ``label#id`` (the label rendered without partitioning), given out by
-    #: the planner alike in serial and lanes plans; unset, it stamps nothing.
+    #: the planner (a plan's ``lanes`` map keys on it); unset, it stamps nothing.
     scope = ""
 
     def __init__(self, children: list["TensorOperator"],
@@ -65,11 +66,6 @@ class TensorOperator:
         #: ``execute`` always hands back one table; a sharded operator also
         #: hands its shards over through ``partitions``.
         self.partitioning = partitioning
-
-    @property
-    def scheme(self) -> Partitioning:
-        """The partitioning this operator runs under (its output's)."""
-        return self.partitioning
 
     def _scoped(self, body, ctx: ExecutionContext):
         """Run ``body`` stamped with this operator's scope: eager events and
@@ -98,10 +94,14 @@ class TensorOperator:
         default; ``NONE`` gives the label its scope is built from)."""
         return self.name
 
-    def pretty(self, indent: int = 0) -> str:
-        lines = ["  " * indent + self.describe()]
+    def pretty(self, indent: int = 0,
+               widths: Optional[Mapping[str, int]] = None) -> str:
+        """The subtree's labels, one per line; an operator whose scope
+        ``widths`` (a plan's ``lanes``) names renders under ``lanes(n)``."""
+        width = (widths or {}).get(self.scope)
+        lines = ["  " * indent + self.describe(width and lanes(width))]
         for child in self.children:
-            lines.append(child.pretty(indent + 1))
+            lines.append(child.pretty(indent + 1, widths))
         return "\n".join(lines)
 
     def walk(self):

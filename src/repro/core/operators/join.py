@@ -29,8 +29,8 @@ and sort floats, epoch-ns dates and domains much wider than the row count —
 see the constants in :mod:`repro.tensor.ops`.  The output (row order
 included) is the same either way.
 
-A ``lanes`` join is the serial join, stamped with its lanes width for the
-cost models.  A ``shards`` join exchanges first: a **value-hash shuffle**
+A join priced on lanes is the serial join (only its label and its price
+differ).  A ``shards`` join exchanges first: a **value-hash shuffle**
 (both sides repartition on the join keys, so equal keys meet on one device
 and every join kind is decided locally) or a **broadcast** of one small
 unsharded side to every device; each device then runs the ordinary serial
@@ -181,10 +181,6 @@ class HashJoinOperator(TensorOperator):
         #: (``"right"`` preferred), or ``None`` and why not.
         self.key_side = key_side
         self.key_reason = key_reason
-
-    @property
-    def scheme(self) -> Partitioning:
-        return self.exchange
 
     def describe(self, scheme: Optional[Partitioning] = None) -> str:
         scheme = scheme or self.exchange

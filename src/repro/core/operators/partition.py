@@ -1,19 +1,19 @@
 """Partitioned execution: partitioning as a property of an operator's output.
 
-There is one operator family.  What differs between a serial, a
-morsel-parallel and a multi-device plan is the :class:`Partitioning` the
-planner placed each operator under:
+There is one operator family.  What differs between a serial and a
+multi-device plan is the :class:`Partitioning` the planner placed each
+operator under:
 
 * ``none`` — one table, one execution lane;
-* ``lanes(n)`` — a *model* of ``n`` worker lanes of one device.  The operator
-  runs its serial body under its own scope, so a lanes plan traces, optimizes
-  and generates exactly the serial program; only the plan knows the width
-  (``OperatorPlan.lanes``, keyed by scope), and the device cost models
-  (:mod:`repro.backends.base`) price each event of a lanes operator as one
-  lane's share over one lane per whole morsel of its rows (at most ``n``),
-  plus ``n`` morsel dispatches per lanes operator;
 * ``shards(n, hash|range)`` — the table lives on ``n`` simulated devices,
   placed at load time (:mod:`repro.distributed.sharding`).
+
+``lanes(n)`` is a *price* of ``n`` worker lanes of one device, placed on no
+operator: a priced plan (``OperatorPlan.priced``) names its lanes operators by
+scope in ``OperatorPlan.lanes``, labels render from it, and the cost models
+(:mod:`repro.backends.base`) price each of their events as one lane's share
+over one lane per whole morsel of its rows (at most ``n``), plus ``n`` morsel
+dispatches per lanes operator.  The program is the serial plan's.
 
 A sharded operator hands its parent a :class:`PartitionedTable` and every
 per-shard body runs through :func:`run_partitions`.  Where a child's property

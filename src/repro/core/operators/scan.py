@@ -20,9 +20,8 @@ Three pruning regimes keep this sound under every backend:
   per-row gather — the traced program then re-evaluates block survival from
   the runtime parameter inputs on every binding.
 
-A scan is also where partitioned regions start.  Under ``lanes`` it is the
-serial scan, stamped with its lanes width for the cost models.  Under
-``shards`` input preparation has already placed the converted table across
+A scan is also where sharded regions start.  Under ``shards`` input
+preparation has already placed the converted table across
 the devices (load-time placement is data layout, not query work), and the
 scan selects each shard's columns inside that
 shard's annotation; zone-map pruning does not apply there: the statistics

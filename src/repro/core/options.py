@@ -35,9 +35,10 @@ class ExecutionOptions:
         device: ``cpu``, ``cuda`` (simulated) or ``wasm`` (simulated) —
             ``None`` inherits the session default (``cpu``).
         use_cache: serve repeated compilations from the session plan cache.
-        parallelism: worker lanes the planner may put operators on —
-            ``None`` inherits the session default (1).  A *model*: the plan
-            runs the serial program; only its reported time spreads.
+        parallelism: worker lanes a statement is priced on — ``None``
+            inherits the session default (1).  A price, not a plan: the
+            statement runs its serial entry's plan, program and executor;
+            only its lanes map, labels and reported time differ.
         auto_parameterize: lift literals out of ad-hoc ``sql()`` calls into
             bind parameters, so queries differing only in constants share one
             compiled plan (opt-in; see ``repro.core.parameters``).
@@ -64,9 +65,9 @@ class ExecutionOptions:
             ``hash`` (rows spread by key hash) or ``range`` (contiguous row
             ranges).  Part of the plan-cache and conversion-cache keys.
         adaptive: price every execution under each strategy candidate
-            (:mod:`repro.adaptive`).  The statement plans three candidates
-            that share one program; every execution is profiled, its
-            profile prices each candidate under the device's cost model
+            (:mod:`repro.adaptive`).  Its three candidates price the serial
+            entry's plan and share its executor; every execution is profiled,
+            its profile prices each candidate under the device's cost model
             (``reported_s``: lanes move no wall-clock time), and it reports
             the cheapest — results are always identical across strategies.
             ``parallelism`` then sets the lane budget the candidates may

@@ -2,19 +2,21 @@
 
 There is one operator per relational operator and one recursive walk.  What
 the planner decides per node is the **partitioning** the operator runs under
-(:mod:`repro.core.operators.partition`): ``none``, ``lanes(n)`` for
-``parallelism > 1`` (morsel-driven execution on one device, a cost model: the
-operator runs its serial body) or ``shards(n)`` for ``devices > 1`` (tables
-placed across simulated devices).  A partitioned
-region opens at a base-table scan whose estimated cardinality clears the
-region's row threshold, stays open through operators whose expressions are
+(:mod:`repro.core.operators.partition`): ``none`` or ``shards(n)`` for
+``devices > 1`` (tables placed across simulated devices).  A sharded region
+opens at a base-table scan whose estimated cardinality clears
+``Tuning.shard_min_rows``, stays open through operators whose expressions are
 free of runtime subqueries (and, for aggregates, whose states merge), and is
 closed by an enforcer where a child's partitioning is not what its parent
-consumes — see :meth:`Planner._plan` for the rules, written once for both
-kinds.  Every size/cost threshold the planner consults comes from its
+consumes — see :meth:`Planner._plan`.
+
+Worker lanes are a *price*, not a plan: the walk records the estimated rows
+of every operator the lanes rule admits, and :meth:`OperatorPlan.priced`
+puts those over a threshold on ``n`` lanes, so a statement's serial,
+``parallelism=N`` and adaptive entries share one plan and one program.
+Every size/cost threshold comes from the planner's
 :class:`~repro.core.tuning.Tuning` (``tools/lint_op_registry.py`` rejects
-hard-coded threshold literals here), which is how the adaptive layer plans
-alternative strategies for the same query.
+hard-coded threshold literals here).
 
 The planner is also where storage statistics enter the plan:
 
@@ -57,7 +59,6 @@ from repro.core.operators import (
     SortOperator,
     TensorOperator,
     aggregates_are_mergeable,
-    lanes,
     shards,
 )
 from repro.core.parameters import ParameterSpec
@@ -92,13 +93,16 @@ class OperatorPlan:
         model_names: ML models referenced by ``PREDICT`` calls; the session's
             plan cache uses this to invalidate only the plans that actually
             depend on a re-registered model.
-        lanes: ``{scope: n}`` of every operator planned on ``n`` worker
-            lanes, runtime subqueries included: the one place a width lives,
-            where the cost models look each event's scope up.
+        lanes: ``{scope: n}`` of every operator :meth:`priced` put on ``n``
+            worker lanes, runtime subqueries included: the one place a width
+            lives, where the cost models and labels look each scope up.
         subqueries: the operator subtree planned for each runtime subquery,
             keyed by the physical subplan its expression names — the plan
             holds them, so planning leaves the IR as it found it and one IR
             can be planned again.
+        lane_rows: ``{scope: estimated rows}`` of every operator the lanes
+            rule admits: a scan, filter, projection, merging aggregate or hash
+            join of subquery-free expressions, in a plan that is not sharded.
     """
 
     root: TensorOperator
@@ -109,6 +113,18 @@ class OperatorPlan:
     lanes: dict[str, int] = dataclasses.field(default_factory=dict)
     subqueries: dict[PhysicalNode, TensorOperator] = dataclasses.field(
         default_factory=dict)
+    lane_rows: dict[str, int] = dataclasses.field(default_factory=dict)
+
+    def priced(self, width: int, threshold: int) -> "OperatorPlan":
+        """A copy priced on ``width`` worker lanes (none under two): every
+        admitted operator of at least ``threshold`` rows is in its ``lanes``."""
+        return dataclasses.replace(self, lanes={
+            scope: width for scope, rows in self.lane_rows.items()
+            if width > 1 and rows >= threshold})
+
+    def pretty(self) -> str:
+        """The operator tree, its labels rendered under ``lanes``."""
+        return self.root.pretty(widths=self.lanes)
 
 
 def scope_family(scope: str) -> str:
@@ -178,6 +194,9 @@ def ir_contains_params(root: ir.IRNode) -> bool:
 
 
 _SUBQUERY_EXPRS = (ast.InSubquery, ast.ExistsSubquery, ast.ScalarSubquery)
+#: The operators the lanes rule may put on worker lanes.
+_LANES_OPS = frozenset({ir.SCAN, ir.FILTER, ir.PROJECT, ir.HASH_AGGREGATE,
+                        ir.HASH_JOIN})
 
 
 def exprs_are_partition_safe(exprs) -> bool:
@@ -213,23 +232,19 @@ class Planner:
     """Maps each IR operator to its tensor-program implementation.
 
     Args:
-        parallelism: number of simulated worker lanes; 1 plans serial
-            operators only (the default, and the pre-parallelism behaviour).
         table_rows: registered row counts per table name, the cardinality
-            estimates behind the parallel-operator threshold decision.
+            estimates behind the row-threshold decisions.
         tuning: the size/cost thresholds this plan is built under; defaults
             to the thread's :func:`~repro.core.tuning.active_tuning`.
     """
 
-    def __init__(self, parallelism: int = 1,
-                 table_rows: Optional[Mapping[str, int]] = None,
+    def __init__(self, table_rows: Optional[Mapping[str, int]] = None,
                  table_stats: Optional[Mapping[str, object]] = None,
                  devices: int = 1, shard_mode: str = "hash",
                  tuning: Optional[Tuning] = None) -> None:
         self._scans: list[ScanOperator] = []
         self._subqueries: dict[PhysicalNode, TensorOperator] = {}
         self.tuning = tuning if tuning is not None else active_tuning()
-        self.parallelism = max(1, int(parallelism))
         #: Simulated devices for sharded execution; 1 keeps plans single-device.
         self.devices = max(1, int(devices))
         self.shard_mode = shard_mode
@@ -254,9 +269,10 @@ class Planner:
             for column, stats in table.columns.items()
             if seen[column] == 1
         }
-        #: Every operator planned, in the order scope ids are given out (the
-        #: same in a statement's serial and lanes plans).
+        #: Every operator planned, in the order scope ids are given out.
         self._operators: list[TensorOperator] = []
+        #: The rows the lanes rule compares, per operator it admits.
+        self._lane_rows: dict[TensorOperator, int] = {}
         self._row_estimates: dict[int, int] = {}
         self._unique: dict[int, frozenset] = {}
         self._params: dict[str, ParameterSpec] = {}
@@ -265,16 +281,14 @@ class Planner:
         self._target: Partitioning = NONE
 
     def plan(self, root: ir.IRNode) -> OperatorPlan:
+        """The width-free plan of ``root`` (see :meth:`OperatorPlan.priced`)."""
         # Sharding is all-or-nothing per query: parameterized plans would
         # bake binding-dependent shuffle layouts into the trace, and runtime
         # subqueries execute outside the shard pipeline, so both fall back to
-        # single-device planning wholesale.  Lanes bake nothing: a lanes
-        # operator runs its serial body.
+        # single-device planning wholesale.
         if (self.devices > 1 and not ir_contains_params(root)
                 and not ir_contains_subqueries(root)):
             self._target = shards(self.devices, self.shard_mode)
-        elif self.parallelism > 1:
-            self._target = lanes(self.parallelism)
         operator_root = self._closed(self._plan(root))
         params = sorted(self._params.values(), key=lambda spec: spec.position)
         # Scopes last: a scan's label shows the pruning its filter attaches.
@@ -283,10 +297,9 @@ class Planner:
         return OperatorPlan(operator_root, self._scans, list(root.fields),
                             params=params,
                             model_names=frozenset(self._model_names),
-                            lanes={op.scope: op.scheme.n
-                                   for op in self._operators
-                                   if op.scheme.kind == "lanes"},
-                            subqueries=self._subqueries)
+                            subqueries=self._subqueries,
+                            lane_rows={op.scope: rows for op, rows
+                                       in self._lane_rows.items()})
 
     # -- expressions: parameters, models, runtime subqueries -----------------
 
@@ -420,38 +433,12 @@ class Planner:
 
     # -- partitioning rules --------------------------------------------------
 
-    def _region_min_rows(self) -> int:
-        """Estimated input rows a partitioned operator must clear: below it,
-        per-partition overhead (dispatch, per-shard kernels, the closing
-        gather) outweighs any parallelism."""
-        if self._target.kind == "shards":
-            return self.tuning.shard_min_rows
-        return self.tuning.parallel_threshold_rows
-
-    def _unary_partitioning(self, node: ir.IRNode, child_op: TensorOperator
-                            ) -> Partitioning:
-        """The partitioning a filter / project / rename / aggregate over
-        ``child_op`` runs under (``NONE`` = serially, over the child's whole
-        table)."""
-        target = self._target
-        if target.kind == "shards":
-            # Sharded regions open at scans (and broadcast joins) only: the
-            # operator is sharded exactly when its input is.
-            eligible = child_op.partitioning.kind == "shards"
-        elif target.kind == "lanes":
-            # A lanes operator may sit on any large enough child.  A rename is
-            # pure metadata — nothing for worker lanes to share.
-            eligible = (node.op != ir.RENAME
-                        and (self._estimate_rows(node.children[0])
-                             >= self._region_min_rows()))
-        else:
-            eligible = False
-        if (not eligible
-                or not exprs_are_partition_safe(ir_node_expressions(node))
-                or (node.op == ir.HASH_AGGREGATE and not
-                    aggregates_are_mergeable(node.attrs["aggregates"]))):
-            return NONE
-        return target
+    def _partition_safe(self, node: ir.IRNode) -> bool:
+        """Whether ``node`` may run one partition at a time: its expressions
+        hold no runtime subquery and, if an aggregate, its states merge."""
+        return (exprs_are_partition_safe(ir_node_expressions(node))
+                and (node.op != ir.HASH_AGGREGATE
+                     or aggregates_are_mergeable(node.attrs["aggregates"])))
 
     def _join_exchange(self, node: ir.IRNode, left_op: TensorOperator,
                        right_op: TensorOperator
@@ -459,13 +446,7 @@ class Planner:
         """``(exchange, broadcast side)`` of an equi-join; see
         :class:`~repro.core.operators.HashJoinOperator`."""
         target = self._target
-        if (target.kind == "none"
-                or not exprs_are_partition_safe(ir_node_expressions(node))):
-            return NONE, None
-        if target.kind == "lanes":
-            rows = max(self._estimate_rows(child) for child in node.children)
-            if rows >= self._region_min_rows():
-                return target, None
+        if target.kind != "shards" or not self._partition_safe(node):
             return NONE, None
         left_sharded = left_op.partitioning.kind == "shards"
         right_sharded = right_op.partitioning.kind == "shards"
@@ -481,7 +462,7 @@ class Planner:
 
     def _closed(self, op: TensorOperator) -> TensorOperator:
         """``op`` as a producer of one host table: the gather enforcer over a
-        sharded operator (a lanes operator already produces one table)."""
+        sharded operator."""
         if op.partitioning.kind != "shards":
             return op
         return self._planned(GatherOperator(op))
@@ -507,7 +488,14 @@ class Planner:
         """
         self._plan_expressions(node)
         children = [self._plan(child) for child in node.children]
-        return self._planned(self._translate(node, children))
+        op = self._planned(self._translate(node, children))
+        if (self._target.kind != "shards" and node.op in _LANES_OPS
+                and self._partition_safe(node)):
+            # The lanes rule compares a scan's own rows, else its largest
+            # input's (see ``OperatorPlan.lane_rows``).
+            self._lane_rows[op] = max(map(self._estimate_rows, node.children),
+                                      default=self._estimate_rows(node))
+        return op
 
     def _translate(self, node: ir.IRNode, children: list[TensorOperator]
                    ) -> TensorOperator:
@@ -515,8 +503,8 @@ class Planner:
         attrs = node.attrs
 
         if node.op == ir.SCAN:
-            opens = (self._target.kind != "none"
-                     and self._estimate_rows(node) >= self._region_min_rows())
+            opens = (self._target.kind == "shards" and self._estimate_rows(node)
+                     >= self.tuning.shard_min_rows)
             scan = ScanOperator(attrs["table"], attrs["alias"], attrs["fields"],
                                 self._target if opens else NONE)
             self._scans.append(scan)
@@ -539,10 +527,14 @@ class Planner:
                                           attrs["kind"], attrs.get("condition"))
 
         (child_op,) = children
+        # Sharded regions open at scans (and broadcast joins) only: a filter /
+        # project / rename / aggregate is sharded exactly when its input is.
         scheme = NONE
-        if node.op in (ir.FILTER, ir.PROJECT, ir.RENAME, ir.HASH_AGGREGATE):
-            scheme = self._unary_partitioning(node, child_op)
-        if scheme.kind != "shards":
+        if (node.op in (ir.FILTER, ir.PROJECT, ir.RENAME, ir.HASH_AGGREGATE)
+                and child_op.partitioning.kind == "shards"
+                and self._partition_safe(node)):
+            scheme = self._target
+        else:
             child_op = self._closed(child_op)
 
         if node.op == ir.FILTER:
@@ -645,7 +637,9 @@ def plan_ir(root: ir.IRNode, parallelism: int = 1,
             table_stats: Optional[Mapping[str, object]] = None,
             devices: int = 1, shard_mode: str = "hash",
             tuning: Optional[Tuning] = None) -> OperatorPlan:
-    """Convenience wrapper: plan an IR tree into an :class:`OperatorPlan`."""
-    return Planner(parallelism=parallelism, table_rows=table_rows,
-                   table_stats=table_stats, devices=devices,
-                   shard_mode=shard_mode, tuning=tuning).plan(root)
+    """Convenience wrapper: plan an IR tree into an :class:`OperatorPlan`
+    priced on ``parallelism`` lanes under the tuning's threshold."""
+    planner = Planner(table_rows=table_rows, table_stats=table_stats,
+                      devices=devices, shard_mode=shard_mode, tuning=tuning)
+    return planner.plan(root).priced(
+        parallelism, planner.tuning.parallel_threshold_rows)

@@ -34,8 +34,10 @@ enters through one function, :meth:`CompiledQuery.execute_many`: it takes one
 generation of the session's state (a registered table is one catalog record —
 frame, statistics, version, converted inputs — and models are versioned the
 same way, so a held handle re-plans after ``register()`` /
-``register_model()``), runs the bindings, and prices adaptive statements'
-executions under every strategy candidate (:mod:`repro.adaptive`).
+``register_model()``), runs the bindings, and prices them under the
+statement's lanes map — adaptive ones under every strategy candidate
+(:mod:`repro.adaptive`).  A width is only that map: a statement's serial,
+``parallelism=N`` and adaptive entries share one plan and one executor.
 
 All knobs (backend, device, plan cache, parallelism, auto-parameterization,
 executor) live on one :class:`ExecutionOptions` object, and a session's
@@ -74,7 +76,8 @@ from repro.core.parameters import (
     positional_binding,
 )
 from repro.core.plan_cache import PlanCache, normalize_sql
-from repro.core.planner import OperatorPlan, plan_ir
+from repro.core.planner import OperatorPlan, Planner
+from repro.core.tuning import active_tuning
 from repro.dataframe import DataFrame
 from repro.errors import BatchBindingError, BindingError, ExecutionError
 from repro.frontend import Catalog, sql_to_physical
@@ -106,9 +109,9 @@ class CompiledQuery:
     #: ``operator_plan`` (``None`` when compiled statically; see
     #: :mod:`repro.adaptive`).
     strategy: Optional[str] = None
-    #: Every adaptive candidate's plan of this generation, in candidate
-    #: order (empty when compiled statically).  They name the same
-    #: operators, so ``executor`` — built on the first — runs each of them.
+    #: Every adaptive candidate's pricing of this generation's plan, in
+    #: candidate order (empty when compiled statically).  They are one
+    #: operator tree, so ``executor`` runs each of them.
     candidates: dict[str, OperatorPlan] = dataclasses.field(
         default_factory=dict)
 
@@ -159,9 +162,10 @@ class CompiledQuery:
         ``operator_plan`` name the cheapest candidate of the last execution.
         """
         adaptive = self.options.adaptive
-        executor, inputs, candidates = self.session.execution_state(self)
+        executor, inputs, plan, candidates = self.session.execution_state(self)
         outcomes = executor.execute_many(
-            inputs, bindings, profile=profile or adaptive, on_error=on_error)
+            inputs, bindings, profile=profile or adaptive, on_error=on_error,
+            lanes=plan.lanes)
         cheapest = None
         for outcome in outcomes:
             if adaptive and isinstance(outcome, ExecutionResult):
@@ -197,7 +201,7 @@ class CompiledQuery:
         sections = [
             "== Physical plan ==", self.physical_plan.pretty(),
             "== TQP IR ==", self.ir.pretty(),
-            "== Operator plan ==", self.operator_plan.root.pretty(),
+            "== Operator plan ==", self.operator_plan.pretty(),
         ]
         if self.params:
             sections += ["== Parameters ==",
@@ -206,7 +210,7 @@ class CompiledQuery:
 
     def executor_graph(self, params: Optional[dict] = None):
         """Traced tensor graph of the query (Figure-4 style artifact)."""
-        executor, inputs, _ = self.session.execution_state(self)
+        executor, inputs, _, _ = self.session.execution_state(self)
         return executor.executor_graph(inputs, params=params)
 
     def export_onnx(self, path: str, params: Optional[dict] = None) -> None:
@@ -462,38 +466,67 @@ class TQPSession:
     @staticmethod
     def _cache_key(sql: str, resolved: ExecutionOptions,
                    param_types: Optional[dict]) -> tuple:
+        """Parameterized text, options, hints and the thread's tuning."""
         hint_key = tuple(sorted(
             (name, ltype.value) for name, ltype in (param_types or {}).items()))
-        return (normalize_sql(sql), resolved.cache_key(), hint_key)
+        return (normalize_sql(sql), resolved.cache_key(), hint_key,
+                active_tuning())
+
+    def _current_entry(self, sql: str, resolved: ExecutionOptions,
+                       param_types: Optional[dict],
+                       into: Optional[CompiledQuery] = None) -> CompiledQuery:
+        """The plan cache's current entry for a statement (``into``, a stale
+        handle, adopts it), else a fresh compile, which enters the cache —
+        as ``into``, refreshed, when given.  Runs under the session lock, so
+        only ``get`` / ``put``: a ``get_or_create`` could wait on a builder
+        that waits on this lock."""
+        key = (self._cache_key(sql, resolved, param_types)
+               if resolved.use_cache else None)
+        entry = key and self.plan_cache.get(key, validate=self._plan_is_current)
+        fresh = entry is None
+        if fresh:
+            entry = self._compile_uncached(sql, resolved, param_types)
+        if into is not None:
+            into._refresh_from(entry)
+            entry = into
+        if fresh and key is not None:
+            self.plan_cache.put(key, entry)
+        return entry
 
     def _compile_uncached(self, sql: str, resolved: ExecutionOptions,
                           param_types: Optional[dict]) -> CompiledQuery:
-        """Run the full parse→analyze→optimize→plan pipeline.
+        """Run the full parse→analyze→optimize→plan pipeline — for width-free
+        options only: a width or ``adaptive=True`` shares the width-free
+        entry's artifacts and executor and adds its own lanes map(s).
 
         Holds the session lock throughout so the catalog, table statistics
         and model table the plan captures all describe one generation of the
         session state, even while another thread is re-registering a table.
         """
         with self._lock:
+            if resolved.parallelism > 1 or resolved.adaptive:
+                entry = self._current_entry(sql, resolved.replace(
+                    parallelism=1, adaptive=False), param_types)
+                plan, width = entry.operator_plan, resolved.parallelism
+                threshold = active_tuning().parallel_threshold_rows
+                candidates = (plan_candidates(plan, width, threshold)
+                              if resolved.adaptive else {})
+                return dataclasses.replace(
+                    entry, options=resolved, candidates=candidates,
+                    strategy=next(iter(candidates), None),
+                    operator_plan=(candidates.get("auto")
+                                   or plan.priced(width, threshold)))
             physical = sql_to_physical(sql, self.catalog,
                                        param_types=param_types)
             query_ir = ir_optimizer.optimize_ir(ir_builder.build_ir(physical))
             names = self.catalog.table_names()
-            plan_kwargs = dict(
+            operator_plan = Planner(
                 table_rows={name: self.catalog.dataframe(name).num_rows
                             for name in names},
                 table_stats={name: self.catalog.statistics(name)
                              for name in names},
-                devices=resolved.devices, shard_mode=resolved.shard)
-            candidates = {}
-            if resolved.adaptive:
-                # Every candidate, planned from this one IR; the executor,
-                # built on the first (``auto``), runs the program all share.
-                candidates = plan_candidates(query_ir, resolved, plan_kwargs)
-                operator_plan = next(iter(candidates.values()))
-            else:
-                operator_plan = plan_ir(
-                    query_ir, parallelism=resolved.parallelism, **plan_kwargs)
+                devices=resolved.devices, shard_mode=resolved.shard,
+            ).plan(query_ir)
             executor = Executor(
                 operator_plan, options=resolved,
                 models={name: model
@@ -502,7 +535,6 @@ class TQPSession:
                 sql=sql, physical_plan=physical, ir=query_ir,
                 operator_plan=operator_plan, executor=executor,
                 session=self, options=resolved, param_types=param_types,
-                strategy=next(iter(candidates), None), candidates=candidates,
                 schema_fingerprint=self._fingerprint(operator_plan))
 
     def prepare(self, sql: str, options: Optional[ExecutionOptions] = None,
@@ -543,40 +575,27 @@ class TQPSession:
 
     def execution_state(self, compiled: CompiledQuery
                         ) -> tuple[Executor, dict[str, TensorTable],
-                                   dict[str, OperatorPlan]]:
+                                   OperatorPlan, dict[str, OperatorPlan]]:
         """Per-execution snapshot of one generation: ``(executor, inputs,
-        candidates)``.
+        operator plan, candidates)``.
 
-        All three are resolved under one hold of the session lock, and the
+        All four are resolved under one hold of the session lock, and the
         inputs carry the zone maps they were converted beside, so a
         concurrent ``register()`` either precedes the whole snapshot or
         follows it.
 
         A handle whose compile-time generation went stale (a table or model it
         uses was re-registered; its cache entry is purged, but long-lived
-        handles keep their object) is refreshed in place here: from the plan
-        cache's current entry for its statement when there is one (sharing
-        its executor), else from a fresh compile, which then enters the
-        cache as the handle itself.  Only ``get`` / ``put`` run here: a
-        ``get_or_create`` under the session lock could wait on a builder
-        that waits on this lock.
+        handles keep their object) is refreshed in place here, from the plan
+        cache's current entry or a fresh compile (:meth:`_current_entry`).
         """
         with self._lock:
             if not self._plan_is_current(compiled):
-                key = (self._cache_key(compiled.sql, compiled.options,
-                                       compiled.param_types)
-                       if compiled.options.use_cache else None)
-                current = key and self.plan_cache.get(
-                    key, validate=self._plan_is_current)
-                if current is not None:
-                    compiled._refresh_from(current)
-                else:
-                    compiled._refresh_from(self._compile_uncached(
-                        compiled.sql, compiled.options, compiled.param_types))
-                    if key is not None:
-                        self.plan_cache.put(key, compiled)
+                self._current_entry(compiled.sql, compiled.options,
+                                    compiled.param_types, into=compiled)
             executor = compiled.executor
-            return executor, self.prepare_inputs(executor), compiled.candidates
+            return (executor, self.prepare_inputs(executor),
+                    compiled.operator_plan, compiled.candidates)
 
     def prepare_inputs(self, executor: Executor) -> dict[str, TensorTable]:
         """Convert registered DataFrames into tensor tables for an executor.
@@ -596,11 +615,9 @@ class TQPSession:
             inputs: dict[str, TensorTable] = {}
             for scan in executor.plan.scans:
                 record = self.catalog.record(scan.table)
-                # Only a sharded scan's partitioning shapes the converted table.
-                placement = (scan.partitioning
-                             if scan.partitioning.kind == "shards" else None)
+                # A scan is planned ``none`` or ``shards``: its placement.
                 key = (tuple(f.name for f in scan.fields), encoding_mode,
-                       placement)
+                       scan.partitioning)
                 if key not in record.converted:
                     record.converted[key] = convert_scan_input(
                         scan, record, encoding_mode)

@@ -12,9 +12,7 @@ grouping and partition operators).
 Two ways to deviate from the defaults:
 
 * pass ``tuning=Tuning(...)`` to :class:`repro.core.planner.Planner` /
-  :func:`repro.core.planner.plan_ir` — how the adaptive layer
-  (:mod:`repro.adaptive`) plans its forced-serial / forced-parallel
-  strategy candidates;
+  :func:`repro.core.planner.plan_ir`;
 * the :func:`tuning_overrides` context manager, which swaps the thread's
   *ambient* tuning so every plan compiled inside the ``with`` block (e.g.
   through a session) picks it up — how benchmarks build an
@@ -42,9 +40,10 @@ class Tuning:
     """One planner configuration: every cost/size threshold the planner uses.
 
     Attributes:
-        parallel_threshold_rows: minimum estimated input cardinality for the
-            planner to choose a morsel-driven parallel operator — below this,
-            per-morsel dispatch overhead outweighs any lane parallelism.
+        parallel_threshold_rows: minimum estimated input cardinality for a
+            pricing to put an operator on worker lanes
+            (``OperatorPlan.priced``) — below this, per-morsel dispatch
+            overhead outweighs any lane parallelism.
         shard_min_rows: minimum estimated base-table cardinality to shard a
             scan across simulated devices — below this, per-shard kernel
             overhead and the final gather outweigh multi-device parallelism.

@@ -18,7 +18,11 @@ lanes became a cost model (a ``lanes`` plan runs the serial program) its
 ``lanes4`` entries and the always-zero shards ``morsel_dispatch`` counts were
 deleted, the shards entries left as they were.  When the lanes width left the
 stamp, each profile row lost its always-``null`` lanes column (an edit of the
-rows, not a regeneration).
+rows, not a regeneration).  When a width became a price over one width-free
+plan, ``lanes4`` came back as the statement's rendered operator plan at
+``parallelism=4`` (``OperatorPlan.pretty()``, labels from its lanes map),
+generated at the commit before, where the planner still placed lanes; the
+serial and shards entries stayed byte-identical.
 
 Regenerate (only when a plan-shape change is intended), from the repo root::
 
@@ -44,6 +48,7 @@ FIXTURE = (pathlib.Path(__file__).resolve().parent.parent
 #: it (a ``lanes`` plan's kernels are the serial plan's).
 CONFIGS = {
     "serial": {},
+    "lanes4": {"parallelism": 4},
     "shards2-hash": {"devices": 2, "shard": "hash"},
     "shards4-hash": {"devices": 4, "shard": "hash"},
     "shards4-range": {"devices": 4, "shard": "range"},
@@ -71,11 +76,11 @@ def statements() -> dict[str, str]:
 
 
 def plan_shapes(session: TQPSession) -> dict[str, str]:
-    """``<statement>/<config>`` → ``operator_plan.root.pretty()``."""
+    """``<statement>/<config>`` → the statement's rendered operator plan."""
     return {
         f"{name}/{config}": session.compile(
             sql, options=ExecutionOptions(**options)
-        ).operator_plan.root.pretty()
+        ).operator_plan.pretty()
         for name, sql in statements().items()
         for config, options in CONFIGS.items()
     }

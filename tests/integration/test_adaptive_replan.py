@@ -106,7 +106,7 @@ def test_drift_reprices_and_stays_bit_identical(bytes_priced):
         # A new generation's first execution already reports its own
         # cheapest candidate: nothing is carried over from the last one.
         assert run_priced(query, oracle, 5) == [cheapest] * 5
-        shape = query.compiled.operator_plan.root.pretty()
+        shape = query.compiled.operator_plan.pretty()
         assert ("Morsel" in shape) == morsel, shape
 
 

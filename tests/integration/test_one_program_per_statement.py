@@ -1,30 +1,28 @@
-"""A lanes width lives on the plan, so a statement has one program.
+"""A lanes width is a price, so a statement has one plan and one program.
 
-The planner names every operator ``label#id`` in one deterministic order and
-keeps the lanes widths in ``OperatorPlan.lanes``; nothing about lanes reaches
-the traced program.  So a ``parallelism=4`` plan generates the serial plan's
-source, plain and profiled, and an adaptive statement plans its three
-candidates from one IR, traces the one program they share, prices every
-candidate on each execution's profile, and switches between candidates
-without parsing, planning or tracing anything.  A held handle refreshed
-after a ``register()`` is the plan-cache entry of its new generation, so
-that generation traces once too.
+The planner plans no lanes: it names every operator ``label#id`` in one
+deterministic order and records the rows the lanes rule compares, and a
+width prices that plan into ``OperatorPlan.lanes``; nothing about lanes
+reaches the traced program.  So a statement's serial, ``parallelism=4`` and
+adaptive entries share one planner walk and one executor, an adaptive
+statement prices its three candidates over that plan, and it switches
+between candidates without parsing, planning or tracing anything.  A held
+handle refreshed after a ``register()`` is the plan-cache entry of its new
+generation, so that generation traces once too.
 """
 
 from __future__ import annotations
 
 import collections
-import hashlib
 
 import pytest
 
-import repro.adaptive as adaptive
 import repro.core.session as session_module
 from repro import ExecutionOptions, TQPSession
 from repro.adaptive import price
 from repro.core import ir_builder, ir_optimizer
 from repro.core.executor import Executor
-from repro.core.planner import plan_ir
+from repro.core.planner import Planner, plan_ir
 from repro.datasets import tpch
 from repro.frontend import sql_to_physical
 from test_differential import column_bits
@@ -54,7 +52,7 @@ def session(tpch_tiny):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """How often anything parses, plans or traces."""
+    """How often anything parses, walks the planner or traces."""
     seen = collections.Counter()
 
     def counted(name, function):
@@ -65,9 +63,7 @@ def calls(monkeypatch):
 
     monkeypatch.setattr(session_module, "sql_to_physical",
                         counted("sql_to_physical", sql_to_physical))
-    monkeypatch.setattr(session_module, "plan_ir", counted("plan_ir", plan_ir))
-    monkeypatch.setattr(adaptive, "plan_ir",
-                        counted("plan_ir", plan_ir))
+    monkeypatch.setattr(Planner, "plan", counted("walk", Planner.plan))
     monkeypatch.setattr(Executor, "_compile_locked",
                         counted("trace", Executor._compile_locked))
     return seen
@@ -98,24 +94,22 @@ def _scopes(plan) -> list:
 
 
 @pytest.mark.parametrize("query", (1, 3, 6, 21))
-def test_a_lanes_plan_generates_the_serial_source(tpch_tiny, query):
-    session, _ = tpch_tiny
-    sources, attrs = [], set()
-    for options in (SERIAL, SERIAL.replace(parallelism=4)):
-        compiled = session.compile(tpch.query(query, SCALE_FACTOR),
-                                   options=options)
+def test_a_width_runs_the_serial_program(session, calls, query):
+    """Serial and ``parallelism=4`` are one plan walk, one executor and one
+    trace; only the lanes map differs, and no traced node carries it."""
+    sql = tpch.query(query, SCALE_FACTOR)
+    serial, spread = (session.compile(sql, options=options)
+                      for options in (SERIAL, SERIAL.replace(parallelism=4)))
+    assert spread.executor is serial.executor
+    assert [op.scope for op in spread.operator_plan.root.walk()] == [
+        op.scope for op in serial.operator_plan.root.walk()]
+    for compiled in (serial, spread):
         compiled.execute(profile=True)
-        scripted = compiled.executor._program.scripted
-        sources.append([
-            hashlib.sha1(source.encode()).hexdigest()
-            for source in (scripted.compiled_source,
-                           scripted.compiled_profiled_source)])
-        attrs.update(key for node in scripted.graph.nodes
-                     for key in node.attrs)
-    serial, spread = sources
-    assert serial == spread, query
-    assert "lanes" not in attrs
-    assert compiled.operator_plan.lanes, query  # the plan is a lanes plan
+    scripted = serial.executor._program.scripted
+    assert not any("lanes" in node.attrs for node in scripted.graph.nodes)
+    assert serial.operator_plan.lanes == {}
+    assert spread.operator_plan.lanes, query  # the entry is priced on lanes
+    assert calls == {"sql_to_physical": 1, "walk": 1, "trace": 1}
 
 
 @pytest.mark.parametrize("query", (11, 15, 16, 18, 20, 22))
@@ -145,30 +139,32 @@ def test_planning_an_ir_twice_leaves_it_untouched(tpch_tiny, query):
 @pytest.mark.parametrize("query", tpch.ALL_QUERY_IDS)
 def test_candidates_share_one_program_and_each_execution_reports_its_cheapest(
         session, calls, query):
-    """Every TPC-H statement: the three candidates name the same operators,
-    each execution is bit-identical to static serial and reports the
-    cheapest candidate of its own prices, the first included, and the
-    statement traces once and plans only at compile."""
+    """Every TPC-H statement: the three candidates price the serial
+    statement's operators, each execution is bit-identical to static serial
+    and reports the cheapest candidate of its own prices, the first
+    included, and serial and adaptive together plan and trace once."""
     sql = tpch.query(query, SCALE_FACTOR)
-    reference = bits(session.compile(sql, options=SERIAL).execute())
+    serial = session.compile(sql, options=SERIAL)
+    reference = bits(serial.execute())
     compiled = session.compile(sql, options=ADAPTIVE)
     assert list(compiled.candidates) == CANDIDATES
     scopes = [_scopes(plan) for plan in compiled.candidates.values()]
     assert scopes[0] == scopes[1] == scopes[2], query
-    calls.clear()
+    assert compiled.executor is serial.executor
     _run(session.prepare(sql, options=ADAPTIVE), reference, 4)
-    assert calls == {"trace": 1}, (query, calls)
+    assert calls == {"sql_to_physical": 1, "walk": 1, "trace": 1}, (
+        query, calls)
 
 
 def test_a_switch_plans_and_traces_nothing(session, calls, monkeypatch):
-    """Switching repoints the statement at an already-planned candidate: no
+    """Switching repoints the statement at an already-priced candidate: no
     parse, no plan, no trace — until a new generation of a scanned table
-    plans the candidates again and traces one program."""
+    plans once more and traces one program."""
     sql = tpch.query(6, SCALE_FACTOR)
-    reference = bits(session.compile(sql, options=SERIAL).execute())
-    calls.clear()
     prepared = session.prepare(sql, options=ADAPTIVE)
-    assert calls == {"sql_to_physical": 1, "plan_ir": 3}
+    assert calls == {"sql_to_physical": 1, "walk": 1}
+    reference = bits(session.compile(sql, options=SERIAL).execute())
+    assert calls == {"sql_to_physical": 1, "walk": 1, "trace": 1}
     calls.clear()
     for favoured in ("serial", "parallel", "auto", "serial"):
         # Prices that favour ``favoured``: this execution switches to it.
@@ -180,14 +176,14 @@ def test_a_switch_plans_and_traces_nothing(session, calls, monkeypatch):
         assert prepared.compiled.strategy == favoured
         assert prepared.compiled.operator_plan \
             is prepared.compiled.candidates[favoured]
-    assert calls == {"trace": 1}
+    assert calls == {}
     monkeypatch.setattr(session_module, "price", price)
-    # A new generation of a scanned table is planned and traced once more.
+    # A new generation of a scanned table is planned and traced once more,
+    # by whichever of its entries runs first.
     session.register("lineitem", session.dataframe("lineitem"))
     reference = bits(session.compile(sql, options=SERIAL).execute())
-    calls.clear()
     _run(prepared, reference, 3)
-    assert calls == {"sql_to_physical": 1, "plan_ir": 3, "trace": 1}
+    assert calls == {"sql_to_physical": 1, "walk": 1, "trace": 1}
 
 
 @pytest.mark.parametrize("options", (SERIAL, ADAPTIVE),

@@ -4,7 +4,8 @@ One operator family renders its labels from the partitioning property and
 runs every shard through one ``run_partitions``; the plans it builds and the
 profile structure the cost models charge must be the ones the three operator
 families it replaced produced (see ``partition_golden.py``).  A ``lanes``
-plan runs the serial program: its kernels are the serial plan's, op for op.
+entry prices the serial plan: it renders the labels the planner placed
+before, and runs the serial executor, op for op.
 """
 
 from __future__ import annotations
@@ -55,12 +56,17 @@ def test_profile_structure_is_unchanged(session, expected):
 
 
 def test_lanes_plans_run_the_serial_kernels(session):
+    """A width prices the serial statement: its handle runs the serial
+    handle's executor, so its kernels are the serial plan's."""
     for number in golden.PROFILED_QUERIES:
         for backend in golden.BACKENDS:
-            ops = [Counter(event.op for event in session.compile(
+            handles = [session.compile(
                 tpch.query(number, golden.SCALE_FACTOR),
-                options=ExecutionOptions(backend=backend, parallelism=width)
-            ).execute(profile=True).profile.events) for width in (1, 4)]
+                options=ExecutionOptions(backend=backend, parallelism=width))
+                for width in (1, 4)]
+            assert handles[1].executor is handles[0].executor
+            ops = [Counter(event.op for event in handle.execute(
+                profile=True).profile.events) for handle in handles]
             assert ops[0] == ops[1], (number, backend)
 
 

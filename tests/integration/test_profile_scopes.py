@@ -53,10 +53,13 @@ def test_graph_backends_profile_into_the_eager_operator_families(
             _, shard = _SCOPE.search(event.scope).groups()
             assert event.scope.split(":")[0].split("@")[0] in operators
             assert event.shard == (shard and int(shard)), (backend, event)
-        # The plan, not the program, says which operators run on lanes.
-        assert set(compiled.operator_plan.lanes) == {
-            scope for scope, op in operators.items()
-            if "workers=4" in op.describe()}
+        # The plan's lanes map, not the program, says which operators run
+        # on lanes, and the rendered plan labels exactly those.
+        widths = compiled.operator_plan.lanes
+        assert set(widths) <= set(operators)
+        assert [("workers=4" in line) for line
+                in compiled.operator_plan.pretty().splitlines()] == [
+            scope in widths for scope in operators]
 
 
 def test_q21_breaks_down_into_one_row_per_operator(tpch_tiny):

@@ -163,7 +163,7 @@ def test_a_binding_regime_change_is_priced_by_its_first_execution(
         result = query.bind(cut=cut).execute()
         assert cheapest(compiled, result) == strategy
         assert_names(compiled, strategy)
-        assert ("Morsel" in compiled.operator_plan.root.pretty()) == morsel
+        assert ("Morsel" in compiled.operator_plan.pretty()) == morsel
 
 
 def test_adaptive_results_match_static_execution(session, frames_match):

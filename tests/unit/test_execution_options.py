@@ -475,3 +475,51 @@ def test_adaptive_prices_the_run_it_just_made():
     assert list(inspect.signature(
         session.TQPSession.execution_state).parameters) == ["self", "compiled"]
     assert len(dataclasses.fields(ExecutionOptions)) == 10
+
+
+def test_a_width_is_priced_not_planned(tpch_tiny, monkeypatch):
+    """A lanes width prices one width-free plan: the planner takes no width,
+    adaptive pricing calls no planner, the executor reads no lanes off its
+    plan, no planned operator carries ``lanes(n)``, and a statement's
+    serial, ``parallelism=4`` and adaptive entries are one planner walk."""
+    from repro import adaptive
+    from repro.core import planner
+    from repro.core.operators import NONE
+
+    assert "parallelism" not in inspect.signature(planner.Planner).parameters
+    assert not hasattr(adaptive, "plan_ir")
+    (tree,) = [tree for where, _, tree, _ in _src_modules()
+               if where == "repro/core/executor.py"]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "lanes"
+                and getattr(node.value, "attr", None) == "plan"]
+
+    _, tables = tpch_tiny
+    session = TQPSession()
+    for name, frame in tables.items():
+        session.register(name, frame)
+    walks, walk = [], planner.Planner.plan
+
+    def counted_walk(self, root):
+        walks.append(root)
+        return walk(self, root)
+
+    monkeypatch.setattr(planner.Planner, "plan", counted_walk)
+    priced = 0
+    for index, query_id in enumerate(tpch.ALL_QUERY_IDS, start=1):
+        serial, spread, adaptive_entry = (
+            session.compile(tpch.query(query_id, 0.002),
+                            options=ExecutionOptions(**options))
+            for options in ({}, {"parallelism": 4},
+                            {"parallelism": 4, "adaptive": True}))
+        assert len(walks) == index, query_id
+        assert spread.executor is adaptive_entry.executor is serial.executor
+        plan = spread.operator_plan
+        operators = [op for root in [plan.root, *plan.subqueries.values()]
+                     for op in root.walk()]
+        assert not [op for op in operators for name in (
+            "partitioning", "input_partitioning", "exchange")
+            if getattr(op, name, NONE).kind == "lanes"]
+        priced += bool(plan.lanes)
+    # Priced on lanes where the rows clear the threshold at this scale.
+    assert priced == 17

@@ -258,7 +258,7 @@ def test_morsel_scan_prunes_blocks_before_dispatch(pruned_session,
     sql = "select sum(f) as s from t where k >= 3"
     options = ExecutionOptions(parallelism=4)
     compiled = pruned_session.compile(sql, options=options)
-    assert "MorselScan" in compiled.operator_plan.root.pretty()
+    assert "MorselScan" in compiled.operator_plan.pretty()
     result = compiled.execute()
     frames_match(result.to_dataframe(),
                  unpruned_session.sql(sql, options=options), sql)
@@ -327,7 +327,7 @@ def test_a_parameterized_lanes_plan_prunes_in_its_one_trace(frames_match):
            "where id >= :lo and f + w >= 0 group by g order by g")
     query = session.prepare(sql, options=ExecutionOptions(
         backend="torchscript", parallelism=4))
-    plan = query.compiled.operator_plan.root.pretty()
+    plan = query.compiled.operator_plan.pretty()
     assert "MorselFilter(workers=4)\n        PartitionedHashJoin" in plan, plan
     for lo, groups in ((rows, 0), (rows - 1, 1), (0, 3)):
         result = query.bind(lo=lo).execute()

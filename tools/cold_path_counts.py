@@ -17,17 +17,14 @@ side).  A second line
 profiles the three programs once and counts the events no relational operator
 claims (0: every traced node carries the operator it was traced under) and the
 distinct operator families the profile breaks down into.  A third line
-compiles the three statements at ``parallelism=4`` and counts the programs
-whose generated plain source has the serial program's sha1 (3: a lanes plan
-runs the serial program), and a fourth counts those whose profiled source
-does (3: the width lives on the plan, not in the program's stamps).  A fifth
-runs the three statements adaptively (``parallelism=4``, 10 executions each)
-and counts the programs traced (3: the candidates share one), the
-``plan_ir`` calls after compile (0: a switch repoints the statement at a
-candidate planned at compile) and the executions of a statement that did not
-report the cheapest candidate of their own prices (0: each execution, the
-first included, prices every candidate on its own profile), counted from the
-results.
+compiles the three statements serial, at ``parallelism=4`` and adaptively
+(``parallelism=4``) on a fresh session, executes each once, and counts the
+executors built, the programs traced and the planner walks (3 / 3 / 3: a
+width is a price over the statement's one plan and program).  A fourth runs
+the adaptive statements 10 times each and counts the executions of a
+statement that did not report the cheapest candidate of their own prices
+(0: each execution, the first included, prices every candidate on its own
+profile), counted from the results.
 
 Run from the repository root: ``python tools/cold_path_counts.py``
 (``PYTHONPATH=src``, as in CI).
@@ -36,7 +33,6 @@ Run from the repository root: ``python tools/cold_path_counts.py``
 from __future__ import annotations
 
 import collections
-import hashlib
 import linecache
 import pathlib
 import sys
@@ -45,10 +41,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro.adaptive as adaptive  # noqa: E402
-import repro.core.session as session_module  # noqa: E402
 from repro import ExecutionOptions, TQPSession  # noqa: E402
 from repro.core.executor import Executor  # noqa: E402
-from repro.core.planner import scope_family  # noqa: E402
+from repro.core.planner import Planner, scope_family  # noqa: E402
 from repro.datasets import tpch  # noqa: E402
 from repro.storage import encodings  # noqa: E402
 
@@ -61,11 +56,15 @@ JOIN_ARITHMETIC = ("repeat", "argsort", "cumsum", "arange_until")
 ADAPTIVE_EXECUTIONS = 10
 
 
-def adaptive_counts(session) -> tuple[int, int, int]:
-    """``(traces, plan_ir calls after compile, executions before the priced
-    choice)`` of the adaptive statements, the last the most of any one: an
-    execution counts when its ``reported_s`` is not the cheapest of its own
-    prices or the statement does not name that candidate after it."""
+#: The options a statement is compiled under: serial, a width, adaptive.
+WIDTHS = (ExecutionOptions(), ExecutionOptions(parallelism=4),
+          ExecutionOptions(parallelism=4, adaptive=True))
+
+
+def width_counts(tables: dict) -> tuple[int, int, int]:
+    """``(executors, traces, planner walks)`` of the statements compiled
+    under every one of :data:`WIDTHS` on a fresh session, each executed
+    once."""
     counts = collections.Counter()
 
     def counted(name, function):
@@ -74,15 +73,28 @@ def adaptive_counts(session) -> tuple[int, int, int]:
             return function(*args, **kwargs)
         return spy
 
-    for module in (adaptive, session_module):
-        module.plan_ir = counted("plan_ir", module.plan_ir)
+    Executor.__init__ = counted("executor", Executor.__init__)
     Executor._compile_locked = counted("trace", Executor._compile_locked)
-    options = ExecutionOptions(parallelism=4, adaptive=True)
-    held = [session.compile(tpch.query(q, SCALE_FACTOR), options=options)
-            for q in QUERIES]
-    planned = counts["plan_ir"]
+    Planner.plan = counted("walk", Planner.plan)
+    session = TQPSession(
+        default_options=ExecutionOptions(backend="torchscript"))
+    for name, frame in tables.items():
+        session.register(name, frame)
+    for q in QUERIES:
+        for options in WIDTHS:
+            session.compile(tpch.query(q, SCALE_FACTOR),
+                            options=options).execute()
+    return counts["executor"], counts["trace"], counts["walk"]
+
+
+def unpriced_executions(session) -> int:
+    """The most executions of one adaptive statement that did not report
+    the cheapest candidate of their own prices, or after which the
+    statement does not name that candidate."""
     unpriced = 0
-    for compiled in held:
+    for q in QUERIES:
+        compiled = session.compile(tpch.query(q, SCALE_FACTOR),
+                                   options=WIDTHS[2])
         missed = 0
         for _ in range(ADAPTIVE_EXECUTIONS):
             result = compiled.execute()
@@ -92,7 +104,7 @@ def adaptive_counts(session) -> tuple[int, int, int]:
             missed += (result.reported_s != prices[cheapest]
                        or compiled.strategy != cheapest)
         unpriced = max(unpriced, missed)
-    return counts["trace"], counts["plan_ir"] - planned, unpriced
+    return unpriced
 
 
 def main() -> None:
@@ -104,9 +116,10 @@ def main() -> None:
         return convert(*args, **kwargs)
 
     encodings.encode_column = counted
+    tables = tpch.generate_tables(SCALE_FACTOR)
     session = TQPSession(
         default_options=ExecutionOptions(backend="torchscript"))
-    for name, frame in tpch.generate_tables(SCALE_FACTOR).items():
+    for name, frame in tables.items():
         session.register(name, frame)
     held = [session.compile(tpch.query(q, SCALE_FACTOR)) for q in QUERIES]
     for compiled in held:
@@ -132,27 +145,13 @@ def main() -> None:
           f"operator, {len(families)} operator families (the same statements "
           f"profiled once on torchscript)")
 
-    def source_sha1(compiled, body: str) -> str:
-        compiled.execute(profile=body == "profiled")
-        scripted = compiled.executor._program.scripted
-        source = (scripted.compiled_profiled_source if body == "profiled"
-                  else scripted.compiled_source)
-        return hashlib.sha1(source.encode()).hexdigest()
-
-    lanes = [session.compile(tpch.query(q, SCALE_FACTOR),
-                             options=ExecutionOptions(parallelism=4))
-             for q in QUERIES]
-    for body in ("plain", "profiled"):
-        same = sum(source_sha1(serial, body) == source_sha1(spread, body)
-                   for serial, spread in zip(held, lanes))
-        label = "" if body == "plain" else "profiled "
-        print(f"{same} / {len(QUERIES)} parallelism=4 {label}programs "
-              f"identical to serial (sha1 of the generated {body} source, "
-              f"Q{' + Q'.join(map(str, QUERIES))})")
-    traces, replans, unpriced = adaptive_counts(session)
-    print(f"{traces} traces, {replans} plan_ir calls after compile, "
-          f"{unpriced} executions per statement before the priced choice "
-          f"(adaptive Q{' + Q'.join(map(str, QUERIES))}, parallelism=4, "
+    statements = f"Q{' + Q'.join(map(str, QUERIES))}"
+    executors, traces, walks = width_counts(tables)
+    print(f"{executors} executors, {traces} traces, {walks} planner walks "
+          f"({statements}, each compiled serial, at parallelism=4 and "
+          f"adaptive, then executed)")
+    print(f"{unpriced_executions(session)} executions per statement before "
+          f"the priced choice (adaptive {statements}, parallelism=4, "
           f"{ADAPTIVE_EXECUTIONS} executions each)")
 
 
