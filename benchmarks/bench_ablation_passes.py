@@ -67,7 +67,7 @@ def test_ablation_late_materialization_writes_fewer_gather_bytes(
     session, _ = tpch_env
     compiled = session.compile(
         tpch.query(3, scale_factor),
-        options=ExecutionOptions(backend="torchscript-noopt", use_cache=False))
+        options=ExecutionOptions(backend="torchscript-noopt"))
     inputs = session.prepare_inputs(compiled.executor)
     raw = compiled.executor.compile_program(inputs).graph
     tensors, _ = compiled.executor._flatten_inputs(inputs)

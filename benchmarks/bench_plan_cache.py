@@ -5,7 +5,7 @@ The serving regime the ROADMAP targets sends the *same* queries over and over
 the session-level compiled-plan cache buys there:
 
 * ``cold``  — every request pays parse → analyze → optimize → plan
-  (``use_cache=False``),
+  (the cache cleared before it),
 * ``hit``   — requests after the first are served from the LRU cache and the
   already-traced program is reused.
 
@@ -27,9 +27,11 @@ QUERY_ID = 6
 HIT_REPEATS = 25
 
 
-def _compile_seconds(session, sql, use_cache: bool) -> float:
+def _compile_seconds(session, sql, cold: bool) -> float:
+    if cold:
+        session.plan_cache.clear()
     start = time.perf_counter()
-    session.compile(sql, options=ExecutionOptions(backend="torchscript", device="cpu", use_cache=use_cache))
+    session.compile(sql, options=ExecutionOptions(backend="torchscript", device="cpu"))
     return time.perf_counter() - start
 
 
@@ -38,11 +40,11 @@ def test_plan_cache_hits_are_5x_cheaper_than_cold_compiles(tpch_env, scale_facto
     sql = tpch.query(QUERY_ID, scale_factor)
     session.plan_cache.clear()
 
-    cold_s = min(_compile_seconds(session, sql, use_cache=False) for _ in range(5))
+    cold_s = min(_compile_seconds(session, sql, cold=True) for _ in range(5))
 
     session.compile(sql, options=ExecutionOptions(backend="torchscript", device="cpu"))  # prime: one miss
     hits_before = session.plan_cache.hits
-    hit_s = min(_compile_seconds(session, sql, use_cache=True)
+    hit_s = min(_compile_seconds(session, sql, cold=False)
                 for _ in range(HIT_REPEATS))
 
     stats = session.plan_cache.stats()
@@ -87,19 +89,23 @@ def test_plan_cache_end_to_end_query_latency(benchmark, tpch_env, scale_factor):
     assert stats["hits"] >= 10
 
 
-@pytest.mark.parametrize("use_cache,label", [(False, "cold-compile"),
-                                             (True, "cache-hit")])
-def test_plan_cache_compile_latency(benchmark, tpch_env, scale_factor, use_cache,
+@pytest.mark.parametrize("cold,label", [(True, "cold-compile"),
+                                        (False, "cache-hit")])
+def test_plan_cache_compile_latency(benchmark, tpch_env, scale_factor, cold,
                                     label):
     """The two compile paths side by side (compare the two rows' medians)."""
     session, _ = tpch_env
     sql = tpch.query(QUERY_ID, scale_factor)
     session.plan_cache.clear()
-    if use_cache:
+    if not cold:
         session.compile(sql, options=ExecutionOptions(backend="torchscript", device="cpu"))  # prime
 
+    def clear():  # untimed, before each cold round
+        session.plan_cache.clear()
+
     benchmark.pedantic(
-        lambda: session.compile(sql, options=ExecutionOptions(backend="torchscript", device="cpu", use_cache=use_cache)),
+        lambda: session.compile(sql, options=ExecutionOptions(backend="torchscript", device="cpu")),
+        setup=clear if cold else None,
         rounds=10, iterations=1, warmup_rounds=1)
     benchmark.extra_info["variant"] = label
     benchmark.extra_info.update(session.plan_cache.stats())

@@ -30,6 +30,7 @@ import pytest
 
 from repro import ExecutionOptions, TQPSession
 from repro.datasets import tpch
+from repro.storage import encodings
 
 Q6_PARAMETERIZED = """
 select sum(l_extendedprice * l_discount) as revenue
@@ -57,12 +58,22 @@ def clustered_tables(scale_factor):
     return tables
 
 
-def make_session(tables, encoding: str = "auto",
+def make_session(tables, plain: bool = False,
                  statistics_on: bool = True) -> TQPSession:
-    session = TQPSession(default_options=ExecutionOptions(encoding=encoding))
+    """A session over ``tables``; with ``plain`` every column is stored plain
+    (converted here, with ``MIN_ENCODE_ROWS`` above each table's size, and
+    kept in that form for the table's generation)."""
+    session = TQPSession()
     session.catalog.collect_statistics = statistics_on
     for name, frame in tables.items():
         session.register(name, frame)
+    if plain:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encodings, "MIN_ENCODE_ROWS",
+                          max(frame.num_rows for frame in tables.values()) + 1)
+            for name in tables:
+                session.prepare_inputs(
+                    session.compile(f"select * from {name}").executor)
     return session
 
 
@@ -111,8 +122,8 @@ def test_q6_pruned_date_range_skips_blocks(clustered_tables, scale_factor):
 def test_q1_dictionary_grouping_beats_codepoint_matrix(clustered_tables,
                                                        scale_factor):
     sql = tpch.query(1, scale_factor)
-    encoded_session = make_session(clustered_tables, encoding="auto")
-    plain_session = make_session(clustered_tables, encoding="off")
+    encoded_session = make_session(clustered_tables)
+    plain_session = make_session(clustered_tables, plain=True)
     encoded = encoded_session.compile(sql)
     plain = plain_session.compile(sql)
     assert encoded.run().equals(plain.run()), "Q1 encoded vs plain"
@@ -121,9 +132,9 @@ def test_q1_dictionary_grouping_beats_codepoint_matrix(clustered_tables,
     # sort at all (a static-radix id per row), while the code-point-matrix
     # layout densifies every string key with a lexsort.
     encoded_graph = encoded_session.compile(
-        sql, options=ExecutionOptions(backend="torchscript", encoding="auto"))
+        sql, options=ExecutionOptions(backend="torchscript"))
     plain_graph = plain_session.compile(
-        sql, options=ExecutionOptions(backend="torchscript", encoding="off"))
+        sql, options=ExecutionOptions(backend="torchscript"))
 
     def lexsorts(compiled) -> int:
         return sum(node.op == "lexsort"

@@ -71,25 +71,23 @@ class ExecutionResult:
         return self.table.to_dataframe()
 
 
-def convert_scan_input(scan, record, encoding: str):
+def convert_scan_input(scan, record):
     """Assemble (and, for a sharded scan, place) the table one scan reads.
 
-    Only the columns the scan needs are converted, under the storage
-    ``encoding`` mode and once per column per generation: ``encode_table``
-    keeps them on ``record`` (the catalog's, of the scanned table), so every
-    scan shares them (one copy of a numeric column; strings and dates pay an
-    encoding pass).  The record's statistics lend their NDV counts to the
-    dictionary decision and ride on the converted table: the scan prunes
-    against the zone maps of exactly the rows it reads.  A scan
-    partitioned into ``shards`` gets its table placed across the devices
-    here: sharding is load-time placement, not query work, so it happens
-    outside any trace or profiler and the traced program receives each
-    shard's columns as separate named inputs.
+    Only the columns the scan needs are converted, once per column per
+    generation: ``encode_table`` keeps them on ``record`` (the catalog's, of
+    the scanned table), so every scan shares them (one copy of a numeric
+    column; strings and dates pay an encoding pass).  The record's statistics
+    lend their NDV counts to the dictionary decision and ride on the converted
+    table: the scan prunes against the zone maps of exactly the rows it
+    reads.  A scan partitioned into ``shards`` gets its table placed across
+    the devices here: sharding is load-time placement, not query work, so it
+    happens outside any trace or profiler and the traced program receives
+    each shard's columns as separate named inputs.
     """
     from repro.storage.encodings import encode_table
 
-    table = TensorTable(encode_table(record, scan.fields, mode=encoding),
-                        record.statistics)
+    table = TensorTable(encode_table(record, scan.fields), record.statistics)
     scheme = scan.partitioning
     if scheme.kind == "shards":
         return shard_table(table, scheme.n, scheme.placement)

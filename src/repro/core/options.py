@@ -16,9 +16,6 @@ from typing import Any, Optional
 from repro.tensor.device import Device, parse_device
 from repro.tensor.script import EXECUTOR_MODES
 
-#: Values of ``ExecutionOptions.encoding`` (and of ``encode_table``'s ``mode``).
-ENCODING_MODES = ("auto", "off")
-
 
 @dataclasses.dataclass(frozen=True)
 class ExecutionOptions:
@@ -34,7 +31,6 @@ class ExecutionOptions:
             (``pytorch`` when the session names none).
         device: ``cpu``, ``cuda`` (simulated) or ``wasm`` (simulated) —
             ``None`` inherits the session default (``cpu``).
-        use_cache: serve repeated compilations from the session plan cache.
         parallelism: worker lanes a statement is priced on — ``None``
             inherits the session default (1).  A price, not a plan: the
             statement runs its serial entry's plan, program and executor;
@@ -42,12 +38,6 @@ class ExecutionOptions:
         auto_parameterize: lift literals out of ad-hoc ``sql()`` calls into
             bind parameters, so queries differing only in constants share one
             compiled plan (opt-in; see ``repro.core.parameters``).
-        encoding: storage-encoding configuration for table conversion —
-            ``auto`` (dictionary-encode low-cardinality strings) or ``off``
-            (plain tensors, bit for bit the same answers).  Part of
-            the plan-cache and conversion-cache keys: a traced program is
-            tied to the storage layout it was traced against, so changing
-            the encoding can never serve stale tensors.
         executor: how traced graph plans are replayed — ``compiled`` (the
             default: the graph is lowered to generated code; one the emitter
             cannot lower raises :class:`~repro.errors.CodegenError` at first
@@ -76,20 +66,14 @@ class ExecutionOptions:
 
     backend: Optional[str] = None
     device: Device | str | None = None
-    use_cache: bool = True
     parallelism: Optional[int] = None
     auto_parameterize: bool = False
-    encoding: str = "auto"
     executor: str = EXECUTOR_MODES[0]
     devices: Optional[int] = None
     shard: str = "hash"
     adaptive: bool = False
 
     def __post_init__(self) -> None:
-        if self.encoding not in ENCODING_MODES:
-            raise ValueError(
-                f"encoding must be one of {ENCODING_MODES}, "
-                f"got {self.encoding!r}")
         if self.executor not in EXECUTOR_MODES:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_MODES}, "
@@ -123,5 +107,4 @@ class ExecutionOptions:
     def cache_key(self) -> tuple:
         """The options' contribution to the session plan-cache key."""
         return (self.backend, str(self.device), self.parallelism,
-                self.encoding, self.executor, self.devices, self.shard,
-                self.adaptive)
+                self.executor, self.devices, self.shard, self.adaptive)

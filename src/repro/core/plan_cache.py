@@ -10,10 +10,8 @@ the ROADMAP targets — a session therefore keeps an LRU cache of
 ``(normalized SQL with parameter markers, ExecutionOptions.cache_key(),
 parameter-type hints)``
 
-``ExecutionOptions.cache_key()`` includes the storage-encoding configuration:
-a traced program is tied to the exact tensor layout (dictionary codes or
-plain) its inputs were converted to, so plans compiled under different
-encodings must never share an entry.
+Every compile goes through this cache; :meth:`PlanCache.clear` is how a
+caller gets a cold compile.
 
 Bind-parameter markers are part of the SQL text, so every binding of a
 prepared statement — and, with auto-parameterization, every ad-hoc query
@@ -46,7 +44,9 @@ def normalize_sql(sql: str) -> str:
     and ``'gift wrap'`` are different predicates) and double-quoted
     identifiers (``"A"`` and ``"a"`` may be different columns) keep their
     exact bytes.  Doubled quotes inside a region (``'it''s'``) are handled.
-    A trailing semicolon is dropped.
+    ``--`` and ``/* */`` comments are skipped as whitespace, as the lexer
+    does, so a quote inside one (``-- don't``) opens no region.  A trailing
+    semicolon is dropped.
     """
     out: list[str] = []
     quote: str | None = None  # the active quote char, if inside a region
@@ -64,7 +64,12 @@ def normalize_sql(sql: str) -> str:
         elif ch in ("'", '"'):
             quote = ch
             out.append(ch)
-        elif ch.isspace():
+        elif ch.isspace() or (ch in "-/"
+                              and sql.startswith(("--", "/*"), i)):
+            if ch in "-/":  # a comment: skip to its last character
+                end = (sql.find("\n", i) if ch == "-"
+                       else sql.find("*/", i + 2) + 1)
+                i = n if end <= 0 else end
             if out and out[-1] != " ":
                 out.append(" ")
         else:

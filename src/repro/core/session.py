@@ -423,9 +423,9 @@ class TQPSession:
     def _resolve_options(self, options: Optional[ExecutionOptions]
                          ) -> ExecutionOptions:
         # A call without an options object inherits the session's
-        # default_options wholesale (including use_cache /
-        # auto_parameterize); a passed object fully specifies those
-        # fields, while its ``None`` fields still inherit.
+        # default_options wholesale (including auto_parameterize); a passed
+        # object fully specifies its non-``None`` fields, while its ``None``
+        # fields still inherit.
         base = options if options is not None else self.default_options
         resolved = base.resolved(self.default_options)
         if resolved.backend not in BACKENDS:
@@ -456,12 +456,10 @@ class TQPSession:
         rest wait and share the entry.
         """
         resolved = self._resolve_options(options)
-        if resolved.use_cache:
-            return self.plan_cache.get_or_create(
-                self._cache_key(sql, resolved, param_types),
-                lambda: self._compile_uncached(sql, resolved, param_types),
-                validate=self._plan_is_current)
-        return self._compile_uncached(sql, resolved, param_types)
+        return self.plan_cache.get_or_create(
+            self._cache_key(sql, resolved, param_types),
+            lambda: self._compile_uncached(sql, resolved, param_types),
+            validate=self._plan_is_current)
 
     @staticmethod
     def _cache_key(sql: str, resolved: ExecutionOptions,
@@ -480,16 +478,15 @@ class TQPSession:
         as ``into``, refreshed, when given.  Runs under the session lock, so
         only ``get`` / ``put``: a ``get_or_create`` could wait on a builder
         that waits on this lock."""
-        key = (self._cache_key(sql, resolved, param_types)
-               if resolved.use_cache else None)
-        entry = key and self.plan_cache.get(key, validate=self._plan_is_current)
+        key = self._cache_key(sql, resolved, param_types)
+        entry = self.plan_cache.get(key, validate=self._plan_is_current)
         fresh = entry is None
         if fresh:
             entry = self._compile_uncached(sql, resolved, param_types)
         if into is not None:
             into._refresh_from(entry)
             entry = into
-        if fresh and key is not None:
+        if fresh:
             self.plan_cache.put(key, entry)
         return entry
 
@@ -600,26 +597,22 @@ class TQPSession:
     def prepare_inputs(self, executor: Executor) -> dict[str, TensorTable]:
         """Convert registered DataFrames into tensor tables for an executor.
 
-        Columns are stored under the executor's encoding configuration
-        (``ExecutionOptions.encoding``): low-cardinality strings become
-        dictionary codes (see :mod:`repro.storage.encodings`).  The table's
-        record keeps each column converted once per encoding mode and each
-        scan's input (:func:`repro.core.executor.convert_scan_input`) per
-        ``(fields, encoding mode, shard placement)``: a repeated execution is
-        one lookup per scan, and a ``register()`` of new data starts from an
-        empty record, so a long-lived :class:`CompiledQuery` can never be
-        served stale converted columns.
+        Low-cardinality string columns become dictionary codes, every other
+        column a plain tensor (see :mod:`repro.storage.encodings`).  The
+        table's record keeps each column converted once and each scan's input
+        (:func:`repro.core.executor.convert_scan_input`) per ``(fields, shard
+        placement)``: a repeated execution is one lookup per scan, and a
+        ``register()`` of new data starts from an empty record, so a
+        long-lived :class:`CompiledQuery` can never be served stale converted
+        columns.
         """
         with self._lock:
-            encoding_mode = executor.options.encoding
             inputs: dict[str, TensorTable] = {}
             for scan in executor.plan.scans:
                 record = self.catalog.record(scan.table)
                 # A scan is planned ``none`` or ``shards``: its placement.
-                key = (tuple(f.name for f in scan.fields), encoding_mode,
-                       scan.partitioning)
+                key = (tuple(f.name for f in scan.fields), scan.partitioning)
                 if key not in record.converted:
-                    record.converted[key] = convert_scan_input(
-                        scan, record, encoding_mode)
+                    record.converted[key] = convert_scan_input(scan, record)
                 inputs[scan.alias] = record.converted[key]
             return inputs

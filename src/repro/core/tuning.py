@@ -2,12 +2,12 @@
 
 Before this module existed the planner's magic numbers were scattered: the
 parallel threshold lived with the morsel operators, ``SHARD_MIN_ROWS`` in
-:mod:`repro.distributed.sharding`, ``MIN_PRUNING_BLOCKS`` in
-:mod:`repro.storage.pruning`.  They are now fields of one frozen
-:class:`Tuning` dataclass, and the planner reads every threshold through the
-:class:`Tuning` it was constructed with — never a module-level literal
-(``tools/lint_op_registry.py`` enforces this statically, also for the join,
-grouping and partition operators).
+:mod:`repro.distributed.sharding`, the minimum pruning block count with the
+zone-map pruning of :mod:`repro.storage.pruning`.  They are now fields of one
+frozen :class:`Tuning` dataclass, and the planner reads every threshold
+through the :class:`Tuning` it was constructed with — never a module-level
+literal (``tools/lint_op_registry.py`` enforces this statically, also for the
+join, grouping and partition operators).
 
 Two ways to deviate from the defaults:
 

@@ -7,8 +7,8 @@ per-column NDV/null counts and morsel-aligned zone maps, see
 from exactly that frame.  Re-registering a name replaces the whole record by
 one assignment, so nothing derived from the old data — statistics, converted
 columns — can outlive it or be paired with the new frame.  The planner reads
-the statistics for selectivity estimates and scan pruning, and the encoding
-policy reads their NDV counts when choosing dictionary encodings.
+the statistics for selectivity estimates and scan pruning, and conversion
+reads their NDV counts when choosing which string columns become dictionaries.
 """
 
 from __future__ import annotations
@@ -58,12 +58,12 @@ class TableRecord:
     #: Unique per registration, across names: a plan fingerprinted with it
     #: can never match a later registration.
     version: int
-    #: ``(column, encoding mode) → TensorColumn``: each column of ``frame`` a
-    #: scan has read, converted once (``storage.encodings.encode_table``).
+    #: ``column name → TensorColumn``: each column of ``frame`` a scan has
+    #: read, converted once (``storage.encodings.encode_table``).
     columns: dict = dataclasses.field(default_factory=dict)
     #: Scan inputs assembled over ``columns``, keyed by what shapes one
-    #: (fields, encoding mode, shard placement).  Filled by
-    #: ``TQPSession.prepare_inputs``; both die with the record.
+    #: (fields, shard placement).  Filled by ``TQPSession.prepare_inputs``;
+    #: both die with the record.
     converted: dict = dataclasses.field(default_factory=dict)
 
 

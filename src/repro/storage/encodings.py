@@ -16,10 +16,8 @@ the codes pays one visible kernel to materialize the plain column.
 
 ``encode_table`` is the conversion entry point (called by
 ``repro.core.executor.convert_scan_input``) and converts a column once per
-table generation, however many scans read it; the ``mode`` string it takes
-(``auto`` / ``off``) is part of the plan-cache and conversion-memo keys, so
-changing the encoding configuration can never serve tensors traced against
-another layout.
+table generation, however many scans read it.  Conversion follows one rule:
+a low-NDV string column becomes a dictionary, every other column stays plain.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.core.columnar import LogicalType, TensorColumn, encode_strings
-from repro.core.options import ENCODING_MODES
 from repro.errors import ExecutionError
 from repro.tensor import Tensor, ops
 from repro.tensor.device import Device, parse_device
@@ -107,20 +104,16 @@ def dictionary_encode(values: Iterable, device: Device | str = "cpu"
                         encoding=DictionaryEncoding(ops.tensor(dictionary, device=dev)))
 
 
-def encode_column(array: np.ndarray, mode: str = "auto",
-                  ndv: Optional[int] = None,
+def encode_column(array: np.ndarray, ndv: Optional[int] = None,
                   device: Device | str = "cpu") -> TensorColumn:
-    """Convert one numpy column; under ``auto`` a low-cardinality string
-    column is dictionary-encoded, everything else is a plain tensor.
+    """Convert one numpy column: a low-cardinality string column is
+    dictionary-encoded, everything else is a plain tensor.
 
     ``ndv`` is an optional precomputed distinct-value count (from the catalog
     statistics); without it the dictionary decision hashes the column once.
     """
-    if mode not in ENCODING_MODES:
-        raise ExecutionError(f"unknown encoding mode {mode!r} "
-                             f"(expected one of {ENCODING_MODES})")
     rows = len(array)
-    if mode == "auto" and array.dtype.kind in "OU" and rows >= MIN_ENCODE_ROWS:
+    if array.dtype.kind in "OU" and rows >= MIN_ENCODE_ROWS:
         if ndv is None:
             ndv = len({"" if v is None else str(v) for v in array})
         if ndv <= max(1, int(rows * DICTIONARY_MAX_NDV_RATIO)):
@@ -128,8 +121,7 @@ def encode_column(array: np.ndarray, mode: str = "auto",
     return TensorColumn.from_numpy(array, device=device)
 
 
-def encode_table(record, fields: Iterable, mode: str = "auto"
-                 ) -> dict[str, TensorColumn]:
+def encode_table(record, fields: Iterable) -> dict[str, TensorColumn]:
     """The columns one scan reads of a table generation, converted once.
 
     ``record`` is the catalog's :class:`~repro.frontend.catalog.TableRecord`:
@@ -145,11 +137,10 @@ def encode_table(record, fields: Iterable, mode: str = "auto"
     for field in fields:
         name = field.name
         base = name.split(".", 1)[1] if "." in name else name
-        column = record.columns.get((base, mode))
+        column = record.columns.get(base)
         if column is None:
             known = stats.column(base) if stats is not None else None
-            column = record.columns[base, mode] = encode_column(
-                record.frame[base], mode=mode,
-                ndv=known.ndv if known is not None else None)
+            column = record.columns[base] = encode_column(
+                record.frame[base], ndv=known.ndv if known is not None else None)
         columns[name] = column
     return columns

@@ -30,7 +30,6 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.columnar import LogicalType
-from repro.core.tuning import DEFAULT_TUNING
 from repro.frontend import ast
 from repro.frontend.optimizer import split_conjuncts
 from repro.storage.statistics import ColumnStatistics, TableStatistics
@@ -43,13 +42,6 @@ _FLIPPED = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq"}
 #: Selectivity assumed for a conjunct whose value is a bind parameter (the
 #: planner must choose a plan before any binding exists).
 PARAM_SELECTIVITY = 0.3
-
-#: Minimum zone-map block count for a scan to be worth pruning: below this the
-#: per-execution survival check (and, in a traced program, the per-row block
-#: mask) costs more than skipping a couple of tiny blocks could save.
-#: Canonical home: :class:`repro.core.tuning.Tuning`; re-exported here for
-#: existing importers.
-MIN_PRUNING_BLOCKS = DEFAULT_TUNING.min_pruning_blocks
 
 #: Maximum :func:`repro.storage.statistics.zone_discrimination` ratio at which
 #: a parameterized conjunct is still compiled into a traced program.

@@ -145,6 +145,33 @@ def frames_match():
     return assert_frames_match
 
 
+@pytest.fixture(scope="session")
+def plain_session():
+    """``tables -> TQPSession`` whose every column is stored plain: the
+    reference side of the dictionary-code paths.  Conversion has one rule (a
+    low-NDV string column of at least ``MIN_ENCODE_ROWS`` rows becomes a
+    dictionary), so every column is converted here, with ``MIN_ENCODE_ROWS``
+    above each table's size, and keeps that form for the table's generation.
+    """
+    from repro.storage import encodings
+
+    def build(tables: dict[str, DataFrame]) -> TQPSession:
+        session = TQPSession()
+        for name, frame in tables.items():
+            session.register(name, frame)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encodings, "MIN_ENCODE_ROWS",
+                          max(frame.num_rows for frame in tables.values()) + 1)
+            for name in tables:
+                compiled = session.compile(f"select * from {name}")
+                table = session.prepare_inputs(compiled.executor)[name]
+                assert all(column.encoding is None
+                           for _, column in table.columns())
+        return session
+
+    return build
+
+
 @pytest.fixture
 def toy_tables() -> dict[str, DataFrame]:
     """A tiny orders/items schema with every column kind (int, float, date, str)."""

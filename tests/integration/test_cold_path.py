@@ -1,7 +1,7 @@
 """What a first execution does exactly once: conversion and code generation.
 
 * **One converted column per generation** — a table's record keeps one
-  ``(column, encoding mode) → TensorColumn`` memo, so however many scans read
+  ``column → TensorColumn`` memo, so however many scans read
   ``l_shipdate`` it is converted once and every input holds the same tensors;
   re-registering the table starts from an empty memo.
 * **The profiled body is built on first use** — an unprofiled first execution
@@ -102,19 +102,7 @@ def test_each_scanned_column_is_converted_once(fresh_session, conversions,
     assert _column(q1, "l_shipdate") is _column(q6, "l_shipdate")
     assert _column(q1, "l_shipdate").tensor is _column(q6, "l_shipdate").tensor
     record = session.catalog.record("lineitem")
-    assert record.columns["l_shipdate", "auto"] is _column(q1, "l_shipdate")
-
-    # Another encoding mode is another set of columns: nothing is shared.
-    before = len(conversions)
-    plain = session.compile(tpch.query(12, SF),
-                            options=TRACED.replace(encoding="off"))
-    plain.run()
-    assert len(conversions) - before == len(_scanned([plain]))
-    off = session.prepare_inputs(plain.executor)["lineitem"]
-    auto = session.prepare_inputs(compiled[12].executor)["lineitem"]
-    assert _column(off, "l_shipmode").encoding is None
-    assert _column(auto, "l_shipmode").encoding is not None
-    assert _column(off, "l_shipdate") is not _column(auto, "l_shipdate")
+    assert record.columns["l_shipdate"] is _column(q1, "l_shipdate")
 
     # A new generation starts from nothing, and converts again on demand.
     _, tables = tpch_tiny
@@ -139,7 +127,7 @@ def test_shards_are_cut_from_the_memoized_columns(fresh_session, conversions):
     assert len(conversions) == before
     placed = session.prepare_inputs(sharded.executor)["lineitem"]
     assert isinstance(placed, ShardedTable) and len(placed.shards) == 4
-    stored = session.catalog.record("lineitem").columns["l_shipmode", "auto"]
+    stored = session.catalog.record("lineitem").columns["l_shipmode"]
     assert sum(shard.num_rows for shard in placed.shards) == stored.num_rows
     for shard in placed.shards:
         # The dictionary is one object: the memoized column's.

@@ -3,9 +3,9 @@
 Every statement of the pool — the 22 TPC-H queries, ten parameterized
 statements with their binding sequences, auto-parameterized Q6 and three
 nested-loop joins — runs at option points drawn from the full product of
-backend, device, executor, parallelism, encoding, devices / shard, data
-layout (generated or date-clustered ``lineitem``) and, for parameterized
-statements, entry (``bind``, ``execute_many`` or ``ServingRuntime.submit``).
+backend, device, executor, parallelism, devices / shard, data layout
+(generated or date-clustered ``lineitem``) and, for parameterized statements,
+entry (``bind``, ``execute_many`` or ``ServingRuntime.submit``).
 The draws are generated from ``SEED`` so that every statement meets every
 value of every field, on one device and again on several, and every pair of
 values from two fields occurs in some draw
@@ -157,7 +157,6 @@ FIELDS = {
     "device": ("cpu", "cuda", "wasm"),
     "executor": ("compiled", "interpret"),
     "parallelism": (1, 4),
-    "encoding": ("auto", "off"),
     "devices": (1, 2, 4),
     "shard": ("hash", "range"),
     "data": ("generated", "clustered"),
@@ -165,7 +164,7 @@ FIELDS = {
 }
 
 REFERENCE = {"backend": "pytorch", "device": "cpu", "parallelism": 1,
-             "encoding": "auto", "devices": 1}
+             "devices": 1}
 
 #: Random candidates scored per draw by the greedy cover.
 CANDIDATES = 64
@@ -284,18 +283,18 @@ def options_for(point: dict, **extra) -> ExecutionOptions:
     return ExecutionOptions(
         backend=point["backend"], device=point["device"],
         executor=point.get("executor", "compiled"),
-        parallelism=point["parallelism"], encoding=point["encoding"],
-        devices=point["devices"], shard=point.get("shard", "hash"), **extra)
+        parallelism=point["parallelism"], devices=point["devices"],
+        shard=point.get("shard", "hash"), **extra)
 
 
 def run_point(session: TQPSession, stmt: Statement, point: dict) -> list:
-    """One ``ExecutionResult`` per binding of ``stmt``, through the drawn entry."""
+    """One ``ExecutionResult`` per binding of ``stmt``, through the drawn
+    entry, compiled cold."""
+    session.plan_cache.clear()
     if stmt.kind == "query":
-        return [session.compile(stmt.sql, options=options_for(
-            point, use_cache=False)).execute()]
+        return [session.compile(stmt.sql, options=options_for(point)).execute()]
     if stmt.kind == "auto":
         # session.sql's auto-parameterized path, keeping the ExecutionResult.
-        session.plan_cache.clear()
         misses = session.plan_cache.misses
         # One entry per statement, and a width's beside its width-free one.
         entries = 1 + (point["parallelism"] > 1)
@@ -310,7 +309,7 @@ def run_point(session: TQPSession, stmt: Statement, point: dict) -> list:
                     len(session.plan_cache)) == (entries, entries), \
                 describe(stmt, point)
         return results
-    options = options_for(point, use_cache=False)
+    options = options_for(point)
     entry = point.get("entry", "bind")
     if entry == "serving":
         with ServingRuntime(session, workers=2, default_options=options) as rt:
@@ -464,9 +463,10 @@ def test_pool_plans_every_operator_and_join_kind(environments):
     seen, kinds = set(), set()
     for stmt, point in DRAWS:
         session = environments[point["data"]][0]
+        session.plan_cache.clear()
         with reported(describe(stmt, point)):
             plan = session.compile(stmt.sql, options=options_for(
-                point, use_cache=False)).operator_plan.root
+                point)).operator_plan.root
         for op in plan.walk():
             seen.add(type(op).__name__)
             if isinstance(op, (HashJoinOperator, NestedLoopJoinOperator)):

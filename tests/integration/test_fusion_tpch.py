@@ -23,7 +23,7 @@ _NO_FUSION = tuple(p for p in passes.DEFAULT_PASSES if p is not passes.fuse_elem
 
 def _trace_query(session, query_id):
     sql = tpch.query(query_id, SCALE_FACTOR)
-    compiled = session.compile(sql, options=ExecutionOptions(backend="torchscript-noopt", use_cache=False))
+    compiled = session.compile(sql, options=ExecutionOptions(backend="torchscript-noopt"))
     inputs = session.prepare_inputs(compiled.executor)
     raw_graph = compiled.executor.compile_program(inputs).graph
     tensors, _ = compiled.executor._flatten_inputs(inputs)

@@ -11,7 +11,7 @@ from repro.baselines.rowengine import run_sql
 from repro.datasets import tpch
 
 SCALE_FACTOR = 0.002
-TORCHSCRIPT = ExecutionOptions(backend="torchscript", use_cache=False)
+TORCHSCRIPT = ExecutionOptions(backend="torchscript")
 
 
 def _program(session, query_id):
@@ -73,9 +73,9 @@ SELECTIVITY_BINDINGS = [0.5, 26.0, 51.0, 0.5, 13.0]
 def test_one_program_replays_from_empty_to_full_selection(
         tpch_tiny, frames_match, backend, parallelism, devices):
     session, tables = tpch_tiny
+    session.plan_cache.clear()
     prepared = session.prepare(SELECTIVITY_SQL, options=ExecutionOptions(
-        backend=backend, parallelism=parallelism, devices=devices,
-        use_cache=False))
+        backend=backend, parallelism=parallelism, devices=devices))
     selected = []
     for quantity in SELECTIVITY_BINDINGS:
         got = prepared.bind(q=quantity).run()

@@ -213,9 +213,3 @@ def test_a_refreshed_stale_handle_is_its_generations_cache_entry(
     assert held.executor is fresh.executor
     assert calls == {"trace": 1}
     assert session.compile(sql, options=options) is fresh
-
-    # Without the cache the handle refreshes alone and stays out of it.
-    uncached = session.compile(sql, options=options.replace(use_cache=False))
-    session.register("lineitem", session.dataframe("lineitem"))
-    uncached.execute()
-    assert session.compile(sql, options=options) is not uncached

@@ -60,8 +60,9 @@ def join_id_paths(monkeypatch) -> list[tuple[str, list]]:
 
 def test_one_trace_crosses_direct_and_sorted_densification(env, monkeypatch):
     session, tables = env
-    options = ExecutionOptions(backend="torchscript", use_cache=False)
+    options = ExecutionOptions(backend="torchscript")
     taken = join_id_paths(monkeypatch)
+    session.plan_cache.clear()
     prepared = session.prepare(CROSSING_SQL, options=options)
 
     paths = {}
@@ -97,10 +98,11 @@ def test_identity_ids_leave_the_stored_key_columns_untouched(env, monkeypatch):
     of both tables byte for byte as it was."""
     session, _ = env
     taken = join_id_paths(monkeypatch)
+    session.plan_cache.clear()
     compiled = session.compile(
         """select o_orderpriority, count(*) as c from orders join lineitem
            on l_orderkey = o_orderkey group by o_orderpriority""",
-        options=ExecutionOptions(backend="torchscript", use_cache=False))
+        options=ExecutionOptions(backend="torchscript"))
     first = compiled.run().to_dict()
     stored = {(table, key): column for table in ("orders", "lineitem")
               for key, column in session.catalog.record(table).columns.items()}
@@ -118,7 +120,7 @@ def test_identity_ids_leave_the_stored_key_columns_untouched(env, monkeypatch):
     assert {path for path, _ in taken} == {"identity"}
     handed = taken[-1][1]
     for table, column in (("orders", "o_orderkey"), ("lineitem", "l_orderkey")):
-        key = stored[table, (column, "auto")].tensor.numpy()
+        key = stored[table, column].tensor.numpy()
         assert any(array is key for array in handed), column
         np.testing.assert_array_equal(
             key, session.catalog.record(table).frame[column])
@@ -143,8 +145,9 @@ def test_one_trace_serves_an_empty_a_one_row_and_a_full_key_side(env, key_side):
     sql = f"""select o_orderpriority, count(*) as c, sum(l_extendedprice) as s
               from {KEY_SIDE_SQL[key_side]} where o_orderkey <= :k
               group by o_orderpriority order by o_orderpriority"""
+    session.plan_cache.clear()
     prepared = session.prepare(sql, options=ExecutionOptions(
-        backend="torchscript", use_cache=False))
+        backend="torchscript"))
     assert [op.key_side for op in prepared.compiled.operator_plan.root.walk()
             if isinstance(op, HashJoinOperator)] == [key_side]
     line_keys = tables["lineitem"]["l_orderkey"]

@@ -47,7 +47,7 @@ def test_like_matches_python_reference(values, pattern):
 @given(st.integers(0, 10_000), patterns, st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_like_sql_matches_row_engine_in_plain_and_dictionary_layouts(
-        seed, pattern, negated):
+        plain_session, seed, pattern, negated):
     rng = np.random.default_rng(seed)
     # Few distinct values over many rows, so ``dictionary`` really encodes;
     # every word is as wide as the column at least once (full-width rows).
@@ -65,13 +65,15 @@ def test_like_sql_matches_row_engine_in_plain_and_dictionary_layouts(
         f"select id from t where s {operator} '{pattern}'",
         f"select k from keys left join t on k = id where s {operator} '{pattern}'",
     ]
+    tables = {"t": frame, "keys": keys}
     session = TQPSession()
-    session.register("t", frame)
-    session.register("keys", keys)
+    for name, table in tables.items():
+        session.register(name, table)
+    sessions = {"off": plain_session(tables), "auto": session}
     for sql in statements:
-        expected = run_sql(sql, {"t": frame, "keys": keys}).to_dict()
-        for encoding in ("off", "auto"):
-            got = session.sql(sql, options=ExecutionOptions(encoding=encoding))
+        expected = run_sql(sql, tables).to_dict()
+        for encoding, layout in sessions.items():
+            got = layout.sql(sql)
             assert got.to_dict() == expected, (sql, encoding)
 
 

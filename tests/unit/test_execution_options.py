@@ -12,7 +12,6 @@ from repro import DataFrame, ExecutionOptions, TQPSession
 from repro.backends import BackendSpec, DeviceCostModel
 from repro.bench import time_tqp
 from repro.core.executor import Executor
-from repro.core.options import ENCODING_MODES
 from repro.core.planner import plan_ir
 from repro.datasets import tpch
 from repro.errors import ExecutionError
@@ -36,10 +35,9 @@ def test_the_knob_set_is_pinned():
     test: growing any of these surfaces is a deliberate edit here, not a
     by-product of a feature."""
     assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
-        "backend", "device", "use_cache", "parallelism", "auto_parameterize",
-        "encoding", "executor", "devices", "shard", "adaptive"]
+        "backend", "device", "parallelism", "auto_parameterize", "executor",
+        "devices", "shard", "adaptive"]
     assert EXECUTOR_MODES == ("compiled", "interpret")
-    assert ENCODING_MODES == ("auto", "off")
     assert [f.name for f in dataclasses.fields(BackendSpec)] == [
         "name", "strategy", "serialize", "optimize_graph"]
 
@@ -119,7 +117,7 @@ def test_the_cold_path_converts_and_factorizes_in_one_place():
     """One converter call site (``encode_table``, which reads and fills the
     record's per-column memo, is the only caller of ``encode_column``), no
     sort of every row left in the string encoder, and no option added on the
-    way: ``ExecutionOptions`` still has the 10 fields pinned above."""
+    way: ``ExecutionOptions`` still has the 8 fields pinned above."""
     callers = set()
     for where, text, tree, _ in _src_modules():
         for scope in ast.walk(tree):
@@ -133,7 +131,7 @@ def test_the_cold_path_converts_and_factorizes_in_one_place():
         if where == "repro/storage/encodings.py":
             assert "np.unique" not in text
     assert callers == {("repro/storage/encodings.py", "encode_table")}
-    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(dataclasses.fields(ExecutionOptions)) == 8
 
 
 def test_each_aggregate_is_written_once():
@@ -156,7 +154,7 @@ def test_each_aggregate_is_written_once():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not (identifiers | imported) & {"combine_ids", "factorize_single"}
-    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(dataclasses.fields(ExecutionOptions)) == 8
 
 
 def test_where_an_op_ran_is_one_stamp():
@@ -182,7 +180,7 @@ def test_where_an_op_ran_is_one_stamp():
                 "stack", "stamps"}
     assert not hasattr(tensor.Profiler, "scope")
     assert {"stamped", "current_stamp"} <= set(tensor.__all__)
-    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(dataclasses.fields(ExecutionOptions)) == 8
 
 
 def test_key_ness_is_a_planned_fact_not_a_knob_or_a_host_read(tpch_tiny):
@@ -213,7 +211,7 @@ def test_key_ness_is_a_planned_fact_not_a_knob_or_a_host_read(tpch_tiny):
             assert not [call for call in calls
                         if getattr(call, "attr", None) in ("numpy", "item")
                         or getattr(call, "id", None) == "int"], function.name
-    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(dataclasses.fields(ExecutionOptions)) == 8
     assert len(passes.DEFAULT_PASSES) == 7
 
 
@@ -223,12 +221,12 @@ def test_late_materialization_is_a_pass_not_a_knob(tpch_tiny):
     it with every other pass)."""
     assert len(passes.DEFAULT_PASSES) == 7
     assert passes.late_materialization in passes.DEFAULT_PASSES
-    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(dataclasses.fields(ExecutionOptions)) == 8
     session, _ = tpch_tiny
     for query_id in (1, 3, 6):
         compiled = session.compile(
             tpch.query(query_id, 0.002),
-            options=ExecutionOptions(backend="torchscript-noopt", use_cache=False))
+            options=ExecutionOptions(backend="torchscript-noopt"))
         raw = compiled.executor.compile_program(
             session.prepare_inputs(compiled.executor)).graph
         assert raw.op_counts().get("boolean_mask", 0) > 0
@@ -243,7 +241,6 @@ def test_resolved_fills_session_defaults():
     assert options.backend == "torchscript"
     assert options.device.kind == "cuda"
     assert options.parallelism == 4 and options.devices == 2
-    assert options.use_cache
     assert not options.auto_parameterize
 
 
@@ -265,7 +262,7 @@ def test_resolved_keeps_explicit_fields():
 
 def test_cache_key_covers_the_compile_knobs():
     a = ExecutionOptions(backend="torchscript").resolved()
-    b = a.replace(encoding="off")
+    b = a.replace(device="cuda")
     c = a.replace(parallelism=4)
     d = a.replace(executor="interpret")
     assert len({a.cache_key(), b.cache_key(), c.cache_key(), d.cache_key()}) == 4
@@ -279,16 +276,23 @@ def test_executor_mode_is_validated():
     assert ExecutionOptions().executor == "compiled"
 
 
-def test_encoding_mode_is_validated_at_construction():
-    # Not at the first conversion: the two deleted modes fail where they are
-    # written, as does a typo.
-    for gone in ("rle", "dictionary", "bogus"):
-        with pytest.raises(ValueError, match="auto"):
-            ExecutionOptions(encoding=gone)
-        with pytest.raises(ValueError):
-            ExecutionOptions().replace(encoding=gone)
-    assert ExecutionOptions().encoding == "auto"
-    assert ExecutionOptions(encoding="off").encoding == "off"
+def test_cache_bypass_and_encoding_mode_are_gone():
+    """Every compile goes through the plan cache and every conversion follows
+    one rule (low-NDV strings become dictionaries): neither is a knob, on the
+    options or on the encoders, and neither has a slot in the cache key."""
+    from repro.storage import encode_column, encode_table
+
+    for field in ("use_cache", "encoding"):
+        with pytest.raises(TypeError):
+            ExecutionOptions(**{field: False})
+        with pytest.raises(TypeError):
+            ExecutionOptions().replace(**{field: "off"})
+    with pytest.raises(ImportError):
+        from repro.core.options import ENCODING_MODES  # noqa: F401
+    for encoder in (encode_column, encode_table):
+        assert "mode" not in inspect.signature(encoder).parameters
+    assert ExecutionOptions().resolved().cache_key() == (
+        "pytorch", "cpu", 1, "compiled", 1, "hash", False)
 
 
 def test_legacy_kwargs_are_gone(session):
@@ -396,7 +400,7 @@ def test_lanes_are_a_model_not_a_plan_shape():
                                 (partition.lanes, "morsel_rows")):
         assert parameter not in inspect.signature(function).parameters, function
     assert len(dataclasses.fields(tuning.Tuning)) == 3
-    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(dataclasses.fields(ExecutionOptions)) == 8
     assert len(passes.DEFAULT_PASSES) == 7
 
 
@@ -419,7 +423,7 @@ def test_adaptive_chooses_from_what_it_observed():
         assert not [name for name in names if hasattr(owner, name)], owner
     assert "estimates" not in {
         f.name for f in dataclasses.fields(planner.OperatorPlan)}
-    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(dataclasses.fields(ExecutionOptions)) == 8
     assert len(dataclasses.fields(tuning.Tuning)) == 3
     assert len(passes.DEFAULT_PASSES) == 7
 
@@ -449,7 +453,7 @@ def test_adaptive_prices_its_candidates_instead_of_running_them():
             session: ("_scope_order",)}
     for owner, names in gone.items():
         assert not [name for name in names if hasattr(owner, name)], owner
-    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(dataclasses.fields(ExecutionOptions)) == 8
 
 
 def test_adaptive_prices_the_run_it_just_made():
@@ -474,7 +478,7 @@ def test_adaptive_prices_the_run_it_just_made():
     assert not hasattr(TQPSession(), "adaptive")
     assert list(inspect.signature(
         session.TQPSession.execution_state).parameters) == ["self", "compiled"]
-    assert len(dataclasses.fields(ExecutionOptions)) == 10
+    assert len(dataclasses.fields(ExecutionOptions)) == 8
 
 
 def test_a_width_is_priced_not_planned(tpch_tiny, monkeypatch):

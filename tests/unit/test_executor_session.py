@@ -247,12 +247,12 @@ def test_unlowerable_graph_raises_at_first_execute(session, monkeypatch):
 
     monkeypatch.setattr(passes, "optimize", optimize_then_taint)
     compiled = session.compile(SQL, options=ExecutionOptions(
-        backend="torchscript", use_cache=False))
+        backend="torchscript"))
     for _ in range(2):
         with pytest.raises(CodegenError, match="portable"):
             compiled.execute()
     assert compiled.executor._program is None
     interpreted = session.compile(SQL, options=ExecutionOptions(
-        backend="torchscript", executor="interpret", use_cache=False)).execute()
+        backend="torchscript", executor="interpret")).execute()
     assert interpreted.executor_mode == "interpreted"
     assert interpreted.to_dataframe()["total"].tolist() == [35.0, 25.0, 15.0]

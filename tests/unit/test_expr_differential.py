@@ -402,22 +402,24 @@ def _like_queries():
 
 
 @pytest.fixture(scope="module")
-def like_session(like_tables):
+def like_sessions(like_tables, plain_session):
+    """``off`` (every column plain) and ``auto`` (``sv`` dictionary-encoded)."""
     sess = TQPSession()
     for name, frame in like_tables.items():
         sess.register(name, frame)
-    return sess
+    return {"off": plain_session(like_tables), "auto": sess}
 
 
 @pytest.mark.parametrize("encoding", ["off", pytest.param("auto", id="dictionary")])
 @pytest.mark.parametrize("sql", _like_queries())
-def test_like_patterns_match_row_engine(like_session, like_tables, frames_match,
-                                        sql, encoding):
+def test_like_patterns_match_row_engine(like_sessions, like_tables,
+                                        frames_match, sql, encoding):
     """The plain (n x m) layout and the dictionary probe of the same column
     both agree with the row engine's regex, NULL rows and NOT LIKE included."""
+    session = like_sessions[encoding]
     oracle = RowEngine(like_tables).execute_to_dataframe(
-        sql_to_physical(sql, like_session.catalog))
-    result = like_session.sql(sql, options=ExecutionOptions(encoding=encoding))
+        sql_to_physical(sql, session.catalog))
+    result = session.sql(sql)
     frames_match(result, oracle, f"{sql} [{encoding}]", ordered=True)
 
 

@@ -320,7 +320,8 @@ def test_parallel_nullable_aggregates_match_serial_and_oracle(
 
     reference = None
     for point in OPTION_POINTS:
-        options = ExecutionOptions(use_cache=False, **point)
+        options = ExecutionOptions(**point)
+        session.plan_cache.clear()
         with tuning_overrides(**({"parallel_threshold_rows": 0}
                                  if case.force_lanes else {})):
             statement = session.prepare(case.sql, options=options)
@@ -368,25 +369,25 @@ def test_partitioned_join_kinds_match_serial(session, frames_match):
 
 
 def test_planner_parallelizes_above_threshold_only(session):
-    big = session.compile("select * from orders where amount > 10", options=ExecutionOptions(parallelism=4, use_cache=False))
+    big = session.compile("select * from orders where amount > 10", options=ExecutionOptions(parallelism=4))
     assert "MorselFilter(workers=4)" in big.operator_plan.pretty()
-    small = session.compile("select * from customers where region = 'EU'", options=ExecutionOptions(parallelism=4, use_cache=False))
+    small = session.compile("select * from customers where region = 'EU'", options=ExecutionOptions(parallelism=4))
     plan = small.operator_plan.pretty()
     assert "Morsel" not in plan  # 600 rows is below the threshold
-    serial = session.compile("select * from orders where amount > 10", options=ExecutionOptions(parallelism=1, use_cache=False))
+    serial = session.compile("select * from orders where amount > 10", options=ExecutionOptions(parallelism=1))
     assert "Morsel" not in serial.operator_plan.pretty()
 
 
 def test_planner_keeps_subqueries_and_distinct_serial(session):
     sql = ("select count(distinct customer_id) as n from orders "
            "where amount > 10")
-    compiled = session.compile(sql, options=ExecutionOptions(parallelism=4, use_cache=False))
+    compiled = session.compile(sql, options=ExecutionOptions(parallelism=4))
     plan = compiled.operator_plan.pretty()
     assert "ParallelHashAggregate" not in plan  # COUNT DISTINCT cannot merge
     assert "MorselFilter" in plan               # the filter still parallelizes
     sql = ("select order_id from orders where amount > "
            "(select avg(amount) from orders)")
-    compiled = session.compile(sql, options=ExecutionOptions(parallelism=4, use_cache=False))
+    compiled = session.compile(sql, options=ExecutionOptions(parallelism=4))
     assert "MorselFilter" not in compiled.operator_plan.pretty()
 
 
@@ -402,18 +403,15 @@ def test_plan_cache_keys_include_parallelism(session):
 
 
 def test_plan_cache_keys_include_the_ambient_tuning(session):
-    """A compile inside ``tuning_overrides`` is priced under that tuning,
-    cached or not: a cache entry built under another tuning is not served."""
+    """A compile inside ``tuning_overrides`` is priced under that tuning: a
+    cache entry built under another tuning is not served."""
     sql = "select region, count(*) as n from customers group by region"
     options = ExecutionOptions(parallelism=4)
     default = session.compile(sql, options=options)
     with tuning_overrides(parallel_threshold_rows=0):
         forced = session.compile(sql, options=options)
-        uncached = session.compile(sql, options=options.replace(
-            use_cache=False))
         assert session.compile(sql, options=options) is forced
     assert forced is not default
-    assert forced.operator_plan.lanes == uncached.operator_plan.lanes
     # 600 rows: lanes only under the forced threshold.
     assert forced.operator_plan.lanes and not default.operator_plan.lanes
     assert session.compile(sql, options=options) is default
@@ -423,7 +421,7 @@ def test_plan_cache_keys_include_the_ambient_tuning(session):
 
 
 def test_prepare_inputs_validates_tables_and_columns(session, frames):
-    compiled = session.compile("select sum(amount) as s from ORDERS", options=ExecutionOptions(use_cache=False))
+    compiled = session.compile("select sum(amount) as s from ORDERS")
     # Case-insensitive table matching, like the session catalog.
     assert "orders" in session.prepare_inputs(compiled.executor)
     # A plan over a table this session never registered names it.

@@ -45,6 +45,11 @@ def test_normalize_preserves_string_literals():
             != normalize_sql("select * from t where a='x'"))
 
 
+@pytest.mark.parametrize("quoted", ["'--'", "'/* a */'", '"--x"'])
+def test_normalize_keeps_comment_markers_inside_quotes(quoted):
+    assert normalize_sql(f"select {quoted}  from T") == f"select {quoted} from t"
+
+
 # -- LRU mechanics ---------------------------------------------------------
 
 
@@ -91,16 +96,37 @@ def test_backend_and_device_are_part_of_the_key(session):
     a = session.compile(SQL, options=ExecutionOptions(backend="torchscript", device="cpu"))
     b = session.compile(SQL, options=ExecutionOptions(backend="torchscript", device="cuda"))
     c = session.compile(SQL, options=ExecutionOptions(backend="pytorch", device="cpu"))
-    d = session.compile(SQL, options=ExecutionOptions(backend="torchscript", device="cpu", encoding="off"))
+    d = session.compile(SQL, options=ExecutionOptions(backend="torchscript", device="cpu", executor="interpret"))
     assert len({id(a), id(b), id(c), id(d)}) == 4
     assert session.plan_cache.stats()["hits"] == 0
 
 
-def test_use_cache_false_bypasses_the_cache(session):
-    a = session.compile(SQL, options=ExecutionOptions(use_cache=False))
-    b = session.compile(SQL, options=ExecutionOptions(use_cache=False))
+def test_clear_makes_the_next_compile_cold(session):
+    a = session.compile(SQL)
+    session.plan_cache.clear()
+    b = session.compile(SQL)
     assert a is not b
-    assert session.plan_cache.stats()["misses"] == 0
+    assert session.plan_cache.stats()["misses"] == 2
+
+
+def test_a_comment_does_not_split_a_cache_entry(session):
+    first = session.compile(SQL)
+    assert session.compile("/* dashboard */ " + SQL + " -- refresh") is first
+
+
+@pytest.mark.parametrize("comment", ["-- don't\n", "/* it's */"],
+                         ids=["line", "block"])
+def test_a_quote_in_a_comment_opens_no_literal(comment):
+    # The comment's quote opens no literal, so the case of 'ABC' / 'abc'
+    # still reaches the cache key: two predicates, two plans.
+    session = TQPSession()
+    session.register("t", DataFrame({
+        "s": np.array(["ABC", "ABC", "abc"], dtype=object)}))
+    sql = "select count(*) as c from t " + comment + " where s = '{}'"
+    assert session.sql(sql.format("ABC")).to_dict() == {"c": [2]}
+    assert session.sql(sql.format("abc")).to_dict() == {"c": [1]}
+    assert (normalize_sql("select 1 " + comment + " from T")
+            == "select 1 from t")
 
 
 def test_reregistering_a_table_invalidates_its_plans(session):

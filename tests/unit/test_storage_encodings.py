@@ -2,8 +2,8 @@
 
 Covers the encoding round trip itself, the auto-encoding policy, the
 encoded execution paths (equality / IN / LIKE / GROUP BY / ORDER BY /
-DISTINCT on dictionary codes), layout keying of the plan and conversion
-caches, and the version bump on re-registration.
+DISTINCT on dictionary codes), the per-column conversion memo, and the
+version bump on re-registration.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ import pytest
 from repro import ExecutionOptions, TQPSession
 from repro.core.columnar import LogicalType, TensorColumn, concat_columns
 from repro.dataframe import DataFrame
-from repro.errors import ExecutionError
 from repro.storage import DictionaryEncoding, dictionary_encode, encode_column
 
 
-def make_session(num_rows: int = 64, encoding: str = "auto") -> TQPSession:
+def make_frame(num_rows: int = 64) -> DataFrame:
     rng = np.random.default_rng(7)
-    frame = DataFrame({
+    return DataFrame({
         "k": np.repeat(np.arange(num_rows // 4, dtype=np.int64), 4),
         "v": rng.random(num_rows),
         "d": (np.datetime64("2024-01-01")
@@ -30,8 +29,11 @@ def make_session(num_rows: int = 64, encoding: str = "auto") -> TQPSession:
         "note": np.array([f"unique note {i}" for i in range(num_rows)],
                          dtype=object),
     })
-    session = TQPSession(default_options=ExecutionOptions(encoding=encoding))
-    session.register("t", frame)
+
+
+def make_session() -> TQPSession:
+    session = TQPSession()
+    session.register("t", make_frame())
     return session
 
 
@@ -63,9 +65,6 @@ def test_encode_column_policy():
     assert encode_column(unique).encoding is None          # NDV too high
     assert encode_column(sorted_ints).encoding is None     # numerics stay plain
     assert encode_column(random_ints).encoding is None
-    assert encode_column(low_card, mode="off").encoding is None
-    with pytest.raises(ExecutionError, match="unknown encoding mode"):
-        encode_column(sorted_ints, mode="rle")  # direct callers fail too
     # Tiny columns are never encoded.
     assert encode_column(np.array(["a", "a"], dtype=object)).encoding is None
 
@@ -100,9 +99,10 @@ ENCODED_QUERIES = [
 
 @pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
 @pytest.mark.parametrize("sql", ENCODED_QUERIES)
-def test_encoded_execution_matches_plain(frames_match, sql, backend):
-    encoded = make_session(encoding="auto")
-    plain = make_session(encoding="off")
+def test_encoded_execution_matches_plain(frames_match, plain_session, sql,
+                                        backend):
+    encoded = make_session()
+    plain = plain_session({"t": make_frame()})
     frames_match(encoded.sql(sql, options=ExecutionOptions(backend=backend)),
                  plain.sql(sql, options=ExecutionOptions(backend=backend)), f"{sql} [{backend}]")
 
@@ -130,7 +130,7 @@ def test_sorted_and_constant_numerics_are_plain_program_inputs():
     }))
     compiled = session.compile(
         "select sorted_k, constant, day from t where sorted_k > 3",
-        options=ExecutionOptions(backend="torchscript", encoding="auto"))
+        options=ExecutionOptions(backend="torchscript"))
     table = session.prepare_inputs(compiled.executor)["t"]
     for _, column in table.columns():
         assert column.encoding is None and column.tensor.shape == (n,)
@@ -140,10 +140,11 @@ def test_sorted_and_constant_numerics_are_plain_program_inputs():
     assert compiled.run().num_rows == n - 16
 
 
-def test_parameterized_equality_on_dictionary_codes(frames_match):
-    encoded = make_session(encoding="auto")
-    plain = make_session(encoding="off")
-    options = ExecutionOptions(backend="torchscript", encoding="auto")
+def test_parameterized_equality_on_dictionary_codes(frames_match,
+                                                    plain_session):
+    encoded = make_session()
+    plain = plain_session({"t": make_frame()})
+    options = ExecutionOptions(backend="torchscript")
     query = encoded.prepare("select k from t where tag = :tag order by k",
                             options=options)
     for tag in ("alpha", "beta", "nosuch"):
@@ -155,26 +156,20 @@ def test_parameterized_equality_on_dictionary_codes(frames_match):
 # -- cache keying and invalidation --------------------------------------------
 
 
-def test_encoding_mode_is_part_of_the_plan_cache_key():
+def test_conversion_memo_is_keyed_by_column_name():
+    """One stored form per column: two statements reading ``tag`` share its
+    converted column, and each scan input is keyed by its fields and
+    placement."""
     session = make_session()
-    sql = "select sum(v) as s from t"
-    auto = session.compile(sql, options=ExecutionOptions(encoding="auto"))
-    off = session.compile(sql, options=ExecutionOptions(encoding="off"))
-    assert auto is not off
-    again = session.compile(sql, options=ExecutionOptions(encoding="auto"))
-    assert again is auto
-
-
-def test_conversion_cache_keyed_by_encoding_and_version():
-    session = make_session()
-    compiled_auto = session.compile("select tag from t",
-                                    options=ExecutionOptions(encoding="auto"))
-    compiled_off = session.compile("select tag from t",
-                                   options=ExecutionOptions(encoding="off"))
-    encoded = session.prepare_inputs(compiled_auto.executor)["t"]
-    plain = session.prepare_inputs(compiled_off.executor)["t"]
-    assert encoded.column("t.tag").encoding is not None
-    assert plain.column("t.tag").encoding is None
+    narrow = session.compile("select tag from t")
+    wide = session.compile("select tag, v from t",
+                           options=ExecutionOptions(backend="torchscript"))
+    first = session.prepare_inputs(narrow.executor)["t"].column("t.tag")
+    second = session.prepare_inputs(wide.executor)["t"].column("t.tag")
+    assert first is second and first.encoding is not None
+    record = session.catalog.record("t")
+    assert set(record.columns) == {"tag", "v"}
+    assert all(len(key) == 2 for key in record.converted)
 
 
 def test_reregister_with_different_dtype_bumps_version():
