@@ -3,9 +3,10 @@
 Every statement of the pool — the 22 TPC-H queries, ten parameterized
 statements with their binding sequences, auto-parameterized Q6 and three
 nested-loop joins — runs at option points drawn from the full product of
-backend, device, executor, parallelism, devices / shard, data layout
-(generated or date-clustered ``lineitem``) and, for parameterized statements,
-entry (``bind``, ``execute_many`` or ``ServingRuntime.submit``).
+backend, device, executor, parallelism, column storage (low-NDV strings as
+dictionaries, or every column plain), devices / shard, data layout (generated
+or date-clustered ``lineitem``) and, for parameterized statements, entry
+(``bind``, ``execute_many`` or ``ServingRuntime.submit``).
 The draws are generated from ``SEED`` so that every statement meets every
 value of every field, on one device and again on several, and every pair of
 values from two fields occurs in some draw
@@ -14,8 +15,9 @@ values from two fields occurs in some draw
 - the row-engine oracle answers each (statement, binding, data) once, and the
   serial ``pytorch`` / ``cpu`` reference matches it (sorted rows, float
   tolerance);
-- every single-device draw is bit-identical to that reference: the same
-  column names, dtypes, data bytes and validity bytes;
+- every single-device draw, on either column storage, is bit-identical to
+  that reference (which reads dictionary columns): the same column names,
+  dtypes, data bytes and validity bytes;
 - draws with ``devices > 1`` are compared only against the oracle, because
   sharding re-associates float sums.
 
@@ -157,6 +159,7 @@ FIELDS = {
     "device": ("cpu", "cuda", "wasm"),
     "executor": ("compiled", "interpret"),
     "parallelism": (1, 4),
+    "columns": ("dictionary", "plain"),
     "devices": (1, 2, 4),
     "shard": ("hash", "range"),
     "data": ("generated", "clustered"),
@@ -164,7 +167,7 @@ FIELDS = {
 }
 
 REFERENCE = {"backend": "pytorch", "device": "cpu", "parallelism": 1,
-             "devices": 1}
+             "columns": "dictionary", "devices": 1}
 
 #: Random candidates scored per draw by the greedy cover.
 CANDIDATES = 64
@@ -365,6 +368,22 @@ def environments(tpch_tiny):
 
 
 @pytest.fixture(scope="module")
+def sessions(environments, plain_session):
+    """``(data, columns)`` -> the session a draw runs on: the environment's
+    own (low-NDV strings dictionary-encoded) or one over the same tables with
+    every column plain."""
+    out = {}
+    for data, (session, tables) in environments.items():
+        out[data, "dictionary"] = session
+        out[data, "plain"] = plain_session(tables)
+    return out
+
+
+def session_for(sessions, point: dict) -> TQPSession:
+    return sessions[point["data"], point["columns"]]
+
+
+@pytest.fixture(scope="module")
 def answers(environments):
     """``(statement, data) -> (oracle frames, reference tables)``, one per
     binding; the oracle answers each (statement, binding, data) once."""
@@ -408,12 +427,11 @@ def _draw_id(index: int, draw: tuple) -> str:
 
 @pytest.mark.parametrize("draw", DRAWS,
                          ids=[_draw_id(i, d) for i, d in enumerate(DRAWS)])
-def test_draw(environments, answers, frames_match, draw):
+def test_draw(sessions, answers, frames_match, draw):
     stmt, point = draw
-    data = point["data"]
-    oracles, references = answers(stmt, data)
+    oracles, references = answers(stmt, point["data"])
     with reported(describe(stmt, point)):
-        results = run_point(environments[data][0], stmt, point)
+        results = run_point(session_for(sessions, point), stmt, point)
     expected_mode = ("eager" if point["backend"] == "pytorch" else
                      {"compiled": "compiled",
                       "interpret": "interpreted"}[point["executor"]])
@@ -455,14 +473,14 @@ OPERATOR_CLASSES = {
     and name not in ("TensorOperator", "MapOperator")}
 
 
-def test_pool_plans_every_operator_and_join_kind(environments):
+def test_pool_plans_every_operator_and_join_kind(sessions):
     """The draws' plans hold every physical operator and every join kind SQL
     reaches.  Kinds no SQL plans: hash joins ``right`` / ``full`` (the parser
     accepts them, the planner raises), nested-loop ``semi`` / ``anti``
     (EXISTS without an equality is not decorrelated; IN runs a subquery)."""
     seen, kinds = set(), set()
     for stmt, point in DRAWS:
-        session = environments[point["data"]][0]
+        session = session_for(sessions, point)
         session.plan_cache.clear()
         with reported(describe(stmt, point)):
             plan = session.compile(stmt.sql, options=options_for(
