@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import tpch
-from repro.frontend import sql_to_logical
+from repro.frontend import sql_to_physical
 from repro.frontend.logical import LogicalScan, walk_plan
 from repro import ExecutionOptions
 from repro.tensor import GraphInterpreter, Profiler, passes
@@ -95,7 +95,7 @@ def test_ablation_column_pruning(tpch_env, scale_factor, query_id):
     """Scan-column pruning: the optimized plan converts far fewer columns."""
     session, _ = tpch_env
     sql = tpch.query(query_id, scale_factor)
-    pruned = sql_to_logical(sql, session.catalog, optimized=True)
+    pruned = sql_to_physical(sql, session.catalog, optimized=True)
     pruned_columns = sum(len(node.fields) for node in walk_plan(pruned)
                          if isinstance(node, LogicalScan))
     total_columns = sum(

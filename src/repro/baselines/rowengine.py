@@ -3,14 +3,14 @@
 The paper compares TQP against Apache Spark running on the CPU.  Spark itself
 is not available offline, so this module provides the comparator the
 benchmarks need: an interpreted, row-oriented engine that executes the *same*
-physical plans the frontend hands to TQP.  Rows are Python dicts, expressions
+optimized plans the frontend hands to TQP.  Rows are Python dicts, expressions
 are evaluated recursively per row, joins are classic hash joins over Python
 dictionaries — i.e. a faithful stand-in for an interpreted row-at-a-time
 executor, which is exactly the performance regime the paper's Figure 1
 contrasts with tensor execution.
 
-Because both engines consume the same physical plans, the row engine doubles
-as the correctness oracle for the TPC-H test-suite.
+Because both engines consume the same plans, the row engine doubles as the
+correctness oracle for the TPC-H test-suite.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from repro.core.columnar import LogicalType
 from repro.dataframe import DataFrame
 from repro.errors import ExecutionError, UnsupportedOperationError
 from repro.frontend import ast
-from repro.frontend import physical as phys
-from repro.frontend.logical import AggregateCall
+from repro.frontend import logical as lp
 
 Row = dict[str, Any]
 
@@ -190,7 +189,7 @@ class RowExpressionEvaluator:
 
 
 class RowEngine:
-    """Executes frontend physical plans one row at a time."""
+    """Executes the frontend's optimized plans one row at a time."""
 
     def __init__(self, dataframes: dict[str, DataFrame],
                  models: Optional[dict[str, Callable]] = None,
@@ -205,10 +204,10 @@ class RowEngine:
 
     # -- public API -----------------------------------------------------------
 
-    def execute(self, plan: phys.PhysicalNode) -> list[Row]:
+    def execute(self, plan: lp.LogicalNode) -> list[Row]:
         return list(self._execute(plan))
 
-    def execute_to_dataframe(self, plan: phys.PhysicalNode) -> DataFrame:
+    def execute_to_dataframe(self, plan: lp.LogicalNode) -> DataFrame:
         rows = self.execute(plan)
         names = [f.name for f in plan.schema()]
         data: dict[str, list] = {name: [] for name in names}
@@ -244,18 +243,18 @@ class RowEngine:
 
     # -- subquery support --------------------------------------------------------
 
-    def subquery_rows(self, subplan: phys.PhysicalNode) -> list[Row]:
+    def subquery_rows(self, subplan: lp.LogicalNode) -> list[Row]:
         key = id(subplan)
         if key not in self._subquery_cache:
             self._subquery_cache[key] = self.execute(subplan)
         return self._subquery_cache[key]
 
-    def subquery_column(self, subplan: phys.PhysicalNode) -> set:
+    def subquery_column(self, subplan: lp.LogicalNode) -> set:
         rows = self.subquery_rows(subplan)
         name = subplan.schema()[0].name
         return {row[name] for row in rows}
 
-    def subquery_scalar(self, subplan: phys.PhysicalNode) -> Any:
+    def subquery_scalar(self, subplan: lp.LogicalNode) -> Any:
         rows = self.subquery_rows(subplan)
         if not rows:
             return None
@@ -264,32 +263,30 @@ class RowEngine:
 
     # -- operators -------------------------------------------------------------------
 
-    def _execute(self, plan: phys.PhysicalNode) -> Iterable[Row]:
-        if isinstance(plan, phys.PhysicalScan):
+    def _execute(self, plan: lp.LogicalNode) -> Iterable[Row]:
+        if isinstance(plan, lp.LogicalScan):
             return self._scan(plan)
-        if isinstance(plan, phys.PhysicalFilter):
+        if isinstance(plan, lp.LogicalFilter):
             return self._filter(plan)
-        if isinstance(plan, phys.PhysicalProject):
+        if isinstance(plan, lp.LogicalProject):
             return self._project(plan)
-        if isinstance(plan, phys.PhysicalHashJoin):
-            return self._hash_join(plan)
-        if isinstance(plan, phys.PhysicalNestedLoopJoin):
-            return self._nested_loop_join(plan)
-        if isinstance(plan, phys.PhysicalHashAggregate):
+        if isinstance(plan, lp.LogicalJoin):
+            return self._join(plan)
+        if isinstance(plan, lp.LogicalAggregate):
             return self._aggregate(plan)
-        if isinstance(plan, phys.PhysicalSort):
+        if isinstance(plan, lp.LogicalSort):
             return self._sort(plan)
-        if isinstance(plan, phys.PhysicalLimit):
+        if isinstance(plan, lp.LogicalLimit):
             return self.execute(plan.child)[: plan.count]
-        if isinstance(plan, phys.PhysicalDistinct):
+        if isinstance(plan, lp.LogicalDistinct):
             return self._distinct(plan)
-        if isinstance(plan, phys.PhysicalRename):
+        if isinstance(plan, lp.LogicalSubqueryAlias):
             return self._rename(plan)
         raise UnsupportedOperationError(
             f"row engine cannot execute {type(plan).__name__}"
         )
 
-    def _scan(self, plan: phys.PhysicalScan) -> list[Row]:
+    def _scan(self, plan: lp.LogicalScan) -> list[Row]:
         frame = self.dataframes.get(plan.table.lower())
         if frame is None:
             raise ExecutionError(f"row engine: unknown table {plan.table!r}")
@@ -307,11 +304,11 @@ class RowEngine:
             for i in range(count)
         ]
 
-    def _filter(self, plan: phys.PhysicalFilter) -> list[Row]:
+    def _filter(self, plan: lp.LogicalFilter) -> list[Row]:
         return [row for row in self._execute(plan.child)
                 if self.evaluator.evaluate(plan.condition, row)]
 
-    def _project(self, plan: phys.PhysicalProject) -> list[Row]:
+    def _project(self, plan: lp.LogicalProject) -> list[Row]:
         out = []
         for row in self._execute(plan.child):
             out.append({
@@ -320,66 +317,45 @@ class RowEngine:
             })
         return out
 
-    def _hash_join(self, plan: phys.PhysicalHashJoin) -> list[Row]:
+    def _join(self, plan: lp.LogicalJoin) -> list[Row]:
+        """A hash join on the keys when the join has them, else every right
+        row; either way the pairs that pass ``plan.predicate`` match."""
         left_rows = self.execute(plan.left)
         right_rows = self.execute(plan.right)
         build: dict[tuple, list[Row]] = {}
-        for row in right_rows:
-            key = tuple(self.evaluator.evaluate(k, row) for k in plan.right_keys)
-            if None not in key:  # a NULL key equals nothing, not even NULL
-                build.setdefault(key, []).append(row)
+        if plan.left_keys:
+            for row in right_rows:
+                key = tuple(self.evaluator.evaluate(k, row)
+                            for k in plan.right_keys)
+                if None not in key:  # a NULL key equals nothing, not even NULL
+                    build.setdefault(key, []).append(row)
         right_nulls = {f.name: None for f in plan.right.schema()}
+        predicate = plan.predicate
         out: list[Row] = []
         for row in left_rows:
-            key = tuple(self.evaluator.evaluate(k, row) for k in plan.left_keys)
-            matches = build.get(key, [])
-            if plan.residual is not None and matches:
+            candidates = right_rows
+            if plan.left_keys:
+                candidates = build.get(tuple(self.evaluator.evaluate(k, row)
+                                             for k in plan.left_keys), [])
+            matches = [{**row, **m} for m in candidates]
+            if predicate is not None:
                 matches = [m for m in matches
-                           if self.evaluator.evaluate(plan.residual, {**row, **m})]
-            if plan.kind == "inner":
-                out.extend({**row, **m} for m in matches)
-            elif plan.kind == "left":
-                if matches:
-                    out.extend({**row, **m} for m in matches)
-                else:
-                    out.append({**row, **right_nulls})
-            elif plan.kind == "semi":
-                if matches:
-                    out.append(row)
-            elif plan.kind == "anti":
-                if not matches:
-                    out.append(row)
-            else:
-                raise UnsupportedOperationError(f"join kind {plan.kind!r}")
-        return out
-
-    def _nested_loop_join(self, plan: phys.PhysicalNestedLoopJoin) -> list[Row]:
-        left_rows = self.execute(plan.left)
-        right_rows = self.execute(plan.right)
-        right_nulls = {f.name: None for f in plan.right.schema()}
-        out: list[Row] = []
-        for left_row in left_rows:
-            matches = []
-            for right_row in right_rows:
-                combined = {**left_row, **right_row}
-                if plan.condition is None or self.evaluator.evaluate(plan.condition,
-                                                                     combined):
-                    matches.append(combined)
+                           if self.evaluator.evaluate(predicate, m)]
             if plan.kind in ("inner", "cross"):
                 out.extend(matches)
             elif plan.kind == "left":
-                out.extend(matches or [{**left_row, **right_nulls}])
+                out.extend(matches or [{**row, **right_nulls}])
             elif plan.kind == "semi":
                 if matches:
-                    out.append(left_row)
+                    out.append(row)
             elif plan.kind == "anti":
                 if not matches:
-                    out.append(left_row)
+                    out.append(row)
             else:
                 raise UnsupportedOperationError(f"join kind {plan.kind!r}")
         return out
 
-    def _aggregate(self, plan: phys.PhysicalHashAggregate) -> list[Row]:
+    def _aggregate(self, plan: lp.LogicalAggregate) -> list[Row]:
         rows = self.execute(plan.child)
         groups: dict[tuple, list[Row]] = {}
         keys_of_group: dict[tuple, list] = {}
@@ -400,7 +376,7 @@ class RowEngine:
             out.append(row_out)
         return out
 
-    def _aggregate_value(self, call: AggregateCall, rows: list[Row]) -> Any:
+    def _aggregate_value(self, call: lp.AggregateCall, rows: list[Row]) -> Any:
         if call.func == "count" and call.expr is None:
             return len(rows)
         values = [self.evaluator.evaluate(call.expr, row) for row in rows]
@@ -421,15 +397,19 @@ class RowEngine:
             return max(values)
         raise UnsupportedOperationError(f"aggregate {call.func!r}")
 
-    def _sort(self, plan: phys.PhysicalSort) -> list[Row]:
+    def _sort(self, plan: lp.LogicalSort) -> list[Row]:
         rows = self.execute(plan.child)
-        # Stable sort from the least significant key to the most significant.
+        # Stable sort from the least significant key to the most significant;
+        # a NULL key sorts after every other under ASC and DESC alike.
         for expr, ascending in reversed(plan.keys):
-            rows.sort(key=lambda row: self.evaluator.evaluate(expr, row),
-                      reverse=not ascending)
+            keyed = [(self.evaluator.evaluate(expr, row), row) for row in rows]
+            present = [pair for pair in keyed if pair[0] is not None]
+            present.sort(key=lambda pair: pair[0], reverse=not ascending)
+            rows = [row for _, row in present]
+            rows += [row for value, row in keyed if value is None]
         return rows
 
-    def _distinct(self, plan: phys.PhysicalDistinct) -> list[Row]:
+    def _distinct(self, plan: lp.LogicalDistinct) -> list[Row]:
         names = plan.field_names()
         seen = set()
         out = []
@@ -440,9 +420,9 @@ class RowEngine:
                 out.append(row)
         return out
 
-    def _rename(self, plan: phys.PhysicalRename) -> list[Row]:
+    def _rename(self, plan: lp.LogicalSubqueryAlias) -> list[Row]:
         child_names = plan.child.field_names()
-        output_names = [f.name for f in plan.output_fields]
+        output_names = plan.field_names()
         out = []
         for row in self._execute(plan.child):
             out.append({new: row[old] for old, new in zip(child_names, output_names)})
@@ -460,8 +440,6 @@ def run_sql(sql: str, dataframes: dict[str, DataFrame],
     """
     from repro.core.parameters import ParameterSpec, bind_parameters
     from repro.frontend import Catalog, sql_to_physical
-    from repro.frontend.optimizer import node_expressions_physical
-    from repro.frontend.physical import walk_physical
 
     catalog = Catalog()
     for name, frame in dataframes.items():
@@ -472,17 +450,16 @@ def run_sql(sql: str, dataframes: dict[str, DataFrame],
         specs: list[ParameterSpec] = []
         seen: set[str] = set()
 
-        def collect(physical_plan: phys.PhysicalNode) -> None:
-            for node in walk_physical(physical_plan):
-                for expr in node_expressions_physical(node):
+        def collect(subplan: lp.LogicalNode) -> None:
+            for node in lp.walk_plan(subplan):
+                for expr in lp.node_expressions(node):
                     for sub in ast.walk_expr(expr):
                         if isinstance(sub, ast.ParameterExpr) and sub.name not in seen:
                             seen.add(sub.name)
                             specs.append(ParameterSpec(sub.name, sub.otype,
                                                        sub.position, sub.positional))
-                        subplan = getattr(sub, "subplan", None)
-                        if isinstance(subplan, phys.PhysicalNode):
-                            collect(subplan)
+                        if getattr(sub, "subplan", None) is not None:
+                            collect(sub.subplan)
 
         collect(plan)
         normalized = bind_parameters(specs, params)

@@ -130,7 +130,7 @@ def time_rowengine(session: TQPSession, tables: dict[str, DataFrame], sql: str,
                    runs: int = 1, warmup: int = 0,
                    models: Optional[dict[str, Callable]] = None,
                    label: str = "RowEngine (Spark-CPU stand-in)") -> BenchResult:
-    """Measure the row-at-a-time baseline on the same physical plan."""
+    """Measure the row-at-a-time baseline on the plan TQP compiles."""
     plan = sql_to_physical(sql, session.catalog)
     engine = RowEngine(tables, models=models)
     for _ in range(warmup):

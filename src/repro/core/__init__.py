@@ -1,4 +1,4 @@
-"""TQP core: the compilation stack from physical plans to tensor programs."""
+"""TQP core: the compilation stack from frontend plans to tensor programs."""
 
 from repro.core.columnar import LogicalType, TensorColumn, TensorTable
 from repro.core.executor import ExecutionResult, Executor

@@ -64,8 +64,8 @@ class EvaluationContext:
 
     Attributes:
         device: device every produced tensor should live on.
-        subquery_runner: callable executing an (uncorrelated) physical subplan
-            and returning its result :class:`TensorTable`.
+        subquery_runner: callable executing an (uncorrelated) subquery's
+            logical subplan and returning its result :class:`TensorTable`.
         models: mapping of model name → compiled predict function
             ``f(list[ExprValue], num_rows) -> ExprValue`` used by ``PREDICT``.
         params: bound values for the statement's bind parameters, by name —

@@ -1,9 +1,10 @@
 """TQP's internal Intermediate Representation (IR).
 
-The parsing layer converts the frontend's physical plan into this IR (paper
-§2.2).  Keeping the IR independent from the frontend's plan classes is what
-lets TQP plug different frontend database systems: anything that can be
-expressed as these IR operators can be compiled to tensor programs.
+The parsing layer converts the frontend's optimized plan into this IR (paper
+§2.2), choosing each join's algorithm on the way.  Keeping the IR independent
+from the frontend's plan classes is what lets TQP plug different frontend
+database systems: anything that can be expressed as these IR operators can be
+compiled to tensor programs.
 """
 
 from __future__ import annotations

@@ -233,9 +233,12 @@ class HashAggregateOperator(TensorOperator):
     def _count_distinct(column: TensorColumn, group_ids: Tensor,
                         num_groups: "Tensor | int") -> Tensor:
         """Distinct values per group: ``unique`` over (group, value) pairs —
-        a set, which no scatter reduction can merge."""
+        a set, which no scatter reduction can merge.  A NULL is no value:
+        only valid rows make pairs, so an all-NULL group counts 0."""
         value_ids, radix = factorize_single(column_value(column))
         pair_ids = ops.add(ops.mul(group_ids, radix), value_ids)
+        if column.valid is not None:
+            pair_ids = ops.boolean_mask(pair_ids, column.valid)
         unique_pairs, _, _ = ops.unique(pair_ids)
         return ops.bincount(ops.floordiv(unique_pairs, radix),
                             minlength=num_groups)

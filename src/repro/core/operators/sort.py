@@ -15,7 +15,9 @@ class SortOperator(TensorOperator):
 
     Numeric/date keys sort directly (negated for DESC); string keys contribute
     one sub-key per character column of the padded representation, preserving
-    lexicographic order.
+    lexicographic order.  A NULL key sorts after every non-NULL one under ASC
+    and DESC alike (as a stored NaN does): a key with validity leads with a
+    ``not valid`` sub-key, and its NULL rows tie on the rest of it.
     """
 
     name = "Sort"
@@ -33,21 +35,27 @@ class SortOperator(TensorOperator):
         for expr, ascending in self.keys:
             value = evaluate_encoded(expr, table, ctx.eval_ctx)
             column = to_column(value, table)
+            valid = column.valid
+            if valid is not None:
+                subkeys.append(ops.cast(ops.logical_not(valid), "int64"))
+
+            def add(key: Tensor) -> None:
+                if valid is not None:
+                    key = ops.where(valid, key, 0)
+                subkeys.append(key if ascending else ops.neg(key))
+
             if column.encoding is not None:
                 # Dictionary codes are order-preserving (sorted dictionary):
                 # one integer sub-key replaces m per-character sub-keys.
-                key = ops.cast(column.tensor, "int64")
-                subkeys.append(key if ascending else ops.neg(key))
+                add(ops.cast(column.tensor, "int64"))
             elif column.ltype == LogicalType.STRING:
                 codes = column.tensor
                 for char_index in range(codes.shape[1]):
-                    char_key = ops.slice_(codes, (slice(None), char_index))
-                    subkeys.append(char_key if ascending else ops.neg(char_key))
+                    add(ops.slice_(codes, (slice(None), char_index)))
             elif column.ltype == LogicalType.BOOL:
-                key = ops.cast(column.tensor, "int64")
-                subkeys.append(key if ascending else ops.neg(key))
+                add(ops.cast(column.tensor, "int64"))
             else:
-                subkeys.append(column.tensor if ascending else ops.neg(column.tensor))
+                add(column.tensor)
         return subkeys
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:

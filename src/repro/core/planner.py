@@ -65,8 +65,12 @@ from repro.core.parameters import ParameterSpec
 from repro.core.tuning import Tuning, active_tuning
 from repro.errors import PlanningError
 from repro.frontend import ast
-from repro.frontend.logical import Field
-from repro.frontend.physical import PhysicalNode
+from repro.frontend.logical import (
+    Field,
+    LogicalNode,
+    node_expressions,
+    walk_plan,
+)
 
 #: Estimated stored width per logical type for exchange byte costing: bools
 #: are byte masks, strings a fixed allowance for their code-point matrices,
@@ -97,7 +101,7 @@ class OperatorPlan:
             worker lanes, runtime subqueries included: the one place a width
             lives, where the cost models and labels look each scope up.
         subqueries: the operator subtree planned for each runtime subquery,
-            keyed by the physical subplan its expression names — the plan
+            keyed by the logical subplan its expression names — the plan
             holds them, so planning leaves the IR as it found it and one IR
             can be planned again.
         lane_rows: ``{scope: estimated rows}`` of every operator the lanes
@@ -111,7 +115,7 @@ class OperatorPlan:
     params: list[ParameterSpec] = dataclasses.field(default_factory=list)
     model_names: frozenset[str] = frozenset()
     lanes: dict[str, int] = dataclasses.field(default_factory=dict)
-    subqueries: dict[PhysicalNode, TensorOperator] = dataclasses.field(
+    subqueries: dict[LogicalNode, TensorOperator] = dataclasses.field(
         default_factory=dict)
     lane_rows: dict[str, int] = dataclasses.field(default_factory=dict)
 
@@ -170,19 +174,11 @@ def _expr_contains_params(expr: ast.Expr) -> bool:
         if isinstance(sub, ast.ParameterExpr):
             return True
         subplan = getattr(sub, "subplan", None)
-        if subplan is not None and _physical_contains_params(subplan):
+        if subplan is not None and any(
+                _expr_contains_params(inner) for node in walk_plan(subplan)
+                for inner in node_expressions(node)):
             return True
     return False
-
-
-def _physical_contains_params(plan) -> bool:
-    """Scan a physical plan (a runtime-subquery subplan) for parameters."""
-    from repro.frontend.optimizer import node_expressions_physical
-    from repro.frontend.physical import walk_physical
-
-    return any(_expr_contains_params(expr)
-               for node in walk_physical(plan)
-               for expr in node_expressions_physical(node))
 
 
 def ir_contains_params(root: ir.IRNode) -> bool:
@@ -243,7 +239,7 @@ class Planner:
                  devices: int = 1, shard_mode: str = "hash",
                  tuning: Optional[Tuning] = None) -> None:
         self._scans: list[ScanOperator] = []
-        self._subqueries: dict[PhysicalNode, TensorOperator] = {}
+        self._subqueries: dict[LogicalNode, TensorOperator] = {}
         self.tuning = tuning if tuning is not None else active_tuning()
         #: Simulated devices for sharded execution; 1 keeps plans single-device.
         self.devices = max(1, int(devices))
@@ -305,7 +301,7 @@ class Planner:
 
     def _plan_expressions(self, node: ir.IRNode) -> None:
         """Collect the bind parameters and models a node's expressions
-        reference, and plan an operator subtree for each physical subplan
+        reference, and plan an operator subtree for each subquery's subplan
         inside them (kept on the plan, not written into the expression).
 
         Uncorrelated IN / EXISTS / scalar subqueries are evaluated at runtime;

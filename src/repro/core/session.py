@@ -39,12 +39,13 @@ statement's lanes map — adaptive ones under every strategy candidate
 (:mod:`repro.adaptive`).  A width is only that map: a statement's serial,
 ``parallelism=N`` and adaptive entries share one plan and one executor.
 
-All knobs (backend, device, plan cache, parallelism, auto-parameterization,
-executor) live on one :class:`ExecutionOptions` object, and a session's
-defaults are one such object (``TQPSession(default_options=...)``).  On the
-graph backends the traced graph is lowered to generated code
-(:mod:`repro.tensor.codegen`), so a serving loop executes one compiled
-function per request instead of walking the graph node by node;
+All knobs (backend, device, parallelism, adaptive pricing, devices and
+sharding, auto-parameterization, executor) live on one
+:class:`ExecutionOptions` object, and a session's defaults are one such
+object (``TQPSession(default_options=...)``).  On the graph backends the
+traced graph is lowered to generated code (:mod:`repro.tensor.codegen`), so
+a serving loop executes one compiled function per request instead of
+walking the graph node by node;
 ``ExecutionOptions(executor="interpret")`` replays through the reference
 graph interpreter instead, with identical results and profiles.  Ad-hoc
 ``session.sql(...)`` calls can opt into **auto-parameterization** (``ExecutionOptions(auto_parameterize=True)``),
@@ -80,8 +81,7 @@ from repro.core.planner import OperatorPlan, Planner
 from repro.core.tuning import active_tuning
 from repro.dataframe import DataFrame
 from repro.errors import BatchBindingError, BindingError, ExecutionError
-from repro.frontend import Catalog, sql_to_physical
-from repro.frontend.physical import PhysicalNode
+from repro.frontend import Catalog, LogicalNode, sql_to_physical
 from repro.tensor import onnxlike
 
 
@@ -90,7 +90,8 @@ class CompiledQuery:
     """A query compiled down to an Executor, plus every intermediate artifact."""
 
     sql: str
-    physical_plan: PhysicalNode
+    #: The frontend's optimized plan, the tree ``ir`` was built from.
+    physical_plan: LogicalNode
     ir: IRNode
     operator_plan: OperatorPlan
     executor: Executor
@@ -197,7 +198,7 @@ class CompiledQuery:
         return self.execute(params=params).to_dataframe()
 
     def explain(self) -> str:
-        """Human-readable physical plan / IR / operator plan."""
+        """Human-readable frontend plan / IR / operator plan."""
         sections = [
             "== Physical plan ==", self.physical_plan.pretty(),
             "== TQP IR ==", self.ir.pretty(),

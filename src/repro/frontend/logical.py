@@ -128,7 +128,9 @@ class LogicalJoin(LogicalNode):
     ``kind`` is one of ``inner``, ``left``, ``semi``, ``anti``, ``cross``.
     ``condition`` is an arbitrary boolean expression over both sides; the
     optimizer extracts equality keys into ``left_keys`` / ``right_keys`` and
-    leaves the remainder in ``residual``.
+    leaves the remainder in ``residual``.  A join with keys runs as a hash
+    join, one without as a nested-loop join; either tests :attr:`predicate`
+    on the pairs it forms.
     """
 
     left: LogicalNode
@@ -153,6 +155,14 @@ class LogicalJoin(LogicalNode):
             # Columns of the right side become nullable; logical types unchanged.
             right_fields = list(right_fields)
         return list(self.left.schema()) + right_fields
+
+    @property
+    def predicate(self) -> Optional[Expr]:
+        """What the join tests on a (left, right) pair beyond its keys: the
+        residual, or the whole condition of a join nothing was split from."""
+        if self.left_keys or self.residual is not None:
+            return self.residual
+        return self.condition
 
     def describe(self) -> str:
         return f"Join[{self.kind}]"
@@ -257,6 +267,28 @@ class LogicalSubqueryAlias(LogicalNode):
 
     def describe(self) -> str:
         return f"SubqueryAlias({self.alias})"
+
+
+def node_expressions(node: LogicalNode) -> list[Expr]:
+    """All expressions attached directly to ``node``."""
+    if isinstance(node, LogicalFilter):
+        return [node.condition]
+    if isinstance(node, LogicalProject):
+        return list(node.exprs)
+    if isinstance(node, LogicalJoin):
+        exprs = list(node.left_keys) + list(node.right_keys)
+        if node.condition is not None:
+            exprs.append(node.condition)
+        if node.residual is not None:
+            exprs.append(node.residual)
+        return exprs
+    if isinstance(node, LogicalAggregate):
+        exprs = list(node.group_exprs)
+        exprs.extend(a.expr for a in node.aggregates if a.expr is not None)
+        return exprs
+    if isinstance(node, LogicalSort):
+        return [key for key, _ in node.keys]
+    return []
 
 
 def walk_plan(node: LogicalNode):

@@ -37,8 +37,9 @@ from repro.frontend.logical import (
     LogicalNode,
     LogicalProject,
     LogicalScan,
-    LogicalSort,
     LogicalSubqueryAlias,
+    node_expressions,
+    walk_plan,
 )
 
 _subquery_counter = itertools.count()
@@ -98,63 +99,11 @@ def has_subquery(expr: ast.Expr) -> bool:
 
 
 def plan_has_outer_refs(plan: LogicalNode) -> bool:
-    for node in _walk(plan):
+    for node in walk_plan(plan):
         for expr in node_expressions(node):
             if has_outer_refs(expr):
                 return True
     return False
-
-
-def _walk(plan: LogicalNode):
-    yield plan
-    for child in plan.children():
-        yield from _walk(child)
-
-
-def node_expressions(node: LogicalNode) -> list[ast.Expr]:
-    """All expressions attached directly to ``node``."""
-    if isinstance(node, LogicalFilter):
-        return [node.condition]
-    if isinstance(node, LogicalProject):
-        return list(node.exprs)
-    if isinstance(node, LogicalJoin):
-        exprs = list(node.left_keys) + list(node.right_keys)
-        if node.condition is not None:
-            exprs.append(node.condition)
-        if node.residual is not None:
-            exprs.append(node.residual)
-        return exprs
-    if isinstance(node, LogicalAggregate):
-        exprs = list(node.group_exprs)
-        exprs.extend(a.expr for a in node.aggregates if a.expr is not None)
-        return exprs
-    if isinstance(node, LogicalSort):
-        return [key for key, _ in node.keys]
-    return []
-
-
-def node_expressions_physical(node) -> list[ast.Expr]:
-    """All expressions attached directly to a *physical* node."""
-    from repro.frontend import physical as phys
-
-    if isinstance(node, phys.PhysicalFilter):
-        return [node.condition]
-    if isinstance(node, phys.PhysicalProject):
-        return list(node.exprs)
-    if isinstance(node, (phys.PhysicalHashJoin,)):
-        exprs = list(node.left_keys) + list(node.right_keys)
-        if node.residual is not None:
-            exprs.append(node.residual)
-        return exprs
-    if isinstance(node, phys.PhysicalNestedLoopJoin):
-        return [node.condition] if node.condition is not None else []
-    if isinstance(node, phys.PhysicalHashAggregate):
-        exprs = list(node.group_exprs)
-        exprs.extend(a.expr for a in node.aggregates if a.expr is not None)
-        return exprs
-    if isinstance(node, phys.PhysicalSort):
-        return [key for key, _ in node.keys]
-    return []
 
 
 def embedded_subplans(expr: ast.Expr) -> list[LogicalNode]:
@@ -556,7 +505,7 @@ def push_filters(plan: LogicalNode) -> LogicalNode:
 
 
 def _collect_used_columns(plan: LogicalNode, used: set[str]) -> None:
-    for node in _walk(plan):
+    for node in walk_plan(plan):
         for expr in node_expressions(node):
             for sub in ast.walk_expr(expr):
                 if isinstance(sub, ast.ColumnRef) and sub.resolved:
@@ -576,7 +525,7 @@ def _collect_used_columns(plan: LogicalNode, used: set[str]) -> None:
 
 
 def _narrow_scans(plan: LogicalNode, used: set[str]) -> None:
-    for node in _walk(plan):
+    for node in walk_plan(plan):
         for expr in node_expressions(node):
             for subplan in embedded_subplans(expr):
                 _narrow_scans(subplan, used)
@@ -608,7 +557,7 @@ def _transform_children(plan: LogicalNode, fn) -> LogicalNode:
 def _optimize_embedded_subplans(plan: LogicalNode) -> None:
     """Optimize subplans embedded in expressions (uncorrelated runtime subqueries
     and correlated ones prior to decorrelation)."""
-    for node in _walk(plan):
+    for node in walk_plan(plan):
         for expr in node_expressions(node):
             for sub in ast.walk_expr(expr):
                 if isinstance(sub, (ast.InSubquery, ast.ExistsSubquery, ast.ScalarSubquery)):

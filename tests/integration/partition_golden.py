@@ -22,7 +22,11 @@ rows, not a regeneration).  When a width became a price over one width-free
 plan, ``lanes4`` came back as the statement's rendered operator plan at
 ``parallelism=4`` (``OperatorPlan.pretty()``, labels from its lanes map),
 generated at the commit before, where the planner still placed lanes; the
-serial and shards entries stayed byte-identical.
+serial and shards entries stayed byte-identical.  When a NULL sort key
+began to sort last (a key with validity leads with a ``not valid``
+sub-key), Q3's sharded ``pytorch`` profile gained one ``logical_not``,
+``cast`` and ``where``: its merged ``sum`` carries validity.  Plans, exchange
+bytes and every other profile stayed byte-identical.
 
 Regenerate (only when a plan-shape change is intended), from the repo root::
 

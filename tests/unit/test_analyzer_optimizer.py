@@ -1,4 +1,5 @@
-"""Unit tests for semantic analysis, the logical optimizer, and physical planning."""
+"""Unit tests for semantic analysis, the logical optimizer, and the IR the
+parsing layer builds from the optimized plan."""
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from repro.frontend import (
     Catalog,
     optimize,
     parse,
-    sql_to_logical,
     sql_to_physical,
 )
-from repro.frontend import physical as phys
+from repro.core import ir
+from repro.core.ir_builder import build_ir
 from repro.frontend.logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -114,7 +115,7 @@ def test_analyzer_order_by_alias_and_type_of_avg(catalog):
 
 
 def test_analyzer_folds_date_interval_arithmetic(catalog):
-    plan = sql_to_logical(
+    plan = sql_to_physical(
         "select item_id from items where shipped < date '2024-01-01' + interval '1' month",
         catalog, optimized=False)
     from repro.frontend import ast
@@ -130,7 +131,7 @@ def test_analyzer_folds_date_interval_arithmetic(catalog):
 
 
 def test_optimizer_turns_comma_join_into_hash_join(catalog):
-    plan = sql_to_logical(
+    plan = sql_to_physical(
         "select customer, sum(price * quantity) as spend "
         "from items, orders where items.order_id = orders.order_id "
         "and region = 'EU' group by customer", catalog)
@@ -143,23 +144,23 @@ def test_optimizer_turns_comma_join_into_hash_join(catalog):
 
 
 def test_optimizer_prunes_scan_columns(catalog):
-    plan = sql_to_logical("select sum(price) as total from items", catalog)
+    plan = sql_to_physical("select sum(price) as total from items", catalog)
     scan = [n for n in walk_plan(plan) if isinstance(n, LogicalScan)][0]
     assert [f.name for f in scan.fields] == ["items.price"]
-    unpruned = sql_to_logical("select sum(price) as total from items", catalog,
-                              optimized=False)
+    unpruned = sql_to_physical("select sum(price) as total from items", catalog,
+                               optimized=False)
     unpruned_scan = [n for n in walk_plan(unpruned) if isinstance(n, LogicalScan)][0]
     assert len(unpruned_scan.fields) == 6
 
 
 def test_optimizer_decorrelates_exists(catalog):
-    plan = sql_to_logical(
+    plan = sql_to_physical(
         "select customer from orders where exists "
         "(select * from items where items.order_id = orders.order_id and price > 5)",
         catalog)
     joins = [n for n in walk_plan(plan) if isinstance(n, LogicalJoin)]
     assert joins and joins[0].kind == "semi"
-    plan = sql_to_logical(
+    plan = sql_to_physical(
         "select customer from orders where not exists "
         "(select * from items where items.order_id = orders.order_id)", catalog)
     joins = [n for n in walk_plan(plan) if isinstance(n, LogicalJoin)]
@@ -167,7 +168,7 @@ def test_optimizer_decorrelates_exists(catalog):
 
 
 def test_optimizer_decorrelates_scalar_aggregate(catalog):
-    plan = sql_to_logical(
+    plan = sql_to_physical(
         "select item_id from items i where price > "
         "(select avg(price) from items where items.order_id = i.order_id)",
         catalog)
@@ -178,7 +179,7 @@ def test_optimizer_decorrelates_scalar_aggregate(catalog):
 
 
 def test_optimizer_keeps_uncorrelated_subqueries_as_expressions(catalog):
-    plan = sql_to_logical(
+    plan = sql_to_physical(
         "select item_id from items where order_id in (select order_id from orders)",
         catalog)
     joins = [n for n in walk_plan(plan) if isinstance(n, LogicalJoin)]
@@ -186,7 +187,7 @@ def test_optimizer_keeps_uncorrelated_subqueries_as_expressions(catalog):
 
 
 def test_optimizer_explicit_join_keys_extracted(catalog):
-    plan = sql_to_logical(
+    plan = sql_to_physical(
         "select customer from orders left outer join items "
         "on orders.order_id = items.order_id and price > 3", catalog)
     join = [n for n in walk_plan(plan) if isinstance(n, LogicalJoin)][0]
@@ -195,21 +196,60 @@ def test_optimizer_explicit_join_keys_extracted(catalog):
     assert join.residual is not None
 
 
-# -- physical planning --------------------------------------------------------------
+# -- IR building -------------------------------------------------------------------
 
 
-def test_physical_plan_operator_choice(catalog):
+def _ir_joins(plan):
+    """``(logical join, IR join)`` pairs, in the same pre-order."""
+    logical = [n for n in walk_plan(plan) if isinstance(n, LogicalJoin)]
+    built = [n for n in build_ir(plan).walk()
+             if n.op in (ir.HASH_JOIN, ir.NESTED_LOOP_JOIN)]
+    assert len(logical) == len(built)
+    return list(zip(logical, built))
+
+
+def test_build_ir_operator_choice(catalog):
     plan = sql_to_physical(
         "select customer, count(*) as n from items, orders "
         "where items.order_id = orders.order_id group by customer "
         "order by n desc limit 2", catalog)
-    ops_present = {type(node).__name__ for node in phys.walk_physical(plan)}
-    assert {"PhysicalLimit", "PhysicalSort", "PhysicalProject", "PhysicalHashAggregate",
-            "PhysicalHashJoin", "PhysicalScan"} <= ops_present
+    assert {ir.LIMIT, ir.SORT, ir.PROJECT, ir.HASH_AGGREGATE, ir.HASH_JOIN,
+            ir.SCAN} <= set(build_ir(plan).op_counts())
 
 
-def test_physical_plan_schema_and_pretty(catalog):
-    plan = sql_to_physical("select note, price from items where price > 3", catalog)
-    assert [f.name for f in plan.schema()] == ["note", "price"]
-    text = plan.pretty()
-    assert "Project" in text and "TableScan" in text
+def test_build_ir_join_rule(catalog):
+    # A join with keys is a hash join; its residual rides beside the keys.
+    (join, node), = _ir_joins(sql_to_physical(
+        "select customer from orders left outer join items "
+        "on orders.order_id = items.order_id and price > 3", catalog))
+    assert node.op == ir.HASH_JOIN and node.attrs["kind"] == "left"
+    assert node.attrs["left_keys"] == join.left_keys
+    assert node.attrs["residual"] is join.residual is join.predicate
+    assert join.residual is not None
+    # A keyless join is a nested loop on its residual ...
+    (join, node), = _ir_joins(sql_to_physical(
+        "select customer, price from orders join items "
+        "on orders.order_id < items.order_id", catalog))
+    assert node.op == ir.NESTED_LOOP_JOIN and node.attrs["kind"] == "inner"
+    assert join.condition is None
+    assert node.attrs["condition"] is join.residual is join.predicate
+    # ... or on its condition when nothing was split from it (unoptimized).
+    (join, node), = _ir_joins(sql_to_physical(
+        "select customer, price from orders join items "
+        "on orders.order_id = items.order_id", catalog, optimized=False))
+    assert node.op == ir.NESTED_LOOP_JOIN and join.residual is None
+    assert node.attrs["condition"] is join.condition is join.predicate
+    # A cross join is a nested loop with no predicate at all.
+    (join, node), = _ir_joins(sql_to_physical(
+        "select customer, price from orders cross join items", catalog))
+    assert node.op == ir.NESTED_LOOP_JOIN
+    assert node.attrs == {"kind": "cross", "condition": None}
+
+
+def test_build_ir_schema_and_pretty(catalog):
+    plan = sql_to_physical("select note, price from items where price > 3",
+                           catalog)
+    query_ir = build_ir(plan)
+    assert query_ir.field_names() == plan.field_names() == ["note", "price"]
+    assert query_ir.pretty().splitlines() == [
+        "project(note, price)", "  filter", "    scan(items)"]

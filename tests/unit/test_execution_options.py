@@ -295,6 +295,35 @@ def test_cache_bypass_and_encoding_mode_are_gone():
         "pytorch", "cpu", 1, "compiled", 1, "hash", False)
 
 
+def test_the_frontend_hands_tqp_one_plan(session):
+    """The optimized logical plan is what ``sql_to_physical`` returns, what
+    the IR is built from and what the row engine runs: no physical-plan layer
+    copies it, and the logical plan and the IR each have one expression
+    reader (and one walker: ``walk_plan`` / ``IRNode.walk``)."""
+    import importlib
+
+    import repro.frontend
+    from repro.frontend.logical import LogicalNode
+
+    for gone in ("repro.frontend.physical", "repro.frontend.planner"):
+        with pytest.raises(ImportError):
+            importlib.import_module(gone)
+    assert not hasattr(repro.frontend, "sql_to_logical")
+    assert isinstance(session.compile("select sum(a) as s from t").physical_plan,
+                      LogicalNode)
+    readers = set()
+    for where, _, tree, identifiers in _src_modules():
+        assert not identifiers & {"to_physical", "walk_physical", "_walk",
+                                  "PhysicalNode", "node_expressions_physical",
+                                  "_physical_contains_params",
+                                  "_plan_embedded_subqueries"}, where
+        readers.update((where, node.name) for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name.endswith("node_expressions"))
+    assert readers == {("repro/frontend/logical.py", "node_expressions"),
+                       ("repro/core/planner.py", "ir_node_expressions")}
+
+
 def test_legacy_kwargs_are_gone(session):
     # The PR-3 deprecation shim was removed: the old spellings now fail
     # loudly instead of warning.
@@ -309,7 +338,7 @@ def test_legacy_kwargs_are_gone(session):
     with pytest.raises(TypeError):
         TQPSession(**{"parallel_mode": "threads"})
     # The session's defaults are one options object; ``optimize`` went with
-    # its last caller (ablations go through ``sql_to_logical(optimized=)``).
+    # its last caller (ablations go through ``sql_to_physical(optimized=)``).
     for gone in ("default_backend", "default_device", "default_parallelism"):
         with pytest.raises(TypeError):
             TQPSession(**{gone: 1})

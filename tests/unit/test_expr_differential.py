@@ -3,7 +3,7 @@
 A seeded generator (plain ``random`` — no hypothesis dependency) produces
 random arithmetic / comparison / NULL-logic expressions; each one is evaluated
 by the tensor expression compiler (via a full ``SELECT``) and by the row
-engine's per-row interpreter over the same physical plan.  Any semantic
+engine's per-row interpreter over the same optimized plan.  Any semantic
 divergence between the two interpreters is a bug in one of them.
 
 NULLs enter through ``CASE WHEN ... THEN ... END`` without an ELSE branch and
@@ -313,7 +313,7 @@ def test_keyed_join_chain_takes_its_path_and_matches_row_engine(
     assert _sorted_rows(traced) == _sorted_rows(shards)
 
 
-NULLABLE_AGGREGATE_QUERIES = [
+NULLABLE_QUERIES = [
     # Aggregates over nullable expressions: SQL skips NULL inputs, and a group
     # (or global aggregate) with no non-NULL input reports NULL.
     "select b, avg(case when x > 0 then x end) as a, "
@@ -328,14 +328,27 @@ NULLABLE_AGGREGATE_QUERIES = [
     "select b, sum(case when a > 0 then a end) as s, "
     "max(case when a > 15 then a end) as hi from t group by b order by b",
     "select avg(coalesce(case when x > 0 then x end, y)) as a from t",
+    # NULL as a sort key and as a ``count(distinct)`` input, from the
+    # NULL-extended side of a LEFT JOIN: a NULL key sorts after every other
+    # under ASC and DESC alike (its rows then tie on the rest of the key), and
+    # a NULL is no value, so an all-NULL group counts 0 (no ``wy`` is 0, the
+    # fill value a counted NULL would add).
+    "select a, uv from t left join u on a = uk order by uv, a",
+    "select a, uv from t left join u on a = uk order by uv desc, a desc",
+    "select count(distinct wy) as k from t left join w on b = wv",
+    "select b, count(distinct wy) as k from t left join w on b = wv "
+    "group by b order by b",
 ]
 
 
-@pytest.mark.parametrize("sql", NULLABLE_AGGREGATE_QUERIES)
-def test_nullable_aggregates_match_row_engine(session, tables, frames_match, sql):
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
+@pytest.mark.parametrize("sql", NULLABLE_QUERIES)
+def test_nullable_inputs_match_row_engine(session, tables, frames_match, sql,
+                                          backend):
     oracle = RowEngine(tables).execute_to_dataframe(
         sql_to_physical(sql, session.catalog))
-    frames_match(session.sql(sql), oracle, sql, ordered=True,
+    frames_match(session.sql(sql, options=ExecutionOptions(backend=backend)),
+                 oracle, f"{backend}: {sql}", ordered=True,
                  rel_tol=1e-9, abs_tol=1e-9)
 
 

@@ -7,7 +7,7 @@ from repro.baselines import RowEngine, run_sql
 from repro.dataframe import DataFrame
 from repro.errors import ExecutionError, UnsupportedOperationError
 from repro.frontend import Catalog, sql_to_physical
-from repro.frontend.physical import PhysicalNestedLoopJoin, walk_physical
+from repro.frontend.logical import LogicalJoin, walk_plan
 
 
 @pytest.fixture
@@ -62,8 +62,8 @@ def test_non_equi_left_join_null_extends_and_unknown_kinds_raise(tables):
     for name, frame in tables.items():
         catalog.register(name, frame)
     plan = sql_to_physical(sql, catalog)
-    join, = [node for node in walk_physical(plan)
-             if isinstance(node, PhysicalNestedLoopJoin)]
+    join, = [node for node in walk_plan(plan) if isinstance(node, LogicalJoin)]
+    assert not join.left_keys and join.predicate is not None
     join.kind = "full"
     with pytest.raises(UnsupportedOperationError, match="'full'"):
         RowEngine(tables).execute(plan)
