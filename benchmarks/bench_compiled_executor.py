@@ -41,8 +41,8 @@ from repro.datasets import tpch
 #: where per-node dispatch (a few microseconds per node) is the dominant cost.
 SERVING_SF = 0.0001
 
-#: Scale factor for the tier-2 all-queries parity sweep (shares the on-disk
-#: TPC-H cache with the differential harness).
+#: Scale factor for the tier-2 all-queries parity sweep (the differential
+#: harness's scale factor).
 PARITY_SF = 0.002
 
 #: Requests per measured ``execute_many`` batch, and best-of repetitions.

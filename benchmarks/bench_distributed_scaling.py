@@ -44,7 +44,7 @@ from repro.bench.harness import tpch_session
 from repro.core.options import ExecutionOptions
 
 #: Pinned scale factor: ~300k lineitem rows, enough for shard kernels to
-#: dominate exchange latency (shares the on-disk TPC-H cache across runs).
+#: dominate exchange latency.
 DIST_SF = 0.05
 
 DEVICES = (1, 2, 4)

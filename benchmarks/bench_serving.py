@@ -37,8 +37,7 @@ from repro.serve import (
     zipfian_workload,
 )
 
-#: Serving-regime scale factor (shares the on-disk TPC-H cache with
-#: ``bench_compiled_executor.py``).
+#: Serving-regime scale factor (the same as ``bench_compiled_executor.py``'s).
 SERVING_SF = 0.0001
 
 #: Request stream: Zipf-exponent, stream length, and the raw-TPC-H tail size

@@ -51,7 +51,7 @@ RUNS = 5
 
 @pytest.fixture(scope="module")
 def clustered_tables(scale_factor):
-    tables = dict(tpch.cached_tables(scale_factor=scale_factor))
+    tables = dict(tpch.generate_tables(scale_factor=scale_factor))
     lineitem = tables["lineitem"]
     tables["lineitem"] = lineitem.take(
         np.argsort(lineitem["l_shipdate"], kind="stable"))

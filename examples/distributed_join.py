@@ -46,7 +46,7 @@ def run(session: TQPSession, devices: int, shard: str = "hash"):
 
 def main() -> None:
     session = TQPSession()
-    for name, frame in tpch.cached_tables(scale_factor=SCALE_FACTOR).items():
+    for name, frame in tpch.generate_tables(scale_factor=SCALE_FACTOR).items():
         session.register(name, frame)
 
     query, baseline = run(session, devices=1)

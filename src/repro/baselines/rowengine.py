@@ -32,6 +32,11 @@ Row = dict[str, Any]
 _NS_PER_DAY = 86_400_000_000_000
 
 
+def _is_null(value: Any) -> bool:
+    """NULL, or a stored float NaN (which the tensor engine sorts as NULL)."""
+    return value is None or (isinstance(value, float) and math.isnan(value))
+
+
 def _like_to_regex(pattern: str) -> re.Pattern:
     return re.compile("^" + ".*".join(re.escape(p) for p in pattern.split("%")) + "$")
 
@@ -169,7 +174,9 @@ class RowExpressionEvaluator:
         if op == "/":
             return left / right
         if op == "%":
-            return left % right
+            # SQL's remainder truncates: it takes the dividend's sign.
+            remainder = abs(left) % abs(right)
+            return -remainder if left < 0 else remainder
         raise UnsupportedOperationError(f"row engine: unsupported operator {op!r}")
 
     def _function(self, expr: ast.FuncCall, row: Row) -> Any:
@@ -400,13 +407,14 @@ class RowEngine:
     def _sort(self, plan: lp.LogicalSort) -> list[Row]:
         rows = self.execute(plan.child)
         # Stable sort from the least significant key to the most significant;
-        # a NULL key sorts after every other under ASC and DESC alike.
+        # a NULL key, and a stored NaN with it, sorts after every other under
+        # ASC and DESC alike.
         for expr, ascending in reversed(plan.keys):
             keyed = [(self.evaluator.evaluate(expr, row), row) for row in rows]
-            present = [pair for pair in keyed if pair[0] is not None]
+            present = [pair for pair in keyed if not _is_null(pair[0])]
             present.sort(key=lambda pair: pair[0], reverse=not ascending)
             rows = [row for _, row in present]
-            rows += [row for value, row in keyed if value is None]
+            rows += [row for value, row in keyed if _is_null(value)]
         return rows
 
     def _distinct(self, plan: lp.LogicalDistinct) -> list[Row]:

@@ -31,14 +31,12 @@ def tpch_session(scale_factor: float = 0.01, seed: int = 19920101
                  ) -> tuple[TQPSession, dict[str, DataFrame]]:
     """A TQP session with the TPC-H tables registered (cached per SF/seed).
 
-    Tables come from the on-disk ``.tbl`` cache
-    (:func:`repro.datasets.tpch.cached_tables`): the first run for a
-    ``(scale factor, seed)`` pair generates and saves them, later benchmark
-    and CI runs load them instead of regenerating.
+    Tables come from :func:`repro.datasets.tpch.generate_tables`, once per
+    ``(scale factor, seed)`` pair in a process.
     """
     key = (scale_factor, seed)
     if key not in _TPCH_CACHE:
-        tables = tpch.cached_tables(scale_factor=scale_factor, seed=seed)
+        tables = tpch.generate_tables(scale_factor=scale_factor, seed=seed)
         session = TQPSession()
         for name, frame in tables.items():
             session.register(name, frame)

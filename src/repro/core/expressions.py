@@ -128,7 +128,17 @@ def to_column(value: ExprValue, table: TensorTable) -> TensorColumn:
             dtype = _LTYPE_TO_DTYPE[value.ltype]
             base = ops.full_like_rows(table.anchor, 0, dtype=dtype)
             tensor = ops.add(base, ops.cast(tensor, dtype))
-    return TensorColumn(tensor, value.ltype, value.valid)
+    return TensorColumn(tensor, value.ltype,
+                        _rows_valid(value.valid, table.anchor))
+
+
+def _rows_valid(valid: Optional[Tensor], ref: Tensor) -> Optional[Tensor]:
+    """``valid`` with one entry per row of ``ref``.  A 0-d mask comes from a
+    scalar that may be NULL (a scalar subquery over no rows) and reaches
+    per-row values through arithmetic and comparisons."""
+    if valid is None or valid.ndim:
+        return valid
+    return ops.logical_and(ops.full_like_rows(ref, True, dtype="bool"), valid)
 
 
 def as_mask(value: ExprValue, table: TensorTable) -> Tensor:
@@ -166,7 +176,7 @@ def _numeric_binary(op_name: str, left: ExprValue, right: ExprValue,
                      _combine_valid(left, right))
 
 
-_ARITHMETIC = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "mod"}
+_ARITHMETIC = {"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "fmod"}
 _COMPARISON = {"=": "eq", "<>": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
 
 
@@ -279,7 +289,9 @@ def evaluate_encoded(expr: ast.Expr, table: TensorTable,
             raise ExecutionError("scalar subquery must produce exactly one value")
         column = result_table.column(result_table.column_names[0])
         scalar = ops.slice_(column.tensor, 0)
-        return ExprValue(scalar, column.ltype, True)
+        valid = (ops.slice_(column.valid, 0) if column.valid is not None
+                 else None)
+        return ExprValue(scalar, column.ltype, True, valid)
 
     if isinstance(expr, ast.ExtractExpr):
         operand = evaluate(expr.operand, table, ctx)
@@ -305,8 +317,10 @@ def evaluate_encoded(expr: ast.Expr, table: TensorTable,
                 return ExprValue(value, LogicalType.BOOL, True)
             value = ops.full_like_rows(operand.tensor, expr.negated, dtype="bool")
         else:
-            value = ops.logical_not(operand.valid) if not expr.negated else operand.valid
-        return ExprValue(value, LogicalType.BOOL, False)
+            valid = (operand.valid if operand.is_scalar
+                     else _rows_valid(operand.valid, operand.tensor))
+            value = ops.logical_not(valid) if not expr.negated else valid
+        return ExprValue(value, LogicalType.BOOL, operand.is_scalar)
 
     if isinstance(expr, ast.PredictExpr):
         return _evaluate_predict(expr, table, ctx)
@@ -461,12 +475,10 @@ def _evaluate_case(expr: ast.CaseWhen, table: TensorTable,
         any_scalar = any_scalar and cond_value.is_scalar and branch_value.is_scalar
     if otype == LogicalType.FLOAT:
         result = ops.cast(result, "float64")
-    if valid is not None and not any_scalar and valid.ndim == 0:
+    if not any_scalar:
         # ``result`` is per-row whenever the CASE is non-scalar, so it is a
         # safe run-time size reference for broadcasting the validity mask.
-        anchor = result if result.ndim else table.anchor
-        valid = ops.logical_and(
-            ops.full_like_rows(anchor, True, dtype="bool"), valid)
+        valid = _rows_valid(valid, result if result.ndim else table.anchor)
     return ExprValue(result, otype, any_scalar, valid)
 
 

@@ -40,17 +40,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Union
 
-from repro.core.columnar import (
-    LogicalType,
-    TensorColumn,
-    TensorTable,
-    concat_columns,
-)
-from repro.core.expressions import ExprValue, decode_value, evaluate
+from repro.core.columnar import TensorColumn, TensorTable, concat_columns
+from repro.core.expressions import evaluate
 from repro.distributed.sharding import (
-    HASH_MIX,
     STRING_HASH_BASE,
-    string_hash_weights,
+    destinations,
+    key_hash,
 )
 from repro.errors import ExecutionError
 from repro.tensor import Tensor, ops, stamped
@@ -231,33 +226,9 @@ def broadcast(table: TensorTable, scheme: Partitioning) -> PartitionedTable:
         for dst in range(scheme.n)])
 
 
-def _hash_expr_value(value: ExprValue) -> Tensor:
-    """A ``(n,)`` int64 hash of raw key values, built from tensor ops only.
-
-    Integer/date/bool keys cast to int64; floats truncate (equal values stay
-    equal, which is all partitioning needs).  Strings hash their code-point
-    matrix with pad-invariant polynomial weights via one int64 ``matmul``.
-    NULL keys hash to 0 — they all land on one destination, where the join
-    machinery refuses to match them exactly as it does on a single device.
-    """
-    value = decode_value(value)
-    data = value.tensor
-    if value.ltype == LogicalType.STRING:
-        width = data.shape[-1] if data.ndim > 1 else 1
-        weights = ops.tensor(string_hash_weights(width), dtype="int64",
-                             device=data.device)
-        hashed = ops.matmul(ops.cast(data, "int64"), weights)
-    else:
-        hashed = ops.cast(data, "int64")
-    if value.valid is not None:
-        hashed = ops.where(value.valid, hashed, 0)
-    return hashed
-
-
 def partition_ids(table: TensorTable, keys: list, ctx, devices: int) -> Tensor:
-    """Destination shard per row: multi-key polynomial combine, multiplicative
-    mix, then the *high* bits modulo ``devices`` (low bits alone would leave
-    power-of-two device counts keyed by the raw low bits).
+    """Destination shard per row: the keys' :func:`key_hash` combined as a
+    polynomial, then the load-time placement's :func:`destinations`.
 
     The hash is computed from raw key *values* (not the load-time placement),
     entirely inside the traced op vocabulary — no ``.numpy()`` escapes — so
@@ -265,12 +236,12 @@ def partition_ids(table: TensorTable, keys: list, ctx, devices: int) -> Tensor:
     """
     hashed = None
     for key in keys:
-        part = _hash_expr_value(evaluate(key, table, ctx.eval_ctx))
+        part = key_hash(evaluate(key, table, ctx.eval_ctx))
         hashed = part if hashed is None else ops.add(
             ops.mul(hashed, STRING_HASH_BASE), part)
     if hashed is None:
         raise ExecutionError("shuffle requires at least one join key")
-    return ops.mod(ops.floordiv(ops.mul(hashed, HASH_MIX), 1 << 32), devices)
+    return destinations(hashed, devices)
 
 
 def repartition(sides: list[tuple[PartitionedTable, list]], ctx,

@@ -1,7 +1,7 @@
 """TPC-H benchmark support: dbgen-like generator and the 22 queries."""
 
 from repro.datasets.tpch.generator import generate_tables
-from repro.datasets.tpch.io import cached_tables, load_tables, save_tables
+from repro.datasets.tpch.io import load_tables, save_tables
 from repro.datasets.tpch.queries import ALL_QUERY_IDS, QUERIES, query
 from repro.datasets.tpch.schema import TABLE_COLUMNS, TABLE_NAMES
 
@@ -10,7 +10,6 @@ __all__ = [
     "QUERIES",
     "TABLE_COLUMNS",
     "TABLE_NAMES",
-    "cached_tables",
     "generate_tables",
     "load_tables",
     "query",

@@ -1,32 +1,18 @@
-"""Persisting generated TPC-H tables as dbgen-style ``.tbl`` files.
+"""Reading and writing TPC-H tables as dbgen-style ``.tbl`` files.
 
 dbgen writes pipe-delimited files without a header row; these helpers produce
 and read the same layout so the generated data can be exchanged with other
-TPC-H tooling (or cached on disk between benchmark runs).
-
-:func:`cached_tables` is the benchmark/CI entry point: generated tables are
-saved once under a directory keyed by ``(scale factor, seed)`` and every
-later run loads the ``.tbl`` files instead of regenerating the dataset.  Set
-the ``REPRO_TPCH_CACHE`` environment variable to move the cache root (default
-``.tpch_cache/`` in the working directory); an empty value disables caching.
+TPC-H tooling.  Benchmarks and tests do not read tables back from disk:
+:func:`repro.datasets.tpch.generate_tables` builds them in-process faster than
+:func:`load_tables` parses the files.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import threading
-import uuid
 from pathlib import Path
 
 from repro.dataframe import DataFrame, read_csv, write_csv
 from repro.datasets.tpch import schema
-
-#: Environment variable overriding the on-disk cache root.
-CACHE_ENV = "REPRO_TPCH_CACHE"
-
-#: Default cache root, relative to the working directory.
-DEFAULT_CACHE_DIR = ".tpch_cache"
 
 
 def save_tables(tables: dict[str, DataFrame], directory: str | Path) -> dict[str, Path]:
@@ -50,115 +36,4 @@ def load_tables(directory: str | Path) -> dict[str, DataFrame]:
         if not path.exists():
             continue
         tables[name] = read_csv(path, delimiter="|", header=False, columns=columns)
-    return tables
-
-
-def cache_directory(scale_factor: float, seed: int,
-                    root: str | Path | None = None) -> Path | None:
-    """Cache directory for one ``(scale factor, seed)`` dataset, or ``None``
-    when caching is disabled (``REPRO_TPCH_CACHE`` set to an empty string)."""
-    if root is None:
-        env = os.environ.get(CACHE_ENV)
-        if env is not None and not env:
-            return None
-        root = env or DEFAULT_CACHE_DIR
-    return Path(root) / f"sf{scale_factor:g}-seed{seed}"
-
-
-#: In-process build locks, one per cache directory: two threads of one
-#: process asking for the same cold dataset generate it once, not twice.
-#: (Cross-process coordination stays lock-free via the rename protocol.)
-_BUILD_LOCKS: dict[str, threading.Lock] = {}
-_BUILD_LOCKS_GUARD = threading.Lock()
-
-
-def _build_lock(directory: Path) -> threading.Lock:
-    key = str(directory)
-    with _BUILD_LOCKS_GUARD:
-        lock = _BUILD_LOCKS.get(key)
-        if lock is None:
-            lock = _BUILD_LOCKS[key] = threading.Lock()
-        return lock
-
-
-def _load_complete(directory: Path) -> dict[str, DataFrame] | None:
-    """The cached dataset, or ``None`` if absent, missing tables, or corrupt."""
-    if not directory.is_dir():
-        return None
-    try:
-        tables = load_tables(directory)
-    except OSError:
-        return None  # directory vanished mid-load (a writer reclaimed it)
-    except (ValueError, IndexError, KeyError):
-        return None  # truncated rows / unparsable fields: half-written cache
-    if set(tables) == set(schema.TABLE_COLUMNS):
-        return tables
-    return None
-
-
-def _discard_incomplete(directory: Path) -> None:
-    """Atomically claim and remove a half-written cache directory.
-
-    The directory is renamed to a unique trash name *before* deletion: the
-    rename either transfers exclusive ownership to us or fails because a
-    concurrent writer claimed it (or already published a fresh cache under
-    the name) — so two writers can never tear down the same tree, and a
-    just-published complete cache is never deleted out from under a reader.
-    """
-    if not directory.is_dir():
-        return
-    trash = directory.parent / (
-        f"{directory.name}.trash-{os.getpid()}-{uuid.uuid4().hex}")
-    try:
-        directory.rename(trash)
-    except OSError:
-        return  # lost the claim race: someone else is handling it
-    shutil.rmtree(trash, ignore_errors=True)
-
-
-def cached_tables(scale_factor: float = 0.01, seed: int = 19920101,
-                  root: str | Path | None = None) -> dict[str, DataFrame]:
-    """Generated TPC-H tables, round-tripped through an on-disk cache.
-
-    The first call for a ``(scale factor, seed)`` pair generates the dataset
-    and saves it as ``.tbl`` files; later calls (across processes — benchmark
-    runs, CI jobs) load from disk instead of regenerating.  The loaded frames
-    are exactly the saved ones (floats round-trip through ``repr``), and a
-    partially written cache (missing tables) falls back to regeneration.
-
-    Concurrent callers are safe: each writer stages into its own
-    uniquely-named temp directory and publishes with an atomic rename, losing
-    the rename race just means returning the tables it already generated.  A
-    half-written cache left by a killed run is claimed via rename before
-    removal, so it is never served and never torn down by two writers at
-    once.
-    """
-    from repro.datasets.tpch.generator import generate_tables
-
-    directory = cache_directory(scale_factor, seed, root)
-    if directory is None:
-        return generate_tables(scale_factor=scale_factor, seed=seed)
-    tables = _load_complete(directory)
-    if tables is not None:
-        return tables
-    with _build_lock(directory):
-        # Re-check: another thread may have built while we waited.
-        tables = _load_complete(directory)
-        if tables is not None:
-            return tables
-        _discard_incomplete(directory)
-        tables = generate_tables(scale_factor=scale_factor, seed=seed)
-        # Crash-safe publish: write into a uniquely-named temp sibling and
-        # rename into place, so a killed run can never leave a
-        # complete-looking but truncated cache, and concurrent writers race
-        # on the rename, not on the files.
-        staging = directory.parent / (
-            f"{directory.name}.tmp-{os.getpid()}-{uuid.uuid4().hex}")
-        save_tables(tables, staging)
-        try:
-            staging.rename(directory)
-        except OSError:
-            # Another writer (in a different process) published first; its
-            # cache is equivalent to ours — drop the staging copy.
-            shutil.rmtree(staging, ignore_errors=True)
     return tables

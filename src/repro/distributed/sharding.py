@@ -17,21 +17,23 @@ Two placement strategies, mirroring the options on
   layout of time-partitioned append-only data).
 
 Query-time repartitioning (the shuffle) never relies on the load-time
-placement: the shuffle enforcer re-hashes by the *join* keys with tensor ops
-(see :func:`repro.core.operators.partition.repartition`), so both placements
-produce identical results for every plan.
+placement: the shuffle enforcer re-hashes by the *join* keys (see
+:func:`repro.core.operators.partition.repartition`), so both placements
+produce identical results for every plan.  Both hash with the same
+:func:`key_hash` and :func:`destinations`; placement runs them
+:func:`~repro.tensor.profiler.unprofiled`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
-from repro.core.columnar import TensorTable
+from repro.core.columnar import LogicalType, TensorTable
+from repro.core.expressions import ExprValue, column_value, decode_value
 from repro.core.tuning import DEFAULT_TUNING
 from repro.errors import ExecutionError
-from repro.tensor import ops
+from repro.tensor import Tensor, ops
+from repro.tensor.profiler import unprofiled
 
 #: Minimum base-table cardinality for the planner to shard its scan — below
 #: this, per-shard kernel overhead and the final gather outweigh any
@@ -62,7 +64,37 @@ def string_hash_weights(width: int) -> list[int]:
     equal (pad-invariance is what lets the two sides of a join hash their
     keys independently).
     """
-    return [_wrap64(pow(STRING_HASH_BASE, j, 1 << 64)) for j in range(max(width, 1))]
+    return [_wrap64(pow(STRING_HASH_BASE, j, 1 << 64)) for j in range(width)]
+
+
+def key_hash(value: ExprValue) -> Tensor:
+    """A ``(n,)`` int64 hash of raw key values, built from tensor ops only.
+
+    Integer/date/bool keys cast to int64; floats truncate (equal values stay
+    equal, which is all partitioning needs).  Strings hash their code-point
+    matrix with pad-invariant polynomial weights via one int64 ``matmul``.
+    NULL keys hash to 0 — they all land on one destination, where the join
+    machinery refuses to match them exactly as it does on a single device.
+    """
+    value = decode_value(value)
+    data = value.tensor
+    if value.ltype == LogicalType.STRING:
+        width = data.shape[-1] if data.ndim > 1 else 1
+        weights = ops.tensor(string_hash_weights(width), dtype="int64",
+                             device=data.device)
+        hashed = ops.matmul(ops.cast(data, "int64"), weights)
+    else:
+        hashed = ops.cast(data, "int64")
+    if value.valid is not None:
+        hashed = ops.where(value.valid, hashed, 0)
+    return hashed
+
+
+def destinations(hashed: Tensor, devices: int) -> Tensor:
+    """Destination device per row of a :func:`key_hash`: multiplicative mix,
+    then the *high* bits modulo ``devices`` (``hash * K mod N`` alone would
+    leave power-of-two device counts keyed by the raw low bits)."""
+    return ops.mod(ops.floordiv(ops.mul(hashed, HASH_MIX), 1 << 32), devices)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,27 +138,6 @@ class ShardedTable:
         return f"ShardedTable({self.spec.mode}, rows=[{rows}])"
 
 
-def _hash_rows(table: TensorTable, key_column: str) -> np.ndarray:
-    """Load-time row hash (numpy-side; no trace or profile is active here)."""
-    column = table.column(key_column).decoded()
-    data = column.tensor.numpy()
-    if data.ndim == 2:  # string code-point matrix → pad-invariant polynomial
-        weights = np.array(string_hash_weights(data.shape[1] or 1),
-                           dtype=np.int64)
-        if data.shape[1] == 0:
-            hashed = np.zeros(data.shape[0], dtype=np.int64)
-        else:
-            hashed = (data.astype(np.int64) * weights[None, :]).sum(
-                axis=1, dtype=np.int64)
-    else:
-        hashed = data.astype(np.int64)
-    if column.valid is not None:
-        # NULL keys all land on shard 0 — like the tensor-side partition
-        # hash, which never lets NULLs match anything anyway.
-        hashed = np.where(column.valid.numpy(), hashed, 0)
-    return hashed
-
-
 def shard_bounds(num_rows: int, devices: int) -> list[tuple[int, int]]:
     """Contiguous (start, length) ranges splitting ``num_rows`` evenly."""
     base, extra = divmod(num_rows, devices)
@@ -157,11 +168,10 @@ def shard_table(table: TensorTable, devices: int, mode: str = "hash",
                   for start, length in shard_bounds(table.num_rows, devices)]
         return ShardedTable(shards, spec)
     key = key_column or table.column_names[0]
-    hashed = _hash_rows(table, key)
-    # Multiplicative mix, then take high bits: ``hash * K mod N`` alone would
-    # leave the low bits of the key untouched for power-of-two device counts.
-    mixed = (hashed * np.int64(HASH_MIX)) >> np.int64(32)
-    assignment = np.mod(mixed, devices)
-    shards = [table.mask(ops.tensor(assignment == index))
-              for index in range(devices)]
+    # Placement is no query's work: it records no profile events.
+    with unprofiled():
+        assignment = destinations(
+            key_hash(column_value(table.column(key))), devices)
+        shards = [table.mask(ops.eq(assignment, index))
+                  for index in range(devices)]
     return ShardedTable(shards, spec)

@@ -429,6 +429,9 @@ def _mod_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 mod = _binary_op("mod", _mod_np)
+#: Truncating remainder (C's and SQL's ``%``: the sign of the dividend), where
+#: ``mod`` floors (the sign of the divisor, as hashing needs).
+fmod = _binary_op("fmod", np.fmod)
 pow = _binary_op("pow", np.power)  # noqa: A001 - mirrors torch.pow
 minimum = _binary_op("minimum", np.minimum)
 maximum = _binary_op("maximum", np.maximum)

@@ -14,11 +14,12 @@ Downstream consumers:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import threading
 import time
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.tensor.device import Device
 
@@ -101,6 +102,18 @@ class stamped:
 
     def __exit__(self, *exc_info) -> None:
         _STATE.stamps.pop()
+
+
+@contextlib.contextmanager
+def unprofiled() -> Iterator[None]:
+    """Ops inside record no events on the calling thread's profilers: work
+    that belongs to no query (load-time shard placement) stays out of every
+    profile."""
+    saved, _STATE.stack = _STATE.stack, []
+    try:
+        yield
+    finally:
+        _STATE.stack = saved
 
 
 def capture_scope() -> "Activation":

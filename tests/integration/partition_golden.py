@@ -64,7 +64,7 @@ BACKENDS = ("pytorch", "torchscript")
 
 def make_session() -> TQPSession:
     session = TQPSession()
-    for name, frame in tpch.cached_tables(scale_factor=SCALE_FACTOR).items():
+    for name, frame in tpch.generate_tables(scale_factor=SCALE_FACTOR).items():
         session.register(name, frame)
     register_prediction_model(session)
     return session

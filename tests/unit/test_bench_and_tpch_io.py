@@ -5,12 +5,7 @@ import numpy as np
 from repro import ExecutionOptions
 from repro.bench import figure_table, series_dict, time_rowengine, time_tqp, tpch_session
 from repro.datasets import tpch
-from repro.datasets.tpch.io import (
-    cache_directory,
-    cached_tables,
-    load_tables,
-    save_tables,
-)
+from repro.datasets.tpch.io import load_tables, save_tables
 
 
 def test_tpch_session_is_cached():
@@ -41,53 +36,16 @@ def test_time_tqp_and_rowengine_protocol():
 
 
 def test_tpch_tbl_round_trip(tmp_path):
+    """Every table survives a save / load round trip exactly: same columns,
+    dtypes and values (floats round-trip through ``repr``)."""
     tables = tpch.generate_tables(scale_factor=0.001, seed=1)
-    subset = {"region": tables["region"], "nation": tables["nation"],
-              "supplier": tables["supplier"]}
-    paths = save_tables(subset, tmp_path)
+    paths = save_tables(tables, tmp_path)
     assert all(path.exists() for path in paths.values())
     loaded = load_tables(tmp_path)
-    assert set(loaded) == set(subset)
-    assert loaded["nation"].columns == tables["nation"].columns
-    np.testing.assert_array_equal(loaded["supplier"]["s_suppkey"],
-                                  tables["supplier"]["s_suppkey"])
-    np.testing.assert_allclose(loaded["supplier"]["s_acctbal"],
-                               tables["supplier"]["s_acctbal"])
-    assert loaded["nation"]["n_name"].tolist() == tables["nation"]["n_name"].tolist()
-
-
-def test_cached_tables_round_trip_and_reuse(tmp_path):
-    """First call generates and saves, second call loads — with frames
-    identical to fresh generation (floats round-trip through repr)."""
-    first = cached_tables(scale_factor=0.001, seed=3, root=tmp_path)
-    directory = cache_directory(0.001, 3, root=tmp_path)
-    assert directory.is_dir()
-    assert (directory / "lineitem.tbl").exists()
-    stamp = (directory / "lineitem.tbl").stat().st_mtime_ns
-
-    second = cached_tables(scale_factor=0.001, seed=3, root=tmp_path)
-    assert (directory / "lineitem.tbl").stat().st_mtime_ns == stamp  # no rewrite
-    generated = tpch.generate_tables(scale_factor=0.001, seed=3)
-    for name, frame in generated.items():
-        assert first[name].equals(frame, float_tol=0.0), name
-        assert second[name].equals(frame, float_tol=0.0), name
-
-    # A different (sf, seed) pair gets its own directory.
-    other = cache_directory(0.002, 4, root=tmp_path)
-    assert other != directory
-
-
-def test_cached_tables_falls_back_on_partial_cache(tmp_path):
-    cached_tables(scale_factor=0.001, seed=5, root=tmp_path)
-    directory = cache_directory(0.001, 5, root=tmp_path)
-    (directory / "orders.tbl").unlink()  # simulate a torn write
-    tables = cached_tables(scale_factor=0.001, seed=5, root=tmp_path)
-    assert set(tables) == set(tpch.TABLE_NAMES)
-    assert (directory / "orders.tbl").exists()  # regenerated and re-saved
-
-
-def test_cache_disabled_by_empty_env(monkeypatch):
-    monkeypatch.setenv("REPRO_TPCH_CACHE", "")
-    assert cache_directory(0.001, 1) is None
-    tables = cached_tables(scale_factor=0.001, seed=6)
-    assert set(tables) == set(tpch.TABLE_NAMES)
+    assert set(loaded) == set(tpch.TABLE_NAMES)
+    for name, frame in tables.items():
+        assert loaded[name].columns == frame.columns, name
+        assert loaded[name].equals(frame, float_tol=0.0), name
+        for column in frame.columns:
+            assert loaded[name][column].dtype == frame[column].dtype, (name, column)
+            np.testing.assert_array_equal(loaded[name][column], frame[column])

@@ -10,18 +10,23 @@ re-registration while a sharded plan is cached.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro import DataFrame, ExecutionOptions, TQPSession
 from repro.core.columnar import TensorTable
+from repro.datasets import tpch
 from repro.distributed import (
     SHARD_MIN_ROWS,
     ShardSpec,
     shard_bounds,
     shard_table,
 )
+from repro.distributed.sharding import HASH_MIX
 from repro.errors import ExecutionError
+from repro.tensor.profiler import Profiler
 
 #: Comfortably above the per-table distribution threshold.
 N_FACTS = 3 * SHARD_MIN_ROWS
@@ -99,6 +104,38 @@ def test_hash_sharding_is_deterministic(frames):
     for left, right in zip(first.shards, second.shards):
         assert np.array_equal(left.column("fact_id").tensor.numpy(),
                               right.column("fact_id").tensor.numpy())
+
+
+@pytest.mark.parametrize("devices", [2, 3, 4])
+def test_hash_placement_is_the_shuffle_hash(frames, devices):
+    """Load-time placement and the query-time shuffle share one hash: the
+    int64 key, mixed by ``HASH_MIX``, high bits modulo the device count."""
+    table = TensorTable.from_dataframe(frames["facts"])
+    sharded = shard_table(table, devices, mode="hash", key_column="key")
+    keys = frames["facts"]["key"].astype(np.int64)
+    expected = np.mod((keys * np.int64(HASH_MIX)) >> np.int64(32), devices)
+    for device, shard in enumerate(sharded.shards):
+        assert np.array_equal(shard.column("fact_id").tensor.numpy(),
+                              np.flatnonzero(expected == device))
+
+
+def test_placement_records_no_profile_events(tpch_tiny):
+    """Shard placement happens outside every profile: the execution that
+    places the tables records what the next one does, and no event outside
+    an operator."""
+    _, tables = tpch_tiny
+    sess = TQPSession()
+    for name, frame in tables.items():
+        sess.register(name, frame)
+    sql = tpch.query(6, 0.002)
+    options = ExecutionOptions(devices=2)
+    counts = []
+    for _ in range(2):
+        with Profiler() as profiler:
+            sess.sql(sql, options=options)
+        assert [e.op for e in profiler.events if not e.scope] == []
+        counts.append(Counter(e.op for e in profiler.events))
+    assert counts[0] == counts[1]
 
 
 # -- empty shards -------------------------------------------------------------

@@ -324,6 +324,19 @@ def test_the_frontend_hands_tqp_one_plan(session):
                        ("repro/core/planner.py", "ir_node_expressions")}
 
 
+def test_tpch_tables_come_from_the_generator_only():
+    """There is no on-disk TPC-H cache: callers generate their tables, and
+    ``.tbl`` files are only read and written on request."""
+    import repro.datasets.tpch.io as tpch_io
+
+    assert not hasattr(tpch, "cached_tables")
+    assert "cached_tables" not in tpch.__all__
+    for gone in ("cached_tables", "cache_directory", "CACHE_ENV",
+                 "DEFAULT_CACHE_DIR"):
+        assert not hasattr(tpch_io, gone), gone
+    assert callable(tpch_io.save_tables) and callable(tpch_io.load_tables)
+
+
 def test_legacy_kwargs_are_gone(session):
     # The PR-3 deprecation shim was removed: the old spellings now fail
     # loudly instead of warning.

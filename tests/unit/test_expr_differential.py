@@ -51,7 +51,14 @@ def tables():
                    "uv": rng.integers(-3, 4, size=28).astype(np.int64)})
     w = DataFrame({"wv": np.arange(-3, 4, dtype=np.int64),
                    "wy": rng.integers(0, 100, size=7).astype(np.int64)})
-    return {"t": frame, "u": u, "w": w}
+    # Scalar-subquery and sort tables: ``nf`` stores NaN (a NULL to the
+    # tensor engine), and no ``nu`` row passes ``> 100``, so a grand aggregate
+    # over it is NULL.
+    nt = DataFrame({"na": np.arange(1, 6, dtype=np.int64),
+                    "nf": np.array([1.5, np.nan, 2.5, 3.5, np.nan])})
+    nu = DataFrame({"nb": np.array([2, 3, 3, 9], dtype=np.int64),
+                    "ng": np.array([10, 20, 30, 40], dtype=np.int64)})
+    return {"t": frame, "u": u, "w": w, "nt": nt, "nu": nu}
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +345,18 @@ NULLABLE_QUERIES = [
     "select count(distinct wy) as k from t left join w on b = wv",
     "select b, count(distinct wy) as k from t left join w on b = wv "
     "group by b order by b",
+    # A scalar subquery over no rows is NULL, and a comparison with NULL
+    # keeps no row (the NULL once lost its validity and matched every row).
+    "select na from nt where na > (select max(nb) from nu where nb > 100)",
+    "select na from nt where na <> (select min(nb) from nu where nb > 100)",
+    "select na from nt where na > (select sum(nb) from nu where nb > 100)",
+    "select na from nt where na > (select avg(nb) from nu where nb > 100)",
+    "select na from nt where nf > (select max(ng) from nu where ng > 100)",
+    "select na, na + (select max(nb) from nu where nb > 100) as s, "
+    "(select max(nb) from nu where nb > 100) is null as n from nt order by s, na",
+    # A stored NaN sorts as NULL: after every value, under ASC and DESC.
+    "select na, nf from nt order by nf, na",
+    "select na, nf from nt order by nf desc, na",
 ]
 
 
@@ -371,6 +390,42 @@ def test_cast_chains_truncate_on_every_backend(frames_match, sql, backend):
         sql_to_physical(sql, sess.catalog))
     frames_match(got, oracle, f"{backend}: {sql}", rel_tol=0, abs_tol=0)
     assert list(got.to_dict().values()) == [[CAST_CHAIN_QUERIES[sql]]]
+
+
+#: SQL's ``%`` truncates: the remainder takes the dividend's sign (sqlite,
+#: Postgres and Spark agree), where a floor modulo takes the divisor's.
+REMAINDER_INTS = [-7, 7, -8, 3]
+REMAINDER_FLOATS = {"f % 2": [-1.5, 1.5, -0.0, 1.0],
+                    "f % -2": [-1.5, 1.5, -0.0, 1.0],
+                    "f % 0.75": [-0.0, 0.0, -0.5, 0.25]}
+
+
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript", "onnx"])
+def test_remainder_takes_the_dividends_sign(backend):
+    import sqlite3
+
+    tables = {"r": DataFrame({
+        "a": np.array(REMAINDER_INTS, dtype=np.int64),
+        "f": np.array([-7.5, 7.5, -2.0, 1.0])})}
+    sess = TQPSession()
+    sess.register("r", tables["r"])
+    options = ExecutionOptions(backend=backend)
+    db = sqlite3.connect(":memory:")
+    db.execute("create table r (a integer)")
+    db.executemany("insert into r values (?)", [(a,) for a in REMAINDER_INTS])
+    for expr in ("a % 3", "a % -3", "a % 5", "-a % 3"):
+        sql = f"select {expr} as m from r"
+        expected = [row[0] for row in db.execute(sql)]
+        oracle = RowEngine(tables).execute_to_dataframe(
+            sql_to_physical(sql, sess.catalog))
+        assert sess.sql(sql, options=options).to_dict()["m"] == expected, expr
+        assert oracle.to_dict()["m"] == expected, expr
+    for expr, expected in REMAINDER_FLOATS.items():
+        sql = f"select {expr} as m from r"
+        oracle = RowEngine(tables).execute_to_dataframe(
+            sql_to_physical(sql, sess.catalog))
+        assert sess.sql(sql, options=options).to_dict()["m"] == expected, expr
+        assert oracle.to_dict()["m"] == expected, expr
 
 
 # -- LIKE: multi-segment, doubly anchored and self-overlapping patterns -------

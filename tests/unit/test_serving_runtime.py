@@ -1,8 +1,7 @@
 """Unit tests for the concurrent serving runtime and the thread-safety fixes
 that make it possible: admission control, queueing timeouts, inter-query bind
 batching, single-flight plan compilation, profiler-scope propagation across
-worker threads, concurrent dataset-cache writers, and re-registration while
-requests are in flight."""
+worker threads, and re-registration while requests are in flight."""
 
 from __future__ import annotations
 
@@ -14,8 +13,6 @@ import pytest
 
 from repro import DataFrame, ExecutionOptions, TQPSession
 from repro.core.plan_cache import PlanCache
-from repro.datasets.tpch import io as tpch_io
-from repro.datasets.tpch import schema as tpch_schema
 from repro.errors import (
     AdmissionError,
     BatchBindingError,
@@ -403,52 +400,6 @@ def test_capture_scope_restores_previous_thread_state():
     thread.join()
     assert recorded[0] is profiler
     assert recorded[1] is None
-
-
-# -- concurrent dataset-cache writers ---------------------------------------
-
-
-def test_concurrent_tpch_cache_writers_share_one_generation(tmp_path):
-    root = tmp_path / "tpch-cache"
-    results: list[dict] = []
-    barrier = threading.Barrier(5)
-
-    def writer():
-        barrier.wait()
-        results.append(tpch_io.cached_tables(scale_factor=0.0001, seed=3,
-                                             root=root))
-
-    threads = [threading.Thread(target=writer) for _ in range(5)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert len(results) == 5
-    for tables in results:
-        assert set(tables) == set(tpch_schema.TABLE_COLUMNS)
-    # Every caller saw the same data (one generation, not five).
-    reference = results[0]["lineitem"]["l_quantity"]
-    for tables in results[1:]:
-        assert np.array_equal(tables["lineitem"]["l_quantity"], reference)
-    # No staging or trash residue, and the published cache is complete.
-    leftovers = [p.name for p in root.iterdir()
-                 if ".tmp-" in p.name or ".trash-" in p.name]
-    assert leftovers == []
-    reloaded = tpch_io.cached_tables(scale_factor=0.0001, seed=3, root=root)
-    assert np.array_equal(reloaded["lineitem"]["l_quantity"], reference)
-
-
-def test_half_written_tpch_cache_is_never_served(tmp_path):
-    root = tmp_path / "tpch-cache"
-    directory = tpch_io.cache_directory(0.0001, 3, root)
-    directory.mkdir(parents=True)
-    (directory / "lineitem.tbl").write_text("1|garbage|\n")  # truncated cache
-    tables = tpch_io.cached_tables(scale_factor=0.0001, seed=3, root=root)
-    assert set(tables) == set(tpch_schema.TABLE_COLUMNS)
-    assert tables["lineitem"].num_rows > 1
-    # The rebuilt cache replaced the half-written one on disk.
-    reloaded = tpch_io.load_tables(directory)
-    assert set(reloaded) == set(tpch_schema.TABLE_COLUMNS)
 
 
 # -- re-registration while serving ------------------------------------------
