@@ -84,7 +84,7 @@ class RowExpressionEvaluator:
         if isinstance(expr, ast.LikeExpr):
             value = self.evaluate(expr.operand, row)
             if value is None:
-                return False
+                return None
             pattern = self._like_cache.setdefault(expr.pattern,
                                                   _like_to_regex(expr.pattern))
             matched = bool(pattern.match(value))
@@ -94,18 +94,20 @@ class RowExpressionEvaluator:
             low = self.evaluate(expr.low, row)
             high = self.evaluate(expr.high, row)
             if value is None:
-                return False
+                return None
             result = low <= value <= high
             return not result if expr.negated else result
         if isinstance(expr, ast.InList):
             value = self.evaluate(expr.operand, row)
-            items = [self.evaluate(item, row) for item in expr.items]
-            result = value in items
+            if value is None:
+                return None
+            result = value in [self.evaluate(item, row) for item in expr.items]
             return not result if expr.negated else result
         if isinstance(expr, ast.InSubquery):
             value = self.evaluate(expr.operand, row)
-            values = self.engine.subquery_column(expr.subplan)
-            result = value in values
+            if value is None:
+                return None
+            result = value in self.engine.subquery_column(expr.subplan)
             return not result if expr.negated else result
         if isinstance(expr, ast.ExistsSubquery):
             rows = self.engine.subquery_rows(expr.subplan)
@@ -143,16 +145,21 @@ class RowExpressionEvaluator:
 
     def _binary(self, expr: ast.BinaryOp, row: Row) -> Any:
         op = expr.op
-        if op == "and":
-            return bool(self.evaluate(expr.left, row)) and bool(
-                self.evaluate(expr.right, row))
-        if op == "or":
-            return bool(self.evaluate(expr.left, row)) or bool(
-                self.evaluate(expr.right, row))
+        if op in ("and", "or"):
+            # Three-valued: a known FALSE (and) / TRUE (or) decides alone,
+            # else a NULL side makes the result NULL.
+            deciding = op == "or"
+            left = self.evaluate(expr.left, row)
+            if left is not None and bool(left) == deciding:
+                return deciding
+            right = self.evaluate(expr.right, row)
+            if right is not None and bool(right) == deciding:
+                return deciding
+            return None if left is None or right is None else not deciding
         left = self.evaluate(expr.left, row)
         right = self.evaluate(expr.right, row)
         if left is None or right is None:
-            return False if op in ("=", "<>", "<", "<=", ">", ">=") else None
+            return None
         if op == "=":
             return left == right
         if op == "<>":

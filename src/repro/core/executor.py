@@ -16,6 +16,13 @@ executor is ``(plan, models, options)`` of a width-free plan; the data arrives
 in the ``inputs`` (:func:`convert_scan_input`), and the lanes widths a run is
 priced under with the run (``lanes``).
 
+On a graph backend the first execution traces, and the tracing run computes
+every kernel on the full data.  When that execution is unprofiled, carries
+one binding and runs under ``executor="compiled"``, its result *is* the
+trace's (``executor_mode="traced"``): lowering the graph to generated code
+waits for the statement's second execution, so a statement that runs once
+never pays for code it would not replay.
+
 Devices: results are always computed with real kernels; the CPU reports
 measured wall time while the simulated ``cuda`` / ``wasm`` devices report time
 from their documented cost models (see ``repro.backends``).
@@ -43,8 +50,22 @@ from repro.core.parameters import (
 from repro.core.planner import OperatorPlan
 from repro.dataframe import DataFrame
 from repro.distributed.sharding import ShardedTable, shard_table
-from repro.errors import BatchBindingError, BindingError, ExecutionError
-from repro.tensor import Graph, Profiler, ScriptedProgram, Tensor, onnxlike, passes, tracing
+from repro.errors import (
+    BatchBindingError,
+    BindingError,
+    CodegenError,
+    ExecutionError,
+)
+from repro.tensor import (
+    Graph,
+    Profiler,
+    ScriptedProgram,
+    Tensor,
+    codegen,
+    onnxlike,
+    passes,
+    tracing,
+)
 from repro.tensor.device import CPU, Device
 
 
@@ -53,6 +74,9 @@ class ExecutionResult:
     """Result of one query execution."""
 
     table: TensorTable
+    #: Wall clock of the run: the plan's eager run, one call of the program,
+    #: or — for a ``traced`` result — the tracing run (passes and the
+    #: unsupported-op check that follow it are outside).
     measured_s: float
     reported_s: float
     backend: str
@@ -63,8 +87,10 @@ class ExecutionResult:
     #: the counters describe the tracing run, captured with the program (a
     #: replay does not re-execute the operators).
     pruning: dict = dataclasses.field(default_factory=dict)
-    #: How the query ran: ``eager`` (pytorch backend), ``compiled``
-    #: (generated code) or ``interpreted`` (``executor="interpret"``).
+    #: How the query ran: ``eager`` (pytorch backend), ``traced`` (the
+    #: tracing run of a graph backend's first execution, unprofiled and with
+    #: one binding), ``compiled`` (generated code) or ``interpreted``
+    #: (``executor="interpret"``).
     executor_mode: str = "eager"
 
     def to_dataframe(self) -> DataFrame:
@@ -99,18 +125,25 @@ class _Program(NamedTuple):
 
     Unlocked readers take ``Executor._program`` once and use only that
     record, so they can never pair one trace's program with another's layouts.
+    A trace publishes the record unlowered (``scripted`` and ``serve`` are
+    ``None``); the first execution that replays lowers it and publishes the
+    lowered record in its place.
     """
 
-    scripted: ScriptedProgram
+    #: The optimized graph; once lowered, the one ``scripted`` replays
+    #: (round-tripped through the portable format on ``onnx``).
+    graph: Graph
     #: ``(alias, column, part)`` per flat table input, in program order.
     input_layout: list
     #: ``(name, logical type, has validity)`` per result column.
     output_layout: list
     #: Pruning outcome of the tracing run (a replay does not re-run the scans).
     pruning: dict
+    #: The replayable program; ``None`` until lowered.
+    scripted: Optional[ScriptedProgram] = None
     #: Unprofiled entry on the executor's device, raw arrays in and tensors
-    #: out (``None`` under ``executor="interpret"``).
-    serve: Optional[Callable]
+    #: out (``None`` until lowered, and under ``executor="interpret"``).
+    serve: Optional[Callable] = None
 
 
 #: What an unprofiled execution enters in place of a :class:`Profiler`.
@@ -140,7 +173,8 @@ class Executor:
                 "goes through the portable graph format)"
             )
         self.models = models or {}
-        #: ``ExecutionResult.executor_mode`` of everything this executor runs.
+        #: ``ExecutionResult.executor_mode`` of everything this executor runs
+        #: but a first execution's tracing run (``traced``).
         self.executor_mode = (
             "eager" if self.backend.strategy == "eager"
             else "compiled" if self.options.executor == "compiled"
@@ -230,8 +264,13 @@ class Executor:
         times and reports.  ``measured_s`` is the wall clock around the run,
         ``reported_s`` what the device's cost model makes of it (and of the
         profile, which simulated devices always collect) under ``lanes``.
+
+        The one exception: the unprofiled, one-binding execution that traces
+        the program under ``executor="compiled"`` returns the tracing run's
+        result, and the program stays unlowered until the next execution.
         """
         want_profile = profile or self.device.is_simulated
+        backend, device = self.backend.name, str(self.device)
         if self.backend.strategy == "eager":
             def run(bound: dict) -> tuple[TensorTable, dict]:
                 return self._run_eager(inputs, bound)
@@ -240,9 +279,19 @@ class Executor:
             # run dispatches every op once, and folding those events into a
             # run's profile would make the simulated devices charge each
             # kernel and transfer twice on a one-shot execution.
-            program = self._ensure_program(inputs, bindings[0])
+            program, traced = self._ensure_program(
+                inputs, bindings[0], keep_trace=(
+                    not want_profile and len(bindings) == 1
+                    and self.options.executor == "compiled"))
+            if traced is not None:
+                table, measured = traced
+                return [ExecutionResult(
+                    table=table, measured_s=measured,
+                    reported_s=self.cost_model.report_time(
+                        measured, None, lanes),
+                    backend=backend, device=device,
+                    pruning=program.pruning, executor_mode="traced")]
             run = self._program_run(program, inputs, want_profile)
-        backend, device = self.backend.name, str(self.device)
         mode = self.executor_mode
         report_time, perf_counter = self.cost_model.report_time, time.perf_counter
         results: list[ExecutionResult] = []
@@ -389,21 +438,33 @@ class Executor:
                 reference[alias].spec)
         return tables
 
-    def _ensure_program(self, inputs: dict[str, TensorTable], bound: dict
-                        ) -> _Program:
-        """The traced program, compiling it exactly once under concurrency.
+    def _ensure_program(self, inputs: dict[str, TensorTable], bound: dict,
+                        keep_trace: bool = False
+                        ) -> "tuple[_Program, tuple[TensorTable, float] | None]":
+        """``(program, traced)``: the program, traced exactly once under
+        concurrency and lowered before it is returned.
 
-        Concurrent first executions of a shared plan all race to trace; the
-        double-checked lock makes one of them compile while the others wait
-        and then replay the same program (``compile_count`` stays 1).
+        With ``keep_trace``, the call that traces returns the tracing run's
+        ``(result, wall clock)`` as ``traced`` and leaves the published
+        program unlowered; otherwise ``traced`` is ``None``.  Concurrent
+        first executions of a shared plan all race to trace; the
+        double-checked lock makes one of them trace while the others wait,
+        then the first of those lowers and the rest replay the same program
+        (``compile_count`` stays 1).
         """
         program = self._program
-        if program is None:
+        if program is None or program.scripted is None:
             with self._compile_lock:
                 program = self._program
                 if program is None:
-                    program = self._compile_locked(inputs, bound)
-        return program
+                    program, outputs, measured = self._trace_locked(inputs,
+                                                                    bound)
+                    if keep_trace:
+                        return program, (self._output_table(program, outputs),
+                                         measured)
+                if program.scripted is None:
+                    program = self._lower_locked(program)
+        return program, None
 
     def compile_program(self, inputs: dict[str, TensorTable],
                         params: Optional[dict] = None) -> ScriptedProgram:
@@ -427,16 +488,25 @@ class Executor:
         """
         bound = self.bind(params)
         with self._compile_lock:
-            return self._compile_locked(inputs, bound).scripted
+            program, _, _ = self._trace_locked(inputs, bound)
+            return self._lower_locked(program).scripted
 
-    def _compile_locked(self, inputs: dict[str, TensorTable], bound: dict
-                        ) -> _Program:
+    def _trace_locked(self, inputs: dict[str, TensorTable], bound: dict
+                      ) -> "tuple[_Program, list[Tensor], float]":
+        """Trace and optimize the plan, then publish the unlowered program.
+
+        Returns it with the tracing run's flat outputs and wall clock.  A
+        graph the emitter cannot lower raises
+        :class:`~repro.errors.CodegenError` here, before anything is
+        published, under ``executor="compiled"``.
+        """
         example_tensors, layout = self._flatten_inputs(inputs)
         input_names = ([f"{alias}.{name}" if part == "data"
                         else f"{alias}.{name}#{part}"
                         for alias, name, part in layout]
                        + [f"param:{spec.name}" for spec in self.params])
         output_columns: list[tuple[str, LogicalType, bool]] = []
+        outputs: list[Tensor] = []
         traced_pruning: dict = {}
 
         def traced_query(*tensors: Tensor) -> list[Tensor]:
@@ -448,29 +518,56 @@ class Executor:
             result = self.plan.root.execute(ctx).decoded()
             traced_pruning.clear()
             traced_pruning.update(ctx.pruning)
-            flat: list[Tensor] = []
+            outputs.clear()
             output_columns.clear()
             for name, column in result.columns():
-                flat.append(column.tensor)
+                outputs.append(column.tensor)
                 has_valid = column.valid is not None
                 output_columns.append((name, column.ltype, has_valid))
                 if has_valid:
-                    flat.append(column.valid)
-            return flat
+                    outputs.append(column.valid)
+            return outputs
 
         self.compile_count += 1
+        start = time.perf_counter()
         graph = tracing.trace(traced_query,
                               example_tensors + self._param_tensors(bound),
                               name="tqp_query", input_names=input_names)
+        measured = time.perf_counter() - start
         if self.backend.optimize_graph:
             graph = passes.optimize(graph)
+        if self.options.executor == "compiled":
+            reason = codegen.unsupported_reason(graph)
+            if reason is not None:
+                raise CodegenError(
+                    f"cannot compile graph {graph.name!r}: {reason}")
+        program = _Program(graph, layout, list(output_columns),
+                           traced_pruning)
+        self._program = program
+        # Re-wrapped: a result never carries its trace's symbolic values.
+        return program, [Tensor(t.data, t.device) for t in outputs], measured
+
+    def _lower_locked(self, program: _Program) -> _Program:
+        """Lower a traced program to its replay path and publish it."""
+        graph = program.graph
         if self.backend.serialize:
             graph = onnxlike.loads(onnxlike.dumps(graph))
         scripted = ScriptedProgram(graph, executor=self.options.executor)
-        program = _Program(scripted, layout, list(output_columns),
-                           traced_pruning, scripted.serving_fn(self.device))
+        program = program._replace(graph=graph, scripted=scripted,
+                                   serve=scripted.serving_fn(self.device))
         self._program = program
         return program
+
+    @staticmethod
+    def _output_table(program: _Program, outputs: list[Tensor]) -> TensorTable:
+        """The result table of a program's flat outputs."""
+        columns: dict[str, TensorColumn] = {}
+        cursor = 0
+        for name, ltype, has_valid in program.output_layout:
+            valid = outputs[cursor + 1] if has_valid else None
+            columns[name] = TensorColumn(outputs[cursor], ltype, valid)
+            cursor += 2 if has_valid else 1
+        return TensorTable(columns)
 
     def _program_run(self, program: _Program, inputs: dict[str, TensorTable],
                      profile: bool) -> Callable[[dict], tuple[TensorTable, dict]]:
@@ -501,17 +598,10 @@ class Executor:
                 program.scripted.build_profiled()
             call = functools.partial(program.scripted.run, device=device)
             bind, fixed = self._param_tensors, tensors
-        output_layout, pruning = program.output_layout, program.pruning
+        output_table, pruning = self._output_table, program.pruning
 
         def run(bound: dict) -> tuple[TensorTable, dict]:
-            outputs = call(fixed + bind(bound))
-            columns: dict[str, TensorColumn] = {}
-            cursor = 0
-            for name, ltype, has_valid in output_layout:
-                valid = outputs[cursor + 1] if has_valid else None
-                columns[name] = TensorColumn(outputs[cursor], ltype, valid)
-                cursor += 2 if has_valid else 1
-            return TensorTable(columns), pruning
+            return output_table(program, call(fixed + bind(bound))), pruning
 
         return run
 
@@ -549,4 +639,4 @@ class Executor:
     def executor_graph(self, inputs: dict[str, TensorTable],
                        params: Optional[dict] = None) -> Graph:
         """The traced tensor graph of this query (the Figure-4 artifact)."""
-        return self._ensure_program(inputs, self.bind(params)).scripted.graph
+        return self._ensure_program(inputs, self.bind(params))[0].graph

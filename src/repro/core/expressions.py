@@ -166,6 +166,30 @@ def _combine_valid(*values: ExprValue) -> Optional[Tensor]:
     return combined
 
 
+def _kleene_valid(op: str, left: ExprValue, right: ExprValue
+                  ) -> Optional[Tensor]:
+    """Validity of a three-valued ``and`` / ``or`` (Kleene's rules).
+
+    The result is known where both sides are, or where one side is a known
+    value that decides it alone: FALSE for ``and``, TRUE for ``or``.  There
+    the value ``logical_and`` / ``logical_or`` computes is already right.
+    With no validity on either side no op is added.
+    """
+    if left.valid is None and right.valid is None:
+        return None
+
+    def decides(side: ExprValue) -> Tensor:
+        return side.tensor if op == "or" else ops.logical_not(side.tensor)
+
+    if left.valid is None or right.valid is None:
+        known, other = (left, right) if left.valid is None else (right, left)
+        return ops.logical_or(other.valid, decides(known))
+    return ops.logical_or(
+        ops.logical_and(left.valid, ops.logical_or(right.valid,
+                                                   decides(left))),
+        ops.logical_and(right.valid, decides(right)))
+
+
 def _numeric_binary(op_name: str, left: ExprValue, right: ExprValue,
                     otype: LogicalType) -> ExprValue:
     fn = getattr(ops, op_name)
@@ -369,7 +393,7 @@ def _evaluate_binary(expr: ast.BinaryOp, table: TensorTable,
         fn = ops.logical_and if op == "and" else ops.logical_or
         return ExprValue(fn(left.tensor, right.tensor), LogicalType.BOOL,
                          left.is_scalar and right.is_scalar,
-                         _combine_valid(left, right))
+                         _kleene_valid(op, left, right))
     left = evaluate_encoded(expr.left, table, ctx)
     right = evaluate_encoded(expr.right, table, ctx)
     if op in _COMPARISON:

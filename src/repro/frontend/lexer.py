@@ -7,8 +7,9 @@ quoted identifiers/strings preserve case.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+import re
+from typing import NamedTuple
 
 from repro.errors import SQLSyntaxError
 
@@ -35,12 +36,41 @@ KEYWORDS = {
     "year", "month", "day",
 }
 
-_OPERATORS = ("<>", "!=", ">=", "<=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCTUATION = ("(", ")", ",", ";", ".")
+#: One token per match: skipped whitespace and comments, then one
+#: alternative per token kind, tried in order.  The ``open_*`` alternatives
+#: match only where the full form did not: an unterminated comment, string
+#: or quoted identifier (the possessive ``*+`` never gives a string back to
+#: end it at an escaped quote).  ``eof`` ends the text, ``other`` is any
+#: character no token starts with.
+_TOKEN = re.compile(r"""
+    (?:\s+|--[^\n]*|/\*.*?\*/)*+
+    (?:
+      (?P<open_block>/\*)
+    | (?P<string>'(?:[^']|'')*+')
+    | (?P<open_string>')
+    | (?P<quoted>"[^"]*")
+    | (?P<open_quoted>")
+    | (?P<number>(?:\d+\.?\d*|\.\d+)(?:(?<=\d)[eE][+-]?\d*)?)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<positional>\?)
+    | (?P<named>:(?:[^\W\d]\w*)?)
+    | (?P<operator><>|!=|>=|<=|\|\||[=<>+\-*/%])
+    | (?P<punctuation>[(),;.])
+    | (?P<eof>\Z)
+    | (?P<other>.)
+    )
+""", re.VERBOSE | re.DOTALL)
+
+#: What an ``open_*`` match means: the text ends inside that construct.
+_UNTERMINATED = {"open_block": "unterminated block comment",
+                 "open_string": "unterminated string literal",
+                 "open_quoted": "unterminated quoted identifier"}
+
+_TYPES = {"number": TokenType.NUMBER, "operator": TokenType.OPERATOR,
+          "punctuation": TokenType.PUNCTUATION}
 
 
-@dataclasses.dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (1-based)."""
 
     type: TokenType
@@ -55,163 +85,51 @@ class Token:
         return f"Token({self.type.value}, {self.value!r})"
 
 
-class Lexer:
-    """Converts SQL text into a list of tokens."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _error(self, message: str) -> SQLSyntaxError:
-        return SQLSyntaxError(message, self.line, self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def tokenize(self) -> list[Token]:
-        tokens: list[Token] = []
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch.isspace():
-                self._advance()
-                continue
-            if ch == "-" and self._peek(1) == "-":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-                continue
-            if ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.text):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-                continue
-            line, column = self.line, self.column
-            if ch == "'":
-                tokens.append(Token(TokenType.STRING, self._read_string(), line, column))
-                continue
-            if ch == '"':
-                tokens.append(Token(TokenType.IDENTIFIER,
-                                    self._read_quoted_identifier(), line, column))
-                continue
-            if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-                tokens.append(Token(TokenType.NUMBER, self._read_number(), line, column))
-                continue
-            if ch.isalpha() or ch == "_":
-                word = self._read_word()
-                lowered = word.lower()
-                if lowered in KEYWORDS:
-                    tokens.append(Token(TokenType.KEYWORD, lowered, line, column))
-                else:
-                    tokens.append(Token(TokenType.IDENTIFIER, lowered, line, column))
-                continue
-            if ch == "?":
-                tokens.append(Token(TokenType.PARAMETER, "", line, column))
-                self._advance()
-                continue
-            if ch == ":":
-                if not (self._peek(1).isalpha() or self._peek(1) == "_"):
-                    raise self._error("':' must be followed by a parameter name")
-                self._advance()
-                tokens.append(Token(TokenType.PARAMETER, self._read_word().lower(),
-                                    line, column))
-                continue
-            matched = False
-            for op in _OPERATORS:
-                if self.text.startswith(op, self.pos):
-                    tokens.append(Token(TokenType.OPERATOR, op, line, column))
-                    self._advance(len(op))
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch in _PUNCTUATION:
-                tokens.append(Token(TokenType.PUNCTUATION, ch, line, column))
-                self._advance()
-                continue
-            raise self._error(f"unexpected character {ch!r}")
-        tokens.append(Token(TokenType.EOF, "", self.line, self.column))
-        return tokens
-
-    def _read_string(self) -> str:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self._error("unterminated string literal")
-            ch = self._peek()
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    chars.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                return "".join(chars)
-            chars.append(ch)
-            self._advance()
-
-    def _read_quoted_identifier(self) -> str:
-        self._advance()
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self._error("unterminated quoted identifier")
-            ch = self._peek()
-            if ch == '"':
-                self._advance()
-                return "".join(chars)
-            chars.append(ch)
-            self._advance()
-
-    def _read_number(self) -> str:
-        chars: list[str] = []
-        seen_dot = False
-        seen_exp = False
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch.isdigit():
-                chars.append(ch)
-            elif ch == "." and not seen_dot and not seen_exp:
-                seen_dot = True
-                chars.append(ch)
-            elif ch in "eE" and not seen_exp and chars and chars[-1].isdigit():
-                seen_exp = True
-                chars.append(ch)
-                if self._peek(1) in "+-":
-                    self._advance()
-                    chars.append(self._peek())
-            else:
-                break
-            self._advance()
-        return "".join(chars)
-
-    def _read_word(self) -> str:
-        chars: list[str] = []
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch.isalnum() or ch == "_":
-                chars.append(ch)
-                self._advance()
-            else:
-                break
-        return "".join(chars)
-
-
 def tokenize(text: str) -> list[Token]:
-    """Tokenize SQL ``text`` into a token list ending with an EOF token."""
-    return Lexer(text).tokenize()
+    """Tokenize SQL ``text`` into a token list ending with an EOF token.
+
+    One compiled pattern (:data:`_TOKEN`) matches each token whole.  Lines
+    and columns are 1-based, and only a newline starts a new line.  Errors
+    carry the position of the offending character, or the end of the text
+    for an unterminated construct.
+    """
+    tokens: list[Token] = []
+    append, match, count = tokens.append, _TOKEN.match, text.count
+    pos = counted = line_start = 0
+    line = 1
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start = len(text) if kind in _UNTERMINATED else m.start(kind)
+        newlines = count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, start) + 1
+        counted, column = start, start - line_start + 1
+        if kind == "word":
+            value = m.group(kind).lower()
+            append(Token(TokenType.KEYWORD if value in KEYWORDS
+                         else TokenType.IDENTIFIER, value, line, column))
+        elif kind in _TYPES:
+            append(Token(_TYPES[kind], m.group(kind), line, column))
+        elif kind == "string":
+            append(Token(TokenType.STRING,
+                         m.group(kind)[1:-1].replace("''", "'"), line, column))
+        elif kind == "quoted":
+            append(Token(TokenType.IDENTIFIER, m.group(kind)[1:-1], line,
+                         column))
+        elif kind == "positional" or kind == "named":
+            name = m.group(kind)[1:]
+            if kind == "named" and not name:
+                raise SQLSyntaxError(
+                    "':' must be followed by a parameter name", line, column)
+            append(Token(TokenType.PARAMETER, name.lower(), line, column))
+        elif kind == "eof":
+            append(Token(TokenType.EOF, "", line, column))
+            return tokens
+        elif kind == "other":
+            raise SQLSyntaxError(f"unexpected character {m.group(kind)!r}",
+                                 line, column)
+        else:
+            raise SQLSyntaxError(_UNTERMINATED[kind], line, column)
+        pos = m.end()

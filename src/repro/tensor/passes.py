@@ -133,18 +133,53 @@ def fold_param_free_shapes(graph: Graph) -> Graph:
     return graph
 
 
+def _all_true_partner(graph: Graph, node: Node, constant_ids: set
+                      ) -> "int | None":
+    """The other operand of a ``logical_and`` / ``logical_or`` one operand of
+    which is an all-true constant, when it is a bool value of the output's
+    shape; ``None`` otherwise."""
+    if node.op not in ("logical_and", "logical_or") or len(node.inputs) != 2:
+        return None
+    out = graph.values.get(node.outputs[0])
+    for const, other in (node.inputs, node.inputs[::-1]):
+        value = graph.values.get(other)
+        if (const in constant_ids and value is not None and out is not None
+                and out.shape is not None and value.dtype == "bool"
+                and value.shape == out.shape
+                and np.all(graph.initializers[const])):
+            return other
+    return None
+
+
 def constant_folding(graph: Graph) -> Graph:
-    """Evaluate nodes whose inputs are all constants and inline the results."""
+    """Evaluate nodes whose inputs are all constants and inline the results.
+
+    An all-true constant operand decides a ``logical_or`` (its output is an
+    all-true constant) and drops out of a ``logical_and`` (its output is the
+    other operand) — what a trace-time-constant validity mask, such as an
+    uncorrelated scalar subquery's, leaves in a filter.
+    """
     constant_ids = set(graph.initializers)
+    replacements: dict[int, int] = {}
     new_nodes: list[Node] = []
     for node in graph.nodes:
+        node.inputs = [replacements.get(vid, vid) for vid in node.inputs]
         foldable = (
             node.op not in _IMPURE_OPS
             and (node.op in _CREATION_OPS or node.inputs)
             and constant_ids.issuperset(node.inputs)
         )
         if not foldable:
-            new_nodes.append(node)
+            partner = _all_true_partner(graph, node, constant_ids)
+            out = node.outputs[0]
+            if partner is None:
+                new_nodes.append(node)
+            elif node.op == "logical_and":
+                replacements[out] = partner
+            else:
+                graph.initializers[out] = np.ones(graph.values[out].shape,
+                                                  bool)
+                constant_ids.add(out)
             continue
         inputs = [Tensor(graph.initializers[vid]) for vid in node.inputs]
         outputs = ops.execute_op(node.op, inputs, node.attrs)
@@ -152,6 +187,7 @@ def constant_folding(graph: Graph) -> Graph:
             graph.initializers[value_id] = tensor.data
             constant_ids.add(value_id)
     graph.nodes = new_nodes
+    graph.outputs = [replacements.get(vid, vid) for vid in graph.outputs]
     return graph
 
 

@@ -21,6 +21,10 @@ values from two fields occurs in some draw
 - draws with ``devices > 1`` are compared only against the oracle, because
   sharding re-associates float sums.
 
+Beside the draws, a first execution's ``traced`` result is held bit-identical
+to the ``compiled`` result of the execution after it, over the pool's
+queries and parameterized statements and the Figure-4 PREDICT query.
+
 A failure prints the seed, statement, option point, data layout, entry and
 binding.
 """
@@ -42,6 +46,10 @@ from repro.core.operators import HashJoinOperator, NestedLoopJoinOperator
 from repro.core.parameters import auto_parameterize
 from repro.datasets import tpch
 from repro.serve import ServingRuntime
+from repro.serve.simulator import (
+    PREDICTION_SHAPE,
+    register_prediction_model,
+)
 from repro.storage import DictionaryEncoding
 
 SEED = 19920101
@@ -425,6 +433,33 @@ def _draw_id(index: int, draw: tuple) -> str:
     return "-".join([f"{index:03d}", stmt.name, *map(str, point.values())])
 
 
+def expected_modes(stmt: Statement, point: dict, results: list) -> list:
+    """``executor_mode`` per result of a cold :func:`run_point`.
+
+    The first execution of a graph backend under ``executor="compiled"``
+    returns its trace's result when it runs one binding unprofiled (the
+    simulated devices always profile); every other run replays generated
+    code.  A serving worker's first batch may hold one request or several,
+    so through the serving runtime at most one result object (shared by
+    deduplicated requests) is ``traced``.
+    """
+    if point["backend"] == "pytorch":
+        return ["eager"] * len(results)
+    if point["executor"] == "interpret":
+        return ["interpreted"] * len(results)
+    modes = ["compiled"] * len(results)
+    if point["device"] != "cpu":
+        return modes
+    entry = point.get("entry", "bind") if stmt.kind == "prepared" else "bind"
+    if entry == "serving":
+        traced = {id(r) for r in results if r.executor_mode == "traced"}
+        return ["traced" if id(r) in traced and len(traced) == 1
+                else "compiled" for r in results]
+    if entry == "bind" or len(results) == 1:
+        modes[0] = "traced"
+    return modes
+
+
 @pytest.mark.parametrize("draw", DRAWS,
                          ids=[_draw_id(i, d) for i, d in enumerate(DRAWS)])
 def test_draw(sessions, answers, frames_match, draw):
@@ -432,13 +467,11 @@ def test_draw(sessions, answers, frames_match, draw):
     oracles, references = answers(stmt, point["data"])
     with reported(describe(stmt, point)):
         results = run_point(session_for(sessions, point), stmt, point)
-    expected_mode = ("eager" if point["backend"] == "pytorch" else
-                     {"compiled": "compiled",
-                      "interpret": "interpreted"}[point["executor"]])
+    modes = [result.executor_mode for result in results]
+    assert modes == expected_modes(stmt, point, results), describe(stmt, point)
     for binding, result, reference, oracle in zip(
             stmt.bindings, results, references, oracles):
         context = describe(stmt, point, binding)
-        assert result.executor_mode == expected_mode, context
         if point["devices"] > 1:
             frames_match(result.to_dataframe(), oracle, ordered=stmt.ordered,
                          context=context)
@@ -543,6 +576,51 @@ def test_clustered_lineitem_encodes_and_prunes(environments):
                       DictionaryEncoding)
     result = session.compile(tpch.query(6, SCALE_FACTOR)).execute()
     assert result.pruning["lineitem"]["blocks_skipped"] > 0
+
+
+def traced_then_compiled(session: TQPSession, sql: str, backend: str,
+                         binding: dict) -> tuple:
+    """The first two executions of ``sql`` under ``binding``, compiled cold."""
+    session.plan_cache.clear()
+    compiled = session.compile(sql, options=ExecutionOptions(backend=backend))
+    first, second = (compiled.execute(params=binding) for _ in range(2))
+    assert (first.executor_mode, second.executor_mode,
+            compiled.executor.compile_count) == ("traced", "compiled", 1)
+    return first, second
+
+
+#: The pool's statements whose first execution is one ``execute``.
+TRACED_POOL = [stmt for stmt in POOL if stmt.kind != "auto"]
+
+
+@pytest.mark.parametrize("backend", ("torchscript", "onnx"))
+@pytest.mark.parametrize("stmt", TRACED_POOL,
+                         ids=[stmt.name for stmt in TRACED_POOL])
+def test_traced_result_is_the_compiled_result(sessions, stmt, backend):
+    """A first execution returns its trace's result; the second replays
+    generated code and returns the same bits, binding by binding."""
+    session = sessions["generated", "dictionary"]
+    for binding in stmt.bindings:
+        traced, compiled = traced_then_compiled(session, stmt.sql, backend,
+                                                binding)
+        difference = first_difference(column_bits(traced.table),
+                                      column_bits(compiled.table))
+        context = describe(stmt, {"backend": backend}, binding)
+        assert not difference, f"{context}: {difference}"
+        assert traced.pruning == compiled.pruning
+        assert all(t.trace_value is None for _, column in traced.table.columns()
+                   for t in (column.tensor, column.valid) if t is not None)
+
+
+@pytest.mark.parametrize("backend", ("torchscript", "onnx"))
+def test_traced_prediction_is_the_compiled_prediction(backend):
+    session = TQPSession()
+    register_prediction_model(session)
+    for cut in (1, 3, 5):
+        traced, compiled = traced_then_compiled(
+            session, PREDICTION_SHAPE, backend, {"cut": cut})
+        assert not first_difference(column_bits(traced.table),
+                                    column_bits(compiled.table)), cut
 
 
 ONNX_CASES = ([(q, {}) for q in tpch.ALL_QUERY_IDS]

@@ -73,3 +73,21 @@ def test_fused_event_bytes_match_unfused_output_bytes(tpch_tiny):
         GraphInterpreter(fused).run(tensors)
     fused_events = [e for e in profile.events if e.op == "fused_kernel"]
     assert fused_events and all(e.total_bytes > 0 for e in fused_events)
+
+
+@pytest.mark.parametrize("query_id", (11, 15, 22))
+def test_no_and_with_a_folded_scalar_subquery_validity(tpch_tiny, query_id):
+    """An uncorrelated scalar subquery's validity folds to an all-true
+    constant at trace time; constant folding drops the ``logical_and`` a
+    filter on it would replay."""
+    session, _ = tpch_tiny
+    raw_graph, tensors = _trace_query(session, query_id)
+    folded = passes.optimize(raw_graph.clone(), passes=_NO_FUSION)
+    assert not [node for node in folded.nodes
+                if node.op == "logical_and" and any(
+                    vid in folded.initializers
+                    and np.all(folded.initializers[vid])
+                    for vid in node.inputs)]
+    expected = GraphInterpreter(raw_graph).run(tensors)
+    for want, got in zip(expected, GraphInterpreter(folded).run(tensors)):
+        np.testing.assert_array_equal(want.numpy(), got.numpy())

@@ -64,8 +64,8 @@ def calls(monkeypatch):
     monkeypatch.setattr(session_module, "sql_to_physical",
                         counted("sql_to_physical", sql_to_physical))
     monkeypatch.setattr(Planner, "plan", counted("walk", Planner.plan))
-    monkeypatch.setattr(Executor, "_compile_locked",
-                        counted("trace", Executor._compile_locked))
+    monkeypatch.setattr(Executor, "_trace_locked",
+                        counted("trace", Executor._trace_locked))
     return seen
 
 

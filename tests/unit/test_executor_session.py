@@ -1,11 +1,16 @@
 """Unit tests for the execution layer (Executor) and the public session API."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro import DataFrame, TQPSession
 from repro.core import ir
 from repro.core.columnar import DEFAULT_MORSEL_ROWS
+from repro.core.executor import Executor
 from repro.errors import (
     BatchBindingError,
     BindingError,
@@ -91,10 +96,16 @@ def test_executor_graph_and_onnx_export(session, tmp_path):
 def test_compiled_program_is_cached_and_input_layout_checked(session):
     compiled = session.compile(SQL, options=ExecutionOptions(backend="torchscript"))
     inputs = session.prepare_inputs(compiled.executor)
+    # The first execution publishes the traced program unlowered, the
+    # second lowers it once, and later ones replay that same record.
+    assert compiled.executor.execute(inputs).executor_mode == "traced"
+    traced = compiled.executor._program
+    assert (traced.scripted, traced.serve) == (None, None)
+    assert compiled.executor.execute(inputs).executor_mode == "compiled"
+    lowered = compiled.executor._program
+    assert lowered.scripted is not None and lowered.graph is traced.graph
     compiled.executor.execute(inputs)
-    first_program = compiled.executor._program
-    compiled.executor.execute(inputs)
-    assert compiled.executor._program is first_program
+    assert compiled.executor._program is lowered
     assert compiled.executor.compile_count == 1
     for run in (compiled.executor.execute,
                 lambda inputs: compiled.executor.execute_many(inputs, [{}])):
@@ -166,8 +177,13 @@ def test_execute_is_the_one_binding_case_of_execute_many(
 
     assert one.to_dataframe().to_dict() == many.to_dataframe().to_dict()
     assert one.to_dataframe()["c"].tolist() == [DEFAULT_MORSEL_ROWS]
-    assert (one.backend, one.device, one.executor_mode) == (
-        many.backend, many.device, many.executor_mode)
+    assert (one.backend, one.device) == (many.backend, many.device)
+    # Only the first of them traces, and it returns the trace's result
+    # when nothing profiles (the simulated devices always do).
+    assert (one.executor_mode, many.executor_mode) == (
+        ("eager", "eager") if backend == "pytorch" else
+        ("compiled", "compiled") if profile or device == "cuda" else
+        ("traced", "compiled"))
     assert one.pruning == many.pruning
     # A trace cannot bake a parameter-dependent block choice in, so only the
     # eager plan and literal predicates skip blocks.
@@ -219,9 +235,12 @@ def test_graph_backends_replay_generated_code_by_default(session, backend,
     options = ExecutionOptions(backend=backend, device=device)
     assert options.executor == "compiled"
     compiled = session.compile(SQL, options=options)
-    for profile in (False, True):
+    # An unprofiled first run on the cpu returns its trace's result; every
+    # later run, and every run a profile is taken of, replays generated code.
+    for profile, mode in ((False, "traced" if device == "cpu" else "compiled"),
+                          (False, "compiled"), (True, "compiled")):
         result = compiled.execute(profile=profile)
-        assert result.executor_mode == "compiled"
+        assert result.executor_mode == mode
         assert result.to_dataframe()["total"].tolist() == [35.0, 25.0, 15.0]
     program = compiled.executor._program
     assert program.scripted.compiled_source is not None
@@ -232,6 +251,72 @@ def test_graph_backends_replay_generated_code_by_default(session, backend,
     assert session.compile(
         SQL, options=ExecutionOptions(backend="pytorch")
     ).execute().executor_mode == "eager"
+
+
+@pytest.mark.parametrize("backend", ["torchscript", "onnx"])
+def test_racing_first_executions_trace_once_and_return_one_trace(
+        session, monkeypatch, backend):
+    """Threads that execute a fresh statement at once make one trace: its
+    thread gets the ``traced`` result, every other thread waits, then one of
+    them lowers and all of them replay generated code."""
+    workers = 4
+    traces = []
+    trace = Executor._trace_locked
+
+    def slow_trace(self, *args):
+        traces.append(1)
+        time.sleep(0.05)  # let the other threads reach the lock
+        return trace(self, *args)
+
+    monkeypatch.setattr(Executor, "_trace_locked", slow_trace)
+    compiled = session.compile(SQL, options=ExecutionOptions(backend=backend))
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def first_execute(slot):
+        barrier.wait()
+        results[slot] = compiled.execute()
+
+    threads = [threading.Thread(target=first_execute, args=(slot,))
+               for slot in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    modes = sorted(result.executor_mode for result in results)
+    assert modes == ["compiled"] * (workers - 1) + ["traced"]
+    assert len(traces) == compiled.executor.compile_count == 1
+    assert compiled.executor._program.scripted is not None
+    for result in results:
+        assert result.to_dataframe()["total"].tolist() == [35.0, 25.0, 15.0]
+
+
+@pytest.mark.parametrize("backend", ["torchscript", "onnx"])
+def test_first_execute_many_of_several_bindings_replays_generated_code(
+        session, backend):
+    """A first call with several bindings traces, lowers and replays every
+    binding; one with a single binding returns its trace's result."""
+    sql = "select sum(amount) as s from sales where amount > :lo"
+    bindings = [{"lo": 10.0}, {"lo": 20.0}, {"lo": 10.0}]
+    options = ExecutionOptions(backend=backend)
+    prepared = session.prepare(sql, options=options)
+    results = prepared.execute_many(bindings)
+    assert [r.executor_mode for r in results] == ["compiled"] * 3
+    assert [r.to_dataframe()["s"].tolist() for r in results] == [
+        [75.0], [60.0], [75.0]]
+    assert prepared.compiled.executor.compile_count == 1
+    session.plan_cache.clear()
+    single = session.prepare(sql, options=options)
+    assert [r.executor_mode for r in single.execute_many(bindings[:1])] == [
+        "traced"]
+    assert [r.executor_mode for r in single.execute_many(bindings)] == [
+        "compiled"] * 3
 
 
 def test_unlowerable_graph_raises_at_first_execute(session, monkeypatch):

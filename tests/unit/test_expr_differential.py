@@ -357,6 +357,15 @@ NULLABLE_QUERIES = [
     # A stored NaN sorts as NULL: after every value, under ASC and DESC.
     "select na, nf from nt order by nf, na",
     "select na, nf from nt order by nf desc, na",
+    # Three-valued logic: a known FALSE decides an AND and a known TRUE an OR
+    # whatever the other side is, NOT of NULL is NULL, and WHERE keeps only
+    # TRUE (sqlite gives [4], [2, 5] and [1, 3, 4, 5]).
+    "select na from nt where not ((case when na > 3 then na end) > 4) "
+    "order by na",
+    "select na from nt where (case when na > 3 then na end) > 4 or na = 2 "
+    "order by na",
+    "select na from nt where not ((case when na > 3 then na end) > 4 "
+    "and na = 2) order by na",
 ]
 
 
@@ -426,6 +435,53 @@ def test_remainder_takes_the_dividends_sign(backend):
             sql_to_physical(sql, sess.catalog))
         assert sess.sql(sql, options=options).to_dict()["m"] == expected, expr
         assert oracle.to_dict()["m"] == expected, expr
+
+
+#: ``x`` / ``y`` code TRUE (1), FALSE (0) and NULL (2) over every pair.
+TRUTH_CODES = [(x, y) for x in range(3) for y in range(3)]
+
+
+def _truth(column: str) -> str:
+    """The SQL truth value a code stands for: 2 is a NULL operand."""
+    return f"((case when {column} < 2 then {column} end) = 1)"
+
+
+TRUTH_EXPRS = {"and": f"{_truth('x')} and {_truth('y')}",
+               "or": f"{_truth('x')} or {_truth('y')}",
+               "not": f"not {_truth('x')}"}
+
+
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
+@pytest.mark.parametrize("op", TRUTH_EXPRS)
+def test_three_valued_logic_matches_sqlite(op, backend):
+    """The full ``{TRUE, FALSE, NULL}`` tables of AND / OR (and NOT) in
+    WHERE, in a projection and in CASE, against sqlite, on both engines."""
+    import sqlite3
+
+    tables = {"tv": DataFrame({
+        "x": np.array([x for x, _ in TRUTH_CODES], dtype=np.int64),
+        "y": np.array([y for _, y in TRUTH_CODES], dtype=np.int64)})}
+    sess = TQPSession()
+    sess.register("tv", tables["tv"])
+    db = sqlite3.connect(":memory:")
+    db.execute("create table tv (x integer, y integer)")
+    db.executemany("insert into tv values (?, ?)", TRUTH_CODES)
+    expr = TRUTH_EXPRS[op]
+    for sql in (
+            f"select x, y from tv where {expr} order by x, y",
+            f"select x, y, {expr} as r from tv order by x, y",
+            f"select x, y, case when {expr} then 1 when not ({expr}) then 0 "
+            f"else -1 end as r from tv order by x, y"):
+        expected = [[None if v is None else int(v) for v in row]
+                    for row in db.execute(sql)]
+        for engine, frame in (
+                (backend, sess.sql(sql, options=ExecutionOptions(
+                    backend=backend))),
+                ("row engine", RowEngine(tables).execute_to_dataframe(
+                    sql_to_physical(sql, sess.catalog)))):
+            got = [[None if v is None else int(v) for v in row]
+                   for row in zip(*frame.to_dict().values())]
+            assert got == expected, f"{engine}: {sql}"
 
 
 # -- LIKE: multi-segment, doubly anchored and self-overlapping patterns -------

@@ -46,6 +46,35 @@ def test_tokenize_reports_position():
     assert excinfo.value.line == 2
 
 
+
+def test_tokenize_positions_across_lines_comments_and_strings():
+    tokens = tokenize("select a,\n  'x\ny' /* c\n */ -- d\n\t1.5e-3 :p ?")
+    assert [(t.type, t.value, t.line, t.column) for t in tokens] == [
+        (TokenType.KEYWORD, "select", 1, 1),
+        (TokenType.IDENTIFIER, "a", 1, 8),
+        (TokenType.PUNCTUATION, ",", 1, 9),
+        (TokenType.STRING, "x\ny", 2, 3),
+        (TokenType.NUMBER, "1.5e-3", 5, 2),
+        (TokenType.PARAMETER, "p", 5, 9),
+        (TokenType.PARAMETER, "", 5, 12),
+        (TokenType.EOF, "", 5, 13),
+    ]
+
+
+@pytest.mark.parametrize("bad,message,line,column", [
+    ("select 'a''", "unterminated string literal", 1, 12),
+    ("select\n/* x\n y", "unterminated block comment", 3, 3),
+    ('select "a\nb', "unterminated quoted identifier", 2, 2),
+    ("select a\n  where : b", "':' must be followed by a parameter name", 2,
+     9),
+    ("select a !b", "unexpected character '!'", 1, 10),
+])
+def test_tokenize_error_positions(bad, message, line, column):
+    with pytest.raises(SQLSyntaxError) as excinfo:
+        tokenize(bad)
+    assert (str(excinfo.value), excinfo.value.line, excinfo.value.column) == (
+        f"{message} (line {line}, column {column})", line, column)
+
 # -- parser -------------------------------------------------------------------
 
 

@@ -33,6 +33,33 @@ def test_constant_folding_evaluates_constant_subgraphs():
     np.testing.assert_allclose(_run(graph, [1.0, 2.0])[0].numpy(), [7.0, 8.0])
 
 
+def test_constant_folding_drops_an_all_true_operand():
+    """``and(x, TRUE)`` is ``x`` and ``or(y, TRUE)`` is TRUE when the other
+    operand is bool and has the output's shape; anything else is kept."""
+    def fn(x, y, n):
+        mask = ops.gt(x, 1.0)
+        kept = ops.logical_and(ops.tensor(np.array(True)), mask)
+        decided = ops.logical_or(ops.logical_not(mask), ops.tensor(
+            np.array([True, True, True])))
+        # ``y`` broadcasts (its shape is not the output's); ``n`` is no bool.
+        broadcast = ops.logical_and(ops.gt(y, 0.0),
+                                    ops.tensor(np.array([True])))
+        return [kept, ops.logical_and(kept, decided), broadcast,
+                ops.logical_and(n, ops.tensor(np.array(True)))]
+
+    graph = trace(fn, [ops.tensor([0.0, 2.0, 3.0]), ops.tensor(np.array(1.0)),
+                       ops.tensor(np.array([1, 0, 2]))])
+    passes.constant_folding(graph)
+    passes.dead_code_elimination(graph)
+    assert [n.op for n in graph.nodes] == [
+        "gt", "gt", "logical_and", "logical_and"]
+    mask = graph.nodes[0].outputs[0]
+    assert graph.outputs[:2] == [mask, mask]
+    outputs = _run(graph, [0.0, 2.0, 3.0], np.array(1.0), np.array([1, 0, 2]))
+    assert [out.numpy().tolist() for out in outputs] == [
+        [False, True, True], [False, True, True], [True], [True, False, True]]
+
+
 def test_cse_merges_identical_subexpressions():
     def fn(x):
         return ops.add(ops.mul(x, 2.0), ops.mul(x, 2.0))

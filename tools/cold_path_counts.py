@@ -4,8 +4,9 @@
 Counts that repeat exactly on an unchanged tree, printed beside the ``src/``
 line count they belong with: ``encode_column`` calls (one per distinct scanned
 column when conversion is shared), generated source lines registered with
-``linecache`` (the plain bodies only, while nothing profiles), the gather
-nodes of the three optimized programs (``take`` / ``nonzero`` /
+``linecache`` after the first executions (0: each returns its trace's result)
+and after the second (the plain bodies only, while nothing profiles), the
+gather nodes of the three optimized programs (``take`` / ``nonzero`` /
 ``boolean_mask``: what late materialization left to run), their reduction
 and key-id nodes (``scatter_add`` / ``scatter_min`` / ``scatter_max`` /
 ``bincount`` / ``unique``: what grouping and the aggregate state table emit —
@@ -74,7 +75,7 @@ def width_counts(tables: dict) -> tuple[int, int, int]:
         return spy
 
     Executor.__init__ = counted("executor", Executor.__init__)
-    Executor._compile_locked = counted("trace", Executor._compile_locked)
+    Executor._trace_locked = counted("trace", Executor._trace_locked)
     Planner.plan = counted("walk", Planner.plan)
     session = TQPSession(
         default_options=ExecutionOptions(backend="torchscript"))
@@ -122,17 +123,21 @@ def main() -> None:
     for name, frame in tables.items():
         session.register(name, frame)
     held = [session.compile(tpch.query(q, SCALE_FACTOR)) for q in QUERIES]
-    for compiled in held:
-        compiled.run()
-    lines = sum(len(entry[2]) for name, entry in linecache.cache.items()
-                if name.startswith("<tqp-codegen"))
+    lines = []
+    for _ in range(2):
+        for compiled in held:
+            compiled.run()
+        lines.append(sum(len(entry[2])
+                         for name, entry in linecache.cache.items()
+                         if name.startswith("<tqp-codegen")))
     ops = collections.Counter()
     for compiled in held:
         ops.update(compiled.executor_graph().op_counts())
     def nodes(names: tuple) -> str:
         return " / ".join(f"{ops[name]} {name}" for name in names)
 
-    print(f"{len(calls)} encode_column calls, {lines} generated source lines, "
+    print(f"{len(calls)} encode_column calls, {lines[0]} / {lines[1]} "
+          f"generated source lines after the first / second executions, "
           f"{nodes(GATHERS)} nodes, {nodes(REDUCTIONS)} nodes, "
           f"{nodes(JOIN_ARITHMETIC)} nodes "
           f"(first executions of Q{', Q'.join(map(str, QUERIES))} at "
