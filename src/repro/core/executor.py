@@ -145,6 +145,16 @@ class _Program(NamedTuple):
     #: out (``None`` until lowered, and under ``executor="interpret"``).
     serve: Optional[Callable] = None
 
+    def table(self, outputs: list[Tensor]) -> TensorTable:
+        """The result table of the program's flat outputs."""
+        columns: dict[str, TensorColumn] = {}
+        cursor = 0
+        for name, ltype, has_valid in self.output_layout:
+            valid = outputs[cursor + 1] if has_valid else None
+            columns[name] = TensorColumn(outputs[cursor], ltype, valid)
+            cursor += 2 if has_valid else 1
+        return TensorTable(columns)
+
 
 #: What an unprofiled execution enters in place of a :class:`Profiler`.
 _UNPROFILED = contextlib.nullcontext()
@@ -460,8 +470,7 @@ class Executor:
                     program, outputs, measured = self._trace_locked(inputs,
                                                                     bound)
                     if keep_trace:
-                        return program, (self._output_table(program, outputs),
-                                         measured)
+                        return program, (program.table(outputs), measured)
                 if program.scripted is None:
                     program = self._lower_locked(program)
         return program, None
@@ -558,17 +567,6 @@ class Executor:
         self._program = program
         return program
 
-    @staticmethod
-    def _output_table(program: _Program, outputs: list[Tensor]) -> TensorTable:
-        """The result table of a program's flat outputs."""
-        columns: dict[str, TensorColumn] = {}
-        cursor = 0
-        for name, ltype, has_valid in program.output_layout:
-            valid = outputs[cursor + 1] if has_valid else None
-            columns[name] = TensorColumn(outputs[cursor], ltype, valid)
-            cursor += 2 if has_valid else 1
-        return TensorTable(columns)
-
     def _program_run(self, program: _Program, inputs: dict[str, TensorTable],
                      profile: bool) -> Callable[[dict], tuple[TensorTable, dict]]:
         """``bound -> (result, pruning)`` over ``inputs``, flattened once.
@@ -598,10 +596,10 @@ class Executor:
                 program.scripted.build_profiled()
             call = functools.partial(program.scripted.run, device=device)
             bind, fixed = self._param_tensors, tensors
-        output_table, pruning = self._output_table, program.pruning
+        table, pruning = program.table, program.pruning
 
         def run(bound: dict) -> tuple[TensorTable, dict]:
-            return output_table(program, call(fixed + bind(bound))), pruning
+            return table(call(fixed + bind(bound))), pruning
 
         return run
 
