@@ -93,14 +93,16 @@ def _serve_runtime(tables, workload):
         statements = {request.shape.name: runtime.prepare(request.shape.sql,
                                                           options=OPTIONS)
                       for request in workload}
-        # Warm every shape (trace + codegen) outside the clock.
+        # Warm every shape outside the clock: its first request traces, its
+        # second lowers the program to generated code.
         warmed: set[str] = set()
         for request in workload:
             if request.shape.name in warmed:
                 continue
             warmed.add(request.shape.name)
-            runtime.submit(statements[request.shape.name],
-                           params=request.params).result(120)
+            for _ in range(2):
+                runtime.submit(statements[request.shape.name],
+                               params=request.params).result(120)
         best_s, results, latencies = float("inf"), [], []
         for _ in range(REPS):
             start = time.perf_counter()

@@ -41,7 +41,10 @@ KEYWORDS = {
 #: match only where the full form did not: an unterminated comment, string
 #: or quoted identifier (the possessive ``*+`` never gives a string back to
 #: end it at an escaped quote).  ``eof`` ends the text, ``other`` is any
-#: character no token starts with.
+#: character no token starts with.  A ``word`` (and a ``named`` parameter)
+#: must start with a letter or ``_``; ``[^\W\d]`` also admits a numeric
+#: character that is no decimal digit (``½``, ``²``), which ``tokenize``
+#: rejects as unexpected.
 _TOKEN = re.compile(r"""
     (?:\s+|--[^\n]*|/\*.*?\*/)*+
     (?:
@@ -85,6 +88,11 @@ class Token(NamedTuple):
         return f"Token({self.type.value}, {self.value!r})"
 
 
+def _starts_word(text: str) -> bool:
+    """Whether ``text`` starts with a letter or ``_``."""
+    return text[:1].isalpha() or text[:1] == "_"
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize SQL ``text`` into a token list ending with an EOF token.
 
@@ -107,7 +115,11 @@ def tokenize(text: str) -> list[Token]:
             line_start = text.rfind("\n", counted, start) + 1
         counted, column = start, start - line_start + 1
         if kind == "word":
-            value = m.group(kind).lower()
+            value = m.group(kind)
+            if not _starts_word(value):
+                raise SQLSyntaxError(f"unexpected character {value[0]!r}",
+                                     line, column)
+            value = value.lower()
             append(Token(TokenType.KEYWORD if value in KEYWORDS
                          else TokenType.IDENTIFIER, value, line, column))
         elif kind in _TYPES:
@@ -120,7 +132,7 @@ def tokenize(text: str) -> list[Token]:
                          column))
         elif kind == "positional" or kind == "named":
             name = m.group(kind)[1:]
-            if kind == "named" and not name:
+            if kind == "named" and not _starts_word(name):
                 raise SQLSyntaxError(
                     "':' must be followed by a parameter name", line, column)
             append(Token(TokenType.PARAMETER, name.lower(), line, column))

@@ -22,7 +22,7 @@ a low-NDV string column becomes a dictionary, every other column stays plain.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class DictionaryEncoding:
 # -- numpy-side encoders ------------------------------------------------------
 
 
-def dictionary_encode(values: Sequence, device: Device | str = "cpu"
+def dictionary_encode(values: Iterable, device: Device | str = "cpu"
                       ) -> TensorColumn:
     """Dictionary-encode python/numpy strings into a codes + dictionary column.
 
@@ -93,16 +93,12 @@ def dictionary_encode(values: Sequence, device: Device | str = "cpu"
     are order-preserving (``code_a < code_b  <=>  str_a < str_b``).
     """
     dev = parse_device(device)
-    distinct = set(values)
-    if None in distinct or not all(type(v) is str for v in distinct):
-        # Only then does a value need cleaning into its string.
-        values = ["" if v is None else str(v) for v in values]
-        distinct = set(values)
-    uniques = sorted(distinct)
+    cleaned = ["" if v is None else str(v) for v in values]
+    uniques = sorted(set(cleaned))
     code_of = {value: code for code, value in enumerate(uniques)}
     dictionary = encode_strings(uniques)
-    codes = ops.tensor(np.fromiter(map(code_of.__getitem__, values),
-                                   dtype=np.int32, count=len(values)),
+    codes = ops.tensor(np.fromiter(map(code_of.__getitem__, cleaned),
+                                   dtype=np.int32, count=len(cleaned)),
                        device=dev)
     return TensorColumn(codes, LogicalType.STRING,
                         encoding=DictionaryEncoding(ops.tensor(dictionary, device=dev)))

@@ -154,16 +154,22 @@ def _all_true_partner(graph: Graph, node: Node, constant_ids: set
 def constant_folding(graph: Graph) -> Graph:
     """Evaluate nodes whose inputs are all constants and inline the results.
 
-    An all-true constant operand decides a ``logical_or`` (its output is an
-    all-true constant) and drops out of a ``logical_and`` (its output is the
-    other operand) — what a trace-time-constant validity mask, such as an
-    uncorrelated scalar subquery's, leaves in a filter.
+    An all-true constant operand drops out of a ``logical_and`` (its output
+    is the other operand) and decides a ``logical_or`` (its output is an
+    all-true constant) — what a trace-time-constant validity mask, such as an
+    uncorrelated scalar subquery's, leaves in a filter.  The ``logical_or``
+    fold bakes the traced shape into the program, so, as in
+    ``fold_param_free_shapes``, it applies only where no bind parameter
+    reaches the node.
     """
     constant_ids = set(graph.initializers)
+    tainted = _param_inputs(graph)
     replacements: dict[int, int] = {}
     new_nodes: list[Node] = []
     for node in graph.nodes:
         node.inputs = [replacements.get(vid, vid) for vid in node.inputs]
+        if not tainted.isdisjoint(node.inputs):
+            tainted.update(node.outputs)
         foldable = (
             node.op not in _IMPURE_OPS
             and (node.op in _CREATION_OPS or node.inputs)
@@ -172,7 +178,8 @@ def constant_folding(graph: Graph) -> Graph:
         if not foldable:
             partner = _all_true_partner(graph, node, constant_ids)
             out = node.outputs[0]
-            if partner is None:
+            if partner is None or (node.op == "logical_or"
+                                   and out in tainted):
                 new_nodes.append(node)
             elif node.op == "logical_and":
                 replacements[out] = partner

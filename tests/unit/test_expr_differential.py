@@ -380,6 +380,37 @@ def test_nullable_inputs_match_row_engine(session, tables, frames_match, sql,
                  rel_tol=1e-9, abs_tol=1e-9)
 
 
+#: A projected AND of a scalar-subquery comparison: its validity ORs the
+#: subquery's trace-time-constant validity with a value whose length the
+#: bound filter decides, so constant folding must not fold it.
+REBOUND_AND = ("select na, (na > 1 and na < (select max(nb) from nu)) as r "
+               "from nt where na > :lo")
+REBOUND_QUERIES = [
+    REBOUND_AND,
+    f"select na, r is null as n from ({REBOUND_AND}) q",
+    f"select count(r) as c from ({REBOUND_AND}) q",
+    f"select na, coalesce(r, false) as c from ({REBOUND_AND}) q",
+]
+
+
+@pytest.mark.parametrize("backend", ["torchscript", "onnx"])
+@pytest.mark.parametrize("sql", REBOUND_QUERIES)
+def test_rebinding_that_resizes_a_projected_and_matches_row_engine(
+        session, tables, frames_match, sql, backend):
+    """The first binding traces two rows; the later ones replay the program
+    over five and one, and every validity mask has its column's length."""
+    prepared = session.prepare(sql, options=ExecutionOptions(backend=backend))
+    for lo in (3, 0, 4):
+        result = prepared.bind(lo=lo).execute()
+        for name, column in result.table.columns():
+            assert (column.valid is None
+                    or column.valid.shape == column.tensor.shape), (lo, name)
+        oracle = RowEngine(tables).execute_to_dataframe(sql_to_physical(
+            sql.replace(":lo", str(lo)), session.catalog))
+        frames_match(result.to_dataframe(), oracle, f"{backend} lo={lo}: {sql}",
+                     ordered=True)
+
+
 #: A lossy cast under a widening one: the graph passes once collapsed the pair
 #: into the outer cast alone (avg 2.625 for 2.5, sum 10.5 for 10.0).
 CAST_CHAIN_QUERIES = {

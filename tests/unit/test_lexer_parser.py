@@ -61,6 +61,13 @@ def test_tokenize_positions_across_lines_comments_and_strings():
     ]
 
 
+def test_tokenize_words_start_with_a_letter_or_underscore():
+    tokens = tokenize("select a½, _1, Éa, :_p")
+    assert [(t.type, t.value) for t in tokens[1:-1:2]] == [
+        (TokenType.IDENTIFIER, "a½"), (TokenType.IDENTIFIER, "_1"),
+        (TokenType.IDENTIFIER, "éa"), (TokenType.PARAMETER, "_p")]
+
+
 @pytest.mark.parametrize("bad,message,line,column", [
     ("select 'a''", "unterminated string literal", 1, 12),
     ("select\n/* x\n y", "unterminated block comment", 3, 3),
@@ -68,6 +75,10 @@ def test_tokenize_positions_across_lines_comments_and_strings():
     ("select a\n  where : b", "':' must be followed by a parameter name", 2,
      9),
     ("select a !b", "unexpected character '!'", 1, 10),
+    # A numeric character that is no decimal digit starts no token.
+    ("select a,\n Ⅻ", "unexpected character 'Ⅻ'", 2, 2),
+    ("select ½", "unexpected character '½'", 1, 8),
+    ("select :½", "':' must be followed by a parameter name", 1, 8),
 ])
 def test_tokenize_error_positions(bad, message, line, column):
     with pytest.raises(SQLSyntaxError) as excinfo:

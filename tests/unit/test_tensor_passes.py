@@ -60,6 +60,28 @@ def test_constant_folding_drops_an_all_true_operand():
         [False, True, True], [False, True, True], [True], [True, False, True]]
 
 
+def test_constant_folding_keeps_an_or_a_parameter_reaches():
+    """A folded ``or(y, TRUE)`` would be an all-true constant of the traced
+    shape; where a bind parameter reaches ``y`` a replay may see another
+    size, so the ``or`` stays (the ``and`` rule bakes no shape and applies)."""
+    def fn(x, threshold):
+        kept = ops.nonzero(ops.gt(x, threshold))
+        mask = ops.gt(ops.take(x, kept), 1.0)
+        valid = ops.tensor(np.array(True))
+        return [ops.logical_or(valid, ops.logical_not(mask)),
+                ops.logical_and(mask, valid)]
+
+    graph = trace(fn, [ops.tensor([0.0, 2.0, 3.0]), ops.tensor(np.array(0.5))],
+                  input_names=["t.x", "param:threshold"])
+    passes.constant_folding(graph)
+    passes.dead_code_elimination(graph)
+    assert [n.op for n in graph.nodes].count("logical_or") == 1
+    assert "logical_and" not in [n.op for n in graph.nodes]
+    outputs = _run(graph, [0.0, 2.0, 3.0], np.array(-1.0))
+    assert [out.numpy().tolist() for out in outputs] == [
+        [True, True, True], [False, True, True]]
+
+
 def test_cse_merges_identical_subexpressions():
     def fn(x):
         return ops.add(ops.mul(x, 2.0), ops.mul(x, 2.0))
