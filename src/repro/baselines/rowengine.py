@@ -89,14 +89,6 @@ class RowExpressionEvaluator:
                                                   _like_to_regex(expr.pattern))
             matched = bool(pattern.match(value))
             return not matched if expr.negated else matched
-        if isinstance(expr, ast.Between):
-            value = self.evaluate(expr.operand, row)
-            low = self.evaluate(expr.low, row)
-            high = self.evaluate(expr.high, row)
-            if value is None:
-                return None
-            result = low <= value <= high
-            return not result if expr.negated else result
         if isinstance(expr, ast.InList):
             value = self.evaluate(expr.operand, row)
             if value is None:
@@ -104,10 +96,14 @@ class RowExpressionEvaluator:
             result = value in [self.evaluate(item, row) for item in expr.items]
             return not result if expr.negated else result
         if isinstance(expr, ast.InSubquery):
+            # A match is TRUE; without one, a NULL operand or a NULL among
+            # the subquery's values makes the result NULL.  Over no rows it
+            # is FALSE.
+            values = self.engine.subquery_column(expr.subplan)
             value = self.evaluate(expr.operand, row)
-            if value is None:
+            result = value is not None and value in values
+            if not result and values and (value is None or None in values):
                 return None
-            result = value in self.engine.subquery_column(expr.subplan)
             return not result if expr.negated else result
         if isinstance(expr, ast.ExistsSubquery):
             rows = self.engine.subquery_rows(expr.subplan)
@@ -197,8 +193,6 @@ class RowExpressionEvaluator:
             return math.sqrt(args[0])
         if name == "length":
             return len(args[0])
-        if name == "coalesce":
-            return next((arg for arg in args if arg is not None), None)
         raise UnsupportedOperationError(f"row engine: unsupported function {name!r}")
 
 
@@ -241,7 +235,7 @@ class RowEngine:
                              np.datetime64("NaT") for v in values],
                             dtype="datetime64[ns]").astype("datetime64[D]")
         if ltype == LogicalType.STRING:
-            return np.array(["" if v is None else v for v in values], dtype=object)
+            return np.array(values, dtype=object)
         if ltype == LogicalType.FLOAT:
             return np.array([np.nan if v is None else float(v) for v in values],
                             dtype=np.float64)

@@ -281,17 +281,6 @@ def evaluate_encoded(expr: ast.Expr, table: TensorTable,
             matched = ops.logical_not(matched)
         return ExprValue(matched, LogicalType.BOOL, operand.is_scalar, operand.valid)
 
-    if isinstance(expr, ast.Between):
-        operand = evaluate(expr.operand, table, ctx)
-        low = evaluate(expr.low, table, ctx)
-        high = evaluate(expr.high, table, ctx)
-        result = ops.logical_and(ops.ge(operand.tensor, low.tensor),
-                                 ops.le(operand.tensor, high.tensor))
-        if expr.negated:
-            result = ops.logical_not(result)
-        return ExprValue(result, LogicalType.BOOL, operand.is_scalar,
-                         _combine_valid(operand, low, high))
-
     if isinstance(expr, ast.InList):
         return _evaluate_in_list(expr, table, ctx)
 
@@ -367,7 +356,7 @@ def _evaluate_literal(expr: ast.Literal, ctx: EvaluationContext) -> ExprValue:
     if expr.value is None:
         return ExprValue(ops.tensor(np.nan, dtype="float64", device=ctx.device),
                          kind or LogicalType.FLOAT, True,
-                         valid=None)
+                         ops.tensor(False, dtype="bool", device=ctx.device))
     if kind == LogicalType.STRING:
         codes = encode_strings([expr.value])[0]
         return ExprValue(ops.tensor(codes, device=ctx.device), LogicalType.STRING, True)
@@ -461,35 +450,42 @@ def _string_comparison(op: str, expr: ast.BinaryOp, left: ExprValue,
 def _evaluate_case(expr: ast.CaseWhen, table: TensorTable,
                    ctx: EvaluationContext) -> ExprValue:
     otype = expr.otype or LogicalType.FLOAT
+    is_string = otype == LogicalType.STRING
 
-    def branch(value_expr: ast.Expr) -> ExprValue:
-        value = evaluate(value_expr, table, ctx)
-        if value.ltype == LogicalType.STRING:
-            # ``where`` over ragged code-point matrices has no common width.
-            raise UnsupportedOperationError(
-                "CASE with a string THEN / ELSE branch is not supported")
-        return value
+    def select(cond: Tensor, chosen: Tensor, other: Tensor) -> Tensor:
+        if not is_string:
+            return ops.where(cond, chosen, other)
+        # Code-point matrices: both sides padded to one width, the condition
+        # a column selecting whole rows.
+        chosen, other = (t if t.ndim == 2 else ops.reshape(t, (1, -1))
+                         for t in (chosen, other))
+        width = max(chosen.shape[1], other.shape[1])
+        if cond.ndim:
+            cond = ops.reshape(cond, (-1, 1))
+        return ops.where(cond, ops.pad2d(chosen, width),
+                         ops.pad2d(other, width))
 
     if expr.else_value is not None:
-        result_value = branch(expr.else_value)
+        result_value = evaluate(expr.else_value, table, ctx)
         result = result_value.tensor
         valid: Optional[Tensor] = result_value.valid
     else:
         # SQL: a CASE where no branch matches is NULL.  The placeholder value
-        # is 0 with an all-false validity mask.
-        dtype = _LTYPE_TO_DTYPE.get(otype, "float64")
-        result = ops.tensor(0, dtype=dtype, device=ctx.device)
+        # is 0 (an empty string) with an all-false validity mask.
+        dtype = "int32" if is_string else _LTYPE_TO_DTYPE.get(otype, "float64")
+        result = ops.tensor([0] if is_string else 0, dtype=dtype,
+                            device=ctx.device)
         valid = ops.tensor(False, dtype="bool", device=ctx.device)
     # Apply WHEN branches from last to first so earlier branches win.
     any_scalar = True
     for condition, value in reversed(expr.whens):
         cond_value = evaluate(condition, table, ctx)
-        branch_value = branch(value)
+        branch_value = evaluate(value, table, ctx)
         cond = cond_value.tensor
         if cond_value.valid is not None:
             # A NULL condition selects the branch below, never this one.
             cond = ops.logical_and(cond, cond_value.valid)
-        result = ops.where(cond, branch_value.tensor, result)
+        result = select(cond, branch_value.tensor, result)
         if valid is not None or branch_value.valid is not None:
             branch_valid = (branch_value.valid if branch_value.valid is not None
                             else ops.tensor(True, dtype="bool", device=ctx.device))
@@ -499,6 +495,8 @@ def _evaluate_case(expr: ast.CaseWhen, table: TensorTable,
         any_scalar = any_scalar and cond_value.is_scalar and branch_value.is_scalar
     if otype == LogicalType.FLOAT:
         result = ops.cast(result, "float64")
+    if is_string and any_scalar:
+        result = ops.reshape(result, (-1,))
     if not any_scalar:
         # ``result`` is per-row whenever the CASE is non-scalar, so it is a
         # safe run-time size reference for broadcasting the validity mask.
@@ -530,17 +528,11 @@ def _evaluate_in_list(expr: ast.InList, table: TensorTable,
             if isinstance(item, ast.Literal):
                 this = strings.equals_literal(haystack, str(item.value))
             else:
-                value = evaluate(item, table, ctx)
-                if not value.is_scalar or value.ltype != LogicalType.STRING:
-                    raise UnsupportedOperationError(
-                        "IN over strings requires string literals or parameters"
-                    )
+                value = evaluate(item, table, ctx).tensor
                 this = strings.equals_columns(
-                    haystack,
-                    ops.reshape(value.tensor, (1, value.tensor.shape[-1])),
-                )
+                    haystack, ops.reshape(value, (1, value.shape[-1])))
             result = this if result is None else ops.logical_or(result, this)
-        if operand.encoding is not None and result is not None:
+        if operand.encoding is not None:
             result = ops.take(result, ops.cast(operand.tensor, "int64"))
     else:
         values = [evaluate(item, table, ctx).tensor for item in expr.items]
@@ -570,12 +562,27 @@ def _evaluate_in_subquery(expr: ast.InSubquery, table: TensorTable,
         left3 = ops.reshape(left, (-1, 1, width))
         right3 = ops.reshape(right, (1, -1, width))
         matches = ops.all_(ops.eq(left3, right3), axis=2)
+        if column.valid is not None:
+            matches = ops.logical_and(matches,
+                                      ops.reshape(column.valid, (1, -1)))
         result = ops.any_(matches, axis=1)
     else:
-        result = ops.isin(operand.tensor, column.tensor)
+        values = (column.tensor if column.valid is None
+                  else ops.boolean_mask(column.tensor, column.valid))
+        result = ops.isin(operand.tensor, values)
+    # SQL: a match is TRUE; without one, a NULL operand or a NULL among the
+    # subquery's values makes the result NULL.  Over no rows it is FALSE.
+    valid = operand.valid
+    if valid is not None:
+        valid = ops.logical_or(valid,
+                               ops.eq(ops.row_count(column.tensor), 0))
+    if column.valid is not None:
+        no_null = ops.logical_not(ops.any_(ops.logical_not(column.valid)))
+        known = ops.logical_or(result, no_null)
+        valid = known if valid is None else ops.logical_and(valid, known)
     if expr.negated:
         result = ops.logical_not(result)
-    return ExprValue(result, LogicalType.BOOL, operand.is_scalar, operand.valid)
+    return ExprValue(result, LogicalType.BOOL, operand.is_scalar, valid)
 
 
 def _evaluate_predict(expr: ast.PredictExpr, table: TensorTable,
@@ -615,56 +622,7 @@ def _evaluate_scalar_function(expr: ast.FuncCall, table: TensorTable,
     if name in ("year", "month", "day"):
         return ExprValue(datetime_ops.extract_field(args[0].tensor, name),
                          LogicalType.INT, args[0].is_scalar, args[0].valid)
-    if name == "coalesce":
-        return _evaluate_coalesce(args, table)
     raise UnsupportedOperationError(f"unsupported function {expr.name!r}")
-
-
-def _evaluate_coalesce(args: list[ExprValue], table: TensorTable
-                       ) -> ExprValue:
-    """COALESCE: per row, the first non-NULL argument (tensorized as a chain
-    of validity-masked ``where`` selects)."""
-    if not args:
-        raise ExecutionError("coalesce() requires at least one argument")
-    # Resolve the promoted result type up front (matching the analyzer's
-    # declared type) so an early short-circuit cannot return an INT column
-    # where the compiled schema promised FLOAT.
-    arg_types = {value.ltype for value in args}
-    if len(arg_types) == 1:
-        ltype = args[0].ltype
-    elif arg_types == {LogicalType.INT, LogicalType.FLOAT}:
-        ltype = LogicalType.FLOAT
-    else:
-        raise ExecutionError(
-            "coalesce() argument types do not match: "
-            + ", ".join(sorted(t.value for t in arg_types))
-        )
-
-    def materialize(value: ExprValue) -> TensorColumn:
-        column = to_column(value, table)
-        if column.ltype != ltype:
-            return TensorColumn(ops.cast(column.tensor, "float64"), ltype,
-                                column.valid)
-        return column
-
-    column = materialize(args[0])
-    for value in args[1:]:
-        if column.valid is None:
-            break  # already never NULL; later arguments are unreachable
-        nxt = materialize(value)
-        if ltype == LogicalType.STRING:
-            width = max(column.tensor.shape[1], nxt.tensor.shape[1])
-            left_data = ops.pad2d(column.tensor, width)
-            right_data = ops.pad2d(nxt.tensor, width)
-            cond = ops.reshape(column.valid, (-1, 1))
-        else:
-            left_data, right_data = column.tensor, nxt.tensor
-            cond = column.valid
-        data = ops.where(cond, left_data, right_data)
-        valid = (None if nxt.valid is None
-                 else ops.logical_or(column.valid, nxt.valid))
-        column = TensorColumn(data, ltype, valid)
-    return ExprValue(column.tensor, column.ltype, False, column.valid)
 
 
 def _require_int_literal(expr: ast.Expr, what: str) -> int:

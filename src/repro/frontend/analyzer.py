@@ -106,9 +106,6 @@ def expr_key(expr: ast.Expr) -> str:
         return f"cast({expr_key(expr.operand)} as {expr.target})"
     if isinstance(expr, ast.LikeExpr):
         return f"like({expr_key(expr.operand)},{expr.pattern!r},{expr.negated})"
-    if isinstance(expr, ast.Between):
-        return (f"between({expr_key(expr.operand)},{expr_key(expr.low)},"
-                f"{expr_key(expr.high)},{expr.negated})")
     if isinstance(expr, ast.InList):
         items = ",".join(expr_key(i) for i in expr.items)
         return f"inlist({expr_key(expr.operand)},[{items}],{expr.negated})"
@@ -542,14 +539,6 @@ class Analyzer:
             expr.otype = LogicalType.BOOL
             return expr
 
-        if isinstance(expr, ast.Between):
-            expr.operand = self._resolve(expr.operand, scope, cte_map, allow_aggregates)
-            expr.low = self._resolve(expr.low, scope, cte_map, allow_aggregates)
-            expr.high = self._resolve(expr.high, scope, cte_map, allow_aggregates)
-            self._unify_params(expr.operand, expr.low, expr.high)
-            expr.otype = LogicalType.BOOL
-            return expr
-
         if isinstance(expr, ast.InList):
             expr.operand = self._resolve(expr.operand, scope, cte_map, allow_aggregates)
             expr.items = [self._resolve(i, scope, cte_map, allow_aggregates)
@@ -628,13 +617,6 @@ class Analyzer:
             return LogicalType.INT
         if name in ("floor", "ceil", "sqrt"):
             return LogicalType.FLOAT
-        if name == "coalesce":
-            if not call.args:
-                return LogicalType.FLOAT
-            arg_types = {self._require_type(arg) for arg in call.args}
-            if arg_types == {LogicalType.INT, LogicalType.FLOAT}:
-                return LogicalType.FLOAT
-            return self._require_type(call.args[0])
         if name in ("abs", "round"):
             return self._require_type(call.args[0]) if call.args else LogicalType.FLOAT
         raise AnalysisError(f"unknown function {call.name!r}")

@@ -204,24 +204,9 @@ class LikeExpr(Expr):
 
 
 @dataclasses.dataclass(eq=False)
-class Between(Expr):
-    """``expr [NOT] BETWEEN low AND high``."""
-
-    operand: Expr
-    low: Expr
-    high: Expr
-    negated: bool = False
-
-    def children(self) -> list[Expr]:
-        return [self.operand, self.low, self.high]
-
-    def replace_children(self, new_children: Sequence[Expr]) -> None:
-        self.operand, self.low, self.high = new_children
-
-
-@dataclasses.dataclass(eq=False)
 class InList(Expr):
-    """``expr [NOT] IN (v1, v2, ...)`` with literal values."""
+    """``expr [NOT] IN (v1, v2, ...)``; the parser lowers any other list than
+    one of constants (``parser._is_constant``) to an ``OR`` of equalities."""
 
     operand: Expr
     items: list[Expr]

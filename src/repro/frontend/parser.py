@@ -5,9 +5,14 @@ queries need: joins (explicit and comma-style), subqueries (scalar, IN,
 EXISTS, derived tables, CTEs), CASE, LIKE, BETWEEN, EXTRACT, SUBSTRING,
 date/interval arithmetic, aggregates with DISTINCT, ORDER BY / LIMIT, and the
 ``PREDICT`` extension of §3.3.
+
+BETWEEN, COALESCE and IN lists with a non-constant item (:func:`_is_constant`)
+are lowered here to comparisons, CASE and ``OR``: no later layer sees them.
 """
 
 from __future__ import annotations
+
+import copy
 
 from repro.core.columnar import LogicalType, date_literal_to_ns
 from repro.errors import SQLSyntaxError
@@ -264,7 +269,9 @@ class Parser:
                 low = self._parse_additive()
                 self._expect_keyword("and")
                 high = self._parse_additive()
-                left = ast.Between(left, low, high, negated=negated)
+                left = _negate(ast.BinaryOp(
+                    "and", ast.BinaryOp(">=", left, low),
+                    ast.BinaryOp("<=", copy.deepcopy(left), high)), negated)
                 continue
             if self._match_keyword("like"):
                 pattern_token = self._advance()
@@ -293,7 +300,14 @@ class Parser:
         while self._match_punct(","):
             items.append(self._parse_expr())
         self._expect_punct(")")
-        return ast.InList(operand, items, negated=negated)
+        if all(map(_is_constant, items)):
+            return ast.InList(operand, items, negated=negated)
+        disjunction = ast.BinaryOp("=", operand, items[0])
+        for item in items[1:]:
+            disjunction = ast.BinaryOp(
+                "or", disjunction,
+                ast.BinaryOp("=", copy.deepcopy(operand), item))
+        return _negate(disjunction, negated)
 
     def _parse_additive(self) -> ast.Expr:
         left = self._parse_multiplicative()
@@ -489,6 +503,8 @@ class Parser:
                 while self._match_punct(","):
                     args.append(self._parse_expr())
             self._expect_punct(")")
+            if name.lower() == "coalesce" and not distinct:
+                return self._coalesce(args)
             return ast.FuncCall(name, args, distinct=distinct)
         # Qualified reference: table.column or table.*
         if self._match_punct("."):
@@ -498,6 +514,30 @@ class Parser:
             column_token = self._advance()
             return ast.ColumnRef(name, column_token.value)
         return ast.ColumnRef(None, name)
+
+    def _coalesce(self, args: list[ast.Expr]) -> ast.Expr:
+        """``COALESCE(a1, ..., ak)`` as ``CASE WHEN a1 IS NOT NULL THEN a1
+        ... ELSE ak END``."""
+        if not args:
+            raise self._error("COALESCE requires at least one argument")
+        if len(args) == 1:
+            return args[0]
+        whens = [(ast.IsNull(copy.deepcopy(arg), negated=True), arg)
+                 for arg in args[:-1]]
+        return ast.CaseWhen(whens, args[-1])
+
+
+def _negate(expr: ast.Expr, negated: bool) -> ast.Expr:
+    return ast.UnaryOp("not", expr) if negated else expr
+
+
+def _is_constant(item: ast.Expr) -> bool:
+    """A non-NULL literal, a negated one, or a bind parameter: the items an
+    ``IN`` list keeps (one membership probe) instead of lowering to ``OR``."""
+    if isinstance(item, ast.UnaryOp) and item.op == "-":
+        item = item.operand
+    return (isinstance(item, ast.ParameterExpr)
+            or isinstance(item, ast.Literal) and item.value is not None)
 
 
 def parse(sql: str) -> ast.SelectStatement:

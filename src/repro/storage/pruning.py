@@ -185,17 +185,6 @@ def extract_pruning_conjuncts(condition: ast.Expr,
             matched = _match_comparison(part, fields)
             if matched is not None:
                 conjuncts.append(matched)
-        elif isinstance(part, ast.Between) and not part.negated:
-            column = _column_name(part.operand, fields)
-            kind = _PRUNABLE_KINDS.get(part.operand.otype)
-            if column is None or kind is None or kind == "string":
-                continue
-            low = _operand(part.low, kind)
-            high = _operand(part.high, kind)
-            if low is not None:
-                conjuncts.append(PruningConjunct(column, kind, "ge", (low,)))
-            if high is not None:
-                conjuncts.append(PruningConjunct(column, kind, "le", (high,)))
         elif isinstance(part, ast.InList) and not part.negated:
             column = _column_name(part.operand, fields)
             kind = _PRUNABLE_KINDS.get(part.operand.otype)

@@ -324,6 +324,49 @@ def test_the_frontend_hands_tqp_one_plan(session):
                        ("repro/core/planner.py", "ir_node_expressions")}
 
 
+def test_sql_shorthands_are_lowered_by_the_parser():
+    """BETWEEN, COALESCE and IN lists with a non-constant item leave the
+    parser as comparisons, CASE and ``OR``: no engine or pruning matcher
+    keeps its own copy of them (or of their NULL rules)."""
+    from repro.core import expressions
+    from repro.frontend import ast as sql_ast
+    from repro.frontend import parse
+    from repro.serve.simulator import build_shapes
+
+    assert not hasattr(sql_ast, "Between")
+    assert not hasattr(expressions, "_evaluate_coalesce")
+
+    def nodes(value):
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                yield from nodes(item)
+        elif dataclasses.is_dataclass(value):
+            if isinstance(value, sql_ast.Expr):
+                yield value
+            for field in dataclasses.fields(value):
+                yield from nodes(getattr(value, field.name))
+
+    def constant(item):
+        if isinstance(item, sql_ast.UnaryOp) and item.op == "-":
+            item = item.operand
+        return (isinstance(item, sql_ast.ParameterExpr)
+                or isinstance(item, sql_ast.Literal) and item.value is not None)
+
+    statements = [shape.sql for shape in build_shapes(0.01)] + [
+        "select coalesce(a, b, 1) as c, coalesce(a) as d from t "
+        "where a in (1, -2, :p) and b not in (a, null, 3) "
+        "and a between b and 3 and b in (select coalesce(x, 0) from u)"]
+    in_lists = 0
+    for sql in statements:
+        for node in nodes(parse(sql)):
+            assert not (isinstance(node, sql_ast.FuncCall)
+                        and node.name.lower() == "coalesce"), sql
+            if isinstance(node, sql_ast.InList):
+                in_lists += 1
+                assert all(map(constant, node.items)), sql
+    assert in_lists == 11  # TPC-H has 10, all constant; one above
+
+
 def test_tpch_tables_come_from_the_generator_only():
     """There is no on-disk TPC-H cache: callers generate their tables, and
     ``.tbl`` files are only read and written on request."""

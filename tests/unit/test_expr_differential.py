@@ -8,7 +8,8 @@ divergence between the two interpreters is a bug in one of them.
 
 NULLs enter through ``CASE WHEN ... THEN ... END`` without an ELSE branch and
 flow through arithmetic, comparisons, ``IS [NOT] NULL``, ``COALESCE`` and the
-three-valued logic of ``WHERE``.  They also reach join keys: the generator
+three-valued logic of ``WHERE``; a separate draw adds ``[NOT] BETWEEN`` and
+``[NOT] IN (...)``.  They also reach join keys: the generator
 ends with outer→inner join chains, where the NULL-extended side of a LEFT JOIN
 is the key of the next join and must match nothing, and with keyed join
 chains that draw, per join, which side (if any) is a key — the planner-derived
@@ -32,6 +33,7 @@ from repro.frontend import sql_to_physical
 N_ROWS = 64
 N_CASES = 60
 N_JOIN_CASES = 12
+N_SHORTHAND_CASES = 30
 SEED = 20220701
 
 
@@ -79,8 +81,11 @@ class ExprGen:
     NUM_COLUMNS = ("a", "b", "x", "y")
     COMPARATORS = ("<", "<=", "=", "<>", ">", ">=")
 
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: random.Random, shorthands: bool = False):
         self.rng = rng
+        #: Draw ``[NOT] BETWEEN`` / ``[NOT] IN (...)`` too; off, the stream
+        #: of every draw is what it was before they existed.
+        self.shorthands = shorthands
 
     def literal(self) -> str:
         if self.rng.random() < 0.5:
@@ -125,7 +130,27 @@ class ExprGen:
         if pick < 0.88:
             null_kind = self.rng.choice(("is null", "is not null"))
             return f"({self.numeric(depth - 1)} {null_kind})"
+        if self.shorthands:
+            return self.shorthand(depth - 1)
         return self.boolean(depth - 1)
+
+    def shorthand(self, depth: int) -> str:
+        """``[NOT] BETWEEN`` or ``[NOT] IN (...)`` over nullable numerics: an
+        all-literal list keeps its membership probe, any other is lowered."""
+        negated = "not " if self.rng.random() < 0.5 else ""
+        operand = self.numeric(depth)
+        if self.rng.random() < 0.5:
+            return (f"({operand} {negated}between {self.numeric(depth)} "
+                    f"and {self.numeric(depth)})")
+        items = ", ".join(self.numeric(depth)
+                          for _ in range(self.rng.randint(1, 3)))
+        return f"({operand} {negated}in ({items}))"
+
+    def shorthand_query(self) -> str:
+        predicate = self.shorthand(self.rng.randint(0, 2))
+        if self.rng.random() < 0.5:
+            return f"select a, {predicate} as r from t"
+        return f"select a, b from t where {predicate}"
 
     def query(self) -> str:
         exprs = [self.numeric(self.rng.randint(1, 3))
@@ -231,6 +256,11 @@ def _generated_queries():
     return [gen.query() for _ in range(N_CASES)]
 
 
+def _generated_shorthand_queries():
+    gen = ExprGen(random.Random(SEED + 4), shorthands=True)
+    return [gen.shorthand_query() for _ in range(N_SHORTHAND_CASES)]
+
+
 def _generated_join_chains():
     gen = ExprGen(random.Random(SEED + 1))
     return [gen.join_chain() for _ in range(N_JOIN_CASES)]
@@ -244,6 +274,17 @@ def test_random_expression_matches_row_engine(session, tables, frames_match, sql
     # No ORDER BY: both engines preserve input row order through filters, so
     # compare ordered, with a tight tolerance (identical fp operation order).
     frames_match(tensor_frame, oracle_frame, sql, ordered=True,
+                 rel_tol=1e-9, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
+@pytest.mark.parametrize("sql", _generated_shorthand_queries())
+def test_random_shorthand_matches_row_engine(session, tables, frames_match,
+                                             sql, backend):
+    tensor_frame = session.sql(sql, options=ExecutionOptions(backend=backend))
+    oracle_frame = RowEngine(tables).execute_to_dataframe(
+        sql_to_physical(sql, session.catalog))
+    frames_match(tensor_frame, oracle_frame, f"{backend}: {sql}", ordered=True,
                  rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -366,6 +407,28 @@ NULLABLE_QUERIES = [
     "order by na",
     "select na from nt where not ((case when na > 3 then na end) > 4 "
     "and na = 2) order by na",
+    # The parser's lowerings of BETWEEN and of IN lists with a NULL, CASE or
+    # column item, IN over a subquery that yields NULL, the NULL literal and
+    # CASE over strings (sqlite gives [1, 5], [2], [], [2, 4, 5], [1, 2] and
+    # [3] for the WHERE forms).
+    "select na from nt where na not between (case when na > 2 then 2 end) "
+    "and 4 order by na",
+    "select na, na between 2 and (case when na < 4 then 3 end) as r from nt "
+    "order by na",
+    "select na from nt where not (na in (2, null)) order by na",
+    "select na from nt where na in (2, case when na > 3 then na end) "
+    "order by na",
+    "select na, na not in (5 - na, 3) as r from nt order by na",
+    "select na from nt where na not in (5 - na, 3) order by na",
+    "select na from nt where na not in "
+    "(select case when nb > 2 then nb end from nu) order by na",
+    "select na, na in (select case when nb > 2 then nb end from nu) as r "
+    "from nt order by na",
+    "select na from nt where na in "
+    "(select case when nb > 2 then nb end from nu) order by na",
+    "select na, na = null as r from nt order by na",
+    "select na, case when nf > 2 then 'big' when nf > 0 then 'small' end "
+    "as r from nt order by na",
 ]
 
 
@@ -515,6 +578,149 @@ def test_three_valued_logic_matches_sqlite(op, backend):
             assert got == expected, f"{engine}: {sql}"
 
 
+# -- SQL shorthands and NULL, pinned to sqlite -------------------------------
+
+#: ``sh(a = 1..5)`` beside ``shu(ub = 2, 3)``.  NULLs come from CASE without
+#: ELSE, from a NULL literal and from a subquery that yields one.
+SHORTHAND_ROWS = [(1, 1, "p"), (2, 0, "qq"), (3, 3, "r"), (4, 4, "ss"),
+                  (5, 0, "t")]
+NULL_LOW = "(case when a > 2 then 2 end)"
+NULL_HIGH = "(case when a < 4 then 3 end)"
+NULL_SUBQUERY = "(select case when ub > 2 then ub end from shu)"
+
+#: Predicates, each run in WHERE, in a projection and in CASE.
+SHORTHAND_PREDICATES = {
+    "between_null_low": f"a between {NULL_LOW} and 4",
+    "not_between_null_low": f"a not between {NULL_LOW} and 4",
+    "between_null_high": f"a between 2 and {NULL_HIGH}",
+    "not_between_null_high": f"a not between 2 and {NULL_HIGH}",
+    "between_null_both": f"a between {NULL_LOW} and {NULL_HIGH}",
+    "not_between_null_both": f"a not between {NULL_LOW} and {NULL_HIGH}",
+    "in_null_item": "a in (2, null)",
+    "not_in_null_item": "not (a in (2, null))",
+    "in_case_item": "a in (2, case when a > 3 then a end)",
+    "not_in_case_item": "a not in (2, case when a > 3 then a end)",
+    "in_column_item": "a in (b, 3)",
+    "not_in_column_item": "a not in (b, 3)",
+    "in_subquery_null": f"a in {NULL_SUBQUERY}",
+    "not_in_subquery_null": f"a not in {NULL_SUBQUERY}",
+    "null_in_no_rows": "(case when a > 3 then a end) in "
+                       "(select ub from shu where ub > 9)",
+    "null_not_in_no_rows": "(case when a > 3 then a end) not in "
+                           "(select ub from shu where ub > 9)",
+    "eq_null": "a = null",
+    "coalesce_numeric": "coalesce(case when a > 3 then a end, "
+                        "case when a > 1 then 0.5 end) < 5",
+    "coalesce_string": "coalesce(case when a > 3 then s end, "
+                       "case when a > 1 then 'k' end) = 'k'",
+    "coalesce_boolean": "coalesce(case when a > 3 then a = 4 end, "
+                        "case when a > 1 then a = 2 end)",
+    "case_strings": "(case when a > 3 then s when a > 1 then 'kk' end) = 'kk'",
+}
+
+#: Values, projected as they are.
+SHORTHAND_VALUES = {
+    "coalesce_numeric": "coalesce(case when a > 3 then a end, "
+                        "case when a > 1 then 0.5 end)",
+    "coalesce_string": "coalesce(case when a > 3 then s end, "
+                       "case when a > 1 then 'k' end, s)",
+    "coalesce_boolean": "coalesce(case when a > 3 then a = 4 end, a = 2)",
+    "case_strings": "case when a > 3 then s when a > 1 then 'kk' else 'k' end",
+}
+
+
+def _shorthand_statements(shape: str) -> list[str]:
+    statements = []
+    if shape in SHORTHAND_PREDICATES:
+        predicate = SHORTHAND_PREDICATES[shape]
+        statements += [
+            f"select a from sh where {predicate} order by a",
+            f"select a, {predicate} as r from sh order by a",
+            f"select a, case when {predicate} then 1 when not ({predicate}) "
+            f"then 0 else -1 end as r from sh order by a"]
+    if shape in SHORTHAND_VALUES:
+        statements.append(
+            f"select a, {SHORTHAND_VALUES[shape]} as r from sh order by a")
+    return statements
+
+
+def _plain(value):
+    """A result cell as sqlite reports it: booleans as 0 / 1, a float NULL
+    (NaN in a frame) as ``None``."""
+    if isinstance(value, float) and np.isnan(value):
+        return None
+    return int(value) if isinstance(value, (bool, np.bool_)) else value
+
+
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
+@pytest.mark.parametrize("shape", SHORTHAND_PREDICATES)
+def test_shorthands_and_null_match_sqlite(shape, backend):
+    """BETWEEN, IN and COALESCE are lowered by the parser to comparisons,
+    ``OR`` and CASE: with NULL bounds, NULL items, a subquery yielding NULL
+    and a NULL literal they answer as sqlite does, on both engines."""
+    import sqlite3
+
+    tables = {
+        "sh": DataFrame({
+            "a": np.array([row[0] for row in SHORTHAND_ROWS], dtype=np.int64),
+            "b": np.array([row[1] for row in SHORTHAND_ROWS], dtype=np.int64),
+            "s": np.array([row[2] for row in SHORTHAND_ROWS], dtype=object)}),
+        "shu": DataFrame({"ub": np.array([2, 3], dtype=np.int64)})}
+    sess = TQPSession()
+    for name, frame in tables.items():
+        sess.register(name, frame)
+    db = sqlite3.connect(":memory:")
+    db.execute("create table sh (a integer, b integer, s text)")
+    db.executemany("insert into sh values (?, ?, ?)", SHORTHAND_ROWS)
+    db.execute("create table shu (ub integer)")
+    db.executemany("insert into shu values (?)", [(2,), (3,)])
+    for sql in _shorthand_statements(shape):
+        expected = [list(row) for row in db.execute(sql)]
+        for engine, frame in (
+                (backend, sess.sql(sql, options=ExecutionOptions(
+                    backend=backend))),
+                ("row engine", RowEngine(tables).execute_to_dataframe(
+                    sql_to_physical(sql, sess.catalog)))):
+            got = [[_plain(v) for v in row]
+                   for row in zip(*frame.to_dict().values())]
+            assert got == expected, f"{engine}: {sql}"
+
+
+def test_a_lowered_between_plans_one_aggregate(session, tables, frames_match):
+    """``HAVING sum(x) BETWEEN ...`` names ``sum(x)`` twice after lowering;
+    the analyzer still plans it as one aggregate."""
+    from repro.frontend.logical import LogicalAggregate, walk_plan
+
+    sql = ("select b, sum(x) as s from t group by b "
+           "having sum(x) between -5 and 5 order by b")
+    plan = sql_to_physical(sql, session.catalog)
+    (aggregate,) = [node for node in walk_plan(plan)
+                    if isinstance(node, LogicalAggregate)]
+    assert len(aggregate.aggregates) == 1
+    frames_match(session.sql(sql), RowEngine(tables).execute_to_dataframe(plan),
+                 sql, ordered=True)
+
+
+def test_a_lowered_between_keeps_its_parameters(session, tpch_tiny):
+    """``? BETWEEN ? AND ?`` takes three positional parameters (the operand's
+    copy is the same parameter), and the serving shape's bounds take the
+    type of ``l_discount``."""
+    from repro.core.columnar import LogicalType
+    from repro.serve.simulator import Q6_SHAPE
+
+    prepared = session.prepare(
+        "select a from t where ? between ? and ?",
+        param_types={name: LogicalType.INT for name in ("p1", "p2", "p3")})
+    assert [spec.name for spec in prepared.parameters] == ["p1", "p2", "p3"]
+    assert len(prepared.run(3, 2, 4).to_dict()["a"]) == N_ROWS
+    assert prepared.run(5, 2, 4).to_dict()["a"] == []
+    tpch, _ = tpch_tiny
+    types = {spec.name: spec.ltype
+             for spec in tpch.prepare(Q6_SHAPE).parameters}
+    assert types == {"lo": LogicalType.FLOAT, "hi": LogicalType.FLOAT,
+                     "q": LogicalType.FLOAT}
+
+
 # -- LIKE: multi-segment, doubly anchored and self-overlapping patterns -------
 
 #: Width 8; ``abcdefgh`` / ``xbcdefgh`` fill it, so a match that ran past the
@@ -582,3 +788,4 @@ def test_generator_is_deterministic():
     assert _generated_queries() == _generated_queries()
     assert _generated_join_chains() == _generated_join_chains()
     assert _generated_keyed_joins() == _generated_keyed_joins()
+    assert _generated_shorthand_queries() == _generated_shorthand_queries()

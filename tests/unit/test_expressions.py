@@ -8,6 +8,7 @@ from repro.core.expressions import EvaluationContext, as_mask, evaluate, to_colu
 from repro.dataframe import DataFrame
 from repro.errors import ExecutionError, UnsupportedOperationError
 from repro.frontend import ast
+from repro.frontend.parser import parse
 
 
 def _table():
@@ -69,14 +70,22 @@ def test_date_comparison_with_literal():
                                   [True, False, False])
 
 
+def _parsed_condition(condition):
+    """``condition`` as the parser hands it on, its columns resolved to
+    :func:`_table`'s."""
+    expr = parse(f"select qty from t where {condition}").where
+    for node in ast.walk_expr(expr):
+        if isinstance(node, ast.ColumnRef):
+            node.resolved = f"t.{node.name}"
+    return expr
+
+
 def test_between_and_in_list():
-    between = ast.Between(QTY(), _lit(2, LogicalType.INT), _lit(10, LogicalType.INT))
-    between.otype = LogicalType.BOOL
+    between = _parsed_condition("qty between 2 and 10")
+    assert isinstance(between, ast.BinaryOp) and between.op == "and"
     np.testing.assert_array_equal(evaluate(between, _table(), CTX).tensor.numpy(),
                                   [False, True, True])
-    negated = ast.Between(QTY(), _lit(2, LogicalType.INT), _lit(10, LogicalType.INT),
-                          negated=True)
-    negated.otype = LogicalType.BOOL
+    negated = _parsed_condition("qty not between 2 and 10")
     np.testing.assert_array_equal(evaluate(negated, _table(), CTX).tensor.numpy(),
                                   [True, False, False])
     inlist = ast.InList(QTY(), [_lit(1, LogicalType.INT), _lit(10, LogicalType.INT)])
@@ -193,15 +202,16 @@ def test_validity_propagates_through_comparisons():
 
 @pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
 @pytest.mark.parametrize("then", ["s", "'hi'"])
-def test_case_with_a_string_branch_is_a_typed_error(backend, then):
-    """Code-point matrices of different widths have no ``where``: the
-    construct is rejected by name, not by a numpy broadcast error."""
+def test_case_with_string_branches_pads_them_to_one_width(backend, then):
+    """Code-point matrices of different widths are padded to one width
+    before the ``where`` that selects between them."""
     from repro import ExecutionOptions, TQPSession
 
     session = TQPSession()
     session.register("t", DataFrame({
         "a": np.array([1, 2, 3, 4], dtype=np.int64),
         "s": np.array(["x", "yy", "zzz", "x"], dtype=object)}))
-    with pytest.raises(UnsupportedOperationError, match="CASE with a string"):
-        session.sql(f"select case when a > 2 then {then} else 'zz' end as c "
-                    "from t", options=ExecutionOptions(backend=backend))
+    result = session.sql(f"select case when a > 2 then {then} else 'zz' end "
+                         "as c from t", options=ExecutionOptions(backend=backend))
+    picked = ["zzz", "x"] if then == "s" else ["hi", "hi"]
+    assert result.to_dict()["c"] == ["zz", "zz", *picked]
