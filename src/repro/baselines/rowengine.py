@@ -37,6 +37,31 @@ def _is_null(value: Any) -> bool:
     return value is None or (isinstance(value, float) and math.isnan(value))
 
 
+def _round(value: Any) -> Any:
+    """Half away from zero, as sqlite rounds; an integer is left as it is."""
+    if isinstance(value, (int, np.integer)):
+        return value
+    return float(np.copysign(np.floor(abs(value) + 0.5), value))
+
+
+def _date_field(index: slice) -> Callable[[int], int]:
+    """The year / month / day of an epoch-ns date, read off its ISO text."""
+    return lambda ns: int(str(np.datetime64(int(ns), "ns").astype(
+        "datetime64[D]"))[index])
+
+
+#: One kernel per name of :data:`repro.frontend.functions.SCALAR_FUNCTIONS`.
+SCALAR_KERNELS: dict[str, Callable[[Any], Any]] = {
+    "abs": abs,
+    "round": _round,
+    "sqrt": math.sqrt,
+    "length": len,
+    "year": _date_field(slice(0, 4)),
+    "month": _date_field(slice(5, 7)),
+    "day": _date_field(slice(8, 10)),
+}
+
+
 def _like_to_regex(pattern: str) -> re.Pattern:
     return re.compile("^" + ".*".join(re.escape(p) for p in pattern.split("%")) + "$")
 
@@ -69,9 +94,7 @@ class RowExpressionEvaluator:
             for condition, result in expr.whens:
                 if self.evaluate(condition, row):
                     return self.evaluate(result, row)
-            if expr.else_value is not None:
-                return self.evaluate(expr.else_value, row)
-            return None  # SQL: CASE with no matching branch is NULL
+            return self.evaluate(expr.else_value, row)
         if isinstance(expr, ast.Cast):
             value = self.evaluate(expr.operand, row)
             if value is None:
@@ -87,14 +110,12 @@ class RowExpressionEvaluator:
                 return None
             pattern = self._like_cache.setdefault(expr.pattern,
                                                   _like_to_regex(expr.pattern))
-            matched = bool(pattern.match(value))
-            return not matched if expr.negated else matched
+            return bool(pattern.match(value))
         if isinstance(expr, ast.InList):
             value = self.evaluate(expr.operand, row)
             if value is None:
                 return None
-            result = value in [self.evaluate(item, row) for item in expr.items]
-            return not result if expr.negated else result
+            return value in [self.evaluate(item, row) for item in expr.items]
         if isinstance(expr, ast.InSubquery):
             # A match is TRUE; without one, a NULL operand or a NULL among
             # the subquery's values makes the result NULL.  Over no rows it
@@ -104,19 +125,11 @@ class RowExpressionEvaluator:
             result = value is not None and value in values
             if not result and values and (value is None or None in values):
                 return None
-            return not result if expr.negated else result
+            return result
         if isinstance(expr, ast.ExistsSubquery):
-            rows = self.engine.subquery_rows(expr.subplan)
-            result = len(rows) > 0
-            return not result if expr.negated else result
+            return len(self.engine.subquery_rows(expr.subplan)) > 0
         if isinstance(expr, ast.ScalarSubquery):
             return self.engine.subquery_scalar(expr.subplan)
-        if isinstance(expr, ast.ExtractExpr):
-            value = self.evaluate(expr.operand, row)
-            date = np.datetime64(int(value), "ns").astype("datetime64[D]")
-            text = str(date)
-            return {"year": int(text[0:4]), "month": int(text[5:7]),
-                    "day": int(text[8:10])}[expr.field]
         if isinstance(expr, ast.SubstringExpr):
             value = self.evaluate(expr.operand, row)
             start = int(self.evaluate(expr.start, row)) - 1
@@ -124,9 +137,7 @@ class RowExpressionEvaluator:
                 return value[start:]
             return value[start:start + int(self.evaluate(expr.length, row))]
         if isinstance(expr, ast.IsNull):
-            value = self.evaluate(expr.operand, row)
-            result = value is None
-            return not result if expr.negated else result
+            return self.evaluate(expr.operand, row) is None
         if isinstance(expr, ast.PredictExpr):
             model = self.engine.models.get(expr.model_name)
             if model is None:
@@ -183,17 +194,10 @@ class RowExpressionEvaluator:
         raise UnsupportedOperationError(f"row engine: unsupported operator {op!r}")
 
     def _function(self, expr: ast.FuncCall, row: Row) -> Any:
-        name = expr.name.lower()
-        args = [self.evaluate(arg, row) for arg in expr.args]
-        if name == "abs":
-            return abs(args[0])
-        if name == "round":
-            return round(args[0])
-        if name == "sqrt":
-            return math.sqrt(args[0])
-        if name == "length":
-            return len(args[0])
-        raise UnsupportedOperationError(f"row engine: unsupported function {name!r}")
+        value = self.evaluate(expr.args[0], row)
+        if value is None:
+            return None  # a NULL argument gives NULL
+        return SCALAR_KERNELS[expr.name.lower()](value)
 
 
 class RowEngine:

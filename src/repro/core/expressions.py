@@ -11,6 +11,7 @@ exactly how the paper lowers filters, case expressions, predicates and
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -272,13 +273,9 @@ def evaluate_encoded(expr: ast.Expr, table: TensorTable,
             # per-entry verdicts out to the rows with one gather — the pattern
             # kernels run over k distinct values instead of n rows.
             matched = strings.like(operand.encoding.dictionary, expr.pattern)
-            if expr.negated:
-                matched = ops.logical_not(matched)
             matched = ops.take(matched, ops.cast(operand.tensor, "int64"))
             return ExprValue(matched, LogicalType.BOOL, False, operand.valid)
         matched = strings.like(operand.tensor, expr.pattern)
-        if expr.negated:
-            matched = ops.logical_not(matched)
         return ExprValue(matched, LogicalType.BOOL, operand.is_scalar, operand.valid)
 
     if isinstance(expr, ast.InList):
@@ -292,8 +289,6 @@ def evaluate_encoded(expr: ast.Expr, table: TensorTable,
         # Computed as a tensor (not a Python bool) so the row count is
         # re-evaluated when a traced program replays under a new binding.
         value = ops.gt(ops.row_count(result_table.anchor), 0)
-        if expr.negated:
-            value = ops.logical_not(value)
         return ExprValue(value, LogicalType.BOOL, True)
 
     if isinstance(expr, ast.ScalarSubquery):
@@ -305,13 +300,6 @@ def evaluate_encoded(expr: ast.Expr, table: TensorTable,
         valid = (ops.slice_(column.valid, 0) if column.valid is not None
                  else None)
         return ExprValue(scalar, column.ltype, True, valid)
-
-    if isinstance(expr, ast.ExtractExpr):
-        operand = evaluate(expr.operand, table, ctx)
-        if operand.ltype != LogicalType.DATE:
-            raise ExecutionError("EXTRACT requires a date operand")
-        return ExprValue(datetime_ops.extract_field(operand.tensor, expr.field),
-                         LogicalType.INT, operand.is_scalar, operand.valid)
 
     if isinstance(expr, ast.SubstringExpr):
         operand = evaluate(expr.operand, table, ctx)
@@ -325,14 +313,13 @@ def evaluate_encoded(expr: ast.Expr, table: TensorTable,
         operand = evaluate_encoded(expr.operand, table, ctx)
         if operand.valid is None:
             if operand.is_scalar:
-                value = ops.tensor(bool(expr.negated), dtype="bool",
-                                   device=ctx.device)
+                value = ops.tensor(False, dtype="bool", device=ctx.device)
                 return ExprValue(value, LogicalType.BOOL, True)
-            value = ops.full_like_rows(operand.tensor, expr.negated, dtype="bool")
+            value = ops.full_like_rows(operand.tensor, False, dtype="bool")
         else:
             valid = (operand.valid if operand.is_scalar
                      else _rows_valid(operand.valid, operand.tensor))
-            value = ops.logical_not(valid) if not expr.negated else valid
+            value = ops.logical_not(valid)
         return ExprValue(value, LogicalType.BOOL, operand.is_scalar)
 
     if isinstance(expr, ast.PredictExpr):
@@ -354,8 +341,13 @@ def evaluate_encoded(expr: ast.Expr, table: TensorTable,
 def _evaluate_literal(expr: ast.Literal, ctx: EvaluationContext) -> ExprValue:
     kind = expr.otype or expr.kind
     if expr.value is None:
-        return ExprValue(ops.tensor(np.nan, dtype="float64", device=ctx.device),
-                         kind or LogicalType.FLOAT, True,
+        # NULL: a placeholder of its type (0, or an empty string's width-1
+        # code vector) under an all-false validity.
+        placeholder = (ops.tensor([0], dtype="int32", device=ctx.device)
+                       if kind == LogicalType.STRING else
+                       ops.tensor(0, dtype=_LTYPE_TO_DTYPE[kind],
+                                  device=ctx.device))
+        return ExprValue(placeholder, kind, True,
                          ops.tensor(False, dtype="bool", device=ctx.device))
     if kind == LogicalType.STRING:
         codes = encode_strings([expr.value])[0]
@@ -465,17 +457,9 @@ def _evaluate_case(expr: ast.CaseWhen, table: TensorTable,
         return ops.where(cond, ops.pad2d(chosen, width),
                          ops.pad2d(other, width))
 
-    if expr.else_value is not None:
-        result_value = evaluate(expr.else_value, table, ctx)
-        result = result_value.tensor
-        valid: Optional[Tensor] = result_value.valid
-    else:
-        # SQL: a CASE where no branch matches is NULL.  The placeholder value
-        # is 0 (an empty string) with an all-false validity mask.
-        dtype = "int32" if is_string else _LTYPE_TO_DTYPE.get(otype, "float64")
-        result = ops.tensor([0] if is_string else 0, dtype=dtype,
-                            device=ctx.device)
-        valid = ops.tensor(False, dtype="bool", device=ctx.device)
+    result_value = evaluate(expr.else_value, table, ctx)
+    result = result_value.tensor
+    valid: Optional[Tensor] = result_value.valid
     # Apply WHEN branches from last to first so earlier branches win.
     any_scalar = True
     for condition, value in reversed(expr.whens):
@@ -538,8 +522,6 @@ def _evaluate_in_list(expr: ast.InList, table: TensorTable,
         values = [evaluate(item, table, ctx).tensor for item in expr.items]
         stacked = ops.stack(values) if len(values) > 1 else ops.reshape(values[0], (1,))
         result = ops.isin(operand.tensor, stacked)
-    if expr.negated:
-        result = ops.logical_not(result)
     return ExprValue(result, LogicalType.BOOL, operand.is_scalar, operand.valid)
 
 
@@ -580,8 +562,6 @@ def _evaluate_in_subquery(expr: ast.InSubquery, table: TensorTable,
         no_null = ops.logical_not(ops.any_(ops.logical_not(column.valid)))
         known = ops.logical_or(result, no_null)
         valid = known if valid is None else ops.logical_and(valid, known)
-    if expr.negated:
-        result = ops.logical_not(result)
     return ExprValue(result, LogicalType.BOOL, operand.is_scalar, valid)
 
 
@@ -597,32 +577,29 @@ def _evaluate_predict(expr: ast.PredictExpr, table: TensorTable,
     return model(args, table.num_rows)
 
 
+#: One kernel per name of :data:`repro.frontend.functions.SCALAR_FUNCTIONS`.
+SCALAR_KERNELS: dict[str, Callable[[Tensor], Tensor]] = {
+    "abs": ops.abs_,
+    "round": ops.round_,
+    "sqrt": ops.sqrt,
+    "length": strings.row_lengths,
+    **{field: functools.partial(datetime_ops.extract_field, field=field)
+       for field in ("year", "month", "day")},
+}
+
+
 def _evaluate_scalar_function(expr: ast.FuncCall, table: TensorTable,
                               ctx: EvaluationContext) -> ExprValue:
-    name = expr.name.lower()
-    if name == "length":
-        arg = evaluate_encoded(expr.args[0], table, ctx)
-        if arg.encoding is not None:
-            # Length of each of the k dictionary entries, gathered per row.
-            lengths = strings.row_lengths(arg.encoding.dictionary)
-            return ExprValue(ops.take(lengths, ops.cast(arg.tensor, "int64")),
-                             LogicalType.INT, False, arg.valid)
-        return ExprValue(strings.row_lengths(arg.tensor), LogicalType.INT,
-                         arg.is_scalar, arg.valid)
-    args = [evaluate(arg, table, ctx) for arg in expr.args]
-    if name == "abs":
-        return ExprValue(ops.abs_(args[0].tensor), args[0].ltype,
-                         args[0].is_scalar, args[0].valid)
-    if name == "round":
-        return ExprValue(ops.round_(args[0].tensor), args[0].ltype,
-                         args[0].is_scalar, args[0].valid)
-    if name == "sqrt":
-        return ExprValue(ops.sqrt(args[0].tensor), LogicalType.FLOAT,
-                         args[0].is_scalar, args[0].valid)
-    if name in ("year", "month", "day"):
-        return ExprValue(datetime_ops.extract_field(args[0].tensor, name),
-                         LogicalType.INT, args[0].is_scalar, args[0].valid)
-    raise UnsupportedOperationError(f"unsupported function {expr.name!r}")
+    kernel = SCALAR_KERNELS[expr.name.lower()]
+    arg = evaluate_encoded(expr.args[0], table, ctx)
+    if arg.encoding is not None:
+        # Over the k dictionary entries, gathered per row.
+        result = ops.take(kernel(arg.encoding.dictionary),
+                          ops.cast(arg.tensor, "int64"))
+    else:
+        result = kernel(arg.tensor)
+    # A NULL argument gives NULL: the result keeps the argument's validity.
+    return ExprValue(result, expr.otype, arg.is_scalar, arg.valid)
 
 
 def _require_int_literal(expr: ast.Expr, what: str) -> int:

@@ -17,7 +17,7 @@ from repro.tensor import Tensor, ops
 
 def row_lengths(codes: Tensor) -> Tensor:
     """Logical length of every row (number of non-padding code points)."""
-    return ops.count_nonzero(ops.ne(codes, 0), axis=1)
+    return ops.count_nonzero(ops.ne(codes, 0), axis=-1)
 
 
 def _head_equals(codes: Tensor, value: str, columns: int) -> Tensor:

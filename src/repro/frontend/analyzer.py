@@ -17,7 +17,11 @@ from repro.core.columnar import LogicalType
 from repro.errors import AnalysisError, UnsupportedOperationError
 from repro.frontend import ast
 from repro.frontend.catalog import Catalog
-from repro.frontend.functions import AGGREGATE_FUNCTIONS, is_aggregate_name
+from repro.frontend.functions import (
+    AGGREGATE_FUNCTIONS,
+    SCALAR_FUNCTIONS,
+    is_aggregate_name,
+)
 from repro.frontend.logical import (
     AggregateCall,
     Field,
@@ -32,6 +36,11 @@ from repro.frontend.logical import (
     LogicalSort,
     LogicalSubqueryAlias,
 )
+
+
+#: The type of a NULL literal that no comparison or arithmetic partner, CASE
+#: branch or IN item types (``select null``): an INT NULL.
+NULL_LITERAL_TYPE = LogicalType.INT
 
 
 # ---------------------------------------------------------------------------
@@ -99,23 +108,19 @@ def expr_key(expr: ast.Expr) -> str:
         return f"{expr.name}({'distinct ' if expr.distinct else ''}{args})"
     if isinstance(expr, ast.CaseWhen):
         parts = [f"when {expr_key(c)} then {expr_key(v)}" for c, v in expr.whens]
-        if expr.else_value is not None:
-            parts.append(f"else {expr_key(expr.else_value)}")
-        return f"case({' '.join(parts)})"
+        return f"case({' '.join(parts)} else {expr_key(expr.else_value)})"
     if isinstance(expr, ast.Cast):
         return f"cast({expr_key(expr.operand)} as {expr.target})"
     if isinstance(expr, ast.LikeExpr):
-        return f"like({expr_key(expr.operand)},{expr.pattern!r},{expr.negated})"
+        return f"like({expr_key(expr.operand)},{expr.pattern!r})"
     if isinstance(expr, ast.InList):
         items = ",".join(expr_key(i) for i in expr.items)
-        return f"inlist({expr_key(expr.operand)},[{items}],{expr.negated})"
-    if isinstance(expr, ast.ExtractExpr):
-        return f"extract({expr.field},{expr_key(expr.operand)})"
+        return f"inlist({expr_key(expr.operand)},[{items}])"
     if isinstance(expr, ast.SubstringExpr):
         length = expr_key(expr.length) if expr.length is not None else ""
         return f"substr({expr_key(expr.operand)},{expr_key(expr.start)},{length})"
     if isinstance(expr, ast.IsNull):
-        return f"isnull({expr_key(expr.operand)},{expr.negated})"
+        return f"isnull({expr_key(expr.operand)})"
     if isinstance(expr, ast.PredictExpr):
         args = ",".join(expr_key(a) for a in expr.args)
         return f"predict({expr.model_name},{args})"
@@ -149,6 +154,8 @@ class Analyzer:
         self._param_types: dict[str, LogicalType] = {}
         #: Every resolved occurrence, so a type learned late back-propagates.
         self._param_nodes: dict[str, list[ast.ParameterExpr]] = {}
+        #: NULL literals, typed by their context or else by the default.
+        self._null_literals: list[ast.Literal] = []
 
     # -- public API -----------------------------------------------------------
 
@@ -157,6 +164,8 @@ class Analyzer:
         for name, query in statement.ctes:
             cte_map[name] = self._plan_select(query, outer_scope=None, cte_map=dict(cte_map))
         plan = self._plan_select(statement, outer_scope=None, cte_map=cte_map)
+        for literal in self._null_literals:
+            self._require_type(literal)
         untyped = sorted(name for name, nodes in self._param_nodes.items()
                          if any(node.otype is None for node in nodes))
         if untyped:
@@ -185,7 +194,8 @@ class Analyzer:
             node.otype = ltype
 
     def _unify_params(self, *exprs: ast.Expr) -> None:
-        """Give untyped parameters the type of a typed sibling operand."""
+        """Give untyped parameters and NULL literals the type of a typed
+        sibling operand."""
         anchor = next((e.otype for e in exprs
                        if e.otype is not None
                        and not isinstance(e, ast.ParameterExpr)), None)
@@ -194,8 +204,12 @@ class Analyzer:
         if anchor is None:
             return
         for expr in exprs:
-            if isinstance(expr, ast.ParameterExpr) and expr.otype is None:
+            if expr.otype is not None:
+                continue
+            if isinstance(expr, ast.ParameterExpr):
                 self._note_param_type(expr.name, anchor)
+            elif isinstance(expr, ast.Literal):
+                expr.otype = anchor
 
     # -- SELECT planning -----------------------------------------------------------
 
@@ -222,7 +236,10 @@ class Analyzer:
                 continue
             resolved = self._resolve(item.expr, scope, cte_map, allow_aggregates=True)
             select_exprs.append(resolved)
-            select_names.append(item.alias or self._default_name(item.expr, i))
+            name = item.alias or self._default_name(item.expr, i)
+            if not item.alias and name in select_names:
+                name = f"col{i}"
+            select_names.append(name)
 
         having_expr = None
         if stmt.having is not None:
@@ -450,6 +467,8 @@ class Analyzer:
         if isinstance(expr, ast.Literal):
             if expr.otype is None:
                 expr.otype = expr.kind
+                if expr.kind is None:  # NULL: typed by _unify_params, or not
+                    self._null_literals.append(expr)
             return expr
 
         if isinstance(expr, ast.ParameterExpr):
@@ -498,19 +517,15 @@ class Analyzer:
                  self._resolve(v, scope, cte_map, allow_aggregates))
                 for c, v in expr.whens
             ]
-            if expr.else_value is not None:
-                expr.else_value = self._resolve(expr.else_value, scope, cte_map,
-                                                allow_aggregates)
+            expr.else_value = self._resolve(expr.else_value, scope, cte_map,
+                                            allow_aggregates)
             branch_values = [value for _, value in expr.whens]
-            if expr.else_value is not None:
-                branch_values.append(expr.else_value)
+            branch_values.append(expr.else_value)
             self._unify_params(*branch_values)
             # Standard SQL numeric promotion across branches: a CASE mixing
             # INT and FLOAT results is FLOAT (typing it after the first THEN
             # alone silently truncated float ELSE branches to int).
-            branch_types = {self._require_type(value) for _, value in expr.whens}
-            if expr.else_value is not None:
-                branch_types.add(self._require_type(expr.else_value))
+            branch_types = set(map(self._require_type, branch_values))
             if branch_types == {LogicalType.INT, LogicalType.FLOAT}:
                 expr.otype = LogicalType.FLOAT
             else:
@@ -566,11 +581,6 @@ class Analyzer:
             expr.otype = sub_fields[0].ltype
             return expr
 
-        if isinstance(expr, ast.ExtractExpr):
-            expr.operand = self._resolve(expr.operand, scope, cte_map, allow_aggregates)
-            expr.otype = LogicalType.INT
-            return expr
-
         if isinstance(expr, ast.SubstringExpr):
             expr.operand = self._resolve(expr.operand, scope, cte_map, allow_aggregates)
             expr.start = self._resolve(expr.start, scope, cte_map, allow_aggregates)
@@ -599,6 +609,8 @@ class Analyzer:
 
     @staticmethod
     def _require_type(expr: ast.Expr) -> LogicalType:
+        if expr.otype is None and isinstance(expr, ast.Literal):
+            expr.otype = NULL_LITERAL_TYPE  # a NULL nothing else typed
         if expr.otype is None:
             if isinstance(expr, ast.ParameterExpr):
                 raise AnalysisError(
@@ -613,13 +625,16 @@ class Analyzer:
         name = call.name.lower()
         if is_aggregate_name(name):
             return self._make_aggregate_call(call, "_").output_type
-        if name in ("year", "month", "day", "length"):
-            return LogicalType.INT
-        if name in ("floor", "ceil", "sqrt"):
-            return LogicalType.FLOAT
-        if name in ("abs", "round"):
-            return self._require_type(call.args[0]) if call.args else LogicalType.FLOAT
-        raise AnalysisError(f"unknown function {call.name!r}")
+        if name not in SCALAR_FUNCTIONS:
+            raise AnalysisError(f"unknown function {call.name!r}")
+        if len(call.args) != 1:
+            raise AnalysisError(f"{name}() takes exactly one argument")
+        accepted, result = SCALAR_FUNCTIONS[name]
+        argument = call.args[0].otype   # None: a parameter or NULL literal
+        if argument is not None and argument not in accepted:
+            raise AnalysisError(f"{name}() does not take {argument.value} "
+                                "arguments")
+        return result or self._require_type(call.args[0])
 
     def _infer_binary_type(self, expr: ast.BinaryOp) -> LogicalType:
         op = expr.op

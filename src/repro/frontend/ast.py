@@ -151,27 +151,22 @@ class UnaryOp(Expr):
 
 @dataclasses.dataclass(eq=False)
 class CaseWhen(Expr):
-    """``CASE WHEN cond THEN value ... [ELSE value] END``."""
+    """``CASE WHEN cond THEN value ... ELSE value END``; the parser gives a
+    CASE without ELSE an ``ELSE NULL``."""
 
     whens: list[tuple[Expr, Expr]]
-    else_value: Optional[Expr] = None
+    else_value: Expr
 
     def children(self) -> list[Expr]:
         out: list[Expr] = []
         for cond, value in self.whens:
             out.extend([cond, value])
-        if self.else_value is not None:
-            out.append(self.else_value)
+        out.append(self.else_value)
         return out
 
     def replace_children(self, new_children: Sequence[Expr]) -> None:
-        new_children = list(new_children)
-        pairs = len(self.whens)
-        self.whens = [
-            (new_children[2 * i], new_children[2 * i + 1]) for i in range(pairs)
-        ]
-        rest = new_children[2 * pairs:]
-        self.else_value = rest[0] if rest else None
+        *pairs, self.else_value = new_children
+        self.whens = list(zip(pairs[::2], pairs[1::2]))
 
 
 @dataclasses.dataclass(eq=False)
@@ -190,11 +185,10 @@ class Cast(Expr):
 
 @dataclasses.dataclass(eq=False)
 class LikeExpr(Expr):
-    """``expr [NOT] LIKE 'pattern'`` (patterns use %% and _ wildcards)."""
+    """``expr LIKE 'pattern'`` (patterns use the %% wildcard)."""
 
     operand: Expr
     pattern: str
-    negated: bool = False
 
     def children(self) -> list[Expr]:
         return [self.operand]
@@ -205,12 +199,11 @@ class LikeExpr(Expr):
 
 @dataclasses.dataclass(eq=False)
 class InList(Expr):
-    """``expr [NOT] IN (v1, v2, ...)``; the parser lowers any other list than
-    one of constants (``parser._is_constant``) to an ``OR`` of equalities."""
+    """``expr IN (v1, v2, ...)``; the parser lowers any other list than one of
+    constants (``parser._is_constant``) to an ``OR`` of equalities."""
 
     operand: Expr
     items: list[Expr]
-    negated: bool = False
 
     def children(self) -> list[Expr]:
         return [self.operand, *self.items]
@@ -223,11 +216,10 @@ class InList(Expr):
 
 @dataclasses.dataclass(eq=False)
 class InSubquery(Expr):
-    """``expr [NOT] IN (SELECT ...)``; ``subplan`` is filled by the analyzer."""
+    """``expr IN (SELECT ...)``; ``subplan`` is filled by the analyzer."""
 
     operand: Expr
     query: Any  # SelectStatement before analysis
-    negated: bool = False
     subplan: Any = None  # LogicalNode after analysis
 
     def children(self) -> list[Expr]:
@@ -239,10 +231,9 @@ class InSubquery(Expr):
 
 @dataclasses.dataclass(eq=False)
 class ExistsSubquery(Expr):
-    """``[NOT] EXISTS (SELECT ...)``."""
+    """``EXISTS (SELECT ...)``."""
 
     query: Any
-    negated: bool = False
     subplan: Any = None
 
 
@@ -252,20 +243,6 @@ class ScalarSubquery(Expr):
 
     query: Any
     subplan: Any = None
-
-
-@dataclasses.dataclass(eq=False)
-class ExtractExpr(Expr):
-    """``EXTRACT(field FROM expr)`` — field in {year, month, day}."""
-
-    field: str
-    operand: Expr
-
-    def children(self) -> list[Expr]:
-        return [self.operand]
-
-    def replace_children(self, new_children: Sequence[Expr]) -> None:
-        (self.operand,) = new_children
 
 
 @dataclasses.dataclass(eq=False)
@@ -290,10 +267,9 @@ class SubstringExpr(Expr):
 
 @dataclasses.dataclass(eq=False)
 class IsNull(Expr):
-    """``expr IS [NOT] NULL``."""
+    """``expr IS NULL``."""
 
     operand: Expr
-    negated: bool = False
 
     def children(self) -> list[Expr]:
         return [self.operand]

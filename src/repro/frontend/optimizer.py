@@ -450,12 +450,11 @@ def rewrite_correlated_subqueries(plan: LogicalNode) -> LogicalNode:
 
 
 def _match_exists(expr: ast.Expr) -> tuple[Optional[ast.ExistsSubquery], bool]:
+    negated = isinstance(expr, ast.UnaryOp) and expr.op == "not"
+    if negated:
+        expr = expr.operand
     if isinstance(expr, ast.ExistsSubquery):
-        return expr, expr.negated
-    if isinstance(expr, ast.UnaryOp) and expr.op == "not" and isinstance(
-        expr.operand, ast.ExistsSubquery
-    ):
-        return expr.operand, not expr.operand.negated
+        return expr, negated
     return None, False
 
 

@@ -6,8 +6,11 @@ EXISTS, derived tables, CTEs), CASE, LIKE, BETWEEN, EXTRACT, SUBSTRING,
 date/interval arithmetic, aggregates with DISTINCT, ORDER BY / LIMIT, and the
 ``PREDICT`` extension of §3.3.
 
-BETWEEN, COALESCE and IN lists with a non-constant item (:func:`_is_constant`)
-are lowered here to comparisons, CASE and ``OR``: no later layer sees them.
+SQL shorthands are lowered here, so no later layer sees them: BETWEEN,
+COALESCE and IN lists with a non-constant item (:func:`_is_constant`) become
+comparisons, CASE and ``OR``; ``NOT LIKE`` / ``NOT IN`` / ``IS NOT NULL`` /
+``NOT BETWEEN`` become ``NOT (...)``; ``EXTRACT(f FROM x)`` becomes the call
+``f(x)``; and a CASE without ELSE gets ``ELSE NULL``.
 """
 
 from __future__ import annotations
@@ -251,7 +254,7 @@ class Parser:
             self._expect_punct("(")
             query = self._parse_select()
             self._expect_punct(")")
-            return ast.ExistsSubquery(query=query, negated=False)
+            return ast.ExistsSubquery(query=query)
         left = self._parse_additive()
         while True:
             negated = False
@@ -261,9 +264,9 @@ class Parser:
                 self._advance()
                 negated = True
             if self._match_keyword("is"):
-                is_negated = self._match_keyword("not")
+                negated = self._match_keyword("not")
                 self._expect_keyword("null")
-                left = ast.IsNull(left, negated=is_negated)
+                left = _negate(ast.IsNull(left), negated)
                 continue
             if self._match_keyword("between"):
                 low = self._parse_additive()
@@ -277,10 +280,10 @@ class Parser:
                 pattern_token = self._advance()
                 if pattern_token.type != TokenType.STRING:
                     raise self._error("LIKE requires a string literal pattern")
-                left = ast.LikeExpr(left, pattern_token.value, negated=negated)
+                left = _negate(ast.LikeExpr(left, pattern_token.value), negated)
                 continue
             if self._match_keyword("in"):
-                left = self._parse_in_rhs(left, negated)
+                left = _negate(self._parse_in_rhs(left), negated)
                 continue
             op = self._match_operator(*_COMPARISON_OPS)
             if op is not None:
@@ -290,24 +293,24 @@ class Parser:
                 continue
             return left
 
-    def _parse_in_rhs(self, operand: ast.Expr, negated: bool) -> ast.Expr:
+    def _parse_in_rhs(self, operand: ast.Expr) -> ast.Expr:
         self._expect_punct("(")
         if self._peek().is_keyword("select"):
             query = self._parse_select()
             self._expect_punct(")")
-            return ast.InSubquery(operand, query, negated=negated)
+            return ast.InSubquery(operand, query)
         items = [self._parse_expr()]
         while self._match_punct(","):
             items.append(self._parse_expr())
         self._expect_punct(")")
         if all(map(_is_constant, items)):
-            return ast.InList(operand, items, negated=negated)
+            return ast.InList(operand, items)
         disjunction = ast.BinaryOp("=", operand, items[0])
         for item in items[1:]:
             disjunction = ast.BinaryOp(
                 "or", disjunction,
                 ast.BinaryOp("=", copy.deepcopy(operand), item))
-        return _negate(disjunction, negated)
+        return disjunction
 
     def _parse_additive(self) -> ast.Expr:
         left = self._parse_multiplicative()
@@ -359,7 +362,7 @@ class Parser:
             return ast.Literal(False, LogicalType.BOOL)
         if token.is_keyword("null"):
             self._advance()
-            return ast.Literal(None, None)
+            return ast.Literal(None)
 
         if token.is_keyword("date"):
             self._advance()
@@ -401,7 +404,7 @@ class Parser:
             self._expect_keyword("from")
             operand = self._parse_expr()
             self._expect_punct(")")
-            return ast.ExtractExpr(field, operand)
+            return ast.FuncCall(field, [operand])
 
         if token.is_keyword("substring"):
             self._advance()
@@ -474,14 +477,13 @@ class Parser:
     def _parse_case(self) -> ast.Expr:
         self._expect_keyword("case")
         whens: list[tuple[ast.Expr, ast.Expr]] = []
-        else_value = None
         while self._match_keyword("when"):
             condition = self._parse_expr()
             self._expect_keyword("then")
             value = self._parse_expr()
             whens.append((condition, value))
-        if self._match_keyword("else"):
-            else_value = self._parse_expr()
+        else_value = (self._parse_expr() if self._match_keyword("else")
+                      else ast.Literal(None))
         self._expect_keyword("end")
         if not whens:
             raise self._error("CASE requires at least one WHEN clause")
@@ -516,15 +518,15 @@ class Parser:
         return ast.ColumnRef(None, name)
 
     def _coalesce(self, args: list[ast.Expr]) -> ast.Expr:
-        """``COALESCE(a1, ..., ak)`` as ``CASE WHEN a1 IS NOT NULL THEN a1
-        ... ELSE ak END``."""
+        """``COALESCE(a1, a2, ..., ak)`` as ``CASE WHEN a1 IS NULL THEN
+        COALESCE(a2, ..., ak) ELSE a1 END``."""
         if not args:
             raise self._error("COALESCE requires at least one argument")
-        if len(args) == 1:
-            return args[0]
-        whens = [(ast.IsNull(copy.deepcopy(arg), negated=True), arg)
-                 for arg in args[:-1]]
-        return ast.CaseWhen(whens, args[-1])
+        first, *rest = args
+        if not rest:
+            return first
+        return ast.CaseWhen([(ast.IsNull(copy.deepcopy(first)),
+                              self._coalesce(rest))], first)
 
 
 def _negate(expr: ast.Expr, negated: bool) -> ast.Expr:

@@ -185,7 +185,7 @@ def extract_pruning_conjuncts(condition: ast.Expr,
             matched = _match_comparison(part, fields)
             if matched is not None:
                 conjuncts.append(matched)
-        elif isinstance(part, ast.InList) and not part.negated:
+        elif isinstance(part, ast.InList):
             column = _column_name(part.operand, fields)
             kind = _PRUNABLE_KINDS.get(part.operand.otype)
             if column is None or kind is None:

@@ -445,7 +445,6 @@ ge = _binary_op("ge", np.greater_equal)
 
 logical_and = _binary_op("logical_and", np.logical_and)
 logical_or = _binary_op("logical_or", np.logical_or)
-logical_xor = _binary_op("logical_xor", np.logical_xor)
 
 
 def _unary_op(name: str, np_fn: Callable) -> Callable[[Any], Tensor]:
@@ -463,18 +462,21 @@ def _unary_op(name: str, np_fn: Callable) -> Callable[[Any], Tensor]:
 
 neg = _unary_op("neg", np.negative)
 abs_ = _unary_op("abs", np.abs)
-exp = _unary_op("exp", np.exp)
-log = _unary_op("log", np.log)
 sqrt = _unary_op("sqrt", np.sqrt)
-floor = _unary_op("floor", np.floor)
-ceil = _unary_op("ceil", np.ceil)
-round_ = _unary_op("round", np.round)
-sign = _unary_op("sign", np.sign)
+
+
+def _round_np(x: np.ndarray) -> np.ndarray:
+    """SQL's ``round`` as sqlite computes it: half away from zero
+    (``round(-2.5)`` is -3, where numpy rounds half to even); integers are
+    returned as they are."""
+    if x.dtype.kind != "f":
+        return x
+    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+
+
+round_ = _unary_op("round", _round_np)
 logical_not = _unary_op("logical_not", np.logical_not)
-isnan = _unary_op("isnan", np.isnan)
-tanh = _unary_op("tanh", np.tanh)
 relu = _unary_op("relu", lambda x: np.maximum(x, 0))
-sigmoid = _unary_op("sigmoid", lambda x: 1.0 / (1.0 + np.exp(-x)))
 
 
 @register_op("clip", elementwise=True)
@@ -561,14 +563,11 @@ def _reduction_op(name: str, np_fn: Callable) -> Callable:
 
 
 sum_ = _reduction_op("sum", np.sum)
-prod = _reduction_op("prod", np.prod)
 min_ = _reduction_op("min", np.min)
 max_ = _reduction_op("max", np.max)
 mean = _reduction_op("mean", np.mean)
 any_ = _reduction_op("any", np.any)
 all_ = _reduction_op("all", np.all)
-argmax = _reduction_op("argmax", np.argmax)
-argmin = _reduction_op("argmin", np.argmin)
 
 
 @register_op("count_nonzero")

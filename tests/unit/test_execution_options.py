@@ -324,6 +324,20 @@ def test_the_frontend_hands_tqp_one_plan(session):
                        ("repro/core/planner.py", "ir_node_expressions")}
 
 
+def _expr_nodes(value):
+    """Every expression node of a parsed statement, subqueries included."""
+    from repro.frontend import ast as sql_ast
+
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _expr_nodes(item)
+    elif dataclasses.is_dataclass(value):
+        if isinstance(value, sql_ast.Expr):
+            yield value
+        for field in dataclasses.fields(value):
+            yield from _expr_nodes(getattr(value, field.name))
+
+
 def test_sql_shorthands_are_lowered_by_the_parser():
     """BETWEEN, COALESCE and IN lists with a non-constant item leave the
     parser as comparisons, CASE and ``OR``: no engine or pruning matcher
@@ -335,16 +349,6 @@ def test_sql_shorthands_are_lowered_by_the_parser():
 
     assert not hasattr(sql_ast, "Between")
     assert not hasattr(expressions, "_evaluate_coalesce")
-
-    def nodes(value):
-        if isinstance(value, (list, tuple)):
-            for item in value:
-                yield from nodes(item)
-        elif dataclasses.is_dataclass(value):
-            if isinstance(value, sql_ast.Expr):
-                yield value
-            for field in dataclasses.fields(value):
-                yield from nodes(getattr(value, field.name))
 
     def constant(item):
         if isinstance(item, sql_ast.UnaryOp) and item.op == "-":
@@ -358,13 +362,51 @@ def test_sql_shorthands_are_lowered_by_the_parser():
         "and a between b and 3 and b in (select coalesce(x, 0) from u)"]
     in_lists = 0
     for sql in statements:
-        for node in nodes(parse(sql)):
+        for node in _expr_nodes(parse(sql)):
             assert not (isinstance(node, sql_ast.FuncCall)
                         and node.name.lower() == "coalesce"), sql
             if isinstance(node, sql_ast.InList):
                 in_lists += 1
                 assert all(map(constant, node.items)), sql
     assert in_lists == 11  # TPC-H has 10, all constant; one above
+
+
+def test_not_forms_extract_and_else_less_case_are_lowered_by_the_parser(
+        session):
+    """No expression node carries a ``negated`` flag, EXTRACT is a call of
+    ``year`` / ``month`` / ``day``, every parsed CASE has an ELSE, and each
+    engine keeps exactly one kernel per declared scalar function (no other
+    name, and no argument of another type, passes the analyzer)."""
+    from repro.baselines import rowengine
+    from repro.core import expressions
+    from repro.errors import AnalysisError
+    from repro.frontend import ast as sql_ast
+    from repro.frontend import parse
+    from repro.frontend.functions import SCALAR_FUNCTIONS
+    from repro.serve.simulator import build_shapes
+
+    kinds = [value for value in vars(sql_ast).values()
+             if isinstance(value, type) and issubclass(value, sql_ast.Expr)
+             and value is not sql_ast.Expr]
+    assert len(kinds) == 19
+    assert [kind.__name__ for kind in kinds
+            if "negated" in {f.name for f in dataclasses.fields(kind)}] == []
+    assert not hasattr(sql_ast, "ExtractExpr")
+    statements = [shape.sql for shape in build_shapes(0.01)] + [
+        "select case when a > 1 then 1 end as c, coalesce(a, b, 2) as k, "
+        "extract(year from d) from t where s not like 'x%' and a not in "
+        "(select b from u) and b is not null and not exists (select 1 from u)"]
+    cases = [node for sql in statements for node in _expr_nodes(parse(sql))
+             if isinstance(node, sql_ast.CaseWhen)]
+    assert len(cases) == 8  # 4 in TPC-H, 1 in PREDICT, 3 above (2 COALESCE)
+    assert all(isinstance(case.else_value, sql_ast.Expr) for case in cases)
+    assert set(SCALAR_FUNCTIONS) == set(expressions.SCALAR_KERNELS) \
+        == set(rowengine.SCALAR_KERNELS)
+    for name in ("floor", "ceil"):
+        with pytest.raises(AnalysisError, match="unknown function"):
+            session.compile(f"select {name}(a) from t")
+    with pytest.raises(AnalysisError, match="year.. does not take float"):
+        session.compile("select extract(year from a) from t")
 
 
 def test_tpch_tables_come_from_the_generator_only():

@@ -9,11 +9,12 @@ divergence between the two interpreters is a bug in one of them.
 NULLs enter through ``CASE WHEN ... THEN ... END`` without an ELSE branch and
 flow through arithmetic, comparisons, ``IS [NOT] NULL``, ``COALESCE`` and the
 three-valued logic of ``WHERE``; a separate draw adds ``[NOT] BETWEEN`` and
-``[NOT] IN (...)``.  They also reach join keys: the generator
-ends with outer→inner join chains, where the NULL-extended side of a LEFT JOIN
-is the key of the next join and must match nothing, and with keyed join
-chains that draw, per join, which side (if any) is a key — the planner-derived
-fact that picks the join's pair construction.
+``[NOT] IN (...)``, and another ``NOT LIKE``, ``IS NOT NULL`` and the scalar
+functions over nullable numerics, strings and dates.  They also reach join
+keys: the generator ends with outer→inner join chains, where the NULL-extended
+side of a LEFT JOIN is the key of the next join and must match nothing, and
+with keyed join chains that draw, per join, which side (if any) is a key — the
+planner-derived fact that picks the join's pair construction.
 """
 
 from __future__ import annotations
@@ -29,22 +30,35 @@ from repro.baselines import RowEngine
 from repro.core.operators import HashJoinOperator
 from repro.core.tuning import tuning_overrides
 from repro.frontend import sql_to_physical
+from repro.frontend.functions import SCALAR_FUNCTIONS
 
 N_ROWS = 64
 N_CASES = 60
 N_JOIN_CASES = 12
 N_SHORTHAND_CASES = 30
+N_LOWERED_CASES = 30
 SEED = 20220701
+
+#: ``t.s`` draws from these (a dictionary-encoded column at ``N_ROWS``), and
+#: the lowered-forms draw matches them against these patterns.
+STRING_VALUES = ["ab", "ba", "abc", "", "b", "aab", "cab"]
+STRING_PATTERNS = ["a%", "%b", "%a%b%", "ab", "%", "c%"]
 
 
 @pytest.fixture(scope="module")
 def tables():
     rng = np.random.default_rng(SEED)
+    # ``s`` and ``d`` come from a stream of their own, so every other column
+    # is what it was before they existed.
+    more = np.random.default_rng(SEED + 5)
     frame = DataFrame({
         "a": rng.integers(-20, 21, size=N_ROWS).astype(np.int64),
         "b": rng.integers(-5, 6, size=N_ROWS).astype(np.int64),
         "x": np.round(rng.uniform(-10.0, 10.0, size=N_ROWS), 3),
         "y": np.round(rng.uniform(-2.0, 2.0, size=N_ROWS), 3),
+        "s": np.array(STRING_VALUES, dtype=object)[
+            more.integers(0, len(STRING_VALUES), size=N_ROWS)],
+        "d": more.integers(-3000, 22000, size=N_ROWS).astype("datetime64[D]"),
     })
     # Join-chain tables: ``u`` covers part of ``a``'s range (so ``t LEFT JOIN
     # u`` NULL-extends ``uv``) and ``w`` has a row keyed 0, the payload a NULL
@@ -161,6 +175,50 @@ class ExprGen:
             sql += f" where {self.boolean(self.rng.randint(1, 2))}"
         return sql
 
+    def nullable(self, column: str) -> str:
+        """``column``, or ``column`` under a CASE without ELSE."""
+        if self.rng.random() < 0.5:
+            return column
+        return f"(case when {self.boolean(0)} then {column} end)"
+
+    def function(self, depth: int) -> str:
+        """A scalar function call; a date field is an ``EXTRACT`` half the
+        time."""
+        name = self.rng.choice(sorted(SCALAR_FUNCTIONS))
+        if name in ("year", "month", "day"):
+            date = self.nullable("d")
+            return self.rng.choice((f"{name}({date})",
+                                    f"extract({name} from {date})"))
+        if name == "length":
+            return f"length({self.nullable('s')})"
+        # A negative's square root is NaN to numpy and an error to ``math``.
+        argument = self.numeric(depth)
+        return (f"sqrt(abs({argument}))" if name == "sqrt"
+                else f"{name}({argument})")
+
+    def lowered(self, depth: int) -> str:
+        """``NOT LIKE``, ``IS NOT NULL`` or a comparison of functions."""
+        pick = self.rng.random()
+        if pick < 0.3:
+            return (f"({self.nullable('s')} not like "
+                    f"'{self.rng.choice(STRING_PATTERNS)}')")
+        if pick < 0.55:
+            operand = self.rng.choice(
+                (lambda: self.nullable("s"), lambda: self.nullable("d"),
+                 lambda: self.function(depth)))()
+            return f"({operand} is not null)"
+        return (f"({self.function(depth)} {self.rng.choice(self.COMPARATORS)} "
+                f"{self.function(depth)})")
+
+    def lowered_query(self) -> str:
+        depth = self.rng.randint(0, 2)
+        sql = (f"select a, {self.function(depth)} as v0, "
+               f"(case when {self.lowered(depth)} then {self.function(depth)} "
+               f"end) as v1, {self.lowered(depth)} as v2 from t")
+        if self.rng.random() < 0.6:
+            sql += f" where {self.lowered(depth)}"
+        return sql
+
 
     def join_chain(self) -> str:
         """``t LEFT JOIN u`` feeding a second join keyed on the nullable side.
@@ -261,6 +319,11 @@ def _generated_shorthand_queries():
     return [gen.shorthand_query() for _ in range(N_SHORTHAND_CASES)]
 
 
+def _generated_lowered_queries():
+    gen = ExprGen(random.Random(SEED + 5))
+    return [gen.lowered_query() for _ in range(N_LOWERED_CASES)]
+
+
 def _generated_join_chains():
     gen = ExprGen(random.Random(SEED + 1))
     return [gen.join_chain() for _ in range(N_JOIN_CASES)]
@@ -281,6 +344,17 @@ def test_random_expression_matches_row_engine(session, tables, frames_match, sql
 @pytest.mark.parametrize("sql", _generated_shorthand_queries())
 def test_random_shorthand_matches_row_engine(session, tables, frames_match,
                                              sql, backend):
+    tensor_frame = session.sql(sql, options=ExecutionOptions(backend=backend))
+    oracle_frame = RowEngine(tables).execute_to_dataframe(
+        sql_to_physical(sql, session.catalog))
+    frames_match(tensor_frame, oracle_frame, f"{backend}: {sql}", ordered=True,
+                 rel_tol=1e-9, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
+@pytest.mark.parametrize("sql", _generated_lowered_queries())
+def test_random_lowered_forms_match_row_engine(session, tables, frames_match,
+                                               sql, backend):
     tensor_frame = session.sql(sql, options=ExecutionOptions(backend=backend))
     oracle_frame = RowEngine(tables).execute_to_dataframe(
         sql_to_physical(sql, session.catalog))
@@ -429,6 +503,13 @@ NULLABLE_QUERIES = [
     "select na, na = null as r from nt order by na",
     "select na, case when nf > 2 then 'big' when nf > 0 then 'small' end "
     "as r from nt order by na",
+    # A NULL literal takes the type of a CASE branch or an operand, or else
+    # is an INT.
+    "select na, null as r from nt order by na",
+    "select na, case when na > 3 then na else null end as r from nt "
+    "order by na",
+    "select na, coalesce(null, na) as r from nt order by na",
+    "select na, na + null as r, nf * null as f from nt order by na",
 ]
 
 
@@ -581,12 +662,21 @@ def test_three_valued_logic_matches_sqlite(op, backend):
 # -- SQL shorthands and NULL, pinned to sqlite -------------------------------
 
 #: ``sh(a = 1..5)`` beside ``shu(ub = 2, 3)``.  NULLs come from CASE without
-#: ELSE, from a NULL literal and from a subquery that yields one.
-SHORTHAND_ROWS = [(1, 1, "p"), (2, 0, "qq"), (3, 3, "r"), (4, 4, "ss"),
-                  (5, 0, "t")]
+#: ELSE, from a NULL literal and from a subquery that yields one; ``x`` holds
+#: ties, which sqlite rounds away from zero.
+SHORTHAND_ROWS = [(1, 1, "p", "1994-06-01", -2.5),
+                  (2, 0, "qq", "1995-01-15", 0.5),
+                  (3, 3, "r", "1996-12-31", 1.5),
+                  (4, 4, "ss", "2000-02-29", 2.5),
+                  (5, 0, "t", "1970-01-01", -0.5)]
 NULL_LOW = "(case when a > 2 then 2 end)"
 NULL_HIGH = "(case when a < 4 then 3 end)"
 NULL_SUBQUERY = "(select case when ub > 2 then ub end from shu)"
+NULL_DATE = "(case when a > 3 then d end)"
+
+#: sqlite has no EXTRACT; a ``(sql, sqlite's spelling)`` pair states both.
+EXTRACT_NULL_DATE = (f"extract(year from {NULL_DATE})",
+                     f"cast(strftime('%Y', {NULL_DATE}) as integer)")
 
 #: Predicates, each run in WHERE, in a projection and in CASE.
 SHORTHAND_PREDICATES = {
@@ -616,6 +706,16 @@ SHORTHAND_PREDICATES = {
     "coalesce_boolean": "coalesce(case when a > 3 then a = 4 end, "
                         "case when a > 1 then a = 2 end)",
     "case_strings": "(case when a > 3 then s when a > 1 then 'kk' end) = 'kk'",
+    # The NOT forms, EXTRACT and an ELSE-less CASE are lowered too.
+    "not_like": "(case when a > 1 then s end) not like '%s'",
+    "not_in_list": "(case when a > 1 then a end) not in (2, 4)",
+    "not_in_subquery": "a not in (select ub from shu)",
+    "is_not_null": "(case when a > 3 then a end) is not null",
+    "not_exists": "not exists (select ub from shu where ub > 2)",
+    "not_exists_empty": "not exists (select ub from shu where ub > 9)",
+    "extract_null_date": tuple(f"{side} = 2000" for side in EXTRACT_NULL_DATE),
+    "case_numeric_no_else": "(case when a > 3 then a * 1.5 end) > 6",
+    "plus_null": "a + null > 1",
 }
 
 #: Values, projected as they are.
@@ -626,21 +726,44 @@ SHORTHAND_VALUES = {
                        "case when a > 1 then 'k' end, s)",
     "coalesce_boolean": "coalesce(case when a > 3 then a = 4 end, a = 2)",
     "case_strings": "case when a > 3 then s when a > 1 then 'kk' else 'k' end",
+    "extract_null_date": EXTRACT_NULL_DATE,
+    "case_numeric_no_else": "case when a > 3 then a * 1.5 end",
+    "case_string_no_else": "case when a > 3 then s end",
+    "plus_null": "a + null",
+    # The NULL literal takes its type from a CASE branch or an operand, or
+    # else is an INT.
+    "select_null": "null",
+    "case_else_null": "case when a > 3 then a else null end",
+    "coalesce_null_first": "coalesce(null, a)",
 }
 
+SHORTHAND_SHAPES = list({**SHORTHAND_PREDICATES, **SHORTHAND_VALUES})
 
-def _shorthand_statements(shape: str) -> list[str]:
+
+def _spellings(text) -> tuple[str, str]:
+    """``(sql, sqlite's spelling)`` of a shape: one text unless a pair."""
+    return (text, text) if isinstance(text, str) else text
+
+
+#: A predicate runs in WHERE, in a projection and in CASE; a value projected.
+PREDICATE_STATEMENTS = (
+    "select a from sh where {} order by a",
+    "select a, {} as r from sh order by a",
+    "select a, case when {0} then 1 when not ({0}) then 0 else -1 end as r "
+    "from sh order by a")
+VALUE_STATEMENT = "select a, {} as r from sh order by a"
+
+
+def _shorthand_statements(shape: str) -> list[tuple[str, str]]:
+    """``(sql, sqlite's spelling)`` of each statement the shape runs."""
     statements = []
     if shape in SHORTHAND_PREDICATES:
-        predicate = SHORTHAND_PREDICATES[shape]
-        statements += [
-            f"select a from sh where {predicate} order by a",
-            f"select a, {predicate} as r from sh order by a",
-            f"select a, case when {predicate} then 1 when not ({predicate}) "
-            f"then 0 else -1 end as r from sh order by a"]
+        texts = _spellings(SHORTHAND_PREDICATES[shape])
+        statements += [tuple(map(template.format, texts))
+                       for template in PREDICATE_STATEMENTS]
     if shape in SHORTHAND_VALUES:
-        statements.append(
-            f"select a, {SHORTHAND_VALUES[shape]} as r from sh order by a")
+        texts = _spellings(SHORTHAND_VALUES[shape])
+        statements.append(tuple(map(VALUE_STATEMENT.format, texts)))
     return statements
 
 
@@ -652,38 +775,100 @@ def _plain(value):
     return int(value) if isinstance(value, (bool, np.bool_)) else value
 
 
-@pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
-@pytest.mark.parametrize("shape", SHORTHAND_PREDICATES)
-def test_shorthands_and_null_match_sqlite(shape, backend):
-    """BETWEEN, IN and COALESCE are lowered by the parser to comparisons,
-    ``OR`` and CASE: with NULL bounds, NULL items, a subquery yielding NULL
-    and a NULL literal they answer as sqlite does, on both engines."""
+@pytest.fixture(scope="module")
+def sh_engines():
+    """``sh`` and ``shu`` registered with TQP and loaded into sqlite."""
     import sqlite3
 
     tables = {
         "sh": DataFrame({
             "a": np.array([row[0] for row in SHORTHAND_ROWS], dtype=np.int64),
             "b": np.array([row[1] for row in SHORTHAND_ROWS], dtype=np.int64),
-            "s": np.array([row[2] for row in SHORTHAND_ROWS], dtype=object)}),
+            "s": np.array([row[2] for row in SHORTHAND_ROWS], dtype=object),
+            "d": np.array([row[3] for row in SHORTHAND_ROWS],
+                          dtype="datetime64[D]"),
+            "x": np.array([row[4] for row in SHORTHAND_ROWS])}),
         "shu": DataFrame({"ub": np.array([2, 3], dtype=np.int64)})}
     sess = TQPSession()
     for name, frame in tables.items():
         sess.register(name, frame)
     db = sqlite3.connect(":memory:")
-    db.execute("create table sh (a integer, b integer, s text)")
-    db.executemany("insert into sh values (?, ?, ?)", SHORTHAND_ROWS)
+    db.execute("create table sh (a integer, b integer, s text, d text, x real)")
+    db.executemany("insert into sh values (?, ?, ?, ?, ?)", SHORTHAND_ROWS)
     db.execute("create table shu (ub integer)")
     db.executemany("insert into shu values (?)", [(2,), (3,)])
-    for sql in _shorthand_statements(shape):
-        expected = [list(row) for row in db.execute(sql)]
-        for engine, frame in (
-                (backend, sess.sql(sql, options=ExecutionOptions(
-                    backend=backend))),
-                ("row engine", RowEngine(tables).execute_to_dataframe(
-                    sql_to_physical(sql, sess.catalog)))):
-            got = [[_plain(v) for v in row]
-                   for row in zip(*frame.to_dict().values())]
-            assert got == expected, f"{engine}: {sql}"
+    return sess, tables, db
+
+
+def _assert_matches_sqlite(sh_engines, backend, sql, sqlite_sql):
+    """``sql`` on ``backend`` and on the row engine answers as ``sqlite_sql``
+    does on sqlite."""
+    sess, tables, db = sh_engines
+    expected = [list(row) for row in db.execute(sqlite_sql)]
+    for engine, frame in (
+            (backend, sess.sql(sql, options=ExecutionOptions(backend=backend))),
+            ("row engine", RowEngine(tables).execute_to_dataframe(
+                sql_to_physical(sql, sess.catalog)))):
+        got = [[_plain(v) for v in row]
+               for row in zip(*frame.to_dict().values())]
+        assert got == expected, f"{engine}: {sql}"
+
+
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
+@pytest.mark.parametrize("shape", SHORTHAND_SHAPES)
+def test_shorthands_and_null_match_sqlite(sh_engines, shape, backend):
+    """BETWEEN, IN, COALESCE, the NOT forms, EXTRACT and an ELSE-less CASE
+    are lowered by the parser: with NULL bounds, NULL items, a subquery
+    yielding NULL, a NULL date and a NULL literal they answer as sqlite does,
+    on both engines."""
+    for sql, sqlite_sql in _shorthand_statements(shape):
+        _assert_matches_sqlite(sh_engines, backend, sql, sqlite_sql)
+
+
+#: Per name of ``SCALAR_FUNCTIONS``: the ``sh`` column it reads and sqlite's
+#: spelling.
+FUNCTION_ARGUMENTS = {
+    "abs": ("x", "abs({})"),
+    "round": ("x", "round({})"),
+    "sqrt": ("a", "sqrt({})"),
+    "length": ("s", "length({})"),
+    "year": ("d", "cast(strftime('%Y', {}) as integer)"),
+    "month": ("d", "cast(strftime('%m', {}) as integer)"),
+    "day": ("d", "cast(strftime('%d', {}) as integer)"),
+}
+
+
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
+@pytest.mark.parametrize("name", sorted(SCALAR_FUNCTIONS))
+def test_scalar_functions_match_sqlite(sh_engines, name, backend):
+    """Every declared scalar function, over a value and over a NULL argument
+    (a CASE without ELSE, and the NULL literal), answers as sqlite does on
+    both engines."""
+    column, spelling = FUNCTION_ARGUMENTS[name]
+    for argument in (column, f"case when a > 3 then {column} end", "null"):
+        _assert_matches_sqlite(
+            sh_engines, backend,
+            f"select a, {name}({argument}) as r from sh order by a",
+            f"select a, {spelling.format(argument)} as r from sh order by a")
+
+
+@pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
+def test_unaliased_calls_of_one_name_keep_every_column(sh_engines, backend):
+    """An unaliased call is named after its function; a second call of the
+    same name falls back to ``col<i>`` instead of overwriting the first."""
+    sess, tables, _ = sh_engines
+    sql = ("select a, extract(year from d), year(d), abs(a), abs(b) "
+           "from sh order by a")
+    _assert_matches_sqlite(
+        sh_engines, backend, sql,
+        "select a, cast(strftime('%Y', d) as integer), "
+        "cast(strftime('%Y', d) as integer), abs(a), abs(b) "
+        "from sh order by a")
+    names = ["a", "year", "col2", "abs", "col4"]
+    frame = sess.sql(sql, options=ExecutionOptions(backend=backend))
+    assert list(frame.to_dict()) == names
+    assert list(RowEngine(tables).execute_to_dataframe(
+        sql_to_physical(sql, sess.catalog)).to_dict()) == names
 
 
 def test_a_lowered_between_plans_one_aggregate(session, tables, frames_match):
@@ -789,3 +974,4 @@ def test_generator_is_deterministic():
     assert _generated_join_chains() == _generated_join_chains()
     assert _generated_keyed_joins() == _generated_keyed_joins()
     assert _generated_shorthand_queries() == _generated_shorthand_queries()
+    assert _generated_lowered_queries() == _generated_lowered_queries()

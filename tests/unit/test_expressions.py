@@ -73,7 +73,15 @@ def test_date_comparison_with_literal():
 def _parsed_condition(condition):
     """``condition`` as the parser hands it on, its columns resolved to
     :func:`_table`'s."""
-    expr = parse(f"select qty from t where {condition}").where
+    return _resolved(parse(f"select qty from t where {condition}").where)
+
+
+def _parsed_value(value):
+    """The projected ``value`` as the parser hands it on, resolved likewise."""
+    return _resolved(parse(f"select {value} from t").select_items[0].expr)
+
+
+def _resolved(expr):
     for node in ast.walk_expr(expr):
         if isinstance(node, ast.ColumnRef):
             node.resolved = f"t.{node.name}"
@@ -128,8 +136,8 @@ def test_case_when_and_cast():
 
 
 def test_extract_and_substring_and_scalar_functions():
-    extract = ast.ExtractExpr("year", DAY())
-    extract.otype = LogicalType.INT
+    extract = _parsed_value("extract(year from day)")
+    assert isinstance(extract, ast.FuncCall) and extract.name == "year"
     assert evaluate(extract, _table(), CTX).tensor.tolist() == [1994, 1995, 1996]
     substring = ast.SubstringExpr(NAME(), _lit(1, LogicalType.INT),
                                   _lit(5, LogicalType.INT))
@@ -163,11 +171,10 @@ def test_to_column_broadcasts_scalars_and_as_mask():
 
 
 def test_null_literal_and_is_null():
-    isnull = ast.IsNull(QTY())
-    isnull.otype = LogicalType.BOOL
+    isnull = _parsed_condition("qty is null")
     assert evaluate(isnull, _table(), CTX).tensor.tolist() == [False, False, False]
-    isnotnull = ast.IsNull(QTY(), negated=True)
-    isnotnull.otype = LogicalType.BOOL
+    isnotnull = _parsed_condition("qty is not null")
+    assert isinstance(isnotnull, ast.UnaryOp) and isnotnull.op == "not"
     assert evaluate(isnotnull, _table(), CTX).tensor.tolist() == [True, True, True]
 
 

@@ -6,6 +6,7 @@ from repro.core.columnar import LogicalType, date_literal_to_ns
 from repro.errors import SQLSyntaxError
 from repro.frontend import ast, parse
 from repro.frontend.lexer import TokenType, tokenize
+from repro.frontend.optimizer import split_conjuncts
 
 
 # -- lexer -------------------------------------------------------------------
@@ -190,11 +191,24 @@ def test_parse_extract_substring_cast_predict():
         from t
     """)
     exprs = [item.expr for item in stmt.select_items]
-    assert isinstance(exprs[0], ast.ExtractExpr) and exprs[0].field == "year"
+    assert isinstance(exprs[0], ast.FuncCall) and exprs[0].name == "year"
+    assert isinstance(exprs[0].args[0], ast.ColumnRef)
     assert isinstance(exprs[1], ast.SubstringExpr)
     assert isinstance(exprs[2], ast.Cast) and exprs[2].target == "double"
     assert isinstance(exprs[3], ast.PredictExpr)
     assert exprs[3].model_name == "model" and len(exprs[3].args) == 2
+
+
+def test_parse_lowers_not_forms_and_an_else_less_case():
+    stmt = parse("select case when a > 1 then 1 end from t where "
+                 "a not like 'x%' and b not in (1, 2) and c is not null "
+                 "and d not in (select d from u)")
+    else_value = stmt.select_items[0].expr.else_value
+    assert isinstance(else_value, ast.Literal) and else_value.value is None
+    assert [(type(c).__name__, c.op, type(c.operand).__name__)
+            for c in split_conjuncts(stmt.where)] == [
+        ("UnaryOp", "not", "LikeExpr"), ("UnaryOp", "not", "InList"),
+        ("UnaryOp", "not", "IsNull"), ("UnaryOp", "not", "InSubquery")]
 
 
 def test_parse_operator_precedence():
