@@ -119,7 +119,8 @@ class BackendSpec:
         serialize: whether the traced graph is round-tripped through the
             ONNX-like portable format before execution (models the
             export-to-browser path).
-        optimize_graph: whether graph optimization passes run after tracing.
+        optimize_graph: whether graph optimization passes run when the traced
+            graph is lowered.
     """
 
     name: str

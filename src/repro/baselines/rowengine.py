@@ -26,6 +26,7 @@ from repro.dataframe import DataFrame
 from repro.errors import ExecutionError, UnsupportedOperationError
 from repro.frontend import ast
 from repro.frontend import logical as lp
+from repro.frontend.functions import check_like_pattern
 
 Row = dict[str, Any]
 
@@ -54,7 +55,7 @@ def _date_field(index: slice) -> Callable[[int], int]:
 SCALAR_KERNELS: dict[str, Callable[[Any], Any]] = {
     "abs": abs,
     "round": _round,
-    "sqrt": math.sqrt,
+    "sqrt": lambda value: math.sqrt(value) if value >= 0 else None,
     "length": len,
     "year": _date_field(slice(0, 4)),
     "month": _date_field(slice(5, 7)),
@@ -63,6 +64,7 @@ SCALAR_KERNELS: dict[str, Callable[[Any], Any]] = {
 
 
 def _like_to_regex(pattern: str) -> re.Pattern:
+    check_like_pattern(pattern)
     return re.compile("^" + ".*".join(re.escape(p) for p in pattern.split("%")) + "$")
 
 

@@ -19,9 +19,9 @@ priced under with the run (``lanes``).
 On a graph backend the first execution traces, and the tracing run computes
 every kernel on the full data.  When that execution is unprofiled, carries
 one binding and runs under ``executor="compiled"``, its result *is* the
-trace's (``executor_mode="traced"``): lowering the graph to generated code
-waits for the statement's second execution, so a statement that runs once
-never pays for code it would not replay.
+trace's (``executor_mode="traced"``): the graph passes and the lowering to
+generated code wait for the statement's second execution, so a statement
+that runs once never pays for a program it would not replay.
 
 Devices: results are always computed with real kernels; the CPU reports
 measured wall time while the simulated ``cuda`` / ``wasm`` devices report time
@@ -75,8 +75,8 @@ class ExecutionResult:
 
     table: TensorTable
     #: Wall clock of the run: the plan's eager run, one call of the program,
-    #: or — for a ``traced`` result — the tracing run (passes and the
-    #: unsupported-op check that follow it are outside).
+    #: or — for a ``traced`` result — the tracing run (the unsupported-op
+    #: check that follows it is outside).
     measured_s: float
     reported_s: float
     backend: str
@@ -130,8 +130,8 @@ class _Program(NamedTuple):
     lowered record in its place.
     """
 
-    #: The optimized graph; once lowered, the one ``scripted`` replays
-    #: (round-tripped through the portable format on ``onnx``).
+    #: The traced graph until lowered; then the optimized graph ``scripted``
+    #: replays (round-tripped through the portable format on ``onnx``).
     graph: Graph
     #: ``(alias, column, part)`` per flat table input, in program order.
     input_layout: list
@@ -277,7 +277,8 @@ class Executor:
 
         The one exception: the unprofiled, one-binding execution that traces
         the program under ``executor="compiled"`` returns the tracing run's
-        result, and the program stays unlowered until the next execution.
+        result, and the graph stays unoptimized and unlowered until the next
+        execution.
         """
         want_profile = profile or self.device.is_simulated
         backend, device = self.backend.name, str(self.device)
@@ -452,11 +453,12 @@ class Executor:
                         keep_trace: bool = False
                         ) -> "tuple[_Program, tuple[TensorTable, float] | None]":
         """``(program, traced)``: the program, traced exactly once under
-        concurrency and lowered before it is returned.
+        concurrency, then optimized and lowered before it is returned.
 
         With ``keep_trace``, the call that traces returns the tracing run's
         ``(result, wall clock)`` as ``traced`` and leaves the published
-        program unlowered; otherwise ``traced`` is ``None``.  Concurrent
+        program's graph as traced (no passes, no code); otherwise ``traced``
+        is ``None``.  Concurrent
         first executions of a shared plan all race to trace; the
         double-checked lock makes one of them trace while the others wait,
         then the first of those lowers and the rest replay the same program
@@ -487,9 +489,10 @@ class Executor:
         feeds new scalar tensors to the same trace — this is the
         compile-once/bind-many contract of the prepared-statement API.
 
-        Under the default ``executor="compiled"`` the traced graph is lowered
-        to generated code here; one the emitter cannot lower raises
-        :class:`~repro.errors.CodegenError` and nothing is published.
+        The traced graph is optimized and lowered here, in the same call (to
+        generated code under the default ``executor="compiled"``); one the
+        emitter cannot lower raises :class:`~repro.errors.CodegenError` and
+        nothing is published.
 
         Calling this directly always re-traces (that is the documented remedy
         after an input-layout change); compilation is serialized per executor
@@ -502,12 +505,14 @@ class Executor:
 
     def _trace_locked(self, inputs: dict[str, TensorTable], bound: dict
                       ) -> "tuple[_Program, list[Tensor], float]":
-        """Trace and optimize the plan, then publish the unlowered program.
+        """Trace the plan, then publish the program with its graph as
+        traced; the passes run when it is lowered (:meth:`_lower_locked`).
 
         Returns it with the tracing run's flat outputs and wall clock.  A
         graph the emitter cannot lower raises
         :class:`~repro.errors.CodegenError` here, before anything is
-        published, under ``executor="compiled"``.
+        published, under ``executor="compiled"``: the check runs on the
+        traced graph, and the passes introduce nothing it rejects.
         """
         example_tensors, layout = self._flatten_inputs(inputs)
         input_names = ([f"{alias}.{name}" if part == "data"
@@ -543,8 +548,6 @@ class Executor:
                               example_tensors + self._param_tensors(bound),
                               name="tqp_query", input_names=input_names)
         measured = time.perf_counter() - start
-        if self.backend.optimize_graph:
-            graph = passes.optimize(graph)
         if self.options.executor == "compiled":
             reason = codegen.unsupported_reason(graph)
             if reason is not None:
@@ -557,8 +560,11 @@ class Executor:
         return program, [Tensor(t.data, t.device) for t in outputs], measured
 
     def _lower_locked(self, program: _Program) -> _Program:
-        """Lower a traced program to its replay path and publish it."""
+        """Optimize a traced program's graph, lower it to its replay path and
+        publish it."""
         graph = program.graph
+        if self.backend.optimize_graph:
+            graph = passes.optimize(graph)
         if self.backend.serialize:
             graph = onnxlike.loads(onnxlike.dumps(graph))
         scripted = ScriptedProgram(graph, executor=self.options.executor)

@@ -578,19 +578,28 @@ def _evaluate_predict(expr: ast.PredictExpr, table: TensorTable,
 
 
 #: One kernel per name of :data:`repro.frontend.functions.SCALAR_FUNCTIONS`.
+#: A kernel runs on every row, inside its function's domain or not: ``sqrt``
+#: takes the root of the argument clipped at 0, so no row warns.
 SCALAR_KERNELS: dict[str, Callable[[Tensor], Tensor]] = {
     "abs": ops.abs_,
     "round": ops.round_,
-    "sqrt": ops.sqrt,
+    "sqrt": lambda tensor: ops.sqrt(ops.clip(tensor, 0)),
     "length": strings.row_lengths,
     **{field: functools.partial(datetime_ops.extract_field, field=field)
        for field in ("year", "month", "day")},
 }
 
+#: The rows inside a function's domain, for a function not defined on every
+#: argument: outside it the result is NULL.
+SCALAR_DOMAINS: dict[str, Callable[[Tensor], Tensor]] = {
+    "sqrt": lambda tensor: ops.ge(tensor, 0),
+}
+
 
 def _evaluate_scalar_function(expr: ast.FuncCall, table: TensorTable,
                               ctx: EvaluationContext) -> ExprValue:
-    kernel = SCALAR_KERNELS[expr.name.lower()]
+    name = expr.name.lower()
+    kernel = SCALAR_KERNELS[name]
     arg = evaluate_encoded(expr.args[0], table, ctx)
     if arg.encoding is not None:
         # Over the k dictionary entries, gathered per row.
@@ -598,8 +607,15 @@ def _evaluate_scalar_function(expr: ast.FuncCall, table: TensorTable,
                           ops.cast(arg.tensor, "int64"))
     else:
         result = kernel(arg.tensor)
-    # A NULL argument gives NULL: the result keeps the argument's validity.
-    return ExprValue(result, expr.otype, arg.is_scalar, arg.valid)
+    # A NULL argument gives NULL: the result keeps the argument's validity,
+    # narrowed to the function's domain (only numeric, never encoded,
+    # arguments have one).
+    valid = arg.valid
+    domain = SCALAR_DOMAINS.get(name)
+    if domain is not None:
+        inside = domain(arg.tensor)
+        valid = inside if valid is None else ops.logical_and(valid, inside)
+    return ExprValue(result, expr.otype, arg.is_scalar, valid)
 
 
 def _require_int_literal(expr: ast.Expr, what: str) -> int:

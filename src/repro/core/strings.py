@@ -12,6 +12,7 @@ import functools
 
 from repro.core.columnar import encode_string_literal
 from repro.errors import UnsupportedOperationError
+from repro.frontend.functions import check_like_pattern
 from repro.tensor import Tensor, ops
 
 
@@ -77,7 +78,7 @@ def ends_with(codes: Tensor, suffix: str) -> Tensor:
 
 
 def like(codes: Tensor, pattern: str) -> Tensor:
-    """General SQL ``LIKE`` with ``%`` wildcards (no ``_`` support).
+    """General SQL ``LIKE`` with ``%`` wildcards (``_`` raises).
 
     The pattern is split on ``%`` into segments; a non-empty leading segment
     anchors at position 0, a non-empty trailing segment anchors at the end of
@@ -86,8 +87,7 @@ def like(codes: Tensor, pattern: str) -> Tensor:
     already proves the row is long enough, so row lengths are computed only
     for a trailing anchor.
     """
-    if "_" in pattern:
-        raise UnsupportedOperationError("LIKE with '_' wildcards is not supported")
+    check_like_pattern(pattern)
     if "%" not in pattern:
         return equals_literal(codes, pattern)
     segments = pattern.split("%")

@@ -41,23 +41,31 @@ def generate_reviews(num_reviews: int = 2000, seed: int = 7,
     rating = np.where(positive, rng.integers(4, 6, num_reviews),
                       rng.integers(1, 4, num_reviews)).astype(np.int64)
 
-    texts = []
-    for i in range(num_reviews):
-        sentiment_pool = POSITIVE_WORDS if rating[i] >= 4 else NEGATIVE_WORDS
-        if rating[i] == 3:
-            sentiment_pool = POSITIVE_WORDS + NEGATIVE_WORDS
+    # Each review draws from the generator in turn (the texts depend on that
+    # order).  The word pools are arrays built once, and a pool indexed by
+    # ``integers(0, len(pool), size)`` is what ``rng.choice(pool, size)``
+    # draws, without its per-call argument handling.
+    positive_pool = np.array(POSITIVE_WORDS, dtype=object)
+    negative_pool = np.array(NEGATIVE_WORDS, dtype=object)
+    mixed_pool = np.array(POSITIVE_WORDS + NEGATIVE_WORDS, dtype=object)
+    neutral_pool = np.array(NEUTRAL_WORDS, dtype=object)
+    texts = np.empty(num_reviews, dtype=object)
+    for i, stars in enumerate(rating.tolist()):
+        sentiment_pool = (mixed_pool if stars == 3 else positive_pool
+                          if stars >= 4 else negative_pool)
         n_sentiment = rng.integers(1, 4)
         n_neutral = rng.integers(2, 6)
-        words = list(rng.choice(sentiment_pool, size=n_sentiment))
-        words += list(rng.choice(NEUTRAL_WORDS, size=n_neutral))
+        words = np.concatenate((
+            sentiment_pool[rng.integers(0, len(sentiment_pool), n_sentiment)],
+            neutral_pool[rng.integers(0, len(neutral_pool), n_neutral)]))
         rng.shuffle(words)
-        texts.append(" ".join(words))
+        texts[i] = " ".join(words)
 
     return DataFrame({
         "review_id": np.arange(1, num_reviews + 1, dtype=np.int64),
         "brand": brands,
         "rating": rating,
-        "text": np.array(texts, dtype=object),
+        "text": texts,
     })
 
 

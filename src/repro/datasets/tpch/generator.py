@@ -21,12 +21,31 @@ _END_ORDER_DATE = np.datetime64("1998-08-02")
 _CURRENT_DATE = np.datetime64("1995-06-17")
 
 
+def _join(*columns: np.ndarray, sep: str = " ") -> np.ndarray:
+    """Row-wise ``sep.join`` of string columns, as one object array.
+
+    The columns are zipped as Python lists: iterating a 2-D object array
+    costs a view per row, and chained object-array concatenation keeps three
+    copies of the longest column's strings alive at once.
+    """
+    rows = zip(*(column.tolist() for column in columns))
+    return np.fromiter(map(sep.join, rows), dtype=object,
+                       count=len(columns[0]))
+
+
+def _labels(template: str, numbers: np.ndarray) -> np.ndarray:
+    """``template.format(n)`` for every ``n`` of ``numbers``, as one object
+    array."""
+    return np.fromiter(map(template.format, numbers.tolist()), dtype=object,
+                       count=len(numbers))
+
+
 def _comments(rng: np.random.Generator, count: int, words: int = 4) -> np.ndarray:
     """Random comment strings assembled from the TPC-H word list."""
     vocabulary = np.array(schema.COMMENT_WORDS, dtype=object)
     picks = rng.integers(0, len(vocabulary), size=(count, words))
     parts = vocabulary[picks]
-    return np.array([" ".join(row) for row in parts], dtype=object)
+    return _join(*parts.T)
 
 
 def _inject(values: np.ndarray, rng: np.random.Generator, fraction: float,
@@ -46,9 +65,7 @@ def _money(rng: np.random.Generator, count: int, low: float, high: float) -> np.
 def _phone(nation_keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     country = nation_keys + 10
     local = rng.integers(100, 1000, size=(len(nation_keys), 3))
-    return np.array(
-        [f"{c}-{a}-{b}-{d}" for c, (a, b, d) in zip(country, local)], dtype=object
-    )
+    return _join(country.astype(str), *local.T.astype(str), sep="-")
 
 
 def generate_region() -> DataFrame:
@@ -80,7 +97,7 @@ def generate_supplier(scale_factor: float, rng: np.random.Generator) -> DataFram
     comments = _inject(comments, rng, 0.005, "Customer informed about Complaints")
     return DataFrame({
         "s_suppkey": keys,
-        "s_name": np.array([f"Supplier#{k:09d}" for k in keys], dtype=object),
+        "s_name": _labels("Supplier#{:09d}", keys),
         "s_address": _comments(rng, count, words=2),
         "s_nationkey": nation_keys,
         "s_phone": _phone(nation_keys, rng),
@@ -94,7 +111,7 @@ def generate_part(scale_factor: float, rng: np.random.Generator) -> DataFrame:
     keys = np.arange(1, count + 1, dtype=np.int64)
     colors = np.array(schema.COLORS, dtype=object)
     name_parts = colors[rng.integers(0, len(colors), size=(count, 5))]
-    names = np.array([" ".join(row) for row in name_parts], dtype=object)
+    names = _join(*name_parts.T)
     mfgr_ids = rng.integers(1, 6, size=count)
     brand_ids = mfgr_ids * 10 + rng.integers(1, 6, size=count)
     syllables = (
@@ -102,23 +119,21 @@ def generate_part(scale_factor: float, rng: np.random.Generator) -> DataFrame:
         np.array(schema.TYPE_SYLLABLE_2, dtype=object)[rng.integers(0, 5, size=count)],
         np.array(schema.TYPE_SYLLABLE_3, dtype=object)[rng.integers(0, 5, size=count)],
     )
-    types = np.array([f"{a} {b} {c}" for a, b, c in zip(*syllables)], dtype=object)
-    containers = np.array([
-        f"{a} {b}" for a, b in zip(
-            np.array(schema.CONTAINER_SYLLABLE_1, dtype=object)[
-                rng.integers(0, 5, size=count)],
-            np.array(schema.CONTAINER_SYLLABLE_2, dtype=object)[
-                rng.integers(0, 8, size=count)],
-        )
-    ], dtype=object)
+    types = _join(*syllables)
+    containers = _join(
+        np.array(schema.CONTAINER_SYLLABLE_1, dtype=object)[
+            rng.integers(0, 5, size=count)],
+        np.array(schema.CONTAINER_SYLLABLE_2, dtype=object)[
+            rng.integers(0, 8, size=count)],
+    )
     retail_price = np.round(
         900 + (keys % 1000) * 0.1 + (keys % 10000) / 100.0, 2
     ).astype(np.float64)
     return DataFrame({
         "p_partkey": keys,
         "p_name": names,
-        "p_mfgr": np.array([f"Manufacturer#{m}" for m in mfgr_ids], dtype=object),
-        "p_brand": np.array([f"Brand#{b}" for b in brand_ids], dtype=object),
+        "p_mfgr": _labels("Manufacturer#{}", mfgr_ids),
+        "p_brand": _labels("Brand#{}", brand_ids),
         "p_type": types,
         "p_size": rng.integers(1, 51, size=count).astype(np.int64),
         "p_container": containers,
@@ -153,7 +168,7 @@ def generate_customer(scale_factor: float, rng: np.random.Generator) -> DataFram
         rng.integers(0, len(schema.MARKET_SEGMENTS), size=count)]
     return DataFrame({
         "c_custkey": keys,
-        "c_name": np.array([f"Customer#{k:09d}" for k in keys], dtype=object),
+        "c_name": _labels("Customer#{:09d}", keys),
         "c_address": _comments(rng, count, words=2),
         "c_nationkey": nation_keys,
         "c_phone": _phone(nation_keys, rng),
@@ -183,9 +198,8 @@ def generate_orders_and_lineitem(scale_factor: float, customer: DataFrame,
 
     priorities = np.array(schema.ORDER_PRIORITIES, dtype=object)[
         rng.integers(0, len(schema.ORDER_PRIORITIES), size=order_count)]
-    clerks = np.array([f"Clerk#{c:09d}" for c in
-                       rng.integers(1, max(int(1000 * scale_factor), 10) + 1,
-                                    size=order_count)], dtype=object)
+    clerks = _labels("Clerk#{:09d}", rng.integers(
+        1, max(int(1000 * scale_factor), 10) + 1, size=order_count))
     o_comment = _comments(rng, order_count, words=5)
     o_comment = _inject(o_comment, rng, 0.01,
                         "handle special accounts requests carefully")

@@ -20,6 +20,7 @@ from repro.frontend.catalog import Catalog
 from repro.frontend.functions import (
     AGGREGATE_FUNCTIONS,
     SCALAR_FUNCTIONS,
+    check_like_pattern,
     is_aggregate_name,
 )
 from repro.frontend.logical import (
@@ -551,6 +552,7 @@ class Analyzer:
             expr.operand = self._resolve(expr.operand, scope, cte_map, allow_aggregates)
             if self._require_type(expr.operand) != LogicalType.STRING:
                 raise AnalysisError("LIKE requires a string operand")
+            check_like_pattern(expr.pattern)
             expr.otype = LogicalType.BOOL
             return expr
 

@@ -185,7 +185,8 @@ class Cast(Expr):
 
 @dataclasses.dataclass(eq=False)
 class LikeExpr(Expr):
-    """``expr LIKE 'pattern'`` (patterns use the %% wildcard)."""
+    """``expr LIKE 'pattern'`` (patterns use the %% wildcard; one with ``_``
+    is refused at analysis)."""
 
     operand: Expr
     pattern: str

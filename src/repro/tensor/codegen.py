@@ -80,8 +80,9 @@ DUMP_ENV_VAR = "REPRO_CODEGEN_DUMP"
 _serial = itertools.count(1)
 
 
-def _attrs_are_portable(attrs: dict) -> bool:
-    """Whether node attributes survive the JSON-stable portable IR.
+def _attrs_are_portable(attrs: "dict | list[dict]") -> bool:
+    """Whether node attributes (one node's, or a list of them) survive the
+    JSON-stable portable IR.
 
     Numpy scalars are accepted (they serialize to plain numbers); anything
     ``json`` cannot express is not.
@@ -99,7 +100,12 @@ def _attrs_are_portable(attrs: dict) -> bool:
 
 
 def unsupported_reason(graph: Graph) -> "str | None":
-    """Why ``graph`` cannot be compiled, or ``None`` when it can."""
+    """Why ``graph`` cannot be compiled, or ``None`` when it can.
+
+    The attributes are checked with one dump of every node's; only when that
+    fails are they dumped node by node, to name the first offending op.
+    """
+    portable = _attrs_are_portable([node.attrs for node in graph.nodes])
     for node in graph.nodes:
         reason = op_semantics.op_unsupported_reason(node.op)
         if reason is not None:
@@ -110,7 +116,7 @@ def unsupported_reason(graph: Graph) -> "str | None":
                 reason = op_semantics.op_unsupported_reason(step["op"])
                 if reason is not None:
                     return f"fused step: {reason}"
-        if not _attrs_are_portable(node.attrs):
+        if not portable and not _attrs_are_portable(node.attrs):
             return (f"node op {node.op!r} carries attributes that do not "
                     f"survive the portable IR")
     return None

@@ -25,7 +25,9 @@ import numpy as np
 from repro.errors import TensorRuntimeError
 from repro.tensor import dtype as dtypes
 from repro.tensor.device import CPU, Device, parse_device
+from repro.tensor.profiler import current_profiler, leading_rows
 from repro.tensor.tensor import Tensor, same_device
+from repro.tensor.tracing import current_trace
 
 
 class OpDef:
@@ -92,30 +94,20 @@ def op_exists(name: str) -> bool:
 
 def _record_profile(name: str, inputs: Sequence[Tensor], outputs: Sequence[Tensor],
                     elapsed_s: float, device: Device) -> None:
-    from repro.tensor import profiler as _profiler
-
-    prof = _profiler.current_profiler()
+    prof = current_profiler()
     if prof is None:
         return
     in_bytes = sum(t.nbytes for t in inputs)
     out_bytes = sum(t.nbytes for t in outputs)
     prof.record(name, elapsed_s, in_bytes, out_bytes, device,
-                _profiler.leading_rows(name, inputs, outputs))
+                leading_rows(name, inputs, outputs))
 
 
 def _record_trace(name: str, inputs: Sequence[Tensor], outputs: Sequence[Tensor],
                   attrs: dict) -> None:
-    from repro.tensor import profiler as _profiler
-    from repro.tensor import tracing as _tracing
-
-    ctx = _tracing.current_trace()
-    if ctx is None:
-        return
-    # Stamp where the op ran onto the node: a replay then attributes it to the
-    # same relational operator and keeps the per-device structure the cost
-    # models rebuild their timelines from.
-    attrs = {**_profiler.current_stamp().as_attrs(), **attrs}
-    ctx.record(name, list(inputs), list(outputs), attrs)
+    ctx = current_trace()
+    if ctx is not None:
+        ctx.record(name, inputs, outputs, attrs)
 
 
 def execute_op(name: str, inputs: Sequence[Tensor], attrs: dict | None = None,

@@ -44,9 +44,12 @@ class Stamp(NamedTuple):
     shard: "int | None" = None
 
     def as_attrs(self) -> dict:
-        """The set fields, as the attributes a traced node carries them in."""
-        return {name: value for name, value in zip(self._fields, self)
-                if value not in ("", None)}
+        """The set fields, as the attributes a traced node carries them in
+        (a fresh dict: every traced node builds its attributes on it)."""
+        attrs = {"scope": self.scope} if self.scope else {}
+        if self.shard is not None:
+            attrs["shard"] = self.shard
+        return attrs
 
     @classmethod
     def of(cls, attrs: dict) -> "Stamp":

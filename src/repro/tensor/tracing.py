@@ -18,7 +18,8 @@ import threading
 from typing import Callable, Sequence
 
 from repro.errors import GraphError
-from repro.tensor.graph import Graph, Value
+from repro.tensor.graph import Graph, Node, Value
+from repro.tensor.profiler import current_stamp
 from repro.tensor.tensor import Tensor
 
 # Trace capture is **thread-scoped**: each thread records into its own active
@@ -53,14 +54,27 @@ class TraceContext:
         tensor.trace_value = captured
         return captured
 
-    def record(self, op: str, inputs: list[Tensor], outputs: list[Tensor],
-               attrs: dict) -> None:
-        input_ids = [self.value_for(t).id for t in inputs]
-        out_values = self.graph.add_node(op, input_ids, len(outputs), attrs)
-        for tensor, value in zip(outputs, out_values):
-            value.shape = tensor.shape
-            value.dtype = tensor.dtype.name
+    def record(self, op: str, inputs: "Sequence[Tensor]",
+               outputs: "Sequence[Tensor]", attrs: dict) -> None:
+        """Append one node: ``op`` over ``inputs``, its attributes the stamp
+        the op ran under followed by ``attrs``, and one value per output
+        carrying the output's shape and dtype.
+
+        The stamp says which relational operator (and shard) the node belongs
+        to, so a replay attributes it to the same operator and keeps the
+        per-device structure the cost models rebuild their timelines from.
+        """
+        graph = self.graph
+        node_attrs = current_stamp().as_attrs()
+        node_attrs.update(attrs)
+        input_ids = [self.value_for(tensor).id for tensor in inputs]
+        output_ids = []
+        for index, tensor in enumerate(outputs):
+            value = graph.new_value(f"{op}_out{index}", tensor.shape,
+                                    tensor.dtype.name)
             tensor.trace_value = value
+            output_ids.append(value.id)
+        graph.nodes.append(Node(op, input_ids, output_ids, node_attrs))
 
     # -- context management -----------------------------------------------
 

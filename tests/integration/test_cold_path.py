@@ -8,6 +8,9 @@
   compiles one generated function; the first profiled one builds the twin,
   once, whoever races for it, outside the profiled (timed) region, and with
   the event stream the reference interpreter records.
+* **The lowering check runs on the traced graph** — a first execution checks
+  the graph it traced, before any pass, so the passes must introduce
+  nothing the check rejects.
 """
 
 from __future__ import annotations
@@ -16,13 +19,18 @@ import builtins
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro import ExecutionOptions, TQPSession
 from repro.datasets import tpch
 from repro.distributed.sharding import ShardedTable
+from repro.serve import build_shapes, register_prediction_model
 from repro.storage import encodings
+from repro.tensor import codegen, passes
 from repro.tensor.profiler import current_profiler
+from test_differential import POOL
+from test_prediction_queries import SENTIMENT_SQL
 
 SF = 0.002
 TRACED = ExecutionOptions(backend="torchscript", device="cpu")
@@ -225,3 +233,45 @@ def test_always_profiling_configurations_profile_from_the_first_run(
     if options.device == "cuda":
         # The roofline model reads bytes and event order, not the clock.
         assert first.reported_s == reference.reported_s
+
+
+# -- the passes introduce nothing the lowering check rejects ----------------------
+
+
+#: ``(name, sql, binding, auto-parameterized)`` of every statement a
+#: workload or the differential harness runs: the 22 TPC-H statements and
+#: the rest of the harness's pool, the Figure-4 PREDICT and every serving
+#: shape.
+CHECKED = (
+    [(stmt.name, stmt.sql, stmt.bindings[0] if stmt.kind == "prepared" else {},
+      stmt.kind == "auto") for stmt in POOL]
+    + [("figure4_predict", SENTIMENT_SQL, {}, False)]
+    + [(f"shape_{shape.name}", shape.sql,
+        shape.binder(np.random.RandomState(0)) if shape.binder else {}, False)
+       for shape in build_shapes(SF)])
+
+
+@pytest.fixture(scope="module")
+def checked_session(tpch_tiny):
+    _, tables = tpch_tiny
+    session = TQPSession()
+    for name, frame in tables.items():
+        session.register(name, frame)
+    register_prediction_model(session)
+    return session
+
+
+@pytest.mark.parametrize("name,sql,binding,auto", CHECKED,
+                         ids=[case[0] for case in CHECKED])
+def test_the_passes_introduce_nothing_the_check_rejects(
+        checked_session, name, sql, binding, auto):
+    """The unsupported-construct check passes on the traced graph and on
+    the same graph after the passes."""
+    compiled = checked_session.compile(sql, options=ExecutionOptions(
+        backend="torchscript-noopt", executor="interpret",
+        auto_parameterize=auto))
+    raw = compiled.executor.compile_program(
+        checked_session.prepare_inputs(compiled.executor),
+        params=binding).graph
+    assert codegen.unsupported_reason(raw) is None
+    assert codegen.unsupported_reason(passes.optimize(raw.clone())) is None

@@ -18,7 +18,7 @@ from repro.errors import (
     CodegenError,
     ExecutionError,
 )
-from repro.tensor import onnxlike, passes
+from repro.tensor import onnxlike, passes, tracing
 from repro import ExecutionOptions
 
 SQL = ("select region, sum(amount) as total from sales "
@@ -319,18 +319,42 @@ def test_first_execute_many_of_several_bindings_replays_generated_code(
         "compiled"] * 3
 
 
+def test_graph_passes_run_when_the_program_is_lowered(session, monkeypatch):
+    """A first execution that returns its trace's result runs no graph
+    pass; the second execution optimizes the graph once, as it lowers it,
+    and neither traces again."""
+    runs = []
+    optimize = passes.optimize
+
+    def counted(graph, *args, **kwargs):
+        runs.append(graph)
+        return optimize(graph, *args, **kwargs)
+
+    monkeypatch.setattr(passes, "optimize", counted)
+    compiled = session.compile(SQL, options=ExecutionOptions(
+        backend="torchscript"))
+    executor = compiled.executor
+    assert compiled.execute().executor_mode == "traced"
+    assert len(runs) == 0 and executor._program.scripted is None
+    assert compiled.execute().executor_mode == "compiled"
+    assert len(runs) == 1 and executor._program.scripted is not None
+    compiled.execute()
+    assert len(runs) == 1 and executor.compile_count == 1
+
+
 def test_unlowerable_graph_raises_at_first_execute(session, monkeypatch):
     """No silent change of path: a graph the emitter cannot lower raises a
     typed ``CodegenError`` at first execute, publishes nothing, and runs on
-    the reference interpreter when asked to."""
-    optimize = passes.optimize
+    the reference interpreter when asked to.  The check runs on the traced
+    graph, before any pass."""
+    trace = tracing.trace
 
-    def optimize_then_taint(graph):
-        graph = optimize(graph)
+    def trace_then_taint(*args, **kwargs):
+        graph = trace(*args, **kwargs)
         graph.nodes[0].attrs["hook"] = object()   # not JSON-stable
         return graph
 
-    monkeypatch.setattr(passes, "optimize", optimize_then_taint)
+    monkeypatch.setattr(tracing, "trace", trace_then_taint)
     compiled = session.compile(SQL, options=ExecutionOptions(
         backend="torchscript"))
     for _ in range(2):

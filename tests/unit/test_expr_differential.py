@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -837,19 +838,27 @@ FUNCTION_ARGUMENTS = {
     "day": ("d", "cast(strftime('%d', {}) as integer)"),
 }
 
+#: Arguments outside a function's domain: sqlite answers NULL there.
+OUTSIDE_DOMAIN = {"sqrt": ("a - 3", "x")}
+
 
 @pytest.mark.parametrize("backend", ["pytorch", "torchscript"])
 @pytest.mark.parametrize("name", sorted(SCALAR_FUNCTIONS))
 def test_scalar_functions_match_sqlite(sh_engines, name, backend):
-    """Every declared scalar function, over a value and over a NULL argument
-    (a CASE without ELSE, and the NULL literal), answers as sqlite does on
-    both engines."""
+    """Every declared scalar function, over a value, over a NULL argument
+    (a CASE without ELSE, and the NULL literal) and over arguments outside
+    its domain, answers as sqlite does on both engines, and the tensor
+    kernels warn about no row."""
     column, spelling = FUNCTION_ARGUMENTS[name]
-    for argument in (column, f"case when a > 3 then {column} end", "null"):
-        _assert_matches_sqlite(
-            sh_engines, backend,
-            f"select a, {name}({argument}) as r from sh order by a",
-            f"select a, {spelling.format(argument)} as r from sh order by a")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for argument in (column, f"case when a > 3 then {column} end",
+                         "null", *OUTSIDE_DOMAIN.get(name, ())):
+            _assert_matches_sqlite(
+                sh_engines, backend,
+                f"select a, {name}({argument}) as r from sh order by a",
+                f"select a, {spelling.format(argument)} as r from sh "
+                f"order by a")
 
 
 @pytest.mark.parametrize("backend", ["pytorch", "torchscript"])

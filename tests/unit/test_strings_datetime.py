@@ -93,6 +93,34 @@ def test_like_rejects_underscore_wildcard():
         strings.like(_codes(["ab"]), "a_")
 
 
+@pytest.mark.parametrize("engine", ["pytorch", "torchscript", "row engine"])
+def test_like_underscore_raises_one_typed_error_at_analysis(engine):
+    """Neither engine matches ``_``: a pattern with it raises the same typed
+    error on every engine, when the statement is analyzed, and the row
+    engine's matcher refuses it rather than reading ``_`` literally."""
+    from repro import DataFrame, ExecutionOptions, TQPSession
+    from repro.baselines import RowEngine
+    from repro.baselines.rowengine import _like_to_regex
+    from repro.frontend import sql_to_physical
+
+    tables = {"t": DataFrame({"s": np.array(["ab", "a_b", "axb", "b"],
+                                            dtype=object)})}
+    session = TQPSession()
+    session.register("t", tables["t"])
+    sql = "select s from t where s like 'a_b'"
+    with pytest.raises(UnsupportedOperationError, match="'_' wildcards"):
+        if engine == "row engine":
+            RowEngine(tables).execute_to_dataframe(
+                sql_to_physical(sql, session.catalog))
+        else:
+            session.compile(sql, options=ExecutionOptions(backend=engine))
+    with pytest.raises(UnsupportedOperationError, match="'_' wildcards"):
+        _like_to_regex("a_b")
+    assert session.sql("select s from t where s like 'a%b'",
+                       options=ExecutionOptions(backend="pytorch")
+                       ).to_dict() == {"s": ["ab", "a_b", "axb"]}
+
+
 def test_substring():
     codes = _codes(["12-555-867", "33-111-222"])
     out = strings.substring(codes, 1, 2)

@@ -3,9 +3,11 @@
 
 Counts that repeat exactly on an unchanged tree, printed beside the ``src/``
 line count they belong with: ``encode_column`` calls (one per distinct scanned
-column when conversion is shared), generated source lines registered with
-``linecache`` after the first executions (0: each returns its trace's result)
-and after the second (the plain bodies only, while nothing profiles), the
+column when conversion is shared), graph-pass runs (``passes.optimize``
+calls) and generated source lines registered with ``linecache`` after the
+first executions (0 and 0: each returns its trace's result, and the passes
+run when a program is lowered) and after the second (one pass run per
+statement; the plain bodies only, while nothing profiles), the
 gather nodes of the three optimized programs (``take`` / ``nonzero`` /
 ``boolean_mask``: what late materialization left to run), their reduction
 and key-id nodes (``scatter_add`` / ``scatter_min`` / ``scatter_max`` /
@@ -47,6 +49,7 @@ from repro.core.executor import Executor  # noqa: E402
 from repro.core.planner import Planner, scope_family  # noqa: E402
 from repro.datasets import tpch  # noqa: E402
 from repro.storage import encodings  # noqa: E402
+from repro.tensor import passes  # noqa: E402
 
 SCALE_FACTOR = 0.002
 QUERIES = (1, 3, 6)
@@ -117,26 +120,36 @@ def main() -> None:
         return convert(*args, **kwargs)
 
     encodings.encode_column = counted
+    optimized = []
+    optimize = passes.optimize
+
+    def counted_passes(*args, **kwargs):
+        optimized.append(1)
+        return optimize(*args, **kwargs)
+
+    passes.optimize = counted_passes
     tables = tpch.generate_tables(SCALE_FACTOR)
     session = TQPSession(
         default_options=ExecutionOptions(backend="torchscript"))
     for name, frame in tables.items():
         session.register(name, frame)
     held = [session.compile(tpch.query(q, SCALE_FACTOR)) for q in QUERIES]
-    lines = []
+    lines, pass_runs = [], []
     for _ in range(2):
         for compiled in held:
             compiled.run()
         lines.append(sum(len(entry[2])
                          for name, entry in linecache.cache.items()
                          if name.startswith("<tqp-codegen")))
+        pass_runs.append(len(optimized))
     ops = collections.Counter()
     for compiled in held:
         ops.update(compiled.executor_graph().op_counts())
     def nodes(names: tuple) -> str:
         return " / ".join(f"{ops[name]} {name}" for name in names)
 
-    print(f"{len(calls)} encode_column calls, {lines[0]} / {lines[1]} "
+    print(f"{len(calls)} encode_column calls, {pass_runs[0]} / "
+          f"{pass_runs[1]} graph-pass runs and {lines[0]} / {lines[1]} "
           f"generated source lines after the first / second executions, "
           f"{nodes(GATHERS)} nodes, {nodes(REDUCTIONS)} nodes, "
           f"{nodes(JOIN_ARITHMETIC)} nodes "
