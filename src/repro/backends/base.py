@@ -11,14 +11,14 @@ A *backend* in TQP terms is a compilation target for the tensor program
 
 Results are always computed by real kernels; only *time* is ever simulated.
 
-Every event names its operator (``scope``, ``label#id``) and its device
-shard; the plan's ``lanes`` map (``OperatorPlan.lanes``, ``{scope: n}``) says
-which operators its pricing put on ``n`` worker lanes.
-:func:`split_partitions` turns the two into the concurrent structure every
-cost model charges: host work plus the *slowest* shard, each serial work plus
-one lane's share of every lanes event plus ``n`` morsel dispatches per lanes
-operator, plus every exchange as an interconnect transfer.  Lanes are a
-*model*: the kernels are the serial program's, and so is the wall clock.
+Every event names its operator (``scope``, ``label#id``); the plan's
+``lanes`` map (``OperatorPlan.lanes``, ``{scope: n}``) says which operators
+its pricing put on ``n`` worker lanes.  :func:`split_partitions` turns the two
+into the structure every cost model charges: serial work plus one lane's
+share of every lanes event plus ``n`` morsel dispatches per lanes operator.
+Lanes are a *model*: the kernels are the serial program's, and so is the
+wall clock.  A device count is priced as lanes too
+(``parallelism × devices``); no interconnect is modelled.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.columnar import DEFAULT_MORSEL_ROWS
-from repro.tensor.op_semantics import EXCHANGE_OPS
 from repro.tensor.profiler import Profiler
 
 #: Ops charged by cost models as host<->device transfers rather than kernels.
@@ -35,7 +34,7 @@ TRANSFER_OPS = frozenset({"to_device"})
 
 @dataclasses.dataclass
 class Region:
-    """The events of one device (the host, or one shard).
+    """The events of one run, split by how the lanes model prices them.
 
     Attributes:
         serial: events of serial operators, or under two :func:`morsel_lanes`.
@@ -54,10 +53,6 @@ class Region:
         """Morsel hand-offs: one scheduler, so they never scale."""
         return sum(n for _, n in self.operators)
 
-    def events(self) -> list:
-        """Every event of the region."""
-        return self.serial + [event for event, _ in self.spread]
-
     def time(self, cost, dispatch_overhead_s: float, share=None) -> float:
         """Serial work + one lane's share of the lanes work + dispatches:
         ``cost(event)`` prices a kernel, ``share(event, k)`` a lane's part."""
@@ -74,28 +69,13 @@ def morsel_lanes(event, n: int) -> int:
     return max(1, min(n, event.rows // DEFAULT_MORSEL_ROWS))
 
 
-def split_partitions(events, lanes: "dict[str, int] | None" = None
-                     ) -> tuple[Region, dict, list]:
-    """Partition kernel events into the partitioned execution structure.
-
-    Returns ``(host, shards, exchanges)``: the host's :class:`Region`, a
-    device (shard) id → :class:`Region` map, and the exchange events.
-    Exchange ops (``shard_exchange`` / ``shard_broadcast`` /
-    ``shard_gather``) are pulled out first, whatever annotation they carry —
-    they are zero-copy identities whose *payload bytes* (their output tensor;
-    input + output would count the payload twice) the cost models charge
-    against an interconnect tier, never as kernels.  Events whose stamp names
-    no shard run on the host; ``lanes`` (the plan's ``{scope: n}``) gives
-    each event its operator's width, and a scope it does not name is serial.
-    """
+def split_partitions(events, lanes: "dict[str, int] | None" = None) -> Region:
+    """The :class:`Region` of kernel events the cost models price: ``lanes``
+    (the plan's ``{scope: n}``) gives each event its operator's width, and a
+    scope it does not name is serial."""
     lanes = lanes or {}
-    host, shards, exchanges = Region(), {}, []
+    region = Region()
     for event in events:
-        if event.op in EXCHANGE_OPS:
-            exchanges.append(event)
-            continue
-        region = (host if event.shard is None
-                  else shards.setdefault(event.shard, Region()))
         width = lanes.get(event.scope, 1)
         if width > 1:
             region.operators.add((event.scope, width))
@@ -104,7 +84,7 @@ def split_partitions(events, lanes: "dict[str, int] | None" = None
             region.serial.append(event)
         else:
             region.spread.append((event, spread))
-    return host, shards, exchanges
+    return region
 
 
 @dataclasses.dataclass(frozen=True)

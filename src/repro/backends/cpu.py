@@ -13,7 +13,8 @@ morsels stays serial), plus a fixed cost per morsel dispatch, ``N`` per lanes
 operator — each its own, even where two render the same label.  Serial
 plans charge every kernel — same basis, so ``parallelism=1`` vs
 ``parallelism=N`` speedup curves are apples to apples.  They are a *model*:
-the wall clock of both is the serial program's.
+the wall clock of both is the serial program's, and so is that of a
+``devices=D`` statement, priced at ``parallelism × D`` lanes.
 """
 
 from __future__ import annotations
@@ -24,41 +25,19 @@ from repro.tensor.profiler import Profiler
 
 class CPUDevice(DeviceCostModel):
     """The host CPU — kernels run for real; see the module docstring for the
-    measured-vs-kernel-time reporting rules.
-
-    With ``devices > 1`` the "devices" are NUMA-socket-like peers reached over
-    a coherent interconnect: each shard's kernels run concurrently (the region
-    charges its slowest shard), and every exchange op pays a per-message
-    latency plus its payload bytes over the interconnect bandwidth.
-    """
+    measured-vs-kernel-time reporting rules."""
 
     name = "cpu"
 
-    def __init__(self, morsel_dispatch_overhead_s: float = 8e-6,
-                 interconnect_bandwidth_gbs: float = 25.0,
-                 interconnect_latency_s: float = 1e-6):
+    def __init__(self, morsel_dispatch_overhead_s: float = 8e-6):
         #: Cost per morsel handed to a worker (queue push/pop and waking it):
         #: all a lanes operator pays beyond its kernels' shares.  At 8 µs a
         #: 4-lane filter over 20k rows loses to serial, one over 60k wins.
         self.morsel_dispatch_overhead_s = morsel_dispatch_overhead_s
-        #: Peer-to-peer bandwidth between simulated devices (UPI/xGMI-class).
-        self.interconnect_bandwidth_gbs = interconnect_bandwidth_gbs
-        #: Fixed per-message cost charged per exchange op.
-        self.interconnect_latency_s = interconnect_latency_s
 
     def report_time(self, measured_s: float, profile: Profiler | None,
                     lanes: "dict[str, int] | None" = None) -> float:
         if profile is None or not profile.events:
             return measured_s
-        host, shards, exchanges = split_partitions(profile.events, lanes)
-        bandwidth_bps = self.interconnect_bandwidth_gbs * 1e9
-        exchange_s = sum(self.interconnect_latency_s
-                         + event.output_bytes / bandwidth_bps
-                         for event in exchanges)
-
-        def region_s(region) -> float:
-            return region.time(lambda event: event.elapsed_s,
-                               self.morsel_dispatch_overhead_s)
-
-        slowest_shard_s = max(map(region_s, shards.values()), default=0.0)
-        return region_s(host) + slowest_shard_s + exchange_s
+        return split_partitions(profile.events, lanes).time(
+            lambda event: event.elapsed_s, self.morsel_dispatch_overhead_s)

@@ -29,19 +29,11 @@ execution does not help tiny queries.
 from __future__ import annotations
 
 from repro.backends.base import TRANSFER_OPS, DeviceCostModel, split_partitions
-from repro.tensor.op_semantics import GATHER_OP
 from repro.tensor.profiler import Profiler
 
 
 class SimulatedGPU(DeviceCostModel):
-    """Analytic P100-like cost model.
-
-    With ``devices > 1`` the simulated GPUs are NVLink peers: each shard's
-    kernels run concurrently (the region charges its slowest device) and
-    peer-to-peer exchanges (``shard_exchange`` / ``shard_broadcast``) move at
-    NVLink bandwidth, while the final ``shard_gather`` back to the host pays
-    the same PCIe tier as any other host<->device copy.
-    """
+    """Analytic P100-like cost model."""
 
     name = "cuda (simulated)"
 
@@ -53,8 +45,6 @@ class SimulatedGPU(DeviceCostModel):
         compute_speedup: float = 12.0,
         pcie_latency_s: float = 3e-6,
         morsel_dispatch_overhead_s: float = 4e-6,
-        nvlink_bandwidth_gbs: float = 300.0,
-        nvlink_latency_s: float = 2e-6,
     ):
         self.hbm_bandwidth_gbs = hbm_bandwidth_gbs
         self.pcie_bandwidth_gbs = pcie_bandwidth_gbs
@@ -68,10 +58,6 @@ class SimulatedGPU(DeviceCostModel):
         #: (the GPU analogue is launching the morsel's kernels on a side
         #: stream), ``n`` per lanes operator.  It caps the modelled speedup.
         self.morsel_dispatch_overhead_s = morsel_dispatch_overhead_s
-        #: Peer-to-peer bandwidth between simulated GPUs (NVLink-class).
-        self.nvlink_bandwidth_gbs = nvlink_bandwidth_gbs
-        #: Fixed setup latency charged per peer-to-peer message.
-        self.nvlink_latency_s = nvlink_latency_s
 
     @property
     def min_report_s(self) -> float:
@@ -87,33 +73,17 @@ class SimulatedGPU(DeviceCostModel):
             return max(measured_s / self.compute_speedup, self.min_report_s)
         hbm_bps = self.hbm_bandwidth_gbs * 1e9
         pcie_bps = self.pcie_bandwidth_gbs * 1e9
-        nvlink_bps = self.nvlink_bandwidth_gbs * 1e9
         transfers, kernels = profile.partition(TRANSFER_OPS)
-        host, shards, exchanges = split_partitions(kernels, lanes)
 
         def kernel_cost(event, lanes: int = 1) -> float:
             # A lane moves 1/lanes of the bytes but pays a whole launch.
             return max(self.kernel_launch_overhead_s,
                        event.total_bytes / (lanes * hbm_bps))
 
-        def region_cost(region) -> float:
-            # Per-morsel dispatch stays serial (one scheduler), which is what
-            # bends the speedup curve at high worker counts.
-            return region.time(kernel_cost, self.morsel_dispatch_overhead_s,
-                               kernel_cost)
-
-        # Simulated devices run concurrently: a distributed region costs its
-        # slowest device, on top of everything the host executes serially.
-        compute_s = region_cost(host) + max(
-            map(region_cost, shards.values()), default=0.0)
-        # Peer exchanges ride NVLink; the gather back to the host rides PCIe.
-        exchange_s = 0.0
-        for event in exchanges:
-            if event.op == GATHER_OP:
-                exchange_s += self.pcie_latency_s + event.output_bytes / pcie_bps
-            else:
-                exchange_s += (self.nvlink_latency_s
-                               + event.output_bytes / nvlink_bps)
+        # Per-morsel dispatch stays serial (one scheduler), which is what
+        # bends the speedup curve at high worker counts.
+        compute_s = split_partitions(kernels, lanes).time(
+            kernel_cost, self.morsel_dispatch_overhead_s, kernel_cost)
         # A to_device event's payload is its output tensor; input/output byte
         # totals would charge the same copy twice.
         last_kernel_ts = max((e.timestamp_s for e in kernels), default=float("-inf"))
@@ -124,6 +94,4 @@ class SimulatedGPU(DeviceCostModel):
                 hideable_s += cost  # overlapped with compute via the copy engine
             else:
                 exposed_s += cost
-        # Exchanges synchronize producer and consumer devices, so unlike the
-        # initial uploads they are never hidden behind compute.
-        return max(compute_s, hideable_s) + exposed_s + exchange_s
+        return max(compute_s, hideable_s) + exposed_s

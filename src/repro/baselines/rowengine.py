@@ -110,8 +110,10 @@ class RowExpressionEvaluator:
             value = self.evaluate(expr.operand, row)
             if value is None:
                 return None
-            pattern = self._like_cache.setdefault(expr.pattern,
-                                                  _like_to_regex(expr.pattern))
+            pattern = self._like_cache.get(expr.pattern)
+            if pattern is None:
+                pattern = self._like_cache[expr.pattern] = _like_to_regex(
+                    expr.pattern)
             return bool(pattern.match(value))
         if isinstance(expr, ast.InList):
             value = self.evaluate(expr.operand, row)

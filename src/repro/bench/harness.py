@@ -83,9 +83,9 @@ def time_tqp(session: TQPSession, sql: str, options: ExecutionOptions,
              profile: bool = False) -> BenchResult:
     """Compile ``sql`` once and measure ``runs`` executions after ``warmup``.
 
-    Pass ``profile=True`` for every point of a lanes / shard scaling curve, so
-    the device cost models see the events whose scopes the plan's lanes map
-    widens and the shard timelines, and every point reports on the same
+    Pass ``profile=True`` for every point of a lanes scaling curve, so the
+    device cost models see the events whose scopes the plan's lanes map
+    widens, and every point reports on the same
     basis (the CPU device reports kernel time for profiled runs, wall time
     otherwise; mixing the two would make speedups incomparable).
     """

@@ -49,7 +49,6 @@ from repro.core.parameters import (
 )
 from repro.core.planner import OperatorPlan
 from repro.dataframe import DataFrame
-from repro.distributed.sharding import ShardedTable, shard_table
 from repro.errors import (
     BatchBindingError,
     BindingError,
@@ -98,7 +97,7 @@ class ExecutionResult:
 
 
 def convert_scan_input(scan, record):
-    """Assemble (and, for a sharded scan, place) the table one scan reads.
+    """Assemble the table one scan reads.
 
     Only the columns the scan needs are converted, once per column per
     generation: ``encode_table`` keeps them on ``record`` (the catalog's, of
@@ -106,18 +105,11 @@ def convert_scan_input(scan, record):
     column; strings and dates pay an encoding pass).  The record's statistics
     lend their NDV counts to the dictionary decision and ride on the converted
     table: the scan prunes against the zone maps of exactly the rows it
-    reads.  A scan partitioned into ``shards`` gets its table placed across
-    the devices here: sharding is load-time placement, not query work, so it
-    happens outside any trace or profiler and the traced program receives
-    each shard's columns as separate named inputs.
+    reads.
     """
     from repro.storage.encodings import encode_table
 
-    table = TensorTable(encode_table(record, scan.fields), record.statistics)
-    scheme = scan.partitioning
-    if scheme.kind == "shards":
-        return shard_table(table, scheme.n, scheme.placement)
-    return table
+    return TensorTable(encode_table(record, scan.fields), record.statistics)
 
 
 class _Program(NamedTuple):
@@ -172,8 +164,7 @@ class Executor:
                  models: Optional[dict[str, Callable]] = None,
                  options: Optional[ExecutionOptions] = None):
         self.plan = plan
-        #: Fully resolved.  The plan already embeds the shard choice; the
-        #: options say where and how it runs.
+        #: Fully resolved: where and how the plan runs.
         self.options = (options or ExecutionOptions()).resolved()
         self.backend: BackendSpec = get_backend(self.options.backend)
         self.device: Device = self.options.device
@@ -359,95 +350,39 @@ class Executor:
         Encoded columns contribute one tensor per storage part: the codes
         plus the encoding's dictionary, so a traced program receives the
         compressed layout exactly as stored.
-
-        Sharded tables flatten one shard at a time, with the shard id folded
-        into the part tag (``s<k>:data`` / ``s<k>:<part>``): each simulated
-        device's columns are distinct named inputs of the program, which is
-        what lets a traced distributed plan replay against re-registered data.
         """
         tensors: list[Tensor] = []
         layout: list[tuple[str, str, str]] = []
-
-        def flatten_table(alias: str, table: TensorTable, prefix: str,
-                          shared: "dict[str, int] | None" = None) -> None:
-            for name, column in table.columns():
+        for alias in sorted(inputs):
+            for name, column in inputs[alias].columns():
                 tensors.append(column.tensor)
-                layout.append((alias, name, prefix + "data"))
+                layout.append((alias, name, "data"))
                 if column.encoding is not None:
-                    if shared is not None and shared.get(name) == id(column.encoding):
-                        # The encoding (dictionary) is one object replicated
-                        # across shards at load time: flatten it once, and let
-                        # every shard's rebuilt column share the rebuilt copy —
-                        # preserving the object identity the concat fast path
-                        # keys on.
-                        continue
-                    if shared is not None:
-                        shared[name] = id(column.encoding)
                     for part, tensor in column.encoding.parts():
                         tensors.append(tensor)
-                        layout.append((alias, name, prefix + part))
-
-        for alias in sorted(inputs):
-            table = inputs[alias]
-            if isinstance(table, ShardedTable):
-                shared: dict[str, int] = {}
-                for shard, sub in enumerate(table.shards):
-                    flatten_table(alias, sub, f"s{shard}:", shared)
-            else:
-                flatten_table(alias, table, "")
+                        layout.append((alias, name, part))
         return tensors, layout
 
     def _rebuild_inputs(self, tensors: list[Tensor],
                         layout: list[tuple[str, str, str]],
                         reference: dict[str, TensorTable]) -> dict[str, TensorTable]:
-        data: dict[tuple[str, int | None, str], Tensor] = {}
-        parts: dict[tuple[str, int | None, str], dict[str, Tensor]] = {}
+        data: dict[tuple[str, str], Tensor] = {}
+        parts: dict[tuple[str, str], dict[str, Tensor]] = {}
         for tensor, (alias, name, part) in zip(tensors, layout):
-            shard: int | None = None
-            if part.startswith("s") and ":" in part:
-                prefix, part = part.split(":", 1)
-                shard = int(prefix[1:])
             if part == "data":
-                data[(alias, shard, name)] = tensor
+                data[(alias, name)] = tensor
             else:
-                parts.setdefault((alias, shard, name), {})[part] = tensor
-        rebuilt: dict[tuple[str, int | None], dict[str, TensorColumn]] = {}
-        # Shared encodings (dictionaries replicated across shards) were
-        # flattened once, under the first shard that carried them; rebuilt
-        # columns of later shards reuse that one rebuilt object, keeping the
-        # object identity the concat fast path relies on.  Insertion order of
-        # ``data`` follows the flatten order, so the carrying shard rebuilds
-        # before any shard that references it.
-        rebuilt_shared: dict[tuple[str, str], object] = {}
-        for (alias, shard, name), tensor in data.items():
-            ref_table = reference[alias]
-            if shard is not None:
-                ref_table = ref_table.shards[shard]
-            ref_column = ref_table.column(name)
+                parts.setdefault((alias, name), {})[part] = tensor
+        rebuilt: dict[str, dict[str, TensorColumn]] = {}
+        for (alias, name), tensor in data.items():
+            ref_column = reference[alias].column(name)
             encoding = ref_column.encoding
             if encoding is not None:
-                own_parts = parts.get((alias, shard, name))
-                if own_parts is not None:
-                    encoding = encoding.with_parts(own_parts)
-                    if shard is not None:
-                        rebuilt_shared[(alias, name)] = encoding
-                else:
-                    encoding = rebuilt_shared[(alias, name)]
-            rebuilt.setdefault((alias, shard), {})[name] = TensorColumn(
+                encoding = encoding.with_parts(parts[(alias, name)])
+            rebuilt.setdefault(alias, {})[name] = TensorColumn(
                 tensor, ref_column.ltype, encoding=encoding)
-        tables: dict[str, TensorTable] = {}
-        shard_groups: dict[str, dict[int, TensorTable]] = {}
-        for (alias, shard), columns in rebuilt.items():
-            if shard is None:
-                tables[alias] = TensorTable(columns,
-                                            reference[alias].statistics)
-            else:
-                shard_groups.setdefault(alias, {})[shard] = TensorTable(columns)
-        for alias, group in shard_groups.items():
-            tables[alias] = ShardedTable(
-                [group[shard] for shard in sorted(group)],
-                reference[alias].spec)
-        return tables
+        return {alias: TensorTable(columns, reference[alias].statistics)
+                for alias, columns in rebuilt.items()}
 
     def _ensure_program(self, inputs: dict[str, TensorTable], bound: dict,
                         keep_trace: bool = False

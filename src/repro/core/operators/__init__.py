@@ -13,18 +13,14 @@ from repro.core.operators.join import (
 )
 from repro.core.operators.misc import (
     DistinctOperator,
-    GatherOperator,
     LimitOperator,
     RenameOperator,
 )
 from repro.core.operators.partition import (
     NONE,
-    PartitionedTable,
     Partitioning,
     concat_rows,
     lanes,
-    run_partitions,
-    shards,
 )
 from repro.core.operators.project import ProjectOperator
 from repro.core.operators.scan import ScanOperator
@@ -35,13 +31,11 @@ __all__ = [
     "DistinctOperator",
     "ExecutionContext",
     "FilterOperator",
-    "GatherOperator",
     "HashAggregateOperator",
     "HashJoinOperator",
     "LimitOperator",
     "MapOperator",
     "NestedLoopJoinOperator",
-    "PartitionedTable",
     "Partitioning",
     "ProjectOperator",
     "RenameOperator",
@@ -52,6 +46,4 @@ __all__ = [
     "concat_rows",
     "lanes",
     "merge_tables",
-    "run_partitions",
-    "shards",
 ]

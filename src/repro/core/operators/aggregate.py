@@ -11,25 +11,18 @@ the state table below:
   non-NULL rows contributed, which is what makes an all-NULL group (or an
   empty global input) report NULL;
 * **combine** — the one scatter reduction per state column
-  (:data:`COMBINE`) that both builds it from rows and merges it across
-  partial states (``scatter_add`` / ``scatter_min`` / ``scatter_max``);
+  (:data:`COMBINE`) that builds it from rows (``scatter_add`` /
+  ``scatter_min`` / ``scatter_max``);
 * **finalize** — state to output column: cast, ``sum / max(vcount, 1)``,
   NULL where ``vcount == 0``.
 
-A serial plan runs state → finalize on its one table, and so does a lanes
-plan (lanes are a cost model: :mod:`repro.core.operators.partition`).  Over a
-sharded input every shard runs the same state step and stores it as a
-*partial table* (group keys plus state columns, a few rows per group);
-``gather`` brings the partials together (the only rows that cross the
-interconnect, the classic reason two-phase aggregation is the backbone of
-every distributed engine), they are re-grouped, combined, and finalized by
-the same function.  The output is one unpartitioned table.
+Every plan runs state → finalize on its one table; a lanes plan is the same
+program under a price (:mod:`repro.core.operators.partition`).
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -44,8 +37,6 @@ from repro.core.operators.grouping import (
 from repro.core.operators.partition import (
     NONE,
     Partitioning,
-    gather,
-    input_of,
     partition_label,
 )
 from repro.errors import ExecutionError, UnsupportedOperationError
@@ -55,9 +46,9 @@ from repro.tensor import Tensor, ops
 
 
 #: The state columns each aggregate function keeps per group.  A function is
-#: mergeable — may run under a partitioned input — exactly when it is a row
-#: here (COUNT DISTINCT would need full value sets per group, so it has no
-#: mergeable state and stays on the serial path).
+#: mergeable — the lanes model may price it as split across lanes — exactly
+#: when it is a row here (COUNT DISTINCT would need full value sets per
+#: group, so it has no mergeable state and is priced serial).
 AGGREGATE_STATE: dict[str, tuple[str, ...]] = {
     "count": ("count",),
     "sum": ("sum", "vcount"),
@@ -66,8 +57,7 @@ AGGREGATE_STATE: dict[str, tuple[str, ...]] = {
     "max": ("max", "vcount"),
 }
 
-#: The scatter reduction that builds a state column from rows *and* merges it
-#: across partial states.
+#: The scatter reduction that builds a state column from rows.
 COMBINE: dict[str, Callable[..., Tensor]] = {
     "count": ops.scatter_add,
     "vcount": ops.scatter_add,
@@ -120,34 +110,6 @@ def _sum_dtype(call: AggregateCall) -> str:
     return "int64" if call.output_type == LogicalType.INT else "float64"
 
 
-def _stored_name(call: AggregateCall, name: str) -> str:
-    return f"__partial_{call.output_name}_{name}"
-
-
-def _state_of_partials(merged: TensorTable, call: AggregateCall,
-                       group_ids: Tensor, num_groups: "Tensor | int") -> State:
-    """One aggregate's state combined across the gathered partial tables."""
-    return ({name: COMBINE[name](group_ids,
-                                 merged.column(_stored_name(call, name)).tensor,
-                                 size=num_groups)
-             for name in AGGREGATE_STATE[call.func]}, True)
-
-
-def _store(call: AggregateCall, state: State) -> dict[str, TensorColumn]:
-    """State as the columns of a partial table, in their storage types."""
-    stored = {}
-    for name, tensor in state[0].items():
-        if name in ("min", "max"):
-            column = TensorColumn(tensor, call.output_type)
-        elif name == "sum":
-            column = TensorColumn(ops.cast(tensor, _sum_dtype(call)),
-                                  call.output_type)
-        else:
-            column = TensorColumn(ops.cast(tensor, "int64"), LogicalType.INT)
-        stored[_stored_name(call, name)] = column
-    return stored
-
-
 def _finalize(call: AggregateCall, state: State) -> dict[str, TensorColumn]:
     """State to output column: cast, ``sum / max(vcount, 1)``, and NULL for
     a group nothing contributed to — all inputs NULL, or no input at all."""
@@ -169,31 +131,23 @@ def _finalize(call: AggregateCall, state: State) -> dict[str, TensorColumn]:
 class HashAggregateOperator(TensorOperator):
     """Hash/group aggregation (SUM, AVG, MIN, MAX, COUNT, COUNT DISTINCT)."""
 
-    labels = ("HashAggregate", "ParallelHashAggregate", "ShardedAggregate")
+    labels = ("HashAggregate", "ParallelHashAggregate")
 
     def __init__(self, child: TensorOperator, group_exprs: list[Expr],
                  group_names: list[str], group_types: list[LogicalType],
-                 aggregates: list[AggregateCall],
-                 input_partitioning: Partitioning = NONE):
+                 aggregates: list[AggregateCall]):
         super().__init__([child])
         for call in aggregates:
             if call.func not in AGGREGATE_STATE:
                 raise ExecutionError(
                     f"unsupported aggregate function {call.func!r}")
-        if (input_partitioning.kind != "none"
-                and not aggregates_are_mergeable(aggregates)):
-            raise ExecutionError(
-                "partitioned aggregation requires mergeable aggregate functions"
-            )
         self.group_exprs = group_exprs
         self.group_names = group_names
         self.group_types = group_types
         self.aggregates = aggregates
-        #: How the partial phase is partitioned; the merged output is not.
-        self.input_partitioning = input_partitioning
 
-    def describe(self, scheme: Optional[Partitioning] = None) -> str:
-        return partition_label(self.labels, scheme or self.input_partitioning,
+    def describe(self, scheme: Partitioning = NONE) -> str:
+        return partition_label(self.labels, scheme,
                                f"groups={len(self.group_exprs)}")
 
     def _state_of_rows(self, table: TensorTable, ctx: ExecutionContext,
@@ -246,31 +200,14 @@ class HashAggregateOperator(TensorOperator):
     # -- execution ------------------------------------------------------------
 
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        data = input_of(self.children[0], self.input_partitioning, ctx)
-
-        def over_rows(table: TensorTable, finish) -> TensorTable:
-            # Group keys keep dictionary codes: densification runs on ``(n,)``
-            # integers, the output key columns stay encoded until consumed,
-            # and every partition shares the stored column's dictionary.
-            keys = [to_column(evaluate_encoded(expr, table, ctx.eval_ctx), table)
-                    for expr in self.group_exprs]
-            return self._grouped(
-                table, keys, partial(self._state_of_rows, table, ctx), finish)
-
-        if isinstance(data, TensorTable):
-            return over_rows(data, _finalize)
-        merged = gather(data.map(lambda table: over_rows(table, _store),
-                                 self.scope))
-        return self._grouped(
-            merged, [merged.column(name) for name in self.group_names],
-            partial(_state_of_partials, merged), _finalize)
-
-    def _grouped(self, table: TensorTable, key_columns: list[TensorColumn],
-                 state_of, finish) -> TensorTable:
-        """The one grouped skeleton: group ``table``'s rows by their keys,
-        emit each group's key (its first row's) and, per aggregate,
-        ``finish(state_of(...))`` — ``_finalize`` where the output is due,
-        ``_store`` where the state still has to cross an exchange."""
+        """Group the child's rows by their keys, emit each group's key (its
+        first row's) and, per aggregate, its finalized state."""
+        table = self.children[0].execute(ctx)
+        # Group keys keep dictionary codes: densification runs on ``(n,)``
+        # integers, and the output key columns stay encoded until consumed.
+        key_columns = [to_column(evaluate_encoded(expr, table, ctx.eval_ctx),
+                                 table)
+                       for expr in self.group_exprs]
         group_ids, num_groups, presence = group_rows(
             [column_value(column) for column in key_columns], table)
         columns: dict[str, TensorColumn] = {}
@@ -279,8 +216,8 @@ class HashAggregateOperator(TensorOperator):
             columns = {name: column.gather(first_rows)
                        for name, column in zip(self.group_names, key_columns)}
         for call in self.aggregates:
-            state = state_of(call, group_ids, num_groups)
-            for name, column in finish(call, state).items():
+            state = self._state_of_rows(table, ctx, call, group_ids, num_groups)
+            for name, column in _finalize(call, state).items():
                 columns[name] = (column.mask(presence) if presence is not None
                                  else column)
         return TensorTable(columns)

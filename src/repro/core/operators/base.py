@@ -15,10 +15,7 @@ from repro.core.columnar import TensorTable
 from repro.core.expressions import EvaluationContext
 from repro.core.operators.partition import (
     NONE,
-    PartitionedTable,
     Partitioning,
-    gather,
-    input_of,
     lanes,
     partition_label,
 )
@@ -59,13 +56,8 @@ class TensorOperator:
     #: the planner (a plan's ``lanes`` map keys on it); unset, it stamps nothing.
     scope = ""
 
-    def __init__(self, children: list["TensorOperator"],
-                 partitioning: Partitioning = NONE):
+    def __init__(self, children: list["TensorOperator"]):
         self.children = children
-        #: How this operator's output is partitioned (chosen by the planner).
-        #: ``execute`` always hands back one table; a sharded operator also
-        #: hands its shards over through ``partitions``.
-        self.partitioning = partitioning
 
     def _scoped(self, body, ctx: ExecutionContext):
         """Run ``body`` stamped with this operator's scope: eager events and
@@ -79,19 +71,12 @@ class TensorOperator:
         """Execute the subtree rooted at this operator into one table."""
         return self._scoped(self._execute, ctx)
 
-    def partitions(self, ctx: ExecutionContext) -> PartitionedTable:
-        """Execute the subtree into the shards of ``self.partitioning``."""
-        return self._scoped(self._partitions, ctx)
-
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
         raise NotImplementedError
 
-    def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
-        raise ExecutionError(f"{self.describe()} has no partitioned output")
-
-    def describe(self, scheme: Optional[Partitioning] = None) -> str:
-        """This operator's label, rendered under ``scheme`` (its own by
-        default; ``NONE`` gives the label its scope is built from)."""
+    def describe(self, scheme: Partitioning = NONE) -> str:
+        """This operator's label, rendered under ``scheme`` (serial by
+        default: the label its scope is built from)."""
         return self.name
 
     def pretty(self, indent: int = 0,
@@ -99,7 +84,8 @@ class TensorOperator:
         """The subtree's labels, one per line; an operator whose scope
         ``widths`` (a plan's ``lanes``) names renders under ``lanes(n)``."""
         width = (widths or {}).get(self.scope)
-        lines = ["  " * indent + self.describe(width and lanes(width))]
+        lines = ["  " * indent
+                 + self.describe(lanes(width) if width else NONE)]
         for child in self.children:
             lines.append(child.pretty(indent + 1, widths))
         return "\n".join(lines)
@@ -114,38 +100,23 @@ class MapOperator(TensorOperator):
     """A row-local unary operator (filter, project, rename).
 
     Subclasses write their per-table body once (:meth:`_apply`) and name
-    themselves per partitioning kind (``labels``: none, lanes, shards); this
-    class maps the body over whatever partitions the planner placed the
-    operator under.
+    themselves per partitioning kind (``labels``: none, lanes).
     """
 
-    labels: tuple = ("operator",) * 3
+    labels: tuple = ("operator",) * 2
 
-    def __init__(self, child: TensorOperator,
-                 partitioning: Partitioning = NONE):
-        super().__init__([child], partitioning)
+    def __init__(self, child: TensorOperator):
+        super().__init__([child])
 
     def _apply(self, table: TensorTable, ctx: ExecutionContext) -> TensorTable:
         raise NotImplementedError
 
-    def _mapped(self, parts: PartitionedTable, ctx: ExecutionContext
-                ) -> PartitionedTable:
-        return parts.map(lambda table: self._apply(table, ctx), self.scope)
-
     def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        data = input_of(self.children[0], self.partitioning, ctx)
-        if isinstance(data, TensorTable):
-            return self._apply(data, ctx)
-        return gather(self._mapped(data, ctx))
-
-    def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
-        return self._mapped(
-            input_of(self.children[0], self.partitioning, ctx), ctx)
+        return self._apply(self.children[0].execute(ctx), ctx)
 
     def _details(self) -> tuple:
         """What the label shows before the partitioning suffix."""
         return ()
 
-    def describe(self, scheme: Optional[Partitioning] = None) -> str:
-        return partition_label(self.labels, scheme or self.partitioning,
-                               *self._details())
+    def describe(self, scheme: Partitioning = NONE) -> str:
+        return partition_label(self.labels, scheme, *self._details())

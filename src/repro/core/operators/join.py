@@ -30,11 +30,7 @@ see the constants in :mod:`repro.tensor.ops`.  The output (row order
 included) is the same either way.
 
 A join priced on lanes is the serial join (only its label and its price
-differ).  A ``shards`` join exchanges first: a **value-hash shuffle**
-(both sides repartition on the join keys, so equal keys meet on one device
-and every join kind is decided locally) or a **broadcast** of one small
-unsharded side to every device; each device then runs the ordinary serial
-join on what it holds.
+differ).
 """
 
 from __future__ import annotations
@@ -46,14 +42,11 @@ from repro.core.columnar import LogicalType, TensorColumn, TensorTable
 from repro.core.expressions import as_mask, evaluate
 from repro.core.operators.base import ExecutionContext, TensorOperator
 from repro.core.operators.grouping import combine_ids, factorize_pair
-from repro.core.operators.partition import broadcast as broadcast_table
 from repro.core.operators.partition import (
     NONE,
-    PartitionedTable,
     Partitioning,
     concat_rows,
     partition_label,
-    repartition,
 )
 from repro.errors import ExecutionError
 from repro.frontend.ast import Expr
@@ -140,58 +133,35 @@ def finish_join(kind: str, residual: Optional[Expr], left_table: TensorTable,
 
 
 class HashJoinOperator(TensorOperator):
-    """Equi-join on key ids (inner / left outer / semi / anti).
-
-    ``exchange`` is the partitioning the join runs under (see the module
-    docstring).  Under ``shards`` both children stay sharded (shuffle) unless
-    ``broadcast`` names the one unsharded side that is replicated instead:
-    ``"right"`` (sharded probe side) is valid for every join kind — each left
-    row lives on exactly one shard and sees the complete right side there —
-    while ``"left"`` is inner-only: a broadcast left row would match (or
-    survive) once per shard under any other kind.  The output stays sharded.
-    """
+    """Equi-join on key ids (inner / left outer / semi / anti)."""
 
     name = "HashJoin"
 
     def __init__(self, left: TensorOperator, right: TensorOperator, kind: str,
                  left_keys: list[Expr], right_keys: list[Expr],
                  residual: Optional[Expr] = None, *,
-                 exchange: Partitioning = NONE,
-                 broadcast: Optional[str] = None,
                  key_side: Optional[str] = None,
                  key_reason: str = "no-statistics"):
-        super().__init__([left, right],
-                         exchange if exchange.kind == "shards" else NONE)
+        super().__init__([left, right])
         if kind not in ("inner", "left", "semi", "anti"):
             raise ExecutionError(f"unsupported hash join kind {kind!r}")
-        if broadcast not in (None, "left", "right"):
-            raise ExecutionError(f"unknown broadcast side {broadcast!r}")
         if key_side not in (None, "left", "right"):
             raise ExecutionError(f"unknown key side {key_side!r}")
-        if broadcast == "left" and kind != "inner":
-            raise ExecutionError(
-                "broadcasting the left side is only sound for inner joins")
         self.kind = kind
         self.left_keys = left_keys
         self.right_keys = right_keys
         self.residual = residual
-        self.exchange = exchange
-        self.broadcast = broadcast
         #: The side the planner derived to be unique on its join keys
         #: (``"right"`` preferred), or ``None`` and why not.
         self.key_side = key_side
         self.key_reason = key_reason
 
-    def describe(self, scheme: Optional[Partitioning] = None) -> str:
-        scheme = scheme or self.exchange
-        labels = ("HashJoin", "PartitionedHashJoin",
-                  "BroadcastJoin" if self.broadcast else "ShuffleJoin")
-        after = [f"broadcast={self.broadcast}"] if self.broadcast else []
-        after.append(f"key={self.key_side or self.key_reason}")
+    def describe(self, scheme: Partitioning = NONE) -> str:
         return partition_label(
-            tuple(f"{name}[{self.kind}]" for name in labels), scheme,
+            tuple(f"{name}[{self.kind}]"
+                  for name in ("HashJoin", "PartitionedHashJoin")), scheme,
             f"partitions={scheme.n}" if scheme.kind == "lanes" else "",
-            after=", ".join(after))
+            after=f"key={self.key_side or self.key_reason}")
 
     # -- key handling -------------------------------------------------------
 
@@ -265,38 +235,15 @@ class HashJoinOperator(TensorOperator):
 
     # -- execution ------------------------------------------------------------
 
-    def _join_tables(self, left_table: TensorTable, right_table: TensorTable,
-                     ctx: ExecutionContext) -> TensorTable:
-        """Join two materialized tables: densify, match, finish."""
+    def _execute(self, ctx: ExecutionContext) -> TensorTable:
+        """Join the children's tables: densify, match, finish."""
+        left_table = self.children[0].execute(ctx)
+        right_table = self.children[1].execute(ctx)
         need_pairs = not (self.kind in ("semi", "anti") and self.residual is None)
         counts, pairs = self._match_pairs(
             *self._key_ids(left_table, right_table, ctx), need_pairs)
         return finish_join(self.kind, self.residual, left_table, right_table,
                            counts, pairs, ctx)
-
-    def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        return self._join_tables(self.children[0].execute(ctx),
-                                 self.children[1].execute(ctx), ctx)
-
-    def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
-        left_op, right_op = self.children
-        scheme = self.exchange
-        if self.broadcast == "right":
-            left = left_op.partitions(ctx)
-            right = broadcast_table(right_op.execute(ctx), scheme)
-        elif self.broadcast == "left":
-            left = broadcast_table(left_op.execute(ctx), scheme)
-            right = right_op.partitions(ctx)
-        else:
-            left, right = repartition(
-                [(left_op.partitions(ctx), self.left_keys),
-                 (right_op.partitions(ctx), self.right_keys)],
-                ctx, f"{self.scope}:shuffle")
-        return PartitionedTable.run(
-            scheme,
-            lambda shard: self._join_tables(
-                left.produce(shard), right.produce(shard), ctx),
-            self.scope)
 
 
 class NestedLoopJoinOperator(TensorOperator):

@@ -1,4 +1,4 @@
-"""Limit, Distinct, Rename and Gather operators."""
+"""Limit, Distinct and Rename operators."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from repro.core.columnar import TensorTable
 from repro.core.expressions import column_value
 from repro.core.operators.base import ExecutionContext, MapOperator, TensorOperator
 from repro.core.operators.grouping import group_rows, representatives
-from repro.core.operators.partition import NONE, Partitioning, gather
 from repro.errors import ExecutionError
 from repro.frontend.logical import Field
 from repro.tensor import ops
@@ -48,18 +47,13 @@ class DistinctOperator(TensorOperator):
 
 
 class RenameOperator(MapOperator):
-    """Rename the child's output columns positionally (derived-table aliases).
+    """Rename the child's output columns positionally (derived-table aliases):
+    pure metadata, no kernels."""
 
-    Pure metadata, no kernels — which is why it may stay inside a sharded
-    region: subqueries (``FROM (SELECT ...) f``) then feed shuffle joins
-    without a gather in between.
-    """
+    labels = ("Rename", "Rename")
 
-    labels = ("Rename", "Rename", "DistributedRename")
-
-    def __init__(self, child: TensorOperator, output_fields: list[Field],
-                 partitioning: Partitioning = NONE):
-        super().__init__(child, partitioning)
+    def __init__(self, child: TensorOperator, output_fields: list[Field]):
+        super().__init__(child)
         self.output_fields = output_fields
 
     def _apply(self, table: TensorTable, ctx: ExecutionContext) -> TensorTable:
@@ -73,19 +67,3 @@ class RenameOperator(MapOperator):
             field.name: table.column(name)
             for name, field in zip(names, self.output_fields)
         })
-
-
-class GatherOperator(TensorOperator):
-    """The visible enforcer: collect a sharded child's per-device results back
-    to the host, in shard order."""
-
-    name = "Gather"
-
-    def __init__(self, child: TensorOperator):
-        super().__init__([child])
-
-    def describe(self, scheme=None) -> str:
-        return f"Gather({self.children[0].partitioning.suffix})"
-
-    def _execute(self, ctx: ExecutionContext) -> TensorTable:
-        return gather(self.children[0].partitions(ctx))

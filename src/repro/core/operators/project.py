@@ -5,19 +5,17 @@ from __future__ import annotations
 from repro.core.columnar import LogicalType, TensorTable
 from repro.core.expressions import evaluate, to_column
 from repro.core.operators.base import ExecutionContext, MapOperator, TensorOperator
-from repro.core.operators.partition import NONE, Partitioning
 from repro.frontend.ast import Expr
 
 
 class ProjectOperator(MapOperator):
-    """Evaluate each projection expression and assemble the output table
-    (of every partition, with no data movement)."""
+    """Evaluate each projection expression and assemble the output table."""
 
-    labels = ("Project", "MorselProject", "DistributedProject")
+    labels = ("Project", "MorselProject")
 
     def __init__(self, child: TensorOperator, exprs: list[Expr], names: list[str],
-                 types: list[LogicalType], partitioning: Partitioning = NONE):
-        super().__init__(child, partitioning)
+                 types: list[LogicalType]):
+        super().__init__(child)
         self.exprs = exprs
         self.names = names
         self.types = types

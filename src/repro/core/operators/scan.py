@@ -19,19 +19,9 @@ Three pruning regimes keep this sound under every backend:
   the zone-map tensors (:func:`repro.storage.pruning.block_mask_tensor`) and a
   per-row gather — the traced program then re-evaluates block survival from
   the runtime parameter inputs on every binding.
-
-A scan is also where sharded regions start.  Under ``shards`` input
-preparation has already placed the converted table across
-the devices (load-time placement is data layout, not query work), and the
-scan selects each shard's columns inside that
-shard's annotation; zone-map pruning does not apply there: the statistics
-describe the unsharded table, and a sharded scan's parallelism already comes
-from the placement.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -39,12 +29,10 @@ from repro.core.columnar import TensorTable, morsel_bounds
 from repro.core.operators.base import ExecutionContext, TensorOperator
 from repro.core.operators.partition import (
     NONE,
-    PartitionedTable,
     Partitioning,
     concat_rows,
     partition_label,
 )
-from repro.distributed.sharding import ShardedTable
 from repro.errors import ExecutionError
 from repro.frontend.logical import Field
 from repro.tensor import ops
@@ -75,11 +63,10 @@ class ScanOperator(TensorOperator):
     paper separates data transformation from query execution.
     """
 
-    labels = ("TableScan", "MorselScan", "DistributedScan")
+    labels = ("TableScan", "MorselScan")
 
-    def __init__(self, table: str, alias: str, fields: list[Field],
-                 partitioning: Partitioning = NONE):
-        super().__init__([], partitioning)
+    def __init__(self, table: str, alias: str, fields: list[Field]):
+        super().__init__([])
         self.table = table
         self.alias = alias
         self.fields = fields
@@ -200,25 +187,7 @@ class ScanOperator(TensorOperator):
         return self._apply_pruning(
             self._select_fields(ctx.input_table(self.alias)), ctx)
 
-    def _partitions(self, ctx: ExecutionContext) -> PartitionedTable:
-        scheme = self.partitioning
-        sharded = ctx.input_table(self.alias)
-        if not isinstance(sharded, ShardedTable):
-            raise ExecutionError(
-                f"scan {self.alias!r} expected a sharded input table; input "
-                "preparation must shard tables read by a sharded scan")
-        if sharded.spec.devices != scheme.n:
-            raise ExecutionError(
-                f"scan {self.alias!r} planned for {scheme.n} devices but "
-                f"the input is sharded {sharded.spec.devices} ways")
-        return PartitionedTable.run(
-            scheme,
-            lambda shard: self._select_fields(sharded.shards[shard]),
-            self.scope)
-
-    def describe(self, scheme: Optional[Partitioning] = None) -> str:
-        scheme = scheme or self.partitioning
+    def describe(self, scheme: Partitioning = NONE) -> str:
         pruned = (f"pruned={len(self.pruning)} conjuncts"
                   if self.pruning and scheme.kind == "none" else "")
-        return partition_label(self.labels, scheme, self.table, pruned,
-                               after=scheme.placement)
+        return partition_label(self.labels, scheme, self.table, pruned)

@@ -45,15 +45,15 @@ class ExecutionOptions:
             the reference executor of the differential harness).  Part of the
             plan-cache key.  Only affects graph backends; the eager
             ``pytorch`` backend has no traced graph to replay.
-        devices: number of simulated devices the plan's tables may be
-            sharded across (see :mod:`repro.distributed`) — ``None``
-            inherits the session default (1, single-device).  With
-            ``devices > 1`` the planner substitutes sharded operators with
-            explicit exchange/broadcast/gather steps, and the cost models
-            charge interconnect transfers between the shards.
-        shard: sharding strategy for base tables when ``devices > 1`` —
-            ``hash`` (rows spread by key hash) or ``range`` (contiguous row
-            ranges).  Part of the plan-cache and conversion-cache keys.
+        devices: simulated devices a statement is priced on — ``None``
+            inherits the session default (1).  A width, like
+            ``parallelism``: the statement runs its serial entry's plan,
+            program and executor, and the lanes model prices it at
+            ``parallelism × devices`` lanes (no interconnect is modelled).
+        shard: ``hash`` or ``range``; changes nothing and is not part of the
+            plan-cache key.  Kept only because the frozen performance ledger
+            still passes it; the ``[benchmark]`` change that unfreezes the
+            ledger (ROADMAP item 3) removes it together with ``devices``.
         adaptive: price every execution under each strategy candidate
             (:mod:`repro.adaptive`).  Its three candidates price the serial
             entry's plan and share its executor; every execution is profiled,
@@ -107,4 +107,4 @@ class ExecutionOptions:
     def cache_key(self) -> tuple:
         """The options' contribution to the session plan-cache key."""
         return (self.backend, str(self.device), self.parallelism,
-                self.executor, self.devices, self.shard, self.adaptive)
+                self.executor, self.devices, self.adaptive)

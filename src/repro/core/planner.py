@@ -1,19 +1,12 @@
 """Planning layer: TQP IR → operator plan of tensor programs (paper §2.2, layer 3).
 
-There is one operator per relational operator and one recursive walk.  What
-the planner decides per node is the **partitioning** the operator runs under
-(:mod:`repro.core.operators.partition`): ``none`` or ``shards(n)`` for
-``devices > 1`` (tables placed across simulated devices).  A sharded region
-opens at a base-table scan whose estimated cardinality clears
-``Tuning.shard_min_rows``, stays open through operators whose expressions are
-free of runtime subqueries (and, for aggregates, whose states merge), and is
-closed by an enforcer where a child's partitioning is not what its parent
-consumes — see :meth:`Planner._plan`.
-
-Worker lanes are a *price*, not a plan: the walk records the estimated rows
-of every operator the lanes rule admits, and :meth:`OperatorPlan.priced`
-puts those over a threshold on ``n`` lanes, so a statement's serial,
-``parallelism=N`` and adaptive entries share one plan and one program.
+There is one operator per relational operator and one recursive walk, and
+one plan per statement.  Worker lanes are a *price*, not a plan: the walk
+records the estimated rows of every operator the lanes rule admits, and
+:meth:`OperatorPlan.priced` puts those over a threshold on ``n`` lanes, so a
+statement's serial, ``parallelism=N``, ``devices=D`` and adaptive entries
+share one plan and one program (a device count is priced as a width:
+``parallelism × devices`` lanes).
 Every size/cost threshold comes from the planner's
 :class:`~repro.core.tuning.Tuning` (``tools/lint_op_registry.py`` rejects
 hard-coded threshold literals here).
@@ -26,8 +19,7 @@ The planner is also where storage statistics enter the plan:
   morsel-aligned blocks are dropped before any kernel runs;
 * filter **selectivity estimates** from the same statistics refine the
   cardinality estimates feeding the row-threshold decisions, so a highly
-  selective filter no longer forces partial-merge operators onto a handful of
-  surviving rows;
+  selective filter is not priced on lanes for a handful of surviving rows;
 * **key-ness** — the column sets on which a node's output has no two rows
   sharing a non-NULL value (:meth:`Planner._unique_sets`) — is derived from
   the scanned tables' NDV and row counts, and tells each hash join which of
@@ -44,42 +36,24 @@ from repro.core.columnar import LogicalType
 from repro.core.ir_builder import build_ir
 from repro.core.ir_optimizer import optimize_ir
 from repro.core.operators import (
-    NONE,
     DistinctOperator,
     FilterOperator,
-    GatherOperator,
     HashAggregateOperator,
     HashJoinOperator,
     LimitOperator,
     NestedLoopJoinOperator,
-    Partitioning,
     ProjectOperator,
     RenameOperator,
     ScanOperator,
     SortOperator,
     TensorOperator,
     aggregates_are_mergeable,
-    shards,
 )
 from repro.core.parameters import ParameterSpec
 from repro.core.tuning import Tuning, active_tuning
 from repro.errors import PlanningError
 from repro.frontend import ast
-from repro.frontend.logical import (
-    Field,
-    LogicalNode,
-    node_expressions,
-    walk_plan,
-)
-
-#: Estimated stored width per logical type for exchange byte costing: bools
-#: are byte masks, strings a fixed allowance for their code-point matrices,
-#: everything else (ints, floats, dates) 8-byte tensors.
-_NUMERIC_WIDTH_BYTES = 8
-_FIELD_WIDTH_BYTES = {
-    LogicalType.BOOL: 1,
-    LogicalType.STRING: 8 * _NUMERIC_WIDTH_BYTES,
-}
+from repro.frontend.logical import Field, LogicalNode
 
 
 @dataclasses.dataclass
@@ -106,7 +80,7 @@ class OperatorPlan:
             can be planned again.
         lane_rows: ``{scope: estimated rows}`` of every operator the lanes
             rule admits: a scan, filter, projection, merging aggregate or hash
-            join of subquery-free expressions, in a plan that is not sharded.
+            join of subquery-free expressions.
     """
 
     root: TensorOperator
@@ -133,11 +107,10 @@ class OperatorPlan:
 
 def scope_family(scope: str) -> str:
     """Canonical operator family of a profiler scope: its label's name,
-    without the ``#id`` / ``@d<k>`` suffixes (the scope of one operator in
-    one plan); scans keep their table, so two scans in one plan stay
-    distinct.  ``"HashJoin[inner](key=right)#3:shuffle@d1"`` →
-    ``"HashJoin"``; ``"TableScan(lineitem, pruned=2 conjuncts)#1"`` →
-    ``"Scan(lineitem)"``.
+    without the ``#id`` suffix (the scope of one operator in one plan); scans
+    keep their table, so two scans in one plan stay distinct.
+    ``"HashJoin[inner](key=right)#3"`` → ``"HashJoin"``;
+    ``"TableScan(lineitem, pruned=2 conjuncts)#1"`` → ``"Scan(lineitem)"``.
     """
     head, _, rest = scope.split("#", 1)[0].partition("(")
     family = head.split("[", 1)[0].strip()
@@ -169,26 +142,6 @@ def ir_node_expressions(node: ir.IRNode) -> list[ast.Expr]:
     return []
 
 
-def _expr_contains_params(expr: ast.Expr) -> bool:
-    for sub in ast.walk_expr(expr):
-        if isinstance(sub, ast.ParameterExpr):
-            return True
-        subplan = getattr(sub, "subplan", None)
-        if subplan is not None and any(
-                _expr_contains_params(inner) for node in walk_plan(subplan)
-                for inner in node_expressions(node)):
-            return True
-    return False
-
-
-def ir_contains_params(root: ir.IRNode) -> bool:
-    """True when any expression of the IR tree (or an embedded runtime
-    subquery) references a bind parameter."""
-    return any(_expr_contains_params(expr)
-               for node in root.walk()
-               for expr in ir_node_expressions(node))
-
-
 _SUBQUERY_EXPRS = (ast.InSubquery, ast.ExistsSubquery, ast.ScalarSubquery)
 #: The operators the lanes rule may put on worker lanes.
 _LANES_OPS = frozenset({ir.SCAN, ir.FILTER, ir.PROJECT, ir.HASH_AGGREGATE,
@@ -218,12 +171,6 @@ def _key_column(key: ast.Expr, other: Optional[ast.Expr] = None
     return key.resolved or key.display
 
 
-def ir_contains_subqueries(root: ir.IRNode) -> bool:
-    """True when any expression embeds a runtime-evaluated subquery."""
-    return not all(exprs_are_partition_safe(ir_node_expressions(node))
-                   for node in root.walk())
-
-
 class Planner:
     """Maps each IR operator to its tensor-program implementation.
 
@@ -236,14 +183,10 @@ class Planner:
 
     def __init__(self, table_rows: Optional[Mapping[str, int]] = None,
                  table_stats: Optional[Mapping[str, object]] = None,
-                 devices: int = 1, shard_mode: str = "hash",
                  tuning: Optional[Tuning] = None) -> None:
         self._scans: list[ScanOperator] = []
         self._subqueries: dict[LogicalNode, TensorOperator] = {}
         self.tuning = tuning if tuning is not None else active_tuning()
-        #: Simulated devices for sharded execution; 1 keeps plans single-device.
-        self.devices = max(1, int(devices))
-        self.shard_mode = shard_mode
         self.table_rows = {name.lower(): rows
                            for name, rows in (table_rows or {}).items()}
         #: Per-table storage statistics (``repro.storage.TableStatistics``):
@@ -273,23 +216,14 @@ class Planner:
         self._unique: dict[int, frozenset] = {}
         self._params: dict[str, ParameterSpec] = {}
         self._model_names: set[str] = set()
-        #: The partitioning this query's partitioned regions run under.
-        self._target: Partitioning = NONE
 
     def plan(self, root: ir.IRNode) -> OperatorPlan:
         """The width-free plan of ``root`` (see :meth:`OperatorPlan.priced`)."""
-        # Sharding is all-or-nothing per query: parameterized plans would
-        # bake binding-dependent shuffle layouts into the trace, and runtime
-        # subqueries execute outside the shard pipeline, so both fall back to
-        # single-device planning wholesale.
-        if (self.devices > 1 and not ir_contains_params(root)
-                and not ir_contains_subqueries(root)):
-            self._target = shards(self.devices, self.shard_mode)
-        operator_root = self._closed(self._plan(root))
+        operator_root = self._plan(root)
         params = sorted(self._params.values(), key=lambda spec: spec.position)
         # Scopes last: a scan's label shows the pruning its filter attaches.
         for index, op in enumerate(self._operators, start=1):
-            op.scope = f"{op.describe(NONE)}#{index}"
+            op.scope = f"{op.describe()}#{index}"
         return OperatorPlan(operator_root, self._scans, list(root.fields),
                             params=params,
                             model_names=frozenset(self._model_names),
@@ -326,13 +260,12 @@ class Planner:
                 elif (isinstance(sub, _SUBQUERY_EXPRS)
                       and sub.subplan not in self._subqueries):
                     sub_ir = optimize_ir(build_ir(sub.subplan))
-                    self._subqueries[sub.subplan] = \
-                        self._closed(self._plan(sub_ir))
+                    self._subqueries[sub.subplan] = self._plan(sub_ir)
 
     # -- cardinality estimation --------------------------------------------
 
     def _estimate_rows(self, node: ir.IRNode) -> int:
-        """Cardinality estimate gating the parallel-operator decision.
+        """Cardinality estimate gating the lanes pricing.
 
         Scans report registered row counts (from the storage statistics when
         available); filters scale their child's estimate by the selectivity
@@ -427,41 +360,15 @@ class Planner:
             reason = "not-unique"
         return left_is_key, right_is_key, reason
 
-    # -- partitioning rules --------------------------------------------------
+    # -- the lanes rule ---------------------------------------------------------
 
     def _partition_safe(self, node: ir.IRNode) -> bool:
-        """Whether ``node`` may run one partition at a time: its expressions
-        hold no runtime subquery and, if an aggregate, its states merge."""
+        """Whether ``node`` may be priced one partition at a time: its
+        expressions hold no runtime subquery and, if an aggregate, its states
+        merge."""
         return (exprs_are_partition_safe(ir_node_expressions(node))
                 and (node.op != ir.HASH_AGGREGATE
                      or aggregates_are_mergeable(node.attrs["aggregates"])))
-
-    def _join_exchange(self, node: ir.IRNode, left_op: TensorOperator,
-                       right_op: TensorOperator
-                       ) -> tuple[Partitioning, Optional[str]]:
-        """``(exchange, broadcast side)`` of an equi-join; see
-        :class:`~repro.core.operators.HashJoinOperator`."""
-        target = self._target
-        if target.kind != "shards" or not self._partition_safe(node):
-            return NONE, None
-        left_sharded = left_op.partitioning.kind == "shards"
-        right_sharded = right_op.partitioning.kind == "shards"
-        if left_sharded and right_sharded:
-            return target, self._cheaper_broadcast(node)
-        if left_sharded:
-            # Sharded probe side + replicated build side works for every
-            # join kind: each left row lives on exactly one shard.
-            return target, "right"
-        if right_sharded and node.attrs["kind"] == "inner":
-            return target, "left"
-        return NONE, None
-
-    def _closed(self, op: TensorOperator) -> TensorOperator:
-        """``op`` as a producer of one host table: the gather enforcer over a
-        sharded operator."""
-        if op.partitioning.kind != "shards":
-            return op
-        return self._planned(GatherOperator(op))
 
     def _planned(self, op: TensorOperator) -> TensorOperator:
         """Register ``op`` for a scope id."""
@@ -471,22 +378,12 @@ class Planner:
     # -- node translation --------------------------------------------------
 
     def _plan(self, node: ir.IRNode) -> TensorOperator:
-        """Translate one IR node; the result's ``partitioning`` is the
-        physical property its parent plans against.  Runtime subqueries,
-        then the children, are planned (and numbered) before the node.
-
-        Partitioned regions grow from large base-table scans and are closed
-        as late as possible: filters and projections keep them open, joins
-        keep them open (through a shuffle/broadcast under shards), mergeable
-        aggregations close them (with a partial-gather-merge under shards),
-        and everything else (sort, limit, distinct, nested loops, small
-        inputs, subquery expressions) consumes one closed table.
-        """
+        """Translate one IR node.  Runtime subqueries, then the children, are
+        planned (and numbered) before the node."""
         self._plan_expressions(node)
         children = [self._plan(child) for child in node.children]
         op = self._planned(self._translate(node, children))
-        if (self._target.kind != "shards" and node.op in _LANES_OPS
-                and self._partition_safe(node)):
+        if node.op in _LANES_OPS and self._partition_safe(node):
             # The lanes rule compares a scan's own rows, else its largest
             # input's (see ``OperatorPlan.lane_rows``).
             self._lane_rows[op] = max(map(self._estimate_rows, node.children),
@@ -499,53 +396,35 @@ class Planner:
         attrs = node.attrs
 
         if node.op == ir.SCAN:
-            opens = (self._target.kind == "shards" and self._estimate_rows(node)
-                     >= self.tuning.shard_min_rows)
-            scan = ScanOperator(attrs["table"], attrs["alias"], attrs["fields"],
-                                self._target if opens else NONE)
+            scan = ScanOperator(attrs["table"], attrs["alias"], attrs["fields"])
             self._scans.append(scan)
             return scan
         if node.op == ir.HASH_JOIN:
-            exchange, broadcast = self._join_exchange(node, *children)
-            left_op, right_op = (
-                child if exchange.kind == "shards" and broadcast != side
-                else self._closed(child)
-                for child, side in zip(children, ("left", "right")))
             left_is_key, right_is_key, key_reason = self._join_keys(node)
             return HashJoinOperator(
-                left_op, right_op, attrs["kind"], attrs["left_keys"],
-                attrs["right_keys"], attrs.get("residual"), exchange=exchange,
-                broadcast=broadcast, key_reason=key_reason,
+                *children, attrs["kind"], attrs["left_keys"],
+                attrs["right_keys"], attrs.get("residual"),
+                key_reason=key_reason,
                 key_side=("right" if right_is_key
                           else "left" if left_is_key else None))
         if node.op == ir.NESTED_LOOP_JOIN:
-            return NestedLoopJoinOperator(*map(self._closed, children),
-                                          attrs["kind"], attrs.get("condition"))
+            return NestedLoopJoinOperator(*children, attrs["kind"],
+                                          attrs.get("condition"))
 
         (child_op,) = children
-        # Sharded regions open at scans (and broadcast joins) only: a filter /
-        # project / rename / aggregate is sharded exactly when its input is.
-        scheme = NONE
-        if (node.op in (ir.FILTER, ir.PROJECT, ir.RENAME, ir.HASH_AGGREGATE)
-                and child_op.partitioning.kind == "shards"
-                and self._partition_safe(node)):
-            scheme = self._target
-        else:
-            child_op = self._closed(child_op)
-
         if node.op == ir.FILTER:
             self._attach_scan_pruning(node.children[0], child_op,
                                       attrs["condition"])
-            return FilterOperator(child_op, attrs["condition"], scheme)
+            return FilterOperator(child_op, attrs["condition"])
         if node.op == ir.PROJECT:
             return ProjectOperator(child_op, attrs["exprs"], attrs["names"],
-                                   attrs["types"], scheme)
+                                   attrs["types"])
         if node.op == ir.HASH_AGGREGATE:
             return HashAggregateOperator(
                 child_op, attrs["group_exprs"], attrs["group_names"],
-                attrs["group_types"], attrs["aggregates"], scheme)
+                attrs["group_types"], attrs["aggregates"])
         if node.op == ir.RENAME:
-            return RenameOperator(child_op, attrs["output_fields"], scheme)
+            return RenameOperator(child_op, attrs["output_fields"])
         if node.op == ir.SORT:
             return SortOperator(child_op, attrs["keys"])
         if node.op == ir.LIMIT:
@@ -553,51 +432,6 @@ class Planner:
         if node.op == ir.DISTINCT:
             return DistinctOperator(child_op)
         raise PlanningError(f"no tensor implementation for IR op {node.op!r}")
-
-    def _estimate_bytes(self, node: ir.IRNode) -> int:
-        """Estimated payload size of a node's output, from rows × field widths.
-
-        The per-type widths are the storage sizes of the tensor layout
-        (8-byte numerics/dates, 1-byte bools) with a fixed allowance for
-        string code-point matrices; exchange decisions only need the two
-        sides' *relative* weight, so a rough width model is enough.
-        """
-        width = sum(_FIELD_WIDTH_BYTES.get(field.ltype, _NUMERIC_WIDTH_BYTES)
-                    for field in node.fields)
-        return self._estimate_rows(node) * max(width, 1)
-
-    def _cheaper_broadcast(self, node: ir.IRNode) -> Optional[str]:
-        """The side to broadcast in a join whose sides are *both* sharded, or
-        ``None`` when shuffling both is the cheapest exchange.
-
-        Candidate exchanges, costed in estimated bytes moved across the
-        interconnect (``N`` devices, build/probe payloads ``L``/``R``):
-
-        * **shuffle both** — each side repartitions on the join key; a row
-          stays put with probability ``1/N``, so ``(N-1)/N × (L + R)`` moves;
-        * **broadcast right** — gather the sharded right side to the host
-          (``(N-1)/N × R`` in) and replicate it to every device (``N × R``
-          out) while the left side stays put; valid for every join kind
-          because each probe-side row lives on exactly one shard;
-        * **broadcast left** — symmetric, inner joins only (an outer/semi
-          probe side must not be replicated).
-
-        Broadcast wins only when one side is much smaller than the other
-        (``R < (N-1)/N² × L`` at equal widths); ties keep the shuffle, whose
-        per-device build tables are ``N×`` smaller.
-        """
-        n = self.devices
-        left_bytes = self._estimate_bytes(node.children[0])
-        right_bytes = self._estimate_bytes(node.children[1])
-        shuffle_cost = (n - 1) * (left_bytes + right_bytes) // n
-        broadcast_right_cost = (n - 1) * right_bytes // n + n * right_bytes
-        broadcast_left_cost = (n - 1) * left_bytes // n + n * left_bytes
-        if (broadcast_right_cost < shuffle_cost
-                and broadcast_right_cost <= broadcast_left_cost):
-            return "right"
-        if broadcast_left_cost < shuffle_cost and node.attrs["kind"] == "inner":
-            return "left"
-        return None
 
     # -- zone-map pruning ----------------------------------------------------
 
@@ -612,8 +446,7 @@ class Planner:
         Pruning is conservative — the filter itself still runs — so missing
         statistics or unmatched conjuncts simply never prune.
         """
-        if (child_ir.op != ir.SCAN or not isinstance(child_op, ScanOperator)
-                or child_op.partitioning.kind == "shards"):
+        if child_ir.op != ir.SCAN or not isinstance(child_op, ScanOperator):
             return
         from repro.storage.pruning import (
             annotate_discrimination,
@@ -634,8 +467,10 @@ def plan_ir(root: ir.IRNode, parallelism: int = 1,
             devices: int = 1, shard_mode: str = "hash",
             tuning: Optional[Tuning] = None) -> OperatorPlan:
     """Convenience wrapper: plan an IR tree into an :class:`OperatorPlan`
-    priced on ``parallelism`` lanes under the tuning's threshold."""
+    priced on ``parallelism × devices`` lanes under the tuning's threshold
+    (``shard_mode`` changes nothing; it goes with ``ExecutionOptions.shard``)."""
     planner = Planner(table_rows=table_rows, table_stats=table_stats,
-                      devices=devices, shard_mode=shard_mode, tuning=tuning)
+                      tuning=tuning)
     return planner.plan(root).priced(
-        parallelism, planner.tuning.parallel_threshold_rows)
+        parallelism * max(1, int(devices)),
+        planner.tuning.parallel_threshold_rows)

@@ -37,10 +37,11 @@ same way, so a held handle re-plans after ``register()`` /
 ``register_model()``), runs the bindings, and prices them under the
 statement's lanes map — adaptive ones under every strategy candidate
 (:mod:`repro.adaptive`).  A width is only that map: a statement's serial,
-``parallelism=N`` and adaptive entries share one plan and one executor.
+``parallelism=N``, ``devices=D`` and adaptive entries share one plan and one
+executor.
 
-All knobs (backend, device, parallelism, adaptive pricing, devices and
-sharding, auto-parameterization, executor) live on one
+All knobs (backend, device, parallelism, adaptive pricing, devices,
+auto-parameterization, executor) live on one
 :class:`ExecutionOptions` object, and a session's defaults are one such
 object (``TQPSession(default_options=...)``).  On the graph backends the
 traced graph is lowered to generated code (:mod:`repro.tensor.codegen`), so
@@ -494,18 +495,20 @@ class TQPSession:
     def _compile_uncached(self, sql: str, resolved: ExecutionOptions,
                           param_types: Optional[dict]) -> CompiledQuery:
         """Run the full parse→analyze→optimize→plan pipeline — for width-free
-        options only: a width or ``adaptive=True`` shares the width-free
-        entry's artifacts and executor and adds its own lanes map(s).
+        options only: a width (``parallelism × devices`` lanes) or
+        ``adaptive=True`` shares the width-free entry's artifacts and
+        executor and adds its own lanes map(s).
 
         Holds the session lock throughout so the catalog, table statistics
         and model table the plan captures all describe one generation of the
         session state, even while another thread is re-registering a table.
         """
         with self._lock:
-            if resolved.parallelism > 1 or resolved.adaptive:
+            width = resolved.parallelism * resolved.devices
+            if width > 1 or resolved.adaptive:
                 entry = self._current_entry(sql, resolved.replace(
-                    parallelism=1, adaptive=False), param_types)
-                plan, width = entry.operator_plan, resolved.parallelism
+                    parallelism=1, devices=1, adaptive=False), param_types)
+                plan = entry.operator_plan
                 threshold = active_tuning().parallel_threshold_rows
                 candidates = (plan_candidates(plan, width, threshold)
                               if resolved.adaptive else {})
@@ -523,7 +526,6 @@ class TQPSession:
                             for name in names},
                 table_stats={name: self.catalog.statistics(name)
                              for name in names},
-                devices=resolved.devices, shard_mode=resolved.shard,
             ).plan(query_ir)
             executor = Executor(
                 operator_plan, options=resolved,
@@ -601,8 +603,8 @@ class TQPSession:
         Low-cardinality string columns become dictionary codes, every other
         column a plain tensor (see :mod:`repro.storage.encodings`).  The
         table's record keeps each column converted once and each scan's input
-        (:func:`repro.core.executor.convert_scan_input`) per ``(fields, shard
-        placement)``: a repeated execution is one lookup per scan, and a
+        (:func:`repro.core.executor.convert_scan_input`) per field list: a
+        repeated execution is one lookup per scan, and a
         ``register()`` of new data starts from an empty record, so a
         long-lived :class:`CompiledQuery` can never be served stale converted
         columns.
@@ -611,8 +613,7 @@ class TQPSession:
             inputs: dict[str, TensorTable] = {}
             for scan in executor.plan.scans:
                 record = self.catalog.record(scan.table)
-                # A scan is planned ``none`` or ``shards``: its placement.
-                key = (tuple(f.name for f in scan.fields), scan.partitioning)
+                key = tuple(f.name for f in scan.fields)
                 if key not in record.converted:
                     record.converted[key] = convert_scan_input(scan, record)
                 inputs[scan.alias] = record.converted[key]

@@ -1,9 +1,8 @@
 """Planner tuning knobs, collected in one place.
 
 Before this module existed the planner's magic numbers were scattered: the
-parallel threshold lived with the morsel operators, ``SHARD_MIN_ROWS`` in
-:mod:`repro.distributed.sharding`, the minimum pruning block count with the
-zone-map pruning of :mod:`repro.storage.pruning`.  They are now fields of one
+parallel threshold lived with the morsel operators, the minimum pruning block
+count with the zone-map pruning of :mod:`repro.storage.pruning`.  They are now fields of one
 frozen :class:`Tuning` dataclass, and the planner reads every threshold
 through the :class:`Tuning` it was constructed with — never a module-level
 literal (``tools/lint_op_registry.py`` enforces this statically, also for the
@@ -44,15 +43,11 @@ class Tuning:
             pricing to put an operator on worker lanes
             (``OperatorPlan.priced``) — below this, per-morsel dispatch
             overhead outweighs any lane parallelism.
-        shard_min_rows: minimum estimated base-table cardinality to shard a
-            scan across simulated devices — below this, per-shard kernel
-            overhead and the final gather outweigh multi-device parallelism.
         min_pruning_blocks: minimum number of zone-map blocks for scan
             pruning to be worth the bookkeeping.
     """
 
     parallel_threshold_rows: int = 2 * DEFAULT_MORSEL_ROWS
-    shard_min_rows: int = DEFAULT_MORSEL_ROWS
     min_pruning_blocks: int = 4
 
     def replace(self, **changes) -> "Tuning":

@@ -61,9 +61,9 @@ class TableRecord:
     #: ``column name → TensorColumn``: each column of ``frame`` a scan has
     #: read, converted once (``storage.encodings.encode_table``).
     columns: dict = dataclasses.field(default_factory=dict)
-    #: Scan inputs assembled over ``columns``, keyed by what shapes one
-    #: (fields, shard placement).  Filled by ``TQPSession.prepare_inputs``;
-    #: both die with the record.
+    #: Scan inputs assembled over ``columns``, keyed by the scan's field
+    #: names.  Filled by ``TQPSession.prepare_inputs``; both die with the
+    #: record.
     converted: dict = dataclasses.field(default_factory=dict)
 
 

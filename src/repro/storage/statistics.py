@@ -67,24 +67,34 @@ class TableStatistics:
         return self.columns.get(base)
 
 
-def _null_mask(array: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "float":
-        return np.isnan(array)
-    if kind == "string":
-        return np.array([v is None for v in array], dtype=bool)
-    return np.zeros(len(array), dtype=bool)
+def _strings(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A string column's values (NULL as ``""``) and its NULL mask.
+
+    A column of ``str`` and ``None`` only — what a DataFrame builds from
+    strings — takes no per-row Python; any other object is stringified row
+    by row.
+    """
+    if set(map(type, array)) <= {str, type(None)}:
+        nulls = np.equal(array, None)
+        if nulls.any():
+            array = array.copy()
+            array[nulls] = ""
+        return array, nulls
+    return (np.array(["" if v is None else str(v) for v in array],
+                     dtype=object),
+            np.array([v is None for v in array], dtype=bool))
 
 
 def _column_statistics(name: str, array: np.ndarray, kind: str,
                        block_rows: int) -> ColumnStatistics:
+    values: np.ndarray = array
+    nulls = np.zeros(len(array), dtype=bool)
     if kind == "date":
-        values: np.ndarray = encode_dates(array)
+        values = encode_dates(array)
     elif kind == "string":
-        values = np.array(["" if v is None else str(v) for v in array],
-                          dtype=object)
-    else:
-        values = array
-    nulls = _null_mask(array, kind)
+        values, nulls = _strings(array)
+    elif kind == "float":
+        nulls = np.isnan(array)
     null_count = int(nulls.sum())
     non_null = values[~nulls]
     # Hashed: ``np.unique`` on an object array sorts Python strings.

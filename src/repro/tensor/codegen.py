@@ -18,8 +18,8 @@ Two function bodies are generated from the same IR:
 * a **profiled** body — the same calls bracketed with ``perf_counter`` and an
   inline :class:`~repro.tensor.profiler.OpEvent` per node, emitting byte
   counts, devices and stamps *identical* to interpreted replay — the operator
-  scope and device shard a node was traced under are literals in the text, a
-  scope or shard it carries none of is the run's ambient one — so the
+  scope a node was traced under is a literal in the text, and a node that
+  carries none takes the run's ambient one — so the
   simulated GPU/WASM cost models, the lanes accounting (keyed by scope) and
   the per-operator breakdown cannot tell the two executors apart.  It is
   three quarters of the text and most programs never profile, so
@@ -66,7 +66,6 @@ from repro.tensor.device import Device, parse_device
 from repro.tensor.graph import Graph
 from repro.tensor.profiler import (
     OpEvent,
-    Stamp,
     current_profiler,
     current_stamp,
     leading_rows,
@@ -146,12 +145,10 @@ class _Emitter:
 
     @staticmethod
     def _where(attrs: dict) -> str:
-        """The stamp arguments of a node's event: the fields it was traced
-        under as literals, the run's ambient scope / shard where it carries
-        none — what the interpreter's ``stamped(*Stamp.of(attrs))`` resolves
-        to."""
-        return ", ".join(repr(attrs[field]) if field in attrs else f"_{field}"
-                         for field in Stamp._fields)
+        """The stamp argument of a node's event: the scope it was traced
+        under as a literal, the run's ambient scope where it carries none —
+        what the interpreter's ``stamped(*Stamp.of(attrs))`` resolves to."""
+        return repr(attrs["scope"]) if "scope" in attrs else "_scope"
 
     def _emit_preamble(self, lines: list[str]) -> None:
         if self._input_ids:
@@ -295,7 +292,7 @@ class _Emitter:
         if profiled:
             lines.append("    _events = prof.events")
             lines.append("    _t0 = prof._start")
-            lines.append("    _scope, _shard = _stamp()")
+            lines.append("    _scope = _stamp().scope")
         self._emit_preamble(lines)
         self.value_device = {vid: None for vid in self._input_ids}
         self.value_device.update({vid: None for vid in self._init_ids})

@@ -5,8 +5,8 @@ one node at a time.  It is the de-optimized sibling of the codegen executor
 (:mod:`repro.tensor.codegen`): both consume the shared op-semantics registry
 (:mod:`repro.tensor.op_semantics`), so a graph produces identical results and
 identical profile-event streams under either: each node runs inside the
-:class:`~repro.tensor.profiler.stamped` frame — operator scope, device
-shard — it was traced under.  Generated code is what every
+:class:`~repro.tensor.profiler.stamped` frame — its operator scope — it was
+traced under.  Generated code is what every
 graph backend replays through; the interpreter is the *reference* executor
 (``executor="interpret"``) that the differential harness, the
 compiled-vs-interpreted benchmark gate and the ledger's trace twin hold the
@@ -56,10 +56,10 @@ class GraphInterpreter:
                         node_inputs[0].device, node_device):
                     env[node.outputs[0]] = node_inputs[0]
                     continue
-            # Re-enter the stamp the node was traced under — operator, device
-            # shard — so the profile (and the cost models that read it) sees
-            # the plan's structure; a scope or shard the node
-            # does not carry keeps the replaying thread's ambient value.
+            # Re-enter the stamp the node was traced under — its operator — so
+            # the profile (and the cost models that read it) sees the plan's
+            # structure; a node that carries no scope keeps the replaying
+            # thread's ambient one.
             with stamped(*Stamp.of(node.attrs)):
                 outputs = ops.execute_op(node.op, node_inputs, node.attrs, node_device)
             if len(outputs) != len(node.outputs):

@@ -93,17 +93,10 @@ def transfer_is_noop(source: Device, target: Device) -> bool:
     return source == target
 
 
-#: Zero-copy identity ops whose traced nodes carry the interconnect payload
-#: accounting of distributed plans (see ``repro.tensor.ops``).  Cost models
-#: charge their ``output_bytes`` against an interconnect tier (NVLink-style
-#: for shard<->shard exchange/broadcast, PCIe-style for the final gather to
-#: the host) and exclude their pass-through elapsed time from kernel cost.
-EXCHANGE_OPS = frozenset({"shard_exchange", "shard_broadcast", "shard_gather"})
-
-#: The exchange op that crosses the host boundary (shard results returning
-#: from a device): cost models charge it on the host-link tier (PCIe-style)
-#: rather than the peer-to-peer tier the other exchanges ride.
-GATHER_OP = "shard_gather"
+#: Ops that move data between simulated devices: none, since a device count
+#: is a price over the serial program.  Kept empty for the performance
+#: ledger, which still counts events of these ops.
+EXCHANGE_OPS: frozenset = frozenset()
 
 
 #: The fused-elementwise op: its attrs carry a local-SSA sub-program (see

@@ -342,47 +342,6 @@ def to_device(a: Tensor, device: Device | str) -> Tensor:
     return _apply("to_device", [a], {"device": str(dev)}, device=dev)
 
 
-# -- distributed exchange ops -------------------------------------------------
-#
-# Like ``to_device``, the exchange ops are zero-copy identities whose traced
-# nodes and profile events carry the *interconnect accounting* for distributed
-# plans: one op per column tensor (and per validity mask), so summing event
-# payload bytes reproduces the real bytes a shuffle/broadcast/gather would
-# push over NVLink or PCIe.  Shard identity lives in the ``src``/``dst``
-# attributes (plus the ambient ``shard`` scope), never in the device — every
-# shard of a simulated multi-GPU run stays on the session device.
-
-
-@register_op("shard_exchange")
-def _shard_exchange_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
-    return [arrays[0]]
-
-
-def shard_exchange(a: Tensor, src: int, dst: int) -> Tensor:
-    """Mark ``a`` (one column fragment) as shuffled from shard ``src`` to ``dst``."""
-    return _apply("shard_exchange", [a], {"src": int(src), "dst": int(dst)})
-
-
-@register_op("shard_broadcast")
-def _shard_broadcast_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
-    return [arrays[0]]
-
-
-def shard_broadcast(a: Tensor, dst: int) -> Tensor:
-    """Mark ``a`` (one column of a small build side) as replicated to shard ``dst``."""
-    return _apply("shard_broadcast", [a], {"dst": int(dst)})
-
-
-@register_op("shard_gather")
-def _shard_gather_kernel(arrays: list[np.ndarray], attrs: dict) -> list[np.ndarray]:
-    return [arrays[0]]
-
-
-def shard_gather(a: Tensor, src: int) -> Tensor:
-    """Mark ``a`` (one column of a shard result) as collected from shard ``src``."""
-    return _apply("shard_gather", [a], {"src": int(src)})
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------

@@ -21,21 +21,14 @@ from repro.tensor.graph import Graph, Node
 from repro.tensor.profiler import Stamp
 from repro.tensor.tensor import Tensor
 
-# Where a node ran is the stamp in its attrs (``repro.tensor.profiler.Stamp``).
-# The shard is *structural*: identical nodes on different shards never merge,
-# a fused kernel never spans two, a gather composes only with one on the same
-# shard.  The operator scope is *descriptive*, it decides nothing: identical
+# Where a node ran is the stamp in its attrs (``repro.tensor.profiler.Stamp``):
+# its operator scope, which is *descriptive* and decides nothing.  Identical
 # nodes traced under different operators still CSE-merge (the survivor keeps
 # the first stamp), a fused kernel takes the stamp of the step producing its
 # first output (its steps carry none of their own), a node
 # ``late_materialization`` creates inherits the stamp of the node it was
 # derived from, and a node traced outside any operator carries no scope and
 # takes the replaying thread's.  A lanes width is not in the program at all.
-
-
-def _placement(node: Node) -> "int | None":
-    """The structural part of a node's stamp: its shard."""
-    return Stamp.of(node.attrs).shard
 
 
 def _stamp_of(node: Node) -> dict:
@@ -47,10 +40,8 @@ def _stamp_of(node: Node) -> dict:
 _CREATION_OPS = {"zeros", "full", "arange"}
 
 # Ops that must never be folded/merged because their semantics depend on the
-# execution environment rather than only on input values.  The shard-exchange
-# identities are here so constant folding/CSE/fusion cannot collapse the
-# interconnect-transfer accounting distributed cost models charge per event.
-_IMPURE_OPS = {"to_device", "shard_exchange", "shard_broadcast", "shard_gather"}
+# execution environment rather than only on input values.
+_IMPURE_OPS = {"to_device"}
 
 # Never fuse these: impure ops, and already-fused kernels (fusion is one-shot;
 # nesting fused programs would complicate the local SSA numbering for no win).
@@ -314,7 +305,7 @@ def late_materialization(graph: Graph) -> Graph:
 
     A *row gather* is ``take(x, i, axis=0)`` with a rank-1 ``i``.  A use-list
     walk counts, per row gather, the readers that need it whole (``forcing``:
-    all but row gathers on the same shard reading it as data); a forward
+    all but row gathers reading it as data); a forward
     walk rewrites, holding each row gather back until an emitted node reads it:
 
     * **R1** ``boolean_mask(x, m)``, ``m`` rank-1, is ``take(x, nonzero(m))``:
@@ -352,9 +343,7 @@ def late_materialization(graph: Graph) -> Graph:
         if not gathered.isdisjoint(node.inputs):
             forcing.update(
                 vid for slot, vid in enumerate(node.inputs)
-                if vid in gathers and not (
-                    gather and slot == 0
-                    and _placement(gathers[vid]) == _placement(node)))
+                if vid in gathers and not (gather and slot == 0))
         if not views.isdisjoint(node.inputs) and not _row_wise(node):
             forcing.update(views.intersection(node.inputs))
         if gather:
@@ -375,7 +364,7 @@ def late_materialization(graph: Graph) -> Graph:
 
     def shared(op: str, inputs: list[int], like: Node, shape, dtype, **attrs) -> int:
         """``op(*inputs)`` under ``like``'s stamp: one node per distinct key."""
-        key = (op, *inputs, _placement(like))
+        key = (op, *inputs)
         if key not in memo:
             memo[key] = graph.new_value(f"{op}_out0", shape, dtype).id
             if not tainted.isdisjoint(inputs):
@@ -386,7 +375,7 @@ def late_materialization(graph: Graph) -> Graph:
     def sinkable(node: Node) -> dict[int, Node]:
         """R3: the gathers, by operand slot, that ``node`` can run below."""
         held = {slot: gathers[vid] for slot, vid in enumerate(node.inputs)
-                if vid in gathers and _placement(gathers[vid]) == _placement(node)}
+                if vid in gathers}
         out = node.outputs[0]
         if not held or len(node.outputs) > 1 or not _row_wise(node) \
                 or node.op == "slice" and forcing[out]:
@@ -416,8 +405,7 @@ def late_materialization(graph: Graph) -> Graph:
                 node.inputs[1] = shared("nonzero", node.inputs[1:], node,
                                         (rows(out),), "int64")
             inner = gathers.get(node.inputs[0])
-            if inner and not forcing[inner.outputs[0]] \
-                    and _placement(inner) == _placement(node):
+            if inner and not forcing[inner.outputs[0]]:
                 (src, i), j = inner.inputs, node.inputs[1]  # R2
                 node.inputs = [src, shared("take", [i, j], node, shape_of(j),
                                            values[i].dtype, axis=0)]
@@ -472,9 +460,7 @@ def _build_fused_node(group: list[Node], external_used: set[int]) -> Node:
     exposed = [node.outputs[0] for node in group if node.outputs[0] in external_used]
     if not exposed:  # fully dead group (DCE not run): keep the last value alive
         exposed = [group[-1].outputs[0]]
-    # One launch runs in one place: the group shares a shard (the grouping
-    # never crosses one), so the stamp of the step producing the first output
-    # is the kernel's.
+    # The stamp of the step producing the first output is the kernel's.
     first = next(node for node in group if node.outputs[0] == exposed[0])
     attrs = {
         "steps": steps,
@@ -550,11 +536,6 @@ def fuse_elementwise(graph: Graph, min_group_size: int = 2) -> Graph:
     current: list[Node] = []
     for node in graph.nodes:
         if _is_fusible(node):
-            # Never fuse across device shards: a fused kernel is one launch,
-            # and one launch cannot run on two simulated devices at once.
-            if current and _placement(current[-1]) != _placement(node):
-                runs.append(current)
-                current = []
             current.append(node)
         else:
             if current:

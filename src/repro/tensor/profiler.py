@@ -2,7 +2,7 @@
 
 The profiler collects one event per executed op: name, wall time, bytes read
 and written, the device the op ran on, and *where in the plan* it ran — the
-:class:`Stamp` of relational operator and device shard that was active.
+:class:`Stamp` of the relational operator that was active.
 Downstream consumers:
 
 * ``repro.viz.breakdown`` renders the Figure-2 per-operator runtime breakdown,
@@ -14,47 +14,39 @@ Downstream consumers:
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import threading
 import time
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from repro.tensor.device import Device
 
 # -- where an op ran ----------------------------------------------------------
 #
-# One annotation, two fields.  ``scope`` names the relational operator — its
-# plan-unique scope, ``label#id`` (what Figure 2 breaks runtime down by, and
-# what the plan's ``lanes`` map keys the cost models' lanes widths by);
-# ``shard`` is the simulated device a partition runs on
-# (``repro.core.operators.partition``), from which the cost models reconstruct
-# concurrent timelines out of a single-threaded run.  The stamp is pushed
-# whether or not anything profiles:
+# One annotation: ``scope`` names the relational operator — its plan-unique
+# scope, ``label#id`` (what Figure 2 breaks runtime down by, and what the
+# plan's ``lanes`` map keys the cost models' lanes widths by).  The stamp is
+# pushed whether or not anything profiles:
 # :meth:`Profiler.record` reads it for eager events, ``ops._record_trace``
 # writes it onto every traced node, and both replay executors hand it back, so
 # a profile says the same thing on every backend.
 
 
 class Stamp(NamedTuple):
-    """Where an op ran.  The defaults mean: no operator, on the host."""
+    """Where an op ran.  The default means: no operator."""
 
     scope: str = ""
-    shard: "int | None" = None
 
     def as_attrs(self) -> dict:
         """The set fields, as the attributes a traced node carries them in
         (a fresh dict: every traced node builds its attributes on it)."""
-        attrs = {"scope": self.scope} if self.scope else {}
-        if self.shard is not None:
-            attrs["shard"] = self.shard
-        return attrs
+        return {"scope": self.scope} if self.scope else {}
 
     @classmethod
     def of(cls, attrs: dict) -> "Stamp":
         """The stamp a traced node carries (unset where it carries none)."""
-        return cls(attrs.get("scope", ""), attrs.get("shard"))
+        return cls(attrs.get("scope", ""))
 
 
 _NOWHERE = Stamp()
@@ -89,34 +81,19 @@ def current_stamp() -> Stamp:
 
 
 class stamped:
-    """Context manager: ops inside run under these fields.  A scope or shard
-    left unset keeps the value of the frame below."""
+    """Context manager: ops inside run under this scope.  A scope left unset
+    keeps the value of the frame below."""
 
-    def __init__(self, scope: str = "", shard: "int | None" = None):
-        self._given = (scope, shard)
+    def __init__(self, scope: str = ""):
+        self._scope = scope
 
     def __enter__(self) -> "stamped":
         stamps = _STATE.stamps
-        below = stamps[-1]
-        scope, shard = self._given
-        stamps.append(Stamp(scope or below.scope,
-                            below.shard if shard is None else shard))
+        stamps.append(Stamp(self._scope or stamps[-1].scope))
         return self
 
     def __exit__(self, *exc_info) -> None:
         _STATE.stamps.pop()
-
-
-@contextlib.contextmanager
-def unprofiled() -> Iterator[None]:
-    """Ops inside record no events on the calling thread's profilers: work
-    that belongs to no query (load-time shard placement) stays out of every
-    profile."""
-    saved, _STATE.stack = _STATE.stack, []
-    try:
-        yield
-    finally:
-        _STATE.stack = saved
 
 
 def capture_scope() -> "Activation":
@@ -183,8 +160,6 @@ class OpEvent:
     #: The operator's plan-unique scope (``label#id``); the plan's ``lanes``
     #: map says how many worker lanes the cost models spread it over.
     scope: str = ""
-    #: Simulated device shard the op ran on (``None`` = host/unsharded).
-    shard: "int | None" = None
     #: Rows the op ran over (:func:`leading_rows`), cut into morsels by the
     #: lanes model.
     rows: int = 0

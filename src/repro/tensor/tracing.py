@@ -60,9 +60,9 @@ class TraceContext:
         the op ran under followed by ``attrs``, and one value per output
         carrying the output's shape and dtype.
 
-        The stamp says which relational operator (and shard) the node belongs
-        to, so a replay attributes it to the same operator and keeps the
-        per-device structure the cost models rebuild their timelines from.
+        The stamp says which relational operator the node belongs to, so a
+        replay attributes it to the same operator (and the lanes model prices
+        it under that operator's width).
         """
         graph = self.graph
         node_attrs = current_stamp().as_attrs()

@@ -15,9 +15,9 @@ from repro.bench.harness import tpch_session
 # -- differential frame comparison --------------------------------------------
 #
 # Shared by the differential suites (TPC-H conformance, expression properties,
-# parallel-vs-serial): sharded plans reorder join output and re-associate
-# partial sums, so frames are compared as row multisets within a float
-# tolerance, never bitwise.
+# engine-vs-oracle): the row engine orders rows and sums floats its own way,
+# so frames are compared as row multisets within a float tolerance, never
+# bitwise.
 
 
 def normalize_cell(value):
@@ -92,8 +92,8 @@ def event_stream():
     streams mean equal simulated accounting (beside the plan's lanes map,
     the cost models read nothing else)."""
     def keys(profile):
-        return [(e.op, e.input_bytes, e.output_bytes, e.device, e.scope,
-                 e.shard) for e in profile.events]
+        return [(e.op, e.input_bytes, e.output_bytes, e.device, e.scope)
+                for e in profile.events]
 
     return keys
 
@@ -128,9 +128,9 @@ def bytes_priced(monkeypatch):
     def bytes_charge(self, measured_s, profile, lanes=None):
         if profile is None:
             return measured_s
-        host, _, _ = split_partitions(profile.events, lanes)
-        return host.time(lambda event: 1e-6 + event.output_bytes / 1e9,
-                         self.morsel_dispatch_overhead_s)
+        return split_partitions(profile.events, lanes).time(
+            lambda event: 1e-6 + event.output_bytes / 1e9,
+            self.morsel_dispatch_overhead_s)
 
     monkeypatch.setattr(CPUDevice, "report_time", bytes_charge)
 

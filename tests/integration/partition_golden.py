@@ -1,8 +1,7 @@
-"""Golden plan shapes and profile structure of partitioned execution.
+"""Golden plan shapes of partitioned execution.
 
 ``collect()`` compiles all 22 TPC-H queries plus the parameterized serving
-shapes serially and under every ``shards`` placement, and profiles Q1/Q3/Q6
-under ``shards(4)``.  ``tests/fixtures/partition_golden.json``
+shapes serially and at ``parallelism=4``.  ``tests/fixtures/partition_golden.json``
 holds its output at the commit *before* the operator families were collapsed
 into one (PR 14), plus the one ``slice`` event per ``column = 'literal'`` that
 PR 15 added when the compare narrowed to the literal's decisive columns, minus
@@ -26,7 +25,11 @@ serial and shards entries stayed byte-identical.  When a NULL sort key
 began to sort last (a key with validity leads with a ``not valid``
 sub-key), Q3's sharded ``pytorch`` profile gained one ``logical_not``,
 ``cast`` and ``where``: its merged ``sum`` carries validity.  Plans, exchange
-bytes and every other profile stayed byte-identical.
+bytes and every other profile stayed byte-identical.  When a device count
+became a width priced over the serial program, the ``shards*`` plan entries
+and every profile entry (all of them ``shards4-hash``) were deleted from the
+fixture, an edit, not a regeneration; the serial and ``lanes4`` entries
+stayed byte-identical.
 
 Regenerate (only when a plan-shape change is intended), from the repo root::
 
@@ -37,12 +40,10 @@ from __future__ import annotations
 
 import json
 import pathlib
-from collections import Counter
 
 from repro import ExecutionOptions, TQPSession
 from repro.datasets import tpch
 from repro.serve.simulator import build_shapes, register_prediction_model
-from repro.tensor.op_semantics import EXCHANGE_OPS
 
 SCALE_FACTOR = 0.01
 FIXTURE = (pathlib.Path(__file__).resolve().parent.parent
@@ -53,12 +54,8 @@ FIXTURE = (pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = {
     "serial": {},
     "lanes4": {"parallelism": 4},
-    "shards2-hash": {"devices": 2, "shard": "hash"},
-    "shards4-hash": {"devices": 4, "shard": "hash"},
-    "shards4-range": {"devices": 4, "shard": "range"},
 }
 PROFILED_QUERIES = (1, 3, 6)
-PROFILED_CONFIGS = ("shards4-hash",)
 BACKENDS = ("pytorch", "torchscript")
 
 
@@ -90,32 +87,8 @@ def plan_shapes(session: TQPSession) -> dict[str, str]:
     }
 
 
-def profile_structure(session: TQPSession) -> dict[str, dict]:
-    """``q<N>/<config>/<backend>`` → the structure the cost models charge:
-    the multiset of ``(op, shard)`` events and the bytes crossing the
-    interconnect."""
-    structure = {}
-    for number in PROFILED_QUERIES:
-        for config in PROFILED_CONFIGS:
-            for backend in BACKENDS:
-                options = ExecutionOptions(backend=backend, **CONFIGS[config])
-                events = session.compile(
-                    tpch.query(number, SCALE_FACTOR), options=options
-                ).execute(profile=True).profile.events
-                counts = Counter((e.op, e.shard) for e in events)
-                structure[f"q{number}/{config}/{backend}"] = {
-                    "events": sorted(([op, shard, n] for (op, shard), n
-                                      in counts.items()), key=repr),
-                    "exchange_bytes": sum(e.output_bytes for e in events
-                                          if e.op in EXCHANGE_OPS),
-                }
-    return structure
-
-
 def collect() -> dict:
-    session = make_session()
-    return {"plans": plan_shapes(session),
-            "profiles": profile_structure(session)}
+    return {"plans": plan_shapes(make_session())}
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ import pytest
 
 from repro import ExecutionOptions, TQPSession
 from repro.datasets import tpch
-from repro.distributed.sharding import ShardedTable
 from repro.serve import build_shapes, register_prediction_model
 from repro.storage import encodings
 from repro.tensor import codegen, passes
@@ -122,24 +121,6 @@ def test_each_scanned_column_is_converted_once(fresh_session, conversions,
     assert len(conversions) - before == len(_scanned([compiled[6]]))
     assert (_column(session.prepare_inputs(compiled[6].executor)["lineitem"],
                     "l_shipdate") is not _column(q6, "l_shipdate"))
-
-
-def test_shards_are_cut_from_the_memoized_columns(fresh_session, conversions):
-    session = fresh_session
-    session.compile(tpch.query(12, SF)).run()
-    before = len(conversions)
-    sharded = session.compile(tpch.query(12, SF),
-                              options=TRACED.replace(devices=4))
-    sharded.run()
-    # Same columns as the serial plan read: placed, not converted again.
-    assert len(conversions) == before
-    placed = session.prepare_inputs(sharded.executor)["lineitem"]
-    assert isinstance(placed, ShardedTable) and len(placed.shards) == 4
-    stored = session.catalog.record("lineitem").columns["l_shipmode"]
-    assert sum(shard.num_rows for shard in placed.shards) == stored.num_rows
-    for shard in placed.shards:
-        # The dictionary is one object: the memoized column's.
-        assert _column(shard, "l_shipmode").encoding is stored.encoding
 
 
 # -- the profiled body is built on first use ----------------------------------------

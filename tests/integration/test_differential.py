@@ -15,11 +15,11 @@ values from two fields occurs in some draw
 - the row-engine oracle answers each (statement, binding, data) once, and the
   serial ``pytorch`` / ``cpu`` reference matches it (sorted rows, float
   tolerance);
-- every single-device draw, on either column storage, is bit-identical to
-  that reference (which reads dictionary columns): the same column names,
-  dtypes, data bytes and validity bytes;
-- draws with ``devices > 1`` are compared only against the oracle, because
-  sharding re-associates float sums.
+- every draw, on either column storage and at any device count, is
+  bit-identical to that reference (which reads dictionary columns): the same
+  column names, dtypes, data bytes and validity bytes.  A device count is a
+  width priced over the serial program, so ``devices > 1`` draws are held to
+  the same bits.
 
 Beside the draws, a first execution's ``traced`` result is held bit-identical
 to the ``compiled`` result of the execution after it, over the pool's
@@ -207,10 +207,9 @@ def point_pairs(point: dict) -> set:
 
 
 def statement_values(stmt: Statement) -> set:
-    """Every (sharded, field, value) a statement must meet: every value of
-    every field on one device, where a draw is held to bit-identity, and again
-    on more than one, where it is held to the oracle (which alone misses a
-    dtype or a NULL's payload, so neither side stands in for the other)."""
+    """Every (several devices, field, value) a statement must meet: every
+    value of every field on one device and again on more than one, so a
+    device count is met with every other option value."""
     values = {(field, value) for field, values in FIELDS.items()
               if field != "entry" or stmt.kind == "prepared" for value in values}
     return ({(False, f, v) for f, v in values
@@ -219,7 +218,8 @@ def statement_values(stmt: Statement) -> set:
 
 
 def met_values(point: dict) -> set:
-    """The (sharded, field, value) items a draw meets for its statement."""
+    """The (several devices, field, value) items a draw meets for its
+    statement."""
     return {(point["devices"] > 1, f, v) for f, v in point.items()}
 
 
@@ -308,7 +308,7 @@ def run_point(session: TQPSession, stmt: Statement, point: dict) -> list:
         # session.sql's auto-parameterized path, keeping the ExecutionResult.
         misses = session.plan_cache.misses
         # One entry per statement, and a width's beside its width-free one.
-        entries = 1 + (point["parallelism"] > 1)
+        entries = 1 + (point["parallelism"] * point["devices"] > 1)
         results = []
         for binding in stmt.bindings:
             lifted = auto_parameterize(literal_sql(stmt, binding))
@@ -462,23 +462,18 @@ def expected_modes(stmt: Statement, point: dict, results: list) -> list:
 
 @pytest.mark.parametrize("draw", DRAWS,
                          ids=[_draw_id(i, d) for i, d in enumerate(DRAWS)])
-def test_draw(sessions, answers, frames_match, draw):
+def test_draw(sessions, answers, draw):
     stmt, point = draw
-    oracles, references = answers(stmt, point["data"])
+    _, references = answers(stmt, point["data"])
     with reported(describe(stmt, point)):
         results = run_point(session_for(sessions, point), stmt, point)
     modes = [result.executor_mode for result in results]
     assert modes == expected_modes(stmt, point, results), describe(stmt, point)
-    for binding, result, reference, oracle in zip(
-            stmt.bindings, results, references, oracles):
+    for binding, result, reference in zip(stmt.bindings, results, references):
         context = describe(stmt, point, binding)
-        if point["devices"] > 1:
-            frames_match(result.to_dataframe(), oracle, ordered=stmt.ordered,
-                         context=context)
-        else:
-            difference = first_difference(column_bits(result.table),
-                                          column_bits(reference))
-            assert not difference, f"{context}: {difference}"
+        difference = first_difference(column_bits(result.table),
+                                      column_bits(reference))
+        assert not difference, f"{context}: {difference}"
 
 
 # -- what the draws cover -----------------------------------------------------
@@ -529,16 +524,6 @@ def test_pool_plans_every_operator_and_join_kind(sessions):
 
 # -- plan shapes and executors the draws rely on ------------------------------
 
-#: Subquery-free queries that plan a sharded region at this scale factor (the
-#: rest have runtime subqueries and fall back to single-device planning) ...
-DISTRIBUTED_QUERIES = frozenset(
-    {1, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 17, 19, 21})
-#: ... of which these keep both-sides-sharded joins on the shuffle path ...
-SHUFFLE_QUERIES = frozenset({3, 4, 10, 12})
-#: ... and these broadcast the much smaller gathered side instead.
-BROADCAST_QUERIES = frozenset({5, 7, 8, 9, 21})
-
-
 def _plan(session, query_id, **options) -> str:
     return session.compile(tpch.query(query_id, SCALE_FACTOR),
                            options=ExecutionOptions(**options)
@@ -546,26 +531,20 @@ def _plan(session, query_id, **options) -> str:
 
 
 def test_partitioned_plans_take_their_shapes(tpch_tiny):
-    """Guard against the draws silently comparing serial plans: lanes and
-    shards plan their operators, and the exchange is the cheaper one."""
+    """Guard against the draws silently comparing serial plans: lanes plan
+    their operators, and a device count is the same width as a lane count."""
     session, _ = tpch_tiny
     for query_id in (1, 6):
         assert "MorselScan" in _plan(session, query_id, parallelism=4)
         serial = _plan(session, query_id, parallelism=1)
         assert "Morsel" not in serial and "Parallel" not in serial
-        assert "ShardedAggregate" in _plan(session, query_id, devices=2)
     assert "PartitionedHashJoin[inner]" in _plan(session, 3, parallelism=4)
     # Q14's ~1.4%-selective date range plans a serial join.
     assert "PartitionedHashJoin" not in _plan(session, 14, parallelism=4)
     assert "ParallelHashAggregate" in _plan(session, 1, parallelism=4)
     for query_id in tpch.ALL_QUERY_IDS:
-        plan = _plan(session, query_id, devices=2)
-        distributed = query_id in DISTRIBUTED_QUERIES
-        assert ("DistributedScan" in plan) == distributed, query_id
-        if query_id in SHUFFLE_QUERIES:
-            assert "ShuffleJoin" in plan, query_id
-        if query_id in BROADCAST_QUERIES:
-            assert "BroadcastJoin" in plan, query_id
+        assert (_plan(session, query_id, devices=2)
+                == _plan(session, query_id, parallelism=2)), query_id
 
 
 def test_clustered_lineitem_encodes_and_prunes(environments):

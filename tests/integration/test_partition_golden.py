@@ -1,11 +1,10 @@
-"""Partitioned execution against the golden fixture of the parent commit.
+"""Partitioned plans against the golden fixture of the parent commit.
 
-One operator family renders its labels from the partitioning property and
-runs every shard through one ``run_partitions``; the plans it builds and the
-profile structure the cost models charge must be the ones the three operator
-families it replaced produced (see ``partition_golden.py``).  A ``lanes``
-entry prices the serial plan: it renders the labels the planner placed
-before, and runs the serial executor, op for op.
+One operator family renders its labels from the partitioning property; the
+plans it builds must be the ones the three operator families it replaced
+produced (see ``partition_golden.py``).  A ``lanes`` entry prices the serial
+plan: it renders the labels the planner placed before, and runs the serial
+executor, op for op.  So does a ``devices`` entry.
 """
 
 from __future__ import annotations
@@ -43,31 +42,29 @@ def test_plan_shapes_are_byte_identical(session, expected):
         for key, (want, got) in changed.items())
 
 
-def test_profile_structure_is_unchanged(session, expected):
-    # JSON round-trip so tuples/None compare the way the fixture stores them.
-    actual = json.loads(json.dumps(golden.profile_structure(session)))
-    assert actual.keys() == expected["profiles"].keys()
-    for key, want in expected["profiles"].items():
-        got = actual[key]
-        assert got["exchange_bytes"] == want["exchange_bytes"], key
-        assert got["events"] == want["events"], key
-    # The fixture really exercises the shuffle.
-    assert expected["profiles"]["q3/shards4-hash/pytorch"]["exchange_bytes"] > 0
+#: A statement's width-free entry and two widths: four lanes, four devices.
+WIDTHS = ({}, {"parallelism": 4}, {"devices": 4})
 
 
 def test_lanes_plans_run_the_serial_kernels(session):
     """A width prices the serial statement: its handle runs the serial
-    handle's executor, so its kernels are the serial plan's."""
+    handle's executor and traced program, so its kernels are the serial
+    plan's.  A device count is the same width as a lane count."""
     for number in golden.PROFILED_QUERIES:
         for backend in golden.BACKENDS:
             handles = [session.compile(
                 tpch.query(number, golden.SCALE_FACTOR),
-                options=ExecutionOptions(backend=backend, parallelism=width))
-                for width in (1, 4)]
-            assert handles[1].executor is handles[0].executor
+                options=ExecutionOptions(backend=backend, **width))
+                for width in WIDTHS]
+            serial, lanes, devices = handles
+            assert lanes.executor is serial.executor
+            assert devices.executor is serial.executor
+            assert devices.explain() == lanes.explain(), (number, backend)
             ops = [Counter(event.op for event in handle.execute(
                 profile=True).profile.events) for handle in handles]
-            assert ops[0] == ops[1], (number, backend)
+            assert ops[0] == ops[1] == ops[2], (number, backend)
+            if backend != "pytorch":
+                assert serial.executor.compile_count == 1, (number, backend)
 
 
 def test_lanes_dispatches_do_not_depend_on_the_backend(session):
@@ -82,7 +79,7 @@ def test_lanes_dispatches_do_not_depend_on_the_backend(session):
                 options=ExecutionOptions(backend=backend, parallelism=4))
             widths = compiled.operator_plan.lanes
             events = compiled.execute(profile=True).profile.events
-            host, _, _ = split_partitions(events, widths)
+            host = split_partitions(events, widths)
             ran = {event.scope for event in events if event.scope in widths}
             assert host.dispatches == 4 * len(ran) > 0, number
             assert len(ran) <= compiled.explain().count("workers=4")

@@ -294,7 +294,7 @@ def test_join_output_equals_the_joint_unique_output(monkeypatch):
                     ExecutionOptions(backend="torchscript", parallelism=4),
                     ExecutionOptions(backend="torchscript", devices=4)):
         for sql in queries:
-            with tuning_overrides(parallel_threshold_rows=0, shard_min_rows=0):
+            with tuning_overrides(parallel_threshold_rows=0):
                 compiled = session.compile(sql, options=options)
             got = compiled.run().to_dict()
             with monkeypatch.context() as forced:

@@ -10,7 +10,7 @@ Covers the three contracts the compiled path makes:
   correctly as bindings change shape, including rebinding to an empty
   selection and back;
 * **event parity** — a profiled compiled run records the same event stream
-  (op, bytes, device, scope, lane, shard) as interpreted replay, which is what keeps
+  (op, bytes, device, scope) as interpreted replay, which is what keeps
   the simulated cost models executor-blind.
 """
 

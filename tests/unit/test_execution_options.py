@@ -292,7 +292,7 @@ def test_cache_bypass_and_encoding_mode_are_gone():
     for encoder in (encode_column, encode_table):
         assert "mode" not in inspect.signature(encoder).parameters
     assert ExecutionOptions().resolved().cache_key() == (
-        "pytorch", "cpu", 1, "compiled", 1, "hash", False)
+        "pytorch", "cpu", 1, "compiled", 1, False)
 
 
 def test_the_frontend_hands_tqp_one_plan(session):
@@ -509,7 +509,7 @@ def test_lanes_are_a_model_not_a_plan_shape():
     from repro.tensor import ops
 
     gone = {partition: ("slice_table", "_dispatched", "effective_morsel_rows",
-                        "_MORSELS_PER_LANE"),
+                        "_MORSELS_PER_LANE", "input_of"),
             join.HashJoinOperator: ("_radix_match_pairs",),
             ops: ("morsel_dispatch",),
             base: ("DISPATCH_OPS",),
@@ -523,12 +523,48 @@ def test_lanes_are_a_model_not_a_plan_shape():
                                 (grouping.factorize_pair, "dense"),
                                 (planner.Planner, "morsel_rows"),
                                 (plan_ir, "morsel_rows"),
-                                (partition.input_of, "closed"),
                                 (partition.lanes, "morsel_rows")):
         assert parameter not in inspect.signature(function).parameters, function
-    assert len(dataclasses.fields(tuning.Tuning)) == 3
+    assert len(dataclasses.fields(tuning.Tuning)) == 2
     assert len(dataclasses.fields(ExecutionOptions)) == 8
     assert len(passes.DEFAULT_PASSES) == 7
+
+
+def test_a_device_count_is_a_width_not_a_shard_plan():
+    """Sharded execution is gone end to end: no package, no exchange ops, no
+    shard on a stamp or an event, no shard threshold, no interconnect term in
+    a cost model, and ``shard`` changes no plan-cache key."""
+    import importlib
+
+    from repro.backends import CPUDevice, SimulatedGPU, SimulatedWASM
+    from repro.core import operators, tuning
+    from repro.core.operators import partition
+    from repro.tensor import op_semantics, ops, profiler
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.distributed")
+    assert len(ops.OP_REGISTRY) == 66
+    assert not {name for name in ops.OP_REGISTRY if name.startswith("shard")}
+    assert op_semantics.EXCHANGE_OPS == frozenset()
+    assert profiler.Stamp._fields == ("scope",)
+    assert "shard" not in {f.name for f in dataclasses.fields(profiler.OpEvent)}
+    assert "shard_min_rows" not in {
+        f.name for f in dataclasses.fields(tuning.Tuning)}
+    gone = {partition: ("PartitionedTable", "run_partitions", "gather",
+                        "broadcast", "partition_ids", "repartition", "shards"),
+            operators: ("GatherOperator", "PartitionedTable", "shards"),
+            operators.TensorOperator: ("partitions", "_partitions"),
+            operators.MapOperator: ("_mapped",)}
+    for owner, names in gone.items():
+        assert not [name for name in names if hasattr(owner, name)], owner
+    assert partition.KINDS == ("none", "lanes")
+    for model in (CPUDevice(), SimulatedGPU(), SimulatedWASM()):
+        assert not [name for name in vars(model)
+                    if "interconnect" in name or "nvlink" in name
+                    or name.startswith("message_")], model
+    resolved = ExecutionOptions(devices=4).resolved()
+    assert (resolved.cache_key()
+            == resolved.replace(shard="range").cache_key())
 
 
 def test_adaptive_chooses_from_what_it_observed():
@@ -551,7 +587,7 @@ def test_adaptive_chooses_from_what_it_observed():
     assert "estimates" not in {
         f.name for f in dataclasses.fields(planner.OperatorPlan)}
     assert len(dataclasses.fields(ExecutionOptions)) == 8
-    assert len(dataclasses.fields(tuning.Tuning)) == 3
+    assert len(dataclasses.fields(tuning.Tuning)) == 2
     assert len(passes.DEFAULT_PASSES) == 7
 
 
@@ -611,13 +647,15 @@ def test_adaptive_prices_the_run_it_just_made():
 def test_a_width_is_priced_not_planned(tpch_tiny, monkeypatch):
     """A lanes width prices one width-free plan: the planner takes no width,
     adaptive pricing calls no planner, the executor reads no lanes off its
-    plan, no planned operator carries ``lanes(n)``, and a statement's
-    serial, ``parallelism=4`` and adaptive entries are one planner walk."""
+    plan, no planned operator carries a partitioning, and a statement's
+    serial, ``parallelism=4``, ``devices=4`` and adaptive entries are one
+    planner walk.  A device count is the lane count's width: its entry
+    renders the ``parallelism=4`` entry's plan."""
     from repro import adaptive
     from repro.core import planner
-    from repro.core.operators import NONE
 
-    assert "parallelism" not in inspect.signature(planner.Planner).parameters
+    for width in ("parallelism", "devices", "shard_mode"):
+        assert width not in inspect.signature(planner.Planner).parameters
     assert not hasattr(adaptive, "plan_ir")
     (tree,) = [tree for where, _, tree, _ in _src_modules()
                if where == "repro/core/executor.py"]
@@ -638,19 +676,21 @@ def test_a_width_is_priced_not_planned(tpch_tiny, monkeypatch):
     monkeypatch.setattr(planner.Planner, "plan", counted_walk)
     priced = 0
     for index, query_id in enumerate(tpch.ALL_QUERY_IDS, start=1):
-        serial, spread, adaptive_entry = (
+        serial, spread, devices, adaptive_entry = (
             session.compile(tpch.query(query_id, 0.002),
                             options=ExecutionOptions(**options))
-            for options in ({}, {"parallelism": 4},
+            for options in ({}, {"parallelism": 4}, {"devices": 4},
                             {"parallelism": 4, "adaptive": True}))
         assert len(walks) == index, query_id
-        assert spread.executor is adaptive_entry.executor is serial.executor
+        assert (spread.executor is devices.executor
+                is adaptive_entry.executor is serial.executor)
+        assert devices.explain() == spread.explain(), query_id
         plan = spread.operator_plan
         operators = [op for root in [plan.root, *plan.subqueries.values()]
                      for op in root.walk()]
         assert not [op for op in operators for name in (
-            "partitioning", "input_partitioning", "exchange")
-            if getattr(op, name, NONE).kind == "lanes"]
+            "partitioning", "input_partitioning", "exchange", "broadcast")
+            if hasattr(op, name)]
         priced += bool(plan.lanes)
     # Priced on lanes where the rows clear the threshold at this scale.
     assert priced == 17

@@ -393,13 +393,6 @@ def key_session(key_tables):
     return sess
 
 
-def _sorted_rows(frame) -> list[tuple]:
-    rows = zip(*(frame[name] for name in frame.columns))
-    return sorted((tuple(None if cell is None or cell != cell else int(cell)
-                         for cell in row) for row in rows),
-                  key=lambda row: tuple((cell is None, cell or 0) for cell in row))
-
-
 KEYED_JOIN_OPTIONS = [
     ExecutionOptions(backend="pytorch"), ExecutionOptions(backend="torchscript"),
     ExecutionOptions(backend="torchscript", parallelism=4),
@@ -417,11 +410,10 @@ def test_keyed_join_chain_takes_its_path_and_matches_row_engine(
     and answers the same rows bit for bit."""
     oracle = RowEngine(key_tables).execute_to_dataframe(
         sql_to_physical(sql, key_session.catalog))
-    # Sixteen-row tables: zero thresholds so joins really plan on lanes and
-    # shards really shuffle / broadcast.
+    # Sixteen-row tables: a zero threshold so joins really price on lanes.
     results = []
     for options in KEYED_JOIN_OPTIONS:
-        with tuning_overrides(parallel_threshold_rows=0, shard_min_rows=0):
+        with tuning_overrides(parallel_threshold_rows=0):
             compiled = key_session.compile(sql, options=options)
         planned = [(op.kind, op.key_side or op.key_reason)
                    for op in compiled.operator_plan.root.walk()
@@ -430,10 +422,10 @@ def test_keyed_join_chain_takes_its_path_and_matches_row_engine(
             sql, compiled.operator_plan.root.pretty())
         results.append(compiled.run())
         frames_match(results[-1], oracle, f"{options}: {sql}")
-    eager, traced, lanes, shards = results
-    # Row order included: a lanes plan runs the serial program.
-    assert eager.to_dict() == traced.to_dict() == lanes.to_dict()
-    assert _sorted_rows(traced) == _sorted_rows(shards)
+    eager, traced, lanes, devices = results
+    # Row order included: a width runs the serial program.
+    assert (eager.to_dict() == traced.to_dict() == lanes.to_dict()
+            == devices.to_dict())
 
 
 NULLABLE_QUERIES = [

@@ -299,9 +299,9 @@ NULL_KEY_JOINS = [
 @pytest.mark.parametrize("sql,expected", NULL_KEY_JOINS)
 def test_null_join_keys_match_nothing(sql, expected, parallelism, devices):
     session, tables = _null_key_session()
-    # Thresholds at zero so three-row tables reach the partitioned and the
-    # shuffle / broadcast joins instead of falling back to the serial one.
-    with tuning_overrides(parallel_threshold_rows=0, shard_min_rows=0):
+    # A threshold at zero so three-row tables are priced on lanes: the
+    # widths must not change the answer.
+    with tuning_overrides(parallel_threshold_rows=0):
         out = session.sql(sql, options=ExecutionOptions(
             parallelism=parallelism, devices=devices))
     assert out.to_dict() == expected
@@ -312,8 +312,7 @@ def test_null_join_keys_match_nothing(sql, expected, parallelism, devices):
 
 @pytest.mark.parametrize("options", [dict(parallelism=4), dict(devices=4)])
 def test_null_join_keys_in_partitioned_and_sharded_joins(frames_match, options):
-    """Enough rows that the radix-partitioned build/probe (and a real
-    four-way shuffle) run instead of their small-input fallbacks."""
+    """Enough rows that the joins are priced on lanes at either width."""
     keys = np.arange(6000, dtype=np.int64)
     tables = {
         "a": DataFrame({"ak": keys}),
@@ -331,3 +330,21 @@ def test_null_join_keys_in_partitioned_and_sharded_joins(frames_match, options):
             sql_to_physical(sql, session.catalog))
         assert out.num_rows == (3000 if tail.startswith("join") else 6000)
         frames_match(out, oracle, sql)
+
+
+def test_all_null_group_keys_form_one_group():
+    """A group key that is NULL on every row forms one group per value of
+    the other keys, as the row engine groups it."""
+    rng = np.random.default_rng(3)
+    session = TQPSession()
+    session.register("t", DataFrame({
+        "k": rng.integers(0, 7, 1000).astype(np.int64),
+        "v": rng.uniform(0.0, 1.0, 1000),
+        "tag": rng.choice(["a", "b", "c"], 1000).astype(object),
+    }))
+    frame = session.sql(
+        "select tag, nk, k2, count(*) as c from (select tag, case when "
+        "v < -1 then k end as nk, k * 2 as k2 from t) f group by tag, nk, k2")
+    assert set(frame["nk"]) == {None}
+    assert frame.num_rows == len({(t, k) for t, k in zip(frame["tag"],
+                                                          frame["k2"])})

@@ -30,9 +30,6 @@ from repro.core.operators import (
     ExecutionContext,
     MapOperator,
     TensorOperator,
-    lanes,
-    run_partitions,
-    shards,
 )
 from repro.core.tuning import DEFAULT_TUNING, tuning_overrides
 from repro.errors import (
@@ -45,7 +42,6 @@ from repro.tensor import (
     GraphInterpreter,
     Profiler,
     codegen,
-    current_stamp,
     ops,
     stamped,
     tracing,
@@ -116,12 +112,6 @@ def test_slice_preserves_validity_mask(frames):
 # -- stamps -------------------------------------------------------------------
 
 
-def test_shards_run_in_order_each_stamped_with_its_shard():
-    seen = run_partitions(shards(3), lambda i: (i, current_stamp().shard))
-    assert seen == [(0, 0), (1, 1), (2, 2)]
-    assert current_stamp().shard is None
-
-
 def test_the_scope_survives_trace_and_replay_and_keys_the_lanes_width():
     """A traced node carries its operator's scope and no width; a replay
     (interpreted or generated) hands the scope back on the events, and the
@@ -139,7 +129,7 @@ def test_the_scope_survives_trace_and_replay_and_keys_the_lanes_width():
             out = replay([ops.tensor([3.0, 4.0])])
         assert out[0].numpy().tolist() == [7.0, 9.0]
         assert [e.scope for e in prof.events] == ["Filter#1"] * 2 + [""]
-        host, _, _ = split_partitions(prof.events, {"Filter#1": 4})
+        host = split_partitions(prof.events, {"Filter#1": 4})
         assert host.operators == {("Filter#1", 4)}
 
 
@@ -169,13 +159,13 @@ def test_parallel_matches_serial(session, frames_match, sql):
 
 # -- the aggregate matrix ------------------------------------------------------
 #
-# Every aggregate function is one row of ``aggregate.AGGREGATE_STATE``; serial,
-# lanes and shards run the same state -> combine -> finalize.  A seeded
+# Every aggregate function is one row of ``aggregate.AGGREGATE_STATE``; every
+# width runs the same state -> combine -> finalize.  A seeded
 # generator (plain ``random``, the style of ``test_expr_differential.py``)
 # spreads {count(*), count(x), sum, avg, min, max} x {int, float, date, bool}
 # over the NULL shapes below; every case runs at every option point.
 
-MATRIX_ROWS = DEFAULT_TUNING.parallel_threshold_rows + 808  # lanes / shards really run
+MATRIX_ROWS = DEFAULT_TUNING.parallel_threshold_rows + 808  # lanes really priced
 MATRIX_SEED = 20221022
 OPTION_POINTS = [
     dict(backend=backend, **partitioning)
@@ -209,8 +199,7 @@ def _matrix_frame() -> DataFrame:
         "id": np.arange(MATRIX_ROWS, dtype=np.int64),
         "g": g,
         "i": rng.integers(-50, 50, size=MATRIX_ROWS).astype(np.int64),
-        # Multiples of 1/4: every partial sum is exact, so re-associating them
-        # across partitions cannot move a bit.
+        # Multiples of 1/4: every partial sum is exact.
         "f": rng.integers(-400, 400, size=MATRIX_ROWS) / 4.0,
         "d": (np.datetime64("1995-01-01")
               + rng.integers(0, 900, size=MATRIX_ROWS)).astype("datetime64[D]"),
@@ -263,8 +252,7 @@ def _aggregate_cases() -> list[AggregateCase]:
             f"global-{shape}", f"select {select(shape, 6)} from m"))
     cases.append(AggregateCase(
         "global-all_null", f"select {select('all_null', 6)} from m"))
-    # Empty input, statically and by a rebind of one prepared statement
-    # (parameterized plans fall back to one device).
+    # Empty input, statically and by a rebind of one prepared statement.
     for kind, head, tail in (("grouped", "select g, ", " group by g order by g"),
                              ("global", "select ", "")):
         cases.append(AggregateCase(
@@ -275,7 +263,7 @@ def _aggregate_cases() -> list[AggregateCase]:
             f"{kind}-rebind-to-empty",
             f"{head}{select('some_nulls', 6)} from m where id < :cut{tail}",
             bindings=({"cut": MATRIX_ROWS}, {"cut": 0}, {"cut": 4000}),
-            partitioned=("parallelism",), force_lanes=True))
+            force_lanes=True))
     # DISTINCT is the same grouping (its child here is a projection, which
     # decodes: the static-radix path has an operator-level test).
     for columns in ("g", "g, s", "p", "g, p", "s, i, g"):
@@ -313,8 +301,7 @@ def test_parallel_nullable_aggregates_match_serial_and_oracle(
         session, frames, frames_match, case):
     """State -> combine -> finalize must skip NULL inputs exactly like the
     row-engine oracle (per-group valid counts, masked min/max), and answer
-    bit-identically whether it ran on one table, on lanes or on shards, eager
-    or traced — errors included."""
+    bit-identically at every width, eager or traced — errors included."""
     from repro.baselines import RowEngine
     from repro.frontend import sql_to_physical
 
@@ -327,8 +314,7 @@ def test_parallel_nullable_aggregates_match_serial_and_oracle(
             statement = session.prepare(case.sql, options=options)
         if set(point) & set(case.partitioned):
             plan = statement.compiled.operator_plan.pretty()
-            assert ("ParallelHashAggregate" in plan
-                    or "ShardedAggregate" in plan), (point, plan)
+            assert "ParallelHashAggregate" in plan, (point, plan)
         if case.raises is not None:
             with pytest.raises(case.raises,
                                match="sum/avg/min/max over string columns"):
@@ -457,12 +443,12 @@ WIDE = {"Filter#1": 4}
 
 
 def _profile(*events) -> Profiler:
-    """``(op, elapsed_s, bytes, scope, shard[, rows])`` rows as a profile;
+    """``(op, elapsed_s, bytes, scope[, rows])`` rows as a profile;
     each event reads and writes ``bytes`` and runs over ``rows`` (default
     :data:`BIG`)."""
     prof = Profiler()
-    for op, elapsed_s, nbytes, scope, shard, *rows in events:
-        with stamped(scope=scope, shard=shard):
+    for op, elapsed_s, nbytes, scope, *rows in events:
+        with stamped(scope=scope):
             prof.record(op, elapsed_s, nbytes, nbytes, DEVICE, *rows or [BIG])
     return prof
 
@@ -470,7 +456,7 @@ def _profile(*events) -> Profiler:
 def test_cpu_prices_a_lanes_event_as_one_lanes_share():
     model = CPUDevice()
     assert model.report_time(0.5, None) == 0.5
-    prof = _profile(("mul", 4e-3, 100, "Filter#1", None))
+    prof = _profile(("mul", 4e-3, 100, "Filter#1"))
     assert model.report_time(1.0, prof) == pytest.approx(4e-3)
     # Only the operator the map names is spread, not one sharing its label.
     assert model.report_time(1.0, prof, {"Filter#2": 4}) == pytest.approx(4e-3)
@@ -481,19 +467,19 @@ def test_cpu_prices_a_lanes_event_as_one_lanes_share():
 def test_gpu_prices_a_lanes_event_at_its_share_of_the_bandwidth():
     model = SimulatedGPU()
     hbm = model.hbm_bandwidth_gbs * 1e9
-    big = _profile(("mul", 1e-4, 10_000_000, "Filter#1", None))
+    big = _profile(("mul", 1e-4, 10_000_000, "Filter#1"))
     assert model.report_time(1.0, big, WIDE) == pytest.approx(
         20_000_000 / (4 * hbm) + 4 * model.morsel_dispatch_overhead_s)
     # A lane still pays a whole launch: a small kernel does not get cheaper.
-    small = _profile(("mul", 1e-4, 1_000, "Filter#1", None))
+    small = _profile(("mul", 1e-4, 1_000, "Filter#1"))
     assert model.report_time(1.0, small, WIDE) == pytest.approx(
         model.kernel_launch_overhead_s + 4 * model.morsel_dispatch_overhead_s)
 
 
 def test_wasm_spreads_lanes_time_before_the_slowdown():
     model = SimulatedWASM()
-    prof = _profile(("mul", 4e-3, 100, "Filter#1", None),
-                    ("add", 1e-3, 100, "Sort#2", None))
+    prof = _profile(("mul", 4e-3, 100, "Filter#1"),
+                    ("add", 1e-3, 100, "Sort#2"))
     measured = 6e-3  # 1 ms of it outside any kernel
     assert model.report_time(measured, prof, WIDE) == pytest.approx(
         (measured - 4e-3 + 4e-3 / 4) * model.slowdown
@@ -507,10 +493,10 @@ def test_a_lanes_event_spreads_over_one_lane_per_whole_morsel(rows, spread):
     """Under two whole morsels a kernel is priced whole — what the planner's
     ``parallel_threshold_rows`` keeps serial — but its operator still runs on
     its lanes and pays their dispatches."""
-    prof = _profile(("mul", 4e-3, 100, "Filter#1", None, rows))
+    prof = _profile(("mul", 4e-3, 100, "Filter#1", rows))
     (event,) = prof.events
     assert event.rows == rows and morsel_lanes(event, 4) == spread
-    host, _, _ = split_partitions(prof.events, WIDE)
+    host = split_partitions(prof.events, WIDE)
     assert [n for _, n in host.spread] == ([spread] if spread > 1 else [])
     assert host.dispatches == 4
     model = CPUDevice()
@@ -529,22 +515,21 @@ def test_an_event_runs_over_its_longest_input_or_what_a_gather_writes():
 
 @pytest.mark.parametrize("model", [CPUDevice, SimulatedGPU, SimulatedWASM])
 def test_dispatches_are_charged_once_per_lanes_operator(model):
-    events = [("mul", 1e-3, 8, "TableScan(t)#1", None),
-              ("add", 1e-3, 8, "Filter#2", None),
-              ("mul", 1e-3, 8, "Filter#2", None),
-              ("sum", 1e-3, 8, "Sort#4", None),
-              ("mul", 1e-3, 8, "Filter#2", None),
-              ("mul", 1e-3, 8, "Project(1 cols)#3", None)]
+    events = [("mul", 1e-3, 8, "TableScan(t)#1"),
+              ("add", 1e-3, 8, "Filter#2"),
+              ("mul", 1e-3, 8, "Filter#2"),
+              ("sum", 1e-3, 8, "Sort#4"),
+              ("mul", 1e-3, 8, "Filter#2"),
+              ("mul", 1e-3, 8, "Project(1 cols)#3")]
     widths = {"TableScan(t)#1": 4, "Filter#2": 4, "Project(1 cols)#3": 2,
               "Filter#5": 4}  # Filter#5 ran no kernel: no dispatch
     prof = _profile(*events)
-    host, shards_, exchanges = split_partitions(prof.events, widths)
-    assert not shards_ and not exchanges
+    host = split_partitions(prof.events, widths)
     # TableScan | Filter (both of its runs) | Project
     assert host.dispatches == 4 + 4 + 2
     assert [n for _, n in host.spread] == [4, 4, 4, 4, 2]
     # The order of the events (a graph pass may move a kernel) is no matter.
-    assert split_partitions(prof.events[::-1], widths)[0].dispatches == 10
+    assert split_partitions(prof.events[::-1], widths).dispatches == 10
     # Each device charges them at its own per-dispatch price.
     charged = (model().report_time(1.0, prof, widths)
                - model(morsel_dispatch_overhead_s=0.0).report_time(
@@ -579,33 +564,6 @@ def test_two_lanes_operators_of_one_label_pay_their_own_dispatches(session,
         4 * len(ran) * model().morsel_dispatch_overhead_s)
 
 
-def test_shards_pricing_is_unchanged():
-    """Shards run concurrently: host work + the slowest shard + every
-    exchange as an interconnect transfer; no dispatch is charged."""
-    prof = _profile(("mul", 1e-3, 8, "Filter#1@d0", 0),
-                    ("mul", 3e-3, 8, "Filter#1@d1", 1),
-                    ("add", 2e-3, 8, "Filter#1@d1", 1),
-                    ("shard_gather", 0.0, 1_000_000, "Gather(devices=2)#2", 1),
-                    ("sum", 1e-3, 8, "Sort#3", None))
-    host, by_shard, exchanges = split_partitions(prof.events)
-    assert host.dispatches == 0 and sorted(by_shard) == [0, 1]
-    cpu = CPUDevice()
-    assert cpu.report_time(1.0, prof) == pytest.approx(
-        1e-3 + 5e-3 + cpu.interconnect_latency_s
-        + 1_000_000 / (cpu.interconnect_bandwidth_gbs * 1e9))
-    gpu = SimulatedGPU()
-    launch = gpu.kernel_launch_overhead_s
-    assert gpu.report_time(1.0, prof) == pytest.approx(
-        launch + 2 * launch + gpu.pcie_latency_s
-        + 1_000_000 / (gpu.pcie_bandwidth_gbs * 1e9))
-    wasm = SimulatedWASM()
-    measured = 10e-3  # the shard kernels' 6 ms become the slowest shard's 5
-    assert wasm.report_time(measured, prof) == pytest.approx(
-        (measured - 6e-3 + 5e-3) * wasm.slowdown + 5 * wasm.per_op_overhead_s
-        + wasm.message_latency_s
-        + 1_000_000 / (wasm.message_bandwidth_gbs * 1e9))
-
-
 def test_a_serial_child_under_a_lanes_parent_is_priced_serial():
     """Every event names its innermost operator: a lanes operator's width
     does not leak into the serial child it executes, which the models price
@@ -617,7 +575,7 @@ def test_a_serial_child_under_a_lanes_parent_is_priced_serial():
             return TensorTable({"x": TensorColumn(data, LogicalType.FLOAT)})
 
     class Doubled(MapOperator):
-        labels = ("Doubled", "MorselDoubled", "DistributedDoubled")
+        labels = ("Doubled", "MorselDoubled")
 
         def _apply(self, table, ctx):
             column = table.column("x")
@@ -625,7 +583,7 @@ def test_a_serial_child_under_a_lanes_parent_is_priced_serial():
                 ops.mul(column.tensor, 2.0), column.ltype)})
 
     child = Serial([])
-    parent = Doubled(child, lanes(4))
+    parent = Doubled(child)
     child.scope, parent.scope = "operator#1", "Doubled#2"
     with Profiler() as prof:
         out = parent.execute(ExecutionContext({}))
@@ -654,7 +612,7 @@ def test_a_lanes_plan_models_a_speedup_over_its_serial_program(session):
     assert serial_lanes == {} and 4 in spread_lanes.values()
 
     def bytes_moved(profile, widths) -> float:  # a deterministic kernel price
-        host, _, _ = split_partitions(profile.events, widths)
+        host = split_partitions(profile.events, widths)
         return host.time(lambda event: event.total_bytes, 0.0)
 
     assert bytes_moved(spread, spread_lanes) < bytes_moved(serial,

@@ -143,3 +143,22 @@ def test_row_engine_matches_tqp_on_random_data():
     assert tqp.to_dict()["n"] == baseline.to_dict()["n"]
     np.testing.assert_allclose(tqp["total"], baseline["total"], atol=1e-9)
     np.testing.assert_array_equal(tqp["top"], baseline["top"])
+
+
+
+def test_like_builds_each_pattern_once(tpch_tiny, monkeypatch):
+    """Q13's ``o_comment not like`` compiles its regex once, not per row."""
+    from repro.baselines import rowengine
+    from repro.datasets import tpch
+
+    built = []
+    compile_like = rowengine._like_to_regex
+
+    def counted(pattern):
+        built.append(pattern)
+        return compile_like(pattern)
+
+    monkeypatch.setattr(rowengine, "_like_to_regex", counted)
+    _, tables = tpch_tiny
+    assert len(_run(tpch.query(13, 0.002), tables)) > 0
+    assert built == ["%special%requests%"]

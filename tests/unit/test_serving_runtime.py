@@ -360,8 +360,8 @@ def test_profiled_results_identical_on_caller_and_pool_thread():
     with ServingRuntime(session, workers=2, default_options=OPTIONS) as runtime:
         pooled = runtime.execute(SQL, params={"lo": 15.0}, profile=True)
     assert pooled.profile is not None
-    assert ([(e.op, e.scope, e.shard) for e in inline.profile.events]
-            == [(e.op, e.scope, e.shard) for e in pooled.profile.events])
+    assert ([(e.op, e.scope) for e in inline.profile.events]
+            == [(e.op, e.scope) for e in pooled.profile.events])
     assert (inline.to_dataframe().to_dict() == pooled.to_dataframe().to_dict())
 
 

@@ -158,8 +158,7 @@ def test_parameterized_equality_on_dictionary_codes(frames_match,
 
 def test_conversion_memo_is_keyed_by_column_name():
     """One stored form per column: two statements reading ``tag`` share its
-    converted column, and each scan input is keyed by its fields and
-    placement."""
+    converted column, and each scan input is keyed by its fields."""
     session = make_session()
     narrow = session.compile("select tag from t")
     wide = session.compile("select tag, v from t",
@@ -169,7 +168,7 @@ def test_conversion_memo_is_keyed_by_column_name():
     assert first is second and first.encoding is not None
     record = session.catalog.record("t")
     assert set(record.columns) == {"tag", "v"}
-    assert all(len(key) == 2 for key in record.converted)
+    assert set(record.converted) == {("t.tag",), ("t.v", "t.tag")}
 
 
 def test_reregister_with_different_dtype_bumps_version():

@@ -224,31 +224,19 @@ def test_a_gather_with_another_reader_is_kept_and_read_by_its_gathers():
     assert sorted(readers) == ["cumsum", "take"]
 
 
-def test_gathers_on_different_shards_are_not_composed():
+def test_gathers_compose_across_operator_scopes():
     from repro.tensor import stamped
 
     def fn(a, b, codes):
         index, keep = ops.argsort(a), ops.tensor([1, 0])
         with stamped(scope="Filter#1"):
             in_filter = ops.take(b, index)
-        across_scopes = ops.take(in_filter, keep)
-        with stamped(shard=0):
-            on_shard = ops.take(codes, index)
-            same_shard = ops.take(on_shard, keep)
-        with stamped(shard=1):
-            same_pair_other_shard = ops.take(ops.take(a, index), keep)
-        return across_scopes, same_shard, same_pair_other_shard
+        return (ops.take(in_filter, keep),)
 
     graph = _late(fn, _table())
     by_output = {n.outputs[0]: n for n in graph.nodes}
-    across, same, other = (by_output[vid] for vid in graph.outputs)
+    (across,) = (by_output[vid] for vid in graph.outputs)
     assert across.inputs[0] in graph.inputs  # a scope is descriptive
-    assert same.inputs[0] in graph.inputs    # composed on one shard
-    assert other.inputs[0] in graph.inputs
-    # One composed index per stamp, never shared across stamps.
-    assert same.inputs[1] != other.inputs[1]
-    assert by_output[same.inputs[1]].attrs["shard"] == 0
-    assert by_output[other.inputs[1]].attrs["shard"] == 1
 
 
 # -- the operator scope is descriptive, never structural ----------------------
@@ -262,32 +250,29 @@ def test_identical_nodes_under_different_operators_still_merge():
             first = ops.mul(a, 2.0)
         with stamped(scope="Project"):
             second = ops.mul(a, 2.0)
-        with stamped(scope="Project", shard=1):
-            elsewhere = ops.mul(a, 2.0)
-        return ops.add(first, second), elsewhere
+        return (ops.add(first, second),)
 
     graph = passes.common_subexpression_elimination(trace(fn, _table()))
     muls = [n.attrs for n in graph.nodes if n.op == "mul"]
-    # The survivor keeps the first stamp; another shard is another node.
-    assert muls == [{"scope": "Filter"}, {"scope": "Project", "shard": 1}]
+    # The survivor keeps the first stamp.
+    assert muls == [{"scope": "Filter"}]
 
 
 def test_a_fused_kernel_takes_the_scope_of_its_first_output():
     from repro.tensor import stamped
 
     def fn(a, b, codes):
-        with stamped(scope="Filter", shard=2):
+        with stamped(scope="Filter"):
             dead_end = ops.mul(a, 2.0)
             kept = ops.add(dead_end, b)
-        with stamped(scope="Project", shard=2):
+        with stamped(scope="Project"):
             return ops.sub(kept, 1.0), kept
 
     graph = passes.fuse_elementwise(trace(fn, _table()))
     (fused,) = graph.nodes
     assert fused.op == "fused_kernel"
-    assert (fused.attrs["scope"], fused.attrs["shard"]) == ("Filter", 2)
-    assert all(not {"scope", "shard"} & step["attrs"].keys()
-               for step in fused.attrs["steps"])
+    assert fused.attrs["scope"] == "Filter"
+    assert all("scope" not in step["attrs"] for step in fused.attrs["steps"])
 
 
 def test_nodes_late_materialization_creates_inherit_their_sources_stamp():
@@ -324,12 +309,12 @@ def test_a_node_traced_outside_any_operator_takes_the_ambient_scope():
     assert all("scope" not in n.attrs for n in graph.nodes)
     for executor in ("compiled", "interpret"):
         program = ScriptedProgram(graph.clone(), executor=executor)
-        with Profiler() as profiler, stamped(scope="Project", shard=0):
+        with Profiler() as profiler, stamped(scope="Project"):
             program.run(_table())
-        # Scope and shard are the replaying thread's.
-        assert [(e.op, e.scope, e.shard) for e in profiler.events] == [
-            ("cumsum", "Project", 0), ("add", "Project", 0),
-            ("cumsum", "Project", 0)], executor
+        # The scope is the replaying thread's.
+        assert [(e.op, e.scope) for e in profiler.events] == [
+            ("cumsum", "Project"), ("add", "Project"),
+            ("cumsum", "Project")], executor
 
 
 def test_rank2_masks_and_axis1_takes_are_left_alone():

@@ -20,10 +20,11 @@ side).  A second line
 profiles the three programs once and counts the events no relational operator
 claims (0: every traced node carries the operator it was traced under) and the
 distinct operator families the profile breaks down into.  A third line
-compiles the three statements serial, at ``parallelism=4`` and adaptively
-(``parallelism=4``) on a fresh session, executes each once, and counts the
-executors built, the programs traced and the planner walks (3 / 3 / 3: a
-width is a price over the statement's one plan and program).  A fourth runs
+compiles the three statements serial, at ``parallelism=4``, at ``devices=4``
+and adaptively (``parallelism=4``) on a fresh session, executes each once,
+and counts the executors built, the programs traced and the planner walks
+(3 / 3 / 3: a width, a device count included, is a price over the
+statement's one plan and program).  A fourth runs
 the adaptive statements 10 times each and counts the executions of a
 statement that did not report the cheapest candidate of their own prices
 (0: each execution, the first included, prices every candidate on its own
@@ -60,9 +61,11 @@ JOIN_ARITHMETIC = ("repeat", "argsort", "cumsum", "arange_until")
 ADAPTIVE_EXECUTIONS = 10
 
 
-#: The options a statement is compiled under: serial, a width, adaptive.
+#: Adaptive pricing over four lanes.
+ADAPTIVE = ExecutionOptions(parallelism=4, adaptive=True)
+#: The options a statement is compiled under: serial, two widths, adaptive.
 WIDTHS = (ExecutionOptions(), ExecutionOptions(parallelism=4),
-          ExecutionOptions(parallelism=4, adaptive=True))
+          ExecutionOptions(devices=4), ADAPTIVE)
 
 
 def width_counts(tables: dict) -> tuple[int, int, int]:
@@ -98,7 +101,7 @@ def unpriced_executions(session) -> int:
     unpriced = 0
     for q in QUERIES:
         compiled = session.compile(tpch.query(q, SCALE_FACTOR),
-                                   options=WIDTHS[2])
+                                   options=ADAPTIVE)
         missed = 0
         for _ in range(ADAPTIVE_EXECUTIONS):
             result = compiled.execute()
@@ -166,8 +169,8 @@ def main() -> None:
     statements = f"Q{' + Q'.join(map(str, QUERIES))}"
     executors, traces, walks = width_counts(tables)
     print(f"{executors} executors, {traces} traces, {walks} planner walks "
-          f"({statements}, each compiled serial, at parallelism=4 and "
-          f"adaptive, then executed)")
+          f"({statements}, each compiled serial, at parallelism=4, at "
+          f"devices=4 and adaptive, then executed)")
     print(f"{unpriced_executions(session)} executions per statement before "
           f"the priced choice (adaptive {statements}, parallelism=4, "
           f"{ADAPTIVE_EXECUTIONS} executions each)")

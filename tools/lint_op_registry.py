@@ -20,10 +20,8 @@ rots:
 5. the planner, the join / grouping operators and the partition module
    gate on :mod:`repro.core.tuning` constants, never on hard-coded threshold
    literals (which the adaptive runtime could not override);
-6. the cost models read the partitioned structure of a profile from the one
-   ``backends.base.split_partitions`` and classify exchanges by
-   ``op_semantics.EXCHANGE_OPS`` / ``GATHER_OP`` — no model looks at an
-   event's shard, or names an exchange op, on its own;
+6. the cost models read the lanes structure of a profile from the one
+   ``backends.base.split_partitions`` — no model splits events on its own;
 7. operators and expressions never read a tensor on the host (``.numpy()`` /
    ``.item()``) outside :data:`HOST_READ_ALLOWED`: a traced program must not
    depend on the values its trace saw;
@@ -51,24 +49,18 @@ EXECUTOR_MODULES = (
     REPO_ROOT / "src" / "repro" / "tensor" / "codegen.py",
 )
 
-#: The module whose ``split_partitions`` is the only code allowed to read an
-#: event's shard annotation (and to look its scope up in the plan's lanes).
+#: The module whose ``split_partitions`` is the only code allowed to look an
+#: event's scope up in the plan's lanes.
 COST_MODEL_BASE = REPO_ROOT / "src" / "repro" / "backends" / "base.py"
 
-#: Cost-model modules that classify exchange ops for interconnect charging.
-#: They must consume ``op_semantics.EXCHANGE_OPS`` / ``GATHER_OP`` rather
-#: than spell shard-op names, so adding an exchange variant cannot silently
-#: leave a backend charging it as a kernel — and they must take the lanes /
-#: shard structure from ``split_partitions``, so the three models cannot
-#: drift apart in what they call concurrent.
+#: Cost-model modules: they must take the lanes structure from
+#: ``split_partitions``, so the three models cannot drift apart in what they
+#: call concurrent.
 COST_MODEL_MODULES = (
     REPO_ROOT / "src" / "repro" / "backends" / "cpu.py",
     REPO_ROOT / "src" / "repro" / "backends" / "gpu_sim.py",
     REPO_ROOT / "src" / "repro" / "backends" / "wasm_sim.py",
 )
-
-#: What only ``split_partitions`` may touch.
-PARTITION_ATTRIBUTES = {"shard"}
 
 #: The tensor layer: traced programs, their passes, executors and profiler.
 TENSOR_PACKAGE = REPO_ROOT / "src" / "repro" / "tensor"
@@ -116,50 +108,12 @@ def check_registry_coverage(problems: list[str]) -> None:
                 f"executors: {reason}")
 
 
-def check_exchange_ops(problems: list[str]) -> None:
-    """The distributed exchange ops are ordinary registry ops.
-
-    Both executors must be able to run them (a distributed trace replays on
-    the interpreter *and* the codegen executor — codegen has no special case
-    to fall back on, so registry membership is the whole portability story),
-    and the profiler's event record must carry the shard attribution the
-    cost models split timelines by.
-    """
-    for op in sorted(op_semantics.EXCHANGE_OPS):
-        if op not in ops.OP_REGISTRY:
-            problems.append(f"exchange op {op!r} is missing from OP_REGISTRY")
-            continue
-        reason = op_semantics.op_unsupported_reason(op)
-        if reason is not None:
-            problems.append(f"exchange op {op!r} is not executable by both "
-                            f"executors: {reason}")
-    if op_semantics.GATHER_OP not in op_semantics.EXCHANGE_OPS:
-        problems.append("GATHER_OP must be one of EXCHANGE_OPS")
-    from repro.tensor.profiler import OpEvent
-    import dataclasses as _dc
-
-    fields = {field.name for field in _dc.fields(OpEvent)}
-    if not PARTITION_ATTRIBUTES <= fields:
-        problems.append("OpEvent must carry shard attribution for the cost "
-                        "models' timeline splits")
-
-
 def check_cost_model(path: pathlib.Path, problems: list[str]) -> None:
-    """A cost model (or their shared base) classifies events one way only.
-
-    Nowhere: a hard-coded exchange op name.  In the base: exactly one
-    ``split_*`` function, ``split_partitions``.  In a model: it is imported,
-    and nothing else reads ``event.shard``.
-    """
+    """A cost model (or their shared base) splits events one way only: the
+    base defines exactly one ``split_*`` function, ``split_partitions``, and
+    every model imports it."""
     rel = path.relative_to(REPO_ROOT)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(rel))
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                and node.value in op_semantics.EXCHANGE_OPS):
-            problems.append(
-                f"{rel}:{node.lineno}: hard-coded exchange op name "
-                f"{node.value!r} — classify via op_semantics.EXCHANGE_OPS / "
-                f"GATHER_OP")
     if path == COST_MODEL_BASE:
         splitters = sorted(
             node.name for node in ast.walk(tree)
@@ -178,13 +132,7 @@ def check_cost_model(path: pathlib.Path, problems: list[str]) -> None:
     }
     if "split_partitions" not in imported:
         problems.append(f"{rel}: does not import split_partitions — the "
-                        f"lanes/shard structure must come from the shared split")
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute)
-                and node.attr in PARTITION_ATTRIBUTES):
-            problems.append(
-                f"{rel}:{node.lineno}: reads '.{node.attr}' of an event — "
-                f"classify events through split_partitions only")
+                        f"lanes structure must come from the shared split")
 
 
 def check_no_lanes_stamp(problems: list[str]) -> None:
@@ -298,7 +246,6 @@ def check_planner_tuning(path: pathlib.Path, problems: list[str]) -> None:
 def main() -> int:
     problems: list[str] = []
     check_registry_coverage(problems)
-    check_exchange_ops(problems)
     for path in EXECUTOR_MODULES:
         check_module(path, problems)
     for path in (COST_MODEL_BASE, *COST_MODEL_MODULES):
