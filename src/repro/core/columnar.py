@@ -5,9 +5,12 @@ Tabular data is stored column-by-column as tensors:
 * numeric (and boolean) columns are ``(n,)`` tensors,
 * date columns are ``(n,)`` int64 tensors holding the UNIX epoch in
   nanoseconds,
-* string columns are ``(n × m)`` int32 tensors of Unicode code points,
+* string columns are ``(n × m)`` tensors of Unicode code points,
   right-padded with zeros, where ``m`` is the maximum length of any value in
-  the column.
+  the column.  The code unit is chosen per conversion: uint8 when every code
+  point is below 256 (ASCII and Latin-1), int32 otherwise.  Dictionary codes
+  (:mod:`repro.storage.encodings`) and bound STRING parameters
+  (:mod:`repro.core.parameters`) stay int32.
 
 Conversion from the ingestion DataFrame is one copy per numeric column per
 table generation (``from_numpy`` never aliases the caller's arrays) and an
@@ -49,33 +52,42 @@ class LogicalType(enum.Enum):
 
 
 def encode_strings(values: Sequence[str], width: int | None = None) -> np.ndarray:
-    """Encode python strings into an ``(n × m)`` int32 code-point tensor.
+    """Encode python strings into an ``(n × m)`` code-point tensor.
 
     Values longer than ``width`` (when given) are truncated; shorter values are
-    right-padded with 0, per the paper's representation.
+    right-padded with 0, per the paper's representation.  The code unit is
+    uint8 when every code point is below 256 and int32 otherwise, so ASCII
+    and Latin-1 text costs one byte per character in every kernel that reads
+    it; kernels compare codes of either unit, and mixing the two promotes.
+    There is no uint16 step: the tensor runtime has no uint16 dtype, and no
+    workload holds text beyond Latin-1.
     """
     values = ["" if v is None else str(v) for v in values]
     max_len = max((len(v) for v in values), default=0)
     if width is None:
         width = max(max_len, 1)
     unicode_arr = np.array(values, dtype=f"<U{width}")
-    codes = unicode_arr.view(np.uint32).reshape(len(values), width).astype(np.int32)
-    return codes
+    points = unicode_arr.view(np.uint32).reshape(len(values), width)
+    narrow = points.size == 0 or points.max() < 256
+    return points.astype(np.uint8 if narrow else np.int32)
 
 
 def decode_strings(codes: np.ndarray) -> np.ndarray:
-    """Decode an ``(n × m)`` code-point tensor back into an object array."""
+    """Decode an ``(n × m)`` code-point tensor (either unit) back into an
+    object array."""
     if codes.ndim != 2:
         raise ExecutionError("string columns must be 2-dimensional")
     n, width = codes.shape
     if n == 0:
         return np.array([], dtype=object)
-    as_unicode = np.ascontiguousarray(codes.astype(np.uint32)).view(f"<U{width}")
-    return np.array([s.rstrip("\x00") for s in as_unicode.reshape(n)], dtype=object)
+    as_unicode = np.ascontiguousarray(codes, dtype=np.uint32).view(f"<U{width}")
+    # numpy drops a ``<U`` item's trailing NULs (the padding) when it boxes it.
+    return as_unicode.reshape(n).astype(object)
 
 
 def encode_string_literal(value: str, width: int) -> np.ndarray:
-    """Encode a single literal into a ``(width,)`` code vector (for comparisons)."""
+    """Encode a single literal into a ``(width,)`` code vector (for comparisons),
+    in the unit :func:`encode_strings` chooses for it."""
     return encode_strings([value], width=width)[0]
 
 
@@ -182,6 +194,13 @@ class TensorColumn:
         if self.encoding is not None:
             return self.encoding.width
         return self.tensor.shape[1]
+
+    @property
+    def code_unit(self) -> str:
+        """The dtype name of a string column's code points (``uint8`` or
+        ``int32``, see :func:`encode_strings`), encoded or not."""
+        codes = self.encoding.dictionary if self.encoding is not None else self.tensor
+        return codes.dtype.name
 
     @property
     def device(self) -> Device:

@@ -121,10 +121,10 @@ def to_column(value: ExprValue, table: TensorTable) -> TensorColumn:
     if value.is_scalar:
         if value.ltype == LogicalType.STRING:
             width = tensor.shape[-1] if tensor.ndim else 1
-            base = ops.full_like_rows(table.anchor, 1, dtype="int32",
-                                      width=width)
-            tensor = ops.mul(base, ops.cast(tensor, "int32"))
-            tensor = ops.cast(tensor, "int32")
+            unit = tensor.dtype.name  # the literal's or parameter's code unit
+            base = ops.full_like_rows(table.anchor, 1, dtype=unit, width=width)
+            tensor = ops.mul(base, ops.cast(tensor, unit))
+            tensor = ops.cast(tensor, unit)
         else:
             dtype = _LTYPE_TO_DTYPE[value.ltype]
             base = ops.full_like_rows(table.anchor, 0, dtype=dtype)
@@ -342,8 +342,9 @@ def _evaluate_literal(expr: ast.Literal, ctx: EvaluationContext) -> ExprValue:
     kind = expr.otype or expr.kind
     if expr.value is None:
         # NULL: a placeholder of its type (0, or an empty string's width-1
-        # code vector) under an all-false validity.
-        placeholder = (ops.tensor([0], dtype="int32", device=ctx.device)
+        # code vector, in the narrow unit an empty string gets) under an
+        # all-false validity.
+        placeholder = (ops.tensor([0], dtype="uint8", device=ctx.device)
                        if kind == LogicalType.STRING else
                        ops.tensor(0, dtype=_LTYPE_TO_DTYPE[kind],
                                   device=ctx.device))
@@ -394,45 +395,54 @@ def _evaluate_binary(expr: ast.BinaryOp, table: TensorTable,
     raise UnsupportedOperationError(f"unsupported binary operator {op!r}")
 
 
+#: A string comparison with its operands swapped (the column goes left).
+_MIRRORED = {"=": "=", "<>": "<>", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
+
+
+def _string_verdict(op: str, left: Tensor, right: Tensor) -> Tensor:
+    """``left op right`` row-wise over padded code tensors; ``<>`` answers
+    ``=`` (the caller negates it)."""
+    if op in ("=", "<>"):
+        return strings.equals_columns(left, right)
+    if op in (">", "<="):
+        # a > b is b < a; a <= b is not b < a.
+        left, right = right, left
+    result = strings.less_than(left, right)
+    return ops.logical_not(result) if op in ("<=", ">=") else result
+
+
 def _string_comparison(op: str, expr: ast.BinaryOp, left: ExprValue,
                        right: ExprValue) -> ExprValue:
-    if op not in ("=", "<>"):
-        raise UnsupportedOperationError(
-            "only equality comparisons are supported for strings"
-        )
     # literal/parameter vs column
     if left.is_scalar != right.is_scalar:
         column, literal_expr = ((right, expr.left) if left.is_scalar
                                 else (left, expr.right))
         literal = left if left.is_scalar else right
-        if column.encoding is not None:
-            # Compare against the k dictionary entries, then gather the
-            # per-entry verdict per row — O(k·m) comparison work instead of
-            # O(n·m), and the bound value of a parameter flows through the
-            # same dictionary probe at run time.
-            dictionary = column.encoding.dictionary
-            if isinstance(literal_expr, ast.Literal):
-                matches = strings.equals_literal(dictionary, str(literal_expr.value))
-            else:
-                matches = strings.equals_columns(
-                    dictionary, ops.reshape(literal.tensor,
-                                            (1, literal.tensor.shape[-1])))
-            result = ops.take(matches, ops.cast(column.tensor, "int64"))
-        elif isinstance(literal_expr, ast.Literal):
-            result = strings.equals_literal(column.tensor, str(literal_expr.value))
+        column_op = _MIRRORED[op] if left.is_scalar else op
+        # Compare against the k dictionary entries of an encoded column, then
+        # gather the per-entry verdict per row — O(k·m) comparison work
+        # instead of O(n·m), and the bound value of a parameter flows through
+        # the same dictionary probe at run time.  The dictionary is sorted, so
+        # an ordering comparison holds entry for entry too.
+        codes = (column.encoding.dictionary if column.encoding is not None
+                 else column.tensor)
+        if op in ("=", "<>") and isinstance(literal_expr, ast.Literal):
+            result = strings.equals_literal(codes, str(literal_expr.value))
         else:
-            result = strings.equals_columns(
-                column.tensor, ops.reshape(literal.tensor, (1, literal.tensor.shape[-1]))
-            )
+            result = _string_verdict(column_op, codes, ops.reshape(
+                literal.tensor, (1, literal.tensor.shape[-1])))
+        if column.encoding is not None:
+            result = ops.take(result, ops.cast(column.tensor, "int64"))
         scalar = False
     else:
         if (left.encoding is not None and right.encoding is not None
                 and left.encoding.dictionary is right.encoding.dictionary):
-            # Same dictionary: equal codes <=> equal strings.
-            result = ops.eq(left.tensor, right.tensor)
+            # Same (sorted) dictionary: codes compare as the strings do.
+            compare = "=" if op == "<>" else op
+            result = getattr(ops, _COMPARISON[compare])(left.tensor, right.tensor)
         else:
             left, right = decode_value(left), decode_value(right)
-            result = strings.equals_columns(left.tensor, right.tensor)
+            result = _string_verdict(op, left.tensor, right.tensor)
         scalar = left.is_scalar and right.is_scalar
     if op == "<>":
         result = ops.logical_not(result)

@@ -65,11 +65,13 @@ def merge_tables(left: TensorTable, right: TensorTable) -> TensorTable:
 
 def _null_column_like(column: TensorColumn, table: TensorTable
                       ) -> TensorColumn:
-    """An all-NULL column with the type / width of ``column`` and one row per
-    row of ``table`` (sized off its anchor at run time, never a baked count)."""
+    """An all-NULL column with the type / width (and, for strings, the code
+    unit: a wider one would promote the whole concatenated column) of
+    ``column`` and one row per row of ``table`` (sized off its anchor at run
+    time, never a baked count)."""
     anchor = table.anchor
     if column.ltype == LogicalType.STRING:
-        data = ops.full_like_rows(anchor, 0, dtype="int32",
+        data = ops.full_like_rows(anchor, 0, dtype=column.code_unit,
                                   width=column.string_width)
     elif column.ltype == LogicalType.FLOAT:
         data = ops.full_like_rows(anchor, 0, dtype="float64")

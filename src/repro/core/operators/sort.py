@@ -50,6 +50,10 @@ class SortOperator(TensorOperator):
                 add(ops.cast(column.tensor, "int64"))
             elif column.ltype == LogicalType.STRING:
                 codes = column.tensor
+                if not ascending and codes.dtype.name == "uint8":
+                    # A negated uint8 code wraps (and the pad 0 does not):
+                    # descend over signed codes.
+                    codes = ops.cast(codes, "int32")
                 for char_index in range(codes.shape[1]):
                     add(ops.slice_(codes, (slice(None), char_index)))
             elif column.ltype == LogicalType.BOOL:

@@ -30,7 +30,9 @@ from repro.frontend.lexer import Token, TokenType, tokenize
 
 #: Fixed encoded width of STRING parameters.  Traced programs bake string
 #: tensor widths into the graph, so every binding of a string parameter is
-#: padded to this width — one compiled program then serves all of them.
+#: padded to this width — one compiled program then serves all of them.  For
+#: the same reason a bound string is always int32, whatever code unit its
+#: text would get as a column: a uint8 column compared with it promotes.
 PARAM_STRING_WIDTH = 64
 
 
@@ -173,7 +175,8 @@ def param_array_converter(spec: ParameterSpec):
     """
     ltype = spec.ltype
     if ltype == LogicalType.STRING:
-        return lambda value: encode_string_literal(value, PARAM_STRING_WIDTH)
+        return lambda value: encode_string_literal(
+            value, PARAM_STRING_WIDTH).astype(np.int32)
     if ltype == LogicalType.BOOL:
         np_dtype = np.bool_
     elif ltype == LogicalType.FLOAT:

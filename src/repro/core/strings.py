@@ -1,9 +1,17 @@
 """Tensor-program implementations of string predicates over padded code tensors.
 
-Strings are ``(n × m)`` int32 code-point tensors right-padded with zeros
-(paper §2.1), so every predicate below is expressed purely with tensor ops —
+Strings are ``(n × m)`` code-point tensors right-padded with zeros (paper
+§2.1), so every predicate below is expressed purely with tensor ops —
 equality/comparison, substring search (``ops.find``) for ``LIKE '%x%'``, prefix
 and suffix matching, and substring extraction.
+
+The code unit is uint8 or int32 (see
+:func:`repro.core.columnar.encode_strings`), and every function here reads
+whichever it is given.  A literal or needle is never cast down to the
+column's unit: a code point too wide for a uint8 column compares unequal to
+every code in it (numpy compares the values, it does not wrap 300 to 44), so
+it matches no row.  A placeholder the functions build takes the unit of the
+codes it stands beside.
 """
 
 from __future__ import annotations
@@ -41,6 +49,20 @@ def equals_columns(left: Tensor, right: Tensor) -> Tensor:
     left = ops.pad2d(left, width)
     right = ops.pad2d(right, width)
     return ops.all_(ops.eq(left, right), axis=1)
+
+
+def less_than(left: Tensor, right: Tensor) -> Tensor:
+    """Row-wise ``left < right`` of two padded string tensors in code-point
+    order, which is sqlite's BINARY order (UTF-8 keeps it).  Widths and units
+    may differ.  The first differing column decides, and a pad 0 sorts below
+    every code point, so a proper prefix sorts first."""
+    width = max(left.shape[1], right.shape[1])
+    left = ops.pad2d(left, width)
+    right = ops.pad2d(right, width)
+    differs = ops.ne(left, right)
+    seen = ops.cumsum(ops.cast(differs, "int64"), axis=1)
+    first = ops.logical_and(differs, ops.eq(seen, 1))
+    return ops.any_(ops.logical_and(first, ops.lt(left, right)), axis=1)
 
 
 def starts_with(codes: Tensor, prefix: str) -> Tensor:
@@ -117,7 +139,7 @@ def substring(codes: Tensor, start: int, length: int | None) -> Tensor:
         length = width - begin
     length = max(0, min(length, width - begin))
     if length == 0:
-        return ops.full_like_rows(codes, 0, dtype="int32", width=1)
+        return ops.full_like_rows(codes, 0, dtype=codes.dtype.name, width=1)
     return ops.narrow(codes, 1, begin, length)
 
 

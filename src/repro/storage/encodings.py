@@ -3,7 +3,10 @@
 A :class:`DictionaryEncoding` is a small object attached to a
 :class:`~repro.core.columnar.TensorColumn` that reinterprets the column's
 ``tensor``: it holds ``(n,)`` int32 *codes* into a ``(k × m)`` dictionary of
-padded code-point rows.  The dictionary holds the distinct values **sorted**
+padded code-point rows.  The codes are int32 whatever the text; the
+dictionary's code unit is the one :func:`~repro.core.columnar.encode_strings`
+chooses for the distinct values (uint8 when every code point is below 256,
+int32 otherwise).  The dictionary holds the distinct values **sorted**
 (they are found by hashing; only those ``k`` are sorted, never the ``n`` rows),
 which makes code order agree with lexicographic string
 order — equality, IN, LIKE, GROUP BY, DISTINCT and ORDER BY all run directly

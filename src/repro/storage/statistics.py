@@ -101,28 +101,27 @@ def _column_statistics(name: str, array: np.ndarray, kind: str,
     ndv = (len(set(non_null)) if kind == "string"
            else int(len(np.unique(non_null))))
 
-    bounds = morsel_bounds(len(values), block_rows)
-    object_blocks = kind == "string"
-    block_min = np.empty(len(bounds), dtype=object if object_blocks else values.dtype)
-    block_max = np.empty(len(bounds), dtype=object if object_blocks else values.dtype)
-    block_nonnull = np.zeros(len(bounds), dtype=np.int64)
-    for i, (start, length) in enumerate(bounds):
-        chunk = values[start:start + length]
-        chunk_nulls = nulls[start:start + length]
-        live = chunk[~chunk_nulls]
-        block_nonnull[i] = len(live)
-        if len(live):
-            block_min[i] = live.min()
-            block_max[i] = live.max()
-        else:
-            # Placeholder bounds for an all-NULL block; ``block_nonnull == 0``
-            # is what pruning consults, these are never compared.
-            block_min[i] = values.dtype.type() if not object_blocks else ""
-            block_max[i] = block_min[i]
+    # One reduction per bound over the live values, cut at the blocks' first
+    # live offsets: only non-empty blocks take part, so the offsets ascend
+    # strictly and no ``reduceat`` segment is empty.
+    num_blocks = -(-len(values) // block_rows)
+    block_nonnull = np.bincount(np.flatnonzero(~nulls) // block_rows,
+                                minlength=num_blocks).astype(np.int64)
+    live = block_nonnull > 0
+    offsets = (np.cumsum(block_nonnull) - block_nonnull)[live]
+    # Placeholder bounds for an all-NULL block; ``block_nonnull == 0`` is what
+    # pruning consults, these are never compared.
+    blocks_dtype = object if kind == "string" else values.dtype
+    placeholder = "" if kind == "string" else values.dtype.type()
+    block_min = np.full(num_blocks, placeholder, dtype=blocks_dtype)
+    block_max = block_min.copy()
+    if len(offsets):
+        block_min[live] = np.minimum.reduceat(non_null, offsets)
+        block_max[live] = np.maximum.reduceat(non_null, offsets)
     return ColumnStatistics(
         name=name, kind=kind, null_count=null_count, ndv=ndv,
-        min_value=(non_null.min() if len(non_null) else None),
-        max_value=(non_null.max() if len(non_null) else None),
+        min_value=(block_min[live].min() if len(offsets) else None),
+        max_value=(block_max[live].max() if len(offsets) else None),
         block_min=block_min, block_max=block_max, block_nonnull=block_nonnull,
     )
 

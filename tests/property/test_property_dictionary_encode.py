@@ -4,7 +4,9 @@
 sorts only those.  The body it replaced — ``np.unique(...,
 return_inverse=True)`` over an object array, i.e. a sort of every row — is
 kept here as the reference: dictionary tensor, codes, dtypes and order must be
-identical, so no plan, trace or result can tell the two apart.
+identical, so no plan, trace or result can tell the two apart.  The codes are
+int32; the dictionary's code unit is uint8 when every code point of the
+distinct values is below 256, else int32.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ def _reference(values):
     return encode_strings(list(uniques)), inverse.astype(np.int32)
 
 
+def _unit(values):
+    """The code unit the rule picks for ``values``, counted here from the
+    code points themselves."""
+    text = "".join("" if v is None else str(v) for v in values)
+    return np.uint8 if max(map(ord, text), default=0) < 256 else np.int32
+
+
 def _assert_identical(values):
     dictionary, codes = _reference(values)
     column = dictionary_encode(values)
@@ -36,7 +45,7 @@ def _assert_identical(values):
     got_codes = column.tensor.numpy()
     got_dictionary = column.encoding.dictionary.numpy()
     assert got_codes.dtype == codes.dtype == np.int32
-    assert got_dictionary.dtype == dictionary.dtype == np.int32
+    assert got_dictionary.dtype == dictionary.dtype == _unit(values)
     assert got_codes.shape == codes.shape
     assert got_dictionary.shape == dictionary.shape
     np.testing.assert_array_equal(got_codes, codes)
@@ -59,6 +68,8 @@ class _Odd:
     ["", None, "x", "", None],                      # '' beside None
     [7, "7", 7.0, _Odd(), (1, 2), True, None],      # non-str objects
     ["é", "e", "漢字", "漢", "😀", "\U0001F600a", "z", "￿"],
+    ["é", "e", "ÿ", None, "e"],                     # Latin-1: still uint8
+    ["e", "ā"],                                     # one point past it
     ["a", "a ", "a  ", " a", "a\t", "a"],           # trailing spaces differ
     ["b", "a", "c", "a", "b", "c", "a"],
     [f"v{i:03d}" for i in range(200)][::-1],        # n distinct values
@@ -72,6 +83,10 @@ def test_unicode_dtype_input_matches_the_sorting_reference():
     values = np.array(["pear", "apple", "pear ", "fig", "apple", ""])
     assert values.dtype.kind == "U"
     _assert_identical(values)
+    assert dictionary_encode(values).encoding.dictionary.dtype.name == "uint8"
+    wide = np.array(["pear", "漢", "pear"])
+    _assert_identical(wide)
+    assert dictionary_encode(wide).encoding.dictionary.dtype.name == "int32"
 
 
 @pytest.mark.parametrize("alphabet", ALPHABETS)

@@ -86,11 +86,13 @@ def test_adversarial_repeated_prefix():
     assert _find(values, ops.tensor([0, 33, 14]), needle) == [-1, -1, -1]
 
 
-def test_non_contiguous_int32_view():
+@pytest.mark.parametrize("alphabet, unit", [("abc", np.uint8),
+                                            ("ab漢", np.int32)])
+def test_non_contiguous_views(alphabet, unit):
     rng = np.random.default_rng(SEED)
-    values = _random_strings(rng, "abc", 40, 10)
+    values = _random_strings(rng, alphabet, 40, 10)
     base = encode_strings(values, 12)
-    assert base.dtype == np.int32
+    assert base.dtype == unit
     every_other = ops.tensor(base[::2])
     assert not every_other.data.flags.c_contiguous
     assert ops.find(every_other, 0, [97, 98]).tolist() == \
@@ -98,8 +100,9 @@ def test_non_contiguous_int32_view():
     # A column slice drops the first code point of every row.
     tail = ops.tensor(base[:, 1:])
     assert not tail.data.flags.c_contiguous
-    assert ops.find(tail, 0, [98, 99]).tolist() == \
-        [v[1:].find("bc") for v in values]
+    needle = alphabet[1:3]
+    assert ops.find(tail, 0, [ord(ch) for ch in needle]).tolist() == \
+        [v[1:].find(needle) for v in values]
 
 
 def _like_regex(pattern):

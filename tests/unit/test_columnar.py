@@ -22,9 +22,14 @@ from repro.tensor import ops
 def test_string_encoding_shape_and_padding():
     codes = encode_strings(["hi", "teacup", ""])
     assert codes.shape == (3, 6)              # (n x m), m = max length
-    assert codes.dtype == np.int32
+    assert codes.dtype == np.uint8            # every code point below 256
     assert codes[0, 0] == ord("h") and codes[0, 2] == 0   # right-padded with 0
     np.testing.assert_array_equal(decode_strings(codes), ["hi", "teacup", ""])
+    # One code point past Latin-1 widens the whole tensor to int32.
+    wide = encode_strings(["hi", "teacup", "漢"])
+    assert wide.shape == (3, 6) and wide.dtype == np.int32
+    assert wide[2, 0] == ord("漢") and wide[2, 1] == 0
+    np.testing.assert_array_equal(decode_strings(wide), ["hi", "teacup", "漢"])
 
 
 def test_string_encoding_explicit_width_truncates():

@@ -6,7 +6,7 @@ import pytest
 from repro.core.columnar import LogicalType, TensorTable, date_literal_to_ns
 from repro.core.expressions import EvaluationContext, as_mask, evaluate, to_column
 from repro.dataframe import DataFrame
-from repro.errors import ExecutionError, UnsupportedOperationError
+from repro.errors import ExecutionError
 from repro.frontend import ast
 from repro.frontend.parser import parse
 
@@ -117,8 +117,9 @@ def test_string_equality_like_and_in_list():
     inlist.otype = LogicalType.BOOL
     np.testing.assert_array_equal(evaluate(inlist, _table(), CTX).tensor.numpy(),
                                   [False, True, False])
-    with pytest.raises(UnsupportedOperationError):
-        evaluate(_binary("<", NAME(), _lit("A", LogicalType.STRING)), _table(), CTX)
+    less = _binary("<", NAME(), _lit("PROMO C", LogicalType.STRING))
+    np.testing.assert_array_equal(evaluate(less, _table(), CTX).tensor.numpy(),
+                                  [True, True, False])
 
 
 def test_case_when_and_cast():

@@ -75,6 +75,48 @@ def test_string_nulls_bound_no_block():
     assert strings.block_nonnull.tolist() == [1, 0]
 
 
+
+def test_empty_table_has_no_blocks_and_no_bounds():
+    frame = DataFrame({"i": np.zeros(0, dtype=np.int64),
+                       "f": np.zeros(0, dtype=np.float64),
+                       "d": np.zeros(0, dtype="datetime64[D]"),
+                       "s": np.array([], dtype=object)})
+    table = compute_table_statistics(frame, block_rows=2)
+    assert (table.row_count, table.num_blocks) == (0, 0)
+    for name in frame.columns:
+        stats = table.column(name)
+        assert (stats.null_count, stats.ndv) == (0, 0)
+        assert stats.min_value is None and stats.max_value is None
+        assert not stats.comparable
+        assert stats.block_min.size == stats.block_max.size == 0
+        assert stats.block_nonnull.tolist() == []
+
+
+def test_all_nan_block_keeps_the_placeholder_and_bounds_nothing():
+    frame = DataFrame({"f": np.array([np.nan, np.nan, 3.5, np.nan, -1.0])})
+    stats = compute_table_statistics(frame, block_rows=2).column("f")
+    assert (stats.null_count, stats.ndv) == (3, 2)
+    assert (stats.min_value, stats.max_value) == (-1.0, 3.5)
+    assert stats.block_nonnull.tolist() == [0, 1, 1]
+    assert stats.block_min.tolist() == [0.0, 3.5, -1.0]
+    assert stats.block_max.tolist() == [0.0, 3.5, -1.0]
+    assert stats.block_min.dtype == np.float64
+    only_nan = compute_table_statistics(
+        DataFrame({"f": np.full(3, np.nan)}), block_rows=2).column("f")
+    assert only_nan.min_value is None and only_nan.max_value is None
+    assert only_nan.block_nonnull.tolist() == [0, 0]
+
+
+def test_null_only_string_column_bounds_nothing():
+    stats = compute_table_statistics(
+        DataFrame({"s": np.array([None, None, None], dtype=object)}),
+        block_rows=2).column("s")
+    assert (stats.null_count, stats.ndv) == (3, 0)
+    assert stats.min_value is None and not stats.comparable
+    assert stats.block_min.tolist() == stats.block_max.tolist() == ["", ""]
+    assert stats.block_nonnull.tolist() == [0, 0]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(tpch_statistics(), indent=1, sort_keys=True)
                       + "\n")

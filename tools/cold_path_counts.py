@@ -3,7 +3,10 @@
 
 Counts that repeat exactly on an unchanged tree, printed beside the ``src/``
 line count they belong with: ``encode_column`` calls (one per distinct scanned
-column when conversion is shared), graph-pass runs (``passes.optimize``
+column when conversion is shared) and the bytes of the columns they return,
+split into numeric / date / bool tensors, dictionary codes and string code
+points by code unit (uint8 / int32: a change of representation moves these),
+graph-pass runs (``passes.optimize``
 calls) and generated source lines registered with ``linecache`` after the
 first executions (0 and 0: each returns its trace's result, and the passes
 run when a program is lowered) and after the second (one pass run per
@@ -46,6 +49,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro.adaptive as adaptive  # noqa: E402
 from repro import ExecutionOptions, TQPSession  # noqa: E402
+from repro.core.columnar import LogicalType  # noqa: E402
 from repro.core.executor import Executor  # noqa: E402
 from repro.core.planner import Planner, scope_family  # noqa: E402
 from repro.datasets import tpch  # noqa: E402
@@ -114,13 +118,34 @@ def unpriced_executions(session) -> int:
     return unpriced
 
 
+def column_bytes(column) -> collections.Counter:
+    """A converted column's bytes: ``numeric`` (every non-string tensor),
+    ``codes`` (a dictionary column's int32 row codes) and one entry per
+    string code unit (the code points, a dictionary's included)."""
+    counts = collections.Counter()
+    if column.encoding is not None:
+        counts["codes"] += column.tensor.nbytes
+        points = column.encoding.dictionary
+    elif column.ltype == LogicalType.STRING:
+        points = column.tensor
+    else:
+        counts["numeric"] += column.tensor.nbytes
+        points = None
+    if points is not None:
+        counts[points.dtype.name] += points.nbytes
+    return counts
+
+
 def main() -> None:
     calls = []
+    converted = collections.Counter()
     convert = encodings.encode_column
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return convert(*args, **kwargs)
+        column = convert(*args, **kwargs)
+        converted.update(column_bytes(column))
+        return column
 
     encodings.encode_column = counted
     optimized = []
@@ -151,7 +176,10 @@ def main() -> None:
     def nodes(names: tuple) -> str:
         return " / ".join(f"{ops[name]} {name}" for name in names)
 
-    print(f"{len(calls)} encode_column calls, {pass_runs[0]} / "
+    print(f"{len(calls)} encode_column calls of {sum(converted.values())} "
+          f"bytes ({converted['numeric']} numeric, {converted['codes']} "
+          f"dictionary codes, {converted['uint8']} uint8 / "
+          f"{converted['int32']} int32 code points), {pass_runs[0]} / "
           f"{pass_runs[1]} graph-pass runs and {lines[0]} / {lines[1]} "
           f"generated source lines after the first / second executions, "
           f"{nodes(GATHERS)} nodes, {nodes(REDUCTIONS)} nodes, "
